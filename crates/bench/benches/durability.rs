@@ -13,6 +13,7 @@ use idb_core::{
     MemCheckpoints, Parallelism, SeedSearch,
 };
 use idb_geometry::SearchStats;
+use idb_obs::Obs;
 use idb_store::wal::{read_wal, MemSink};
 use idb_store::Batch;
 use rand::rngs::StdRng;
@@ -108,7 +109,7 @@ fn bench_recovery(c: &mut Criterion) {
             &prefix,
             |b, prefix| {
                 b.iter(|| {
-                    let rec = recover(prefix, &ckpts).expect("clean recovery");
+                    let rec = recover(prefix, &ckpts, &Obs::disabled()).expect("clean recovery");
                     black_box(rec.batches_durable)
                 });
             },

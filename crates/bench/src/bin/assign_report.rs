@@ -21,7 +21,7 @@
 //!
 //! Usage: `assign_report [output.json]` (default `BENCH_assign.json`).
 
-use idb_bench::complex_fixture;
+use idb_bench::{complex_fixture, median};
 use idb_core::{IncrementalBubbles, MaintainerConfig, Parallelism, SeedSearch};
 use idb_geometry::SearchStats;
 use rand::rngs::StdRng;
@@ -47,8 +47,7 @@ fn median_secs<F: FnMut() -> SearchStats>(mut f: F) -> (f64, SearchStats) {
         stats = f();
         times.push(t0.elapsed().as_secs_f64());
     }
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    (times[REPS / 2], stats)
+    (median(times), stats)
 }
 
 struct Row {

@@ -18,7 +18,7 @@
 //! Usage: `durability_report [output.json]` (default
 //! `BENCH_durability.json`).
 
-use idb_bench::complex_fixture;
+use idb_bench::{complex_fixture, median};
 use idb_core::{
     recover, recover_chain, DurabilityConfig, DurableMaintainer, IncrementalBubbles,
     MaintainerConfig, MemCheckpoints, Parallelism, SeedSearch,
@@ -36,11 +36,6 @@ use std::time::Instant;
 
 const REPS: usize = 5;
 const BATCHES: usize = 64;
-
-fn median(mut times: Vec<f64>) -> f64 {
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    times[times.len() / 2]
-}
 
 struct Stream {
     store: idb_store::PointStore,
@@ -212,12 +207,12 @@ fn main() {
         let times: Vec<f64> = (0..REPS)
             .map(|_| {
                 let t0 = Instant::now();
-                let rec = recover(prefix, &ckpts).expect("clean recovery");
+                let rec = recover(prefix, &ckpts, &Obs::disabled()).expect("clean recovery");
                 std::hint::black_box(rec.batches_durable);
                 t0.elapsed().as_secs_f64()
             })
             .collect();
-        let rec = recover(prefix, &ckpts).expect("clean recovery");
+        let rec = recover(prefix, &ckpts, &Obs::disabled()).expect("clean recovery");
         assert_eq!(rec.replayed as usize, tail);
         let secs = median(times);
         eprintln!(
@@ -295,12 +290,13 @@ fn main() {
     let times: Vec<f64> = (0..REPS)
         .map(|_| {
             let t0 = Instant::now();
-            let rec = recover_chain(&medium, &seg_ckpts).expect("clean chain recovery");
+            let rec =
+                recover_chain(&medium, &seg_ckpts, &Obs::disabled()).expect("clean chain recovery");
             std::hint::black_box(rec.batches_durable);
             t0.elapsed().as_secs_f64()
         })
         .collect();
-    let rec = recover_chain(&medium, &seg_ckpts).expect("clean chain recovery");
+    let rec = recover_chain(&medium, &seg_ckpts, &Obs::disabled()).expect("clean chain recovery");
     assert_eq!(rec.batches_durable as usize, BATCHES);
     let chain_secs = median(times);
     eprintln!(

@@ -6,26 +6,20 @@
 //!
 //! Exit status is non-zero when the directory holds no journals, a file
 //! is empty, a line fails to parse, or any invariant is violated — so a
-//! CI run with `IDB_OBS=jsonl` pointed at a hermetic `IDB_OBS_DIR` gets
-//! a hard gate over everything the test suites journaled.
+//! CI run pointed at the directory a journaling test wrote its JSONL
+//! into gets a hard gate over that journal.
 //!
-//! Usage: `journal_check [dir]` (default: `IDB_OBS_DIR`, falling back to
-//! the `idb-obs` directory under the system temp dir).
+//! Usage: `journal_check <dir>`.
 
 use idb_obs::{check_journal_sharded, Event, JournalSummary};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-fn default_dir() -> PathBuf {
-    std::env::var_os("IDB_OBS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| std::env::temp_dir().join("idb-obs"))
-}
-
 fn main() -> ExitCode {
-    let dir = std::env::args()
-        .nth(1)
-        .map_or_else(default_dir, PathBuf::from);
+    let Some(dir) = std::env::args_os().nth(1).map(PathBuf::from) else {
+        eprintln!("usage: journal_check <dir>");
+        return ExitCode::from(2);
+    };
     let entries = match std::fs::read_dir(&dir) {
         Ok(entries) => entries,
         Err(e) => {

@@ -19,7 +19,7 @@
 //!
 //! Usage: `kernel_report [output.json]` (default `BENCH_kernel.json`).
 
-use idb_bench::complex_fixture;
+use idb_bench::{complex_fixture, median};
 use idb_core::{IncrementalBubbles, MaintainerConfig, Parallelism, SeedSearch};
 use idb_geometry::metric::{scalar, sq_dist, sq_dist_bounded};
 use idb_geometry::{NearestSeeds, SearchStats};
@@ -49,8 +49,7 @@ fn median_secs<F: FnMut() -> f64>(mut f: F) -> f64 {
         black_box(f());
         times.push(t0.elapsed().as_secs_f64());
     }
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    times[REPS / 2]
+    median(times)
 }
 
 struct KernelRow {

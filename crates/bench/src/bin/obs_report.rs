@@ -25,7 +25,7 @@
 //!
 //! Usage: `obs_report [output.json]` (default `BENCH_obs.json`).
 
-use idb_bench::complex_fixture;
+use idb_bench::{complex_fixture, median};
 use idb_core::{IncrementalBubbles, MaintainerConfig, Parallelism, SeedSearch};
 use idb_geometry::SearchStats;
 use idb_obs::{MetricsRegistry, Obs, RingRecorder};
@@ -47,14 +47,9 @@ const BATCHES: usize = 48;
 /// the way a raw minimum would.
 fn floor_secs(times: &[f64]) -> f64 {
     let mut sorted = times.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    sorted.sort_by(f64::total_cmp);
     let k = sorted.len().min(5);
     sorted[..k].iter().sum::<f64>() / k as f64
-}
-
-fn median(mut times: Vec<f64>) -> f64 {
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    times[times.len() / 2]
 }
 
 /// Per-step floors, summed: element-wise minimum over runs of the
@@ -97,8 +92,8 @@ fn plan_stream() -> Stream {
 }
 
 /// Times the static construction scan — the `assign_report` build path —
-/// under the process-default observability (disabled unless `IDB_OBS` is
-/// set, i.e. the shipped `NullRecorder`).
+/// under the default observability a build installs (disabled, i.e. the
+/// shipped `NullRecorder`).
 fn run_build(stream: &Stream) -> f64 {
     let mut rng = StdRng::seed_from_u64(7);
     let mut stats = SearchStats::new();

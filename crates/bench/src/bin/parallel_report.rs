@@ -21,7 +21,7 @@
 //!
 //! Usage: `parallel_report [output.json]` (default `BENCH_parallel.json`).
 
-use idb_bench::random_fixture;
+use idb_bench::{median, random_fixture};
 use idb_clustering::optics_bubbles_with;
 use idb_core::{IncrementalBubbles, MaintainerConfig, Parallelism};
 use idb_geometry::{NearestSeeds, SearchStats, SeedSearch};
@@ -48,8 +48,7 @@ fn median_secs<F: FnMut() -> u64>(mut f: F) -> (f64, u64) {
         work = f();
         times.push(t0.elapsed().as_secs_f64());
     }
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    (times[REPS / 2], work)
+    (median(times), work)
 }
 
 struct Row {

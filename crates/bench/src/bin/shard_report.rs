@@ -17,6 +17,7 @@
 //!
 //! Usage: `shard_report [output.json]` (default `BENCH_shard.json`).
 
+use idb_bench::median;
 use idb_core::{DurabilityConfig, MaintainerConfig, MemCheckpoints};
 use idb_geometry::Parallelism;
 use idb_obs::Obs;
@@ -35,11 +36,6 @@ const WAVE: usize = 8;
 const INSERTS_PER_BATCH: usize = 800;
 const DELETES_PER_BATCH: usize = 200;
 const REPS: usize = 3;
-
-fn median(mut times: Vec<f64>) -> f64 {
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    times[times.len() / 2]
-}
 
 fn random_point<R: Rng + ?Sized>(rng: &mut R) -> Vec<f64> {
     (0..DIM).map(|_| rng.gen_range(0.0..100.0)).collect()

@@ -203,7 +203,7 @@ impl Ord for Seed {
     }
 }
 
-/// Runs OPTICS over non-empty summaries.
+/// Runs OPTICS over non-empty summaries in the calling thread.
 ///
 /// Empty summaries (bubbles whose every point was deleted) are skipped —
 /// they compress nothing and have no position. `eps` bounds the
@@ -218,7 +218,7 @@ pub fn optics_bubbles<S: DataSummary + Sync>(
     eps: f64,
     min_pts: usize,
 ) -> BubbleOrdering {
-    optics_bubbles_with(summaries, eps, min_pts, Parallelism::default())
+    optics_bubbles_with(summaries, eps, min_pts, Parallelism::Serial)
 }
 
 /// [`optics_bubbles`] with an explicit [`Parallelism`] mode.

@@ -58,21 +58,19 @@ pub struct MaintainerConfig {
 impl MaintainerConfig {
     /// Paper defaults: triangle-inequality (pruned) assignment with
     /// warm-start hints, β quality measure at `p = 0.9`, random split
-    /// seeds. Both the seed-search engine and the parallelism default to
-    /// their environment modes (`IDB_SEED_SEARCH` / `IDB_PARALLELISM`,
-    /// pruned and serial when unset) so a whole test or experiment run can
-    /// be pinned without touching call sites.
+    /// seeds, serial execution. Every other choice is made explicitly with
+    /// the `with_*` builders; nothing is read from the environment.
     #[must_use]
     pub fn new(num_bubbles: usize) -> Self {
         assert!(num_bubbles >= 2, "at least two bubbles are required");
         Self {
             num_bubbles,
             probability: 0.9,
-            seed_search: SeedSearch::default(),
+            seed_search: SeedSearch::Pruned,
             warm_start: true,
             quality: QualityKind::Beta,
             split_seeds: SplitSeedPolicy::Random,
-            parallelism: Parallelism::default(),
+            parallelism: Parallelism::Serial,
         }
     }
 
@@ -132,13 +130,11 @@ mod tests {
         let c = MaintainerConfig::new(100);
         assert_eq!(c.num_bubbles, 100);
         assert_eq!(c.probability, 0.9);
-        // The engine default tracks the environment knob (pruned unless
-        // IDB_SEED_SEARCH overrides it), mirroring parallelism.
-        assert_eq!(c.seed_search, SeedSearch::default());
+        assert_eq!(c.seed_search, SeedSearch::Pruned);
         assert!(c.warm_start);
         assert_eq!(c.quality, QualityKind::Beta);
         assert_eq!(c.split_seeds, SplitSeedPolicy::Random);
-        assert_eq!(c.parallelism, Parallelism::default());
+        assert_eq!(c.parallelism, Parallelism::Serial);
     }
 
     #[test]

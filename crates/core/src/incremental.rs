@@ -239,8 +239,6 @@ impl IncrementalBubbles {
             store.all_resident(),
             "build requires a fully resident store; enable the cold tier after building"
         );
-        let obs = Obs::from_env();
-        let timer = obs.start();
         let dim = store.dim();
         let seed_ids = store.sample_distinct(config.num_bubbles, rng);
         let mut seeds = NearestSeeds::new(dim);
@@ -259,7 +257,9 @@ impl IncrementalBubbles {
             member_pos: vec![NONE; store.slots()],
             total_points: 0,
             last_insert: NONE,
-            obs,
+            // A fresh build journals nothing: callers attach a handle with
+            // `set_obs` once the summary exists.
+            obs: Obs::disabled(),
             track_changes: false,
             changes: None,
             ckpt_track: false,
@@ -273,23 +273,11 @@ impl IncrementalBubbles {
             flat.extend_from_slice(p);
         }
         // A fresh build has no assignment history to warm-start from.
-        let before = *search;
         let targets = this.batch_targets(&flat, None, None, search);
         for (&id, &(b, _)) in ids.iter().zip(&targets) {
             this.attach(id, b as usize, store.point(id));
             this.total_points += 1;
         }
-        this.observe_search(ids.len() as u64, &search.delta_since(&before), timer.us());
-        // A fresh `NearestSeeds` starts with zeroed accounting, so the
-        // zero snapshot attributes exactly the initial seed pushes.
-        this.observe_repair(MatrixStats::default(), RepairStats::default());
-        this.obs.emit(
-            EventKind::Build {
-                points: this.total_points,
-                bubbles: this.bubbles.len() as u32,
-            },
-            timer.us(),
-        );
         this
     }
 
@@ -375,9 +363,9 @@ impl IncrementalBubbles {
         &self.obs
     }
 
-    /// Replaces the observability handle ([`Obs::from_env`] is installed
-    /// by [`Self::build`]; snapshot decoding starts disabled). Purely an
-    /// output channel — never affects summarization results.
+    /// Replaces the observability handle (a built or decoded maintainer
+    /// starts with [`Obs::disabled`]). Purely an output channel — never
+    /// affects summarization results.
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
     }
@@ -1914,7 +1902,7 @@ mod tests {
         let store = toy_store(&mut rng);
         let mut search = SearchStats::new();
         // Pinned to the pruned engine: the assertions below are about its
-        // accounting, independent of the IDB_SEED_SEARCH environment.
+        // accounting.
         let ib = IncrementalBubbles::build(
             &store,
             MaintainerConfig::new(10).with_seed_search(SeedSearch::Pruned),

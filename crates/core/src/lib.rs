@@ -55,8 +55,8 @@ pub use incremental::{
 pub use quality::{chebyshev_k, BubbleClass, Classification};
 pub use recovery::{
     decode_checkpoint, decode_delta_checkpoint, delta_base_seq, encode_checkpoint,
-    encode_delta_checkpoint, recover, recover_chain, recover_chain_with_obs, recover_with_obs,
-    CheckpointStore, DurabilityConfig, DurableMaintainer, FsCheckpoints, Health, MemCheckpoints,
-    Recovered, RecoveryError, DELTA_CHECKPOINT_MAGIC,
+    encode_delta_checkpoint, recover, recover_chain, CheckpointStore, DurabilityConfig,
+    DurableMaintainer, FsCheckpoints, Health, MemCheckpoints, Recovered, RecoveryError,
+    DELTA_CHECKPOINT_MAGIC,
 };
 pub use stats::SufficientStats;

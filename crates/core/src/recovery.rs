@@ -696,23 +696,14 @@ pub struct Recovered {
 /// * [`RecoveryError::Replay`] — a WAL record does not apply on top of
 ///   the checkpoint state;
 /// * [`RecoveryError::Io`] — the checkpoint medium failed while listing.
-pub fn recover<C: CheckpointStore>(
-    wal_bytes: &[u8],
-    checkpoints: &C,
-) -> Result<Recovered, RecoveryError> {
-    recover_with_obs(wal_bytes, checkpoints, &Obs::from_env())
-}
-
-/// [`recover`] journaling through an explicit observability handle: a
-/// `recover_start` event up front, a `recover_checkpoint` event for the
-/// checkpoint actually adopted, the recovered maintainer's structural
-/// events while the WAL tail replays (the handle is installed *before*
-/// replay, so the replayed stream is comparable to the uninterrupted
-/// run's), and a closing `recover_done` event.
 ///
-/// # Errors
-/// As [`recover`].
-pub fn recover_with_obs<C: CheckpointStore>(
+/// Recovery journals through `obs`: a `recover_start` event up front, a
+/// `recover_checkpoint` event for the checkpoint actually adopted, the
+/// recovered maintainer's structural events while the WAL tail replays
+/// (the handle is installed *before* replay, so the replayed stream is
+/// comparable to the uninterrupted run's), and a closing `recover_done`
+/// event. Pass [`Obs::disabled`] to journal nothing.
+pub fn recover<C: CheckpointStore>(
     wal_bytes: &[u8],
     checkpoints: &C,
     obs: &Obs,
@@ -730,26 +721,16 @@ pub fn recover_with_obs<C: CheckpointStore>(
 
 /// [`recover`] over a segmented WAL chain: walks the newest epoch on
 /// `medium` (see [`read_chain`]) and recovers from the merged record
-/// stream. Compaction may have reclaimed the chain's oldest segments;
-/// checkpoints older than the surviving base are skipped exactly like
-/// checkpoints from an earlier epoch.
+/// stream, journaling through `obs` the same way. Compaction may have
+/// reclaimed the chain's oldest segments; checkpoints older than the
+/// surviving base are skipped exactly like checkpoints from an earlier
+/// epoch.
 ///
 /// # Errors
 /// As [`recover`]; chain-level damage ([`WalError::ChainGap`],
 /// [`WalError::CorruptSegment`]) surfaces as
 /// [`RecoveryError::CorruptWal`].
 pub fn recover_chain<M: SegmentMedium, C: CheckpointStore>(
-    medium: &M,
-    checkpoints: &C,
-) -> Result<Recovered, RecoveryError> {
-    recover_chain_with_obs(medium, checkpoints, &Obs::from_env())
-}
-
-/// [`recover_chain`] journaling through an explicit observability handle.
-///
-/// # Errors
-/// As [`recover_chain`].
-pub fn recover_chain_with_obs<M: SegmentMedium, C: CheckpointStore>(
     medium: &M,
     checkpoints: &C,
     obs: &Obs,
@@ -938,8 +919,8 @@ pub struct DurabilityConfig {
     pub disk_budget: StorageBudget,
     /// Hot-point budget for the tiered point store: at most this many
     /// payloads stay resident; the rest spill to the cold medium.
-    /// `None` (the default when `IDB_HOT_POINTS` is unset) keeps the
-    /// store untiered — every payload resident, no cold tier at all.
+    /// `None` (the default) keeps the store untiered — every payload
+    /// resident, no cold tier at all.
     pub hot_points: Option<usize>,
 }
 
@@ -953,8 +934,8 @@ impl Default for DurabilityConfig {
             max_buffered: 1024,
             checkpoint_chunk_bytes: 64 * 1024,
             full_rebase_interval: 4,
-            disk_budget: StorageBudget::from_env(),
-            hot_points: idb_store::tier::hot_points_from_env(),
+            disk_budget: StorageBudget::unbounded(),
+            hot_points: None,
         }
     }
 }
@@ -1234,7 +1215,7 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
         if let Some(hot) = this.dcfg.hot_points {
             if !this.store.tiered() {
                 this.store
-                    .enable_tier(idb_store::tier::default_cold_medium(), hot.max(1))
+                    .enable_tier(idb_store::tier::default_cold_medium()?, hot.max(1))
                     .map_err(|e| RecoveryError::Io(io::Error::other(e.to_string())))?;
             }
             this.tier_seen = this.store.tier_counters().unwrap_or_default();
@@ -2058,7 +2039,7 @@ mod tests {
         assert_eq!(dm.health(), Health::Healthy);
         let want = fingerprint(dm.store(), dm.bubbles());
         let (_, _, sink, checkpoints) = dm.into_parts();
-        let rec = recover(sink.bytes(), &checkpoints).unwrap();
+        let rec = recover(sink.bytes(), &checkpoints, &Obs::disabled()).unwrap();
         assert_eq!(rec.batches_durable, 10);
         assert!(!rec.torn_tail);
         assert_eq!(fingerprint(&rec.store, &rec.bubbles), want);
@@ -2092,7 +2073,7 @@ mod tests {
     #[test]
     fn missing_everything_is_a_typed_error() {
         let checkpoints = MemCheckpoints::new();
-        let err = recover(&[], &checkpoints).unwrap_err();
+        let err = recover(&[], &checkpoints, &Obs::disabled()).unwrap_err();
         assert!(
             matches!(err, RecoveryError::NoUsableCheckpoint { tried: 0, .. }),
             "{err}"

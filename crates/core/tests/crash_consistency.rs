@@ -16,15 +16,15 @@
 //! corrupted checkpoints).
 
 use idb_core::{
-    recover, recover_chain, recover_with_obs, CheckpointStore, DurabilityConfig, DurableMaintainer,
-    FsCheckpoints, Health, IncrementalBubbles, MaintainerConfig, MemCheckpoints, Parallelism,
-    RecoveryError, SeedSearch, DELTA_CHECKPOINT_MAGIC,
+    recover, recover_chain, CheckpointStore, DurabilityConfig, DurableMaintainer, FsCheckpoints,
+    Health, IncrementalBubbles, MaintainerConfig, MemCheckpoints, Parallelism, RecoveryError,
+    SeedSearch, DELTA_CHECKPOINT_MAGIC,
 };
 use idb_geometry::SearchStats;
 use idb_obs::{check_journal, Event, EventKind, Obs, RingRecorder};
 use idb_store::segment::{MemSegments, SegmentId, SegmentedSink};
 use idb_store::wal::{read_wal, scratch_dir, FileSink, MemSink};
-use idb_store::{Batch, PointStore};
+use idb_store::{Batch, PointStore, StorageBudget};
 use idb_synth::{flip_bit, FaultSink, ScenarioEngine, ScenarioKind, ScenarioSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,6 +32,22 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const ENGINES: [SeedSearch; 3] = [SeedSearch::Brute, SeedSearch::Pruned, SeedSearch::KdTree];
+
+/// Hot-point budgets every durable scenario that does not pin its own
+/// runs under: untiered, and 256 resident points with the rest spilled
+/// to the cold tier. Tiering must never change an outcome.
+const HOT_POINTS: [Option<usize>; 2] = [None, Some(256)];
+
+/// The durability axes of the segmented scenarios, varied one at a time
+/// from the untiered, unbounded baseline: the tiered store, then a 1 MiB
+/// disk budget. Neither may change an outcome.
+fn segmented_axes() -> [(Option<usize>, StorageBudget); 3] {
+    [
+        (None, StorageBudget::unbounded()),
+        (HOT_POINTS[1], StorageBudget::unbounded()),
+        (None, StorageBudget::bytes(1 << 20)),
+    ]
+}
 
 /// Bit-exact state: live points (id, coordinate bits, label) in live-list
 /// order, the free-list reuse stack, and every bubble's seed bits,
@@ -44,7 +60,7 @@ type Fingerprint = (
 
 fn fingerprint(store: &PointStore, ib: &IncrementalBubbles) -> Fingerprint {
     // Payloads go through the demand-fetch path so the fingerprint works
-    // over tiered stores too (ambient IDB_HOT_POINTS runs of this suite).
+    // over tiered stores too.
     let mut buf = Vec::new();
     let points = store
         .ids()
@@ -94,7 +110,7 @@ struct Scenario {
     dcfg: DurabilityConfig,
 }
 
-fn plan_scenario(case: usize, rng: &mut StdRng) -> Scenario {
+fn plan_scenario(case: usize, rng: &mut StdRng, hot_points: Option<usize>) -> Scenario {
     let kinds = ScenarioKind::all();
     let kind = kinds[case % kinds.len()];
     let dim = rng.gen_range(1..=3);
@@ -126,6 +142,7 @@ fn plan_scenario(case: usize, rng: &mut StdRng) -> Scenario {
         steps,
         dcfg: DurabilityConfig {
             checkpoint_interval: rng.gen_range(1..=4),
+            hot_points,
             ..DurabilityConfig::default()
         },
     }
@@ -201,7 +218,7 @@ fn crash_recover_finish(
             }
         }
     }
-    let rec = recover(&wal_bytes[..cut], &ckpts)
+    let rec = recover(&wal_bytes[..cut], &ckpts, &Obs::disabled())
         .unwrap_or_else(|e| panic!("{label}: recovery failed at byte {cut}: {e}"));
     assert_eq!(rec.batches_durable, durable as u64, "{label} at byte {cut}");
     assert_eq!(
@@ -227,7 +244,7 @@ fn crash_recover_finish(
     // And the post-resume disk state (fresh WAL epoch + old checkpoints)
     // must itself recover to the same final state.
     let (_, _, sink, ckpts) = dm.into_parts();
-    let rec2 = recover(sink.bytes(), &ckpts)
+    let rec2 = recover(sink.bytes(), &ckpts, &Obs::disabled())
         .unwrap_or_else(|e| panic!("{label}: second recovery failed: {e}"));
     assert_eq!(rec2.batches_durable, sc.steps.len() as u64);
     assert_eq!(
@@ -242,24 +259,62 @@ fn crash_recover_finish(
 /// bit-identically.
 #[test]
 fn crash_points_recover_bit_identically() {
-    let mut rng = StdRng::seed_from_u64(0xC4A5_0001);
-    let mut cases = 0;
-    for case in 0..32 {
-        let sc = plan_scenario(case, &mut rng);
-        let (_wal_lens, ckpt_trace, fps, wal_bytes, _) = reference_run(&sc);
-        let contents = read_wal(&wal_bytes).expect("reference wal is intact");
-        assert_eq!(contents.records.len(), sc.steps.len());
-        assert!(!contents.torn_tail);
+    for hot_points in HOT_POINTS {
+        let mut rng = StdRng::seed_from_u64(0xC4A5_0001);
+        let mut cases = 0;
+        for case in 0..32 {
+            let sc = plan_scenario(case, &mut rng, hot_points);
+            let (_wal_lens, ckpt_trace, fps, wal_bytes, _) = reference_run(&sc);
+            let contents = read_wal(&wal_bytes).expect("reference wal is intact");
+            assert_eq!(contents.records.len(), sc.steps.len());
+            assert!(!contents.torn_tail);
 
-        // Record-boundary crash points: after the header, after each batch.
-        let mut cuts: Vec<usize> = vec![20];
-        cuts.extend_from_slice(&contents.ends);
-        // Plus random mid-record bytes (torn tails).
-        for _ in 0..4 {
-            cuts.push(rng.gen_range(0..wal_bytes.len()));
+            // Record-boundary crash points: after the header, after each batch.
+            let mut cuts: Vec<usize> = vec![20];
+            cuts.extend_from_slice(&contents.ends);
+            // Plus random mid-record bytes (torn tails).
+            for _ in 0..4 {
+                cuts.push(rng.gen_range(0..wal_bytes.len()));
+            }
+            for cut in cuts {
+                let drop_newest = rng.gen_bool(0.3);
+                crash_recover_finish(
+                    &sc,
+                    &wal_bytes,
+                    &contents.ends,
+                    &ckpt_trace,
+                    &fps,
+                    cut,
+                    drop_newest,
+                    &format!("case {case}, hot {hot_points:?}"),
+                );
+                cases += 1;
+            }
         }
-        for cut in cuts {
-            let drop_newest = rng.gen_bool(0.3);
+        assert!(
+            cases >= 256,
+            "only {cases} scenario × crash-point cases ran"
+        );
+    }
+}
+
+/// A full byte sweep across the final record: every truncation point is a
+/// torn tail that recovers to the previous batch and finishes identically.
+#[test]
+fn torn_final_record_full_byte_sweep() {
+    for hot_points in HOT_POINTS {
+        let mut rng = StdRng::seed_from_u64(0xC4A5_0002);
+        let mut sc = plan_scenario(1, &mut rng, hot_points);
+        // Baseline checkpoint only, so the sweep exercises pure WAL replay.
+        sc.dcfg.checkpoint_interval = u64::MAX;
+        let (_, ckpt_trace, fps, wal_bytes, _) = reference_run(&sc);
+        let contents = read_wal(&wal_bytes).expect("reference wal is intact");
+        let last_start = contents.ends[contents.ends.len() - 2];
+        for cut in last_start..wal_bytes.len() {
+            let rec = recover(&wal_bytes[..cut], &ckpt_trace[0], &Obs::disabled())
+                .unwrap_or_else(|e| panic!("torn tail at byte {cut}: {e}"));
+            assert_eq!(rec.torn_tail, cut > last_start, "at byte {cut}");
+            assert_eq!(rec.batches_durable, sc.steps.len() as u64 - 1);
             crash_recover_finish(
                 &sc,
                 &wal_bytes,
@@ -267,44 +322,10 @@ fn crash_points_recover_bit_identically() {
                 &ckpt_trace,
                 &fps,
                 cut,
-                drop_newest,
-                &format!("case {case}"),
+                false,
+                "byte sweep",
             );
-            cases += 1;
         }
-    }
-    assert!(
-        cases >= 256,
-        "only {cases} scenario × crash-point cases ran"
-    );
-}
-
-/// A full byte sweep across the final record: every truncation point is a
-/// torn tail that recovers to the previous batch and finishes identically.
-#[test]
-fn torn_final_record_full_byte_sweep() {
-    let mut rng = StdRng::seed_from_u64(0xC4A5_0002);
-    let mut sc = plan_scenario(1, &mut rng);
-    // Baseline checkpoint only, so the sweep exercises pure WAL replay.
-    sc.dcfg.checkpoint_interval = u64::MAX;
-    let (_, ckpt_trace, fps, wal_bytes, _) = reference_run(&sc);
-    let contents = read_wal(&wal_bytes).expect("reference wal is intact");
-    let last_start = contents.ends[contents.ends.len() - 2];
-    for cut in last_start..wal_bytes.len() {
-        let rec = recover(&wal_bytes[..cut], &ckpt_trace[0])
-            .unwrap_or_else(|e| panic!("torn tail at byte {cut}: {e}"));
-        assert_eq!(rec.torn_tail, cut > last_start, "at byte {cut}");
-        assert_eq!(rec.batches_durable, sc.steps.len() as u64 - 1);
-        crash_recover_finish(
-            &sc,
-            &wal_bytes,
-            &contents.ends,
-            &ckpt_trace,
-            &fps,
-            cut,
-            false,
-            "byte sweep",
-        );
     }
 }
 
@@ -315,33 +336,35 @@ fn torn_final_record_full_byte_sweep() {
 /// a diverged state.
 #[test]
 fn mid_log_bit_flips_never_panic_and_never_diverge() {
-    let mut rng = StdRng::seed_from_u64(0xC4A5_0003);
-    let mut sc = plan_scenario(2, &mut rng);
-    sc.dcfg.checkpoint_interval = u64::MAX; // Pure WAL replay.
-    let (_, ckpt_trace, fps, wal_bytes, _) = reference_run(&sc);
-    for trial in 0..192 {
-        let mut damaged = wal_bytes.clone();
-        let len = damaged.len();
-        flip_bit(&mut damaged, rng.gen_range(0..len), rng.gen());
-        if trial % 3 == 0 {
-            // Compound damage.
+    for hot_points in HOT_POINTS {
+        let mut rng = StdRng::seed_from_u64(0xC4A5_0003);
+        let mut sc = plan_scenario(2, &mut rng, hot_points);
+        sc.dcfg.checkpoint_interval = u64::MAX; // Pure WAL replay.
+        let (_, ckpt_trace, fps, wal_bytes, _) = reference_run(&sc);
+        for trial in 0..192 {
+            let mut damaged = wal_bytes.clone();
+            let len = damaged.len();
             flip_bit(&mut damaged, rng.gen_range(0..len), rng.gen());
-        }
-        match recover(&damaged, &ckpt_trace[0]) {
-            Err(
-                RecoveryError::CorruptWal { .. }
-                | RecoveryError::NoUsableCheckpoint { .. }
-                | RecoveryError::Replay { .. },
-            ) => {}
-            Err(e) => panic!("trial {trial}: unexpected error class: {e}"),
-            Ok(rec) => {
-                let k = rec.batches_durable as usize;
-                assert!(k <= sc.steps.len(), "trial {trial}");
-                assert_eq!(
-                    fingerprint(&rec.store, &rec.bubbles),
-                    fps[k],
-                    "trial {trial}: damaged log recovered to a diverged state"
-                );
+            if trial % 3 == 0 {
+                // Compound damage.
+                flip_bit(&mut damaged, rng.gen_range(0..len), rng.gen());
+            }
+            match recover(&damaged, &ckpt_trace[0], &Obs::disabled()) {
+                Err(
+                    RecoveryError::CorruptWal { .. }
+                    | RecoveryError::NoUsableCheckpoint { .. }
+                    | RecoveryError::Replay { .. },
+                ) => {}
+                Err(e) => panic!("trial {trial}: unexpected error class: {e}"),
+                Ok(rec) => {
+                    let k = rec.batches_durable as usize;
+                    assert!(k <= sc.steps.len(), "trial {trial}");
+                    assert_eq!(
+                        fingerprint(&rec.store, &rec.bubbles),
+                        fps[k],
+                        "trial {trial}: damaged log recovered to a diverged state"
+                    );
+                }
             }
         }
     }
@@ -353,105 +376,108 @@ fn mid_log_bit_flips_never_panic_and_never_diverge() {
 /// bit-identically from whatever made it to disk.
 #[test]
 fn faulty_sinks_degrade_heal_and_recover() {
-    let mut rng = StdRng::seed_from_u64(0xC4A5_0004);
-    let sc = plan_scenario(3, &mut rng);
-    let (_, _, fps, _, _) = reference_run(&sc);
+    for hot_points in HOT_POINTS {
+        let mut rng = StdRng::seed_from_u64(0xC4A5_0004);
+        let sc = plan_scenario(3, &mut rng, hot_points);
+        let (_, _, fps, _, _) = reference_run(&sc);
 
-    let mut build_rng = StdRng::seed_from_u64(sc.build_seed);
-    let mut stats = SearchStats::new();
-    let store = sc.store.clone();
-    let ib = IncrementalBubbles::build(&store, sc.config.clone(), &mut build_rng, &mut stats);
-    let mut dm = DurableMaintainer::adopt(
-        store,
-        ib,
-        sc.dcfg.clone(),
-        FaultSink::new(),
-        MemCheckpoints::new(),
-    )
-    .expect("sink starts healthy");
+        let mut build_rng = StdRng::seed_from_u64(sc.build_seed);
+        let mut stats = SearchStats::new();
+        let store = sc.store.clone();
+        let ib = IncrementalBubbles::build(&store, sc.config.clone(), &mut build_rng, &mut stats);
+        let mut dm = DurableMaintainer::adopt(
+            store,
+            ib,
+            sc.dcfg.clone(),
+            FaultSink::new(),
+            MemCheckpoints::new(),
+        )
+        .expect("sink starts healthy");
 
-    // Two healthy batches, then the sink's fsync starts failing.
-    let split_at = 2.min(sc.steps.len());
-    for step in &sc.steps[..split_at] {
-        dm.apply_with(&step.batch, step.round_seed, step.maintain, &mut stats)
-            .unwrap();
+        // Two healthy batches, then the sink's fsync starts failing.
+        let split_at = 2.min(sc.steps.len());
+        for step in &sc.steps[..split_at] {
+            dm.apply_with(&step.batch, step.round_seed, step.maintain, &mut stats)
+                .unwrap();
+        }
+        assert_eq!(dm.sync(), Health::Healthy);
+        let durable_bytes = dm.wal_sink().bytes().to_vec();
+        let ckpts_at_outage = dm.checkpoints().clone();
+
+        dm.wal_sink_mut().fail_syncs = usize::MAX;
+        for step in &sc.steps[split_at..] {
+            dm.apply_with(&step.batch, step.round_seed, step.maintain, &mut stats)
+                .unwrap();
+        }
+        let buffered = sc.steps.len() - split_at;
+        assert_eq!(
+            dm.health(),
+            Health::Degraded {
+                buffered_batches: buffered,
+                shed_batches: 0
+            },
+            "outage must surface as Degraded with the backlog size"
+        );
+        // In-memory state marched on regardless.
+        assert_eq!(fingerprint(dm.store(), dm.bubbles()), *fps.last().unwrap());
+        // A kill during the outage: only bytes up to the last successful
+        // fsync are guaranteed on disk — recovery from that prefix lands on
+        // the pre-outage state. (Bytes past it were appended but never
+        // synced; if they do survive, they are complete records and recovery
+        // from the full view is exercised by the other suites.)
+        let rec = recover(
+            &dm.wal_sink().bytes()[..durable_bytes.len()],
+            &ckpts_at_outage,
+            &Obs::disabled(),
+        )
+        .unwrap();
+        assert_eq!(rec.batches_durable, split_at as u64);
+        assert_eq!(fingerprint(&rec.store, &rec.bubbles), fps[split_at]);
+
+        // Healing flushes the whole backlog; the full WAL then decodes.
+        dm.wal_sink_mut().heal();
+        assert_eq!(dm.sync(), Health::Healthy);
+        let contents = read_wal(dm.wal_sink().bytes()).unwrap();
+        assert_eq!(contents.records.len(), sc.steps.len());
+        let (_, _, sink, ckpts) = dm.into_parts();
+        let rec = recover(sink.bytes(), &ckpts, &Obs::disabled()).unwrap();
+        assert_eq!(fingerprint(&rec.store, &rec.bubbles), *fps.last().unwrap());
+
+        // Short-write kill: an append that persists only a prefix leaves a
+        // torn tail that recovers to the last durable batch.
+        let mut build_rng = StdRng::seed_from_u64(sc.build_seed);
+        let mut stats = SearchStats::new();
+        let store = sc.store.clone();
+        let ib = IncrementalBubbles::build(&store, sc.config.clone(), &mut build_rng, &mut stats);
+        let mut dm = DurableMaintainer::adopt(
+            store,
+            ib,
+            DurabilityConfig {
+                checkpoint_interval: u64::MAX,
+                max_retries: 0,
+                ..DurabilityConfig::default()
+            },
+            FaultSink::new(),
+            MemCheckpoints::new(),
+        )
+        .unwrap();
+        for step in &sc.steps[..split_at] {
+            dm.apply_with(&step.batch, step.round_seed, step.maintain, &mut stats)
+                .unwrap();
+        }
+        dm.wal_sink_mut().write_cap = Some(7); // Killed seven bytes into the write.
+        dm.apply_with(
+            &sc.steps[split_at].batch,
+            sc.steps[split_at].round_seed,
+            sc.steps[split_at].maintain,
+            &mut stats,
+        )
+        .unwrap();
+        let rec = recover(dm.wal_sink().bytes(), dm.checkpoints(), &Obs::disabled()).unwrap();
+        assert!(rec.torn_tail);
+        assert_eq!(rec.batches_durable, split_at as u64);
+        assert_eq!(fingerprint(&rec.store, &rec.bubbles), fps[split_at]);
     }
-    assert_eq!(dm.sync(), Health::Healthy);
-    let durable_bytes = dm.wal_sink().bytes().to_vec();
-    let ckpts_at_outage = dm.checkpoints().clone();
-
-    dm.wal_sink_mut().fail_syncs = usize::MAX;
-    for step in &sc.steps[split_at..] {
-        dm.apply_with(&step.batch, step.round_seed, step.maintain, &mut stats)
-            .unwrap();
-    }
-    let buffered = sc.steps.len() - split_at;
-    assert_eq!(
-        dm.health(),
-        Health::Degraded {
-            buffered_batches: buffered,
-            shed_batches: 0
-        },
-        "outage must surface as Degraded with the backlog size"
-    );
-    // In-memory state marched on regardless.
-    assert_eq!(fingerprint(dm.store(), dm.bubbles()), *fps.last().unwrap());
-    // A kill during the outage: only bytes up to the last successful
-    // fsync are guaranteed on disk — recovery from that prefix lands on
-    // the pre-outage state. (Bytes past it were appended but never
-    // synced; if they do survive, they are complete records and recovery
-    // from the full view is exercised by the other suites.)
-    let rec = recover(
-        &dm.wal_sink().bytes()[..durable_bytes.len()],
-        &ckpts_at_outage,
-    )
-    .unwrap();
-    assert_eq!(rec.batches_durable, split_at as u64);
-    assert_eq!(fingerprint(&rec.store, &rec.bubbles), fps[split_at]);
-
-    // Healing flushes the whole backlog; the full WAL then decodes.
-    dm.wal_sink_mut().heal();
-    assert_eq!(dm.sync(), Health::Healthy);
-    let contents = read_wal(dm.wal_sink().bytes()).unwrap();
-    assert_eq!(contents.records.len(), sc.steps.len());
-    let (_, _, sink, ckpts) = dm.into_parts();
-    let rec = recover(sink.bytes(), &ckpts).unwrap();
-    assert_eq!(fingerprint(&rec.store, &rec.bubbles), *fps.last().unwrap());
-
-    // Short-write kill: an append that persists only a prefix leaves a
-    // torn tail that recovers to the last durable batch.
-    let mut build_rng = StdRng::seed_from_u64(sc.build_seed);
-    let mut stats = SearchStats::new();
-    let store = sc.store.clone();
-    let ib = IncrementalBubbles::build(&store, sc.config.clone(), &mut build_rng, &mut stats);
-    let mut dm = DurableMaintainer::adopt(
-        store,
-        ib,
-        DurabilityConfig {
-            checkpoint_interval: u64::MAX,
-            max_retries: 0,
-            ..DurabilityConfig::default()
-        },
-        FaultSink::new(),
-        MemCheckpoints::new(),
-    )
-    .unwrap();
-    for step in &sc.steps[..split_at] {
-        dm.apply_with(&step.batch, step.round_seed, step.maintain, &mut stats)
-            .unwrap();
-    }
-    dm.wal_sink_mut().write_cap = Some(7); // Killed seven bytes into the write.
-    dm.apply_with(
-        &sc.steps[split_at].batch,
-        sc.steps[split_at].round_seed,
-        sc.steps[split_at].maintain,
-        &mut stats,
-    )
-    .unwrap();
-    let rec = recover(dm.wal_sink().bytes(), dm.checkpoints()).unwrap();
-    assert!(rec.torn_tail);
-    assert_eq!(rec.batches_durable, split_at as u64);
-    assert_eq!(fingerprint(&rec.store, &rec.bubbles), fps[split_at]);
 }
 
 /// Checkpoint damage: a corrupted newest checkpoint falls back to an
@@ -459,56 +485,58 @@ fn faulty_sinks_degrade_heal_and_recover() {
 /// `NoUsableCheckpoint`; pure garbage as a WAL is typed, never a panic.
 #[test]
 fn damaged_checkpoints_and_garbage_wals_are_typed_errors() {
-    let mut rng = StdRng::seed_from_u64(0xC4A5_0005);
-    let mut sc = plan_scenario(4, &mut rng);
-    sc.dcfg.checkpoint_interval = 2;
-    let (_, _, fps, wal_bytes, final_ckpts) = reference_run(&sc);
+    for hot_points in HOT_POINTS {
+        let mut rng = StdRng::seed_from_u64(0xC4A5_0005);
+        let mut sc = plan_scenario(4, &mut rng, hot_points);
+        sc.dcfg.checkpoint_interval = 2;
+        let (_, _, fps, wal_bytes, final_ckpts) = reference_run(&sc);
 
-    // Corrupt the newest checkpoint: recovery falls back and replays.
-    let mut ckpts = final_ckpts.clone();
-    let newest = *ckpts.seqs().unwrap().iter().max().unwrap();
-    let blob = ckpts.blob_mut(newest).unwrap();
-    let mid = blob.len() / 2;
-    flip_bit(blob, mid, 2);
-    let rec = recover(&wal_bytes, &ckpts).unwrap();
-    assert_eq!(rec.batches_durable, sc.steps.len() as u64);
-    assert!(rec.checkpoint_seq < newest);
-    assert_eq!(fingerprint(&rec.store, &rec.bubbles), *fps.last().unwrap());
-
-    // Corrupt every checkpoint: a typed failure naming the attempts.
-    let mut ckpts = final_ckpts.clone();
-    let seqs = ckpts.seqs().unwrap();
-    for &seq in &seqs {
-        let blob = ckpts.blob_mut(seq).unwrap();
+        // Corrupt the newest checkpoint: recovery falls back and replays.
+        let mut ckpts = final_ckpts.clone();
+        let newest = *ckpts.seqs().unwrap().iter().max().unwrap();
+        let blob = ckpts.blob_mut(newest).unwrap();
         let mid = blob.len() / 2;
-        flip_bit(blob, mid, 4);
-    }
-    match recover(&wal_bytes, &ckpts) {
-        Err(RecoveryError::NoUsableCheckpoint { tried, .. }) => assert_eq!(tried, seqs.len()),
-        other => panic!("expected NoUsableCheckpoint, got {other:?}"),
-    }
+        flip_bit(blob, mid, 2);
+        let rec = recover(&wal_bytes, &ckpts, &Obs::disabled()).unwrap();
+        assert_eq!(rec.batches_durable, sc.steps.len() as u64);
+        assert!(rec.checkpoint_seq < newest);
+        assert_eq!(fingerprint(&rec.store, &rec.bubbles), *fps.last().unwrap());
 
-    // Garbage byte streams as a WAL — including hostile length prefixes —
-    // produce typed errors or clean empty logs, never panics or OOM.
-    for trial in 0..64 {
-        let mut garbage: Vec<u8> = (0..rng.gen_range(0..4096))
-            .map(|_| rng.gen::<u32>() as u8)
-            .collect();
-        if trial % 4 == 0 && garbage.len() >= 20 {
-            // Make the magic/version valid so decoding reaches the hostile
-            // record framing.
-            garbage[..4].copy_from_slice(b"IDBW");
-            garbage[4..8].copy_from_slice(&1u32.to_le_bytes());
-            garbage[8..12].copy_from_slice(&2u32.to_le_bytes());
+        // Corrupt every checkpoint: a typed failure naming the attempts.
+        let mut ckpts = final_ckpts.clone();
+        let seqs = ckpts.seqs().unwrap();
+        for &seq in &seqs {
+            let blob = ckpts.blob_mut(seq).unwrap();
+            let mid = blob.len() / 2;
+            flip_bit(blob, mid, 4);
         }
-        match recover(&garbage, &final_ckpts) {
-            Ok(rec) => assert_eq!(rec.replayed, 0, "garbage cannot contain replayable records"),
-            Err(
-                RecoveryError::CorruptWal { .. }
-                | RecoveryError::NoUsableCheckpoint { .. }
-                | RecoveryError::Replay { .. }
-                | RecoveryError::Io(_),
-            ) => {}
+        match recover(&wal_bytes, &ckpts, &Obs::disabled()) {
+            Err(RecoveryError::NoUsableCheckpoint { tried, .. }) => assert_eq!(tried, seqs.len()),
+            other => panic!("expected NoUsableCheckpoint, got {other:?}"),
+        }
+
+        // Garbage byte streams as a WAL — including hostile length prefixes —
+        // produce typed errors or clean empty logs, never panics or OOM.
+        for trial in 0..64 {
+            let mut garbage: Vec<u8> = (0..rng.gen_range(0..4096))
+                .map(|_| rng.gen::<u32>() as u8)
+                .collect();
+            if trial % 4 == 0 && garbage.len() >= 20 {
+                // Make the magic/version valid so decoding reaches the hostile
+                // record framing.
+                garbage[..4].copy_from_slice(b"IDBW");
+                garbage[4..8].copy_from_slice(&1u32.to_le_bytes());
+                garbage[8..12].copy_from_slice(&2u32.to_le_bytes());
+            }
+            match recover(&garbage, &final_ckpts, &Obs::disabled()) {
+                Ok(rec) => assert_eq!(rec.replayed, 0, "garbage cannot contain replayable records"),
+                Err(
+                    RecoveryError::CorruptWal { .. }
+                    | RecoveryError::NoUsableCheckpoint { .. }
+                    | RecoveryError::Replay { .. }
+                    | RecoveryError::Io(_),
+                ) => {}
+            }
         }
     }
 }
@@ -530,92 +558,94 @@ fn structural(events: &[Event]) -> Vec<Event> {
 /// `recover_done` markers.
 #[test]
 fn recovery_replays_the_identical_journal_event_sequence() {
-    let mut rng = StdRng::seed_from_u64(0xC4A5_0006);
-    for case in 0..3 {
-        let sc = plan_scenario(case, &mut rng);
+    for hot_points in HOT_POINTS {
+        let mut rng = StdRng::seed_from_u64(0xC4A5_0006);
+        for case in 0..3 {
+            let sc = plan_scenario(case, &mut rng, hot_points);
 
-        // Uninterrupted reference with a journal attached after build (so
-        // the trace starts exactly at the durable stream).
-        let ring = Arc::new(RingRecorder::new());
-        let mut build_rng = StdRng::seed_from_u64(sc.build_seed);
-        let mut stats = SearchStats::new();
-        let store = sc.store.clone();
-        let mut ib =
-            IncrementalBubbles::build(&store, sc.config.clone(), &mut build_rng, &mut stats);
-        ib.set_obs(Obs::with_recorder(ring.clone()));
-        let mut dm = DurableMaintainer::adopt(
-            store,
-            ib,
-            sc.dcfg.clone(),
-            MemSink::new(),
-            MemCheckpoints::new(),
-        )
-        .expect("MemSink never fails");
-        // Structural-event count after each durable batch, and the
-        // checkpoint population at each point, as in `reference_run`.
-        let mut counts = vec![structural(&ring.events()).len()];
-        let mut ckpt_trace = vec![dm.checkpoints().clone()];
-        for step in &sc.steps {
-            dm.apply_with(&step.batch, step.round_seed, step.maintain, &mut stats)
-                .expect("planned batches are valid");
-            counts.push(structural(&ring.events()).len());
-            ckpt_trace.push(dm.checkpoints().clone());
-        }
-        let reference = structural(&ring.events());
-        assert!(
-            !reference.is_empty(),
-            "case {case}: the reference stream journaled nothing"
-        );
-        let (_, _, sink, _) = dm.into_parts();
-        let wal_bytes = sink.into_bytes();
-        let contents = read_wal(&wal_bytes).expect("reference wal is intact");
-
-        // Crash at every record boundary (plus right after the header) and
-        // recover with a fresh journal.
-        let mut cuts = vec![20];
-        cuts.extend_from_slice(&contents.ends);
-        for cut in cuts {
-            let durable = contents.ends.iter().filter(|&&e| e <= cut).count();
-            let ring2 = Arc::new(RingRecorder::new());
-            let rec = recover_with_obs(
-                &wal_bytes[..cut],
-                &ckpt_trace[durable],
-                &Obs::with_recorder(ring2.clone()),
+            // Uninterrupted reference with a journal attached after build (so
+            // the trace starts exactly at the durable stream).
+            let ring = Arc::new(RingRecorder::new());
+            let mut build_rng = StdRng::seed_from_u64(sc.build_seed);
+            let mut stats = SearchStats::new();
+            let store = sc.store.clone();
+            let mut ib =
+                IncrementalBubbles::build(&store, sc.config.clone(), &mut build_rng, &mut stats);
+            ib.set_obs(Obs::with_recorder(ring.clone()));
+            let mut dm = DurableMaintainer::adopt(
+                store,
+                ib,
+                sc.dcfg.clone(),
+                MemSink::new(),
+                MemCheckpoints::new(),
             )
-            .unwrap_or_else(|e| panic!("case {case}: recovery at byte {cut} failed: {e}"));
-            assert_eq!(rec.batches_durable, durable as u64);
-
-            let replay_events = ring2.events();
-            // The recovery markers bracket the replay and carry its shape.
-            assert!(matches!(
-                replay_events.first().map(|e| &e.kind),
-                Some(EventKind::RecoverStart { wal_bytes }) if *wal_bytes == cut as u64
-            ));
-            let covered = replay_events
-                .iter()
-                .find_map(|e| match e.kind {
-                    EventKind::RecoverCheckpoint { covered, .. } => Some(covered as usize),
-                    _ => None,
-                })
-                .expect("recovery always adopts a checkpoint");
-            assert!(covered <= durable, "case {case} at byte {cut}");
-            assert!(matches!(
-                replay_events.last().map(|e| &e.kind),
-                Some(EventKind::RecoverDone {
-                    replayed,
-                    batches_durable,
-                    torn_tail: false,
-                }) if *replayed == (durable - covered) as u64
-                    && *batches_durable == durable as u64
-            ));
-
-            // The replayed structural events are exactly the reference's
-            // slice for batches `covered..durable` — ids included.
-            assert_eq!(
-                structural(&replay_events),
-                reference[counts[covered]..counts[durable]],
-                "case {case}: replay after crash at byte {cut} journaled a different stream"
+            .expect("MemSink never fails");
+            // Structural-event count after each durable batch, and the
+            // checkpoint population at each point, as in `reference_run`.
+            let mut counts = vec![structural(&ring.events()).len()];
+            let mut ckpt_trace = vec![dm.checkpoints().clone()];
+            for step in &sc.steps {
+                dm.apply_with(&step.batch, step.round_seed, step.maintain, &mut stats)
+                    .expect("planned batches are valid");
+                counts.push(structural(&ring.events()).len());
+                ckpt_trace.push(dm.checkpoints().clone());
+            }
+            let reference = structural(&ring.events());
+            assert!(
+                !reference.is_empty(),
+                "case {case}: the reference stream journaled nothing"
             );
+            let (_, _, sink, _) = dm.into_parts();
+            let wal_bytes = sink.into_bytes();
+            let contents = read_wal(&wal_bytes).expect("reference wal is intact");
+
+            // Crash at every record boundary (plus right after the header) and
+            // recover with a fresh journal.
+            let mut cuts = vec![20];
+            cuts.extend_from_slice(&contents.ends);
+            for cut in cuts {
+                let durable = contents.ends.iter().filter(|&&e| e <= cut).count();
+                let ring2 = Arc::new(RingRecorder::new());
+                let rec = recover(
+                    &wal_bytes[..cut],
+                    &ckpt_trace[durable],
+                    &Obs::with_recorder(ring2.clone()),
+                )
+                .unwrap_or_else(|e| panic!("case {case}: recovery at byte {cut} failed: {e}"));
+                assert_eq!(rec.batches_durable, durable as u64);
+
+                let replay_events = ring2.events();
+                // The recovery markers bracket the replay and carry its shape.
+                assert!(matches!(
+                    replay_events.first().map(|e| &e.kind),
+                    Some(EventKind::RecoverStart { wal_bytes }) if *wal_bytes == cut as u64
+                ));
+                let covered = replay_events
+                    .iter()
+                    .find_map(|e| match e.kind {
+                        EventKind::RecoverCheckpoint { covered, .. } => Some(covered as usize),
+                        _ => None,
+                    })
+                    .expect("recovery always adopts a checkpoint");
+                assert!(covered <= durable, "case {case} at byte {cut}");
+                assert!(matches!(
+                    replay_events.last().map(|e| &e.kind),
+                    Some(EventKind::RecoverDone {
+                        replayed,
+                        batches_durable,
+                        torn_tail: false,
+                    }) if *replayed == (durable - covered) as u64
+                        && *batches_durable == durable as u64
+                ));
+
+                // The replayed structural events are exactly the reference's
+                // slice for batches `covered..durable` — ids included.
+                assert_eq!(
+                    structural(&replay_events),
+                    reference[counts[covered]..counts[durable]],
+                    "case {case}: replay after crash at byte {cut} journaled a different stream"
+                );
+            }
         }
     }
 }
@@ -626,64 +656,72 @@ fn recovery_replays_the_identical_journal_event_sequence() {
 /// recovered and finished bit-identically.
 #[test]
 fn kill_at_random_crash_point_smoke() {
-    let seed = std::env::var("IDB_CRASH_SEED")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(0xC0FF_EE00);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let sc = plan_scenario(rng.gen_range(0..6), &mut rng);
-    let (_, _ckpt_trace, fps, wal_bytes, _) = reference_run(&sc);
-    let contents = read_wal(&wal_bytes).unwrap();
+    for hot_points in HOT_POINTS {
+        let seed = std::env::var("IDB_CRASH_SEED")
+            .ok()
+            .and_then(|v| v.trim().parse::<u64>().ok())
+            .unwrap_or(0xC0FF_EE00);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let sc = plan_scenario(rng.gen_range(0..6), &mut rng, hot_points);
+        let (_, _ckpt_trace, fps, wal_bytes, _) = reference_run(&sc);
+        let contents = read_wal(&wal_bytes).unwrap();
 
-    // Replay the reference stream onto real files.
-    let dir = scratch_dir().join(format!("idb-crash-smoke-{seed}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let wal_path = dir.join("stream.wal");
-    {
-        let mut build_rng = StdRng::seed_from_u64(sc.build_seed);
-        let mut stats = SearchStats::new();
-        let store = sc.store.clone();
-        let ib = IncrementalBubbles::build(&store, sc.config.clone(), &mut build_rng, &mut stats);
-        let sink = FileSink::create(&wal_path).unwrap();
+        // Replay the reference stream onto real files.
+        let dir = scratch_dir().join(format!(
+            "idb-crash-smoke-{seed}-{}-{}",
+            hot_points.unwrap_or(0),
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let wal_path = dir.join("stream.wal");
+        {
+            let mut build_rng = StdRng::seed_from_u64(sc.build_seed);
+            let mut stats = SearchStats::new();
+            let store = sc.store.clone();
+            let ib =
+                IncrementalBubbles::build(&store, sc.config.clone(), &mut build_rng, &mut stats);
+            let sink = FileSink::create(&wal_path).unwrap();
+            let ckpts = FsCheckpoints::open(dir.join("checkpoints")).unwrap();
+            let mut dm = DurableMaintainer::adopt(store, ib, sc.dcfg.clone(), sink, ckpts).unwrap();
+            for step in &sc.steps {
+                dm.apply_with(&step.batch, step.round_seed, step.maintain, &mut stats)
+                    .unwrap();
+            }
+            assert_eq!(dm.sync(), Health::Healthy);
+        }
+        let disk = std::fs::read(&wal_path).unwrap();
+        assert_eq!(
+            disk, wal_bytes,
+            "file-backed WAL must match the MemSink run"
+        );
+
+        // Kill at a random byte and recover from the file prefix.
+        let cut = rng.gen_range(0..disk.len());
+        let durable = contents.ends.iter().filter(|&&e| e <= cut).count();
         let ckpts = FsCheckpoints::open(dir.join("checkpoints")).unwrap();
-        let mut dm = DurableMaintainer::adopt(store, ib, sc.dcfg.clone(), sink, ckpts).unwrap();
-        for step in &sc.steps {
+        let rec = recover(&disk[..cut], &ckpts, &Obs::disabled()).unwrap();
+        // Fs checkpoints were all written by the full run, so coverage may be
+        // ahead of the cut WAL — recovery then stands on the checkpoint alone.
+        assert!(rec.batches_durable as usize >= durable);
+        let k = rec.batches_durable as usize;
+        assert_eq!(fingerprint(&rec.store, &rec.bubbles), fps[k], "seed {seed}");
+
+        // Finish the stream and compare the end state (in-memory sink; the
+        // disk artifacts have served their purpose).
+        let mut dm =
+            DurableMaintainer::resume(rec, sc.dcfg.clone(), MemSink::new(), ckpts).unwrap();
+        let mut stats = SearchStats::new();
+        for step in &sc.steps[k..] {
             dm.apply_with(&step.batch, step.round_seed, step.maintain, &mut stats)
                 .unwrap();
         }
-        assert_eq!(dm.sync(), Health::Healthy);
+        assert_eq!(
+            fingerprint(dm.store(), dm.bubbles()),
+            *fps.last().unwrap(),
+            "seed {seed}: finished stream diverged"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let disk = std::fs::read(&wal_path).unwrap();
-    assert_eq!(
-        disk, wal_bytes,
-        "file-backed WAL must match the MemSink run"
-    );
-
-    // Kill at a random byte and recover from the file prefix.
-    let cut = rng.gen_range(0..disk.len());
-    let durable = contents.ends.iter().filter(|&&e| e <= cut).count();
-    let ckpts = FsCheckpoints::open(dir.join("checkpoints")).unwrap();
-    let rec = recover(&disk[..cut], &ckpts).unwrap();
-    // Fs checkpoints were all written by the full run, so coverage may be
-    // ahead of the cut WAL — recovery then stands on the checkpoint alone.
-    assert!(rec.batches_durable as usize >= durable);
-    let k = rec.batches_durable as usize;
-    assert_eq!(fingerprint(&rec.store, &rec.bubbles), fps[k], "seed {seed}");
-
-    // Finish the stream and compare the end state (in-memory sink; the
-    // disk artifacts have served their purpose).
-    let mut dm = DurableMaintainer::resume(rec, sc.dcfg.clone(), MemSink::new(), ckpts).unwrap();
-    let mut stats = SearchStats::new();
-    for step in &sc.steps[k..] {
-        dm.apply_with(&step.batch, step.round_seed, step.maintain, &mut stats)
-            .unwrap();
-    }
-    assert_eq!(
-        fingerprint(dm.store(), dm.bubbles()),
-        *fps.last().unwrap(),
-        "seed {seed}: finished stream diverged"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -743,7 +781,8 @@ fn chain_crash_recover_finish(
 ) {
     let medium = MemSegments::new();
     medium.restore(snap.clone());
-    let rec = recover_chain(&medium, ckpts).unwrap_or_else(|e| panic!("{label}: {e}"));
+    let rec =
+        recover_chain(&medium, ckpts, &Obs::disabled()).unwrap_or_else(|e| panic!("{label}: {e}"));
     let k = rec.batches_durable as usize;
     assert!(k <= sc.steps.len(), "{label}: durable count out of range");
     assert_eq!(
@@ -772,58 +811,63 @@ fn chain_crash_recover_finish(
 /// crash mid-rotation — every one recovers and finishes bit-identically.
 #[test]
 fn segmented_chain_kill_points_recover_bit_identically() {
-    let mut rng = StdRng::seed_from_u64(0xC4A5_0007);
-    for case in 0..4 {
-        let mut sc = plan_scenario(case, &mut rng);
-        sc.dcfg.checkpoint_interval = 2;
-        sc.dcfg.checkpoint_chunk_bytes = 1024; // Streams span several batches.
-        sc.dcfg.full_rebase_interval = 3; // Mix of full and delta blobs.
-        let (fps, snaps, ckpt_trace, _, _) = segmented_reference_run(&sc, 512);
-        for (k, snap) in snaps.iter().enumerate() {
-            // Clean kill exactly at the batch boundary.
-            chain_crash_recover_finish(
-                &sc,
-                snap,
-                &ckpt_trace[k],
-                &fps,
-                &format!("case {case}, boundary {k}"),
-            );
-            let Some((&last_id, last_bytes)) = snap.iter().next_back() else {
-                continue;
-            };
-            // Torn cut inside the newest segment (a kill mid-append):
-            // everything before it must still recover to *some* earlier
-            // boundary, bit-identically.
-            if last_bytes.len() > 1 {
-                let cut = rng.gen_range(1..last_bytes.len());
-                let mut torn = snap.clone();
-                torn.insert(last_id, last_bytes[..cut].to_vec());
+    for (hot_points, disk_budget) in segmented_axes() {
+        let mut rng = StdRng::seed_from_u64(0xC4A5_0007);
+        for case in 0..4 {
+            let mut sc = plan_scenario(case, &mut rng, hot_points);
+            sc.dcfg.disk_budget = disk_budget;
+            sc.dcfg.checkpoint_interval = 2;
+            sc.dcfg.checkpoint_chunk_bytes = 1024; // Streams span several batches.
+            sc.dcfg.full_rebase_interval = 3; // Mix of full and delta blobs.
+            let (fps, snaps, ckpt_trace, _, _) = segmented_reference_run(&sc, 512);
+            for (k, snap) in snaps.iter().enumerate() {
+                // Clean kill exactly at the batch boundary.
                 chain_crash_recover_finish(
                     &sc,
-                    &torn,
+                    snap,
                     &ckpt_trace[k],
                     &fps,
-                    &format!("case {case}, boundary {k}, torn at {cut}"),
+                    &format!("case {case} ({hot_points:?}, {disk_budget:?}), boundary {k}"),
+                );
+                let Some((&last_id, last_bytes)) = snap.iter().next_back() else {
+                    continue;
+                };
+                // Torn cut inside the newest segment (a kill mid-append):
+                // everything before it must still recover to *some* earlier
+                // boundary, bit-identically.
+                if last_bytes.len() > 1 {
+                    let cut = rng.gen_range(1..last_bytes.len());
+                    let mut torn = snap.clone();
+                    torn.insert(last_id, last_bytes[..cut].to_vec());
+                    chain_crash_recover_finish(
+                        &sc,
+                        &torn,
+                        &ckpt_trace[k],
+                        &fps,
+                        &format!("case {case} ({hot_points:?}, {disk_budget:?}), boundary {k}, torn at {cut}"),
+                    );
+                }
+                // Crash mid-rotation: the next segment exists with only a
+                // partial header. It contributes nothing and recovery matches
+                // the clean boundary.
+                let mut mid_roll = snap.clone();
+                mid_roll.insert(
+                    SegmentId {
+                        epoch: last_id.epoch,
+                        seq: last_id.seq + 1,
+                    },
+                    last_bytes[..7.min(last_bytes.len())].to_vec(),
+                );
+                chain_crash_recover_finish(
+                    &sc,
+                    &mid_roll,
+                    &ckpt_trace[k],
+                    &fps,
+                    &format!(
+                        "case {case} ({hot_points:?}, {disk_budget:?}), boundary {k}, mid-rotation"
+                    ),
                 );
             }
-            // Crash mid-rotation: the next segment exists with only a
-            // partial header. It contributes nothing and recovery matches
-            // the clean boundary.
-            let mut mid_roll = snap.clone();
-            mid_roll.insert(
-                SegmentId {
-                    epoch: last_id.epoch,
-                    seq: last_id.seq + 1,
-                },
-                last_bytes[..7.min(last_bytes.len())].to_vec(),
-            );
-            chain_crash_recover_finish(
-                &sc,
-                &mid_roll,
-                &ckpt_trace[k],
-                &fps,
-                &format!("case {case}, boundary {k}, mid-rotation"),
-            );
         }
     }
 }
@@ -835,31 +879,34 @@ fn segmented_chain_kill_points_recover_bit_identically() {
 /// advance.
 #[test]
 fn segmented_run_journal_and_footprint_are_well_formed() {
-    let mut rng = StdRng::seed_from_u64(0xC4A5_0008);
-    let mut sc = plan_scenario(5, &mut rng);
-    sc.dcfg.checkpoint_interval = 2;
-    sc.dcfg.checkpoint_chunk_bytes = 1024;
-    sc.dcfg.full_rebase_interval = 2;
-    let (_, _, _, events, medium) = segmented_reference_run(&sc, 512);
-    let summary = check_journal(&events).expect("journal invariants");
-    assert!(summary.wal_rotations > 0, "tiny budget must rotate");
-    assert!(
-        summary.wal_compactions > 0,
-        "full checkpoints must reclaim sealed segments"
-    );
-    assert!(
-        summary.checkpoint_chunks > summary.checkpoints,
-        "a 1 KiB chunk size must split blobs across several chunk events"
-    );
-    // Bounded footprint: rotations minus compacted segments is what's
-    // left; compaction must have removed sealed prefixes, so the live
-    // chain is strictly shorter than the rotation count implies.
-    let live_segments = medium.snapshot().len();
-    assert!(
-        live_segments < summary.wal_rotations as usize,
-        "{live_segments} live segments after {} rotations — compaction never ran",
-        summary.wal_rotations
-    );
+    for (hot_points, disk_budget) in segmented_axes() {
+        let mut rng = StdRng::seed_from_u64(0xC4A5_0008);
+        let mut sc = plan_scenario(5, &mut rng, hot_points);
+        sc.dcfg.disk_budget = disk_budget;
+        sc.dcfg.checkpoint_interval = 2;
+        sc.dcfg.checkpoint_chunk_bytes = 1024;
+        sc.dcfg.full_rebase_interval = 2;
+        let (_, _, _, events, medium) = segmented_reference_run(&sc, 512);
+        let summary = check_journal(&events).expect("journal invariants");
+        assert!(summary.wal_rotations > 0, "tiny budget must rotate");
+        assert!(
+            summary.wal_compactions > 0,
+            "full checkpoints must reclaim sealed segments"
+        );
+        assert!(
+            summary.checkpoint_chunks > summary.checkpoints,
+            "a 1 KiB chunk size must split blobs across several chunk events"
+        );
+        // Bounded footprint: rotations minus compacted segments is what's
+        // left; compaction must have removed sealed prefixes, so the live
+        // chain is strictly shorter than the rotation count implies.
+        let live_segments = medium.snapshot().len();
+        assert!(
+            live_segments < summary.wal_rotations as usize,
+            "{live_segments} live segments after {} rotations — compaction never ran",
+            summary.wal_rotations
+        );
+    }
 }
 
 /// Full-vs-delta equivalence: with a checkpoint every batch and periodic
@@ -868,41 +915,44 @@ fn segmented_run_journal_and_footprint_are_well_formed() {
 /// — whether the blob is a full snapshot or a delta over an earlier base.
 #[test]
 fn delta_checkpoints_decode_bit_identically_to_fulls() {
-    let mut rng = StdRng::seed_from_u64(0xC4A5_0009);
-    let mut sc = plan_scenario(3, &mut rng);
-    sc.dcfg.checkpoint_interval = 1;
-    sc.dcfg.full_rebase_interval = 3;
-    sc.dcfg.checkpoint_chunk_bytes = usize::MAX; // One chunk per blob.
-    let (_, _, fps, wal_bytes, final_ckpts) = reference_run(&sc);
-    let seqs = final_ckpts.seqs().unwrap();
-    let deltas = seqs
-        .iter()
-        .filter(|&&s| {
-            final_ckpts
-                .load(s)
-                .is_ok_and(|b| b.starts_with(DELTA_CHECKPOINT_MAGIC))
-        })
-        .count();
-    assert!(deltas > 0, "the cadence must have produced delta blobs");
-    assert!(deltas < seqs.len(), "and full blobs too");
+    for hot_points in HOT_POINTS {
+        let mut rng = StdRng::seed_from_u64(0xC4A5_0009);
+        let mut sc = plan_scenario(3, &mut rng, hot_points);
+        sc.dcfg.checkpoint_interval = 1;
+        sc.dcfg.full_rebase_interval = 3;
+        sc.dcfg.checkpoint_chunk_bytes = usize::MAX; // One chunk per blob.
+        let (_, _, fps, wal_bytes, final_ckpts) = reference_run(&sc);
+        let seqs = final_ckpts.seqs().unwrap();
+        let deltas = seqs
+            .iter()
+            .filter(|&&s| {
+                final_ckpts
+                    .load(s)
+                    .is_ok_and(|b| b.starts_with(DELTA_CHECKPOINT_MAGIC))
+            })
+            .count();
+        assert!(deltas > 0, "the cadence must have produced delta blobs");
+        assert!(deltas < seqs.len(), "and full blobs too");
 
-    // Keep the full WAL (deltas replay the window between their base's
-    // coverage and their own from it) but drop every checkpoint newer
-    // than the one under test, so recovery *must* stand on that blob.
-    for k in 1..=sc.steps.len() {
-        let mut ckpts = final_ckpts.clone();
-        for &s in &seqs {
-            if s > k as u64 {
-                ckpts.remove(s);
+        // Keep the full WAL (deltas replay the window between their base's
+        // coverage and their own from it) but drop every checkpoint newer
+        // than the one under test, so recovery *must* stand on that blob.
+        for k in 1..=sc.steps.len() {
+            let mut ckpts = final_ckpts.clone();
+            for &s in &seqs {
+                if s > k as u64 {
+                    ckpts.remove(s);
+                }
             }
+            let rec = recover(&wal_bytes, &ckpts, &Obs::disabled())
+                .unwrap_or_else(|e| panic!("at checkpoint {k}: {e}"));
+            assert_eq!(rec.batches_durable, sc.steps.len() as u64);
+            assert_eq!(
+                fingerprint(&rec.store, &rec.bubbles),
+                *fps.last().unwrap(),
+                "recovery standing on checkpoint {k} diverged"
+            );
         }
-        let rec = recover(&wal_bytes, &ckpts).unwrap_or_else(|e| panic!("at checkpoint {k}: {e}"));
-        assert_eq!(rec.batches_durable, sc.steps.len() as u64);
-        assert_eq!(
-            fingerprint(&rec.store, &rec.bubbles),
-            *fps.last().unwrap(),
-            "recovery standing on checkpoint {k} diverged"
-        );
     }
 }
 
@@ -917,7 +967,7 @@ fn delta_checkpoints_decode_bit_identically_to_fulls() {
 fn tiered_crash_points_recover_bit_identically() {
     let mut rng = StdRng::seed_from_u64(0x71E2_C4A5);
     for case in 0..6 {
-        let mut sc = plan_scenario(case, &mut rng);
+        let mut sc = plan_scenario(case, &mut rng, None);
         let hot = rng.gen_range(2..=16);
 
         // Untiered reference first: identical WAL bytes let the tiered
@@ -975,7 +1025,7 @@ fn kill_mid_cold_rewrite_leaves_recoverable_wreckage() {
     let mut rng = StdRng::seed_from_u64(0x71E2_F5C0);
     let dir = scratch_dir();
     for case in 0..4 {
-        let mut sc = plan_scenario(case, &mut rng);
+        let mut sc = plan_scenario(case, &mut rng, None);
         let hot = rng.gen_range(2..=8);
         sc.dcfg.hot_points = Some(hot);
         let cold_path = dir.join(format!("idb_test_cold_rewrite_{case}_{hot}.bin"));
@@ -1032,7 +1082,8 @@ fn kill_mid_cold_rewrite_leaves_recoverable_wreckage() {
         // checkpoints persisted before the kill exist at recovery time.
         let replay_ckpts = ckpt_trace[durable].clone();
         let cut = wal_lens[durable];
-        let rec = recover(&wal[..cut], &replay_ckpts).expect("recovery ignores the spill file");
+        let rec = recover(&wal[..cut], &replay_ckpts, &Obs::disabled())
+            .expect("recovery ignores the spill file");
         assert_eq!(rec.batches_durable, durable as u64);
         assert!(
             rec.store.all_resident(),

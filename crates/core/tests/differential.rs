@@ -686,3 +686,71 @@ fn tiered_runs_are_bit_identical_to_untiered() {
         "no case ever evicted — budgets too generous"
     );
 }
+
+/// Entry point 9: the JSONL op journal. A durable dynamic run of every
+/// scenario journals into a JSONL file under the scratch directory's
+/// `idb-journals` folder (the directory CI hands to `journal_check`).
+/// Read back from disk, each journal must pass [`check_journal`] and
+/// equal — event for event, wall-clock masked — what an in-memory
+/// recorder sees on an identical run.
+#[test]
+fn jsonl_journals_round_trip_and_pass_check_journal() {
+    use idb_core::{DurabilityConfig, DurableMaintainer, MemCheckpoints};
+    use idb_obs::{check_journal, Event, JsonlRecorder, Recorder};
+    use idb_store::wal::scratch_dir;
+    use idb_store::MemSink;
+
+    let dir = scratch_dir().join("idb-journals");
+    let mut splits = 0;
+    for (k, kind) in ScenarioKind::all().into_iter().enumerate() {
+        let run = |recorder: Arc<dyn Recorder>| {
+            let mut rng = StdRng::seed_from_u64(0x0B5E_1000 + k as u64);
+            let spec = ScenarioSpec::named(kind, 2, 800, 0.1);
+            let mut eng = ScenarioEngine::new(spec);
+            let store = eng.populate(&mut rng);
+            let mut stats = SearchStats::new();
+            let mut ib =
+                IncrementalBubbles::build(&store, MaintainerConfig::new(40), &mut rng, &mut stats);
+            ib.set_obs(Obs::with_recorder(recorder.clone()));
+            let dcfg = DurabilityConfig {
+                checkpoint_interval: 2,
+                ..DurabilityConfig::default()
+            };
+            let mut dm =
+                DurableMaintainer::adopt(store, ib, dcfg, MemSink::new(), MemCheckpoints::new())
+                    .expect("adopt");
+            for _ in 0..10 {
+                let batch = eng.plan(&mut rng);
+                let inserted = dm.apply(&batch, &mut rng, &mut stats).expect("apply");
+                eng.confirm(&inserted);
+            }
+            recorder.flush();
+        };
+
+        let path = dir.join(format!("core-differential-{kind:?}.jsonl"));
+        let _ = std::fs::remove_file(&path);
+        run(Arc::new(JsonlRecorder::create(&path)));
+        let ring = Arc::new(RingRecorder::new());
+        run(ring.clone());
+
+        let text = std::fs::read_to_string(&path).expect("the run wrote its journal");
+        let from_disk: Vec<Event> = text
+            .lines()
+            .map(|line| Event::parse_jsonl(line).expect("every journal line parses"))
+            .collect();
+        let summary = check_journal(&from_disk)
+            .unwrap_or_else(|e| panic!("{kind:?}: journal invariant violated: {e}"));
+        assert!(
+            summary.batches > 0 && summary.wal_commits > 0 && summary.checkpoints > 0,
+            "{kind:?}: the journal must cover batches, commits and checkpoints"
+        );
+        splits += summary.splits;
+        let masked = |events: &[Event]| events.iter().map(Event::masked).collect::<Vec<_>>();
+        assert_eq!(
+            masked(&from_disk),
+            masked(&ring.events()),
+            "{kind:?}: the JSONL journal diverged from the in-memory one"
+        );
+    }
+    assert!(splits > 0, "the journaled runs must split bubbles");
+}

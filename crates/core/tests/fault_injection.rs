@@ -39,6 +39,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
+/// Hot-point budgets the durable scenarios that do not pin their own run
+/// under: untiered, and 256 resident points with the rest spilled to the
+/// cold tier. Tiering must never change an outcome.
+const HOT_POINTS: [Option<usize>; 2] = [None, Some(256)];
+
 /// A store + maintainer fixture over a small clustered database.
 fn fixture(seed: u64) -> (PointStore, IncrementalBubbles, StdRng, SearchStats) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -555,7 +560,7 @@ fn sink_death_in_a_fleet_stays_contained_and_heals_bit_identically() {
     const FLEET: usize = 3;
     const SICK: usize = 1;
 
-    let run = |fault: bool| -> Vec<(Vec<u8>, Vec<u8>, Vec<u8>)> {
+    let run = |fault: bool, hot_points: Option<usize>| -> Vec<(Vec<u8>, Vec<u8>, Vec<u8>)> {
         let mut fleet: Vec<(
             DurableMaintainer<FaultSink, MemCheckpoints>,
             StdRng,
@@ -566,7 +571,10 @@ fn sink_death_in_a_fleet_stays_contained_and_heals_bit_identically() {
                 let maintainer = DurableMaintainer::adopt(
                     store,
                     ib,
-                    DurabilityConfig::default(),
+                    DurabilityConfig {
+                        hot_points,
+                        ..DurabilityConfig::default()
+                    },
                     FaultSink::new(),
                     MemCheckpoints::new(),
                 )
@@ -643,11 +651,13 @@ fn sink_death_in_a_fleet_stays_contained_and_heals_bit_identically() {
             .collect()
     };
 
-    assert_eq!(
-        run(true),
-        run(false),
-        "the healed fleet must be bit-identical to the never-faulted fleet"
-    );
+    for hot_points in HOT_POINTS {
+        assert_eq!(
+            run(true, hot_points),
+            run(false, hot_points),
+            "hot {hot_points:?}: the healed fleet must be bit-identical to the never-faulted fleet"
+        );
+    }
 }
 
 /// A small valid churn batch against the maintainer's current store.
@@ -671,54 +681,58 @@ fn churn_batch<R: Rng + ?Sized>(store: &PointStore, brng: &mut R) -> Batch {
 /// backlog so the shed batch goes through on retry.
 #[test]
 fn degraded_buffer_cap_sheds_typed_and_heals() {
-    let (store, ib, mut rng, mut search) = fixture(9001);
-    let dcfg = DurabilityConfig {
-        checkpoint_interval: u64::MAX,
-        max_retries: 0,
-        max_buffered: 3,
-        ..DurabilityConfig::default()
-    };
-    let mut dm = DurableMaintainer::adopt(store, ib, dcfg, FaultSink::new(), MemCheckpoints::new())
-        .expect("sink starts healthy");
-    dm.wal_sink_mut().fail_syncs = usize::MAX;
+    for hot_points in HOT_POINTS {
+        let (store, ib, mut rng, mut search) = fixture(9001);
+        let dcfg = DurabilityConfig {
+            checkpoint_interval: u64::MAX,
+            max_retries: 0,
+            max_buffered: 3,
+            hot_points,
+            ..DurabilityConfig::default()
+        };
+        let mut dm =
+            DurableMaintainer::adopt(store, ib, dcfg, FaultSink::new(), MemCheckpoints::new())
+                .expect("sink starts healthy");
+        dm.wal_sink_mut().fail_syncs = usize::MAX;
 
-    let mut brng = StdRng::seed_from_u64(0xB0FF);
-    for _ in 0..3 {
-        let batch = churn_batch(dm.store(), &mut brng);
-        dm.apply(&batch, &mut rng, &mut search)
-            .expect("batches under the cap buffer, not fail");
-    }
-    let before = fingerprint(dm.store(), dm.bubbles());
-    let doomed = churn_batch(dm.store(), &mut brng);
-    match dm.apply(&doomed, &mut rng, &mut search) {
-        Err(UpdateError::Storage(StorageError::BufferFull { buffered, max })) => {
-            assert_eq!((buffered, max), (3, 3));
+        let mut brng = StdRng::seed_from_u64(0xB0FF);
+        for _ in 0..3 {
+            let batch = churn_batch(dm.store(), &mut brng);
+            dm.apply(&batch, &mut rng, &mut search)
+                .expect("batches under the cap buffer, not fail");
         }
-        other => panic!("expected a BufferFull shed, got {other:?}"),
-    }
-    assert_eq!(
-        before,
-        fingerprint(dm.store(), dm.bubbles()),
-        "a shed batch must leave state byte-identical"
-    );
-    assert_eq!(
-        dm.health(),
-        Health::Degraded {
-            buffered_batches: 3,
-            shed_batches: 1
+        let before = fingerprint(dm.store(), dm.bubbles());
+        let doomed = churn_batch(dm.store(), &mut brng);
+        match dm.apply(&doomed, &mut rng, &mut search) {
+            Err(UpdateError::Storage(StorageError::BufferFull { buffered, max })) => {
+                assert_eq!((buffered, max), (3, 3));
+            }
+            other => panic!("expected a BufferFull shed, got {other:?}"),
         }
-    );
-    assert_eq!(dm.shed_batches(), 1);
+        assert_eq!(
+            before,
+            fingerprint(dm.store(), dm.bubbles()),
+            "a shed batch must leave state byte-identical"
+        );
+        assert_eq!(
+            dm.health(),
+            Health::Degraded {
+                buffered_batches: 3,
+                shed_batches: 1
+            }
+        );
+        assert_eq!(dm.shed_batches(), 1);
 
-    // Healing drains the backlog; the shed batch goes through on retry and
-    // the full WAL decodes.
-    dm.wal_sink_mut().heal();
-    assert_eq!(dm.sync(), Health::Healthy);
-    dm.apply(&doomed, &mut rng, &mut search)
-        .expect("retry after heal");
-    assert_eq!(dm.sync(), Health::Healthy);
-    let contents = read_wal(dm.wal_sink().bytes()).expect("wal intact after heal");
-    assert_eq!(contents.records.len(), 4);
+        // Healing drains the backlog; the shed batch goes through on retry and
+        // the full WAL decodes.
+        dm.wal_sink_mut().heal();
+        assert_eq!(dm.sync(), Health::Healthy);
+        dm.apply(&doomed, &mut rng, &mut search)
+            .expect("retry after heal");
+        assert_eq!(dm.sync(), Health::Healthy);
+        let contents = read_wal(dm.wal_sink().bytes()).expect("wal intact after heal");
+        assert_eq!(contents.records.len(), 4);
+    }
 }
 
 /// Front 5b: a sink reporting `ENOSPC` (partial write included). Batches
@@ -727,51 +741,55 @@ fn degraded_buffer_cap_sheds_typed_and_heals() {
 /// repaired, and the WAL decodes clean.
 #[test]
 fn enospc_sink_sheds_typed_and_repairs_after_space_frees() {
-    let (store, ib, mut rng, mut search) = fixture(9002);
-    let dcfg = DurabilityConfig {
-        checkpoint_interval: u64::MAX,
-        max_retries: 0,
-        max_buffered: 2,
-        ..DurabilityConfig::default()
-    };
-    let mut dm = DurableMaintainer::adopt(store, ib, dcfg, FaultSink::new(), MemCheckpoints::new())
-        .expect("sink starts healthy");
-    // The device fills five bytes past what is already durable: the next
-    // commit partially writes to the boundary, then fails StorageFull.
-    let full_at = dm.wal_sink().bytes().len() as u64 + 5;
-    dm.wal_sink_mut().enospc_after = Some(full_at);
+    for hot_points in HOT_POINTS {
+        let (store, ib, mut rng, mut search) = fixture(9002);
+        let dcfg = DurabilityConfig {
+            checkpoint_interval: u64::MAX,
+            max_retries: 0,
+            max_buffered: 2,
+            hot_points,
+            ..DurabilityConfig::default()
+        };
+        let mut dm =
+            DurableMaintainer::adopt(store, ib, dcfg, FaultSink::new(), MemCheckpoints::new())
+                .expect("sink starts healthy");
+        // The device fills five bytes past what is already durable: the next
+        // commit partially writes to the boundary, then fails StorageFull.
+        let full_at = dm.wal_sink().bytes().len() as u64 + 5;
+        dm.wal_sink_mut().enospc_after = Some(full_at);
 
-    let mut brng = StdRng::seed_from_u64(0xE05C);
-    for _ in 0..2 {
-        let batch = churn_batch(dm.store(), &mut brng);
-        dm.apply(&batch, &mut rng, &mut search)
-            .expect("batches under the cap buffer, not fail");
-    }
-    assert!(matches!(
-        dm.health(),
-        Health::Degraded {
-            buffered_batches: 2,
-            ..
+        let mut brng = StdRng::seed_from_u64(0xE05C);
+        for _ in 0..2 {
+            let batch = churn_batch(dm.store(), &mut brng);
+            dm.apply(&batch, &mut rng, &mut search)
+                .expect("batches under the cap buffer, not fail");
         }
-    ));
-    let before = fingerprint(dm.store(), dm.bubbles());
-    let doomed = churn_batch(dm.store(), &mut brng);
-    match dm.apply(&doomed, &mut rng, &mut search) {
-        Err(UpdateError::Storage(StorageError::Enospc { .. })) => {}
-        other => panic!("expected an Enospc shed, got {other:?}"),
-    }
-    assert_eq!(before, fingerprint(dm.store(), dm.bubbles()));
+        assert!(matches!(
+            dm.health(),
+            Health::Degraded {
+                buffered_batches: 2,
+                ..
+            }
+        ));
+        let before = fingerprint(dm.store(), dm.bubbles());
+        let doomed = churn_batch(dm.store(), &mut brng);
+        match dm.apply(&doomed, &mut rng, &mut search) {
+            Err(UpdateError::Storage(StorageError::Enospc { .. })) => {}
+            other => panic!("expected an Enospc shed, got {other:?}"),
+        }
+        assert_eq!(before, fingerprint(dm.store(), dm.bubbles()));
 
-    // Space frees: the torn prefix is repaired, the backlog lands, the
-    // shed batch goes through on retry, and the WAL decodes clean.
-    dm.wal_sink_mut().heal();
-    assert_eq!(dm.sync(), Health::Healthy);
-    dm.apply(&doomed, &mut rng, &mut search)
-        .expect("retry after space freed");
-    assert_eq!(dm.sync(), Health::Healthy);
-    let contents = read_wal(dm.wal_sink().bytes()).expect("wal intact after repair");
-    assert_eq!(contents.records.len(), 3);
-    assert!(!contents.torn_tail);
+        // Space frees: the torn prefix is repaired, the backlog lands, the
+        // shed batch goes through on retry, and the WAL decodes clean.
+        dm.wal_sink_mut().heal();
+        assert_eq!(dm.sync(), Health::Healthy);
+        dm.apply(&doomed, &mut rng, &mut search)
+            .expect("retry after space freed");
+        assert_eq!(dm.sync(), Health::Healthy);
+        let contents = read_wal(dm.wal_sink().bytes()).expect("wal intact after repair");
+        assert_eq!(contents.records.len(), 3);
+        assert!(!contents.torn_tail);
+    }
 }
 
 /// Front 5c: the disk budget on a segmented chain. With a budget a few
@@ -781,70 +799,74 @@ fn enospc_sink_sheds_typed_and_repairs_after_space_frees() {
 /// [`StorageError::BudgetExceeded`] and state never advances.
 #[test]
 fn disk_budget_compacts_first_and_sheds_only_when_impossible() {
-    // Part 1: a holdable budget is held without shedding.
-    let (store, ib, mut rng, mut search) = fixture(9003);
-    let dcfg = DurabilityConfig {
-        checkpoint_interval: 2,
-        full_rebase_interval: 2,
-        disk_budget: StorageBudget::bytes(2048),
-        ..DurabilityConfig::default()
-    };
-    let sink = SegmentedSink::fresh(MemSegments::new(), 256).expect("fresh chain");
-    let mut dm = DurableMaintainer::adopt(store, ib, dcfg, sink, MemCheckpoints::new())
-        .expect("medium starts healthy");
-    let mut brng = StdRng::seed_from_u64(0xD15C);
-    for round in 0..16 {
-        let batch = churn_batch(dm.store(), &mut brng);
-        dm.apply(&batch, &mut rng, &mut search)
-            .unwrap_or_else(|e| panic!("round {round}: a holdable budget must not shed: {e}"));
-        let live = dm.live_wal_bytes().expect("segmented sinks report");
-        assert!(
-            live <= 2048 + 512,
-            "round {round}: live chain {live} bytes despite compaction"
-        );
-    }
-    assert_eq!(dm.shed_batches(), 0);
-    assert_eq!(dm.sync(), Health::Healthy);
+    for hot_points in HOT_POINTS {
+        // Part 1: a holdable budget is held without shedding.
+        let (store, ib, mut rng, mut search) = fixture(9003);
+        let dcfg = DurabilityConfig {
+            checkpoint_interval: 2,
+            full_rebase_interval: 2,
+            disk_budget: StorageBudget::bytes(2048),
+            hot_points,
+            ..DurabilityConfig::default()
+        };
+        let sink = SegmentedSink::fresh(MemSegments::new(), 256).expect("fresh chain");
+        let mut dm = DurableMaintainer::adopt(store, ib, dcfg, sink, MemCheckpoints::new())
+            .expect("medium starts healthy");
+        let mut brng = StdRng::seed_from_u64(0xD15C);
+        for round in 0..16 {
+            let batch = churn_batch(dm.store(), &mut brng);
+            dm.apply(&batch, &mut rng, &mut search)
+                .unwrap_or_else(|e| panic!("round {round}: a holdable budget must not shed: {e}"));
+            let live = dm.live_wal_bytes().expect("segmented sinks report");
+            assert!(
+                live <= 2048 + 512,
+                "round {round}: live chain {live} bytes despite compaction"
+            );
+        }
+        assert_eq!(dm.shed_batches(), 0);
+        assert_eq!(dm.sync(), Health::Healthy);
 
-    // Part 2: a budget no amount of compaction can meet sheds typed, with
-    // exact rollback, and surfaces in health.
-    let (store, ib, mut rng, mut search) = fixture(9004);
-    let dcfg = DurabilityConfig {
-        checkpoint_interval: u64::MAX,
-        disk_budget: StorageBudget::bytes(8),
-        ..DurabilityConfig::default()
-    };
-    let sink = SegmentedSink::fresh(MemSegments::new(), 256).expect("fresh chain");
-    let mut dm = DurableMaintainer::adopt(store, ib, dcfg, sink, MemCheckpoints::new())
-        .expect("medium starts healthy");
-    let before = fingerprint(dm.store(), dm.bubbles());
-    for round in 0..2 {
-        let batch = churn_batch(dm.store(), &mut brng);
-        match dm.apply(&batch, &mut rng, &mut search) {
-            Err(UpdateError::Storage(StorageError::BudgetExceeded { live_bytes, budget })) => {
-                assert_eq!(budget, 8);
-                assert!(live_bytes > 8);
+        // Part 2: a budget no amount of compaction can meet sheds typed, with
+        // exact rollback, and surfaces in health.
+        let (store, ib, mut rng, mut search) = fixture(9004);
+        let dcfg = DurabilityConfig {
+            checkpoint_interval: u64::MAX,
+            disk_budget: StorageBudget::bytes(8),
+            hot_points,
+            ..DurabilityConfig::default()
+        };
+        let sink = SegmentedSink::fresh(MemSegments::new(), 256).expect("fresh chain");
+        let mut dm = DurableMaintainer::adopt(store, ib, dcfg, sink, MemCheckpoints::new())
+            .expect("medium starts healthy");
+        let before = fingerprint(dm.store(), dm.bubbles());
+        for round in 0..2 {
+            let batch = churn_batch(dm.store(), &mut brng);
+            match dm.apply(&batch, &mut rng, &mut search) {
+                Err(UpdateError::Storage(StorageError::BudgetExceeded { live_bytes, budget })) => {
+                    assert_eq!(budget, 8);
+                    assert!(live_bytes > 8);
+                }
+                other => panic!("round {round}: expected BudgetExceeded, got {other:?}"),
             }
-            other => panic!("round {round}: expected BudgetExceeded, got {other:?}"),
+            assert_eq!(
+                dm.shed_batches(),
+                round + 1,
+                "every breach must count one shed"
+            );
         }
         assert_eq!(
-            dm.shed_batches(),
-            round + 1,
-            "every breach must count one shed"
+            before,
+            fingerprint(dm.store(), dm.bubbles()),
+            "budget-shed batches must leave state byte-identical"
         );
+        assert!(matches!(
+            dm.health(),
+            Health::Degraded {
+                shed_batches: 2,
+                ..
+            }
+        ));
     }
-    assert_eq!(
-        before,
-        fingerprint(dm.store(), dm.bubbles()),
-        "budget-shed batches must leave state byte-identical"
-    );
-    assert!(matches!(
-        dm.health(),
-        Health::Degraded {
-            shed_batches: 2,
-            ..
-        }
-    ));
 }
 
 /// The cold tier's degrade → heal ladder (DESIGN.md §17). A read outage

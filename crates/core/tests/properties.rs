@@ -6,7 +6,8 @@
 //! from-scratch computation over its current members would produce, every
 //! live point is assigned to exactly one bubble, and the seed distance
 //! matrix matches the actual seeds. `IncrementalBubbles::validate` checks
-//! all of that in O(N); these tests drive it with randomized workloads.
+//! all of that in O(N); these tests drive it with randomized workloads,
+//! each one under every nearest-seed engine.
 
 use idb_core::{IncrementalBubbles, MaintainerConfig, QualityKind, SeedSearch};
 use idb_geometry::SearchStats;
@@ -15,6 +16,9 @@ use idb_synth::{ScenarioEngine, ScenarioKind, ScenarioSpec};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Every nearest-seed engine; the invariants must hold under each.
+const ENGINES: [SeedSearch; 3] = [SeedSearch::Brute, SeedSearch::Pruned, SeedSearch::KdTree];
 
 fn scenario_kind(i: u8) -> ScenarioKind {
     ScenarioKind::all()[i as usize % 6]
@@ -32,29 +36,31 @@ proptest! {
         num_bubbles in 8usize..40,
         batches in 1usize..8,
     ) {
-        let kind = scenario_kind(kind_raw);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let spec = ScenarioSpec::named(kind, 2, 800, 0.05);
-        let mut engine = ScenarioEngine::new(spec);
-        let mut store = engine.populate(&mut rng);
-        let mut search = SearchStats::new();
-        let mut ib = IncrementalBubbles::build(
-            &store,
-            MaintainerConfig::new(num_bubbles),
-            &mut rng,
-            &mut search,
-        );
-        ib.validate(&store);
+        for search_engine in ENGINES {
+            let kind = scenario_kind(kind_raw);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let spec = ScenarioSpec::named(kind, 2, 800, 0.05);
+            let mut engine = ScenarioEngine::new(spec);
+            let mut store = engine.populate(&mut rng);
+            let mut search = SearchStats::new();
+            let mut ib = IncrementalBubbles::build(
+                &store,
+                MaintainerConfig::new(num_bubbles).with_seed_search(search_engine),
+                &mut rng,
+                &mut search,
+            );
+            ib.validate(&store);
 
-        for _ in 0..batches {
-            let batch = engine.plan(&mut rng);
-            let new_ids = ib.apply_batch(&mut store, &batch, &mut search);
-            engine.confirm(&new_ids);
-            ib.validate(&store);
-            ib.maintain(&store, &mut rng, &mut search);
-            ib.validate(&store);
-            prop_assert_eq!(ib.total_points(), store.len() as u64);
-            prop_assert_eq!(ib.num_bubbles(), num_bubbles, "compression rate is fixed");
+            for _ in 0..batches {
+                let batch = engine.plan(&mut rng);
+                let new_ids = ib.apply_batch(&mut store, &batch, &mut search);
+                engine.confirm(&new_ids);
+                ib.validate(&store);
+                ib.maintain(&store, &mut rng, &mut search);
+                ib.validate(&store);
+                prop_assert_eq!(ib.total_points(), store.len() as u64);
+                prop_assert_eq!(ib.num_bubbles(), num_bubbles, "compression rate is fixed");
+            }
         }
     }
 
@@ -109,34 +115,36 @@ proptest! {
         seed in 0u64..1_000,
         n in 100usize..300,
     ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let spec = ScenarioSpec::named(ScenarioKind::Random, 2, n, 0.05);
-        let mut engine = ScenarioEngine::new(spec);
-        let mut store = engine.populate(&mut rng);
-        let mut search = SearchStats::new();
-        let mut ib = IncrementalBubbles::build(
-            &store,
-            MaintainerConfig::new(8),
-            &mut rng,
-            &mut search,
-        );
-        let before: Vec<u64> = ib.bubbles().iter().map(|b| b.stats().n()).collect();
+        for search_engine in ENGINES {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let spec = ScenarioSpec::named(ScenarioKind::Random, 2, n, 0.05);
+            let mut engine = ScenarioEngine::new(spec);
+            let mut store = engine.populate(&mut rng);
+            let mut search = SearchStats::new();
+            let mut ib = IncrementalBubbles::build(
+                &store,
+                MaintainerConfig::new(8).with_seed_search(search_engine),
+                &mut rng,
+                &mut search,
+            );
+            let before: Vec<u64> = ib.bubbles().iter().map(|b| b.stats().n()).collect();
 
-        // Insert a handful of points, then delete exactly those points.
-        let inserts: Vec<(Vec<f64>, Option<u32>)> = (0..10)
-            .map(|i| (vec![i as f64 * 7.0, 50.0], None))
-            .collect();
-        let ids = ib.apply_batch(
-            &mut store,
-            &Batch { deletes: Vec::new(), inserts },
-            &mut search,
-        );
-        let revert = Batch { deletes: ids, inserts: Vec::new() };
-        ib.apply_batch(&mut store, &revert, &mut search);
-        ib.validate(&store);
+            // Insert a handful of points, then delete exactly those points.
+            let inserts: Vec<(Vec<f64>, Option<u32>)> = (0..10)
+                .map(|i| (vec![i as f64 * 7.0, 50.0], None))
+                .collect();
+            let ids = ib.apply_batch(
+                &mut store,
+                &Batch { deletes: Vec::new(), inserts },
+                &mut search,
+            );
+            let revert = Batch { deletes: ids, inserts: Vec::new() };
+            ib.apply_batch(&mut store, &revert, &mut search);
+            ib.validate(&store);
 
-        let after: Vec<u64> = ib.bubbles().iter().map(|b| b.stats().n()).collect();
-        prop_assert_eq!(before, after);
+            let after: Vec<u64> = ib.bubbles().iter().map(|b| b.stats().n()).collect();
+            prop_assert_eq!(before, after, "{:?}", search_engine);
+        }
     }
 
     /// The extent-based quality measure is a drop-in alternative: the full
@@ -147,23 +155,27 @@ proptest! {
         seed in 0u64..500,
         batches in 1usize..5,
     ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let spec = ScenarioSpec::named(ScenarioKind::Complex, 2, 600, 0.05);
-        let mut engine = ScenarioEngine::new(spec);
-        let mut store = engine.populate(&mut rng);
-        let mut search = SearchStats::new();
-        let mut ib = IncrementalBubbles::build(
-            &store,
-            MaintainerConfig::new(12).with_quality(QualityKind::Extent),
-            &mut rng,
-            &mut search,
-        );
-        for _ in 0..batches {
-            let batch = engine.plan(&mut rng);
-            let new_ids = ib.apply_batch(&mut store, &batch, &mut search);
-            engine.confirm(&new_ids);
-            ib.maintain(&store, &mut rng, &mut search);
-            ib.validate(&store);
+        for search_engine in ENGINES {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let spec = ScenarioSpec::named(ScenarioKind::Complex, 2, 600, 0.05);
+            let mut engine = ScenarioEngine::new(spec);
+            let mut store = engine.populate(&mut rng);
+            let mut search = SearchStats::new();
+            let mut ib = IncrementalBubbles::build(
+                &store,
+                MaintainerConfig::new(12)
+                    .with_quality(QualityKind::Extent)
+                    .with_seed_search(search_engine),
+                &mut rng,
+                &mut search,
+            );
+            for _ in 0..batches {
+                let batch = engine.plan(&mut rng);
+                let new_ids = ib.apply_batch(&mut store, &batch, &mut search);
+                engine.confirm(&new_ids);
+                ib.maintain(&store, &mut rng, &mut search);
+                ib.validate(&store);
+            }
         }
     }
 }
@@ -179,7 +191,7 @@ fn long_complex_run_stays_consistent() {
     let mut store = engine.populate(&mut rng);
     let mut search = SearchStats::new();
     // Pinned to the pruned engine: the pruning-fraction assertion below is
-    // about its accounting, independent of the IDB_SEED_SEARCH environment.
+    // about its accounting.
     let mut ib = IncrementalBubbles::build(
         &store,
         MaintainerConfig::new(60).with_seed_search(SeedSearch::Pruned),

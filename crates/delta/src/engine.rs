@@ -60,14 +60,14 @@ pub struct DeltaParams {
 
 impl DeltaParams {
     /// The full hierarchy (`eps = ∞`) with the given density threshold
-    /// and minimum cluster size.
+    /// and minimum cluster size, refreshed serially.
     #[must_use]
     pub fn new(min_pts: usize, min_cluster_size: usize) -> Self {
         Self {
             eps: f64::INFINITY,
             min_pts,
             extract: ExtractParams::with_min_size(min_cluster_size),
-            par: Parallelism::default(),
+            par: Parallelism::Serial,
         }
     }
 }

@@ -17,7 +17,9 @@
 //! serial and threaded refresh, unsharded maintainers and routers at
 //! one and four partitions, with fault-injected batches and a
 //! crash/restart (forced resync) along the way — well over 256 compared
-//! epochs in total; each test asserts its own floor.
+//! epochs in total; each test asserts its own floor. Every run journals
+//! into an in-memory recorder and its journal must pass
+//! [`check_journal_sharded`] (per epoch, touched never exceeds total).
 
 use idb_clustering::{
     cluster_tree, optics_bubbles_with, optics_merged, BubbleOrdering, ClusterNode, ExtractParams,
@@ -28,12 +30,13 @@ use idb_core::{
 };
 use idb_delta::{router_epoch, DeltaEngine, DeltaParams, EpochReport};
 use idb_geometry::{Parallelism, SearchStats};
-use idb_obs::Obs;
+use idb_obs::{check_journal_sharded, Obs, RingRecorder};
 use idb_shard::{GlobalId, ShardConfig, ShardRouter};
 use idb_store::{Batch, MemSink, PointId, PointStore};
 use idb_synth::{ScenarioEngine, ScenarioKind, ScenarioSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 const DIM: usize = 2;
 const SCENARIO_SEED: u64 = 20_260_808;
@@ -48,6 +51,24 @@ fn params(par: Parallelism) -> DeltaParams {
         extract: ExtractParams::with_min_size(MIN_CLUSTER),
         par,
     }
+}
+
+/// A journaling handle and the recorder it writes to.
+fn journaled() -> (Obs, Arc<RingRecorder>) {
+    let ring = Arc::new(RingRecorder::new());
+    (Obs::with_recorder(ring.clone()), ring)
+}
+
+/// Checks the journal `ring` collected and that it holds one delta epoch
+/// per compared epoch.
+fn assert_journal_valid(ring: &RingRecorder, epochs: usize, label: &str) {
+    let groups = check_journal_sharded(&ring.events())
+        .unwrap_or_else(|e| panic!("{label}: journal invariant violated: {e}"));
+    let delta_epochs: u64 = groups.iter().map(|(_, s)| s.delta_epochs).sum();
+    assert_eq!(
+        delta_epochs, epochs as u64,
+        "{label}: delta epochs journaled"
+    );
 }
 
 /// Preorder tree serialization: range, split bits, child count.
@@ -129,9 +150,11 @@ fn run_unsharded(
         .with_warm_start(warm_start)
         .with_parallelism(Parallelism::Serial);
     let mut bubbles = IncrementalBubbles::build(&store, mconfig, &mut mrng, &mut search);
+    let (obs, ring) = journaled();
+    bubbles.set_obs(obs.clone());
 
     let mut engine = DeltaEngine::new(params(par));
-    engine.set_obs(Obs::from_env());
+    engine.set_obs(obs);
     let mut cases = 0;
     let mut saved_work = false;
     for round in 0..epochs {
@@ -178,6 +201,7 @@ fn run_unsharded(
         );
         cases += 1;
     }
+    assert_journal_valid(&ring, cases, &format!("{kind:?}/{seed_search:?}/{par:?}"));
     (cases, saved_work)
 }
 
@@ -218,32 +242,40 @@ fn extended_dynamics_and_threaded_refresh_are_bit_identical() {
     assert!(cases >= 30, "case floor: got {cases}");
 }
 
-/// Drives one sharded run at the given partition count, comparing every
-/// epoch against the router's own merged cross-partition pass, with
+/// Drives one sharded run at the given partition and shard counts,
+/// comparing every epoch against the router's own merged cross-partition
+/// pass, with
 /// fault-injected batches and (when `crash` is set) a kill/restart of
 /// partition 0 in the middle — which must force exactly one resync and
 /// still be bit-identical.
-fn run_sharded(partitions: u32, par: Parallelism, crash: bool, rounds: usize) -> usize {
+fn run_sharded(
+    partitions: u32,
+    shards: u32,
+    par: Parallelism,
+    crash: bool,
+    rounds: usize,
+) -> usize {
     let mconfig = MaintainerConfig::new(10).with_parallelism(Parallelism::Serial);
     let spec = ScenarioSpec::named(ScenarioKind::Complex, DIM, 600, 0.12);
     let mut scenario = ScenarioEngine::new(spec);
     let mut srng = StdRng::seed_from_u64(SCENARIO_SEED);
     let initial = scenario.populate_batch(&mut srng);
+    let (obs, ring) = journaled();
     let (mut router, ids) = ShardRouter::create(
         DIM,
         &initial,
         &mconfig,
-        ShardConfig::new(partitions),
+        ShardConfig::new(partitions).with_shards(shards),
         DurabilityConfig::default(),
         MAINT_SEED,
-        &Obs::disabled(),
+        &obs,
         |_| (MemSink::new(), MemCheckpoints::new()),
     )
     .expect("create");
     scenario.confirm(&ids);
 
     let mut engine = DeltaEngine::new(params(par));
-    engine.set_obs(Obs::from_env());
+    engine.set_obs(obs);
     let mut cases = 0;
     let mut faults = 0;
     for round in 0..rounds {
@@ -312,11 +344,16 @@ fn run_sharded(partitions: u32, par: Parallelism, crash: bool, rounds: usize) ->
             &scratch,
             &scratch_plot_bits,
             &scratch_tree,
-            &format!("V={partitions}/{par:?}/crash={crash} round {round}"),
+            &format!("V={partitions}/N={shards}/{par:?}/crash={crash} round {round}"),
         );
         cases += 1;
     }
     assert!(faults > 0, "the run must exercise fault-injected batches");
+    assert_journal_valid(
+        &ring,
+        cases,
+        &format!("V={partitions}/N={shards}/crash={crash}"),
+    );
     cases
 }
 
@@ -325,16 +362,20 @@ fn sharded_delta_matches_the_merged_cross_partition_pass() {
     let mut cases = 0;
     for partitions in [1u32, 4] {
         for par in [Parallelism::Serial, Parallelism::Threads(2)] {
-            cases += run_sharded(partitions, par, false, 8);
+            cases += run_sharded(partitions, 1, par, false, 8);
         }
     }
-    assert!(cases >= 32, "case floor: got {cases}");
+    // The shard count is pure grouping: four shards, same contract.
+    cases += run_sharded(4, 4, Parallelism::Serial, false, 8);
+    assert!(cases >= 40, "case floor: got {cases}");
 }
 
 #[test]
 fn a_partition_restart_forces_one_resync_and_stays_bit_identical() {
-    let cases = run_sharded(4, Parallelism::Serial, true, 10);
-    assert!(cases >= 10, "case floor: got {cases}");
+    for shards in [1, 4] {
+        let cases = run_sharded(4, shards, Parallelism::Serial, true, 10);
+        assert!(cases >= 10, "case floor: got {cases}");
+    }
 }
 
 /// An unsharded maintainer that suffers a repair mid-run: the change

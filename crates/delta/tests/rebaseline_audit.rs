@@ -196,7 +196,9 @@ fn engines_and_parallelism_agree_bit_for_bit_at_high_dim() {
 /// every epoch of the high-dimensional dynamic flow.
 #[test]
 fn sharded_delta_matches_scratch_at_high_dim() {
-    for partitions in [1u32, 4] {
+    // Partition counts 1 and 4 in one shard, then four partitions in four
+    // shards (the shard count is pure grouping).
+    for (partitions, shards) in [(1u32, 1u32), (4, 1), (4, 4)] {
         let mconfig = MaintainerConfig::new(8).with_parallelism(Parallelism::Serial);
         let spec = ScenarioSpec::named(ScenarioKind::Complex, DIM, 480, 0.12);
         let mut scenario = ScenarioEngine::new(spec);
@@ -206,7 +208,7 @@ fn sharded_delta_matches_scratch_at_high_dim() {
             DIM,
             &initial,
             &mconfig,
-            ShardConfig::new(partitions),
+            ShardConfig::new(partitions).with_shards(shards),
             DurabilityConfig::default(),
             MAINT_SEED,
             &Obs::disabled(),
@@ -244,7 +246,7 @@ fn sharded_delta_matches_scratch_at_high_dim() {
             });
             let scratch_tree =
                 cluster_tree(&scratch_plot, &ExtractParams::with_min_size(MIN_CLUSTER));
-            let label = format!("V={partitions} round {round}");
+            let label = format!("V={partitions}/N={shards} round {round}");
             assert_eq!(
                 fp.provenance,
                 scratch

@@ -39,7 +39,7 @@ use crate::block::SeedBlock;
 use crate::kdtree::KdTree;
 use crate::matrix::{MatrixStats, SymMatrix};
 use crate::metric::{dist, sq_dist, sq_dist_bounded};
-use crate::parallel::{run_ranges, EnvParseError, Parallelism};
+use crate::parallel::{run_ranges, Parallelism};
 use crate::stats::SearchStats;
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -51,99 +51,30 @@ pub const NO_HINT: u32 = u32::MAX;
 ///
 /// All engines return bit-identical results (see the module docs); the
 /// choice only affects how much work the [`SearchStats`] counters record
-/// and the wall-clock time. The default honours the `IDB_SEED_SEARCH`
-/// environment variable (`brute` / `pruned` / `kdtree`), mirroring the
-/// `IDB_PARALLELISM` knob, and falls back to [`SeedSearch::Pruned`] — the
+/// and the wall-clock time. The default is [`SeedSearch::Pruned`] — the
 /// paper's own algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SeedSearch {
     /// Evaluate every seed; the baseline whose cost defines
     /// [`SearchStats::total`].
     Brute,
     /// Triangle-inequality pruning over the pairwise matrix (Figure 2),
     /// with matrix-ordered candidate visits and early-exit kernels.
+    #[default]
     Pruned,
     /// A k-d tree over the seeds; subtree cuts replace Lemma 1.
     KdTree,
 }
 
-impl Default for SeedSearch {
-    /// The environment default: the `IDB_SEED_SEARCH` variable when set to
-    /// something parseable, otherwise [`SeedSearch::Pruned`]. An *invalid*
-    /// value warns once on stderr before falling back — a typo must never
-    /// silently change the engine.
-    fn default() -> Self {
-        match Self::from_env_strict() {
-            Ok(engine) => engine.unwrap_or(Self::Pruned),
-            Err(e) => {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| eprintln!("warning: {e}; falling back to pruned"));
-                Self::Pruned
-            }
-        }
-    }
-}
-
 impl SeedSearch {
-    /// Parses an engine name: `brute`, `pruned`, or `kdtree` (also
-    /// accepted: `kd`, `kd-tree`). Case-insensitive; `None` for anything
-    /// else.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        let s = s.trim();
-        if s.eq_ignore_ascii_case("brute") {
-            Some(Self::Brute)
-        } else if s.eq_ignore_ascii_case("pruned") {
-            Some(Self::Pruned)
-        } else if s.eq_ignore_ascii_case("kdtree")
-            || s.eq_ignore_ascii_case("kd")
-            || s.eq_ignore_ascii_case("kd-tree")
-        {
-            Some(Self::KdTree)
-        } else {
-            None
-        }
-    }
-
-    /// The canonical engine name ([`SeedSearch::parse`] round-trips it):
-    /// `brute`, `pruned`, or `kdtree`. Used as the middle segment of the
-    /// `assign.<engine>.*` metric names.
+    /// The canonical engine name: `brute`, `pruned`, or `kdtree`. Used as
+    /// the middle segment of the `assign.<engine>.*` metric names.
     #[must_use]
     pub fn as_str(&self) -> &'static str {
         match self {
             Self::Brute => "brute",
             Self::Pruned => "pruned",
             Self::KdTree => "kdtree",
-        }
-    }
-
-    /// Reads the `IDB_SEED_SEARCH` environment variable (the knob `ci.sh`
-    /// uses to run the differential suites under every engine). `None`
-    /// when unset or unparseable; use [`SeedSearch::from_env_strict`] to
-    /// distinguish those two cases.
-    #[must_use]
-    pub fn from_env() -> Option<Self> {
-        Self::from_env_strict().ok().flatten()
-    }
-
-    /// Like [`SeedSearch::from_env`], but an unparseable value is a typed
-    /// [`EnvParseError`] instead of a silent `None`. `Ok(None)` means the
-    /// variable is unset.
-    ///
-    /// # Errors
-    /// [`EnvParseError`] when `IDB_SEED_SEARCH` is set to something that
-    /// [`SeedSearch::parse`] rejects.
-    pub fn from_env_strict() -> Result<Option<Self>, EnvParseError> {
-        match std::env::var("IDB_SEED_SEARCH") {
-            Err(_) => Ok(None),
-            Ok(v) => match Self::parse(&v) {
-                Some(engine) => Ok(Some(engine)),
-                None => Err(EnvParseError {
-                    var: "IDB_SEED_SEARCH",
-                    value: v,
-                    expected: "`brute`, `pruned`, or `kdtree`",
-                }),
-            },
         }
     }
 }
@@ -1196,41 +1127,5 @@ mod tests {
         let row = s.neighbor_order(0);
         assert_eq!(row[0], 0);
         assert_eq!(row[3], 3, "diagonal neighbor is farthest from seed 0");
-    }
-
-    #[test]
-    fn seed_search_parse_and_default() {
-        assert_eq!(SeedSearch::parse("brute"), Some(SeedSearch::Brute));
-        assert_eq!(SeedSearch::parse("PRUNED"), Some(SeedSearch::Pruned));
-        assert_eq!(SeedSearch::parse(" kdtree "), Some(SeedSearch::KdTree));
-        assert_eq!(SeedSearch::parse("kd"), Some(SeedSearch::KdTree));
-        assert_eq!(SeedSearch::parse("kd-tree"), Some(SeedSearch::KdTree));
-        assert_eq!(SeedSearch::parse("octree"), None);
-        assert_eq!(SeedSearch::parse(""), None);
-    }
-
-    #[test]
-    fn env_strict_distinguishes_unset_invalid_and_valid() {
-        // The only test in this binary touching IDB_SEED_SEARCH, so the
-        // set/restore sequence cannot race another thread.
-        let saved = std::env::var("IDB_SEED_SEARCH").ok();
-        std::env::remove_var("IDB_SEED_SEARCH");
-        assert_eq!(SeedSearch::from_env_strict(), Ok(None));
-        std::env::set_var("IDB_SEED_SEARCH", "kdtree");
-        assert_eq!(SeedSearch::from_env_strict(), Ok(Some(SeedSearch::KdTree)));
-        assert_eq!(SeedSearch::default(), SeedSearch::KdTree);
-        std::env::set_var("IDB_SEED_SEARCH", "octree");
-        let err = SeedSearch::from_env_strict().unwrap_err();
-        assert_eq!(err.var, "IDB_SEED_SEARCH");
-        assert_eq!(err.value, "octree");
-        assert!(err.to_string().contains("expected"), "{err}");
-        assert_eq!(SeedSearch::from_env(), None, "lenient view stays None");
-        // The default warns (once, on stderr) and falls back — it must
-        // never panic or silently pick a surprising engine.
-        assert_eq!(SeedSearch::default(), SeedSearch::Pruned);
-        match saved {
-            Some(v) => std::env::set_var("IDB_SEED_SEARCH", v),
-            None => std::env::remove_var("IDB_SEED_SEARCH"),
-        }
     }
 }

@@ -45,5 +45,5 @@ pub use kdtree::KdTree;
 pub use matrix::{MatrixStats, SymMatrix};
 pub use metric::{dist, sq_dist};
 pub use obs::{RepairMetrics, SearchMetrics};
-pub use parallel::{EnvParseError, Parallelism};
+pub use parallel::Parallelism;
 pub use stats::SearchStats;

@@ -25,70 +25,22 @@
 //!
 //! [`SearchStats`]: crate::stats::SearchStats
 
-use std::fmt;
-
-/// An environment configuration knob held a value that does not parse.
-///
-/// Library callers get this from the `from_env_strict` constructors
-/// ([`Parallelism::from_env_strict`],
-/// [`SeedSearch::from_env_strict`](crate::SeedSearch::from_env_strict));
-/// the `Default` impls used by binaries instead warn **once** on stderr
-/// and fall back, so a typo in `IDB_PARALLELISM` is loud rather than a
-/// silent behavior change.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EnvParseError {
-    /// The environment variable that held the bad value.
-    pub var: &'static str,
-    /// The rejected value.
-    pub value: String,
-    /// A human description of the accepted values.
-    pub expected: &'static str,
-}
-
-impl fmt::Display for EnvParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "invalid {}={:?}: expected {}",
-            self.var, self.value, self.expected
-        )
-    }
-}
-
-impl std::error::Error for EnvParseError {}
-
 /// How a bulk operation spreads its work over threads.
 ///
 /// Threaded through [`MaintainerConfig`](../../idb_core/config/index.html)
 /// so experiments, benches and tests can pin the execution mode. All modes
 /// produce identical results (see the module docs); the choice only
 /// affects wall-clock time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
     /// Run in the calling thread, exactly like the pre-parallel code.
+    #[default]
     Serial,
     /// Fan out over this many worker threads (values are clamped to at
     /// least 1; `Threads(1)` still runs in the calling thread).
     Threads(usize),
     /// Fan out over [`std::thread::available_parallelism`] threads.
     Auto,
-}
-
-impl Default for Parallelism {
-    /// The environment default: the `IDB_PARALLELISM` variable when set to
-    /// something parseable, otherwise [`Parallelism::Serial`]. An *invalid*
-    /// value warns once on stderr before falling back — a typo must never
-    /// silently change the execution mode.
-    fn default() -> Self {
-        match Self::from_env_strict() {
-            Ok(mode) => mode.unwrap_or(Self::Serial),
-            Err(e) => {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| eprintln!("warning: {e}; falling back to serial"));
-                Self::Serial
-            }
-        }
-    }
 }
 
 impl Parallelism {
@@ -99,53 +51,6 @@ impl Parallelism {
             Self::Serial => 1,
             Self::Threads(n) => n.max(1),
             Self::Auto => std::thread::available_parallelism().map_or(1, usize::from),
-        }
-    }
-
-    /// Parses a mode from a string: `serial`, `auto`, or a positive thread
-    /// count. Case-insensitive; `None` for anything else.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        let s = s.trim();
-        if s.eq_ignore_ascii_case("serial") {
-            Some(Self::Serial)
-        } else if s.eq_ignore_ascii_case("auto") {
-            Some(Self::Auto)
-        } else {
-            s.parse::<usize>()
-                .ok()
-                .filter(|&n| n > 0)
-                .map(Self::Threads)
-        }
-    }
-
-    /// Reads the `IDB_PARALLELISM` environment variable (the knob `ci.sh`
-    /// uses to run the whole test suite in both modes). `None` when unset
-    /// or unparseable; use [`Parallelism::from_env_strict`] to distinguish
-    /// those two cases.
-    #[must_use]
-    pub fn from_env() -> Option<Self> {
-        Self::from_env_strict().ok().flatten()
-    }
-
-    /// Like [`Parallelism::from_env`], but an unparseable value is a typed
-    /// [`EnvParseError`] instead of a silent `None`. `Ok(None)` means the
-    /// variable is unset.
-    ///
-    /// # Errors
-    /// [`EnvParseError`] when `IDB_PARALLELISM` is set to something that
-    /// [`Parallelism::parse`] rejects.
-    pub fn from_env_strict() -> Result<Option<Self>, EnvParseError> {
-        match std::env::var("IDB_PARALLELISM") {
-            Err(_) => Ok(None),
-            Ok(v) => match Self::parse(&v) {
-                Some(mode) => Ok(Some(mode)),
-                None => Err(EnvParseError {
-                    var: "IDB_PARALLELISM",
-                    value: v,
-                    expected: "`serial`, `auto`, or a positive thread count",
-                }),
-            },
         }
     }
 }
@@ -246,17 +151,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_modes() {
-        assert_eq!(Parallelism::parse("serial"), Some(Parallelism::Serial));
-        assert_eq!(Parallelism::parse("SERIAL"), Some(Parallelism::Serial));
-        assert_eq!(Parallelism::parse("auto"), Some(Parallelism::Auto));
-        assert_eq!(Parallelism::parse(" 4 "), Some(Parallelism::Threads(4)));
-        assert_eq!(Parallelism::parse("0"), None);
-        assert_eq!(Parallelism::parse("-2"), None);
-        assert_eq!(Parallelism::parse("fast"), None);
-    }
-
-    #[test]
     fn effective_threads_clamps() {
         assert_eq!(Parallelism::Serial.effective_threads(), 1);
         assert_eq!(Parallelism::Threads(0).effective_threads(), 1);
@@ -311,33 +205,5 @@ mod tests {
             c.len()
         });
         assert_eq!(chunks.iter().sum::<usize>(), 99);
-    }
-
-    #[test]
-    fn env_strict_distinguishes_unset_invalid_and_valid() {
-        // The only test in this binary touching IDB_PARALLELISM, so the
-        // set/restore sequence cannot race another thread.
-        let saved = std::env::var("IDB_PARALLELISM").ok();
-        std::env::remove_var("IDB_PARALLELISM");
-        assert_eq!(Parallelism::from_env_strict(), Ok(None));
-        std::env::set_var("IDB_PARALLELISM", "3");
-        assert_eq!(
-            Parallelism::from_env_strict(),
-            Ok(Some(Parallelism::Threads(3)))
-        );
-        assert_eq!(Parallelism::default(), Parallelism::Threads(3));
-        std::env::set_var("IDB_PARALLELISM", "bogus");
-        let err = Parallelism::from_env_strict().unwrap_err();
-        assert_eq!(err.var, "IDB_PARALLELISM");
-        assert_eq!(err.value, "bogus");
-        assert!(err.to_string().contains("expected"), "{err}");
-        assert_eq!(Parallelism::from_env(), None, "lenient view stays None");
-        // The default warns (once, on stderr) and falls back — it must
-        // never panic or silently pick a surprising mode.
-        assert_eq!(Parallelism::default(), Parallelism::Serial);
-        match saved {
-            Some(v) => std::env::set_var("IDB_PARALLELISM", v),
-            None => std::env::remove_var("IDB_PARALLELISM"),
-        }
     }
 }

@@ -84,7 +84,9 @@ impl SinkOp {
 /// The typed payload of one journal entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventKind {
-    /// Initial construction finished.
+    /// Initial construction finished. A build starts with observability
+    /// disabled, so the maintainer no longer emits this; it stays in the
+    /// vocabulary so journals that carry it still parse.
     Build {
         /// Points summarized.
         points: u64,

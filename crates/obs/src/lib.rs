@@ -18,8 +18,9 @@
 //!   and duration;
 //! * [`Recorder`] — where events go: [`NullRecorder`] (default, free),
 //!   [`RingRecorder`] (tests), [`JsonlRecorder`] (files);
-//! * [`Obs`] — the cheap cloneable handle instrumented components carry,
-//!   with `IDB_OBS` environment wiring;
+//! * [`Obs`] — the cheap cloneable handle instrumented components carry;
+//!   callers pick the recorder explicitly, and [`Obs::disabled`] is the
+//!   default everywhere;
 //! * [`check_journal`] — the journal invariants the robustness suites and
 //!   the CI checker assert.
 //!

@@ -3,10 +3,9 @@
 
 use crate::event::{Event, EventKind};
 use crate::metrics::MetricsRegistry;
-use crate::recorder::{JsonlRecorder, NullRecorder, Recorder};
+use crate::recorder::{NullRecorder, Recorder};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Once};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The observability handle threaded through the maintainer stack.
@@ -63,37 +62,6 @@ impl Obs {
     #[must_use]
     pub fn metrics_only() -> Self {
         Obs::new(Arc::new(NullRecorder), Arc::new(MetricsRegistry::new()))
-    }
-
-    /// The observability the `IDB_OBS` environment variable asks for:
-    ///
-    /// * unset / `off` / `0` / `none` — [`Obs::disabled`];
-    /// * `metrics` — metrics only;
-    /// * `jsonl` — a [`JsonlRecorder`] writing
-    ///   `journal-<pid>-<n>.jsonl` under `IDB_OBS_DIR` (default: an
-    ///   `idb-obs` directory under the system temp dir), plus metrics.
-    ///
-    /// Anything else warns once on stderr and falls back to disabled —
-    /// observability must never take the host down.
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var("IDB_OBS") {
-            Err(_) => Obs::disabled(),
-            Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-                "" | "off" | "0" | "none" => Obs::disabled(),
-                "metrics" => Obs::metrics_only(),
-                "jsonl" => Obs::with_recorder(Arc::new(JsonlRecorder::create(next_journal_path()))),
-                other => {
-                    static WARN: Once = Once::new();
-                    let msg = format!(
-                        "idb-obs: unrecognized IDB_OBS value {other:?} \
-                         (expected off|metrics|jsonl); observability disabled"
-                    );
-                    WARN.call_once(|| eprintln!("{msg}"));
-                    Obs::disabled()
-                }
-            },
-        }
     }
 
     /// A clone of this handle that stamps every emitted event with the
@@ -203,17 +171,6 @@ impl ObsTimer {
             u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX)
         })
     }
-}
-
-/// A process-unique journal path under the `IDB_OBS_DIR` (or temp)
-/// directory.
-fn next_journal_path() -> std::path::PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::var_os("IDB_OBS_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::env::temp_dir().join("idb-obs"));
-    let n = SEQ.fetch_add(1, Ordering::Relaxed);
-    dir.join(format!("journal-{}-{n}.jsonl", std::process::id()))
 }
 
 #[cfg(test)]

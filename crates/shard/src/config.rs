@@ -1,19 +1,13 @@
-//! Service-layer tunables and the `IDB_SHARDS` environment knob.
+//! Service-layer tunables.
 //!
 //! Partition count is *logical* configuration — it determines which
 //! maintainer owns which region of point space and therefore the
 //! summarization content. Shard count is *physical* configuration — how
 //! partitions are grouped behind queues and drained — and, like thread
-//! count, is guaranteed not to change a single output bit. `IDB_SHARDS`
-//! therefore defaults the shard count only, exactly as
-//! `IDB_PARALLELISM` defaults the thread count.
+//! count, is guaranteed not to change a single output bit.
 
 use crate::route::MAX_PARTITIONS;
-use idb_geometry::parallel::EnvParseError;
 use idb_store::StorageBudget;
-
-/// Environment variable defaulting the shard count.
-pub const SHARDS_ENV: &str = "IDB_SHARDS";
 
 /// Tunables of the sharded service layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,15 +42,14 @@ pub struct ShardConfig {
     /// partition gets its own cold tier and keeps at most this many
     /// payloads resident, so the whole service's point residency is
     /// `partitions × hot_points` regardless of stream length. `None`
-    /// leaves the durability config's own setting (ambient
-    /// `IDB_HOT_POINTS` by default) untouched.
+    /// leaves the durability config's own setting (untiered by default)
+    /// untouched.
     pub hot_points: Option<Option<usize>>,
 }
 
 impl ShardConfig {
-    /// A config with `partitions` logical partitions; the shard count
-    /// defaults from `IDB_SHARDS` (falling back to 1), and the
-    /// supervision thresholds to quarantine-after-3 / heal-after-2.
+    /// A config with `partitions` logical partitions in one shard, with
+    /// supervision thresholds quarantine-after-3 / heal-after-2.
     ///
     /// # Panics
     /// Panics unless `1 <= partitions <= MAX_PARTITIONS`.
@@ -66,10 +59,9 @@ impl ShardConfig {
             (1..=MAX_PARTITIONS).contains(&partitions),
             "partitions must be in 1..={MAX_PARTITIONS}"
         );
-        let shards = shards_from_env().unwrap_or(1).min(partitions);
         Self {
             partitions,
-            shards,
+            shards: 1,
             queue_capacity: 1024,
             quarantine_after: 3,
             heal_after: 2,
@@ -110,7 +102,7 @@ impl ShardConfig {
 
     /// Sets the per-partition hot-point budget (see
     /// [`ShardConfig::hot_points`]); `None` disables tiering for every
-    /// partition regardless of the ambient `IDB_HOT_POINTS`.
+    /// partition regardless of the durability config.
     #[must_use]
     pub fn with_hot_points(mut self, hot_points: Option<usize>) -> Self {
         self.hot_points = Some(hot_points);
@@ -128,44 +120,6 @@ impl ShardConfig {
         assert!(partition < self.partitions, "partition out of range");
         ((u64::from(partition) * u64::from(self.shards)) / u64::from(self.partitions)) as u32
     }
-}
-
-/// The `IDB_SHARDS` value, if set and parseable (a positive integer up
-/// to [`MAX_PARTITIONS`]); an invalid value warns **once** on stderr and
-/// reads as unset, mirroring `IDB_PARALLELISM`.
-#[must_use]
-pub fn shards_from_env() -> Option<u32> {
-    match shards_from_env_strict() {
-        Ok(v) => v,
-        Err(e) => {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| eprintln!("warning: {e}; falling back to 1 shard"));
-            None
-        }
-    }
-}
-
-/// Like [`shards_from_env`], but an unparseable value is a typed error
-/// instead of a warning — library callers decide the failure policy.
-///
-/// # Errors
-/// [`EnvParseError`] when `IDB_SHARDS` is set to anything but a positive
-/// integer in `1..=MAX_PARTITIONS`.
-pub fn shards_from_env_strict() -> Result<Option<u32>, EnvParseError> {
-    let Some(raw) = std::env::var_os(SHARDS_ENV) else {
-        return Ok(None);
-    };
-    let text = raw.to_string_lossy();
-    text.trim()
-        .parse::<u32>()
-        .ok()
-        .filter(|&n| (1..=MAX_PARTITIONS).contains(&n))
-        .map(Some)
-        .ok_or_else(|| EnvParseError {
-            var: SHARDS_ENV,
-            value: text.into_owned(),
-            expected: "a positive shard count (1..=256)",
-        })
 }
 
 #[cfg(test)]
@@ -198,7 +152,4 @@ mod tests {
         let cfg = ShardConfig::new(4).with_shards(0);
         assert_eq!(cfg.shards, 1);
     }
-
-    // Env-var behavior is covered in `tests/env_knob.rs`, where the
-    // process environment can be mutated without racing other tests.
 }

@@ -64,7 +64,7 @@ pub mod error;
 pub mod route;
 pub mod router;
 
-pub use config::{shards_from_env, shards_from_env_strict, ShardConfig, SHARDS_ENV};
+pub use config::ShardConfig;
 pub use error::ShardError;
 pub use route::{
     local_capacity_exceeded, partition_round_seed, route_point, GlobalId, LOCAL_BITS, MAX_LOCAL,

@@ -31,7 +31,7 @@
 //! * **Crash**: [`ShardRouter::kill_partition`] drops a partition's
 //!   in-memory state (keeping the durable media);
 //!   [`ShardRouter::restart_partition`] rebuilds it through the ordinary
-//!   [`recover_with_obs`] path. Sibling partitions never block.
+//!   [`recover`] path. Sibling partitions never block.
 
 use crate::config::ShardConfig;
 use crate::error::ShardError;
@@ -39,7 +39,7 @@ use crate::route::{partition_round_seed, route_point, GlobalId};
 use idb_clustering::merged::{optics_merged, MergedRef};
 use idb_clustering::optics_bubbles::BubbleOrdering;
 use idb_core::{
-    recover_with_obs, Bubble, CheckpointStore, DurabilityConfig, DurableMaintainer, Health,
+    recover, Bubble, CheckpointStore, DurabilityConfig, DurableMaintainer, Health,
     IncrementalBubbles, MaintainerConfig,
 };
 use idb_geometry::{Parallelism, SearchStats};
@@ -629,7 +629,7 @@ impl<S: DurableSink, C: CheckpointStore> ShardRouter<S, C> {
             slot.maintainer.is_none(),
             "partition {partition} is still online"
         );
-        let recovered = recover_with_obs(wal_bytes, &checkpoints, &slot.obs)
+        let recovered = recover(wal_bytes, &checkpoints, &slot.obs)
             .map_err(|source| ShardError::Recovery { partition, source })?;
         let report = RestartReport {
             replayed: recovered.replayed,

@@ -453,41 +453,43 @@ fn saturated_queue_sheds_whole_and_recovers_after_drain() {
 
 #[test]
 fn unknown_delete_ids_are_rejected_at_the_routing_boundary() {
-    let mut brng = StdRng::seed_from_u64(13);
-    let (mut router, ids) = ShardRouter::create(
-        DIM,
-        &initial_batch(&mut brng, 400),
-        &MaintainerConfig::new(10),
-        ShardConfig::new(2),
-        DurabilityConfig::default(),
-        1,
-        &Obs::disabled(),
-        |_| (MemSink::new(), MemCheckpoints::new()),
-    )
-    .expect("create");
+    for shards in [1, 4] {
+        let mut brng = StdRng::seed_from_u64(13);
+        let (mut router, ids) = ShardRouter::create(
+            DIM,
+            &initial_batch(&mut brng, 400),
+            &MaintainerConfig::new(10),
+            ShardConfig::new(2).with_shards(shards),
+            DurabilityConfig::default(),
+            1,
+            &Obs::disabled(),
+            |_| (MemSink::new(), MemCheckpoints::new()),
+        )
+        .expect("create");
 
-    // A client id whose partition field names partition 200: shed before
-    // any queue sees it.
-    let bogus = GlobalId {
-        partition: 200,
-        local: PointId(3),
-    }
-    .client_id();
-    let batch = Batch {
-        deletes: vec![ids[0], bogus],
-        inserts: Vec::new(),
-    };
-    match router.submit(&batch) {
-        Err(ShardError::UnknownId { id }) => assert_eq!(id, bogus),
-        other => panic!("expected UnknownId, got {other:?}"),
-    }
-    // The valid half of the shed batch is still live and deletable.
-    router
-        .apply(&Batch {
-            deletes: vec![ids[0]],
+        // A client id whose partition field names partition 200: shed
+        // before any queue sees it.
+        let bogus = GlobalId {
+            partition: 200,
+            local: PointId(3),
+        }
+        .client_id();
+        let batch = Batch {
+            deletes: vec![ids[0], bogus],
             inserts: Vec::new(),
-        })
-        .expect("valid delete");
+        };
+        match router.submit(&batch) {
+            Err(ShardError::UnknownId { id }) => assert_eq!(id, bogus),
+            other => panic!("N={shards}: expected UnknownId, got {other:?}"),
+        }
+        // The valid half of the shed batch is still live and deletable.
+        router
+            .apply(&Batch {
+                deletes: vec![ids[0]],
+                inserts: Vec::new(),
+            })
+            .expect("valid delete");
+    }
 }
 
 /// One partition exhausts its disk budget; its submissions shed with a

@@ -32,8 +32,7 @@ pub use segment::{
 };
 pub use snapshot::SnapshotError;
 pub use tier::{
-    default_cold_medium, hot_points_from_env, hot_points_from_env_strict, ColdMedium, ColdRewriter,
-    FsCold, MemCold, TierCounters, COLD_DIR_ENV, HOT_POINTS_ENV,
+    default_cold_medium, ColdMedium, ColdRewriter, FsCold, MemCold, TierCounters, COLD_DIR_ENV,
 };
 pub use wal::{DurableSink, FileSink, MemSink, WalError, WalRecord, WalWriter};
 

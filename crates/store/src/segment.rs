@@ -33,9 +33,8 @@
 //! [`StorageBudget`] caps the chain's live bytes; exceeding it (or an
 //! ENOSPC from the medium) surfaces as a typed [`StorageError`] the
 //! durability layer turns into its compact-first-then-shed policy
-//! (DESIGN.md §16). Both knobs default from the environment —
-//! `IDB_WAL_SEGMENT_BYTES` and `IDB_DISK_BUDGET` — via the same
-//! parse-or-warn-once pattern as `IDB_SHARDS`.
+//! (DESIGN.md §16). The segment size is an argument of
+//! [`SegmentedSink::fresh`]; the budget defaults to unbounded.
 
 use crate::wal::{
     read_wal, wal_header, DurableSink, ReclaimReport, RollReport, WalContents, WalError, WalRecord,
@@ -47,11 +46,6 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-
-/// Environment variable defaulting the per-segment byte budget.
-pub const SEGMENT_BYTES_ENV: &str = "IDB_WAL_SEGMENT_BYTES";
-/// Environment variable defaulting the live-WAL disk budget.
-pub const DISK_BUDGET_ENV: &str = "IDB_DISK_BUDGET";
 
 /// Name of one segment in a chain: `epoch` increments whenever the
 /// logical stream restarts (a resume after recovery), `seq` within an
@@ -716,15 +710,6 @@ impl StorageBudget {
         }
     }
 
-    /// The ambient default: `IDB_DISK_BUDGET` when set and parseable,
-    /// unbounded otherwise.
-    #[must_use]
-    pub fn from_env() -> Self {
-        Self {
-            max_live_bytes: disk_budget_from_env(),
-        }
-    }
-
     /// Checks `live` bytes against the cap.
     ///
     /// # Errors
@@ -799,97 +784,6 @@ impl fmt::Display for StorageError {
 }
 
 impl std::error::Error for StorageError {}
-
-/// A typed failure parsing one of this module's environment knobs.
-/// (Deliberately shaped like `idb_geometry::parallel::EnvParseError`;
-/// `idb-store` sits below the geometry crate and cannot depend on it.)
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EnvParseError {
-    /// The variable that failed to parse.
-    pub var: &'static str,
-    /// Its raw value.
-    pub value: String,
-    /// What would have been accepted.
-    pub expected: &'static str,
-}
-
-impl fmt::Display for EnvParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "invalid {}={:?}: expected {}",
-            self.var, self.value, self.expected
-        )
-    }
-}
-
-impl std::error::Error for EnvParseError {}
-
-fn bytes_from_env_strict(var: &'static str) -> Result<Option<u64>, EnvParseError> {
-    let Some(raw) = std::env::var_os(var) else {
-        return Ok(None);
-    };
-    let text = raw.to_string_lossy();
-    text.trim()
-        .parse::<u64>()
-        .ok()
-        .filter(|&n| n > 0)
-        .map(Some)
-        .ok_or_else(|| EnvParseError {
-            var,
-            value: text.into_owned(),
-            expected: "a positive byte count",
-        })
-}
-
-/// The `IDB_WAL_SEGMENT_BYTES` value, if set and parseable (a positive
-/// byte count); an invalid value warns **once** on stderr and reads as
-/// unset, mirroring `IDB_SHARDS`.
-#[must_use]
-pub fn segment_bytes_from_env() -> Option<u64> {
-    match segment_bytes_from_env_strict() {
-        Ok(v) => v,
-        Err(e) => {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| eprintln!("warning: {e}; falling back to the default"));
-            None
-        }
-    }
-}
-
-/// Like [`segment_bytes_from_env`], but an unparseable value is a typed
-/// error — library callers decide the failure policy.
-///
-/// # Errors
-/// [`EnvParseError`] when `IDB_WAL_SEGMENT_BYTES` is set to anything but
-/// a positive integer byte count.
-pub fn segment_bytes_from_env_strict() -> Result<Option<u64>, EnvParseError> {
-    bytes_from_env_strict(SEGMENT_BYTES_ENV)
-}
-
-/// The `IDB_DISK_BUDGET` value, if set and parseable (a positive byte
-/// count); an invalid value warns **once** on stderr and reads as unset.
-#[must_use]
-pub fn disk_budget_from_env() -> Option<u64> {
-    match disk_budget_from_env_strict() {
-        Ok(v) => v,
-        Err(e) => {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| eprintln!("warning: {e}; running without a disk budget"));
-            None
-        }
-    }
-}
-
-/// Like [`disk_budget_from_env`], but an unparseable value is a typed
-/// error — library callers decide the failure policy.
-///
-/// # Errors
-/// [`EnvParseError`] when `IDB_DISK_BUDGET` is set to anything but a
-/// positive integer byte count.
-pub fn disk_budget_from_env_strict() -> Result<Option<u64>, EnvParseError> {
-    bytes_from_env_strict(DISK_BUDGET_ENV)
-}
 
 #[cfg(test)]
 mod tests {
@@ -1217,15 +1111,5 @@ mod tests {
             max: 8,
         };
         assert!(e.to_string().contains("cap 8"));
-    }
-
-    // Env-var parsing behavior is covered in `tests/env_knob.rs`, where
-    // the process environment can be mutated without racing other tests.
-    #[test]
-    fn strict_env_parsers_tolerate_the_ambient_environment() {
-        // Unset (the usual case) parses as None; a CI run that sets the
-        // knobs to valid byte counts parses as Some. Either way: no error.
-        assert!(segment_bytes_from_env_strict().is_ok());
-        assert!(disk_budget_from_env_strict().is_ok());
     }
 }

@@ -41,80 +41,38 @@
 use crate::segment::StorageError;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{self, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Environment knob: hot-point budget for ambient tiering. When set (a
-/// positive point count), [`hot_points_from_env`] reports it and the
-/// durability layer enables a cold tier with that budget by default.
-pub const HOT_POINTS_ENV: &str = "IDB_HOT_POINTS";
-
-/// Environment knob: directory for ambient cold-tier spill files. When
-/// set, [`default_cold_medium`] creates an [`FsCold`] file inside it;
-/// otherwise spills go to an in-memory [`MemCold`].
+/// Environment variable naming the directory [`default_cold_medium`]
+/// creates its spill files in. It is a path, not a behaviour switch:
+/// tiering itself is configured only by the caller's hot-point budget.
 pub const COLD_DIR_ENV: &str = "IDB_COLD_DIR";
 
-/// The `IDB_HOT_POINTS` value, if set and parseable (a positive point
-/// count); an invalid value warns **once** on stderr and reads as unset,
-/// mirroring `IDB_DISK_BUDGET`.
-#[must_use]
-pub fn hot_points_from_env() -> Option<usize> {
-    match hot_points_from_env_strict() {
-        Ok(v) => v,
-        Err(e) => {
-            use std::sync::Once;
-            static WARN: Once = Once::new();
-            WARN.call_once(|| eprintln!("warning: {e}; running untiered"));
-            None
-        }
-    }
-}
-
-/// Like [`hot_points_from_env`], but an unparseable value is a typed
-/// error instead of a silent fallback.
+/// The cold medium a tiered durable maintainer spills to: an [`FsCold`]
+/// file with a unique name under `IDB_COLD_DIR` when that variable is
+/// set, an in-memory [`MemCold`] otherwise.
 ///
 /// # Errors
-/// [`crate::segment::EnvParseError`] when `IDB_HOT_POINTS` is set to
-/// anything but a positive point count.
-pub fn hot_points_from_env_strict() -> Result<Option<usize>, crate::segment::EnvParseError> {
-    let Some(raw) = std::env::var_os(HOT_POINTS_ENV) else {
-        return Ok(None);
-    };
-    let text = raw.to_string_lossy();
-    text.trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|&n| n > 0)
-        .map(Some)
-        .ok_or_else(|| crate::segment::EnvParseError {
-            var: HOT_POINTS_ENV,
-            value: text.into_owned(),
-            expected: "a positive point count",
-        })
-}
-
-/// The ambient cold medium: an [`FsCold`] file with a unique name under
-/// `IDB_COLD_DIR` when that directory is configured (and creatable),
-/// an in-memory [`MemCold`] otherwise.
-#[must_use]
-pub fn default_cold_medium() -> Box<dyn ColdMedium> {
+/// The spill file cannot be created under `IDB_COLD_DIR` (a missing
+/// directory, a path through a regular file, no permission). A
+/// configured directory never silently degrades to memory.
+pub fn default_cold_medium() -> io::Result<Box<dyn ColdMedium>> {
     static SEQ: AtomicU64 = AtomicU64::new(0);
-    if let Some(dir) = std::env::var_os(COLD_DIR_ENV) {
-        let n = SEQ.fetch_add(1, Ordering::Relaxed);
-        let path = Path::new(&dir).join(format!("cold-{}-{n}.points", std::process::id()));
-        if let Ok(fs) = FsCold::create(&path) {
-            return Box::new(fs);
-        }
-        // Fall through: a misconfigured directory degrades to memory
-        // rather than refusing to start.
-    }
-    Box::new(MemCold::new())
+    let Some(dir) = std::env::var_os(COLD_DIR_ENV) else {
+        return Ok(Box::new(MemCold::new()));
+    };
+    let n = SEQ.fetch_add(1, Ordering::Relaxed);
+    let path = Path::new(&dir).join(format!("cold-{}-{n}.points", std::process::id()));
+    let fs =
+        FsCold::create(&path).map_err(|e| io::Error::other(format!("{}: {e}", path.display())))?;
+    Ok(Box::new(fs))
 }
 
-fn cold_io(op: &'static str, e: &std::io::Error) -> StorageError {
+fn cold_io(op: &'static str, e: &io::Error) -> StorageError {
     StorageError::ColdIo {
         op,
         detail: e.to_string(),
@@ -555,12 +513,5 @@ mod tests {
         fs.read_at(0, &mut buf).unwrap();
         assert_eq!(&buf, b"keep");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn env_knob_parses_strictly() {
-        // Only exercise the parse path for values that cannot race other
-        // tests: the strict reader reports unset/parseable states.
-        assert!(hot_points_from_env_strict().is_ok());
     }
 }

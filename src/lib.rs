@@ -70,8 +70,8 @@
 //! op journal — every insert, delete, merge, split, WAL commit,
 //! checkpoint and recovery step emits a typed [`obs::Event`] through a
 //! pluggable [`obs::Recorder`]. Observability is off by default and free
-//! when off; set `IDB_OBS=metrics` or `IDB_OBS=jsonl` to turn it on (see
-//! the "Observability" section of the README).
+//! when off; install an [`obs::Obs`] handle with a recorder to turn it on
+//! (see the "Observability" section of the README).
 //!
 //! To serve many independent update streams — or to fault-isolate one —
 //! the [`shard`] layer runs `V` durable maintainer partitions behind a
@@ -79,9 +79,9 @@
 //! queues with typed backpressure, a supervisor that quarantines
 //! persistently degraded partitions while siblings keep serving, and
 //! per-partition crash recovery. The shard count is a pure wall-clock
-//! knob (set it with `IDB_SHARDS`): any value yields bit-identical
-//! summaries and cluster orderings (see the "Sharding" section of the
-//! README).
+//! knob (set it with [`shard::ShardConfig::with_shards`]): any value
+//! yields bit-identical summaries and cluster orderings (see the
+//! "Sharding" section of the README).
 //!
 //! Re-clustering from scratch every epoch wastes the work the
 //! maintainer just saved; the [`delta`] layer keeps the *clustering*

@@ -28,8 +28,7 @@ fn run_scenario(kind: ScenarioKind, dim: usize, seed: u64) -> RunResult {
 
     let mut build = SearchStats::new();
     // The incremental scheme runs the pruned (triangle-inequality) engine
-    // explicitly: the Figure 10 pruning-fraction claim below is about it,
-    // so the IDB_SEED_SEARCH environment must not swap it out.
+    // explicitly: the Figure 10 pruning-fraction claim below is about it.
     let mut ib = IncrementalBubbles::build(
         &store,
         MaintainerConfig::new(BUBBLES).with_seed_search(SeedSearch::Pruned),
