@@ -51,13 +51,17 @@ for report in shard delta kernel; do
         "$IDB_WAL_DIR/BENCH_${report}_smoke.json"
 done
 # Bit-identity must survive wider codegen: re-run the kernel property
-# suite and the re-baseline audit with the host's full instruction set.
+# suite, the re-baseline audit, the pair-cache/extraction properties and
+# the dense-vs-heap OPTICS expansion equivalence with the host's full
+# instruction set.
 # Guarded — skipped with a notice when the toolchain/target rejects the
 # flag (e.g. cross-compilation or unsupported CPUs).
 if RUSTFLAGS="-C target-cpu=native" cargo check $CARGOFLAGS -q -p idb-geometry 2>/dev/null; then
     RUSTFLAGS="-C target-cpu=native" cargo test $CARGOFLAGS -q -p idb-geometry --test kernels
     RUSTFLAGS="-C target-cpu=native" cargo test $CARGOFLAGS -q -p idb-geometry --test differential
     RUSTFLAGS="-C target-cpu=native" cargo test $CARGOFLAGS -q -p idb-delta --test rebaseline_audit
+    RUSTFLAGS="-C target-cpu=native" cargo test $CARGOFLAGS -q -p idb-clustering --test delta_properties
+    RUSTFLAGS="-C target-cpu=native" cargo test $CARGOFLAGS -q -p idb-clustering --test optics_equivalence
 else
     echo "ci: target-cpu=native unsupported here; skipping native-codegen pass"
 fi

@@ -14,16 +14,29 @@
 //!
 //! The differential suite (`crates/delta/tests/equivalence.rs`) proves
 //! the two produce bit-identical artifacts; this records what the delta
-//! path saves. The run fails if the delta path does not touch at least
-//! 2× fewer neighborhoods than full recompute overall — that floor is
-//! part of the layer's contract.
+//! path saves, and where its time goes: the engine's per-stage counters
+//! split each epoch into pair-cache refresh, live-matrix view, OPTICS
+//! expansion, and extraction plus diff.
 //!
-//! Usage: `delta_report [output.json]` (default `BENCH_delta.json`).
+//! Two floors are part of the layer's contract, and the run fails if
+//! either is missed:
+//!
+//! * the delta path touches at least 2× fewer neighborhoods than full
+//!   recompute overall;
+//! * every refresh evaluates each touched unordered pair exactly once:
+//!   `|D|·s − |D|(|D|+1)/2` representative distances for `|D|` touched
+//!   slots out of `s`.
+//!
+//! Usage: `delta_report [output.json] [baseline.json]` (default
+//! `BENCH_delta.json`). With a baseline — the same report written by an
+//! earlier build on the same host — each scenario also records the
+//! baseline's `delta_secs` and `full_secs` and the speedup against them.
 
 use idb_clustering::{cluster_tree, optics_bubbles_with, ExtractParams};
 use idb_core::{IncrementalBubbles, MaintainerConfig};
 use idb_delta::{DeltaEngine, DeltaParams};
 use idb_geometry::{Parallelism, SearchStats};
+use idb_obs::Obs;
 use idb_synth::{ScenarioEngine, ScenarioKind, ScenarioSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -48,7 +61,19 @@ struct ScenarioResult {
     full_touched: u64,
     steady_delta_touched: u64,
     steady_full_touched: u64,
+    pair_evals: u64,
+    /// Summed microseconds of the engine's `STAGES` counters.
+    stage_us: [u64; STAGES.len()],
 }
+
+/// The engine's per-stage time counters, in pipeline order, with the
+/// names the report gives them.
+const STAGES: [(&str, &str); 4] = [
+    ("delta.refresh_us", "refresh"),
+    ("delta.view_us", "live_view"),
+    ("delta.expand_us", "expansion"),
+    ("delta.extract_us", "extract_diff"),
+];
 
 /// Drives one scenario for [`EPOCHS`] epochs, timing the delta engine
 /// against the from-scratch pipeline on identical maintained state.
@@ -71,6 +96,9 @@ fn run_scenario(name: &str, kind: ScenarioKind, churn: f64) -> ScenarioResult {
         extract: ExtractParams::with_min_size(MIN_CLUSTER),
         par: Parallelism::Serial,
     });
+    let obs = Obs::metrics_only();
+    engine.set_obs(obs.clone());
+    let stage_counters = STAGES.map(|(counter, _)| obs.metrics().counter(counter));
 
     let mut out = ScenarioResult {
         name: name.to_string(),
@@ -81,6 +109,8 @@ fn run_scenario(name: &str, kind: ScenarioKind, churn: f64) -> ScenarioResult {
         full_touched: 0,
         steady_delta_touched: 0,
         steady_full_touched: 0,
+        pair_evals: 0,
+        stage_us: [0; STAGES.len()],
     };
     for epoch in 0..EPOCHS {
         if epoch > 0 {
@@ -112,6 +142,15 @@ fn run_scenario(name: &str, kind: ScenarioKind, churn: f64) -> ScenarioResult {
         out.full_secs += t1.elapsed().as_secs_f64();
         assert!(tree.range.1 >= tree.range.0, "scratch tree is well-formed");
 
+        // Each touched unordered pair costs exactly one rep distance.
+        let (d, s) = (report.touched, report.total);
+        assert_eq!(
+            report.pair_evals,
+            d * s - d * (d + 1) / 2,
+            "{name} epoch {epoch}: {d} touched of {s} slots"
+        );
+        out.pair_evals += report.pair_evals as u64;
+
         // A full recompute touches every tracked neighborhood.
         out.delta_touched += report.touched as u64;
         out.full_touched += report.total as u64;
@@ -120,13 +159,40 @@ fn run_scenario(name: &str, kind: ScenarioKind, churn: f64) -> ScenarioResult {
             out.steady_full_touched += report.total as u64;
         }
     }
+    for (total, counter) in out.stage_us.iter_mut().zip(&stage_counters) {
+        *total = counter.get();
+    }
     out
 }
 
+/// The number after `"key": ` in `line`, if any.
+fn field(line: &str, key: &str) -> Option<f64> {
+    let rest = &line[line.find(&format!("\"{key}\": "))? + key.len() + 4..];
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
+    rest[..end].trim().parse().ok()
+}
+
+/// Per scenario name: the baseline report's `(delta_secs, full_secs)`.
+fn read_baseline(path: &str) -> Vec<(String, f64, f64)> {
+    let text = std::fs::read_to_string(path).expect("read baseline report");
+    text.lines()
+        .filter_map(|line| {
+            let name = line.split("\"scenario\": \"").nth(1)?.split('"').next()?;
+            Some((
+                name.to_string(),
+                field(line, "delta_secs")?,
+                field(line, "full_secs")?,
+            ))
+        })
+        .collect()
+}
+
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
+    let mut args = std::env::args().skip(1);
+    let out_path = args
+        .next()
         .unwrap_or_else(|| "BENCH_delta.json".to_string());
+    let baseline = args.next().map(|path| read_baseline(&path));
 
     let mut runs: Vec<(String, ScenarioKind, f64)> = ScenarioKind::all()
         .into_iter()
@@ -146,6 +212,12 @@ fn main() {
             r.full_touched,
             r.full_touched as f64 / r.delta_touched.max(1) as f64,
         );
+        let stages: Vec<String> = STAGES
+            .iter()
+            .zip(r.stage_us)
+            .map(|((_, stage), us)| format!("{stage} {:.3}ms", us as f64 / 1e3 / r.epochs as f64))
+            .collect();
+        eprintln!("{:<14} per epoch: {}", "", stages.join(", "));
         results.push(r);
     }
 
@@ -168,9 +240,27 @@ fn main() {
     let count = results.len();
     for (i, r) in results.iter().enumerate() {
         let comma = if i + 1 == count { "" } else { "," };
+        let stages: Vec<String> = STAGES
+            .iter()
+            .zip(r.stage_us)
+            .map(|((_, stage), us)| {
+                format!("\"{stage}\": {:.6}", us as f64 / 1e6 / r.epochs as f64)
+            })
+            .collect();
+        let versus = baseline
+            .iter()
+            .flatten()
+            .find(|(name, _, _)| *name == r.name)
+            .map_or_else(String::new, |(_, delta, full)| {
+                format!(
+                    ", \"baseline_delta_secs\": {delta:.6}, \"baseline_full_secs\": {full:.6}, \"delta_speedup\": {:.2}, \"full_speedup\": {:.2}",
+                    delta / r.delta_secs,
+                    full / r.full_secs
+                )
+            });
         let _ = writeln!(
             json,
-            "    {{\"scenario\": \"{}\", \"epochs\": {}, \"delta_secs\": {:.6}, \"full_secs\": {:.6}, \"delta_touched\": {}, \"full_touched\": {}, \"steady_delta_touched\": {}, \"steady_full_touched\": {}, \"touched_savings\": {:.3}}}{comma}",
+            "    {{\"scenario\": \"{}\", \"epochs\": {}, \"delta_secs\": {:.6}, \"full_secs\": {:.6}, \"delta_touched\": {}, \"full_touched\": {}, \"steady_delta_touched\": {}, \"steady_full_touched\": {}, \"touched_savings\": {:.3}, \"pair_evals\": {}, \"stage_secs_per_epoch\": {{{}}}{versus}}}{comma}",
             r.name,
             r.epochs,
             r.delta_secs,
@@ -180,12 +270,14 @@ fn main() {
             r.steady_delta_touched,
             r.steady_full_touched,
             r.full_touched as f64 / r.delta_touched.max(1) as f64,
+            r.pair_evals,
+            stages.join(", "),
         );
     }
     json.push_str("  ],\n");
     let _ = writeln!(
         json,
-        "  \"overall_touched_savings\": {savings:.3},\n  \"note\": \"identical maintained state clustered both ways every epoch; outputs are bit-identical (crates/delta/tests/equivalence.rs), this records the work saved; touched counts include each run's first epoch, which resyncs and touches everything; delta_secs additionally covers delta derivation and subscription fanout, which the full pipeline does not provide\"\n}}"
+        "  \"overall_touched_savings\": {savings:.3},\n  \"note\": \"identical maintained state clustered both ways every epoch; outputs are bit-identical (crates/delta/tests/equivalence.rs), this records the work saved; touched counts include each run's first epoch, which resyncs and touches everything; delta_secs additionally covers delta derivation and subscription fanout, which the full pipeline does not provide; pair_evals counts one representative distance per touched unordered pair; stage_secs_per_epoch splits the engine's epoch (engine counters, microsecond resolution); baseline_* columns, when present, come from the same report built at an earlier commit and run on the same host\"\n}}"
     );
     std::fs::write(&out_path, json).expect("write report");
     eprintln!("wrote {out_path}");

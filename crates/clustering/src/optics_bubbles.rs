@@ -20,16 +20,19 @@
 //!   would exhibit if processed individually
 //!   ([`BubbleOrdering::expand`]).
 //!
-//! The ordering itself is the standard OPTICS best-first expansion; with
-//! `s` in the hundreds a dense `O(s²)` neighbour scan is both simpler and
-//! faster than an index.
+//! The ordering is OPTICS' best-first order, produced without a priority
+//! queue: with the `s × s` bubble-distance matrix materialised, each step
+//! is one dense pass over the current bubble's row that lowers its
+//! neighbours' reachabilities and picks the next bubble by argmin
+//! ([`optics_from_matrix`]). An ordering costs `O(s²)` with no sorting;
+//! only a bubble holding fewer than `min_pts` points selects (and sorts)
+//! its few nearest neighbours to find its core distance.
 
 use crate::reachability::ReachabilityPlot;
 use idb_core::DataSummary;
 use idb_geometry::parallel::run_chunks;
 use idb_geometry::{dist, Parallelism, SeedBlock};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// Distance between two non-empty data summaries.
 ///
@@ -60,7 +63,22 @@ pub fn bubble_distance<S: DataSummary>(a: &S, b: &S) -> f64 {
 #[inline]
 #[must_use]
 pub fn bubble_distance_flat(ra: &[f64], ea: f64, na: f64, rb: &[f64], eb: f64, nb: f64) -> f64 {
-    let d = dist(ra, rb);
+    compose_bubble_distance(dist(ra, rb), ea, na, eb, nb)
+}
+
+/// The directed half of [`bubble_distance_flat`]: composes the bubble
+/// distance from `d = dist(rep_a, rep_b)` and each side's extent and
+/// `nnDist(1)`, taken in argument order.
+///
+/// `dist` is exactly symmetric (it sums the same per-lane `(a − b)²`
+/// terms in the same order either way), but the composition is not: the
+/// two `nnDist(1)` terms are added in argument order, so the two
+/// orientations of a pair can differ in the last bit. A caller that needs
+/// both computes `d` once and composes each orientation from it, with
+/// the bits `bubble_distance_flat` gives for that orientation.
+#[inline]
+#[must_use]
+pub(crate) fn compose_bubble_distance(d: f64, ea: f64, na: f64, eb: f64, nb: f64) -> f64 {
     let gap = d - (ea + eb);
     if gap >= 0.0 {
         gap + na + nb
@@ -171,38 +189,6 @@ impl BubbleOrdering {
     }
 }
 
-/// Min-heap seed with lazy deletion (see `optics` module).
-#[derive(Debug, Clone, Copy)]
-struct Seed {
-    reach: f64,
-    idx: u32,
-}
-impl PartialEq for Seed {
-    fn eq(&self, other: &Self) -> bool {
-        self.reach == other.reach && self.idx == other.idx
-    }
-}
-impl Eq for Seed {}
-impl PartialOrd for Seed {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Seed {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed operands turn `BinaryHeap`'s max-heap into a min-heap.
-        // `total_cmp` keeps the order total even over NaN (a NaN
-        // reachability — conceivable from non-finite inputs — sorts
-        // below every real value here instead of collapsing the
-        // comparison to "equal", which made heap order, and thus the
-        // whole cluster ordering, depend on insertion order).
-        other
-            .reach
-            .total_cmp(&self.reach)
-            .then(other.idx.cmp(&self.idx))
-    }
-}
-
 /// Runs OPTICS over non-empty summaries in the calling thread.
 ///
 /// Empty summaries (bubbles whose every point was deleted) are skipped —
@@ -228,7 +214,8 @@ pub fn optics_bubbles<S: DataSummary + Sync>(
 /// over contiguous chunks of matrix rows. Each pair is computed exactly
 /// once by exactly one worker and mirrored serially afterwards, so the
 /// matrix (and therefore the ordering) is bit-identical across modes. The
-/// best-first expansion itself is inherently sequential and stays serial.
+/// expansion itself (each step's argmin depends on the previous step) is
+/// inherently sequential and stays serial.
 ///
 /// # Panics
 /// Panics if `min_pts == 0`.
@@ -283,8 +270,8 @@ pub fn optics_bubbles_with<S: DataSummary + Sync>(
     optics_from_matrix(summaries, &live, &pair, eps, min_pts)
 }
 
-/// The best-first OPTICS expansion over a *precomputed* dense pairwise
-/// distance matrix.
+/// The OPTICS expansion over a *precomputed* dense pairwise distance
+/// matrix.
 ///
 /// `live` lists the indices (into `summaries`) to order — every listed
 /// summary must be non-empty — and `pair[i * live.len() + j]` must hold
@@ -293,6 +280,19 @@ pub fn optics_bubbles_with<S: DataSummary + Sync>(
 /// matrix; callers that maintain the matrix incrementally (the delta
 /// clustering layer) feed it here and get a bit-identical ordering, since
 /// every downstream decision reads only the matrix and the summaries.
+///
+/// The expansion is a dense Prim-style scan rather than a best-first
+/// heap: with the whole matrix materialised, each step makes one pass
+/// over the unprocessed bubbles that lowers the reachability of the
+/// current bubble's `eps`-neighbours and picks the next bubble as the
+/// unprocessed one of least finite reachability (ties by index, under
+/// `f64::total_cmp`) — exactly the order a lazy-deletion min-heap pops,
+/// since each bubble is pushed at most once per step, with a strictly
+/// lower reachability than any earlier push.
+/// One epoch costs `O(s²)` with no sorting: a bubble holding at least
+/// `min_pts` points has core distance `nnDist(min_pts)` and needs no
+/// neighbour list at all; a smaller one selects only its
+/// `min_pts − n` nearest neighbours.
 ///
 /// # Panics
 /// Panics if `min_pts == 0`, if `pair.len() != live.len()²`, or (in debug
@@ -316,16 +316,15 @@ pub fn optics_from_matrix<S: DataSummary>(
 }
 
 /// Reusable working memory for [`optics_from_matrix_with_scratch`]: the
-/// processed flags, reachability array, candidate heap and neighbour list
-/// the expansion needs. A caller that re-runs the expansion every epoch
-/// (the delta clustering engine) holds one and reuses the allocations;
-/// the scratch never carries results between runs — every buffer is
-/// reset on entry.
+/// unprocessed-bubble list, reachability array and small-bubble neighbour
+/// list the expansion needs. A caller that re-runs the expansion every
+/// epoch (the delta clustering engine) holds one and reuses the
+/// allocations; the scratch never carries results between runs — every
+/// buffer is reset on entry.
 #[derive(Debug, Clone, Default)]
 pub struct OpticsScratch {
-    processed: Vec<bool>,
+    pending: Vec<usize>,
     reach: Vec<f64>,
-    heap: BinaryHeap<Seed>,
     neigh: Vec<(usize, f64)>,
 }
 
@@ -356,109 +355,139 @@ pub fn optics_from_matrix_with_scratch<S: DataSummary>(
         reachability: Vec::with_capacity(s),
         virtual_reachability: Vec::with_capacity(s),
     };
-    if s == 0 {
-        return ordering;
-    }
-
-    // Core distance of live summary `i`: weighted accumulation of point
-    // counts over neighbours by ascending distance.
-    let core_dist = |i: usize, neigh_sorted: &[(usize, f64)]| -> f64 {
-        let own = summaries[live[i]].n() as usize;
-        if own >= min_pts {
-            return summaries[live[i]].nn_dist(min_pts);
-        }
-        let mut acc = own;
-        for &(j, d) in neigh_sorted {
-            if j == i {
-                continue;
-            }
-            acc += summaries[live[j]].n() as usize;
-            if acc >= min_pts {
-                return d;
-            }
-        }
-        f64::INFINITY
-    };
 
     let OpticsScratch {
-        processed,
+        pending,
         reach,
-        heap,
         neigh,
     } = scratch;
-    processed.clear();
-    processed.resize(s, false);
+    pending.clear();
+    pending.extend(0..s);
     reach.clear();
     reach.resize(s, f64::INFINITY);
-    heap.clear();
-    neigh.clear();
 
-    let expand = |i: usize,
-                  processed: &[bool],
-                  reach: &mut Vec<f64>,
-                  heap: &mut BinaryHeap<Seed>,
-                  neigh: &mut Vec<(usize, f64)>| {
-        neigh.clear();
-        for j in 0..s {
-            if j == i {
-                continue;
-            }
-            let d = pair[i * s + j];
-            if d <= eps {
-                neigh.push((j, d));
-            }
-        }
-        // `total_cmp` with the index tiebreak: a NaN distance (possible
-        // when a summary carries non-finite coordinates) must not make
-        // the neighbour order — and with it the core distance — depend
-        // on the sort algorithm's comparison sequence.
-        neigh.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        let core = core_dist(i, neigh);
-        if core.is_infinite() {
-            return;
-        }
-        for &(j, d) in neigh.iter() {
-            if processed[j] {
-                continue;
-            }
-            let r = core.max(d);
-            if r < reach[j] {
-                reach[j] = r;
-                heap.push(Seed {
-                    reach: r,
-                    idx: j as u32,
-                });
-            }
-        }
-    };
-
-    for start in 0..s {
-        if processed[start] {
-            continue;
-        }
-        processed[start] = true;
-        ordering.order.push(live[start]);
-        ordering.reachability.push(f64::INFINITY);
+    // `pending` holds the unprocessed bubbles in no particular order (a
+    // processed one is swap-removed), so every scan visits only those.
+    // `next` is the position of the argmin picked by the previous step;
+    // when it is `None` the component is exhausted and the lowest
+    // unprocessed index starts the next one (at reachability ∞, which
+    // `reach` still holds for it).
+    let mut next = None;
+    while !pending.is_empty() {
+        let pos = next.unwrap_or_else(|| {
+            (0..pending.len())
+                .min_by_key(|&p| pending[p])
+                .expect("pending is non-empty")
+        });
+        let i = pending.swap_remove(pos);
+        ordering.order.push(live[i]);
+        ordering.reachability.push(reach[i]);
         ordering
             .virtual_reachability
-            .push(summaries[live[start]].nn_dist(min_pts));
-        expand(start, processed, reach, heap, neigh);
-
-        while let Some(Seed { reach: r, idx }) = heap.pop() {
-            let i = idx as usize;
-            if processed[i] || r > reach[i] {
-                continue;
-            }
-            processed[i] = true;
-            ordering.order.push(live[i]);
-            ordering.reachability.push(reach[i]);
-            ordering
-                .virtual_reachability
-                .push(summaries[live[i]].nn_dist(min_pts));
-            expand(i, processed, reach, heap, neigh);
-        }
+            .push(summaries[live[i]].nn_dist(min_pts));
+        let row = &pair[i * s..(i + 1) * s];
+        let core = core_distance(summaries, live, i, row, eps, min_pts, neigh);
+        next = relax_and_pick(row, core, eps, pending, reach);
     }
     ordering
+}
+
+/// Core distance of live bubble `i` (matrix row `row`): `nnDist(min_pts)`
+/// when the bubble alone holds `min_pts` points, otherwise the distance
+/// at which its `eps`-neighbours, taken by ascending
+/// `(distance.total_cmp, index)`, bring the point count to `min_pts`
+/// (`∞` if they never do).
+///
+/// Every live bubble holds at least one point, so at most the
+/// `min_pts − n` nearest neighbours are ever accumulated: they are
+/// selected in `O(s)` and only that prefix is sorted. The order is total
+/// (indices are distinct), so the prefix is exactly the full sort's.
+fn core_distance<S: DataSummary>(
+    summaries: &[S],
+    live: &[usize],
+    i: usize,
+    row: &[f64],
+    eps: f64,
+    min_pts: usize,
+    neigh: &mut Vec<(usize, f64)>,
+) -> f64 {
+    let own = summaries[live[i]].n() as usize;
+    if own >= min_pts {
+        return summaries[live[i]].nn_dist(min_pts);
+    }
+    neigh.clear();
+    neigh.extend(
+        row.iter()
+            .enumerate()
+            .filter(|&(j, &d)| j != i && d <= eps)
+            .map(|(j, &d)| (j, d)),
+    );
+    // `total_cmp` with the index tiebreak: a NaN never passes `d <= eps`,
+    // and exact distance ties (duplicated representatives) resolve by
+    // index, so the selection cannot depend on the algorithm's
+    // comparison sequence.
+    let by_distance = |a: &(usize, f64), b: &(usize, f64)| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0));
+    let needed = min_pts - own;
+    if neigh.len() > needed {
+        neigh.select_nth_unstable_by(needed - 1, by_distance);
+        neigh.truncate(needed);
+    }
+    neigh.sort_unstable_by(by_distance);
+    let mut acc = own;
+    for &(j, d) in neigh.iter() {
+        acc += summaries[live[j]].n() as usize;
+        if acc >= min_pts {
+            return d;
+        }
+    }
+    f64::INFINITY
+}
+
+/// One fused pass over the current bubble's matrix row and the
+/// unprocessed bubbles `pending`: unless `core` is infinite (the bubble
+/// is not a core object), lower `reach[j]` to `max(core, d)` for every
+/// pending `j` within `eps`; then return the position in `pending` of the
+/// `j` with the least finite `reach[j]` under `(reach.total_cmp, index)`,
+/// or `None` when the component is exhausted. The key is total, so the
+/// pick does not depend on the order of `pending`.
+///
+/// A reachability is only ever stored when it is strictly below the
+/// previous one, starting from `∞`, so "below `∞`" here means "was ever
+/// lowered"; a NaN is never stored, and would never be picked.
+fn relax_and_pick(
+    row: &[f64],
+    core: f64,
+    eps: f64,
+    pending: &[usize],
+    reach: &mut [f64],
+) -> Option<usize> {
+    let relax = !core.is_infinite();
+    let mut best: Option<(usize, usize)> = None;
+    let mut best_reach = f64::INFINITY;
+    for (pos, &j) in pending.iter().enumerate() {
+        let r = &mut reach[j];
+        if relax {
+            let d = row[j];
+            if d <= eps {
+                let candidate = core.max(d);
+                if candidate < *r {
+                    *r = candidate;
+                }
+            }
+        }
+        if *r < f64::INFINITY {
+            let better = match r.total_cmp(&best_reach) {
+                Ordering::Less => true,
+                Ordering::Equal => best.is_some_and(|(_, b)| j < b),
+                Ordering::Greater => false,
+            };
+            if better {
+                best = Some((pos, j));
+                best_reach = *r;
+            }
+        }
+    }
+    best.map(|(pos, _)| pos)
 }
 
 #[cfg(test)]
@@ -537,40 +566,47 @@ mod tests {
         assert_eq!(bubble_distance(&a, &b), bubble_distance(&b, &a));
     }
 
+    /// Drains `reach` through [`relax_and_pick`] with no relaxation (an
+    /// infinite core distance), starting from the unprocessed list
+    /// `pending`; returns the picked indices in order.
+    fn drain_picks(reach: &[f64], mut pending: Vec<usize>) -> Vec<usize> {
+        let row = vec![f64::NAN; reach.len()];
+        let mut reach = reach.to_vec();
+        let mut picks = Vec::new();
+        while let Some(pos) = relax_and_pick(&row, f64::INFINITY, 1.0, &pending, &mut reach) {
+            picks.push(pending.swap_remove(pos));
+        }
+        picks
+    }
+
     #[test]
-    fn nan_reachability_orders_last_and_deterministically() {
-        // `total_cmp` sorts every NaN above every real value, so the
-        // lazy min-heap yields real seeds first (ascending, index
-        // tiebreak) and NaN seeds last, in index order — independent of
-        // push order. The old `partial_cmp(..).unwrap_or(Equal)`
-        // comparator declared NaN equal to *everything*, which is not
-        // transitive, breaking the heap invariant and making pop order
-        // depend on insertion history.
-        let seeds = [
-            (f64::NAN, 3u32),
-            (1.0, 1),
-            (f64::NAN, 2),
-            (0.5, 4),
-            (f64::INFINITY, 0),
-        ];
-        let mut forward = BinaryHeap::new();
-        for &(reach, idx) in &seeds {
-            forward.push(Seed { reach, idx });
+    fn argmin_scan_picks_nan_inf_and_ties_deterministically() {
+        // Ascending `total_cmp` (so -0.0 before 0.0), ties by index; ∞ and
+        // NaN mean "never reached" and are never picked.
+        let values = [f64::NAN, 1.0, -f64::NAN, 0.5, f64::INFINITY, 1.0, 0.0, -0.0];
+        let want = vec![7, 6, 3, 1, 5];
+        let n = values.len();
+        // Whatever order the unprocessed list is in, the picks are the
+        // same.
+        for shift in 0..n {
+            for reversed in [false, true] {
+                let mut pending: Vec<usize> = (0..n).collect();
+                pending.rotate_left(shift);
+                if reversed {
+                    pending.reverse();
+                }
+                assert_eq!(drain_picks(&values, pending.clone()), want, "{pending:?}");
+            }
         }
-        let mut reversed = BinaryHeap::new();
-        for &(reach, idx) in seeds.iter().rev() {
-            reversed.push(Seed { reach, idx });
+        // Whatever slot each value sits in, the picks are exactly the
+        // reached slots sorted by (reach.total_cmp, index).
+        for shift in 0..n {
+            let mut placed = values.to_vec();
+            placed.rotate_left(shift);
+            let mut sorted: Vec<usize> = (0..n).filter(|&j| placed[j] < f64::INFINITY).collect();
+            sorted.sort_by(|&a, &b| placed[a].total_cmp(&placed[b]).then(a.cmp(&b)));
+            assert_eq!(drain_picks(&placed, (0..n).collect()), sorted, "{placed:?}");
         }
-        let drain = |mut h: BinaryHeap<Seed>| -> Vec<u32> {
-            std::iter::from_fn(|| h.pop()).map(|s| s.idx).collect()
-        };
-        let f = drain(forward);
-        assert_eq!(f, vec![4, 1, 0, 2, 3]);
-        assert_eq!(
-            f,
-            drain(reversed),
-            "pop order must not depend on push order"
-        );
     }
 
     #[test]

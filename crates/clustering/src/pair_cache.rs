@@ -3,26 +3,29 @@
 //!
 //! [`optics_bubbles_with`](crate::optics_bubbles::optics_bubbles_with)
 //! recomputes all `O(s²)` pairwise distances every epoch. But
-//! [`bubble_distance`] is a pure function of the two summaries'
-//! sufficient statistics, so a pair whose endpoints are both unchanged
-//! since the previous epoch keeps its cached value bit-for-bit.
+//! [`bubble_distance`](crate::optics_bubbles::bubble_distance) is a pure
+//! function of the two summaries' sufficient statistics, so a pair whose
+//! endpoints are both unchanged since the previous epoch keeps its cached
+//! value bit-for-bit.
 //! [`PairCache`] exploits that: callers mirror the maintainer's slot
 //! mutations ([`PairCache::push`], [`PairCache::swap_remove`] — a moved
 //! slot keeps its cached distances, only its index changes) and mark
 //! changed slots dirty ([`PairCache::touch`]); [`PairCache::refresh`]
-//! then recomputes *only the dirty rows* and mirrors them, leaving
-//! clean×clean pairs untouched. The refreshed matrix is bit-identical to
-//! a from-scratch computation, so feeding its live sub-matrix
-//! ([`PairCache::live_view`]) to
+//! then recomputes *only the pairs touching a dirty slot* — one
+//! representative distance per unordered pair, composed into both
+//! directed entries — leaving clean×clean pairs untouched. The refreshed
+//! matrix is bit-identical to a from-scratch computation, so feeding its
+//! live sub-matrix ([`PairCache::live_view`], filled into a
+//! caller-owned buffer reused across epochs) to
 //! [`optics_from_matrix`](crate::optics_bubbles::optics_from_matrix)
 //! yields exactly the ordering a full recompute would — the property the
 //! delta-clustering equivalence suites assert over every dynamic
 //! scenario.
 
-use crate::optics_bubbles::bubble_distance_flat;
+use crate::optics_bubbles::compose_bubble_distance;
 use idb_core::DataSummary;
 use idb_geometry::parallel::run_chunks;
-use idb_geometry::Parallelism;
+use idb_geometry::{dist, Parallelism};
 
 /// A dense matrix of bubble distances over a slot space that mutates
 /// like the maintainer's bubble vector (push / swap-remove / in-place
@@ -31,20 +34,24 @@ use idb_geometry::Parallelism;
 /// matrix, whose diagonal is never read).
 ///
 /// The matrix is stored *directed*: `rows[i][j]` is exactly
-/// `bubble_distance(summary_i, summary_j)`, which differs from the
+/// `bubble_distance(summary_i, summary_j)`, which can differ from the
 /// opposite orientation in the last bit (the two flanking
 /// nearest-neighbour terms are added in argument order). The
 /// from-scratch matrix orients every pair by live *position* (lower
 /// position first), and swap-removes permute slots across epochs, so
 /// only a cache keyed by `(row summary, column summary)` stays correct
 /// under remapping; [`PairCache::live_view`] re-orients by position on
-/// the way out.
+/// the way out. Both orientations share one representative distance
+/// (`dist` is exactly symmetric), so a refresh computes it once per
+/// pair and composes each directed entry from it.
 #[derive(Debug, Clone, Default)]
 pub struct PairCache {
     /// `rows[i][j]` = cached `bubble_distance` from slot `i` to slot `j`.
     rows: Vec<Vec<f64>>,
     /// Slots whose summary changed since the last refresh.
     dirty: Vec<bool>,
+    /// Unordered pairs the last refresh recomputed.
+    pair_evals: usize,
     /// Reusable per-refresh working memory (summary parts, dirty list);
     /// never carries state between refreshes.
     scratch: RefreshScratch,
@@ -134,11 +141,15 @@ impl PairCache {
     /// pairs untouched. Returns the number of slots recomputed — the work
     /// metric the delta-vs-full benchmark reports.
     ///
-    /// Both orientations of each touched pair are computed (they differ
-    /// in the last bit; see the type docs). The computations are pure and
-    /// fan out over contiguous chunks, so the refreshed matrix is
-    /// bit-identical under every [`Parallelism`] mode — and bit-identical
-    /// to a from-scratch matrix over the same summaries.
+    /// Each touched **unordered** pair costs one representative distance
+    /// `dist(rep_i, rep_j)`, from which both directed entries are composed
+    /// (see the type docs); a dirty×dirty pair is done once, from the
+    /// lower slot's row. With `D` dirty slots out of `s` that is
+    /// `D·s − D(D+1)/2` pairs ([`pair_evals`](Self::pair_evals)). The
+    /// computations are pure and fan out over contiguous chunks of dirty
+    /// slots, so the refreshed matrix is bit-identical under every
+    /// [`Parallelism`] mode — and bit-identical to a from-scratch matrix
+    /// over the same summaries.
     ///
     /// # Panics
     /// Panics if `summaries.len()` differs from the tracked slot count.
@@ -148,6 +159,7 @@ impl PairCache {
         let scratch = &mut self.scratch;
         scratch.dirty_rows.clear();
         scratch.dirty_rows.extend((0..s).filter(|&i| self.dirty[i]));
+        self.pair_evals = 0;
         if scratch.dirty_rows.is_empty() {
             return 0;
         }
@@ -174,43 +186,39 @@ impl PairCache {
                 scratch.nn1.push(x.nn_dist(1));
             }
         }
-        let (reps, extents, nn1, empty) = (
+        let (reps, extents, nn1, empty, dirty) = (
             &scratch.reps,
             &scratch.extents,
             &scratch.nn1,
             &scratch.empty,
+            &self.dirty,
         );
-        // Bit-identical to bubble_distance over the original summaries:
-        // same parts, same operations, same order.
-        let pairwise = |a: usize, b: usize| {
+        // Both orientations of pair {a, b} from one rep distance; each is
+        // bit-identical to bubble_distance over the original summaries in
+        // that orientation (same parts, same operations, same order).
+        let directed = |a: usize, b: usize| {
             if empty[a] || empty[b] {
-                f64::NAN
+                (f64::NAN, f64::NAN)
             } else {
-                bubble_distance_flat(
-                    &reps[a * dim..(a + 1) * dim],
-                    extents[a],
-                    nn1[a],
-                    &reps[b * dim..(b + 1) * dim],
-                    extents[b],
-                    nn1[b],
+                let d = dist(&reps[a * dim..(a + 1) * dim], &reps[b * dim..(b + 1) * dim]);
+                (
+                    compose_bubble_distance(d, extents[a], nn1[a], extents[b], nn1[b]),
+                    compose_bubble_distance(d, extents[b], nn1[b], extents[a], nn1[a]),
                 )
             }
         };
-        // For each dirty slot i: its outgoing row d(i, ·) and incoming
-        // column d(·, i).
+        // Dirty slot i owns its pairs with every clean slot and with every
+        // dirty slot above it.
+        let owned = |i: usize| (0..s).filter(move |&j| j != i && !(dirty[j] && j < i));
         if par.effective_threads() == 1 {
-            // Serial path: write rows and columns in place — no per-slot
-            // row/column buffers at all.
+            // Serial path: write both entries in place — no per-slot
+            // buffers at all.
             for &i in &scratch.dirty_rows {
-                for j in 0..s {
-                    self.rows[i][j] = if j == i { 0.0 } else { pairwise(i, j) };
-                }
-                for j in 0..s {
-                    if j != i {
-                        // A dirty j's own row write carries the same pure
-                        // value, so overwrite order cannot matter.
-                        self.rows[j][i] = pairwise(j, i);
-                    }
+                for j in owned(i) {
+                    let (ij, ji) = directed(i, j);
+                    self.rows[i][j] = ij;
+                    self.rows[j][i] = ji;
+                    self.pair_evals += 1;
                 }
             }
         } else {
@@ -218,26 +226,21 @@ impl PairCache {
                 chunk
                     .iter()
                     .map(|&i| {
-                        let row: Vec<f64> = (0..s)
-                            .map(|j| if j == i { 0.0 } else { pairwise(i, j) })
-                            .collect();
-                        let col: Vec<f64> = (0..s)
-                            .map(|j| if j == i { 0.0 } else { pairwise(j, i) })
-                            .collect();
-                        (row, col)
+                        owned(i)
+                            .map(|j| directed(i, j))
+                            .collect::<Vec<(f64, f64)>>()
                     })
-                    .collect::<Vec<(Vec<f64>, Vec<f64>)>>()
+                    .collect::<Vec<Vec<(f64, f64)>>>()
             });
-            for (&i, (row, col)) in scratch
+            for (&i, pairs) in scratch
                 .dirty_rows
                 .iter()
                 .zip(computed.into_iter().flatten())
             {
-                self.rows[i] = row;
-                for (j, v) in col.into_iter().enumerate() {
-                    if j != i {
-                        self.rows[j][i] = v;
-                    }
+                for (j, (ij, ji)) in owned(i).zip(pairs) {
+                    self.rows[i][j] = ij;
+                    self.rows[j][i] = ji;
+                    self.pair_evals += 1;
                 }
             }
         }
@@ -247,11 +250,21 @@ impl PairCache {
         scratch.dirty_rows.len()
     }
 
-    /// The dense sub-matrix over the slots in `order`, laid out exactly
-    /// like the matrix `optics_bubbles_with` builds internally: row-major
-    /// over `order` positions, `0.0` diagonal, each pair oriented lower
-    /// position first and mirrored — ready for
+    /// Unordered pairs the most recent [`refresh`](Self::refresh)
+    /// recomputed — one representative distance each, except that a pair
+    /// with an empty endpoint is set to the `NaN` placeholder without one.
+    #[must_use]
+    pub fn pair_evals(&self) -> usize {
+        self.pair_evals
+    }
+
+    /// Fills `out` with the dense sub-matrix over the slots in `order`,
+    /// laid out exactly like the matrix `optics_bubbles_with` builds
+    /// internally: row-major over `order` positions, `0.0` diagonal, each
+    /// pair oriented lower position first and mirrored — ready for
     /// [`optics_from_matrix`](crate::optics_bubbles::optics_from_matrix).
+    /// `out`'s previous contents are discarded and its allocation is
+    /// reused, so a caller that views every epoch keeps one buffer.
     ///
     /// Callers must [`refresh`](Self::refresh) first and list only
     /// non-empty slots.
@@ -259,11 +272,11 @@ impl PairCache {
     /// # Panics
     /// Panics if a listed slot is out of range or (in debug builds) if
     /// any slot is still dirty or a selected entry is `NaN`.
-    #[must_use]
-    pub fn live_view(&self, order: &[usize]) -> Vec<f64> {
+    pub fn live_view(&self, order: &[usize], out: &mut Vec<f64>) {
         debug_assert!(self.dirty.iter().all(|&d| !d), "refresh before viewing");
         let s = order.len();
-        let mut out = vec![0.0f64; s * s];
+        out.clear();
+        out.resize(s * s, 0.0);
         for (x, &a) in order.iter().enumerate() {
             for (y, &b) in order.iter().enumerate().skip(x + 1) {
                 let v = self.rows[a][b];
@@ -272,7 +285,6 @@ impl PairCache {
                 out[y * s + x] = v;
             }
         }
-        out
     }
 }
 
@@ -319,6 +331,12 @@ mod tests {
         }
     }
 
+    fn view(cache: &PairCache, order: &[usize]) -> Vec<f64> {
+        let mut out = Vec::new();
+        cache.live_view(order, &mut out);
+        out
+    }
+
     fn scratch_matrix(balls: &[Ball], order: &[usize]) -> Vec<f64> {
         let s = order.len();
         let mut out = vec![0.0f64; s * s];
@@ -344,7 +362,7 @@ mod tests {
         let touched = cache.refresh(&balls, Parallelism::Serial);
         assert_eq!(touched, 5);
         let order: Vec<usize> = (0..5).collect();
-        assert_eq!(cache.live_view(&order), scratch_matrix(&balls, &order));
+        assert_eq!(view(&cache, &order), scratch_matrix(&balls, &order));
     }
 
     #[test]
@@ -361,7 +379,55 @@ mod tests {
         let touched = cache.refresh(&balls, Parallelism::Serial);
         assert_eq!(touched, 1);
         let order: Vec<usize> = (0..6).collect();
-        assert_eq!(cache.live_view(&order), scratch_matrix(&balls, &order));
+        assert_eq!(view(&cache, &order), scratch_matrix(&balls, &order));
+    }
+
+    #[test]
+    fn each_touched_unordered_pair_is_evaluated_once() {
+        let mut balls: Vec<Ball> = (0..9)
+            .map(|i| Ball::new(&[f64::from(i) * 1.5, f64::from(i % 3)], 0.4, 3 + i as usize))
+            .collect();
+        let mut cache = PairCache::new();
+        cache.reset(balls.len());
+        cache.refresh(&balls, Parallelism::Serial);
+        assert_eq!(
+            cache.pair_evals(),
+            9 * 8 / 2,
+            "a resync evaluates every pair once"
+        );
+        for (dirty, threads) in [(vec![4], 1), (vec![0, 3, 8], 1), (vec![1, 2, 5, 7], 3)] {
+            for &i in &dirty {
+                balls[i] = Ball::new(&[f64::from(i as u32) * 1.5, 7.0], 0.6, 2 + i);
+                cache.touch(i);
+            }
+            let touched = cache.refresh(&balls, Parallelism::Threads(threads));
+            let (d, s) = (dirty.len(), balls.len());
+            assert_eq!(touched, d);
+            assert_eq!(
+                cache.pair_evals(),
+                d * s - d * (d + 1) / 2,
+                "dirty {dirty:?}"
+            );
+            let order: Vec<usize> = (0..s).collect();
+            assert_eq!(view(&cache, &order), scratch_matrix(&balls, &order));
+        }
+        assert_eq!(cache.refresh(&balls, Parallelism::Serial), 0);
+        assert_eq!(cache.pair_evals(), 0, "nothing dirty, nothing evaluated");
+    }
+
+    #[test]
+    fn live_view_reuses_and_resizes_its_buffer() {
+        let balls: Vec<Ball> = (0..6)
+            .map(|i| Ball::new(&[f64::from(i) * 2.0, 1.0], 0.4, 5))
+            .collect();
+        let mut cache = PairCache::new();
+        cache.reset(balls.len());
+        cache.refresh(&balls, Parallelism::Serial);
+        let mut out = vec![f64::NAN; 100];
+        for order in [vec![0, 1, 2, 3, 4, 5], vec![5, 2], vec![1, 3, 4]] {
+            cache.live_view(&order, &mut out);
+            assert_eq!(out, scratch_matrix(&balls, &order), "{order:?}");
+        }
     }
 
     #[test]
@@ -378,7 +444,7 @@ mod tests {
         // No refresh needed: the moved slot is unchanged.
         assert_eq!(cache.dirty_count(), 0);
         let order: Vec<usize> = (0..4).collect();
-        assert_eq!(cache.live_view(&order), scratch_matrix(&balls, &order));
+        assert_eq!(view(&cache, &order), scratch_matrix(&balls, &order));
     }
 
     #[test]
@@ -396,7 +462,7 @@ mod tests {
         let touched = cache.refresh(&balls, Parallelism::Serial);
         assert_eq!(touched, 1);
         let order: Vec<usize> = (0..5).collect();
-        assert_eq!(cache.live_view(&order), scratch_matrix(&balls, &order));
+        assert_eq!(view(&cache, &order), scratch_matrix(&balls, &order));
     }
 
     #[test]
@@ -412,7 +478,7 @@ mod tests {
         cache.reset(balls.len());
         cache.refresh(&balls, Parallelism::Serial);
         let order = vec![0, 2];
-        assert_eq!(cache.live_view(&order), scratch_matrix(&balls, &order));
+        assert_eq!(view(&cache, &order), scratch_matrix(&balls, &order));
     }
 
     #[test]
@@ -430,12 +496,12 @@ mod tests {
         serial.reset(balls.len());
         serial.refresh(&balls, Parallelism::Serial);
         let order: Vec<usize> = (0..17).collect();
-        let want = serial.live_view(&order);
+        let want = view(&serial, &order);
         for threads in [2, 4, 8] {
             let mut par = PairCache::new();
             par.reset(balls.len());
             par.refresh(&balls, Parallelism::Threads(threads));
-            assert_eq!(par.live_view(&order), want, "{threads} threads");
+            assert_eq!(view(&par, &order), want, "{threads} threads");
         }
     }
 }

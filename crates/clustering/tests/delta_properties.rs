@@ -89,6 +89,13 @@ fn scratch_matrix(orbs: &[Orb]) -> Vec<f64> {
     m
 }
 
+/// The cache's live sub-matrix in a fresh buffer.
+fn live_view(cache: &PairCache, order: &[usize]) -> Vec<f64> {
+    let mut out = Vec::new();
+    cache.live_view(order, &mut out);
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -109,7 +116,7 @@ proptest! {
         cache.reset(s);
         prop_assert_eq!(cache.refresh(&orbs, Parallelism::Serial), s);
         let all: Vec<usize> = (0..s).collect();
-        let mut prev = cache.live_view(&all);
+        let mut prev = live_view(&cache, &all);
 
         for batch in batches {
             let mut dirty = std::collections::HashSet::new();
@@ -120,7 +127,7 @@ proptest! {
                 dirty.insert(slot);
             }
             prop_assert_eq!(cache.refresh(&orbs, Parallelism::Serial), dirty.len());
-            let next = cache.live_view(&all);
+            let next = live_view(&cache, &all);
             // Bit-identical to scratch over the edited set…
             let scratch = scratch_matrix(&orbs);
             for (got, want) in next.iter().zip(&scratch) {
@@ -177,7 +184,7 @@ proptest! {
             }
             cache.refresh(&orbs, Parallelism::Serial);
             let all: Vec<usize> = (0..orbs.len()).collect();
-            let matrix = cache.live_view(&all);
+            let matrix = live_view(&cache, &all);
             let scratch = scratch_matrix(&orbs);
             for (got, want) in matrix.iter().zip(&scratch) {
                 prop_assert_eq!(got.to_bits(), want.to_bits());

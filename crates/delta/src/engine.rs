@@ -6,10 +6,13 @@
 //!
 //! 1. **Candidate generation** — a [`PairCache`] mirrors the bubble slot
 //!    space of every domain (push / swap-remove / in-place stat changes)
-//!    and recomputes only the distance neighborhoods of *touched* slots,
+//!    and recomputes only the distance neighborhoods of *touched* slots
+//!    (one representative distance per touched unordered pair),
 //!    bit-identical to a from-scratch matrix;
-//! 2. **Expansion** — [`optics_from_matrix`] runs the exact best-first
-//!    OPTICS stage `optics_bubbles_with` would run over that matrix;
+//! 2. **Expansion** — the live sub-matrix is viewed into an engine-owned
+//!    buffer reused across epochs, and [`optics_from_matrix`] runs the
+//!    exact `O(s²)` dense OPTICS stage `optics_bubbles_with` would run
+//!    over that matrix;
 //! 3. **Extraction** — [`cluster_tree_delta`] re-extracts the cluster
 //!    tree, copying components whose reachability bits are unchanged
 //!    from the previous epoch's [`TreeCache`];
@@ -84,6 +87,9 @@ pub struct EpochReport {
     /// Whether the epoch fell back to a full resync (first epoch, a
     /// domain without a valid change log, or a slot-space mismatch).
     pub resynced: bool,
+    /// Unordered slot pairs whose distances were recomputed — one
+    /// representative distance each: `touched·total − touched(touched+1)/2`.
+    pub pair_evals: usize,
     /// The epoch's cluster deltas, in emission order.
     pub deltas: Vec<ClusterDelta>,
     /// Cluster-tree component reuse counters.
@@ -117,10 +123,12 @@ pub struct DeltaEngine {
     obs: Obs,
     epochs: u64,
     last: Option<EpochArtifacts>,
-    /// Reusable working memory for the per-epoch OPTICS expansion — after
-    /// the first epoch the expansion stage allocates nothing. Purely an
-    /// optimization; a fresh scratch yields bit-identical orderings.
+    /// Reusable working memory for the per-epoch OPTICS expansion and the
+    /// live distance matrix it reads — after the first epoch neither
+    /// stage allocates unless the live count grows. Purely an
+    /// optimization; fresh buffers yield bit-identical orderings.
     optics_scratch: OpticsScratch,
+    view: Vec<f64>,
 }
 
 impl DeltaEngine {
@@ -142,6 +150,7 @@ impl DeltaEngine {
             epochs: 0,
             last: None,
             optics_scratch: OpticsScratch::default(),
+            view: Vec::new(),
         }
     }
 
@@ -153,8 +162,10 @@ impl DeltaEngine {
 
     /// Routes observability through `obs`: every epoch emits an
     /// [`EventKind::DeltaEpoch`] journal event and bumps the
-    /// `delta.rows_touched` / `delta.rows_total` / `delta.rows_saved`
-    /// counters (the delta-vs-full work ledger).
+    /// `delta.rows_touched` / `delta.rows_total` / `delta.rows_saved` /
+    /// `delta.pair_evals` counters (the delta-vs-full work ledger) and the
+    /// per-stage time counters `delta.refresh_us`, `delta.view_us`,
+    /// `delta.expand_us` and `delta.extract_us` (extraction plus diff).
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
     }
@@ -270,16 +281,20 @@ impl DeltaEngine {
         };
 
         // --- 2. Refresh touched distance neighborhoods. ---
+        let stage = self.obs.start();
         let slot_summaries: Vec<&Bubble> = self
             .owners
             .iter()
             .map(|&(d, j)| &domains[d as usize][j as usize])
             .collect();
         let touched = self.cache.refresh(&slot_summaries, self.params.par);
+        let pair_evals = self.cache.pair_evals();
         let total = self.owners.len();
+        let refresh_us = stage.us();
 
         // --- 3. Expand over the cached matrix, domain-major like
         // `optics_merged`. ---
+        let stage = self.obs.start();
         let live: Vec<usize> = self
             .domain_slots
             .iter()
@@ -292,15 +307,19 @@ impl DeltaEngine {
                     .map(|(_, &c)| c)
             })
             .collect();
-        let matrix = self.cache.live_view(&live);
+        self.cache.live_view(&live, &mut self.view);
+        let view_us = stage.us();
+        let stage = self.obs.start();
         let ordering = optics_from_matrix_with_scratch(
             &slot_summaries,
             &live,
-            &matrix,
+            &self.view,
             self.params.eps,
             self.params.min_pts,
             &mut self.optics_scratch,
         );
+        let expand_us = stage.us();
+        let stage = self.obs.start();
         let refs: Vec<MergedRef> = ordering
             .order
             .iter()
@@ -339,6 +358,7 @@ impl DeltaEngine {
             .unwrap_or_default();
         let new_parents = id_tree.parents();
         self.id_tree = Some(id_tree);
+        let extract_us = stage.us();
 
         // --- 6. Fan out to subscriptions and the observability ledger. ---
         let epoch = self.epochs;
@@ -362,6 +382,11 @@ impl DeltaEngine {
             metrics
                 .counter("delta.rows_saved")
                 .add((total - touched) as u64);
+            metrics.counter("delta.pair_evals").add(pair_evals as u64);
+            metrics.counter("delta.refresh_us").add(refresh_us);
+            metrics.counter("delta.view_us").add(view_us);
+            metrics.counter("delta.expand_us").add(expand_us);
+            metrics.counter("delta.extract_us").add(extract_us);
             if resynced {
                 metrics.counter("delta.resyncs").inc();
             }
@@ -378,6 +403,7 @@ impl DeltaEngine {
             touched,
             total,
             resynced,
+            pair_evals,
             deltas,
             tree: tree_stats,
         }

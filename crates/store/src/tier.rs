@@ -225,10 +225,43 @@ impl ColdRewriter for MemRewriter {
 /// File-backed cold medium: one flat file of fixed-stride records,
 /// positioned reads/writes, tmp + rename rewrites. Clones share the same
 /// file handle (and therefore see each other's writes).
+///
+/// The spill file (and any abandoned rewrite staging file) is removed
+/// when the **last** clone drops: a spill only ever caches points the WAL
+/// and checkpoints already hold, and recovery never reads it.
 #[derive(Debug, Clone)]
 pub struct FsCold {
+    spill: Arc<SpillFile>,
+}
+
+/// The handle every [`FsCold`] clone shares; dropping the last one
+/// deletes the spill.
+#[derive(Debug)]
+struct SpillFile {
     path: PathBuf,
-    file: Arc<Mutex<File>>,
+    file: Mutex<File>,
+}
+
+impl SpillFile {
+    fn lock(&self) -> std::sync::MutexGuard<'_, File> {
+        self.file.lock().expect("cold lock")
+    }
+}
+
+impl Drop for SpillFile {
+    fn drop(&mut self) {
+        // Best effort: a spill that is already gone (or a directory that
+        // was removed under us) leaves nothing to clean up.
+        let _ = std::fs::remove_file(&self.path);
+        let _ = std::fs::remove_file(tmp_path(&self.path));
+    }
+}
+
+/// The staging path of a rewrite of the spill at `path`.
+fn tmp_path(path: &Path) -> PathBuf {
+    let mut os = path.as_os_str().to_owned();
+    os.push(".tmp");
+    PathBuf::from(os)
 }
 
 impl FsCold {
@@ -246,43 +279,37 @@ impl FsCold {
             .open(&path)
             .map_err(|e| cold_io("create", &e))?;
         Ok(Self {
-            path,
-            file: Arc::new(Mutex::new(file)),
+            spill: Arc::new(SpillFile {
+                path,
+                file: Mutex::new(file),
+            }),
         })
     }
 
     /// The spill file's path.
     #[must_use]
     pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    fn tmp_path(&self) -> PathBuf {
-        let mut os = self.path.clone().into_os_string();
-        os.push(".tmp");
-        PathBuf::from(os)
+        &self.spill.path
     }
 }
 
 impl ColdMedium for FsCold {
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), StorageError> {
-        self.file
+        self.spill
             .lock()
-            .expect("cold lock")
             .read_exact_at(buf, offset)
             .map_err(|e| cold_io("read", &e))
     }
 
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<(), StorageError> {
-        self.file
+        self.spill
             .lock()
-            .expect("cold lock")
             .write_all_at(data, offset)
             .map_err(|e| cold_io("write", &e))
     }
 
     fn start_rewrite(&self) -> Result<Box<dyn ColdRewriter + '_>, StorageError> {
-        let tmp = self.tmp_path();
+        let tmp = tmp_path(&self.spill.path);
         let file = OpenOptions::new()
             .write(true)
             .create(true)
@@ -316,15 +343,15 @@ impl ColdRewriter for FsRewriter<'_> {
 
     fn commit(self: Box<Self>) -> Result<(), StorageError> {
         self.file.sync_all().map_err(|e| cold_io("rewrite", &e))?;
-        std::fs::rename(&self.tmp, &self.owner.path).map_err(|e| cold_io("rewrite", &e))?;
+        std::fs::rename(&self.tmp, &self.owner.spill.path).map_err(|e| cold_io("rewrite", &e))?;
         // The shared handle still points at the replaced inode; reopen so
         // every clone reads the published content.
         let fresh = OpenOptions::new()
             .read(true)
             .write(true)
-            .open(&self.owner.path)
+            .open(&self.owner.spill.path)
             .map_err(|e| cold_io("rewrite", &e))?;
-        *self.owner.file.lock().expect("cold lock") = fresh;
+        *self.owner.spill.lock() = fresh;
         Ok(())
     }
 }
@@ -495,6 +522,24 @@ mod tests {
         assert_eq!(buf, [1u8; 4]);
         let mut long = [0u8; 16];
         assert!(twin.read_at(0, &mut long).is_err(), "old length is gone");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn fs_cold_spill_is_removed_when_the_last_handle_drops() {
+        let dir = std::env::temp_dir().join(format!("idb-tier-leak-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cold.points");
+        let fs = FsCold::create(&path).unwrap();
+        fs.write_at(0, &[3u8; 8]).unwrap();
+        let twin = fs.boxed_clone();
+        drop(fs);
+        assert!(path.exists(), "a live clone keeps the spill");
+        let mut buf = [0u8; 8];
+        twin.read_at(0, &mut buf).unwrap();
+        assert_eq!(buf, [3u8; 8]);
+        drop(twin);
+        assert!(!path.exists(), "the last handle removes the spill");
         std::fs::remove_dir_all(&dir).ok();
     }
 
