@@ -16,16 +16,18 @@
 //! the two produce bit-identical artifacts; this records what the delta
 //! path saves, and where its time goes: the engine's per-stage counters
 //! split each epoch into pair-cache refresh, live-matrix view, OPTICS
-//! expansion, and extraction plus diff.
+//! expansion, tree extraction, and the cross-epoch tree diff.
 //!
-//! Two floors are part of the layer's contract, and the run fails if
-//! either is missed:
+//! Two floors and one replay check are part of the layer's contract, and
+//! the run fails if any is missed:
 //!
 //! * the delta path touches at least 2× fewer neighborhoods than full
 //!   recompute overall;
 //! * every refresh evaluates each touched unordered pair exactly once:
 //!   `|D|·s − |D|(|D|+1)/2` representative distances for `|D|` touched
-//!   slots out of `s`.
+//!   slots out of `s`;
+//! * after every epoch, the delta stream replayed into a [`TreeReplica`]
+//!   equals the engine's own `clusters()` view.
 //!
 //! Usage: `delta_report [output.json] [baseline.json]` (default
 //! `BENCH_delta.json`). With a baseline — the same report written by an
@@ -34,7 +36,7 @@
 
 use idb_clustering::{cluster_tree, optics_bubbles_with, ExtractParams};
 use idb_core::{IncrementalBubbles, MaintainerConfig};
-use idb_delta::{DeltaEngine, DeltaParams};
+use idb_delta::{DeltaEngine, DeltaParams, TreeReplica};
 use idb_geometry::{Parallelism, SearchStats};
 use idb_obs::Obs;
 use idb_synth::{ScenarioEngine, ScenarioKind, ScenarioSpec};
@@ -68,11 +70,12 @@ struct ScenarioResult {
 
 /// The engine's per-stage time counters, in pipeline order, with the
 /// names the report gives them.
-const STAGES: [(&str, &str); 4] = [
+const STAGES: [(&str, &str); 5] = [
     ("delta.refresh_us", "refresh"),
     ("delta.view_us", "live_view"),
     ("delta.expand_us", "expansion"),
-    ("delta.extract_us", "extract_diff"),
+    ("delta.extract_us", "extract"),
+    ("delta.diff_us", "diff"),
 ];
 
 /// Drives one scenario for [`EPOCHS`] epochs, timing the delta engine
@@ -99,6 +102,7 @@ fn run_scenario(name: &str, kind: ScenarioKind, churn: f64) -> ScenarioResult {
     let obs = Obs::metrics_only();
     engine.set_obs(obs.clone());
     let stage_counters = STAGES.map(|(counter, _)| obs.metrics().counter(counter));
+    let mut replica = TreeReplica::new();
 
     let mut out = ScenarioResult {
         name: name.to_string(),
@@ -150,6 +154,14 @@ fn run_scenario(name: &str, kind: ScenarioKind, churn: f64) -> ScenarioResult {
             "{name} epoch {epoch}: {d} touched of {s} slots"
         );
         out.pair_evals += report.pair_evals as u64;
+
+        for delta in &report.deltas {
+            replica.apply(delta);
+        }
+        assert!(
+            replica.snapshot() == engine.clusters(),
+            "{name} epoch {epoch}: replayed deltas diverge from the engine's view"
+        );
 
         // A full recompute touches every tracked neighborhood.
         out.delta_touched += report.touched as u64;

@@ -155,9 +155,9 @@ fn build_node(
         let significant = if v.is_infinite() {
             true
         } else {
-            let left_avg = avg_finite(reach, start, m);
-            let right_avg = avg_finite(reach, m + 1, end);
-            left_avg < params.significance_ratio * v && right_avg < params.significance_ratio * v
+            // The right flank is scanned only when the left one passes.
+            let bar = params.significance_ratio * v;
+            avg_finite(reach, start, m) < bar && avg_finite(reach, m + 1, end) < bar
         };
         if !significant {
             continue;
@@ -352,9 +352,9 @@ fn build_node_cached(
         let significant = if v.is_infinite() {
             true
         } else {
-            let left_avg = avg_finite(reach, start, m);
-            let right_avg = avg_finite(reach, m + 1, end);
-            left_avg < params.significance_ratio * v && right_avg < params.significance_ratio * v
+            // The right flank is scanned only when the left one passes.
+            let bar = params.significance_ratio * v;
+            avg_finite(reach, start, m) < bar && avg_finite(reach, m + 1, end) < bar
         };
         if !significant {
             continue;

@@ -12,9 +12,9 @@
 //!   leftmost new child), each old child matched at most once;
 //! * unmatched new clusters are born with fresh, never-reused ids;
 //! * unmatched old clusters are retired — as [`ClusterDelta::Absorbed`]
-//!   naming the sibling that received the plurality of their points, or
-//!   as [`ClusterDelta::Retired`] when none of their points survive
-//!   under the parent.
+//!   naming the sibling that received the plurality of their points
+//!   (ties toward the smaller id), or as [`ClusterDelta::Retired`] when
+//!   none of their points survive under the parent.
 //!
 //! The diff is a pure function of the two trees and their memberships —
 //! no hash-map iteration order, no RNG — so the delta stream is as
@@ -22,8 +22,37 @@
 //! into a [`TreeReplica`] reconstructs the engine's final `(id → parent,
 //! members)` view byte for byte; that equivalence is the subscription
 //! suite's core assertion.
+//!
+//! # How the diff runs
+//!
+//! Every cluster is a contiguous range of its epoch's plot, so the
+//! identity tree keeps ranges only, next to the epoch's `(point id,
+//! position)` pairs sorted by id. **Precondition:** plot ids are unique
+//! (they are point ids; debug builds assert it).
+//!
+//! * **Join.** The new pairs are sorted once and merge-joined against
+//!   the previous epoch's, giving every new position its old position
+//!   and every old position its new one (or a "gone" sentinel for
+//!   inserted and deleted points).
+//! * **Unchanged check.** A matched cluster kept its members iff the two
+//!   ranges have equal sizes and every point of the new range came from
+//!   the old range — the join is one-to-one, so no sets are compared.
+//! * **Votes and retirements.** A new child's votes scan its range's old
+//!   positions, each located among the old children's sorted, disjoint
+//!   ranges by binary search; a dead old cluster scans its old range's
+//!   new positions against the new children's ranges the same way.
+//! * **Payloads.** Sorted member lists are built only for `Born` and
+//!   `MembershipChanged`, all at once after the tree walk, by one pass
+//!   over the id-sorted pairs (see `memberships`).
+//!
+//! One epoch costs `O(n log n)` for the sort plus `O(depth · n)` of
+//! linear scans and the size of the emitted payloads — no per-node sort
+//! and no point-id hash map. `deltas/reference.rs` keeps the earlier
+//! sort-and-hash diff as a test oracle the positional one must match
+//! exactly.
 
 use idb_clustering::{ClusterNode, ReachabilityPlot};
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, HashMap};
 
 /// A stable cluster identity, valid across epochs for as long as the
@@ -93,63 +122,139 @@ impl ClusterDelta {
 }
 
 /// The identity-carrying mirror of one extracted cluster tree: the same
-/// shape as the epoch's [`ClusterNode`] tree, with the stable id and
-/// sorted membership of every node.
+/// shape and plot ranges as the epoch's [`ClusterNode`] tree, plus the
+/// stable id of every node. Memberships are not stored; the owning
+/// [`IdTree`] derives them from its id-sorted plot pairs on demand.
 #[derive(Debug, Clone)]
 pub(crate) struct IdNode {
     pub id: ClusterId,
-    pub members: Vec<u64>,
+    /// Half-open range `[start, end)` of the epoch's plot.
+    pub range: (usize, usize),
     pub children: Vec<IdNode>,
 }
 
-impl IdNode {
+/// One epoch's identity tree together with the plot it indexes: the
+/// state the next epoch's diff joins against.
+#[derive(Debug, Clone)]
+pub(crate) struct IdTree {
+    pub root: IdNode,
+    /// The epoch's `(point id, plot position)` pairs, sorted by id.
+    by_id: Vec<(u64, usize)>,
+}
+
+impl IdTree {
     /// `(id, parent)` pairs over the whole tree.
     pub fn parents(&self) -> HashMap<ClusterId, Option<ClusterId>> {
         let mut out = HashMap::new();
-        self.collect_parents(None, &mut out);
+        self.walk(|node, parent| {
+            out.insert(node.id, parent);
+        });
         out
     }
 
-    fn collect_parents(
-        &self,
-        parent: Option<ClusterId>,
-        out: &mut HashMap<ClusterId, Option<ClusterId>>,
-    ) {
-        out.insert(self.id, parent);
-        for c in &self.children {
-            c.collect_parents(Some(self.id), out);
-        }
-    }
-
     /// The canonical `(id, parent, members)` view, sorted by id — the
-    /// representation [`TreeReplica::snapshot`] reconstructs.
+    /// representation [`TreeReplica::snapshot`] reconstructs. Builds every
+    /// node's membership, `O(depth · n)`; the epoch itself never calls it.
     pub fn canonical(&self) -> Vec<(ClusterId, Option<ClusterId>, Vec<u64>)> {
-        let mut out = Vec::new();
-        self.collect_canonical(None, &mut out);
+        let mut nodes = Vec::new();
+        let mut ranges = Vec::new();
+        self.walk(|node, parent| {
+            nodes.push((node.id, parent));
+            ranges.push(node.range);
+        });
+        let mut out: Vec<_> = nodes
+            .into_iter()
+            .zip(memberships(&self.by_id, &ranges))
+            .map(|((id, parent), members)| (id, parent, members))
+            .collect();
         out.sort_by_key(|(id, _, _)| *id);
         out
     }
 
-    fn collect_canonical(
-        &self,
-        parent: Option<ClusterId>,
-        out: &mut Vec<(ClusterId, Option<ClusterId>, Vec<u64>)>,
-    ) {
-        out.push((self.id, parent, self.members.clone()));
-        for c in &self.children {
-            c.collect_canonical(Some(self.id), out);
+    /// Calls `visit(node, parent)` on every node in preorder.
+    fn walk(&self, mut visit: impl FnMut(&IdNode, Option<ClusterId>)) {
+        fn go(
+            node: &IdNode,
+            parent: Option<ClusterId>,
+            visit: &mut impl FnMut(&IdNode, Option<ClusterId>),
+        ) {
+            visit(node, parent);
+            for c in &node.children {
+                go(c, Some(node.id), visit);
+            }
         }
+        go(&self.root, None, &mut visit);
     }
 }
 
-/// Sorted point ids of the plot region `[start, end)`.
-fn region_members(plot: &ReachabilityPlot, range: (usize, usize)) -> Vec<u64> {
-    let mut ids: Vec<u64> = plot.entries()[range.0..range.1]
+/// "No such position / range" sentinel of the join and membership
+/// tables.
+const NONE: usize = usize::MAX;
+
+/// Sorted point ids of every plot region in `ranges`, in one pass over
+/// the id-sorted `(id, position)` pairs: no per-region sort.
+///
+/// The regions must be nodes of one cluster tree, so any two are nested
+/// or disjoint. Each position is mapped to the innermost region holding
+/// it, and each region to the innermost region strictly enclosing it;
+/// walking that chain from every pair, in id order, appends the id to
+/// each region holding its position. Costs `O(n + Σ |region|)`.
+fn memberships(by_id: &[(u64, usize)], ranges: &[(usize, usize)]) -> Vec<Vec<u64>> {
+    // Outer regions first (by start, longer first), so inner ones paint
+    // over them and find their enclosing region already painted.
+    let mut order: Vec<usize> = (0..ranges.len()).collect();
+    order.sort_unstable_by_key(|&k| (ranges[k].0, Reverse(ranges[k].1)));
+    let mut innermost = vec![NONE; by_id.len()];
+    let mut up = vec![NONE; ranges.len()];
+    for k in order {
+        let (start, end) = ranges[k];
+        if start < end {
+            up[k] = innermost[start];
+            innermost[start..end].fill(k);
+        }
+    }
+    let mut out: Vec<Vec<u64>> = ranges
         .iter()
-        .map(|e| e.id)
+        .map(|&(start, end)| Vec::with_capacity(end - start))
         .collect();
-    ids.sort_unstable();
-    ids
+    for &(id, pos) in by_id {
+        let mut k = innermost[pos];
+        while k != NONE {
+            out[k].push(id);
+            k = up[k];
+        }
+    }
+    out
+}
+
+/// Merge-joins two id-sorted `(id, position)` lists into
+/// `(old_of_new, new_of_old)`: each plot position's position in the
+/// other epoch's plot, or [`NONE`] for a point only one epoch has.
+fn join(old: &[(u64, usize)], new: &[(u64, usize)]) -> (Vec<usize>, Vec<usize>) {
+    let mut old_of_new = vec![NONE; new.len()];
+    let mut new_of_old = vec![NONE; old.len()];
+    let (mut i, mut j) = (0, 0);
+    while i < old.len() && j < new.len() {
+        let ((old_id, op), (new_id, np)) = (old[i], new[j]);
+        match old_id.cmp(&new_id) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                old_of_new[np] = op;
+                new_of_old[op] = np;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    (old_of_new, new_of_old)
+}
+
+/// The index of the node among `nodes` (left to right, disjoint ranges)
+/// whose range holds position `pos`; `None` for a gap or [`NONE`].
+fn owner(nodes: &[IdNode], pos: usize) -> Option<usize> {
+    let i = nodes.partition_point(|n| n.range.1 <= pos);
+    (i < nodes.len() && nodes[i].range.0 <= pos).then_some(i)
 }
 
 /// The four delta buckets of one epoch, concatenated in emission order:
@@ -165,184 +270,217 @@ struct DiffOut {
 
 /// Diffs the previous epoch's identity tree against the freshly extracted
 /// tree. Returns the new identity tree and the epoch's delta stream.
+///
+/// Plot ids must be unique — they are point ids; debug builds check it.
 pub(crate) fn diff_trees(
-    prev: Option<&IdNode>,
+    prev: Option<&IdTree>,
     tree: &ClusterNode,
     plot: &ReachabilityPlot,
     next_id: &mut u64,
-) -> (IdNode, Vec<ClusterDelta>) {
-    let mut out = DiffOut::default();
-    let root = match prev {
-        None => build_fresh(tree, plot, None, next_id, &mut out),
-        Some(old) => diff_node(old, tree, plot, next_id, &mut out),
+) -> (IdTree, Vec<ClusterDelta>) {
+    let mut by_id: Vec<(u64, usize)> = plot
+        .entries()
+        .iter()
+        .enumerate()
+        .map(|(pos, e)| (e.id, pos))
+        .collect();
+    by_id.sort_unstable_by_key(|&(id, _)| id);
+    debug_assert!(
+        by_id.windows(2).all(|w| w[0].0 < w[1].0),
+        "plot ids must be unique"
+    );
+    let (old_of_new, new_of_old) =
+        prev.map_or_else(Default::default, |old| join(&old.by_id, &by_id));
+    let mut diff = Diff {
+        old_of_new,
+        new_of_old,
+        next_id,
+        out: DiffOut::default(),
+        born_ranges: Vec::new(),
+        changed_ranges: Vec::new(),
     };
+    let root = match prev {
+        None => diff.fresh(tree, None),
+        Some(old) => diff.matched(&old.root, tree),
+    };
+
+    // Fill the membership payloads, births then changes, in one pass.
+    let Diff {
+        mut out,
+        born_ranges,
+        changed_ranges,
+        ..
+    } = diff;
+    let ranges: Vec<(usize, usize)> = born_ranges.into_iter().chain(changed_ranges).collect();
+    let payloads = out.born.iter_mut().chain(&mut out.membership);
+    for (delta, list) in payloads.zip(memberships(&by_id, &ranges)) {
+        if let ClusterDelta::Born { members, .. }
+        | ClusterDelta::MembershipChanged { members, .. } = delta
+        {
+            *members = list;
+        }
+    }
+
     let mut deltas = out.removals;
     deltas.extend(out.splits);
     deltas.extend(out.born);
     deltas.extend(out.membership);
-    (root, deltas)
+    (IdTree { root, by_id }, deltas)
 }
 
-/// Assigns fresh ids to a subtree with no previous-epoch counterpart,
-/// emitting `Born` in preorder (parents before children).
-fn build_fresh(
-    tree: &ClusterNode,
-    plot: &ReachabilityPlot,
-    parent: Option<ClusterId>,
-    next_id: &mut u64,
-    out: &mut DiffOut,
-) -> IdNode {
-    let id = ClusterId(*next_id);
-    *next_id += 1;
-    let members = region_members(plot, tree.range);
-    out.born.push(ClusterDelta::Born {
-        id,
-        parent,
-        members: members.clone(),
-    });
-    let children = tree
-        .children
-        .iter()
-        .map(|c| build_fresh(c, plot, Some(id), next_id, out))
-        .collect();
-    IdNode {
-        id,
-        members,
-        children,
-    }
+/// One epoch's diff state: the position join against the previous plot,
+/// the id counter and the emitted deltas. `Born` and `MembershipChanged`
+/// deltas are emitted with empty member lists; their plot ranges are
+/// recorded alongside, in emission order, and [`diff_trees`] fills them.
+struct Diff<'a> {
+    /// Per new plot position: the point's previous-epoch position.
+    old_of_new: Vec<usize>,
+    /// Per previous-epoch plot position: the point's new position.
+    new_of_old: Vec<usize>,
+    next_id: &'a mut u64,
+    out: DiffOut,
+    born_ranges: Vec<(usize, usize)>,
+    changed_ranges: Vec<(usize, usize)>,
 }
 
-/// Diffs one matched `(old, new)` pair: carries the old id over, matches
-/// the children by point-overlap voting, recurses into matched pairs,
-/// births unmatched new children and retires unmatched old ones.
-fn diff_node(
-    old: &IdNode,
-    new: &ClusterNode,
-    plot: &ReachabilityPlot,
-    next_id: &mut u64,
-    out: &mut DiffOut,
-) -> IdNode {
-    let members = region_members(plot, new.range);
-    if members != old.members {
-        out.membership.push(ClusterDelta::MembershipChanged {
-            id: old.id,
-            members: members.clone(),
+impl Diff<'_> {
+    /// Assigns fresh ids to a subtree with no previous-epoch counterpart,
+    /// emitting `Born` in preorder (parents before children).
+    fn fresh(&mut self, tree: &ClusterNode, parent: Option<ClusterId>) -> IdNode {
+        let id = ClusterId(*self.next_id);
+        *self.next_id += 1;
+        self.out.born.push(ClusterDelta::Born {
+            id,
+            parent,
+            members: Vec::new(),
         });
-    }
-
-    // Which old child owns each point (children have disjoint regions, so
-    // each point has at most one owner). Lookup only — never iterated.
-    let mut point_owner: HashMap<u64, usize> = HashMap::new();
-    for (ocp, oc) in old.children.iter().enumerate() {
-        for &p in &oc.members {
-            point_owner.insert(p, ocp);
+        self.born_ranges.push(tree.range);
+        let children = tree
+            .children
+            .iter()
+            .map(|c| self.fresh(c, Some(id)))
+            .collect();
+        IdNode {
+            id,
+            range: tree.range,
+            children,
         }
     }
-    let new_members: Vec<Vec<u64>> = new
-        .children
-        .iter()
-        .map(|c| region_members(plot, c.range))
-        .collect();
 
-    // Vote: candidate (overlap, old child, new child) triples, strongest
-    // first; ties toward the smaller (older) id, then the leftmost new
-    // child. Greedy one-to-one assignment.
-    let mut candidates: Vec<(usize, usize, usize)> = Vec::new();
-    for (ncp, nm) in new_members.iter().enumerate() {
+    /// Diffs one matched `(old, new)` pair: carries the old id over,
+    /// matches the children by point-overlap voting, recurses into
+    /// matched pairs, births unmatched new children and retires unmatched
+    /// old ones.
+    fn matched(&mut self, old: &IdNode, new: &ClusterNode) -> IdNode {
+        // Equal sizes and every new point was inside the old range: the
+        // join is one-to-one, so the memberships are equal.
+        let (o, n) = (old.range, new.range);
+        let unchanged = n.1 - n.0 == o.1 - o.0
+            && self.old_of_new[n.0..n.1]
+                .iter()
+                .all(|&op| o.0 <= op && op < o.1);
+        if !unchanged {
+            self.out.membership.push(ClusterDelta::MembershipChanged {
+                id: old.id,
+                members: Vec::new(),
+            });
+            self.changed_ranges.push(n);
+        }
+
+        // Vote: each new child's points, by the old child that held them.
+        // Candidate (overlap, old child, new child) triples, strongest
+        // first; ties toward the smaller (older) id, then the leftmost new
+        // child. Greedy one-to-one assignment.
+        let mut candidates: Vec<(usize, usize, usize)> = Vec::new();
         let mut votes = vec![0usize; old.children.len()];
-        for p in nm {
-            if let Some(&ocp) = point_owner.get(p) {
-                votes[ocp] += 1;
+        for (ncp, nc) in new.children.iter().enumerate() {
+            votes.fill(0);
+            for &op in &self.old_of_new[nc.range.0..nc.range.1] {
+                if let Some(ocp) = owner(&old.children, op) {
+                    votes[ocp] += 1;
+                }
+            }
+            for (ocp, &v) in votes.iter().enumerate() {
+                if v > 0 {
+                    candidates.push((v, ocp, ncp));
+                }
             }
         }
-        for (ocp, &v) in votes.iter().enumerate() {
-            if v > 0 {
-                candidates.push((v, ocp, ncp));
+        candidates.sort_by(|a, b| {
+            b.0.cmp(&a.0)
+                .then(old.children[a.1].id.cmp(&old.children[b.1].id))
+                .then(a.2.cmp(&b.2))
+        });
+        let mut old_match: Vec<Option<usize>> = vec![None; old.children.len()]; // ocp -> ncp
+        let mut new_match: Vec<Option<usize>> = vec![None; new.children.len()]; // ncp -> ocp
+        for (_, ocp, ncp) in candidates {
+            if old_match[ocp].is_none() && new_match[ncp].is_none() {
+                old_match[ocp] = Some(ncp);
+                new_match[ncp] = Some(ocp);
             }
         }
-    }
-    candidates.sort_by(|a, b| {
-        b.0.cmp(&a.0)
-            .then(old.children[a.1].id.cmp(&old.children[b.1].id))
-            .then(a.2.cmp(&b.2))
-    });
-    let mut old_match: Vec<Option<usize>> = vec![None; old.children.len()]; // ocp -> ncp
-    let mut new_match: Vec<Option<usize>> = vec![None; new.children.len()]; // ncp -> ocp
-    for (_, ocp, ncp) in candidates {
-        if old_match[ocp].is_none() && new_match[ncp].is_none() {
-            old_match[ocp] = Some(ncp);
-            new_match[ncp] = Some(ocp);
-        }
-    }
 
-    // Build the new children left to right: matched pairs recurse, the
-    // rest are born fresh.
-    let id_children: Vec<IdNode> = new
-        .children
-        .iter()
-        .enumerate()
-        .map(|(ncp, nc)| match new_match[ncp] {
-            Some(ocp) => diff_node(&old.children[ocp], nc, plot, next_id, out),
-            None => build_fresh(nc, plot, Some(old.id), next_id, out),
-        })
-        .collect();
+        // Build the new children left to right: matched pairs recurse, the
+        // rest are born fresh.
+        let id_children: Vec<IdNode> = new
+            .children
+            .iter()
+            .enumerate()
+            .map(|(ncp, nc)| match new_match[ncp] {
+                Some(ocp) => self.matched(&old.children[ocp], nc),
+                None => self.fresh(nc, Some(old.id)),
+            })
+            .collect();
 
-    // Retire unmatched old children (whole subtrees, postorder) now that
-    // every surviving new child id is known.
-    let mut point_dest: HashMap<u64, ClusterId> = HashMap::new();
-    for (nm, idc) in new_members.iter().zip(&id_children) {
-        for &p in nm {
-            point_dest.insert(p, idc.id);
+        // Retire unmatched old children (whole subtrees, postorder) now that
+        // every surviving new child id is known.
+        for (oc, m) in old.children.iter().zip(&old_match) {
+            if m.is_none() {
+                self.retire(oc, &id_children);
+            }
         }
-    }
-    for (ocp, oc) in old.children.iter().enumerate() {
-        if old_match[ocp].is_none() {
-            retire_subtree(oc, &point_dest, out);
-        }
-    }
 
-    // A leaf that grew children split.
-    if old.children.is_empty() && !id_children.is_empty() {
-        out.splits.push(ClusterDelta::Split {
+        // A leaf that grew children split.
+        if old.children.is_empty() && !id_children.is_empty() {
+            self.out.splits.push(ClusterDelta::Split {
+                id: old.id,
+                children: id_children.iter().map(|c| c.id).collect(),
+            });
+        }
+
+        IdNode {
             id: old.id,
-            children: id_children.iter().map(|c| c.id).collect(),
-        });
-    }
-
-    IdNode {
-        id: old.id,
-        members,
-        children: id_children,
-    }
-}
-
-/// Emits `Absorbed`/`Retired` for a dead old subtree, children first.
-/// `point_dest` maps surviving points to the new child now holding them;
-/// a dead cluster is absorbed into the destination of the plurality of
-/// its points (ties toward the smaller id), or retired when none survive.
-fn retire_subtree(node: &IdNode, point_dest: &HashMap<u64, ClusterId>, out: &mut DiffOut) {
-    for c in &node.children {
-        retire_subtree(c, point_dest, out);
-    }
-    let mut counts: BTreeMap<ClusterId, usize> = BTreeMap::new();
-    for p in &node.members {
-        if let Some(&dest) = point_dest.get(p) {
-            *counts.entry(dest).or_default() += 1;
+            range: n,
+            children: id_children,
         }
     }
-    // BTreeMap iterates in ascending id order, so `max_by_key` on the
-    // count alone already breaks ties toward the smaller id (strictly
-    // greater counts are required to displace an earlier entry).
-    let best = counts
-        .iter()
-        .fold(None::<(ClusterId, usize)>, |acc, (&id, &n)| match acc {
-            Some((_, m)) if m >= n => acc,
-            _ => Some((id, n)),
+
+    /// Emits `Absorbed`/`Retired` for a dead old subtree, children first.
+    /// A dead cluster is absorbed into the new sibling (one of `dests`)
+    /// now holding the plurality of its points, ties toward the smaller
+    /// id, or retired when none of its points is under any of them.
+    fn retire(&mut self, node: &IdNode, dests: &[IdNode]) {
+        for c in &node.children {
+            self.retire(c, dests);
+        }
+        let mut counts = vec![0usize; dests.len()];
+        for &np in &self.new_of_old[node.range.0..node.range.1] {
+            if let Some(i) = owner(dests, np) {
+                counts[i] += 1;
+            }
+        }
+        let best = dests.iter().zip(counts).filter(|&(_, n)| n > 0).fold(
+            None::<(ClusterId, usize)>,
+            |acc, (d, n)| match acc {
+                Some((id, m)) if m > n || (m == n && id < d.id) => acc,
+                _ => Some((d.id, n)),
+            },
+        );
+        self.out.removals.push(match best {
+            Some((into, _)) => ClusterDelta::Absorbed { id: node.id, into },
+            None => ClusterDelta::Retired { id: node.id },
         });
-    out.removals.push(match best {
-        Some((into, _)) => ClusterDelta::Absorbed { id: node.id, into },
-        None => ClusterDelta::Retired { id: node.id },
-    });
+    }
 }
 
 /// A client-side mirror of the cluster hierarchy, driven purely by the
@@ -408,6 +546,9 @@ impl TreeReplica {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -441,7 +582,7 @@ mod tests {
         let tree = node((0, 6), vec![leaf((0, 3)), leaf((3, 6))]);
         let mut next = 0;
         let (id_tree, deltas) = diff_trees(None, &tree, &plot, &mut next);
-        assert_eq!(id_tree.id, ClusterId(0));
+        assert_eq!(id_tree.root.id, ClusterId(0));
         assert_eq!(
             deltas.iter().map(ClusterDelta::subject).collect::<Vec<_>>(),
             vec![ClusterId(0), ClusterId(1), ClusterId(2)]
@@ -476,7 +617,7 @@ mod tests {
         let (first, _) = diff_trees(None, &flat, &plot, &mut next);
         let split = node((0, 6), vec![leaf((0, 3)), leaf((3, 6))]);
         let (second, deltas) = diff_trees(Some(&first), &split, &plot, &mut next);
-        assert_eq!(second.id, ClusterId(0));
+        assert_eq!(second.root.id, ClusterId(0));
         let kinds: Vec<&ClusterDelta> = deltas.iter().collect();
         assert!(matches!(
             kinds[0],
@@ -497,8 +638,8 @@ mod tests {
         // Same ids, boundary shifted: point 3 now in the left region.
         let tree2 = node((0, 6), vec![leaf((0, 4)), leaf((4, 6))]);
         let (second, deltas) = diff_trees(Some(&first), &tree2, &plot1, &mut next);
-        assert_eq!(second.children[0].id, first.children[0].id);
-        assert_eq!(second.children[1].id, first.children[1].id);
+        assert_eq!(second.root.children[0].id, first.root.children[0].id);
+        assert_eq!(second.root.children[1].id, first.root.children[1].id);
         // Only membership changes, no births or removals.
         assert!(deltas
             .iter()
@@ -517,14 +658,14 @@ mod tests {
         // covering everything. Its points survive inside the survivor.
         let tree2 = node((0, 6), vec![leaf((0, 6))]);
         let (second, deltas) = diff_trees(Some(&first), &tree2, &plot1, &mut next);
-        let survivor = second.children[0].id;
+        let survivor = second.root.children[0].id;
         assert_eq!(
-            survivor, first.children[0].id,
+            survivor, first.root.children[0].id,
             "plurality keeps the left id"
         );
         assert!(deltas.iter().any(|d| matches!(
             d,
-            ClusterDelta::Absorbed { id, into } if *id == first.children[1].id && *into == survivor
+            ClusterDelta::Absorbed { id, into } if *id == first.root.children[1].id && *into == survivor
         )));
     }
 
@@ -539,9 +680,9 @@ mod tests {
         let plot2 = plot_of(&[f64::INFINITY, 1.0, 1.0]);
         let tree2 = node((0, 3), vec![leaf((0, 3))]);
         let (_, deltas) = diff_trees(Some(&first), &tree2, &plot2, &mut next);
-        assert!(deltas
-            .iter()
-            .any(|d| matches!(d, ClusterDelta::Retired { id } if *id == first.children[1].id)));
+        assert!(deltas.iter().any(
+            |d| matches!(d, ClusterDelta::Retired { id } if *id == first.root.children[1].id)
+        ));
     }
 
     #[test]

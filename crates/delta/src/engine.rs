@@ -13,12 +13,17 @@
 //!    buffer reused across epochs, and [`optics_from_matrix`] runs the
 //!    exact `O(s²)` dense OPTICS stage `optics_bubbles_with` would run
 //!    over that matrix;
-//! 3. **Extraction** — [`cluster_tree_delta`] re-extracts the cluster
-//!    tree, copying components whose reachability bits are unchanged
-//!    from the previous epoch's [`TreeCache`];
+//! 3. **Extraction** — the ordering is expanded to the point-level plot
+//!    straight from the bubbles' member slices (no per-bubble buffer),
+//!    and [`cluster_tree_delta`] re-extracts the cluster tree, copying
+//!    components whose reachability bits are unchanged from the
+//!    previous epoch's [`TreeCache`];
 //! 4. **Diff** — the new tree is diffed against the previous epoch's
 //!    identity tree into typed [`ClusterDelta`]s with stable cluster
-//!    ids, fanned out to registered subscriptions.
+//!    ids, fanned out to registered subscriptions. The diff is
+//!    positional: one sort and merge-join of the plot's point ids
+//!    against the previous plot's, then linear scans over plot
+//!    positions (see the `deltas` module).
 //!
 //! Every stage is bit-identical to the from-scratch pipeline
 //! (`optics_merged` → `expand` → `cluster_tree`) by construction: the
@@ -32,7 +37,7 @@
 //! the engine falls back to a **full resync** — every slot recomputed,
 //! same bits, no silent staleness.
 
-use crate::deltas::{diff_trees, ClusterDelta, ClusterId, IdNode};
+use crate::deltas::{diff_trees, ClusterDelta, ClusterId, IdTree};
 use crate::subscribe::{Interest, Subscriptions, VersionedDelta};
 use idb_clustering::merged::MergedRef;
 use idb_clustering::{
@@ -117,7 +122,7 @@ pub struct DeltaEngine {
     domain_slots: Vec<Vec<usize>>,
     /// The previous epoch's identity tree (`None` before the first
     /// epoch).
-    id_tree: Option<IdNode>,
+    id_tree: Option<IdTree>,
     next_cluster_id: u64,
     subs: Subscriptions,
     obs: Obs,
@@ -165,7 +170,9 @@ impl DeltaEngine {
     /// `delta.rows_touched` / `delta.rows_total` / `delta.rows_saved` /
     /// `delta.pair_evals` counters (the delta-vs-full work ledger) and the
     /// per-stage time counters `delta.refresh_us`, `delta.view_us`,
-    /// `delta.expand_us` and `delta.extract_us` (extraction plus diff).
+    /// `delta.expand_us`, `delta.extract_us` (plot expansion plus tree
+    /// extraction) and `delta.diff_us` (the id diff plus the parent maps
+    /// subtree subscriptions filter by).
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
     }
@@ -205,7 +212,7 @@ impl DeltaEngine {
     pub fn clusters(&self) -> Vec<(ClusterId, Option<ClusterId>, Vec<u64>)> {
         self.id_tree
             .as_ref()
-            .map_or_else(Vec::new, IdNode::canonical)
+            .map_or_else(Vec::new, IdTree::canonical)
     }
 
     /// Registers a subscription and returns its id. Journals an
@@ -332,19 +339,23 @@ impl DeltaEngine {
             })
             .collect();
 
-        // --- 4. Expand to the point level and re-extract the tree. ---
+        // --- 4. Expand to the point level, reading member ids straight
+        // from the bubbles, and re-extract the tree. ---
+        let map_id = &map_id;
         let plot = ordering.expand(|c| {
             let (d, j) = self.owners[c];
             domains[d as usize][j as usize]
                 .members()
                 .iter()
-                .map(|&id| map_id(d, id))
-                .collect::<Vec<u64>>()
+                .map(move |&id| map_id(d, id))
         });
         let (tree, tree_stats) =
             cluster_tree_delta(&plot, &self.params.extract, &mut self.tree_cache);
+        let extract_us = stage.us();
 
-        // --- 5. Diff into typed deltas with stable ids. ---
+        // --- 5. Diff into typed deltas with stable ids: one id join
+        // against the previous plot, then positional scans. ---
+        let stage = self.obs.start();
         let (id_tree, deltas) = diff_trees(
             self.id_tree.as_ref(),
             &tree,
@@ -354,11 +365,11 @@ impl DeltaEngine {
         let old_parents = self
             .id_tree
             .as_ref()
-            .map(IdNode::parents)
+            .map(IdTree::parents)
             .unwrap_or_default();
         let new_parents = id_tree.parents();
         self.id_tree = Some(id_tree);
-        let extract_us = stage.us();
+        let diff_us = stage.us();
 
         // --- 6. Fan out to subscriptions and the observability ledger. ---
         let epoch = self.epochs;
@@ -387,6 +398,7 @@ impl DeltaEngine {
             metrics.counter("delta.view_us").add(view_us);
             metrics.counter("delta.expand_us").add(expand_us);
             metrics.counter("delta.extract_us").add(extract_us);
+            metrics.counter("delta.diff_us").add(diff_us);
             if resynced {
                 metrics.counter("delta.resyncs").inc();
             }
