@@ -38,6 +38,13 @@ for crash_seed in 11 1986 777216; do
     IDB_CRASH_SEED="$crash_seed" cargo test $CARGOFLAGS -q -p idb-core --test crash_consistency \
         kill_at_random_crash_point_smoke
 done
+# A tiered store removes its cold spill when its last handle drops
+# (DESIGN.md §17), so the test runs above leave nothing under IDB_COLD_DIR.
+if [ -n "$(find "$IDB_COLD_DIR" -mindepth 1 -print -quit)" ]; then
+    echo "ci: the test runs left files under IDB_COLD_DIR:" >&2
+    find "$IDB_COLD_DIR" -mindepth 1 >&2
+    exit 1
+fi
 # Observability (DESIGN.md §12): the JSONL journals the core differential
 # suite wrote above, parsed from disk and checked against the op-journal
 # invariants (split pairing, batch accounting, non-empty commit groups).

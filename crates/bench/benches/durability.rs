@@ -10,12 +10,12 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use idb_bench::complex_fixture;
 use idb_core::{
     recover, DurabilityConfig, DurableMaintainer, IncrementalBubbles, MaintainerConfig,
-    MemCheckpoints, Parallelism, SeedSearch,
+    Parallelism, SeedSearch,
 };
 use idb_geometry::SearchStats;
 use idb_obs::Obs;
-use idb_store::wal::{read_wal, MemSink};
-use idb_store::Batch;
+use idb_store::wal::{read_wal, ObjectSink};
+use idb_store::{Batch, MemMedium};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -59,8 +59,8 @@ fn bench_wal_throughput(c: &mut Criterion) {
                             checkpoint_interval: u64::MAX,
                             ..DurabilityConfig::default()
                         },
-                        MemSink::new(),
-                        MemCheckpoints::new(),
+                        ObjectSink::new(MemMedium::new(), "wal"),
+                        MemMedium::new(),
                     )
                     .expect("mem sink is healthy");
                     for (batch, seed) in steps {
@@ -91,8 +91,8 @@ fn bench_recovery(c: &mut Criterion) {
             checkpoint_interval: u64::MAX,
             ..DurabilityConfig::default()
         },
-        MemSink::new(),
-        MemCheckpoints::new(),
+        ObjectSink::new(MemMedium::new(), "wal"),
+        MemMedium::new(),
     )
     .expect("mem sink is healthy");
     for (batch, seed) in &steps {
@@ -100,7 +100,7 @@ fn bench_recovery(c: &mut Criterion) {
             .expect("planned batches are valid");
     }
     let (_, _, sink, ckpts) = dm.into_parts();
-    let wal_bytes = sink.into_bytes();
+    let wal_bytes = sink.bytes();
     let ends = read_wal(&wal_bytes).expect("reference wal is intact").ends;
     for tail in [1usize, 16, 64] {
         let prefix = wal_bytes[..ends[tail - 1]].to_vec();

@@ -21,13 +21,13 @@
 use idb_bench::{complex_fixture, median};
 use idb_core::{
     recover, recover_chain, DurabilityConfig, DurableMaintainer, IncrementalBubbles,
-    MaintainerConfig, MemCheckpoints, Parallelism, SeedSearch,
+    MaintainerConfig, Parallelism, SeedSearch,
 };
 use idb_geometry::SearchStats;
 use idb_obs::{EventKind, Obs, RingRecorder};
-use idb_store::segment::{MemSegments, SegmentedSink};
-use idb_store::wal::{read_wal, scratch_dir, FileSink, MemSink};
-use idb_store::Batch;
+use idb_store::segment::SegmentedSink;
+use idb_store::wal::{read_wal, scratch_dir, FileSink, ObjectSink};
+use idb_store::{Batch, MemMedium};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
@@ -107,7 +107,7 @@ where
                     build(stream),
                     dcfg,
                     sink(),
-                    MemCheckpoints::new(),
+                    MemMedium::new(),
                 )
                 .expect("sink is healthy");
                 let mut stats = SearchStats::new();
@@ -139,7 +139,9 @@ fn main() {
     json.push_str("  \"wal_throughput\": [\n");
     let mut rows = vec![("none", "baseline", 0usize, base)];
     for group_commit in [1usize, 8] {
-        let mem = durable_secs(&stream, group_commit, MemSink::new);
+        let mem = durable_secs(&stream, group_commit, || {
+            ObjectSink::new(MemMedium::new(), "wal")
+        });
         eprintln!("mem sink, group_commit={group_commit}: {mem:.4}s");
         rows.push(("mem", "durable", group_commit, mem));
         let dir = scratch_dir().join(format!("idb-durability-bench-{}", std::process::id()));
@@ -174,8 +176,8 @@ fn main() {
             checkpoint_interval: u64::MAX,
             ..DurabilityConfig::default()
         },
-        MemSink::new(),
-        MemCheckpoints::new(),
+        ObjectSink::new(MemMedium::new(), "wal"),
+        MemMedium::new(),
     )
     .expect("mem sink is healthy");
     let mut stats = SearchStats::new();
@@ -199,7 +201,7 @@ fn main() {
         .expect("in-memory encode");
     let checkpoint_cost = (median(times), blob.len());
 
-    let wal_bytes = sink.into_bytes();
+    let wal_bytes = sink.bytes();
     let ends = read_wal(&wal_bytes).expect("reference wal is intact").ends;
     let mut recovery_rows = Vec::new();
     for tail in [1usize, 16, 64] {
@@ -247,7 +249,7 @@ fn main() {
     const SEGMENT_BYTES: u64 = 4096;
     const CKPT_INTERVAL: u64 = 8;
     let ring = Arc::new(RingRecorder::new());
-    let medium = MemSegments::new();
+    let medium = MemMedium::new();
     let mut ib = build(&stream);
     ib.set_obs(Obs::with_recorder(ring.clone()));
     let mut dm = DurableMaintainer::adopt(
@@ -260,7 +262,7 @@ fn main() {
             ..DurabilityConfig::default()
         },
         SegmentedSink::fresh(medium.clone(), SEGMENT_BYTES).expect("fresh chain"),
-        MemCheckpoints::new(),
+        MemMedium::new(),
     )
     .expect("mem segments are healthy");
     let mut stats = SearchStats::new();
@@ -331,7 +333,7 @@ fn main() {
         })
         .collect();
     let ring = Arc::new(RingRecorder::new());
-    let medium = MemSegments::new();
+    let medium = MemMedium::new();
     let mut srng2 = StdRng::seed_from_u64(8);
     let mut sstats = SearchStats::new();
     let mut ib = IncrementalBubbles::build(
@@ -352,7 +354,7 @@ fn main() {
             ..DurabilityConfig::default()
         },
         SegmentedSink::fresh(medium.clone(), 8192).expect("fresh chain"),
-        MemCheckpoints::new(),
+        MemMedium::new(),
     )
     .expect("mem segments are healthy");
     let (mut s_max_live, mut half_max_live) = (0u64, 0u64);
@@ -442,8 +444,8 @@ fn main() {
                 hot_points: hot,
                 ..DurabilityConfig::default()
             },
-            MemSink::new(),
-            MemCheckpoints::new(),
+            ObjectSink::new(MemMedium::new(), "wal"),
+            MemMedium::new(),
         )
         .expect("mem sink is healthy");
         *stream_points = dm.store().len();

@@ -18,11 +18,11 @@
 //! Usage: `shard_report [output.json]` (default `BENCH_shard.json`).
 
 use idb_bench::median;
-use idb_core::{DurabilityConfig, MaintainerConfig, MemCheckpoints};
+use idb_core::{DurabilityConfig, MaintainerConfig};
 use idb_geometry::Parallelism;
 use idb_obs::Obs;
 use idb_shard::{ShardConfig, ShardRouter};
-use idb_store::{Batch, MemSink, PointId};
+use idb_store::{Batch, MemMedium, ObjectSink, PointId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
@@ -41,7 +41,7 @@ fn random_point<R: Rng + ?Sized>(rng: &mut R) -> Vec<f64> {
     (0..DIM).map(|_| rng.gen_range(0.0..100.0)).collect()
 }
 
-fn make_router(shards: u32) -> (ShardRouter<MemSink, MemCheckpoints>, Vec<PointId>) {
+fn make_router(shards: u32) -> (ShardRouter<ObjectSink<MemMedium>, MemMedium>, Vec<PointId>) {
     let mut rng = StdRng::seed_from_u64(17);
     let initial = Batch {
         deletes: Vec::new(),
@@ -57,7 +57,7 @@ fn make_router(shards: u32) -> (ShardRouter<MemSink, MemCheckpoints>, Vec<PointI
         DurabilityConfig::default(),
         2024,
         &Obs::disabled(),
-        |_| (MemSink::new(), MemCheckpoints::new()),
+        |_| (ObjectSink::new(MemMedium::new(), "wal"), MemMedium::new()),
     )
     .expect("create router");
     (router, ids)
@@ -172,7 +172,7 @@ fn main() {
     }
     router.sync_all();
 
-    let restart_one = |router: &mut ShardRouter<MemSink, MemCheckpoints>, p: u32| -> f64 {
+    let restart_one = |router: &mut ShardRouter<ObjectSink<MemMedium>, MemMedium>, p: u32| -> f64 {
         let (sink, checkpoints) = router.kill_partition(p).expect("online");
         let wal = sink.bytes().to_vec();
         let t0 = Instant::now();

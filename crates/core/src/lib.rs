@@ -54,9 +54,8 @@ pub use incremental::{
 };
 pub use quality::{chebyshev_k, BubbleClass, Classification};
 pub use recovery::{
-    decode_checkpoint, decode_delta_checkpoint, delta_base_seq, encode_checkpoint,
+    checkpoint_name, decode_checkpoint, decode_delta_checkpoint, delta_base_seq, encode_checkpoint,
     encode_delta_checkpoint, recover, recover_chain, CheckpointStore, DurabilityConfig,
-    DurableMaintainer, FsCheckpoints, Health, MemCheckpoints, Recovered, RecoveryError,
-    DELTA_CHECKPOINT_MAGIC,
+    DurableMaintainer, FsCheckpoints, Health, Recovered, RecoveryError, DELTA_CHECKPOINT_MAGIC,
 };
 pub use stats::SufficientStats;

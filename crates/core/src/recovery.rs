@@ -28,19 +28,17 @@ use crate::error::UpdateError;
 use crate::incremental::{BubbleChange, IncrementalBubbles};
 use idb_geometry::SearchStats;
 use idb_obs::{EventKind, Obs};
-use idb_store::segment::{read_chain, SegmentMedium};
+use idb_store::segment::read_chain;
 use idb_store::snapshot::{
     read_frame, read_u32, read_u64, write_frame, write_u32, write_u64, SnapshotError,
 };
 use idb_store::wal::{read_wal, DurableSink, WalContents, WalError, WalRecord, WalWriter};
-use idb_store::{Batch, PointId, PointStore, StorageBudget, StorageError};
+use idb_store::{Batch, FsMedium, Medium, PointId, PointStore, StorageBudget, StorageError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// Magic prefix of a full checkpoint blob.
@@ -116,15 +114,28 @@ impl From<io::Error> for RecoveryError {
     }
 }
 
-/// Where checkpoint blobs live. Like [`DurableSink`], this is injectable
-/// so the fault harness can corrupt, drop or fail checkpoints at will.
+/// The name of checkpoint `seq`'s blob on its medium.
+#[must_use]
+pub fn checkpoint_name(seq: u64) -> String {
+    format!("checkpoint-{seq}.idbc")
+}
+
+/// The staging name of checkpoint `seq` while it streams out.
+fn staging_name(seq: u64) -> String {
+    format!(".checkpoint-{seq}.tmp")
+}
+
+/// Checkpoint blobs on a [`Medium`]: one `checkpoint-<seq>.idbc` object
+/// per checkpoint, staged as `.checkpoint-<seq>.tmp` and published by
+/// rename, so a kill mid-write never leaves a half-written blob under the
+/// final name. Implemented once, for every medium.
 pub trait CheckpointStore {
-    /// Persists the blob for checkpoint `seq` (replacing any previous blob
-    /// with the same sequence number).
+    /// Persists the blob for checkpoint `seq` in one go (stage, publish),
+    /// replacing any previous blob with the same sequence number.
     ///
     /// # Errors
     /// Whatever the medium reports.
-    fn save(&mut self, seq: u64, bytes: &[u8]) -> io::Result<()>;
+    fn save(&self, seq: u64, bytes: &[u8]) -> io::Result<()>;
 
     /// The sequence numbers of every stored checkpoint, in any order.
     ///
@@ -138,228 +149,90 @@ pub trait CheckpointStore {
     /// Whatever the medium reports.
     fn load(&self, seq: u64) -> io::Result<Vec<u8>>;
 
-    /// Whether this medium supports chunked (streaming) saves. When
-    /// `false` (the default), [`DurableMaintainer`] falls back to one
-    /// [`CheckpointStore::save`] call per checkpoint.
-    fn supports_streaming(&self) -> bool {
-        false
-    }
-
     /// Opens a streaming save of checkpoint `seq`, discarding any
-    /// abandoned stream for the same sequence. The chunks are staged:
-    /// until [`CheckpointStore::finish_stream`] returns, the checkpoint
-    /// must not be visible to [`CheckpointStore::seqs`] /
-    /// [`CheckpointStore::load`] — a crash mid-stream must leave the
-    /// previous checkpoint population intact.
+    /// abandoned stream for the same sequence. Until
+    /// [`CheckpointStore::finish_stream`] returns, the checkpoint is not
+    /// visible to [`CheckpointStore::seqs`] / [`CheckpointStore::load`].
     ///
     /// # Errors
-    /// `Unsupported` unless the medium opts in; otherwise whatever it
-    /// reports.
-    fn begin_stream(&mut self, _seq: u64) -> io::Result<()> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "checkpoint medium does not stream",
-        ))
-    }
+    /// Whatever the medium reports.
+    fn begin_stream(&self, seq: u64) -> io::Result<()>;
 
     /// Appends one chunk to the open stream for `seq`.
     ///
     /// # Errors
-    /// As [`CheckpointStore::begin_stream`].
-    fn stream_chunk(&mut self, _seq: u64, _chunk: &[u8]) -> io::Result<()> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "checkpoint medium does not stream",
-        ))
-    }
+    /// Whatever the medium reports.
+    fn stream_chunk(&self, seq: u64, chunk: &[u8]) -> io::Result<()>;
 
     /// Atomically publishes the staged stream for `seq` as the
-    /// checkpoint blob.
+    /// checkpoint blob. Publication is not durability: see
+    /// [`CheckpointStore::sync_checkpoint`].
     ///
     /// # Errors
-    /// As [`CheckpointStore::begin_stream`].
-    fn finish_stream(&mut self, _seq: u64) -> io::Result<()> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "checkpoint medium does not stream",
-        ))
-    }
+    /// Whatever the medium reports.
+    fn finish_stream(&self, seq: u64) -> io::Result<()>;
 
     /// Discards the staged stream for `seq`, if any. Infallible: abort is
     /// best-effort cleanup on an already-failing path.
-    fn abort_stream(&mut self, _seq: u64) {}
-}
+    fn abort_stream(&self, seq: u64);
 
-/// An in-memory [`CheckpointStore`] for tests; `Clone` lets the
-/// crash-consistency suite snapshot the exact checkpoint population at
-/// every crash point.
-#[derive(Debug, Clone, Default)]
-pub struct MemCheckpoints {
-    entries: Vec<(u64, Vec<u8>)>,
-    /// The open streaming save, staged apart from `entries` so a "crash"
-    /// (cloning the store mid-stream) never exposes a half-written blob.
-    staging: Option<(u64, Vec<u8>)>,
-}
-
-impl MemCheckpoints {
-    /// An empty store.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Removes the checkpoint with sequence `seq`, if present (fault
-    /// simulation: a checkpoint lost to the crash).
-    pub fn remove(&mut self, seq: u64) {
-        self.entries.retain(|(s, _)| *s != seq);
-    }
-
-    /// Mutable access to a stored blob (fault simulation: bit damage).
-    pub fn blob_mut(&mut self, seq: u64) -> Option<&mut Vec<u8>> {
-        self.entries
-            .iter_mut()
-            .find(|(s, _)| *s == seq)
-            .map(|(_, b)| b)
-    }
-}
-
-impl CheckpointStore for MemCheckpoints {
-    fn save(&mut self, seq: u64, bytes: &[u8]) -> io::Result<()> {
-        self.remove(seq);
-        self.entries.push((seq, bytes.to_vec()));
-        Ok(())
-    }
-
-    fn seqs(&self) -> io::Result<Vec<u64>> {
-        Ok(self.entries.iter().map(|(s, _)| *s).collect())
-    }
-
-    fn load(&self, seq: u64) -> io::Result<Vec<u8>> {
-        self.entries
-            .iter()
-            .find(|(s, _)| *s == seq)
-            .map(|(_, b)| b.clone())
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("checkpoint {seq}")))
-    }
-
-    fn supports_streaming(&self) -> bool {
-        true
-    }
-
-    fn begin_stream(&mut self, seq: u64) -> io::Result<()> {
-        self.staging = Some((seq, Vec::new()));
-        Ok(())
-    }
-
-    fn stream_chunk(&mut self, seq: u64, chunk: &[u8]) -> io::Result<()> {
-        match &mut self.staging {
-            Some((s, buf)) if *s == seq => {
-                buf.extend_from_slice(chunk);
-                Ok(())
-            }
-            _ => Err(io::Error::other(format!("no open stream for {seq}"))),
-        }
-    }
-
-    fn finish_stream(&mut self, seq: u64) -> io::Result<()> {
-        match self.staging.take() {
-            Some((s, buf)) if s == seq => self.save(seq, &buf),
-            other => {
-                self.staging = other;
-                Err(io::Error::other(format!("no open stream for {seq}")))
-            }
-        }
-    }
-
-    fn abort_stream(&mut self, seq: u64) {
-        if matches!(self.staging, Some((s, _)) if s == seq) {
-            self.staging = None;
-        }
-    }
-}
-
-/// A directory-backed [`CheckpointStore`]: one `checkpoint-<seq>.idbc`
-/// file per checkpoint, written via a temp file + rename so a kill during
-/// `save` never leaves a half-written blob under the final name.
-#[derive(Debug, Clone)]
-pub struct FsCheckpoints {
-    dir: PathBuf,
-}
-
-impl FsCheckpoints {
-    /// Uses (creating if needed) `dir` as the checkpoint directory.
+    /// Makes published checkpoint `seq` — its bytes and its name —
+    /// durable. Required before deleting any WAL the checkpoint covers.
     ///
     /// # Errors
-    /// Whatever the filesystem reports.
-    pub fn open<P: AsRef<Path>>(dir: P) -> io::Result<Self> {
-        fs::create_dir_all(&dir)?;
-        Ok(Self {
-            dir: dir.as_ref().to_path_buf(),
-        })
-    }
-
-    fn path(&self, seq: u64) -> PathBuf {
-        self.dir.join(format!("checkpoint-{seq}.idbc"))
-    }
-
-    fn tmp_path(&self, seq: u64) -> PathBuf {
-        self.dir.join(format!(".checkpoint-{seq}.tmp"))
-    }
+    /// Whatever the medium reports.
+    fn sync_checkpoint(&self, seq: u64) -> io::Result<()>;
 }
 
-impl CheckpointStore for FsCheckpoints {
-    fn save(&mut self, seq: u64, bytes: &[u8]) -> io::Result<()> {
-        let tmp = self.tmp_path(seq);
-        fs::write(&tmp, bytes)?;
-        fs::rename(&tmp, self.path(seq))
+impl<M: Medium + ?Sized> CheckpointStore for M {
+    fn save(&self, seq: u64, bytes: &[u8]) -> io::Result<()> {
+        self.begin_stream(seq)?;
+        self.stream_chunk(seq, bytes)?;
+        self.finish_stream(seq)
     }
 
     fn seqs(&self) -> io::Result<Vec<u64>> {
-        let mut seqs = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let name = entry?.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(seq) = name
-                .strip_prefix("checkpoint-")
-                .and_then(|s| s.strip_suffix(".idbc"))
-                .and_then(|s| s.parse::<u64>().ok())
-            {
-                seqs.push(seq);
-            }
-        }
-        Ok(seqs)
+        Ok(self
+            .list()?
+            .iter()
+            .filter_map(|name| {
+                name.strip_prefix("checkpoint-")?
+                    .strip_suffix(".idbc")?
+                    .parse()
+                    .ok()
+            })
+            .collect())
     }
 
     fn load(&self, seq: u64) -> io::Result<Vec<u8>> {
-        fs::read(self.path(seq))
+        self.read(&checkpoint_name(seq))
     }
 
-    fn supports_streaming(&self) -> bool {
-        true
+    fn begin_stream(&self, seq: u64) -> io::Result<()> {
+        self.truncate(&staging_name(seq), 0)
     }
 
-    fn begin_stream(&mut self, seq: u64) -> io::Result<()> {
-        fs::write(self.tmp_path(seq), [])
+    fn stream_chunk(&self, seq: u64, chunk: &[u8]) -> io::Result<()> {
+        self.append(&staging_name(seq), chunk)
     }
 
-    fn stream_chunk(&mut self, seq: u64, chunk: &[u8]) -> io::Result<()> {
-        use io::Write as _;
-        let mut f = fs::OpenOptions::new()
-            .append(true)
-            .open(self.tmp_path(seq))?;
-        f.write_all(chunk)
-    }
-
-    fn finish_stream(&mut self, seq: u64) -> io::Result<()> {
+    fn finish_stream(&self, seq: u64) -> io::Result<()> {
         // The rename is the publication point: a kill anywhere earlier
-        // leaves only the `.tmp`, which `seqs` never lists.
-        fs::rename(self.tmp_path(seq), self.path(seq))
+        // leaves only the staging object, which `seqs` never lists.
+        self.rename(&staging_name(seq), &checkpoint_name(seq))
     }
 
-    fn abort_stream(&mut self, seq: u64) {
-        let _ = fs::remove_file(self.tmp_path(seq));
+    fn abort_stream(&self, seq: u64) {
+        let _ = self.remove(&staging_name(seq));
+    }
+
+    fn sync_checkpoint(&self, seq: u64) -> io::Result<()> {
+        self.sync(&checkpoint_name(seq))
     }
 }
+
+/// Checkpoints in a directory: [`FsMedium::open`] on it.
+pub type FsCheckpoints = FsMedium;
 
 /// Encodes a checkpoint blob: a v2 frame whose payload is
 /// `seq u64 | batches_covered u64 | store snapshot | bubbles snapshot`
@@ -730,7 +603,7 @@ pub fn recover<C: CheckpointStore>(
 /// As [`recover`]; chain-level damage ([`WalError::ChainGap`],
 /// [`WalError::CorruptSegment`]) surfaces as
 /// [`RecoveryError::CorruptWal`].
-pub fn recover_chain<M: SegmentMedium, C: CheckpointStore>(
+pub fn recover_chain<M: Medium + ?Sized, C: CheckpointStore>(
     medium: &M,
     checkpoints: &C,
     obs: &Obs,
@@ -1120,7 +993,7 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
         search: &mut SearchStats,
     ) -> Result<Self, RecoveryError> {
         let bubbles = IncrementalBubbles::build(&store, config, rng, search);
-        Self::start(store, bubbles, dcfg, sink, checkpoints, 0)
+        Self::start(store, bubbles, dcfg, sink, checkpoints, 0, false)
     }
 
     /// Starts durable operation over an existing store + summarization
@@ -1135,24 +1008,31 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
         sink: S,
         checkpoints: C,
     ) -> Result<Self, RecoveryError> {
-        Self::start(store, bubbles, dcfg, sink, checkpoints, 0)
+        Self::start(store, bubbles, dcfg, sink, checkpoints, 0, false)
     }
 
-    /// Continues a recovered stream: truncates the sink and begins a fresh
-    /// WAL epoch whose base is `recovered.batches_durable`, then anchors it
-    /// with an immediate checkpoint. Checkpoints from before the crash
-    /// remain valid fallbacks — their coverage is never behind the new
-    /// epoch's base.
+    /// Continues a recovered stream on the media it was recovered from:
+    /// publishes and syncs an anchor checkpoint covering
+    /// `recovered.batches_durable`, only then truncates the sink, and
+    /// begins a fresh WAL epoch based there. A crash anywhere in between
+    /// recovers to the same state: before the anchor is durable the old
+    /// epoch is intact, after it the anchor alone covers every
+    /// acknowledged batch. Older checkpoints stay on the medium; recovery
+    /// skips those that cover less than the new epoch's base. A segment
+    /// chain is resumed through [`SegmentedSink::open`], which adopts the
+    /// recovered chain without touching it; `SegmentedSink::fresh` would
+    /// remove the old epoch before the anchor exists.
+    ///
+    /// [`SegmentedSink::open`]: idb_store::SegmentedSink::open
     ///
     /// # Errors
     /// As [`DurableMaintainer::create`].
     pub fn resume(
         recovered: Recovered,
         dcfg: DurabilityConfig,
-        mut sink: S,
+        sink: S,
         checkpoints: C,
     ) -> Result<Self, RecoveryError> {
-        sink.truncate(0)?;
         Self::start(
             recovered.store,
             recovered.bubbles,
@@ -1160,9 +1040,13 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
             sink,
             checkpoints,
             recovered.batches_durable,
+            true,
         )
     }
 
+    /// Starts durable operation at batch sequence `base`. A fresh stream
+    /// commits the WAL header, then its baseline checkpoint; a resumed one
+    /// anchors first and replaces the old epoch after.
     fn start(
         store: PointStore,
         mut bubbles: IncrementalBubbles,
@@ -1170,6 +1054,7 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
         sink: S,
         checkpoints: C,
         base: u64,
+        resuming: bool,
     ) -> Result<Self, RecoveryError> {
         // The wrapper journals into the same stream as the summarization
         // it wraps; the WAL writer gets a clone so commits land there too.
@@ -1180,7 +1065,9 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
         bubbles.set_ckpt_tracking(true);
         let mut wal = WalWriter::new(sink, store.dim(), base, dcfg.group_commit);
         wal.set_obs(obs.clone());
-        wal.commit()?; // The header must be durable before any checkpoint.
+        if !resuming {
+            wal.commit()?; // The header must be durable before any checkpoint.
+        }
         let next_checkpoint_seq = checkpoints.seqs()?.iter().max().map_or(0, |m| m + 1);
         let mut this = Self {
             store,
@@ -1221,6 +1108,13 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
             this.tier_seen = this.store.tier_counters().unwrap_or_default();
         }
         this.checkpoint_now()?; // The recovery anchor for this epoch.
+        if resuming {
+            // The old epoch may only go once the anchor is durable.
+            let anchor = this.next_checkpoint_seq - 1;
+            this.checkpoints.sync_checkpoint(anchor)?;
+            this.wal.sink_mut().truncate(0)?;
+            this.wal.commit()?;
+        }
         Ok(this)
     }
 
@@ -1489,14 +1383,21 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
         }
     }
 
-    /// Reclaims WAL segments fully covered by the newest durable full
-    /// checkpoint. Returns the bytes reclaimed (0 when there is no floor,
-    /// nothing was reclaimable, or the sink is unsegmented).
+    /// Reclaims WAL segments fully covered by the newest published full
+    /// checkpoint, syncing that checkpoint before the first segment goes.
+    /// Returns the bytes reclaimed (0 when there is no floor, nothing was
+    /// reclaimable, the checkpoint would not sync, or the sink is
+    /// unsegmented).
     fn compact(&mut self) -> u64 {
-        let Some((_, floor)) = self.last_full else {
+        let Some((seq, floor)) = self.last_full else {
             return 0;
         };
-        match self.wal.sink_mut().reclaim(floor) {
+        let checkpoints = &self.checkpoints;
+        let reclaimed = self
+            .wal
+            .sink_mut()
+            .reclaim(floor, &mut || checkpoints.sync_checkpoint(seq));
+        match reclaimed {
             Ok(report) if report.segments > 0 => {
                 self.obs.emit(
                     EventKind::WalCompact {
@@ -1668,49 +1569,39 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
         }
     }
 
-    /// Writes the next chunk of the pending checkpoint (or, on a
-    /// non-streaming medium, the whole blob) and publishes it when done.
+    /// Writes the next chunk of the pending checkpoint and publishes it
+    /// when done.
     fn advance_pending(&mut self) {
         let Some(mut p) = self.pending_ckpt.take() else {
             return;
         };
         let total = p.blob.len() as u64;
         let timer = self.obs.start();
-        let streaming = self.checkpoints.supports_streaming();
-        let step: io::Result<bool> = if streaming {
-            (|| {
-                if p.written == 0 {
-                    self.checkpoints.begin_stream(p.seq)?;
-                }
-                let end = (p.written + self.dcfg.checkpoint_chunk_bytes.max(1)).min(p.blob.len());
-                self.checkpoints
-                    .stream_chunk(p.seq, &p.blob[p.written..end])?;
-                p.written = end;
-                if p.written == p.blob.len() {
-                    self.checkpoints.finish_stream(p.seq)?;
-                    Ok(true)
-                } else {
-                    Ok(false)
-                }
-            })()
-        } else {
-            self.checkpoints.save(p.seq, &p.blob).map(|()| {
-                p.written = p.blob.len();
-                true
-            })
-        };
+        let step: io::Result<bool> = (|| {
+            if p.written == 0 {
+                self.checkpoints.begin_stream(p.seq)?;
+            }
+            let end = (p.written + self.dcfg.checkpoint_chunk_bytes.max(1)).min(p.blob.len());
+            self.checkpoints
+                .stream_chunk(p.seq, &p.blob[p.written..end])?;
+            p.written = end;
+            if p.written == p.blob.len() {
+                self.checkpoints.finish_stream(p.seq)?;
+                Ok(true)
+            } else {
+                Ok(false)
+            }
+        })();
         match step {
             Ok(done) => {
-                if streaming {
-                    self.obs.emit(
-                        EventKind::CheckpointChunk {
-                            seq: p.seq,
-                            written: p.written as u64,
-                            total,
-                        },
-                        timer.us(),
-                    );
-                }
+                self.obs.emit(
+                    EventKind::CheckpointChunk {
+                        seq: p.seq,
+                        written: p.written as u64,
+                        total,
+                    },
+                    timer.us(),
+                );
                 if done {
                     self.finish_checkpoint(&p, timer.us());
                 } else {
@@ -1718,9 +1609,7 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
                 }
             }
             Err(_) => {
-                if streaming && p.written > 0 {
-                    self.checkpoints.abort_stream(p.seq);
-                }
+                self.checkpoints.abort_stream(p.seq);
                 if p.is_full {
                     // The dirty window was rebased against this blob; it
                     // never became durable, so a delta can no longer lean
@@ -1800,9 +1689,7 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
     /// usable and will retry at the next interval.
     pub fn checkpoint_now(&mut self) -> Result<(), RecoveryError> {
         if let Some(p) = self.pending_ckpt.take() {
-            if self.checkpoints.supports_streaming() && p.written > 0 {
-                self.checkpoints.abort_stream(p.seq);
-            }
+            self.checkpoints.abort_stream(p.seq);
             if p.is_full {
                 self.dirty.invalidate();
             }
@@ -1950,7 +1837,7 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idb_store::wal::MemSink;
+    use idb_store::{MemMedium, ObjectSink};
     use rand::Rng;
 
     fn fixture(n: usize, seed: u64) -> (PointStore, MaintainerConfig) {
@@ -2026,8 +1913,8 @@ mod tests {
             store,
             config,
             dcfg,
-            MemSink::new(),
-            MemCheckpoints::new(),
+            ObjectSink::new(MemMedium::new(), "wal"),
+            MemMedium::new(),
             &mut rng,
             &mut search,
         )
@@ -2039,7 +1926,7 @@ mod tests {
         assert_eq!(dm.health(), Health::Healthy);
         let want = fingerprint(dm.store(), dm.bubbles());
         let (_, _, sink, checkpoints) = dm.into_parts();
-        let rec = recover(sink.bytes(), &checkpoints, &Obs::disabled()).unwrap();
+        let rec = recover(&sink.bytes(), &checkpoints, &Obs::disabled()).unwrap();
         assert_eq!(rec.batches_durable, 10);
         assert!(!rec.torn_tail);
         assert_eq!(fingerprint(&rec.store, &rec.bubbles), want);
@@ -2054,8 +1941,8 @@ mod tests {
             store,
             config,
             DurabilityConfig::default(),
-            MemSink::new(),
-            MemCheckpoints::new(),
+            ObjectSink::new(MemMedium::new(), "wal"),
+            MemMedium::new(),
             &mut rng,
             &mut search,
         )
@@ -2072,7 +1959,7 @@ mod tests {
 
     #[test]
     fn missing_everything_is_a_typed_error() {
-        let checkpoints = MemCheckpoints::new();
+        let checkpoints = MemMedium::new();
         let err = recover(&[], &checkpoints, &Obs::disabled()).unwrap_err();
         assert!(
             matches!(err, RecoveryError::NoUsableCheckpoint { tried: 0, .. }),

@@ -5,12 +5,11 @@
 //! `IDB_COLD_DIR`, and the environment is process-global.
 
 use idb_core::{
-    DurabilityConfig, DurableMaintainer, IncrementalBubbles, MaintainerConfig, MemCheckpoints,
-    RecoveryError,
+    DurabilityConfig, DurableMaintainer, IncrementalBubbles, MaintainerConfig, RecoveryError,
 };
 use idb_geometry::SearchStats;
-use idb_store::wal::{scratch_dir, MemSink};
-use idb_store::{default_cold_medium, PointStore, COLD_DIR_ENV};
+use idb_store::wal::{scratch_dir, ObjectSink};
+use idb_store::{default_cold_medium, MemMedium, PointStore, COLD_DIR_ENV};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -18,7 +17,7 @@ use rand::SeedableRng;
 /// hot-point budget.
 fn start(
     hot_points: Option<usize>,
-) -> Result<DurableMaintainer<MemSink, MemCheckpoints>, RecoveryError> {
+) -> Result<DurableMaintainer<ObjectSink<MemMedium>, MemMedium>, RecoveryError> {
     let mut store = PointStore::new(2);
     for i in 0..64 {
         store.insert(&[f64::from(i % 8), f64::from(i / 8)], None);
@@ -34,7 +33,13 @@ fn start(
         hot_points,
         ..DurabilityConfig::default()
     };
-    DurableMaintainer::adopt(store, ib, dcfg, MemSink::new(), MemCheckpoints::new())
+    DurableMaintainer::adopt(
+        store,
+        ib,
+        dcfg,
+        ObjectSink::new(MemMedium::new(), "wal"),
+        MemMedium::new(),
+    )
 }
 
 #[test]

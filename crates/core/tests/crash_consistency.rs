@@ -16,19 +16,20 @@
 //! corrupted checkpoints).
 
 use idb_core::{
-    recover, recover_chain, CheckpointStore, DurabilityConfig, DurableMaintainer, FsCheckpoints,
-    Health, IncrementalBubbles, MaintainerConfig, MemCheckpoints, Parallelism, RecoveryError,
+    checkpoint_name, recover, recover_chain, CheckpointStore, DurabilityConfig, DurableMaintainer,
+    FsCheckpoints, Health, IncrementalBubbles, MaintainerConfig, Parallelism, RecoveryError,
     SeedSearch, DELTA_CHECKPOINT_MAGIC,
 };
 use idb_geometry::SearchStats;
 use idb_obs::{check_journal, Event, EventKind, Obs, RingRecorder};
-use idb_store::segment::{MemSegments, SegmentId, SegmentedSink};
-use idb_store::wal::{read_wal, scratch_dir, FileSink, MemSink};
-use idb_store::{Batch, PointStore, StorageBudget};
-use idb_synth::{flip_bit, FaultSink, ScenarioEngine, ScenarioKind, ScenarioSpec};
+use idb_store::segment::{SegmentId, SegmentedSink};
+use idb_store::wal::{read_wal, scratch_dir, FileSink, ObjectSink};
+use idb_store::{Batch, FsMedium, Medium, MemMedium, PointStore, StorageBudget};
+use idb_synth::{flip_bit, FaultMedium, ScenarioEngine, ScenarioKind, ScenarioSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const ENGINES: [SeedSearch; 3] = [SeedSearch::Brute, SeedSearch::Pruned, SeedSearch::KdTree];
@@ -148,7 +149,7 @@ fn plan_scenario(case: usize, rng: &mut StdRng, hot_points: Option<usize>) -> Sc
     }
 }
 
-/// Runs the uninterrupted reference over a [`MemSink`], recording after
+/// Runs the uninterrupted reference over an in-memory WAL, recording after
 /// every batch the committed WAL length, the checkpoint population, and
 /// the state fingerprint. Returns those traces plus the final WAL bytes
 /// and checkpoint store.
@@ -157,10 +158,10 @@ fn reference_run(
     sc: &Scenario,
 ) -> (
     Vec<usize>,
-    Vec<MemCheckpoints>,
+    Vec<MemMedium>,
     Vec<Fingerprint>,
     Vec<u8>,
-    MemCheckpoints,
+    MemMedium,
 ) {
     let mut build_rng = StdRng::seed_from_u64(sc.build_seed);
     let mut stats = SearchStats::new();
@@ -170,22 +171,22 @@ fn reference_run(
         store,
         ib,
         sc.dcfg.clone(),
-        MemSink::new(),
-        MemCheckpoints::new(),
+        ObjectSink::new(MemMedium::new(), "wal"),
+        MemMedium::new(),
     )
     .expect("MemSink never fails");
     let mut wal_lens = vec![dm.wal_sink().bytes().len()];
-    let mut ckpts = vec![dm.checkpoints().clone()];
+    let mut ckpts = vec![dm.checkpoints().snapshot()];
     let mut fps = vec![fingerprint(dm.store(), dm.bubbles())];
     for step in &sc.steps {
         dm.apply_with(&step.batch, step.round_seed, step.maintain, &mut stats)
             .expect("planned batches are valid");
         wal_lens.push(dm.wal_sink().bytes().len());
-        ckpts.push(dm.checkpoints().clone());
+        ckpts.push(dm.checkpoints().snapshot());
         fps.push(fingerprint(dm.store(), dm.bubbles()));
     }
     let (_, _, sink, final_ckpts) = dm.into_parts();
-    (wal_lens, ckpts, fps, sink.into_bytes(), final_ckpts)
+    (wal_lens, ckpts, fps, sink.bytes(), final_ckpts)
 }
 
 /// Recovers from a crash at WAL byte `cut`, asserts the recovered state is
@@ -198,7 +199,7 @@ fn crash_recover_finish(
     sc: &Scenario,
     wal_bytes: &[u8],
     ends: &[usize],
-    ckpt_trace: &[MemCheckpoints],
+    ckpt_trace: &[MemMedium],
     fps: &[Fingerprint],
     cut: usize,
     drop_newest_checkpoint: bool,
@@ -208,13 +209,13 @@ fn crash_recover_finish(
     // Checkpoints persisted strictly before the crash moment: the batch
     // whose WAL bytes end at `cut` may have checkpointed, anything later
     // cannot have.
-    let mut ckpts = ckpt_trace[durable].clone();
+    let ckpts = ckpt_trace[durable].snapshot();
     if drop_newest_checkpoint {
         // Simulate the newest checkpoint being lost: recovery must fall
         // back to an older one and replay a longer WAL tail.
         if let Some(&max) = ckpts.seqs().unwrap().iter().max() {
             if max > 0 {
-                ckpts.remove(max);
+                ckpts.remove(&checkpoint_name(max)).unwrap();
             }
         }
     }
@@ -229,8 +230,13 @@ fn crash_recover_finish(
     assert_eq!(rec.bubbles.config().seed_search, sc.config.seed_search);
 
     // Finish the stream from where the durable state left off.
-    let mut dm = DurableMaintainer::resume(rec, sc.dcfg.clone(), MemSink::new(), ckpts)
-        .expect("MemSink never fails");
+    let mut dm = DurableMaintainer::resume(
+        rec,
+        sc.dcfg.clone(),
+        ObjectSink::new(MemMedium::new(), "wal"),
+        ckpts,
+    )
+    .expect("MemSink never fails");
     let mut stats = SearchStats::new();
     for step in &sc.steps[durable..] {
         dm.apply_with(&step.batch, step.round_seed, step.maintain, &mut stats)
@@ -244,7 +250,7 @@ fn crash_recover_finish(
     // And the post-resume disk state (fresh WAL epoch + old checkpoints)
     // must itself recover to the same final state.
     let (_, _, sink, ckpts) = dm.into_parts();
-    let rec2 = recover(sink.bytes(), &ckpts, &Obs::disabled())
+    let rec2 = recover(&sink.bytes(), &ckpts, &Obs::disabled())
         .unwrap_or_else(|e| panic!("{label}: second recovery failed: {e}"));
     assert_eq!(rec2.batches_durable, sc.steps.len() as u64);
     assert_eq!(
@@ -389,8 +395,8 @@ fn faulty_sinks_degrade_heal_and_recover() {
             store,
             ib,
             sc.dcfg.clone(),
-            FaultSink::new(),
-            MemCheckpoints::new(),
+            ObjectSink::new(FaultMedium::new(), "wal"),
+            MemMedium::new(),
         )
         .expect("sink starts healthy");
 
@@ -402,9 +408,9 @@ fn faulty_sinks_degrade_heal_and_recover() {
         }
         assert_eq!(dm.sync(), Health::Healthy);
         let durable_bytes = dm.wal_sink().bytes().to_vec();
-        let ckpts_at_outage = dm.checkpoints().clone();
+        let ckpts_at_outage = dm.checkpoints().snapshot();
 
-        dm.wal_sink_mut().fail_syncs = usize::MAX;
+        dm.wal_sink().medium().set_fail_syncs(usize::MAX);
         for step in &sc.steps[split_at..] {
             dm.apply_with(&step.batch, step.round_seed, step.maintain, &mut stats)
                 .unwrap();
@@ -435,12 +441,12 @@ fn faulty_sinks_degrade_heal_and_recover() {
         assert_eq!(fingerprint(&rec.store, &rec.bubbles), fps[split_at]);
 
         // Healing flushes the whole backlog; the full WAL then decodes.
-        dm.wal_sink_mut().heal();
+        dm.wal_sink().medium().heal();
         assert_eq!(dm.sync(), Health::Healthy);
-        let contents = read_wal(dm.wal_sink().bytes()).unwrap();
+        let contents = read_wal(&dm.wal_sink().bytes()).unwrap();
         assert_eq!(contents.records.len(), sc.steps.len());
         let (_, _, sink, ckpts) = dm.into_parts();
-        let rec = recover(sink.bytes(), &ckpts, &Obs::disabled()).unwrap();
+        let rec = recover(&sink.bytes(), &ckpts, &Obs::disabled()).unwrap();
         assert_eq!(fingerprint(&rec.store, &rec.bubbles), *fps.last().unwrap());
 
         // Short-write kill: an append that persists only a prefix leaves a
@@ -457,15 +463,15 @@ fn faulty_sinks_degrade_heal_and_recover() {
                 max_retries: 0,
                 ..DurabilityConfig::default()
             },
-            FaultSink::new(),
-            MemCheckpoints::new(),
+            ObjectSink::new(FaultMedium::new(), "wal"),
+            MemMedium::new(),
         )
         .unwrap();
         for step in &sc.steps[..split_at] {
             dm.apply_with(&step.batch, step.round_seed, step.maintain, &mut stats)
                 .unwrap();
         }
-        dm.wal_sink_mut().write_cap = Some(7); // Killed seven bytes into the write.
+        dm.wal_sink().medium().set_write_cap(7); // Killed seven bytes into the write.
         dm.apply_with(
             &sc.steps[split_at].batch,
             sc.steps[split_at].round_seed,
@@ -473,7 +479,7 @@ fn faulty_sinks_degrade_heal_and_recover() {
             &mut stats,
         )
         .unwrap();
-        let rec = recover(dm.wal_sink().bytes(), dm.checkpoints(), &Obs::disabled()).unwrap();
+        let rec = recover(&dm.wal_sink().bytes(), dm.checkpoints(), &Obs::disabled()).unwrap();
         assert!(rec.torn_tail);
         assert_eq!(rec.batches_durable, split_at as u64);
         assert_eq!(fingerprint(&rec.store, &rec.bubbles), fps[split_at]);
@@ -492,23 +498,25 @@ fn damaged_checkpoints_and_garbage_wals_are_typed_errors() {
         let (_, _, fps, wal_bytes, final_ckpts) = reference_run(&sc);
 
         // Corrupt the newest checkpoint: recovery falls back and replays.
-        let mut ckpts = final_ckpts.clone();
+        let ckpts = final_ckpts.snapshot();
         let newest = *ckpts.seqs().unwrap().iter().max().unwrap();
-        let blob = ckpts.blob_mut(newest).unwrap();
+        let mut blob = ckpts.load(newest).unwrap();
         let mid = blob.len() / 2;
-        flip_bit(blob, mid, 2);
+        flip_bit(&mut blob, mid, 2);
+        ckpts.save(newest, &blob).unwrap();
         let rec = recover(&wal_bytes, &ckpts, &Obs::disabled()).unwrap();
         assert_eq!(rec.batches_durable, sc.steps.len() as u64);
         assert!(rec.checkpoint_seq < newest);
         assert_eq!(fingerprint(&rec.store, &rec.bubbles), *fps.last().unwrap());
 
         // Corrupt every checkpoint: a typed failure naming the attempts.
-        let mut ckpts = final_ckpts.clone();
+        let ckpts = final_ckpts.snapshot();
         let seqs = ckpts.seqs().unwrap();
         for &seq in &seqs {
-            let blob = ckpts.blob_mut(seq).unwrap();
+            let mut blob = ckpts.load(seq).unwrap();
             let mid = blob.len() / 2;
-            flip_bit(blob, mid, 4);
+            flip_bit(&mut blob, mid, 4);
+            ckpts.save(seq, &blob).unwrap();
         }
         match recover(&wal_bytes, &ckpts, &Obs::disabled()) {
             Err(RecoveryError::NoUsableCheckpoint { tried, .. }) => assert_eq!(tried, seqs.len()),
@@ -576,19 +584,19 @@ fn recovery_replays_the_identical_journal_event_sequence() {
                 store,
                 ib,
                 sc.dcfg.clone(),
-                MemSink::new(),
-                MemCheckpoints::new(),
+                ObjectSink::new(MemMedium::new(), "wal"),
+                MemMedium::new(),
             )
             .expect("MemSink never fails");
             // Structural-event count after each durable batch, and the
             // checkpoint population at each point, as in `reference_run`.
             let mut counts = vec![structural(&ring.events()).len()];
-            let mut ckpt_trace = vec![dm.checkpoints().clone()];
+            let mut ckpt_trace = vec![dm.checkpoints().snapshot()];
             for step in &sc.steps {
                 dm.apply_with(&step.batch, step.round_seed, step.maintain, &mut stats)
                     .expect("planned batches are valid");
                 counts.push(structural(&ring.events()).len());
-                ckpt_trace.push(dm.checkpoints().clone());
+                ckpt_trace.push(dm.checkpoints().snapshot());
             }
             let reference = structural(&ring.events());
             assert!(
@@ -596,7 +604,7 @@ fn recovery_replays_the_identical_journal_event_sequence() {
                 "case {case}: the reference stream journaled nothing"
             );
             let (_, _, sink, _) = dm.into_parts();
-            let wal_bytes = sink.into_bytes();
+            let wal_bytes = sink.bytes();
             let contents = read_wal(&wal_bytes).expect("reference wal is intact");
 
             // Crash at every record boundary (plus right after the header) and
@@ -708,8 +716,13 @@ fn kill_at_random_crash_point_smoke() {
 
         // Finish the stream and compare the end state (in-memory sink; the
         // disk artifacts have served their purpose).
-        let mut dm =
-            DurableMaintainer::resume(rec, sc.dcfg.clone(), MemSink::new(), ckpts).unwrap();
+        let mut dm = DurableMaintainer::resume(
+            rec,
+            sc.dcfg.clone(),
+            ObjectSink::new(MemMedium::new(), "wal"),
+            ckpts,
+        )
+        .unwrap();
         let mut stats = SearchStats::new();
         for step in &sc.steps[k..] {
             dm.apply_with(&step.batch, step.round_seed, step.maintain, &mut stats)
@@ -729,20 +742,77 @@ fn kill_at_random_crash_point_smoke() {
 // compaction, and streaming-checkpoint boundaries in the kill sweep.
 // ---------------------------------------------------------------------------
 
+/// A crash-point image of a segment chain: every segment's bytes.
+type Chain = BTreeMap<SegmentId, Vec<u8>>;
+
+/// The medium the segmented suite keeps its WAL chain on.
+#[derive(Debug, Clone, Copy)]
+enum ChainMedium {
+    Mem,
+    /// Real files in a fresh directory under `scratch_dir()`.
+    Fs,
+}
+
+/// Runs `f` on a fresh directory under `scratch_dir()`, removed after.
+fn in_scratch_dir<T>(f: impl FnOnce(&FsMedium) -> T) -> T {
+    static DIRS: AtomicU64 = AtomicU64::new(0);
+    let dir = scratch_dir().join(format!(
+        "idb-chain-{}-{}",
+        std::process::id(),
+        DIRS.fetch_add(1, Ordering::Relaxed)
+    ));
+    let out = f(&FsMedium::open(&dir).expect("chain directory"));
+    let _ = std::fs::remove_dir_all(&dir);
+    out
+}
+
+/// The segments on `medium`.
+fn image(medium: &dyn Medium) -> Chain {
+    medium
+        .list()
+        .unwrap()
+        .iter()
+        .filter_map(|name| {
+            let id = SegmentId::parse(name)?;
+            Some((id, medium.read(name).unwrap()))
+        })
+        .collect()
+}
+
 /// Runs the reference stream over a tiny-budget [`SegmentedSink`] with
 /// streaming checkpoints, snapshotting the entire segment map, the
 /// checkpoint store, and the state fingerprint at every batch boundary —
-/// each snapshot is one crash point for the sweep.
+/// each snapshot is one crash point for the sweep. The last element is
+/// the chain left at the end.
 #[allow(clippy::type_complexity)]
 fn segmented_reference_run(
     sc: &Scenario,
     segment_bytes: u64,
+    chain: ChainMedium,
 ) -> (
     Vec<Fingerprint>,
-    Vec<BTreeMap<SegmentId, Vec<u8>>>,
-    Vec<MemCheckpoints>,
+    Vec<Chain>,
+    Vec<MemMedium>,
     Vec<Event>,
-    MemSegments,
+    Chain,
+) {
+    match chain {
+        ChainMedium::Mem => segmented_reference_run_on(sc, segment_bytes, &MemMedium::new()),
+        ChainMedium::Fs => in_scratch_dir(|fs| segmented_reference_run_on(sc, segment_bytes, fs)),
+    }
+}
+
+#[allow(clippy::type_complexity)]
+fn segmented_reference_run_on<M: Medium + Clone>(
+    sc: &Scenario,
+    segment_bytes: u64,
+    medium: &M,
+) -> (
+    Vec<Fingerprint>,
+    Vec<Chain>,
+    Vec<MemMedium>,
+    Vec<Event>,
+    Chain,
 ) {
     let ring = Arc::new(RingRecorder::new());
     let mut build_rng = StdRng::seed_from_u64(sc.build_seed);
@@ -750,23 +820,22 @@ fn segmented_reference_run(
     let store = sc.store.clone();
     let mut ib = IncrementalBubbles::build(&store, sc.config.clone(), &mut build_rng, &mut stats);
     ib.set_obs(Obs::with_recorder(ring.clone()));
-    let medium = MemSegments::new();
     let sink = SegmentedSink::fresh(medium.clone(), segment_bytes).expect("fresh chain");
-    let mut dm = DurableMaintainer::adopt(store, ib, sc.dcfg.clone(), sink, MemCheckpoints::new())
+    let mut dm = DurableMaintainer::adopt(store, ib, sc.dcfg.clone(), sink, MemMedium::new())
         .expect("MemSegments never fails");
     let mut fps = vec![fingerprint(dm.store(), dm.bubbles())];
-    let mut snaps = vec![medium.snapshot()];
-    let mut ckpts = vec![dm.checkpoints().clone()];
+    let mut snaps = vec![image(medium)];
+    let mut ckpts = vec![dm.checkpoints().snapshot()];
     for step in &sc.steps {
         dm.apply_with(&step.batch, step.round_seed, step.maintain, &mut stats)
             .expect("planned batches are valid");
         fps.push(fingerprint(dm.store(), dm.bubbles()));
-        snaps.push(medium.snapshot());
-        ckpts.push(dm.checkpoints().clone());
+        snaps.push(image(medium));
+        ckpts.push(dm.checkpoints().snapshot());
     }
     dm.flush_checkpoint();
     assert_eq!(dm.health(), Health::Healthy);
-    (fps, snaps, ckpts, ring.events(), medium)
+    (fps, snaps, ckpts, ring.events(), image(medium))
 }
 
 /// Recovers a restored segment-map crash point via [`recover_chain`],
@@ -774,15 +843,22 @@ fn segmented_reference_run(
 /// stream and checks the end state.
 fn chain_crash_recover_finish(
     sc: &Scenario,
-    snap: &BTreeMap<SegmentId, Vec<u8>>,
-    ckpts: &MemCheckpoints,
+    chain: ChainMedium,
+    snap: &Chain,
+    ckpts: &MemMedium,
     fps: &[Fingerprint],
     label: &str,
 ) {
-    let medium = MemSegments::new();
-    medium.restore(snap.clone());
-    let rec =
-        recover_chain(&medium, ckpts, &Obs::disabled()).unwrap_or_else(|e| panic!("{label}: {e}"));
+    let restore_and_recover = |medium: &dyn Medium| {
+        for (id, bytes) in snap {
+            medium.append(&id.file_name(), bytes).unwrap();
+        }
+        recover_chain(medium, ckpts, &Obs::disabled()).unwrap_or_else(|e| panic!("{label}: {e}"))
+    };
+    let rec = match chain {
+        ChainMedium::Mem => restore_and_recover(&MemMedium::new()),
+        ChainMedium::Fs => in_scratch_dir(|fs| restore_and_recover(fs)),
+    };
     let k = rec.batches_durable as usize;
     assert!(k <= sc.steps.len(), "{label}: durable count out of range");
     assert_eq!(
@@ -790,8 +866,13 @@ fn chain_crash_recover_finish(
         fps[k],
         "{label}: recovered state diverged at batch {k}"
     );
-    let mut dm = DurableMaintainer::resume(rec, sc.dcfg.clone(), MemSink::new(), ckpts.clone())
-        .expect("MemSink never fails");
+    let mut dm = DurableMaintainer::resume(
+        rec,
+        sc.dcfg.clone(),
+        ObjectSink::new(MemMedium::new(), "wal"),
+        ckpts.snapshot(),
+    )
+    .expect("MemSink never fails");
     let mut stats = SearchStats::new();
     for step in &sc.steps[k..] {
         dm.apply_with(&step.batch, step.round_seed, step.maintain, &mut stats)
@@ -811,7 +892,10 @@ fn chain_crash_recover_finish(
 /// crash mid-rotation — every one recovers and finishes bit-identically.
 #[test]
 fn segmented_chain_kill_points_recover_bit_identically() {
-    for (hot_points, disk_budget) in segmented_axes() {
+    // Every axis in memory, plus the first one on real files.
+    let axes = segmented_axes().map(|axis| (ChainMedium::Mem, axis));
+    for (chain, (hot_points, disk_budget)) in axes.into_iter().chain([(ChainMedium::Fs, axes[0].1)])
+    {
         let mut rng = StdRng::seed_from_u64(0xC4A5_0007);
         for case in 0..4 {
             let mut sc = plan_scenario(case, &mut rng, hot_points);
@@ -819,11 +903,12 @@ fn segmented_chain_kill_points_recover_bit_identically() {
             sc.dcfg.checkpoint_interval = 2;
             sc.dcfg.checkpoint_chunk_bytes = 1024; // Streams span several batches.
             sc.dcfg.full_rebase_interval = 3; // Mix of full and delta blobs.
-            let (fps, snaps, ckpt_trace, _, _) = segmented_reference_run(&sc, 512);
+            let (fps, snaps, ckpt_trace, _, _) = segmented_reference_run(&sc, 512, chain);
             for (k, snap) in snaps.iter().enumerate() {
                 // Clean kill exactly at the batch boundary.
                 chain_crash_recover_finish(
                     &sc,
+                    chain,
                     snap,
                     &ckpt_trace[k],
                     &fps,
@@ -841,6 +926,7 @@ fn segmented_chain_kill_points_recover_bit_identically() {
                     torn.insert(last_id, last_bytes[..cut].to_vec());
                     chain_crash_recover_finish(
                         &sc,
+                        chain,
                         &torn,
                         &ckpt_trace[k],
                         &fps,
@@ -860,6 +946,7 @@ fn segmented_chain_kill_points_recover_bit_identically() {
                 );
                 chain_crash_recover_finish(
                     &sc,
+                    chain,
                     &mid_roll,
                     &ckpt_trace[k],
                     &fps,
@@ -886,7 +973,7 @@ fn segmented_run_journal_and_footprint_are_well_formed() {
         sc.dcfg.checkpoint_interval = 2;
         sc.dcfg.checkpoint_chunk_bytes = 1024;
         sc.dcfg.full_rebase_interval = 2;
-        let (_, _, _, events, medium) = segmented_reference_run(&sc, 512);
+        let (_, _, _, events, medium) = segmented_reference_run(&sc, 512, ChainMedium::Mem);
         let summary = check_journal(&events).expect("journal invariants");
         assert!(summary.wal_rotations > 0, "tiny budget must rotate");
         assert!(
@@ -900,7 +987,7 @@ fn segmented_run_journal_and_footprint_are_well_formed() {
         // Bounded footprint: rotations minus compacted segments is what's
         // left; compaction must have removed sealed prefixes, so the live
         // chain is strictly shorter than the rotation count implies.
-        let live_segments = medium.snapshot().len();
+        let live_segments = medium.len();
         assert!(
             live_segments < summary.wal_rotations as usize,
             "{live_segments} live segments after {} rotations — compaction never ran",
@@ -938,10 +1025,10 @@ fn delta_checkpoints_decode_bit_identically_to_fulls() {
         // coverage and their own from it) but drop every checkpoint newer
         // than the one under test, so recovery *must* stand on that blob.
         for k in 1..=sc.steps.len() {
-            let mut ckpts = final_ckpts.clone();
+            let ckpts = final_ckpts.snapshot();
             for &s in &seqs {
                 if s > k as u64 {
-                    ckpts.remove(s);
+                    ckpts.remove(&checkpoint_name(s)).unwrap();
                 }
             }
             let rec = recover(&wal_bytes, &ckpts, &Obs::disabled())
@@ -1047,23 +1134,23 @@ fn kill_mid_cold_rewrite_leaves_recoverable_wreckage() {
             store,
             ib,
             sc.dcfg.clone(),
-            MemSink::new(),
-            MemCheckpoints::new(),
+            ObjectSink::new(MemMedium::new(), "wal"),
+            MemMedium::new(),
         )
         .expect("MemSink never fails");
         let mut fps = vec![fingerprint(dm.store(), dm.bubbles())];
         let mut wal_lens = vec![dm.wal_sink().bytes().len()];
-        let mut ckpt_trace = vec![dm.checkpoints().clone()];
+        let mut ckpt_trace = vec![dm.checkpoints().snapshot()];
         for step in &sc.steps {
             dm.apply_with(&step.batch, step.round_seed, step.maintain, &mut stats)
                 .expect("planned batches are valid");
             fps.push(fingerprint(dm.store(), dm.bubbles()));
             wal_lens.push(dm.wal_sink().bytes().len());
-            ckpt_trace.push(dm.checkpoints().clone());
+            ckpt_trace.push(dm.checkpoints().snapshot());
         }
         let final_fp = fps.last().unwrap().clone();
         let (_, _, sink, _) = dm.into_parts();
-        let wal = sink.into_bytes();
+        let wal = sink.bytes();
 
         // Crash after a mid-stream batch committed, with the cold
         // rewrite caught halfway: the spill file holds stale garbage and
@@ -1080,7 +1167,7 @@ fn kill_mid_cold_rewrite_leaves_recoverable_wreckage() {
         // Recovery never opens the spill: WAL + checkpoints suffice, and
         // the recovered store comes back fully resident (untiered). Only
         // checkpoints persisted before the kill exist at recovery time.
-        let replay_ckpts = ckpt_trace[durable].clone();
+        let replay_ckpts = ckpt_trace[durable].snapshot();
         let cut = wal_lens[durable];
         let rec = recover(&wal[..cut], &replay_ckpts, &Obs::disabled())
             .expect("recovery ignores the spill file");
@@ -1106,9 +1193,13 @@ fn kill_mid_cold_rewrite_leaves_recoverable_wreckage() {
                 hot,
             )
             .expect("re-tier spill");
-        let mut dm =
-            DurableMaintainer::resume(recovered, sc.dcfg.clone(), MemSink::new(), replay_ckpts)
-                .expect("MemSink never fails");
+        let mut dm = DurableMaintainer::resume(
+            recovered,
+            sc.dcfg.clone(),
+            ObjectSink::new(MemMedium::new(), "wal"),
+            replay_ckpts,
+        )
+        .expect("MemSink never fails");
         let mut stats = SearchStats::new();
         for step in &sc.steps[durable..] {
             dm.apply_with(&step.batch, step.round_seed, step.maintain, &mut stats)

@@ -563,9 +563,9 @@ fn journal_and_counters_are_bit_identical_between_serial_and_threaded_runs() {
 /// overshoot. Tiering, like threads and engines, is pure physics.
 #[test]
 fn tiered_runs_are_bit_identical_to_untiered() {
-    use idb_core::{DurabilityConfig, DurableMaintainer, MemCheckpoints};
+    use idb_core::{DurabilityConfig, DurableMaintainer};
     use idb_obs::EventKind;
-    use idb_store::MemSink;
+    use idb_store::{MemMedium, ObjectSink};
 
     let mut rng = StdRng::seed_from_u64(0x71E2_0001);
     let mut total_cold_reads = 0u64;
@@ -612,9 +612,14 @@ fn tiered_runs_are_bit_identical_to_untiered() {
                 hot_points,
                 ..DurabilityConfig::default()
             };
-            let mut dm =
-                DurableMaintainer::adopt(store, ib, dcfg, MemSink::new(), MemCheckpoints::new())
-                    .expect("adopt");
+            let mut dm = DurableMaintainer::adopt(
+                store,
+                ib,
+                dcfg,
+                ObjectSink::new(MemMedium::new(), "wal"),
+                MemMedium::new(),
+            )
+            .expect("adopt");
             let mut trace: Vec<Vec<u8>> = Vec::new();
             for (batch, seed) in &steps {
                 dm.apply_with(batch, *seed, true, &mut stats)
@@ -695,10 +700,10 @@ fn tiered_runs_are_bit_identical_to_untiered() {
 /// recorder sees on an identical run.
 #[test]
 fn jsonl_journals_round_trip_and_pass_check_journal() {
-    use idb_core::{DurabilityConfig, DurableMaintainer, MemCheckpoints};
+    use idb_core::{DurabilityConfig, DurableMaintainer};
     use idb_obs::{check_journal, Event, JsonlRecorder, Recorder};
     use idb_store::wal::scratch_dir;
-    use idb_store::MemSink;
+    use idb_store::{MemMedium, ObjectSink};
 
     let dir = scratch_dir().join("idb-journals");
     let mut splits = 0;
@@ -716,9 +721,14 @@ fn jsonl_journals_round_trip_and_pass_check_journal() {
                 checkpoint_interval: 2,
                 ..DurabilityConfig::default()
             };
-            let mut dm =
-                DurableMaintainer::adopt(store, ib, dcfg, MemSink::new(), MemCheckpoints::new())
-                    .expect("adopt");
+            let mut dm = DurableMaintainer::adopt(
+                store,
+                ib,
+                dcfg,
+                ObjectSink::new(MemMedium::new(), "wal"),
+                MemMedium::new(),
+            )
+            .expect("adopt");
             for _ in 0..10 {
                 let batch = eng.plan(&mut rng);
                 let inserted = dm.apply(&batch, &mut rng, &mut stats).expect("apply");

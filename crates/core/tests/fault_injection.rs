@@ -23,15 +23,17 @@
 
 use idb_core::{
     AuditIssue, DurabilityConfig, DurableMaintainer, Health, IncrementalBubbles, MaintainerConfig,
-    MemCheckpoints, UpdateError,
+    UpdateError,
 };
 use idb_geometry::SearchStats;
 use idb_obs::{check_journal, Obs, RingRecorder};
-use idb_store::segment::{MemSegments, SegmentedSink};
+use idb_store::segment::SegmentedSink;
 use idb_store::wal::read_wal;
-use idb_store::{Batch, PointId, PointStore, SnapshotError, StorageBudget, StorageError};
+use idb_store::{
+    Batch, MemMedium, ObjectSink, PointId, PointStore, SnapshotError, StorageBudget, StorageError,
+};
 use idb_synth::{
-    faulty_batch, flip_bit, BatchFault, FaultSink, ScenarioEngine, ScenarioKind, ScenarioSpec,
+    faulty_batch, flip_bit, BatchFault, FaultMedium, ScenarioEngine, ScenarioKind, ScenarioSpec,
     ALL_BATCH_FAULTS,
 };
 use proptest::prelude::*;
@@ -43,6 +45,9 @@ use std::sync::Arc;
 /// under: untiered, and 256 resident points with the rest spilled to the
 /// cold tier. Tiering must never change an outcome.
 const HOT_POINTS: [Option<usize>; 2] = [None, Some(256)];
+
+/// A single-object WAL on the fault-injecting medium.
+type FaultSink = ObjectSink<FaultMedium>;
 
 /// A store + maintainer fixture over a small clustered database.
 fn fixture(seed: u64) -> (PointStore, IncrementalBubbles, StdRng, SearchStats) {
@@ -561,11 +566,8 @@ fn sink_death_in_a_fleet_stays_contained_and_heals_bit_identically() {
     const SICK: usize = 1;
 
     let run = |fault: bool, hot_points: Option<usize>| -> Vec<(Vec<u8>, Vec<u8>, Vec<u8>)> {
-        let mut fleet: Vec<(
-            DurableMaintainer<FaultSink, MemCheckpoints>,
-            StdRng,
-            SearchStats,
-        )> = (0..FLEET)
+        let mut fleet: Vec<(DurableMaintainer<FaultSink, MemMedium>, StdRng, SearchStats)> = (0
+            ..FLEET)
             .map(|m| {
                 let (store, ib, rng, search) = fixture(3000 + m as u64);
                 let maintainer = DurableMaintainer::adopt(
@@ -575,8 +577,8 @@ fn sink_death_in_a_fleet_stays_contained_and_heals_bit_identically() {
                         hot_points,
                         ..DurabilityConfig::default()
                     },
-                    FaultSink::new(),
-                    MemCheckpoints::new(),
+                    ObjectSink::new(FaultMedium::new(), "wal"),
+                    MemMedium::new(),
                 )
                 .expect("adopt");
                 (maintainer, rng, search)
@@ -584,34 +586,31 @@ fn sink_death_in_a_fleet_stays_contained_and_heals_bit_identically() {
             .collect();
 
         let mut brng = StdRng::seed_from_u64(0xF1EE7);
-        let churn = |fleet: &mut Vec<(
-            DurableMaintainer<FaultSink, MemCheckpoints>,
-            StdRng,
-            SearchStats,
-        )>,
-                     brng: &mut StdRng| {
-            for (maintainer, rng, search) in fleet.iter_mut() {
-                let delete = maintainer.store().ids().next().unwrap();
-                let batch = Batch {
-                    deletes: vec![delete],
-                    inserts: (0..4)
-                        .map(|_| {
-                            let c = f64::from(brng.gen_range(0u32..3)) * 40.0;
-                            (vec![c + brng.gen_range(-1.0..1.0), c], Some(0))
-                        })
-                        .collect(),
-                };
-                maintainer
-                    .apply(&batch, rng, search)
-                    .expect("valid batch applies");
-            }
-        };
+        let churn =
+            |fleet: &mut Vec<(DurableMaintainer<FaultSink, MemMedium>, StdRng, SearchStats)>,
+             brng: &mut StdRng| {
+                for (maintainer, rng, search) in fleet.iter_mut() {
+                    let delete = maintainer.store().ids().next().unwrap();
+                    let batch = Batch {
+                        deletes: vec![delete],
+                        inserts: (0..4)
+                            .map(|_| {
+                                let c = f64::from(brng.gen_range(0u32..3)) * 40.0;
+                                (vec![c + brng.gen_range(-1.0..1.0), c], Some(0))
+                            })
+                            .collect(),
+                    };
+                    maintainer
+                        .apply(&batch, rng, search)
+                        .expect("valid batch applies");
+                }
+            };
 
         churn(&mut fleet, &mut brng);
         if fault {
             let sink = fleet[SICK].0.wal_sink_mut();
-            sink.fail_appends = 1000;
-            sink.fail_syncs = 1000;
+            sink.medium().set_fail_appends(1000);
+            sink.medium().set_fail_syncs(1000);
         }
         churn(&mut fleet, &mut brng);
         if fault {
@@ -628,7 +627,7 @@ fn sink_death_in_a_fleet_stays_contained_and_heals_bit_identically() {
                     Health::Healthy => assert_ne!(m, SICK, "the sick maintainer must degrade"),
                 }
             }
-            fleet[SICK].0.wal_sink_mut().heal();
+            fleet[SICK].0.wal_sink().medium().heal();
         }
         churn(&mut fleet, &mut brng);
 
@@ -690,10 +689,15 @@ fn degraded_buffer_cap_sheds_typed_and_heals() {
             hot_points,
             ..DurabilityConfig::default()
         };
-        let mut dm =
-            DurableMaintainer::adopt(store, ib, dcfg, FaultSink::new(), MemCheckpoints::new())
-                .expect("sink starts healthy");
-        dm.wal_sink_mut().fail_syncs = usize::MAX;
+        let mut dm = DurableMaintainer::adopt(
+            store,
+            ib,
+            dcfg,
+            ObjectSink::new(FaultMedium::new(), "wal"),
+            MemMedium::new(),
+        )
+        .expect("sink starts healthy");
+        dm.wal_sink().medium().set_fail_syncs(usize::MAX);
 
         let mut brng = StdRng::seed_from_u64(0xB0FF);
         for _ in 0..3 {
@@ -725,12 +729,12 @@ fn degraded_buffer_cap_sheds_typed_and_heals() {
 
         // Healing drains the backlog; the shed batch goes through on retry and
         // the full WAL decodes.
-        dm.wal_sink_mut().heal();
+        dm.wal_sink().medium().heal();
         assert_eq!(dm.sync(), Health::Healthy);
         dm.apply(&doomed, &mut rng, &mut search)
             .expect("retry after heal");
         assert_eq!(dm.sync(), Health::Healthy);
-        let contents = read_wal(dm.wal_sink().bytes()).expect("wal intact after heal");
+        let contents = read_wal(&dm.wal_sink().bytes()).expect("wal intact after heal");
         assert_eq!(contents.records.len(), 4);
     }
 }
@@ -750,13 +754,18 @@ fn enospc_sink_sheds_typed_and_repairs_after_space_frees() {
             hot_points,
             ..DurabilityConfig::default()
         };
-        let mut dm =
-            DurableMaintainer::adopt(store, ib, dcfg, FaultSink::new(), MemCheckpoints::new())
-                .expect("sink starts healthy");
+        let mut dm = DurableMaintainer::adopt(
+            store,
+            ib,
+            dcfg,
+            ObjectSink::new(FaultMedium::new(), "wal"),
+            MemMedium::new(),
+        )
+        .expect("sink starts healthy");
         // The device fills five bytes past what is already durable: the next
         // commit partially writes to the boundary, then fails StorageFull.
         let full_at = dm.wal_sink().bytes().len() as u64 + 5;
-        dm.wal_sink_mut().enospc_after = Some(full_at);
+        dm.wal_sink().medium().set_enospc_after(full_at);
 
         let mut brng = StdRng::seed_from_u64(0xE05C);
         for _ in 0..2 {
@@ -781,12 +790,12 @@ fn enospc_sink_sheds_typed_and_repairs_after_space_frees() {
 
         // Space frees: the torn prefix is repaired, the backlog lands, the
         // shed batch goes through on retry, and the WAL decodes clean.
-        dm.wal_sink_mut().heal();
+        dm.wal_sink().medium().heal();
         assert_eq!(dm.sync(), Health::Healthy);
         dm.apply(&doomed, &mut rng, &mut search)
             .expect("retry after space freed");
         assert_eq!(dm.sync(), Health::Healthy);
-        let contents = read_wal(dm.wal_sink().bytes()).expect("wal intact after repair");
+        let contents = read_wal(&dm.wal_sink().bytes()).expect("wal intact after repair");
         assert_eq!(contents.records.len(), 3);
         assert!(!contents.torn_tail);
     }
@@ -809,8 +818,8 @@ fn disk_budget_compacts_first_and_sheds_only_when_impossible() {
             hot_points,
             ..DurabilityConfig::default()
         };
-        let sink = SegmentedSink::fresh(MemSegments::new(), 256).expect("fresh chain");
-        let mut dm = DurableMaintainer::adopt(store, ib, dcfg, sink, MemCheckpoints::new())
+        let sink = SegmentedSink::fresh(MemMedium::new(), 256).expect("fresh chain");
+        let mut dm = DurableMaintainer::adopt(store, ib, dcfg, sink, MemMedium::new())
             .expect("medium starts healthy");
         let mut brng = StdRng::seed_from_u64(0xD15C);
         for round in 0..16 {
@@ -835,8 +844,8 @@ fn disk_budget_compacts_first_and_sheds_only_when_impossible() {
             hot_points,
             ..DurabilityConfig::default()
         };
-        let sink = SegmentedSink::fresh(MemSegments::new(), 256).expect("fresh chain");
-        let mut dm = DurableMaintainer::adopt(store, ib, dcfg, sink, MemCheckpoints::new())
+        let sink = SegmentedSink::fresh(MemMedium::new(), 256).expect("fresh chain");
+        let mut dm = DurableMaintainer::adopt(store, ib, dcfg, sink, MemMedium::new())
             .expect("medium starts healthy");
         let before = fingerprint(dm.store(), dm.bubbles());
         for round in 0..2 {
@@ -880,12 +889,12 @@ fn disk_budget_compacts_first_and_sheds_only_when_impossible() {
 /// bound.
 #[test]
 fn cold_tier_outage_degrades_typed_and_heals() {
-    use idb_store::MemSink;
-    use idb_synth::FaultCold;
+    use idb_store::{MemMedium, ObjectSink};
+    use idb_synth::FaultMedium;
 
     let (mut store, ib, mut rng, mut search) = fixture(0xC01D);
     let hot = 8;
-    let cold = FaultCold::new();
+    let cold = FaultMedium::new();
     store
         .enable_tier(Box::new(cold.clone()), hot)
         .expect("initial spill over a healthy medium");
@@ -894,8 +903,14 @@ fn cold_tier_outage_degrades_typed_and_heals() {
         hot_points: Some(hot),
         ..DurabilityConfig::default()
     };
-    let mut dm = DurableMaintainer::adopt(store, ib, dcfg, MemSink::new(), MemCheckpoints::new())
-        .expect("MemSink never fails");
+    let mut dm = DurableMaintainer::adopt(
+        store,
+        ib,
+        dcfg,
+        ObjectSink::new(MemMedium::new(), "wal"),
+        MemMedium::new(),
+    )
+    .expect("MemSink never fails");
 
     // Warm-up: a healthy tiered batch applies clean and stays bounded.
     let b0 = churn_batch(dm.store(), &mut rng);

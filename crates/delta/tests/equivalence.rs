@@ -25,14 +25,12 @@ use idb_clustering::{
     cluster_tree, optics_bubbles_with, optics_merged, BubbleOrdering, ClusterNode, ExtractParams,
     MergedRef,
 };
-use idb_core::{
-    DataSummary, DurabilityConfig, IncrementalBubbles, MaintainerConfig, MemCheckpoints, SeedSearch,
-};
+use idb_core::{DataSummary, DurabilityConfig, IncrementalBubbles, MaintainerConfig, SeedSearch};
 use idb_delta::{router_epoch, DeltaEngine, DeltaParams, EpochReport};
 use idb_geometry::{Parallelism, SearchStats};
 use idb_obs::{check_journal_sharded, Obs, RingRecorder};
 use idb_shard::{GlobalId, ShardConfig, ShardRouter};
-use idb_store::{Batch, MemSink, PointId, PointStore};
+use idb_store::{Batch, MemMedium, ObjectSink, PointId, PointStore};
 use idb_synth::{ScenarioEngine, ScenarioKind, ScenarioSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -269,7 +267,7 @@ fn run_sharded(
         DurabilityConfig::default(),
         MAINT_SEED,
         &obs,
-        |_| (MemSink::new(), MemCheckpoints::new()),
+        |_| (ObjectSink::new(MemMedium::new(), "wal"), MemMedium::new()),
     )
     .expect("create");
     scenario.confirm(&ids);

@@ -19,14 +19,12 @@
 //!   merged cross-partition scratch pass.
 
 use idb_clustering::{cluster_tree, optics_bubbles_with, ClusterNode, ExtractParams, MergedRef};
-use idb_core::{
-    DurabilityConfig, IncrementalBubbles, MaintainerConfig, MemCheckpoints, SeedSearch,
-};
+use idb_core::{DurabilityConfig, IncrementalBubbles, MaintainerConfig, SeedSearch};
 use idb_delta::{router_epoch, DeltaEngine, DeltaParams};
 use idb_geometry::{Parallelism, SearchStats};
 use idb_obs::Obs;
 use idb_shard::{GlobalId, ShardConfig, ShardRouter};
-use idb_store::PointId;
+use idb_store::{MemMedium, PointId};
 use idb_synth::{ScenarioEngine, ScenarioKind, ScenarioSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -212,7 +210,12 @@ fn sharded_delta_matches_scratch_at_high_dim() {
             DurabilityConfig::default(),
             MAINT_SEED,
             &Obs::disabled(),
-            |_| (idb_store::MemSink::new(), MemCheckpoints::new()),
+            |_| {
+                (
+                    idb_store::ObjectSink::new(MemMedium::new(), "wal"),
+                    MemMedium::new(),
+                )
+            },
         )
         .expect("create");
         scenario.confirm(&ids);

@@ -25,10 +25,10 @@
 //! restarts through the ordinary recovery path without blocking anyone.
 //!
 //! ```
-//! use idb_core::{DurabilityConfig, MaintainerConfig, MemCheckpoints};
+//! use idb_core::{DurabilityConfig, MaintainerConfig};
 //! use idb_obs::Obs;
 //! use idb_shard::{ShardConfig, ShardRouter};
-//! use idb_store::{Batch, MemSink};
+//! use idb_store::{Batch, MemMedium, ObjectSink};
 //! use rand::rngs::StdRng;
 //! use rand::{Rng, SeedableRng};
 //!
@@ -47,7 +47,7 @@
 //!     DurabilityConfig::default(),
 //!     42,
 //!     &Obs::disabled(),
-//!     |_| (MemSink::new(), MemCheckpoints::new()),
+//!     |_| (ObjectSink::new(MemMedium::new(), "wal"), MemMedium::new()),
 //! )
 //! .unwrap();
 //! assert_eq!(ids.len(), 400);

@@ -284,7 +284,7 @@ impl<S: DurableSink, C: CheckpointStore> ShardRouter<S, C> {
     }
 
     /// Mutable maintainer access — the fault-injection surface (e.g.
-    /// reaching a `FaultSink` through `wal_sink_mut`).
+    /// reaching a `FaultMedium` through `wal_sink`).
     ///
     /// # Panics
     /// Panics if `partition` is out of range.

@@ -13,13 +13,11 @@
 //!    batches rejected identically along the way.
 
 use idb_clustering::optics_bubbles;
-use idb_core::{
-    DurabilityConfig, DurableMaintainer, IncrementalBubbles, MaintainerConfig, MemCheckpoints,
-};
+use idb_core::{DurabilityConfig, DurableMaintainer, IncrementalBubbles, MaintainerConfig};
 use idb_geometry::{Parallelism, SearchStats};
 use idb_obs::Obs;
 use idb_shard::{ShardConfig, ShardError, ShardRouter};
-use idb_store::{Batch, MemSink, PointId, PointStore};
+use idb_store::{Batch, MemMedium, ObjectSink, PointId, PointStore};
 use idb_synth::{MultiStreamEngine, ScenarioEngine, ScenarioKind, ScenarioSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -68,8 +66,8 @@ fn one_partition_router_is_the_plain_maintainer_verbatim() {
         store,
         bubbles,
         dcfg.clone(),
-        MemSink::new(),
-        MemCheckpoints::new(),
+        ObjectSink::new(MemMedium::new(), "wal"),
+        MemMedium::new(),
     )
     .expect("adopt");
 
@@ -85,7 +83,7 @@ fn one_partition_router_is_the_plain_maintainer_verbatim() {
         dcfg,
         MAINT_SEED,
         &Obs::disabled(),
-        |_| (MemSink::new(), MemCheckpoints::new()),
+        |_| (ObjectSink::new(MemMedium::new(), "wal"), MemMedium::new()),
     )
     .expect("create");
     assert_eq!(ids_a, ids_b, "initial client ids must be transparent");
@@ -174,7 +172,7 @@ fn run_multi_stream(partitions: u32, shards: u32, drain: Parallelism) -> RunArti
         DurabilityConfig::default(),
         MAINT_SEED,
         &Obs::disabled(),
-        |_| (MemSink::new(), MemCheckpoints::new()),
+        |_| (ObjectSink::new(MemMedium::new(), "wal"), MemMedium::new()),
     )
     .expect("create");
     let mut all_ids = ids.clone();

@@ -7,13 +7,13 @@
 //! system state is **bit-identical** to a run where the fault never
 //! happened.
 
-use idb_core::{DurabilityConfig, MaintainerConfig, MemCheckpoints, UpdateError};
+use idb_core::{recover, DurabilityConfig, MaintainerConfig, UpdateError};
 use idb_geometry::Parallelism;
 use idb_obs::{check_journal_sharded, Event, EventKind, Obs, RingRecorder};
 use idb_shard::{route_point, GlobalId, PartitionStatus, ShardConfig, ShardError, ShardRouter};
-use idb_store::segment::{MemSegments, SegmentedSink};
-use idb_store::{Batch, MemSink, PointId, StorageBudget, StorageError};
-use idb_synth::FaultSink;
+use idb_store::segment::SegmentedSink;
+use idb_store::{Batch, MemMedium, ObjectSink, PointId, StorageBudget, StorageError};
+use idb_synth::FaultMedium;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -103,7 +103,7 @@ fn sink_fault_run(fault: bool) -> SinkFaultRun {
         DurabilityConfig::default(),
         4242,
         &obs,
-        |_| (FaultSink::new(), MemCheckpoints::new()),
+        |_| (ObjectSink::new(FaultMedium::new(), "wal"), MemMedium::new()),
     )
     .expect("create");
     let mut cursor = 0usize;
@@ -120,8 +120,8 @@ fn sink_fault_run(fault: bool) -> SinkFaultRun {
             .maintainer_mut(TARGET)
             .expect("online")
             .wal_sink_mut();
-        sink.fail_appends = 1000;
-        sink.fail_syncs = 1000;
+        sink.medium().set_fail_appends(1000);
+        sink.medium().set_fail_syncs(1000);
     }
 
     // The next round still *applies* (in memory) but leaves the target
@@ -182,7 +182,8 @@ fn sink_fault_run(fault: bool) -> SinkFaultRun {
         router
             .maintainer_mut(TARGET)
             .expect("online")
-            .wal_sink_mut()
+            .wal_sink()
+            .medium()
             .heal();
         let statuses = router.poll_health();
         assert_eq!(statuses[TARGET as usize], PartitionStatus::Quarantined);
@@ -288,7 +289,7 @@ fn crash_run(crash: bool) -> Vec<Vec<u8>> {
         DurabilityConfig::default(),
         4242,
         &Obs::disabled(),
-        |_| (MemSink::new(), MemCheckpoints::new()),
+        |_| (ObjectSink::new(MemMedium::new(), "wal"), MemMedium::new()),
     )
     .expect("create");
     let mut cursor = 0usize;
@@ -369,6 +370,79 @@ fn crashed_partition_restarts_without_touching_siblings() {
     );
 }
 
+/// `restart_partition` resumes on the very media recovery read, so a kill
+/// at any medium operation inside it — recovery's reads, the anchor
+/// checkpoint, the WAL truncate, the new header — must leave media that
+/// recover every acknowledged batch of the partition, bit-identically.
+#[test]
+fn a_kill_at_every_medium_op_inside_restart_keeps_every_acknowledged_batch() {
+    let mut brng = StdRng::seed_from_u64(0x5EE9);
+    let disks: Vec<FaultMedium> = (0..PARTITIONS).map(|_| FaultMedium::new()).collect();
+    let dcfg = DurabilityConfig {
+        checkpoint_interval: 2,
+        ..DurabilityConfig::default()
+    };
+    let (mut router, mut live) = ShardRouter::create(
+        DIM,
+        &initial_batch(&mut brng, 600),
+        &MaintainerConfig::new(10),
+        ShardConfig::new(PARTITIONS).with_shards(2),
+        dcfg,
+        4242,
+        &Obs::disabled(),
+        |p| {
+            let disk = &disks[p as usize];
+            (ObjectSink::new(disk.clone(), "wal"), disk.clone())
+        },
+    )
+    .expect("create");
+    let mut cursor = 0usize;
+    for _ in 0..5 {
+        let batch = mixed_batch(&mut brng, &live, &mut cursor, 20, 5);
+        live.extend(router.apply(&batch).expect("apply"));
+    }
+    router.sync_all();
+    let want = all_fingerprints(&router)[TARGET as usize].clone();
+    let acked = router.maintainer(TARGET).expect("online").batches_applied();
+    let (sink, _) = router.kill_partition(TARGET).expect("was online");
+    let crashed = sink.medium().inner().snapshot();
+
+    let mut kills = 0;
+    for k in 0.. {
+        let disk = FaultMedium::over(crashed.snapshot());
+        let sink = ObjectSink::new(disk.clone(), "wal");
+        let wal = sink.bytes();
+        let start = disk.op_count();
+        disk.kill_after(k);
+        let restarted = router.restart_partition(TARGET, &wal, sink, disk.clone());
+        let finished = restarted.is_ok() && disk.op_count() - start < k;
+        // The process dies here; the next one recovers from the medium.
+        let image = disk.inner().snapshot();
+        let wal = ObjectSink::new(image.clone(), "wal").bytes();
+        let rec = recover(&wal, &image, &Obs::disabled())
+            .unwrap_or_else(|e| panic!("killed after {k} medium ops of restart: {e}"));
+        assert_eq!(rec.batches_durable, acked, "killed after {k} medium ops");
+        let mut got = Vec::new();
+        rec.store.write_snapshot(&mut got).expect("vec write");
+        rec.bubbles.write_snapshot(&mut got).expect("vec write");
+        assert_eq!(got, want, "killed after {k} medium ops: state diverged");
+        if finished {
+            assert_eq!(all_fingerprints(&router)[TARGET as usize], want);
+            break;
+        }
+        if restarted.is_ok() {
+            router
+                .kill_partition(TARGET)
+                .expect("restarted partition is online");
+        }
+        kills += 1;
+    }
+    assert!(
+        kills >= 6,
+        "restart must span recovery, anchor and truncate ({kills} ops)"
+    );
+}
+
 #[test]
 fn queued_work_for_a_crashed_partition_fails_typed() {
     let mut brng = StdRng::seed_from_u64(7);
@@ -380,7 +454,7 @@ fn queued_work_for_a_crashed_partition_fails_typed() {
         DurabilityConfig::default(),
         1,
         &Obs::disabled(),
-        |_| (MemSink::new(), MemCheckpoints::new()),
+        |_| (ObjectSink::new(MemMedium::new(), "wal"), MemMedium::new()),
     )
     .expect("create");
 
@@ -414,7 +488,7 @@ fn saturated_queue_sheds_whole_and_recovers_after_drain() {
         DurabilityConfig::default(),
         1,
         &Obs::disabled(),
-        |_| (MemSink::new(), MemCheckpoints::new()),
+        |_| (ObjectSink::new(MemMedium::new(), "wal"), MemMedium::new()),
     )
     .expect("create");
 
@@ -463,7 +537,7 @@ fn unknown_delete_ids_are_rejected_at_the_routing_boundary() {
             DurabilityConfig::default(),
             1,
             &Obs::disabled(),
-            |_| (MemSink::new(), MemCheckpoints::new()),
+            |_| (ObjectSink::new(MemMedium::new(), "wal"), MemMedium::new()),
         )
         .expect("create");
 
@@ -521,8 +595,8 @@ fn disk_budget_exhaustion_is_partition_local() {
         // live footprint is exactly the unreclaimable active segment.
         |_| {
             (
-                SegmentedSink::fresh(MemSegments::new(), 1 << 20).expect("fresh chain"),
-                MemCheckpoints::new(),
+                SegmentedSink::fresh(MemMedium::new(), 1 << 20).expect("fresh chain"),
+                MemMedium::new(),
             )
         },
     )

@@ -22,21 +22,24 @@
 use rand::Rng;
 
 pub mod layout;
+pub mod medium;
 pub mod segment;
 pub mod snapshot;
 pub mod tier;
 pub mod wal;
+pub use medium::{FsMedium, Medium, MemMedium};
 pub use segment::{
-    read_chain, ChainContents, FsSegments, MemSegments, SegmentId, SegmentMedium, SegmentedSink,
-    StorageBudget, StorageError,
+    read_chain, ChainContents, SegmentId, SegmentedSink, StorageBudget, StorageError,
 };
 pub use snapshot::SnapshotError;
-pub use tier::{
-    default_cold_medium, ColdMedium, ColdRewriter, FsCold, MemCold, TierCounters, COLD_DIR_ENV,
-};
-pub use wal::{DurableSink, FileSink, MemSink, WalError, WalRecord, WalWriter};
+pub use tier::{default_cold_medium, FsCold, TierCounters, COLD_DIR_ENV};
+pub use wal::{DurableSink, FileSink, ObjectSink, WalError, WalRecord, WalWriter};
 
-use tier::{Tier, FREE_FRAME, NONE_FRAME};
+use std::sync::Arc;
+use tier::{Spill, Tier, FREE_FRAME, NONE_FRAME};
+
+/// Bytes per staged chunk when [`PointStore::enable_tier`] spills.
+const SPILL_CHUNK_BYTES: usize = 64 * 1024;
 
 /// Stable identifier of a live point: an index into the store's slot space.
 ///
@@ -110,7 +113,7 @@ impl Batch {
 ///
 /// [`PointStore::enable_tier`] bounds the resident coordinate slab: at
 /// most `hot_cap` points stay in memory, the rest live as fixed-stride
-/// records on a [`ColdMedium`]. In tiered mode `coords` is
+/// records in one [`Medium`] object. In tiered mode `coords` is
 /// *frame*-strided (a compact hot arena) instead of slot-strided, and
 /// cold points must be read through [`PointStore::read_point_into`] —
 /// [`PointStore::point`] and [`PointStore::iter`] panic on them. See
@@ -445,30 +448,30 @@ impl PointStore {
     /// Panics if the tier is already enabled or `hot_cap == 0`.
     pub fn enable_tier(
         &mut self,
-        cold: Box<dyn ColdMedium>,
+        cold: Box<dyn Medium>,
         hot_cap: usize,
     ) -> Result<(), StorageError> {
         assert!(self.tier.is_none(), "cold tier already enabled");
         assert!(hot_cap >= 1, "hot_cap must be at least 1");
         let dim = self.dim;
         let slots = self.live_pos.len();
-        {
-            let mut rw = cold.start_rewrite()?;
-            let zero = vec![0u8; dim * 8];
-            let mut buf = Vec::with_capacity(dim * 8);
-            for s in 0..slots {
+        // Staged in chunks of whole records, dead slots zero-padded to
+        // keep the stride.
+        let per_chunk = (SPILL_CHUNK_BYTES / (dim * 8)).max(1);
+        let chunks = (0..slots).step_by(per_chunk).map(|first| {
+            let mut chunk = Vec::with_capacity(per_chunk * dim * 8);
+            for s in first..(first + per_chunk).min(slots) {
                 if self.live_pos[s] == FREE {
-                    rw.append(&zero)?;
+                    chunk.resize(chunk.len() + dim * 8, 0);
                 } else {
-                    buf.clear();
                     for x in &self.coords[s * dim..(s + 1) * dim] {
-                        buf.extend_from_slice(&x.to_le_bytes());
+                        chunk.extend_from_slice(&x.to_le_bytes());
                     }
-                    rw.append(&buf)?;
                 }
             }
-            rw.commit()?;
-        }
+            chunk
+        });
+        let cold = Arc::new(Spill::create(cold, chunks)?);
         self.coords = Vec::new();
         self.tier = Some(Tier {
             cold,
@@ -798,7 +801,7 @@ mod tests {
         let ids: Vec<PointId> = (0..10)
             .map(|i| s.insert(&[f64::from(i), f64::from(i) + 0.5], Some(i)))
             .collect();
-        s.enable_tier(Box::new(MemCold::new()), 3).unwrap();
+        s.enable_tier(Box::new(MemMedium::new()), 3).unwrap();
         assert!(s.tiered());
         assert_eq!(s.hot_cap(), Some(3));
         assert_eq!(s.resident_points(), 0, "enable_tier starts all-cold");
@@ -820,7 +823,7 @@ mod tests {
     #[test]
     fn eviction_enforces_budget_and_preserves_payloads() {
         let mut s = PointStore::new(1);
-        s.enable_tier(Box::new(MemCold::new()), 4).unwrap();
+        s.enable_tier(Box::new(MemMedium::new()), 4).unwrap();
         let ids: Vec<PointId> = (0..32).map(|i| s.insert(&[f64::from(i)], None)).collect();
         assert_eq!(s.resident_points(), 32, "inserts land hot, over budget");
         let evicted = s.enforce_hot_budget().unwrap();
@@ -851,7 +854,7 @@ mod tests {
     fn tiered_eviction_is_deterministic_across_runs() {
         let run = || {
             let mut s = PointStore::new(2);
-            s.enable_tier(Box::new(MemCold::new()), 5).unwrap();
+            s.enable_tier(Box::new(MemMedium::new()), 5).unwrap();
             let mut ids = Vec::new();
             for round in 0..6 {
                 for i in 0..8 {
@@ -888,7 +891,7 @@ mod tests {
     fn cold_point_access_through_point_panics() {
         let mut s = PointStore::new(1);
         let id = s.insert(&[1.0], None);
-        s.enable_tier(Box::new(MemCold::new()), 1).unwrap();
+        s.enable_tier(Box::new(MemMedium::new()), 1).unwrap();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.point(id)));
         let msg = *caught.unwrap_err().downcast::<String>().unwrap();
         assert!(msg.contains("cold"), "{msg}");

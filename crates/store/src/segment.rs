@@ -34,18 +34,16 @@
 //! ENOSPC from the medium) surfaces as a typed [`StorageError`] the
 //! durability layer turns into its compact-first-then-shed policy
 //! (DESIGN.md §16). The segment size is an argument of
-//! [`SegmentedSink::fresh`]; the budget defaults to unbounded.
+//! [`SegmentedSink::fresh`] and [`SegmentedSink::open`]; the budget
+//! defaults to unbounded.
 
+use crate::medium::Medium;
 use crate::wal::{
     read_wal, wal_header, DurableSink, ReclaimReport, RollReport, WalContents, WalError, WalRecord,
     WAL_HEADER_LEN,
 };
-use std::collections::BTreeMap;
 use std::fmt;
-use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
 
 /// Name of one segment in a chain: `epoch` increments whenever the
 /// logical stream restarts (a resume after recovery), `seq` within an
@@ -83,249 +81,6 @@ impl fmt::Display for SegmentId {
     }
 }
 
-/// Where the segments of a chain live. Like [`DurableSink`], this is
-/// injectable: production uses [`FsSegments`], the crash suites use
-/// [`MemSegments`], and `idb-synth` wraps either with fault injection
-/// (ENOSPC budgets, rotation-point create failures, segment deletion).
-pub trait SegmentMedium {
-    /// The per-segment append sink this medium hands out.
-    type Sink: DurableSink;
-
-    /// Creates (or truncates) the segment `id`, returning its sink.
-    ///
-    /// # Errors
-    /// Whatever the medium reports.
-    fn create(&mut self, id: SegmentId) -> io::Result<Self::Sink>;
-
-    /// Reads the full contents of segment `id`.
-    ///
-    /// # Errors
-    /// Whatever the medium reports (`NotFound` when it does not exist).
-    fn read(&self, id: SegmentId) -> io::Result<Vec<u8>>;
-
-    /// Every segment currently present, in any order.
-    ///
-    /// # Errors
-    /// Whatever the medium reports.
-    fn list(&self) -> io::Result<Vec<SegmentId>>;
-
-    /// Deletes segment `id`, returning the bytes it held. Deleting a
-    /// missing segment is not an error (reclaim is idempotent).
-    ///
-    /// # Errors
-    /// Whatever the medium reports.
-    fn remove(&mut self, id: SegmentId) -> io::Result<u64>;
-}
-
-type SegmentMap = BTreeMap<SegmentId, Vec<u8>>;
-
-/// An in-memory [`SegmentMedium`]. Cloning shares the underlying map, so
-/// the crash suites keep a handle, snapshot the exact byte state at any
-/// boundary, "crash", restore, and recover — and the hostile-input tests
-/// reach in to delete or bit-flip individual segments.
-#[derive(Debug, Clone, Default)]
-pub struct MemSegments {
-    map: Arc<Mutex<SegmentMap>>,
-}
-
-impl MemSegments {
-    /// An empty medium.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A deep copy of every segment's bytes (a crash-point snapshot).
-    #[must_use]
-    pub fn snapshot(&self) -> BTreeMap<SegmentId, Vec<u8>> {
-        self.map.lock().expect("segment map poisoned").clone()
-    }
-
-    /// Replaces the entire contents (restoring a crash-point snapshot).
-    pub fn restore(&self, map: BTreeMap<SegmentId, Vec<u8>>) {
-        *self.map.lock().expect("segment map poisoned") = map;
-    }
-
-    /// The bytes of one segment, if present (corruption tests).
-    #[must_use]
-    pub fn segment_bytes(&self, id: SegmentId) -> Option<Vec<u8>> {
-        self.map
-            .lock()
-            .expect("segment map poisoned")
-            .get(&id)
-            .cloned()
-    }
-
-    /// Overwrites (or plants) one segment's bytes (corruption tests).
-    pub fn put_segment(&self, id: SegmentId, bytes: Vec<u8>) {
-        self.map
-            .lock()
-            .expect("segment map poisoned")
-            .insert(id, bytes);
-    }
-
-    /// Total bytes across all segments.
-    #[must_use]
-    pub fn total_bytes(&self) -> u64 {
-        self.map
-            .lock()
-            .expect("segment map poisoned")
-            .values()
-            .map(|b| b.len() as u64)
-            .sum()
-    }
-}
-
-/// The append sink of one in-memory segment.
-#[derive(Debug, Clone)]
-pub struct MemSegmentSink {
-    map: Arc<Mutex<SegmentMap>>,
-    id: SegmentId,
-}
-
-impl DurableSink for MemSegmentSink {
-    fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.map
-            .lock()
-            .expect("segment map poisoned")
-            .entry(self.id)
-            .or_default()
-            .extend_from_slice(bytes);
-        Ok(())
-    }
-
-    fn sync(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-
-    fn truncate(&mut self, len: u64) -> io::Result<()> {
-        if let Some(seg) = self
-            .map
-            .lock()
-            .expect("segment map poisoned")
-            .get_mut(&self.id)
-        {
-            // Truncation only ever shortens (short-write repair, epoch
-            // reset); a length beyond the current size means the caller's
-            // bookkeeping is wrong and must surface typed, not clamp.
-            truncate_in_memory(seg, len)?;
-        }
-        Ok(())
-    }
-}
-
-/// Shared guard for the in-memory sinks: cuts `data` to `len` bytes,
-/// rejecting a `len` beyond the current size with
-/// [`io::ErrorKind::InvalidInput`] instead of silently clamping.
-pub fn truncate_in_memory(data: &mut Vec<u8>, len: u64) -> io::Result<()> {
-    if len > data.len() as u64 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("truncate to {len} beyond current size {}", data.len()),
-        ));
-    }
-    data.truncate(usize::try_from(len).expect("len bounded by current size"));
-    Ok(())
-}
-
-impl SegmentMedium for MemSegments {
-    type Sink = MemSegmentSink;
-
-    fn create(&mut self, id: SegmentId) -> io::Result<Self::Sink> {
-        self.map
-            .lock()
-            .expect("segment map poisoned")
-            .insert(id, Vec::new());
-        Ok(MemSegmentSink {
-            map: Arc::clone(&self.map),
-            id,
-        })
-    }
-
-    fn read(&self, id: SegmentId) -> io::Result<Vec<u8>> {
-        self.segment_bytes(id)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("segment {id}")))
-    }
-
-    fn list(&self) -> io::Result<Vec<SegmentId>> {
-        Ok(self
-            .map
-            .lock()
-            .expect("segment map poisoned")
-            .keys()
-            .copied()
-            .collect())
-    }
-
-    fn remove(&mut self, id: SegmentId) -> io::Result<u64> {
-        Ok(self
-            .map
-            .lock()
-            .expect("segment map poisoned")
-            .remove(&id)
-            .map_or(0, |b| b.len() as u64))
-    }
-}
-
-/// A directory-backed [`SegmentMedium`]: one `wal-XXXXXXXX-XXXXXXXX.idbw`
-/// file per segment.
-#[derive(Debug, Clone)]
-pub struct FsSegments {
-    dir: PathBuf,
-}
-
-impl FsSegments {
-    /// Uses (creating if needed) `dir` as the segment directory.
-    ///
-    /// # Errors
-    /// Whatever the filesystem reports.
-    pub fn open<P: AsRef<Path>>(dir: P) -> io::Result<Self> {
-        fs::create_dir_all(&dir)?;
-        Ok(Self {
-            dir: dir.as_ref().to_path_buf(),
-        })
-    }
-
-    fn path(&self, id: SegmentId) -> PathBuf {
-        self.dir.join(id.file_name())
-    }
-}
-
-impl SegmentMedium for FsSegments {
-    type Sink = crate::wal::FileSink;
-
-    fn create(&mut self, id: SegmentId) -> io::Result<Self::Sink> {
-        crate::wal::FileSink::create(self.path(id))
-    }
-
-    fn read(&self, id: SegmentId) -> io::Result<Vec<u8>> {
-        fs::read(self.path(id))
-    }
-
-    fn list(&self) -> io::Result<Vec<SegmentId>> {
-        let mut ids = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let name = entry?.file_name();
-            if let Some(id) = name.to_str().and_then(SegmentId::parse) {
-                ids.push(id);
-            }
-        }
-        Ok(ids)
-    }
-
-    fn remove(&mut self, id: SegmentId) -> io::Result<u64> {
-        let path = self.path(id);
-        match fs::metadata(&path) {
-            Ok(meta) => {
-                fs::remove_file(&path)?;
-                Ok(meta.len())
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(0),
-            Err(e) => Err(e),
-        }
-    }
-}
-
 /// Bookkeeping for one sealed (no longer written) segment.
 #[derive(Debug, Clone, Copy)]
 struct SealedSeg {
@@ -337,26 +92,30 @@ struct SealedSeg {
 }
 
 /// A [`DurableSink`] that spreads one logical WAL byte stream across a
-/// chain of bounded segments on a [`SegmentMedium`].
+/// chain of bounded segments, one [`Medium`] object per segment.
 ///
 /// The `WalWriter` on top is oblivious: appends, syncs and short-write
 /// repairs address the logical stream, and the sink maps them onto the
 /// active segment. Rotation happens only through [`DurableSink::roll`]
-/// at commit boundaries — the sink seals the active segment, creates the
+/// at commit boundaries — the sink seals the active segment, starts the
 /// next one in the chain, and stamps it with a standard WAL header whose
 /// `base` is the absolute sequence number of the next record, keeping
 /// every segment independently parseable. [`DurableSink::reclaim`]
 /// deletes the sealed prefix a checkpoint has made redundant.
 ///
 /// `truncate(0)` — the resume path destroying a dead epoch — removes
-/// every segment and starts a fresh epoch numbered past everything seen,
-/// so [`read_chain`] can never confuse a new chain with leftovers.
-pub struct SegmentedSink<M: SegmentMedium> {
+/// every segment on the medium (including a chain adopted by
+/// [`SegmentedSink::open`]) and starts a fresh epoch numbered past
+/// everything seen, so [`read_chain`] can never confuse a new chain with
+/// leftovers.
+#[derive(Debug)]
+pub struct SegmentedSink<M: Medium> {
     medium: M,
     budget: u64,
     epoch: u64,
-    active: M::Sink,
     active_id: SegmentId,
+    /// `active_id.file_name()`, kept to spare a format per append.
+    active_name: String,
     /// Physical bytes in the active segment.
     active_len: u64,
     /// Physical header bytes of the active segment that are *not* part of
@@ -369,43 +128,42 @@ pub struct SegmentedSink<M: SegmentMedium> {
     sealed: Vec<SealedSeg>,
 }
 
-impl<M: SegmentMedium> fmt::Debug for SegmentedSink<M> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SegmentedSink")
-            .field("budget", &self.budget)
-            .field("active", &self.active_id)
-            .field("active_len", &self.active_len)
-            .field("sealed", &self.sealed.len())
-            .finish()
-    }
-}
-
-impl<M: SegmentMedium> SegmentedSink<M> {
+impl<M: Medium> SegmentedSink<M> {
     /// Starts a fresh chain on `medium` with the given per-segment byte
     /// budget: any leftover segments from an earlier life are removed
-    /// (mirroring [`crate::wal::FileSink::create`]'s truncation), and the
-    /// new chain's epoch is numbered past every epoch ever seen.
+    /// (mirroring a single-file WAL's truncation on create), and the new
+    /// chain's epoch is numbered past every epoch ever seen. The first
+    /// segment appears with the first append.
     ///
     /// # Errors
     /// Whatever the medium reports.
-    pub fn fresh(mut medium: M, segment_bytes: u64) -> io::Result<Self> {
-        let existing = medium.list()?;
-        let epoch = existing
+    pub fn fresh(medium: M, segment_bytes: u64) -> io::Result<Self> {
+        let sink = Self::open(medium, segment_bytes)?;
+        sink.remove_segments()?;
+        Ok(sink)
+    }
+
+    /// Adopts the chain on `medium` without touching it: the chain a
+    /// recovery just read, to resume on. Its segments stay readable until
+    /// `truncate(0)` removes them — which `resume` does only once its
+    /// anchor checkpoint is durable. Appends before that start a new
+    /// epoch, numbered past every epoch seen.
+    ///
+    /// # Errors
+    /// Whatever the medium reports.
+    pub fn open(medium: M, segment_bytes: u64) -> io::Result<Self> {
+        let epoch = segment_ids(&medium)?
             .iter()
             .map(|id| id.epoch)
             .max()
             .map_or(0, |e| e + 1);
-        for id in existing {
-            medium.remove(id)?;
-        }
         let active_id = SegmentId { epoch, seq: 0 };
-        let active = medium.create(active_id)?;
         Ok(Self {
             medium,
             budget: segment_bytes.max(1),
             epoch,
-            active,
             active_id,
+            active_name: active_id.file_name(),
             active_len: 0,
             header_skip: 0,
             logical_start: 0,
@@ -413,15 +171,21 @@ impl<M: SegmentMedium> SegmentedSink<M> {
         })
     }
 
+    /// Removes every segment on the medium, oldest first, so a kill
+    /// partway leaves a chain that lost only a prefix.
+    fn remove_segments(&self) -> io::Result<()> {
+        let mut ids = segment_ids(&self.medium)?;
+        ids.sort_unstable();
+        for id in ids {
+            self.medium.remove(&id.file_name())?;
+        }
+        Ok(())
+    }
+
     /// The segment medium.
     #[must_use]
     pub fn medium(&self) -> &M {
         &self.medium
-    }
-
-    /// The segment medium, mutably (fault toggling in tests).
-    pub fn medium_mut(&mut self) -> &mut M {
-        &mut self.medium
     }
 
     /// The chain's current epoch.
@@ -441,43 +205,46 @@ impl<M: SegmentMedium> SegmentedSink<M> {
     pub fn segment_count(&self) -> usize {
         self.sealed.len() + 1
     }
+
+    fn switch_to(&mut self, id: SegmentId) {
+        self.active_id = id;
+        self.active_name = id.file_name();
+    }
 }
 
-impl<M: SegmentMedium> DurableSink for SegmentedSink<M> {
+impl<M: Medium> DurableSink for SegmentedSink<M> {
     fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.active.append(bytes)?;
+        self.medium.append(&self.active_name, bytes)?;
         self.active_len += bytes.len() as u64;
         Ok(())
     }
 
     fn sync(&mut self) -> io::Result<()> {
-        self.active.sync()
+        self.medium.sync(&self.active_name)
     }
 
     fn truncate(&mut self, len: u64) -> io::Result<()> {
-        if len >= self.logical_start {
-            // A short-write repair inside the active segment.
-            let phys = self.header_skip + (len - self.logical_start);
-            self.active.truncate(phys)?;
-            self.active_len = phys;
-            return Ok(());
-        }
         if len == 0 {
-            // The resume path: the whole logical stream is dead. Remove
-            // every segment and begin a fresh epoch.
-            for seg in std::mem::take(&mut self.sealed) {
-                self.medium.remove(seg.id)?;
-            }
-            self.medium.remove(self.active_id)?;
+            // The resume path: the whole logical stream is dead, and so is
+            // any chain adopted by `open`. Remove every segment and begin
+            // a fresh epoch.
+            self.remove_segments()?;
+            self.sealed.clear();
             self.epoch += 1;
-            self.active_id = SegmentId {
+            self.switch_to(SegmentId {
                 epoch: self.epoch,
                 seq: 0,
-            };
-            self.active = self.medium.create(self.active_id)?;
+            });
             self.active_len = 0;
             self.header_skip = 0;
             self.logical_start = 0;
+            return Ok(());
+        }
+        if len >= self.logical_start {
+            // A short-write repair inside the active segment.
+            let phys = self.header_skip + (len - self.logical_start);
+            self.medium.truncate(&self.active_name, phys)?;
+            self.active_len = phys;
             return Ok(());
         }
         // The WalWriter only truncates to a committed length, and sealing
@@ -496,13 +263,20 @@ impl<M: SegmentMedium> DurableSink for SegmentedSink<M> {
             epoch: self.epoch,
             seq: self.active_id.seq + 1,
         };
-        // Create-and-stamp before switching: if anything here fails, the
-        // active segment is untouched and appends keep landing in it. A
-        // crash inside this window leaves at most a stray final segment
-        // with a short header, which `read_chain` ignores as torn.
-        let mut sink = self.medium.create(next_id)?;
-        sink.append(&wal_header(dim, next_base))?;
-        sink.sync()?;
+        // Stamp before switching: if anything here fails, the active
+        // segment is untouched and appends keep landing in it (the partial
+        // next segment is discarded so a retry starts clean). A crash
+        // inside this window leaves at most a stray final segment with a
+        // short header, which `read_chain` ignores as torn.
+        let next_name = next_id.file_name();
+        let stamped = self
+            .medium
+            .append(&next_name, &wal_header(dim, next_base))
+            .and_then(|()| self.medium.sync(&next_name));
+        if let Err(e) = stamped {
+            let _ = self.medium.remove(&next_name);
+            return Err(e);
+        }
         let sealed_bytes = self.active_len;
         self.sealed.push(SealedSeg {
             id: self.active_id,
@@ -510,8 +284,7 @@ impl<M: SegmentMedium> DurableSink for SegmentedSink<M> {
             end_seq: next_base,
         });
         self.logical_start += self.active_len - self.header_skip;
-        self.active = sink;
-        self.active_id = next_id;
+        self.switch_to(next_id);
         self.active_len = WAL_HEADER_LEN as u64;
         self.header_skip = WAL_HEADER_LEN as u64;
         Ok(Some(RollReport {
@@ -521,13 +294,20 @@ impl<M: SegmentMedium> DurableSink for SegmentedSink<M> {
         }))
     }
 
-    fn reclaim(&mut self, covered_seq: u64) -> io::Result<ReclaimReport> {
+    fn reclaim(
+        &mut self,
+        covered_seq: u64,
+        make_covering_durable: &mut dyn FnMut() -> io::Result<()>,
+    ) -> io::Result<ReclaimReport> {
         let mut report = ReclaimReport::default();
         while let Some(first) = self.sealed.first().copied() {
             if first.end_seq > covered_seq {
                 break;
             }
-            let freed = self.medium.remove(first.id)?;
+            if report.segments == 0 {
+                make_covering_durable()?;
+            }
+            let freed = self.medium.remove(&first.id.file_name())?;
             report.segments += 1;
             report.bytes += freed.max(first.bytes);
             self.sealed.remove(0);
@@ -538,6 +318,15 @@ impl<M: SegmentMedium> DurableSink for SegmentedSink<M> {
     fn live_bytes(&self) -> Option<u64> {
         Some(self.sealed.iter().map(|s| s.bytes).sum::<u64>() + self.active_len)
     }
+}
+
+/// The ids of every segment on `medium`, of any epoch, in any order.
+fn segment_ids<M: Medium + ?Sized>(medium: &M) -> io::Result<Vec<SegmentId>> {
+    Ok(medium
+        .list()?
+        .iter()
+        .filter_map(|name| SegmentId::parse(name))
+        .collect())
 }
 
 /// The decoded contents of a segment chain: the merged logical view of
@@ -596,8 +385,8 @@ impl ChainContents {
 ///   a dimensionality flip, a base that disagrees with its predecessor's
 ///   record count, or checksum-level damage inside any segment;
 /// * [`WalError::Io`] — the medium failed.
-pub fn read_chain<M: SegmentMedium>(medium: &M) -> Result<ChainContents, WalError> {
-    let mut ids = medium.list()?;
+pub fn read_chain<M: Medium + ?Sized>(medium: &M) -> Result<ChainContents, WalError> {
+    let mut ids = segment_ids(medium)?;
     let Some(epoch) = ids.iter().map(|id| id.epoch).max() else {
         return Ok(ChainContents {
             dim: 0,
@@ -629,7 +418,7 @@ pub fn read_chain<M: SegmentMedium>(medium: &M) -> Result<ChainContents, WalErro
     let mut torn_tail = false;
     let mut total_bytes = 0u64;
     for (k, &id) in ids.iter().enumerate() {
-        let bytes = medium.read(id)?;
+        let bytes = medium.read(&id.file_name())?;
         total_bytes += bytes.len() as u64;
         let parsed = read_wal(&bytes).map_err(|e| match e {
             WalError::Io(e) => WalError::Io(e),
@@ -788,6 +577,7 @@ impl std::error::Error for StorageError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::medium::MemMedium;
     use crate::wal::WalWriter;
     use crate::{Batch, PointId};
     use rand::rngs::StdRng;
@@ -814,16 +604,23 @@ mod tests {
             .collect()
     }
 
+    /// Overwrites (or plants) one segment's bytes.
+    fn put_segment(medium: &MemMedium, id: SegmentId, bytes: &[u8]) {
+        let name = id.file_name();
+        medium.remove(&name).unwrap();
+        medium.append(&name, bytes).unwrap();
+    }
+
     /// Drives a `WalWriter` over a `SegmentedSink` the way the durable
     /// maintainer does: append, commit, then offer a rotation with the
     /// next absolute sequence number.
     fn write_chain(
-        medium: MemSegments,
+        medium: MemMedium,
         budget: u64,
         dim: usize,
         base: u64,
         records: &[WalRecord],
-    ) -> WalWriter<SegmentedSink<MemSegments>> {
+    ) -> WalWriter<SegmentedSink<MemMedium>> {
         let sink = SegmentedSink::fresh(medium, budget).unwrap();
         let mut w = WalWriter::new(sink, dim, base, 1);
         w.commit().unwrap();
@@ -839,7 +636,7 @@ mod tests {
     #[test]
     fn chain_round_trips_across_rotations() {
         let records = sample_records(2, 30, 5);
-        let medium = MemSegments::new();
+        let medium = MemMedium::new();
         let w = write_chain(medium.clone(), 256, 2, 7, &records);
         assert!(
             w.sink().segment_count() > 3,
@@ -857,7 +654,7 @@ mod tests {
     #[test]
     fn huge_budget_never_rotates() {
         let records = sample_records(2, 10, 6);
-        let medium = MemSegments::new();
+        let medium = MemMedium::new();
         let w = write_chain(medium.clone(), u64::MAX, 2, 0, &records);
         assert_eq!(w.sink().segment_count(), 1);
         let chain = read_chain(&medium).unwrap();
@@ -867,13 +664,13 @@ mod tests {
     #[test]
     fn reclaim_deletes_exactly_the_covered_prefix() {
         let records = sample_records(1, 40, 7);
-        let medium = MemSegments::new();
+        let medium = MemMedium::new();
         let mut w = write_chain(medium.clone(), 200, 1, 0, &records);
         let before = w.sink().segment_count();
         assert!(before > 4);
         // A checkpoint covering record 20: everything wholly before it
         // may go; records >= 20 must survive.
-        let report = w.sink_mut().reclaim(20).unwrap();
+        let report = w.sink_mut().reclaim(20, &mut || Ok(())).unwrap();
         assert!(report.segments > 0);
         assert!(report.bytes > 0);
         assert_eq!(w.sink().segment_count(), before - report.segments as usize);
@@ -885,7 +682,7 @@ mod tests {
         );
         assert_eq!(chain.records[..], records[chain.base as usize..]);
         // Reclaiming everything keeps the active segment.
-        w.sink_mut().reclaim(u64::MAX).unwrap();
+        w.sink_mut().reclaim(u64::MAX, &mut || Ok(())).unwrap();
         assert_eq!(w.sink().segment_count(), 1);
         let chain = read_chain(&medium).unwrap();
         assert_eq!(chain.records[..], records[chain.base as usize..]);
@@ -894,11 +691,11 @@ mod tests {
     #[test]
     fn live_bytes_tracks_the_chain_and_shrinks_on_reclaim() {
         let records = sample_records(1, 30, 8);
-        let medium = MemSegments::new();
+        let medium = MemMedium::new();
         let mut w = write_chain(medium.clone(), 128, 1, 0, &records);
         let live = w.sink().live_bytes().unwrap();
         assert_eq!(live, medium.total_bytes());
-        w.sink_mut().reclaim(u64::MAX).unwrap();
+        w.sink_mut().reclaim(u64::MAX, &mut || Ok(())).unwrap();
         let after = w.sink().live_bytes().unwrap();
         assert!(after < live);
         assert_eq!(after, medium.total_bytes());
@@ -907,12 +704,12 @@ mod tests {
     #[test]
     fn a_chain_gap_is_a_typed_error() {
         let records = sample_records(1, 30, 9);
-        let medium = MemSegments::new();
+        let medium = MemMedium::new();
         let w = write_chain(medium.clone(), 128, 1, 0, &records);
         assert!(w.sink().segment_count() > 3);
         // Delete an interior segment outright.
         let victim = w.sink().sealed[1].id;
-        medium.clone().remove(victim).unwrap();
+        medium.remove(&victim.file_name()).unwrap();
         let err = read_chain(&medium).unwrap_err();
         assert!(
             matches!(err, WalError::ChainGap { expected_seq, .. } if expected_seq == victim.seq),
@@ -923,13 +720,13 @@ mod tests {
     #[test]
     fn interior_bit_damage_is_a_typed_error() {
         let records = sample_records(1, 30, 10);
-        let medium = MemSegments::new();
+        let medium = MemMedium::new();
         let w = write_chain(medium.clone(), 128, 1, 0, &records);
         let victim = w.sink().sealed[1].id;
-        let mut bytes = medium.segment_bytes(victim).unwrap();
+        let mut bytes = medium.read(&victim.file_name()).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x10;
-        medium.put_segment(victim, bytes);
+        put_segment(&medium, victim, &bytes);
         let err = read_chain(&medium).unwrap_err();
         assert!(matches!(err, WalError::CorruptSegment { .. }), "{err}");
     }
@@ -937,24 +734,24 @@ mod tests {
     #[test]
     fn interior_truncation_is_corrupt_but_final_truncation_is_torn() {
         let records = sample_records(1, 30, 11);
-        let medium = MemSegments::new();
+        let medium = MemMedium::new();
         let w = write_chain(medium.clone(), 128, 1, 0, &records);
         let last_id = w.sink().active_id();
         // Tearing the final segment is the crash rule: fine.
         let full = read_chain(&medium).unwrap();
-        let mut bytes = medium.segment_bytes(last_id).unwrap();
+        let mut bytes = medium.read(&last_id.file_name()).unwrap();
         if bytes.len() > WAL_HEADER_LEN + 3 {
             bytes.truncate(bytes.len() - 3);
-            medium.put_segment(last_id, bytes);
+            put_segment(&medium, last_id, &bytes);
             let chain = read_chain(&medium).unwrap();
             assert!(chain.torn_tail);
             assert!(chain.records.len() < full.records.len());
         }
         // Tearing an interior segment is damage: typed error.
         let victim = w.sink().sealed[0].id;
-        let mut bytes = medium.segment_bytes(victim).unwrap();
+        let mut bytes = medium.read(&victim.file_name()).unwrap();
         bytes.truncate(bytes.len() - 3);
-        medium.put_segment(victim, bytes);
+        put_segment(&medium, victim, &bytes);
         let err = read_chain(&medium).unwrap_err();
         assert!(
             matches!(err, WalError::CorruptSegment { .. }),
@@ -963,29 +760,9 @@ mod tests {
     }
 
     #[test]
-    fn truncate_beyond_current_size_is_rejected_typed() {
-        // Regression: the in-memory sinks used to clamp the requested
-        // length (`usize::try_from(len).unwrap_or(usize::MAX)`) instead
-        // of reporting the caller's bookkeeping error.
-        let mut medium = MemSegments::new();
-        let id = SegmentId { epoch: 1, seq: 0 };
-        let mut sink = medium.create(id).unwrap();
-        sink.append(b"0123456789").unwrap();
-        let err = sink.truncate(11).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
-        sink.truncate(4).unwrap();
-        assert_eq!(medium.segment_bytes(id).unwrap(), b"0123");
-        // Same guard on the raw helper.
-        let mut data = vec![0u8; 4];
-        assert!(truncate_in_memory(&mut data, u64::MAX).is_err());
-        truncate_in_memory(&mut data, 0).unwrap();
-        assert!(data.is_empty());
-    }
-
-    #[test]
     fn truncate_zero_begins_a_fresh_epoch_and_ignores_leftovers() {
         let records = sample_records(2, 20, 12);
-        let medium = MemSegments::new();
+        let medium = MemMedium::new();
         let mut w = write_chain(medium.clone(), 200, 2, 0, &records);
         let old_epoch = w.sink().epoch();
         // The resume path: wipe, then a new writer stamps a new header.
@@ -1004,12 +781,13 @@ mod tests {
         assert_eq!(chain.base, 20);
         assert_eq!(chain.records, fresh);
         // Plant a leftover segment from an older epoch: still ignored.
-        medium.put_segment(
+        put_segment(
+            &medium,
             SegmentId {
                 epoch: old_epoch,
                 seq: 0,
             },
-            b"garbage from a dead epoch".to_vec(),
+            b"garbage from a dead epoch",
         );
         let chain = read_chain(&medium).unwrap();
         assert_eq!(chain.records, fresh);
@@ -1020,7 +798,7 @@ mod tests {
         // A rotated segment's physical layout is offset by the header the
         // sink stamped; the logical truncate must land correctly.
         let records = sample_records(1, 12, 14);
-        let medium = MemSegments::new();
+        let medium = MemMedium::new();
         let mut w = write_chain(medium.clone(), 100, 1, 0, &records);
         assert!(
             w.sink().segment_count() > 1,
@@ -1037,41 +815,10 @@ mod tests {
 
     #[test]
     fn empty_medium_reads_as_an_empty_chain() {
-        let chain = read_chain(&MemSegments::new()).unwrap();
+        let chain = read_chain(&MemMedium::new()).unwrap();
         assert_eq!(chain.records.len(), 0);
         assert_eq!(chain.dim, 0);
         assert!(!chain.torn_tail);
-    }
-
-    #[test]
-    fn fs_segments_round_trip_and_reclaim() {
-        let dir = crate::wal::scratch_dir().join(format!(
-            "idb-seg-test-{}-{}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .as_nanos()
-        ));
-        let medium = FsSegments::open(&dir).unwrap();
-        let records = sample_records(2, 20, 15);
-        let sink = SegmentedSink::fresh(medium.clone(), 256).unwrap();
-        let mut w = WalWriter::new(sink, 2, 0, 1);
-        w.commit().unwrap();
-        for r in &records {
-            w.append(r);
-            w.commit().unwrap();
-            let next = w.committed_records();
-            w.sink_mut().roll(2, next).unwrap();
-        }
-        assert!(w.sink().segment_count() > 1);
-        let chain = read_chain(&medium).unwrap();
-        assert_eq!(chain.records, records);
-        w.sink_mut().reclaim(10).unwrap();
-        let chain = read_chain(&medium).unwrap();
-        assert!(chain.base <= 10);
-        assert_eq!(chain.records[..], records[chain.base as usize..]);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

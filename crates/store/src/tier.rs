@@ -4,10 +4,11 @@
 //! maintenance rarely touches raw payloads; this module makes the memory
 //! footprint match that access pattern. A tiered
 //! [`PointStore`](crate::PointStore) keeps at most a configured number of
-//! *hot* points resident in its slab and spills everything else to a
-//! [`ColdMedium`] — a file of fixed-stride coordinate records addressed
-//! by slot index (`offset = slot * dim * 8`, little-endian `f64`s), read
-//! with positioned reads and rewritten atomically via tmp + rename.
+//! *hot* points resident in its slab and spills everything else to one
+//! object on a [`Medium`] — fixed-stride coordinate records addressed by
+//! slot index (`offset = slot * dim * 8`, little-endian `f64`s), read and
+//! written in place and rewritten atomically via a `.tmp` object +
+//! rename.
 //!
 //! # Determinism contract
 //!
@@ -24,10 +25,11 @@
 //!    the same op stream reproduces the same hot set, the same cold
 //!    writes, and the same counters.
 //!
-//! The cold file is an ephemeral spill, **not** durability state:
-//! recovery rebuilds the store from checkpoints + WAL (always untiered)
-//! and re-enables the tier afterwards, so a crash can never lose
-//! acknowledged data through the cold path.
+//! The spill is ephemeral, **not** durability state: recovery rebuilds
+//! the store from checkpoints + WAL (always untiered) and re-enables the
+//! tier afterwards, so a crash can never lose acknowledged data through
+//! the cold path. The last handle to a tiered store removes it (and any
+//! abandoned `.tmp`).
 //!
 //! # Failure ladder
 //!
@@ -38,32 +40,32 @@
 //! maintainer degrades until a later sweep succeeds); a failed demand
 //! read on the batch path rejects the batch before anything mutates.
 
+use crate::medium::{FsMedium, Medium, MemMedium};
 use crate::segment::StorageError;
-use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
-use std::os::unix::fs::FileExt;
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Environment variable naming the directory [`default_cold_medium`]
 /// creates its spill files in. It is a path, not a behaviour switch:
 /// tiering itself is configured only by the caller's hot-point budget.
 pub const COLD_DIR_ENV: &str = "IDB_COLD_DIR";
 
-/// The cold medium a tiered durable maintainer spills to: an [`FsCold`]
-/// file with a unique name under `IDB_COLD_DIR` when that variable is
-/// set, an in-memory [`MemCold`] otherwise.
+/// A file-backed spill: [`FsMedium::create`] on the spill's path.
+pub type FsCold = FsMedium;
+
+/// The medium a tiered durable maintainer spills to: a file with a unique
+/// name under `IDB_COLD_DIR` when that variable is set, memory otherwise.
 ///
 /// # Errors
 /// The spill file cannot be created under `IDB_COLD_DIR` (a missing
 /// directory, a path through a regular file, no permission). A
 /// configured directory never silently degrades to memory.
-pub fn default_cold_medium() -> io::Result<Box<dyn ColdMedium>> {
+pub fn default_cold_medium() -> io::Result<Box<dyn Medium>> {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let Some(dir) = std::env::var_os(COLD_DIR_ENV) else {
-        return Ok(Box::new(MemCold::new()));
+        return Ok(Box::new(MemMedium::new()));
     };
     let n = SEQ.fetch_add(1, Ordering::Relaxed);
     let path = Path::new(&dir).join(format!("cold-{}-{n}.points", std::process::id()));
@@ -72,6 +74,11 @@ pub fn default_cold_medium() -> io::Result<Box<dyn ColdMedium>> {
     Ok(Box::new(fs))
 }
 
+/// The spill object's name on its medium (with [`FsMedium::create`], the
+/// spill file itself) and the staging object of a rewrite.
+const SPILL: &str = "";
+const SPILL_TMP: &str = ".tmp";
+
 fn cold_io(op: &'static str, e: &io::Error) -> StorageError {
     StorageError::ColdIo {
         op,
@@ -79,280 +86,59 @@ fn cold_io(op: &'static str, e: &io::Error) -> StorageError {
     }
 }
 
-/// Backing storage for spilled point payloads: positioned reads and
-/// writes over a flat record space, plus an atomic whole-content
-/// rewrite. Implementations share their underlying medium across
-/// [`boxed_clone`](ColdMedium::boxed_clone) (like
-/// [`MemSegments`](crate::MemSegments)), so a cloned tiered store reads
-/// the same cold records.
-pub trait ColdMedium: Send + Sync + fmt::Debug {
-    /// Fills `buf` from `offset`.
-    ///
-    /// # Errors
-    /// [`StorageError::ColdIo`] when the record cannot be read in full.
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), StorageError>;
-
-    /// Writes `data` at `offset`, extending the medium as needed.
-    ///
-    /// # Errors
-    /// [`StorageError::ColdIo`] when the write cannot complete.
-    fn write_at(&self, offset: u64, data: &[u8]) -> Result<(), StorageError>;
-
-    /// Begins an atomic whole-content rewrite: stream chunks through
-    /// [`ColdRewriter::append`], then [`ColdRewriter::commit`]. Until
-    /// commit, readers see the old content; a dropped (uncommitted)
-    /// rewriter leaves the old content intact — the crash-consistency
-    /// contract of tmp + rename.
-    ///
-    /// # Errors
-    /// [`StorageError::ColdIo`] when the staging area cannot be created.
-    fn start_rewrite(&self) -> Result<Box<dyn ColdRewriter + '_>, StorageError>;
-
-    /// Clones the handle; the clone shares the same underlying medium.
-    fn boxed_clone(&self) -> Box<dyn ColdMedium>;
-}
-
-/// An in-progress atomic rewrite of a [`ColdMedium`]'s content.
-pub trait ColdRewriter {
-    /// Appends a chunk to the staged content.
-    ///
-    /// # Errors
-    /// [`StorageError::ColdIo`] when the chunk cannot be staged.
-    fn append(&mut self, chunk: &[u8]) -> Result<(), StorageError>;
-
-    /// Atomically publishes the staged content.
-    ///
-    /// # Errors
-    /// [`StorageError::ColdIo`] when publication fails; the old content
-    /// remains visible.
-    fn commit(self: Box<Self>) -> Result<(), StorageError>;
-}
-
-/// In-memory cold medium for tests and hermetic runs. Clones share the
-/// same backing vector.
-#[derive(Debug, Clone, Default)]
-pub struct MemCold {
-    data: Arc<Mutex<Vec<u8>>>,
-}
-
-impl MemCold {
-    /// An empty in-memory medium.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Current content length in bytes (tests).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.data.lock().expect("cold lock").len()
-    }
-
-    /// `true` when nothing has been spilled yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl ColdMedium for MemCold {
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), StorageError> {
-        let data = self.data.lock().expect("cold lock");
-        let start = usize::try_from(offset).map_err(|_| StorageError::ColdIo {
-            op: "read",
-            detail: format!("offset {offset} exceeds the address space"),
-        })?;
-        let end = start.checked_add(buf.len()).filter(|&e| e <= data.len());
-        match end {
-            Some(end) => {
-                buf.copy_from_slice(&data[start..end]);
-                Ok(())
-            }
-            None => Err(StorageError::ColdIo {
-                op: "read",
-                detail: format!(
-                    "short read: {} bytes at {offset} but medium holds {}",
-                    buf.len(),
-                    data.len()
-                ),
-            }),
-        }
-    }
-
-    fn write_at(&self, offset: u64, data: &[u8]) -> Result<(), StorageError> {
-        let mut vec = self.data.lock().expect("cold lock");
-        let start = usize::try_from(offset).map_err(|_| StorageError::ColdIo {
-            op: "write",
-            detail: format!("offset {offset} exceeds the address space"),
-        })?;
-        let end = start + data.len();
-        if vec.len() < end {
-            vec.resize(end, 0);
-        }
-        vec[start..end].copy_from_slice(data);
-        Ok(())
-    }
-
-    fn start_rewrite(&self) -> Result<Box<dyn ColdRewriter + '_>, StorageError> {
-        Ok(Box::new(MemRewriter {
-            staged: Vec::new(),
-            target: Arc::clone(&self.data),
-        }))
-    }
-
-    fn boxed_clone(&self) -> Box<dyn ColdMedium> {
-        Box::new(self.clone())
-    }
-}
-
-struct MemRewriter {
-    staged: Vec<u8>,
-    target: Arc<Mutex<Vec<u8>>>,
-}
-
-impl ColdRewriter for MemRewriter {
-    fn append(&mut self, chunk: &[u8]) -> Result<(), StorageError> {
-        self.staged.extend_from_slice(chunk);
-        Ok(())
-    }
-
-    fn commit(self: Box<Self>) -> Result<(), StorageError> {
-        *self.target.lock().expect("cold lock") = self.staged;
-        Ok(())
-    }
-}
-
-/// File-backed cold medium: one flat file of fixed-stride records,
-/// positioned reads/writes, tmp + rename rewrites. Clones share the same
-/// file handle (and therefore see each other's writes).
-///
-/// The spill file (and any abandoned rewrite staging file) is removed
-/// when the **last** clone drops: a spill only ever caches points the WAL
-/// and checkpoints already hold, and recovery never reads it.
-#[derive(Debug, Clone)]
-pub struct FsCold {
-    spill: Arc<SpillFile>,
-}
-
-/// The handle every [`FsCold`] clone shares; dropping the last one
-/// deletes the spill.
+/// The spill every clone of a tiered store shares: positioned record IO
+/// on one medium object. Dropping the last handle removes the spill.
 #[derive(Debug)]
-struct SpillFile {
-    path: PathBuf,
-    file: Mutex<File>,
+pub(crate) struct Spill {
+    medium: Box<dyn Medium>,
 }
 
-impl SpillFile {
-    fn lock(&self) -> std::sync::MutexGuard<'_, File> {
-        self.file.lock().expect("cold lock")
-    }
-}
-
-impl Drop for SpillFile {
-    fn drop(&mut self) {
-        // Best effort: a spill that is already gone (or a directory that
-        // was removed under us) leaves nothing to clean up.
-        let _ = std::fs::remove_file(&self.path);
-        let _ = std::fs::remove_file(tmp_path(&self.path));
-    }
-}
-
-/// The staging path of a rewrite of the spill at `path`.
-fn tmp_path(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_owned();
-    os.push(".tmp");
-    PathBuf::from(os)
-}
-
-impl FsCold {
-    /// Creates (truncating) the spill file at `path`.
-    ///
-    /// # Errors
-    /// [`StorageError::ColdIo`] when the file cannot be created.
-    pub fn create(path: impl Into<PathBuf>) -> Result<Self, StorageError> {
-        let path = path.into();
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)
-            .map_err(|e| cold_io("create", &e))?;
-        Ok(Self {
-            spill: Arc::new(SpillFile {
-                path,
-                file: Mutex::new(file),
-            }),
-        })
+impl Spill {
+    /// Publishes `chunks` as the whole spill: staged in the `.tmp` object
+    /// (discarding any abandoned one), then renamed over the spill. Until
+    /// the rename, readers see the old content. The guard exists from the
+    /// start, so a failure anywhere removes the spill and the staging
+    /// object.
+    pub(crate) fn create(
+        medium: Box<dyn Medium>,
+        chunks: impl Iterator<Item = Vec<u8>>,
+    ) -> Result<Self, StorageError> {
+        let spill = Self { medium };
+        let medium = &spill.medium;
+        let staged = (|| {
+            medium.remove(SPILL_TMP)?;
+            medium.append(SPILL_TMP, &[])?; // Exists even when nothing spills.
+            for chunk in chunks {
+                medium.append(SPILL_TMP, &chunk)?;
+            }
+            // Not for durability: written back now, the spill's pages
+            // cannot reach the disk later, under the batch path's fsyncs.
+            medium.sync(SPILL_TMP)?;
+            medium.rename(SPILL_TMP, SPILL)
+        })();
+        staged.map_err(|e| cold_io("rewrite", &e))?;
+        Ok(spill)
     }
 
-    /// The spill file's path.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.spill.path
-    }
-}
-
-impl ColdMedium for FsCold {
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), StorageError> {
-        self.spill
-            .lock()
-            .read_exact_at(buf, offset)
+    pub(crate) fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), StorageError> {
+        self.medium
+            .read_at(SPILL, offset, buf)
             .map_err(|e| cold_io("read", &e))
     }
 
-    fn write_at(&self, offset: u64, data: &[u8]) -> Result<(), StorageError> {
-        self.spill
-            .lock()
-            .write_all_at(data, offset)
+    pub(crate) fn write_at(&self, offset: u64, data: &[u8]) -> Result<(), StorageError> {
+        self.medium
+            .write_at(SPILL, offset, data)
             .map_err(|e| cold_io("write", &e))
     }
-
-    fn start_rewrite(&self) -> Result<Box<dyn ColdRewriter + '_>, StorageError> {
-        let tmp = tmp_path(&self.spill.path);
-        let file = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp)
-            .map_err(|e| cold_io("rewrite", &e))?;
-        Ok(Box::new(FsRewriter {
-            owner: self,
-            tmp,
-            file,
-        }))
-    }
-
-    fn boxed_clone(&self) -> Box<dyn ColdMedium> {
-        Box::new(self.clone())
-    }
 }
 
-struct FsRewriter<'a> {
-    owner: &'a FsCold,
-    tmp: PathBuf,
-    file: File,
-}
-
-impl ColdRewriter for FsRewriter<'_> {
-    fn append(&mut self, chunk: &[u8]) -> Result<(), StorageError> {
-        self.file
-            .write_all(chunk)
-            .map_err(|e| cold_io("rewrite", &e))
-    }
-
-    fn commit(self: Box<Self>) -> Result<(), StorageError> {
-        self.file.sync_all().map_err(|e| cold_io("rewrite", &e))?;
-        std::fs::rename(&self.tmp, &self.owner.spill.path).map_err(|e| cold_io("rewrite", &e))?;
-        // The shared handle still points at the replaced inode; reopen so
-        // every clone reads the published content.
-        let fresh = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&self.owner.spill.path)
-            .map_err(|e| cold_io("rewrite", &e))?;
-        *self.owner.spill.lock() = fresh;
-        Ok(())
+impl Drop for Spill {
+    fn drop(&mut self) {
+        // Best effort: a spill that is already gone (or a directory that
+        // was removed under us) leaves nothing to clean up.
+        let _ = self.medium.remove(SPILL);
+        let _ = self.medium.remove(SPILL_TMP);
     }
 }
 
@@ -384,7 +170,7 @@ pub(crate) const FREE_FRAME: u32 = u32::MAX;
 /// and `frame_slot` translate between the two spaces.
 #[derive(Debug)]
 pub(crate) struct Tier {
-    pub(crate) cold: Box<dyn ColdMedium>,
+    pub(crate) cold: Arc<Spill>,
     pub(crate) hot_cap: usize,
     /// slot -> hot frame, or [`NONE_FRAME`] when the slot is cold/dead.
     pub(crate) frame_of: Vec<u32>,
@@ -424,7 +210,7 @@ impl Tier {
 impl Clone for Tier {
     fn clone(&self) -> Self {
         Self {
-            cold: self.cold.boxed_clone(),
+            cold: Arc::clone(&self.cold),
             hot_cap: self.hot_cap,
             frame_of: self.frame_of.clone(),
             frame_slot: self.frame_slot.clone(),
@@ -437,126 +223,5 @@ impl Clone for Tier {
             cold_bytes: AtomicU64::new(self.cold_bytes.load(Ordering::Relaxed)),
             evictions: self.evictions,
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn mem_cold_positioned_io_round_trips() {
-        let m = MemCold::new();
-        m.write_at(16, &[1, 2, 3, 4]).unwrap();
-        let mut buf = [0u8; 4];
-        m.read_at(16, &mut buf).unwrap();
-        assert_eq!(buf, [1, 2, 3, 4]);
-        // The gap before the record reads as zeros.
-        let mut head = [9u8; 16];
-        m.read_at(0, &mut head).unwrap();
-        assert_eq!(head, [0u8; 16]);
-    }
-
-    #[test]
-    fn mem_cold_short_read_is_typed() {
-        let m = MemCold::new();
-        m.write_at(0, &[1, 2]).unwrap();
-        let mut buf = [0u8; 8];
-        let err = m.read_at(0, &mut buf).unwrap_err();
-        assert!(
-            matches!(err, StorageError::ColdIo { op: "read", .. }),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn mem_cold_clones_share_content() {
-        let a = MemCold::new();
-        let b = a.boxed_clone();
-        a.write_at(0, &[7; 8]).unwrap();
-        let mut buf = [0u8; 8];
-        b.read_at(0, &mut buf).unwrap();
-        assert_eq!(buf, [7; 8]);
-    }
-
-    #[test]
-    fn mem_rewrite_is_atomic_until_commit() {
-        let m = MemCold::new();
-        m.write_at(0, b"old-content!").unwrap();
-        let mut rw = m.start_rewrite().unwrap();
-        rw.append(b"new!").unwrap();
-        // Not yet committed: readers still see the old content.
-        let mut buf = [0u8; 12];
-        m.read_at(0, &mut buf).unwrap();
-        assert_eq!(&buf, b"old-content!");
-        rw.commit().unwrap();
-        let mut buf = [0u8; 4];
-        m.read_at(0, &mut buf).unwrap();
-        assert_eq!(&buf, b"new!");
-        assert_eq!(m.len(), 4, "commit replaces, not appends");
-    }
-
-    #[test]
-    fn fs_cold_round_trips_and_rewrites_via_rename() {
-        let dir = std::env::temp_dir().join(format!("idb-tier-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cold.points");
-        let fs = FsCold::create(&path).unwrap();
-        fs.write_at(8, &[5u8; 8]).unwrap();
-        let mut buf = [0u8; 8];
-        fs.read_at(8, &mut buf).unwrap();
-        assert_eq!(buf, [5u8; 8]);
-
-        // A clone shares the handle.
-        let twin = fs.boxed_clone();
-        let mut buf = [0u8; 8];
-        twin.read_at(8, &mut buf).unwrap();
-        assert_eq!(buf, [5u8; 8]);
-
-        // Rewrite publishes atomically and the old handle follows.
-        let mut rw = fs.start_rewrite().unwrap();
-        rw.append(&[1u8; 4]).unwrap();
-        rw.commit().unwrap();
-        let mut buf = [0u8; 4];
-        twin.read_at(0, &mut buf).unwrap();
-        assert_eq!(buf, [1u8; 4]);
-        let mut long = [0u8; 16];
-        assert!(twin.read_at(0, &mut long).is_err(), "old length is gone");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn fs_cold_spill_is_removed_when_the_last_handle_drops() {
-        let dir = std::env::temp_dir().join(format!("idb-tier-leak-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cold.points");
-        let fs = FsCold::create(&path).unwrap();
-        fs.write_at(0, &[3u8; 8]).unwrap();
-        let twin = fs.boxed_clone();
-        drop(fs);
-        assert!(path.exists(), "a live clone keeps the spill");
-        let mut buf = [0u8; 8];
-        twin.read_at(0, &mut buf).unwrap();
-        assert_eq!(buf, [3u8; 8]);
-        drop(twin);
-        assert!(!path.exists(), "the last handle removes the spill");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn abandoned_fs_rewrite_leaves_old_content() {
-        let dir = std::env::temp_dir().join(format!("idb-tier-drop-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let fs = FsCold::create(dir.join("cold.points")).unwrap();
-        fs.write_at(0, b"keep").unwrap();
-        {
-            let mut rw = fs.start_rewrite().unwrap();
-            rw.append(b"discarded").unwrap();
-            // Dropped without commit: crash-equivalent.
-        }
-        let mut buf = [0u8; 4];
-        fs.read_at(0, &mut buf).unwrap();
-        assert_eq!(&buf, b"keep");
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

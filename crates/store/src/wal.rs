@@ -37,12 +37,12 @@
 //! input, so a hostile length prefix cannot drive the reader out of
 //! memory.
 
+use crate::medium::{FsMedium, Medium};
 use crate::snapshot::crc32;
 use crate::{Batch, PointId};
 use idb_obs::{EventKind, Obs};
 use std::fmt;
-use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// Magic prefix of a WAL file.
@@ -135,11 +135,12 @@ pub fn scratch_dir() -> PathBuf {
         .unwrap_or_else(std::env::temp_dir)
 }
 
-/// Abstraction over the durable medium the WAL appends to.
+/// The append-only byte stream a [`WalWriter`] commits to.
 ///
-/// Production uses [`FileSink`]; tests use [`MemSink`] or the
-/// fault-injecting sink in `idb-synth` to simulate short writes, fsync
-/// failures and kills at arbitrary byte positions.
+/// Two implementations exist: [`ObjectSink`], one [`Medium`] object (the
+/// single-file WAL), and [`crate::SegmentedSink`], a chain of bounded
+/// segment objects. Faults (short writes, fsync failures, ENOSPC, kills
+/// at any operation) come from the medium underneath.
 pub trait DurableSink {
     /// Appends `bytes` at the end of the medium. A failure may leave a
     /// *prefix* of `bytes` written (a short write); the caller repairs
@@ -176,14 +177,20 @@ pub trait DurableSink {
         Ok(None)
     }
 
-    /// Asks the medium to reclaim storage wholly covered by a durable
-    /// checkpoint: every sealed segment whose records all have absolute
-    /// sequence numbers below `covered_seq` may be deleted. Single-extent
-    /// media reclaim nothing.
+    /// Asks the medium to reclaim storage wholly covered by a checkpoint:
+    /// every sealed segment whose records all have absolute sequence
+    /// numbers below `covered_seq` may be deleted — but only after
+    /// `make_covering_durable` (which syncs that checkpoint) succeeded, so
+    /// a crash can never find the records gone and their checkpoint
+    /// missing. Single-extent media reclaim nothing and never call it.
     ///
     /// # Errors
-    /// Whatever the medium reports.
-    fn reclaim(&mut self, _covered_seq: u64) -> io::Result<ReclaimReport> {
+    /// Whatever the medium or `make_covering_durable` reports.
+    fn reclaim(
+        &mut self,
+        _covered_seq: u64,
+        _make_covering_durable: &mut dyn FnMut() -> io::Result<()>,
+    ) -> io::Result<ReclaimReport> {
         Ok(ReclaimReport::default())
     }
 
@@ -215,95 +222,72 @@ pub struct ReclaimReport {
     pub bytes: u64,
 }
 
-/// An in-memory [`DurableSink`] — the reference medium for the
-/// crash-consistency suites, which slice its byte buffer at arbitrary
-/// crash points.
-#[derive(Debug, Clone, Default)]
-pub struct MemSink {
-    data: Vec<u8>,
+/// A [`DurableSink`] over one [`Medium`] object: the single-file WAL.
+///
+/// [`FileSink::create`] puts it on a file; over a
+/// [`MemMedium`](crate::MemMedium) it is the
+/// reference the crash suites slice at arbitrary byte positions.
+#[derive(Debug, Clone)]
+pub struct ObjectSink<M: Medium> {
+    medium: M,
+    name: String,
 }
 
-impl MemSink {
-    /// An empty sink.
+/// The single-file WAL on the filesystem.
+pub type FileSink = ObjectSink<FsMedium>;
+
+impl<M: Medium> ObjectSink<M> {
+    /// Appends to object `name` of `medium`.
+    pub fn new(medium: M, name: impl Into<String>) -> Self {
+        Self {
+            medium,
+            name: name.into(),
+        }
+    }
+
+    /// The medium underneath (fault plans, snapshots).
     #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+    pub fn medium(&self) -> &M {
+        &self.medium
     }
 
-    /// Everything appended so far.
+    /// Everything appended so far — what a recovery would find (empty
+    /// before the first append).
+    ///
+    /// # Panics
+    /// Panics when the medium refuses the read (an injected read outage);
+    /// this is an inspection helper, not a data path.
     #[must_use]
-    pub fn bytes(&self) -> &[u8] {
-        &self.data
+    pub fn bytes(&self) -> Vec<u8> {
+        match self.medium.read(&self.name) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => panic!("wal object {:?} unreadable: {e}", self.name),
+        }
     }
-
-    /// Consumes the sink, returning its bytes.
-    #[must_use]
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.data
-    }
-}
-
-impl DurableSink for MemSink {
-    fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.data.extend_from_slice(bytes);
-        Ok(())
-    }
-
-    fn sync(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-
-    fn truncate(&mut self, len: u64) -> io::Result<()> {
-        crate::segment::truncate_in_memory(&mut self.data, len)
-    }
-}
-
-/// A file-backed [`DurableSink`] (append mode; `sync` maps to
-/// `File::sync_data`).
-#[derive(Debug)]
-pub struct FileSink {
-    file: fs::File,
 }
 
 impl FileSink {
-    /// Creates (or truncates) the file at `path`.
+    /// Creates (or truncates) the WAL file at `path`.
     ///
     /// # Errors
     /// Whatever the filesystem reports.
     pub fn create<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        // `O_APPEND` (not plain write mode) so that appends after a
-        // `set_len` repair land at the new end of file; truncation to
-        // empty is explicit because std rejects `truncate` + `append`.
-        let file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        file.set_len(0)?;
-        Ok(Self { file })
-    }
-
-    /// Opens an existing file for appending (resuming a WAL after
-    /// recovery truncated it to its valid prefix).
-    ///
-    /// # Errors
-    /// Whatever the filesystem reports.
-    pub fn open_append<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        let file = fs::OpenOptions::new().append(true).open(path)?;
-        Ok(Self { file })
+        Ok(Self::new(FsMedium::create(path)?, ""))
     }
 }
 
-impl DurableSink for FileSink {
+impl<M: Medium> DurableSink for ObjectSink<M> {
     fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.file.write_all(bytes)
+        self.medium.append(&self.name, bytes)
     }
 
     fn sync(&mut self) -> io::Result<()> {
-        self.file.sync_data()
+        self.medium.sync(&self.name)
     }
 
     fn truncate(&mut self, len: u64) -> io::Result<()> {
-        self.file.set_len(len)
+        self.medium.truncate(&self.name, len)
     }
 }
 
@@ -725,6 +709,7 @@ impl<S: DurableSink> WalWriter<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::medium::MemMedium;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -755,13 +740,17 @@ mod tests {
             .collect()
     }
 
+    fn mem_sink() -> ObjectSink<MemMedium> {
+        ObjectSink::new(MemMedium::new(), "wal")
+    }
+
     fn write_log(dim: usize, base: u64, records: &[WalRecord]) -> Vec<u8> {
-        let mut w = WalWriter::new(MemSink::new(), dim, base, 1);
+        let mut w = WalWriter::new(mem_sink(), dim, base, 1);
         for r in records {
             w.append(r);
             w.commit().unwrap();
         }
-        w.into_sink().into_bytes()
+        w.into_sink().bytes()
     }
 
     #[test]
@@ -856,7 +845,7 @@ mod tests {
     #[test]
     fn group_commit_buffers_until_the_group_fills() {
         let records = sample_records(2, 5, 17);
-        let mut w = WalWriter::new(MemSink::new(), 2, 0, 3);
+        let mut w = WalWriter::new(mem_sink(), 2, 0, 3);
         w.append(&records[0]);
         w.append(&records[1]);
         assert!(!w.wants_commit());
@@ -865,7 +854,7 @@ mod tests {
         assert!(w.wants_commit());
         w.commit().unwrap();
         assert_eq!(w.committed_records(), 3);
-        let mid = read_wal(w.sink().bytes()).unwrap();
+        let mid = read_wal(&w.sink().bytes()).unwrap();
         assert_eq!(mid.records[..], records[..3]);
         // Explicit commit flushes a partial group.
         w.append(&records[3]);
@@ -879,7 +868,7 @@ mod tests {
         use std::sync::Arc;
         let records = sample_records(2, 3, 23);
         let ring = Arc::new(RingRecorder::new());
-        let mut w = WalWriter::new(MemSink::new(), 2, 0, 2);
+        let mut w = WalWriter::new(mem_sink(), 2, 0, 2);
         w.set_obs(Obs::with_recorder(ring.clone()));
         w.append(&records[0]);
         w.append(&records[1]);
@@ -913,7 +902,7 @@ mod tests {
     /// A sink whose next appends fail after writing only a prefix — the
     /// short-write repair path must truncate and rewrite.
     struct ShortWriteSink {
-        inner: MemSink,
+        inner: ObjectSink<MemMedium>,
         fail_after: Option<usize>,
     }
 
@@ -940,7 +929,7 @@ mod tests {
         use std::sync::Arc;
         let records = sample_records(2, 2, 19);
         let sink = ShortWriteSink {
-            inner: MemSink::new(),
+            inner: mem_sink(),
             fail_after: None,
         };
         let ring = Arc::new(RingRecorder::new());
@@ -954,12 +943,12 @@ mod tests {
         assert!(w.commit().is_err());
         // The medium now holds record 0 plus 5 garbage-prefix bytes; a
         // recovery here sees a torn tail.
-        let mid = read_wal(w.sink().inner.bytes()).unwrap();
+        let mid = read_wal(&w.sink().inner.bytes()).unwrap();
         assert_eq!(mid.records.len(), 1);
         assert!(mid.torn_tail);
         // The retry truncates the partial bytes and lands the record.
         w.commit().unwrap();
-        let done = read_wal(w.sink().inner.bytes()).unwrap();
+        let done = read_wal(&w.sink().inner.bytes()).unwrap();
         assert_eq!(done.records[..], records[..2]);
         assert!(!done.torn_tail);
         // The repair truncation was journaled before the successful commit.

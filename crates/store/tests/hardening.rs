@@ -6,11 +6,15 @@
 //! produce a typed error or a clean torn-tail result — never a panic and
 //! never an allocation beyond a fixed multiple of the input size.
 
-use idb_store::segment::{read_chain, MemSegments, SegmentId, SegmentedSink};
-use idb_store::wal::{read_wal, WalError, WalRecord, WalWriter};
-use idb_store::{Batch, DurableSink, PointId, PointStore, SnapshotError};
+use idb_store::segment::{read_chain, ChainContents, SegmentId, SegmentedSink};
+use idb_store::wal::{read_wal, scratch_dir, WalError, WalRecord, WalWriter};
+use idb_store::{
+    Batch, DurableSink, FsMedium, Medium, MemMedium, PointId, PointStore, SnapshotError,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn churned_store() -> PointStore {
     let mut store = PointStore::new(3);
@@ -189,9 +193,36 @@ fn wal_decode_errors_carry_offsets_and_details() {
 // Segment-chain hostile corpus: read_chain over damaged multi-segment WALs.
 // ---------------------------------------------------------------------------
 
+/// Every segment's bytes, by id.
+type Chain = BTreeMap<SegmentId, Vec<u8>>;
+
+/// Installs `chain` on a fresh medium of each kind — in memory, and as
+/// files in a new directory under `scratch_dir()` — and hands what
+/// [`read_chain`] makes of it to `check`.
+fn read_on_each_medium(chain: &Chain, check: impl Fn(Result<ChainContents, WalError>)) {
+    static DIRS: AtomicU64 = AtomicU64::new(0);
+    let install = |medium: &dyn Medium| {
+        for (id, bytes) in chain {
+            medium.append(&id.file_name(), bytes).unwrap();
+        }
+    };
+    let mem = MemMedium::new();
+    install(&mem);
+    check(read_chain(&mem));
+    let dir = scratch_dir().join(format!(
+        "idb-hardening-{}-{}",
+        std::process::id(),
+        DIRS.fetch_add(1, Ordering::Relaxed)
+    ));
+    let fs = FsMedium::open(&dir).unwrap();
+    install(&fs);
+    check(read_chain(&fs));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// A valid multi-segment chain (tiny per-segment budget forces several
-/// rotations) plus its shared medium handle for sabotage.
-fn sample_chain(seed: u64) -> (MemSegments, Vec<WalRecord>) {
+/// rotations), imaged for sabotage.
+fn sample_chain(seed: u64) -> (Chain, Vec<WalRecord>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let records: Vec<WalRecord> = (0..24)
         .map(|_| WalRecord {
@@ -212,7 +243,7 @@ fn sample_chain(seed: u64) -> (MemSegments, Vec<WalRecord>) {
             },
         })
         .collect();
-    let medium = MemSegments::new();
+    let medium = MemMedium::new();
     let sink = SegmentedSink::fresh(medium.clone(), 200).unwrap();
     let mut w = WalWriter::new(sink, 2, 0, 1);
     w.commit().unwrap();
@@ -227,19 +258,22 @@ fn sample_chain(seed: u64) -> (MemSegments, Vec<WalRecord>) {
         "the corpus needs a real chain, got {} segments",
         w.sink().segment_count()
     );
-    (medium, records)
+    let chain = medium
+        .objects()
+        .into_iter()
+        .map(|(name, bytes)| (SegmentId::parse(&name).unwrap(), bytes))
+        .collect();
+    (chain, records)
 }
 
 #[test]
 fn missing_interior_segment_is_a_typed_chain_gap() {
     let (medium, _) = sample_chain(0x5E61);
-    let ids: Vec<SegmentId> = medium.snapshot().into_keys().collect();
+    let ids: Vec<SegmentId> = medium.clone().into_keys().collect();
     for (victim, id) in ids.iter().enumerate().take(ids.len() - 1).skip(1) {
-        let damaged = MemSegments::new();
-        let mut m = medium.snapshot();
+        let mut m = medium.clone();
         m.remove(id);
-        damaged.restore(m);
-        match read_chain(&damaged) {
+        read_on_each_medium(&m, |got| match got {
             Err(WalError::ChainGap {
                 epoch,
                 expected_seq,
@@ -248,20 +282,19 @@ fn missing_interior_segment_is_a_typed_chain_gap() {
                 assert_eq!(expected_seq, id.seq);
             }
             other => panic!("segment {victim} removed: expected ChainGap, got {other:?}"),
-        }
+        });
     }
     // Removing the *final* segment leaves a shorter but well-formed chain.
-    let mut m = medium.snapshot();
+    let mut m = medium.clone();
     m.remove(ids.last().unwrap());
-    let damaged = MemSegments::new();
-    damaged.restore(m);
-    assert!(read_chain(&damaged).is_ok(), "a shorter chain is legal");
+    read_on_each_medium(&m, |got| {
+        assert!(got.is_ok(), "a shorter chain is legal");
+    });
 }
 
 #[test]
 fn swapped_segment_contents_fail_the_base_handoff() {
-    let (medium, _) = sample_chain(0x5E62);
-    let snap = medium.snapshot();
+    let (snap, _) = sample_chain(0x5E62);
     let ids: Vec<SegmentId> = snap.keys().copied().collect();
     // Swap two interior segments' bytes: sequence numbers stay contiguous
     // but each segment's base no longer matches its predecessor's end.
@@ -270,18 +303,17 @@ fn swapped_segment_contents_fail_the_base_handoff() {
     let (ba, bb) = (m[&a].clone(), m[&b].clone());
     m.insert(a, bb);
     m.insert(b, ba);
-    let damaged = MemSegments::new();
-    damaged.restore(m);
-    assert!(
-        matches!(read_chain(&damaged), Err(WalError::CorruptSegment { .. })),
-        "reordered contents must fail the base handoff"
-    );
+    read_on_each_medium(&m, |got| {
+        assert!(
+            matches!(got, Err(WalError::CorruptSegment { .. })),
+            "reordered contents must fail the base handoff"
+        );
+    });
 }
 
 #[test]
 fn interior_bit_flips_and_truncations_are_typed_never_panics() {
-    let (medium, records) = sample_chain(0x5E63);
-    let snap = medium.snapshot();
+    let (snap, records) = sample_chain(0x5E63);
     let ids: Vec<SegmentId> = snap.keys().copied().collect();
     let mut rng = StdRng::seed_from_u64(0x5E64);
     for trial in 0..128 {
@@ -294,9 +326,7 @@ fn interior_bit_flips_and_truncations_are_typed_never_panics() {
         } else {
             bytes.truncate(rng.gen_range(0..bytes.len()));
         }
-        let damaged = MemSegments::new();
-        damaged.restore(m);
-        match read_chain(&damaged) {
+        read_on_each_medium(&m, |got| match got {
             Ok(chain) => {
                 // Only damage confined to the final segment may read clean
                 // (as a shorter/torn chain); the survivors must be a prefix
@@ -309,14 +339,13 @@ fn interior_bit_flips_and_truncations_are_typed_never_panics() {
             }
             Err(WalError::ChainGap { .. } | WalError::CorruptSegment { .. } | WalError::Io(_)) => {}
             Err(other) => panic!("trial {trial}: unexpected error class: {other}"),
-        }
+        });
     }
 }
 
 #[test]
 fn gigabyte_claiming_segment_headers_fail_typed_without_allocating() {
-    let (medium, records) = sample_chain(0x5E65);
-    let snap = medium.snapshot();
+    let (snap, records) = sample_chain(0x5E65);
     let ids: Vec<SegmentId> = snap.keys().copied().collect();
     // A hostile record framing planted at the start of a segment's record
     // area: a u32 length claiming ~4 GiB. In an interior segment that is
@@ -333,9 +362,7 @@ fn gigabyte_claiming_segment_headers_fail_typed_without_allocating() {
         let bytes = m.get_mut(&victim).unwrap();
         bytes.truncate(20); // Keep only the segment header...
         bytes.extend_from_slice(&hostile_tail); // ...then claim gigabytes.
-        let damaged = MemSegments::new();
-        damaged.restore(m);
-        match read_chain(&damaged) {
+        read_on_each_medium(&m, |got| match got {
             Ok(chain) if k == ids.len() - 1 => {
                 assert!(chain.torn_tail, "an oversized claim is a torn tail");
                 assert_eq!(chain.records, records[..chain.records.len()]);
@@ -344,6 +371,6 @@ fn gigabyte_claiming_segment_headers_fail_typed_without_allocating() {
                 assert_eq!((epoch, seq), (victim.epoch, victim.seq));
             }
             other => panic!("victim {k}: unexpected outcome: {other:?}"),
-        }
+        });
     }
 }

@@ -4,16 +4,15 @@
 //! maintainer with deliberately malformed inputs and damaged snapshot
 //! bytes, asserting that every failure surfaces as a typed error — never a
 //! panic — and that rejected batches leave no trace. This module houses
-//! the generators so other crates (and future harnesses) share one
-//! vocabulary of faults.
+//! the generators and [`FaultMedium`], the one storage medium that fails
+//! on demand, so other crates (and future harnesses) share one vocabulary
+//! of faults.
 
 use idb_obs::{EventKind, Obs, SinkOp};
-use idb_store::segment::{MemSegmentSink, MemSegments, SegmentId, SegmentMedium};
-use idb_store::tier::{ColdMedium, ColdRewriter, MemCold};
-use idb_store::{Batch, DurableSink, PointId, PointStore, StorageError};
+use idb_store::{Batch, Medium, MemMedium, PointId, PointStore};
 use rand::Rng;
 use std::io;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The kinds of invalid update batch the validating entry point must
 /// reject.
@@ -96,323 +95,254 @@ pub fn faulty_batch<R: Rng + ?Sized>(store: &PointStore, fault: BatchFault, rng:
     Batch { inserts, deletes }
 }
 
-/// A fault-injecting [`DurableSink`] for the crash-consistency harness.
-///
-/// Wraps an in-memory byte buffer and simulates the failure modes a real
-/// disk exposes to the WAL writer:
-///
-/// * **short writes** — with a `write_cap`, an append persists only the
-///   first `cap` bytes of the request and then fails, exactly like a
-///   process killed mid-`write(2)`;
-/// * **transient append/fsync errors** — the next `fail_appends` /
-///   `fail_syncs` calls return an error without touching the buffer,
-///   driving the maintainer's retry and degradation paths;
-/// * **disk exhaustion** — with `enospc_after`, appends persist only up
-///   to that total byte position and then fail with
-///   [`io::ErrorKind::StorageFull`], exactly like `write(2)` returning
-///   `ENOSPC` after a partial write to the end of the device;
-/// * **kills at arbitrary byte positions** — tests slice [`FaultSink::bytes`]
-///   at any crash point and hand the prefix to recovery.
-#[derive(Debug, Clone, Default)]
-pub struct FaultSink {
-    data: Vec<u8>,
-    /// When set, the next append persists at most this many bytes, then
-    /// fails (cleared after firing).
-    pub write_cap: Option<usize>,
-    /// Number of upcoming `append` calls that fail outright.
-    pub fail_appends: usize,
-    /// Number of upcoming `sync` calls that fail.
-    pub fail_syncs: usize,
-    /// When set, total capacity in bytes: appends that would grow the
-    /// buffer past it write up to the boundary, then fail with
-    /// [`io::ErrorKind::StorageFull`] — until [`FaultSink::heal`] "frees
-    /// space". Unlike `write_cap` this does not clear after firing.
-    pub enospc_after: Option<u64>,
-    /// Journal sink; every injected failure emits a `sink_fault` event so
-    /// suites can correlate degradation with the fault that caused it.
+/// Shared fault plan of a [`FaultMedium`].
+#[derive(Debug, Default)]
+struct FaultPlan {
+    write_cap: Option<usize>,
+    fail_appends: usize,
+    fail_syncs: usize,
+    enospc_after: Option<u64>,
+    read_outage: bool,
+    write_outage: bool,
+    /// Operations admitted so far (every [`Medium`] call counts once).
+    ops: u64,
+    /// Operation count at which the medium dies.
+    kill_at: Option<u64>,
+    /// `Some` while tracing: `"<op> <object>"` per admitted operation.
+    trace: Option<Vec<String>>,
     obs: Obs,
 }
 
-impl FaultSink {
-    /// A healthy, empty sink.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Everything durably appended so far — what a post-crash recovery
-    /// would find on disk.
-    #[must_use]
-    pub fn bytes(&self) -> &[u8] {
-        &self.data
-    }
-
-    /// Clears every pending fault (including the `enospc_after` capacity
-    /// limit — "space was freed").
-    pub fn heal(&mut self) {
-        self.write_cap = None;
-        self.fail_appends = 0;
-        self.fail_syncs = 0;
-        self.enospc_after = None;
-    }
-
-    /// Installs the observability handle injected faults are journaled
-    /// through.
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
-    }
-}
-
-impl DurableSink for FaultSink {
-    fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
-        if self.fail_appends > 0 {
-            self.fail_appends -= 1;
-            self.obs
-                .emit(EventKind::SinkFault { op: SinkOp::Append }, 0);
-            return Err(io::Error::other("injected append failure"));
-        }
-        if let Some(cap) = self.write_cap.take() {
-            self.data.extend_from_slice(&bytes[..cap.min(bytes.len())]);
-            self.obs
-                .emit(EventKind::SinkFault { op: SinkOp::Append }, 0);
-            return Err(io::Error::other("injected short write"));
-        }
-        if let Some(cap) = self.enospc_after {
-            let room =
-                usize::try_from(cap.saturating_sub(self.data.len() as u64)).unwrap_or(usize::MAX);
-            if bytes.len() > room {
-                self.data.extend_from_slice(&bytes[..room]);
-                self.obs
-                    .emit(EventKind::SinkFault { op: SinkOp::Append }, 0);
-                return Err(io::Error::new(
-                    io::ErrorKind::StorageFull,
-                    "injected ENOSPC",
-                ));
-            }
-        }
-        self.data.extend_from_slice(bytes);
-        Ok(())
-    }
-
-    fn sync(&mut self) -> io::Result<()> {
-        if self.fail_syncs > 0 {
-            self.fail_syncs -= 1;
-            self.obs.emit(EventKind::SinkFault { op: SinkOp::Sync }, 0);
-            return Err(io::Error::other("injected fsync failure"));
-        }
-        Ok(())
-    }
-
-    fn truncate(&mut self, len: u64) -> io::Result<()> {
-        idb_store::segment::truncate_in_memory(&mut self.data, len)
-    }
-}
-
-/// Shared fault plan of a [`FaultSegments`] medium.
-#[derive(Debug, Default)]
-struct SegmentPlan {
-    fail_creates: usize,
-    enospc_after: Option<u64>,
-}
-
-/// A fault-injecting [`SegmentMedium`] for the segmented-WAL crash and
-/// disk-exhaustion suites. Wraps a [`MemSegments`] store (clone-shared, so
-/// tests snapshot/restore/corrupt exactly as with the plain medium) and
-/// adds two injectable failure modes:
+/// The fault-injecting [`Medium`]: a [`MemMedium`] (clone-shared, so
+/// suites snapshot, restore and corrupt exactly as with the plain medium)
+/// plus one fault plan shared by every clone and every object. It
+/// simulates what a real device exposes to the layers above:
 ///
-/// * **rotation crashes** — the next `fail_creates` segment creations
-///   fail, so a `roll` dies between sealing the old segment and stamping
-///   the new one's header;
-/// * **device exhaustion** — with `enospc_after`, any append that would
-///   push the medium's **total** bytes past the cap writes up to the
-///   boundary and fails with [`io::ErrorKind::StorageFull`], until
-///   [`FaultSegments::heal`] lifts the cap.
+/// * **short writes** — with a `write_cap`, the next append persists only
+///   its first `cap` bytes and then fails, like a process killed
+///   mid-`write(2)`;
+/// * **transient append/fsync errors** — the next `fail_appends` /
+///   `fail_syncs` calls fail without touching any object;
+/// * **device exhaustion** — with `enospc_after`, an append that would
+///   push the medium's **total** bytes (across all objects) past the cap
+///   writes up to the boundary and fails with
+///   [`io::ErrorKind::StorageFull`] until [`FaultMedium::heal`];
+/// * **outages** — every read (`read`, `read_at`) or every write
+///   (`append`, `write_at`, `truncate`, `rename`) fails while switched on,
+///   like a detached volume;
+/// * **kills** — after [`FaultMedium::kill_after`]`(n)`, `n` more
+///   operations succeed and every later one fails: the process died there,
+///   and [`FaultMedium::inner`] holds exactly what it left on the device.
+///
+/// Failed appends and syncs emit `sink_fault` journal events.
 #[derive(Debug, Clone, Default)]
-pub struct FaultSegments {
-    inner: MemSegments,
-    plan: Arc<Mutex<SegmentPlan>>,
+pub struct FaultMedium {
+    inner: MemMedium,
+    plan: Arc<Mutex<FaultPlan>>,
 }
 
-impl FaultSegments {
+impl FaultMedium {
     /// A healthy, empty medium.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The wrapped in-memory medium (snapshot/restore/corrupt handles).
+    /// A healthy medium over `inner`'s objects (a crash image to recover
+    /// and resume on).
     #[must_use]
-    pub fn inner(&self) -> &MemSegments {
+    pub fn over(inner: MemMedium) -> Self {
+        Self {
+            inner,
+            plan: Arc::default(),
+        }
+    }
+
+    /// The wrapped in-memory medium — what a recovery after a crash would
+    /// find.
+    #[must_use]
+    pub fn inner(&self) -> &MemMedium {
         &self.inner
     }
 
-    /// Arms the next `n` segment creations to fail.
-    pub fn fail_creates(&self, n: usize) {
-        self.plan.lock().expect("fault plan poisoned").fail_creates = n;
+    fn plan(&self) -> MutexGuard<'_, FaultPlan> {
+        self.plan.lock().expect("fault plan poisoned")
     }
 
-    /// Caps the device at `cap` total bytes across all segments.
+    /// Arms the next append to persist at most `cap` bytes, then fail.
+    pub fn set_write_cap(&self, cap: usize) {
+        self.plan().write_cap = Some(cap);
+    }
+
+    /// Arms the next `n` appends to fail outright.
+    pub fn set_fail_appends(&self, n: usize) {
+        self.plan().fail_appends = n;
+    }
+
+    /// Arms the next `n` syncs to fail.
+    pub fn set_fail_syncs(&self, n: usize) {
+        self.plan().fail_syncs = n;
+    }
+
+    /// Caps the device at `cap` total bytes across all objects.
     pub fn set_enospc_after(&self, cap: u64) {
-        self.plan.lock().expect("fault plan poisoned").enospc_after = Some(cap);
+        self.plan().enospc_after = Some(cap);
     }
 
-    /// Clears every pending fault ("space was freed, the disk recovered").
+    /// Starts/stops failing every read.
+    pub fn set_read_outage(&self, on: bool) {
+        self.plan().read_outage = on;
+    }
+
+    /// Starts/stops failing every write.
+    pub fn set_write_outage(&self, on: bool) {
+        self.plan().write_outage = on;
+    }
+
+    /// Lets `n` more operations succeed, then fails every later one.
+    pub fn kill_after(&self, n: u64) {
+        let mut plan = self.plan();
+        plan.kill_at = Some(plan.ops + n);
+    }
+
+    /// Operations admitted so far.
+    #[must_use]
+    pub fn op_count(&self) -> u64 {
+        self.plan().ops
+    }
+
+    /// Starts recording every admitted operation as `"<op> <object>"`.
+    pub fn start_trace(&self) {
+        self.plan().trace = Some(Vec::new());
+    }
+
+    /// The operations recorded since [`FaultMedium::start_trace`].
+    #[must_use]
+    pub fn trace(&self) -> Vec<String> {
+        self.plan().trace.clone().unwrap_or_default()
+    }
+
+    /// Clears every pending fault, including a kill and the ENOSPC cap
+    /// ("space was freed, the disk came back").
     pub fn heal(&self) {
-        let mut plan = self.plan.lock().expect("fault plan poisoned");
-        plan.fail_creates = 0;
+        let mut plan = self.plan();
+        plan.write_cap = None;
+        plan.fail_appends = 0;
+        plan.fail_syncs = 0;
         plan.enospc_after = None;
+        plan.read_outage = false;
+        plan.write_outage = false;
+        plan.kill_at = None;
+    }
+
+    /// Installs the observability handle injected faults are journaled
+    /// through.
+    pub fn set_obs(&self, obs: Obs) {
+        self.plan().obs = obs;
+    }
+
+    /// Counts and traces one operation, failing it when the medium is
+    /// dead or (for `read`/`write` class operations) out.
+    fn admit(&self, op: &str, name: &str, class: OpClass) -> io::Result<MutexGuard<'_, FaultPlan>> {
+        let mut plan = self.plan();
+        if plan.kill_at.is_some_and(|at| plan.ops >= at) {
+            return Err(io::Error::other("injected kill: the medium is gone"));
+        }
+        plan.ops += 1;
+        if let Some(trace) = &mut plan.trace {
+            trace.push(format!("{op} {name}"));
+        }
+        match class {
+            OpClass::Read if plan.read_outage => Err(io::Error::other("injected read outage")),
+            OpClass::Write if plan.write_outage => Err(io::Error::other("injected write outage")),
+            _ => Ok(plan),
+        }
     }
 }
 
-/// The append sink of one [`FaultSegments`] segment: a [`MemSegmentSink`]
-/// that honours the shared device-capacity plan.
-#[derive(Debug)]
-pub struct FaultSegmentSink {
-    inner: MemSegmentSink,
-    medium: MemSegments,
-    plan: Arc<Mutex<SegmentPlan>>,
+/// Which outage an operation is subject to.
+#[derive(Clone, Copy)]
+enum OpClass {
+    Read,
+    Write,
+    Meta,
 }
 
-impl DurableSink for FaultSegmentSink {
-    fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
-        let cap = self.plan.lock().expect("fault plan poisoned").enospc_after;
-        if let Some(cap) = cap {
-            let used = self.medium.total_bytes();
-            let room = usize::try_from(cap.saturating_sub(used)).unwrap_or(usize::MAX);
+fn sink_fault(plan: &FaultPlan, op: SinkOp) {
+    plan.obs.emit(EventKind::SinkFault { op }, 0);
+}
+
+impl Medium for FaultMedium {
+    fn append(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+        let mut plan = self.admit("append", name, OpClass::Write)?;
+        if plan.fail_appends > 0 {
+            plan.fail_appends -= 1;
+            sink_fault(&plan, SinkOp::Append);
+            return Err(io::Error::other("injected append failure"));
+        }
+        if let Some(cap) = plan.write_cap.take() {
+            self.inner.append(name, &bytes[..cap.min(bytes.len())])?;
+            sink_fault(&plan, SinkOp::Append);
+            return Err(io::Error::other("injected short write"));
+        }
+        if let Some(cap) = plan.enospc_after {
+            let room =
+                usize::try_from(cap.saturating_sub(self.inner.total_bytes())).unwrap_or(usize::MAX);
             if bytes.len() > room {
-                self.inner.append(&bytes[..room])?;
+                self.inner.append(name, &bytes[..room])?;
+                sink_fault(&plan, SinkOp::Append);
                 return Err(io::Error::new(
                     io::ErrorKind::StorageFull,
                     "injected ENOSPC",
                 ));
             }
         }
-        self.inner.append(bytes)
+        self.inner.append(name, bytes)
     }
 
-    fn sync(&mut self) -> io::Result<()> {
-        self.inner.sync()
+    fn read(&self, name: &str) -> io::Result<Vec<u8>> {
+        let _plan = self.admit("read", name, OpClass::Read)?;
+        self.inner.read(name)
     }
 
-    fn truncate(&mut self, len: u64) -> io::Result<()> {
-        self.inner.truncate(len)
+    fn read_at(&self, name: &str, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+        let _plan = self.admit("read_at", name, OpClass::Read)?;
+        self.inner.read_at(name, offset, buf)
     }
-}
 
-impl SegmentMedium for FaultSegments {
-    type Sink = FaultSegmentSink;
+    fn write_at(&self, name: &str, offset: u64, data: &[u8]) -> io::Result<()> {
+        let _plan = self.admit("write_at", name, OpClass::Write)?;
+        self.inner.write_at(name, offset, data)
+    }
 
-    fn create(&mut self, id: SegmentId) -> io::Result<Self::Sink> {
-        {
-            let mut plan = self.plan.lock().expect("fault plan poisoned");
-            if plan.fail_creates > 0 {
-                plan.fail_creates -= 1;
-                return Err(io::Error::other("injected segment-create failure"));
-            }
+    fn truncate(&self, name: &str, len: u64) -> io::Result<()> {
+        let _plan = self.admit("truncate", name, OpClass::Write)?;
+        self.inner.truncate(name, len)
+    }
+
+    fn sync(&self, name: &str) -> io::Result<()> {
+        let mut plan = self.admit("sync", name, OpClass::Meta)?;
+        if plan.fail_syncs > 0 {
+            plan.fail_syncs -= 1;
+            sink_fault(&plan, SinkOp::Sync);
+            return Err(io::Error::other("injected fsync failure"));
         }
-        let inner = self.inner.create(id)?;
-        Ok(FaultSegmentSink {
-            inner,
-            medium: self.inner.clone(),
-            plan: Arc::clone(&self.plan),
-        })
+        self.inner.sync(name)
     }
 
-    fn read(&self, id: SegmentId) -> io::Result<Vec<u8>> {
-        self.inner.read(id)
+    fn rename(&self, from: &str, to: &str) -> io::Result<()> {
+        let _plan = self.admit("rename", &format!("{from} -> {to}"), OpClass::Write)?;
+        self.inner.rename(from, to)
     }
 
-    fn list(&self) -> io::Result<Vec<SegmentId>> {
+    fn remove(&self, name: &str) -> io::Result<u64> {
+        let _plan = self.admit("remove", name, OpClass::Meta)?;
+        self.inner.remove(name)
+    }
+
+    fn list(&self) -> io::Result<Vec<String>> {
+        let _plan = self.admit("list", "*", OpClass::Meta)?;
         self.inner.list()
-    }
-
-    fn remove(&mut self, id: SegmentId) -> io::Result<u64> {
-        self.inner.remove(id)
-    }
-}
-
-/// Shared fault plan of a [`FaultCold`] medium.
-#[derive(Debug, Default)]
-struct ColdPlan {
-    read_outage: bool,
-    write_outage: bool,
-}
-
-/// A fault-injecting [`ColdMedium`] for the tiered-store suites: wraps a
-/// [`MemCold`] and simulates read/write outages (a detached volume, a
-/// failing disk) that persist until [`FaultCold::heal`] — driving the
-/// maintainer's typed degrade-and-recover ladder for the cold tier, like
-/// [`FaultSegments`] does for the WAL.
-#[derive(Debug, Clone, Default)]
-pub struct FaultCold {
-    inner: MemCold,
-    plan: Arc<Mutex<ColdPlan>>,
-}
-
-impl FaultCold {
-    /// A healthy, empty cold medium.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The wrapped in-memory medium (content inspection in tests).
-    #[must_use]
-    pub fn inner(&self) -> &MemCold {
-        &self.inner
-    }
-
-    /// Starts/stops failing every cold read.
-    pub fn set_read_outage(&self, on: bool) {
-        self.plan.lock().expect("cold plan poisoned").read_outage = on;
-    }
-
-    /// Starts/stops failing every cold write (including rewrites).
-    pub fn set_write_outage(&self, on: bool) {
-        self.plan.lock().expect("cold plan poisoned").write_outage = on;
-    }
-
-    /// Clears every pending fault ("the volume came back").
-    pub fn heal(&self) {
-        let mut plan = self.plan.lock().expect("cold plan poisoned");
-        plan.read_outage = false;
-        plan.write_outage = false;
-    }
-}
-
-impl ColdMedium for FaultCold {
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), StorageError> {
-        if self.plan.lock().expect("cold plan poisoned").read_outage {
-            return Err(StorageError::ColdIo {
-                op: "read",
-                detail: "injected cold read outage".into(),
-            });
-        }
-        self.inner.read_at(offset, buf)
-    }
-
-    fn write_at(&self, offset: u64, data: &[u8]) -> Result<(), StorageError> {
-        if self.plan.lock().expect("cold plan poisoned").write_outage {
-            return Err(StorageError::ColdIo {
-                op: "write",
-                detail: "injected cold write outage".into(),
-            });
-        }
-        self.inner.write_at(offset, data)
-    }
-
-    fn start_rewrite(&self) -> Result<Box<dyn ColdRewriter + '_>, StorageError> {
-        if self.plan.lock().expect("cold plan poisoned").write_outage {
-            return Err(StorageError::ColdIo {
-                op: "rewrite",
-                detail: "injected cold write outage".into(),
-            });
-        }
-        self.inner.start_rewrite()
-    }
-
-    fn boxed_clone(&self) -> Box<dyn ColdMedium> {
-        Box::new(self.clone())
     }
 }
 
@@ -463,22 +393,55 @@ mod tests {
     }
 
     #[test]
-    fn fault_sink_injects_and_heals() {
-        let mut sink = FaultSink::new();
-        sink.append(b"hello").unwrap();
-        sink.fail_appends = 1;
-        assert!(sink.append(b" world").is_err());
-        assert_eq!(sink.bytes(), b"hello", "failed append leaves no bytes");
-        sink.write_cap = Some(2);
-        assert!(sink.append(b" world").is_err());
-        assert_eq!(sink.bytes(), b"hello w", "short write persists a prefix");
-        sink.fail_syncs = 1;
-        assert!(sink.sync().is_err());
-        sink.heal();
-        sink.truncate(5).unwrap();
-        sink.append(b" world").unwrap();
-        sink.sync().unwrap();
-        assert_eq!(sink.bytes(), b"hello world");
+    fn fault_medium_injects_and_heals() {
+        let m = FaultMedium::new();
+        m.append("w", b"hello").unwrap();
+        m.set_fail_appends(1);
+        assert!(m.append("w", b" world").is_err());
+        assert_eq!(
+            m.inner().read("w").unwrap(),
+            b"hello",
+            "failed append leaves no bytes"
+        );
+        m.set_write_cap(2);
+        assert!(m.append("w", b" world").is_err());
+        assert_eq!(
+            m.inner().read("w").unwrap(),
+            b"hello w",
+            "short write persists a prefix"
+        );
+        m.set_fail_syncs(1);
+        assert!(m.sync("w").is_err());
+        m.set_enospc_after(9);
+        let err = m.append("x", b"abcdef").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::StorageFull);
+        assert_eq!(
+            m.inner().read("x").unwrap(),
+            b"ab",
+            "ENOSPC counts every object"
+        );
+        m.heal();
+        m.truncate("w", 5).unwrap();
+        m.append("w", b" world").unwrap();
+        m.sync("w").unwrap();
+        assert_eq!(m.inner().read("w").unwrap(), b"hello world");
+    }
+
+    #[test]
+    fn kill_after_fails_every_later_op_until_healed() {
+        let m = FaultMedium::new();
+        m.start_trace();
+        m.kill_after(2);
+        m.append("a", b"1").unwrap();
+        m.sync("a").unwrap();
+        assert!(m.append("a", b"2").is_err());
+        assert!(m.read("a").is_err());
+        assert_eq!(m.inner().read("a").unwrap(), b"1");
+        assert_eq!(m.op_count(), 2);
+        assert_eq!(m.trace(), ["append a", "sync a"]);
+        m.heal();
+        m.append("a", b"2").unwrap();
+        assert_eq!(m.inner().read("a").unwrap(), b"12");
     }
 
     #[test]

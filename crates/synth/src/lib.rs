@@ -33,10 +33,7 @@ pub mod multistream;
 pub mod scenario;
 
 pub use dataset::{ClusterModel, MixtureModel};
-pub use faults::{
-    faulty_batch, flip_bit, BatchFault, FaultCold, FaultSegmentSink, FaultSegments, FaultSink,
-    ALL_BATCH_FAULTS,
-};
+pub use faults::{faulty_batch, flip_bit, BatchFault, FaultMedium, ALL_BATCH_FAULTS};
 pub use io::{load_csv, save_csv, CsvError};
 pub use multistream::{stream_seed, MultiStreamEngine};
 pub use scenario::{Dynamics, ScenarioEngine, ScenarioKind, ScenarioSpec};

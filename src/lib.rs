@@ -122,8 +122,8 @@ pub mod prelude {
     pub use idb_core::{
         recover, recover_chain, AuditError, AuditIssue, AuditReport, Bubble, CheckpointStore,
         DataSummary, DurabilityConfig, DurableMaintainer, FsCheckpoints, Health,
-        IncrementalBubbles, MaintainerConfig, MemCheckpoints, QualityKind, Recovered,
-        RecoveryError, RepairReport, SeedSearch, SplitSeedPolicy, SufficientStats, UpdateError,
+        IncrementalBubbles, MaintainerConfig, QualityKind, Recovered, RecoveryError, RepairReport,
+        SeedSearch, SplitSeedPolicy, SufficientStats, UpdateError,
     };
     pub use idb_delta::{
         router_epoch, ClusterDelta, ClusterId, DeltaEngine, DeltaParams, EpochReport, Interest,
@@ -139,9 +139,8 @@ pub mod prelude {
         GlobalId, PartitionStatus, RestartReport, ShardConfig, ShardError, ShardRouter,
     };
     pub use idb_store::{
-        segment::{FsSegments, MemSegments, SegmentedSink},
-        Batch, DurableSink, FileSink, Label, MemSink, PointId, PointStore, StorageBudget,
-        StorageError, WalError,
+        Batch, DurableSink, FileSink, FsMedium, Label, Medium, MemMedium, ObjectSink, PointId,
+        PointStore, SegmentedSink, StorageBudget, StorageError, WalError,
     };
     pub use idb_synth::{
         ClusterModel, MixtureModel, MultiStreamEngine, ScenarioEngine, ScenarioKind, ScenarioSpec,
