@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full local CI gate: build, the tier-1 tests and the workspace test
 # suite, the file-backed crash smoke under extra seeds, observability
-# journal validation, the report floors, a native-codegen re-run of the
+# journal validation, the report checks, a native-codegen re-run of the
 # kernel-sensitive suites, lints, formatting, bench compilation, and the
 # benchmark's own tests, lints and formatting.
 #
@@ -49,25 +49,24 @@ fi
 # suite wrote above, parsed from disk and checked against the op-journal
 # invariants (split pairing, batch accounting, non-empty commit groups).
 cargo run $CARGOFLAGS --release -q -p idb-bench --bin journal_check -- "$IDB_WAL_DIR/idb-journals"
-# Report smoke runs with their floors: the shard report (DESIGN.md §13),
-# the delta report's >=2x touched-neighborhood savings (§14), and the
-# kernel report's 1.5x speedup at d >= 64, whose self-checks also drive
-# the incremental matrix/order-repair counters end to end (§15).
+# Report smoke runs with their checks: the shard report (DESIGN.md §13),
+# the delta report's per-epoch bit-identity with the full pipeline and
+# delta-stream replay (§14), and the kernel report's 1.5x speedup at
+# d >= 64, whose self-checks also drive the incremental matrix/order-repair
+# counters end to end (§15).
 for report in shard delta kernel; do
     cargo run $CARGOFLAGS --release -q -p idb-bench --bin "${report}_report" -- \
         "$IDB_WAL_DIR/BENCH_${report}_smoke.json"
 done
 # Bit-identity must survive wider codegen: re-run the kernel property
-# suite, the re-baseline audit, the pair-cache/extraction properties and
-# the dense-vs-heap OPTICS expansion equivalence with the host's full
-# instruction set.
+# suite, the re-baseline audit and the dense-vs-heap OPTICS expansion
+# equivalence with the host's full instruction set.
 # Guarded — skipped with a notice when the toolchain/target rejects the
 # flag (e.g. cross-compilation or unsupported CPUs).
 if RUSTFLAGS="-C target-cpu=native" cargo check $CARGOFLAGS -q -p idb-geometry 2>/dev/null; then
     RUSTFLAGS="-C target-cpu=native" cargo test $CARGOFLAGS -q -p idb-geometry --test kernels
     RUSTFLAGS="-C target-cpu=native" cargo test $CARGOFLAGS -q -p idb-geometry --test differential
     RUSTFLAGS="-C target-cpu=native" cargo test $CARGOFLAGS -q -p idb-delta --test rebaseline_audit
-    RUSTFLAGS="-C target-cpu=native" cargo test $CARGOFLAGS -q -p idb-clustering --test delta_properties
     RUSTFLAGS="-C target-cpu=native" cargo test $CARGOFLAGS -q -p idb-clustering --test optics_equivalence
 else
     echo "ci: target-cpu=native unsupported here; skipping native-codegen pass"

@@ -1,4 +1,4 @@
-//! Records the delta-maintained clustering layer's savings profile to
+//! Records the delta-maintained clustering layer's epoch profile to
 //! `BENCH_delta.json` without the criterion harness (so it runs in
 //! offline environments where the criterion dependency is stubbed).
 //!
@@ -6,35 +6,31 @@
 //! maintained summary is clustered two ways each epoch:
 //!
 //! * **full** — the from-scratch pipeline (`optics_bubbles_with` →
-//!   `expand` → `cluster_tree`), which recomputes every pair
-//!   neighborhood: its touched count per epoch is the slot count;
-//! * **delta** — a [`DeltaEngine`] consuming the maintainer's change
-//!   log, refreshing only the dirty neighborhoods and re-extracting
-//!   only the changed tree components.
+//!   `expand` → `cluster_tree`);
+//! * **delta** — a [`DeltaEngine`] epoch: the same pipeline plus the
+//!   cluster-tree diff into typed deltas with stable ids.
 //!
-//! The differential suite (`crates/delta/tests/equivalence.rs`) proves
-//! the two produce bit-identical artifacts; this records what the delta
-//! path saves, and where its time goes: the engine's per-stage counters
-//! split each epoch into pair-cache refresh, live-matrix view, OPTICS
-//! expansion, tree extraction, and the cross-epoch tree diff.
+//! The engine's per-stage counters split each epoch into OPTICS (matrix
+//! fill and expansion), extraction (plot and tree) and the cross-epoch
+//! tree diff; `delta_secs − full_secs` is what identity maintenance
+//! costs.
 //!
-//! Two floors and one replay check are part of the layer's contract, and
-//! the run fails if any is missed:
+//! Two checks run after every epoch, and the run fails if either is
+//! missed:
 //!
-//! * the delta path touches at least 2× fewer neighborhoods than full
-//!   recompute overall;
-//! * every refresh evaluates each touched unordered pair exactly once:
-//!   `|D|·s − |D|(|D|+1)/2` representative distances for `|D|` touched
-//!   slots out of `s`;
-//! * after every epoch, the delta stream replayed into a [`TreeReplica`]
-//!   equals the engine's own `clusters()` view.
+//! * the engine's provenance, reachability, virtual-reachability, plot
+//!   and tree bits equal the full pipeline's;
+//! * the delta stream replayed into a [`TreeReplica`] equals the
+//!   engine's own `clusters()` view.
 //!
 //! Usage: `delta_report [output.json] [baseline.json]` (default
 //! `BENCH_delta.json`). With a baseline — the same report written by an
 //! earlier build on the same host — each scenario also records the
 //! baseline's `delta_secs` and `full_secs` and the speedup against them.
 
-use idb_clustering::{cluster_tree, optics_bubbles_with, ExtractParams};
+use idb_clustering::{
+    cluster_tree, optics_bubbles_with, ClusterNode, ExtractParams, MergedRef, ReachabilityPlot,
+};
 use idb_core::{IncrementalBubbles, MaintainerConfig};
 use idb_delta::{DeltaEngine, DeltaParams, TreeReplica};
 use idb_geometry::{Parallelism, SearchStats};
@@ -59,24 +55,34 @@ struct ScenarioResult {
     epochs: usize,
     delta_secs: f64,
     full_secs: f64,
-    delta_touched: u64,
-    full_touched: u64,
-    steady_delta_touched: u64,
-    steady_full_touched: u64,
-    pair_evals: u64,
     /// Summed microseconds of the engine's `STAGES` counters.
     stage_us: [u64; STAGES.len()],
 }
 
 /// The engine's per-stage time counters, in pipeline order, with the
 /// names the report gives them.
-const STAGES: [(&str, &str); 5] = [
-    ("delta.refresh_us", "refresh"),
-    ("delta.view_us", "live_view"),
-    ("delta.expand_us", "expansion"),
+const STAGES: [(&str, &str); 3] = [
+    ("delta.optics_us", "optics"),
     ("delta.extract_us", "extract"),
     ("delta.diff_us", "diff"),
 ];
+
+/// Preorder tree serialization: range, split-value bits, child count.
+fn tree_bits(node: &ClusterNode, out: &mut Vec<(usize, usize, u64, usize)>) {
+    out.push((
+        node.range.0,
+        node.range.1,
+        node.split_value.map_or(u64::MAX, f64::to_bits),
+        node.children.len(),
+    ));
+    for c in &node.children {
+        tree_bits(c, out);
+    }
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
 
 /// Drives one scenario for [`EPOCHS`] epochs, timing the delta engine
 /// against the from-scratch pipeline on identical maintained state.
@@ -109,11 +115,6 @@ fn run_scenario(name: &str, kind: ScenarioKind, churn: f64) -> ScenarioResult {
         epochs: EPOCHS,
         delta_secs: 0.0,
         full_secs: 0.0,
-        delta_touched: 0,
-        full_touched: 0,
-        steady_delta_touched: 0,
-        steady_full_touched: 0,
-        pair_evals: 0,
         stage_us: [0; STAGES.len()],
     };
     for epoch in 0..EPOCHS {
@@ -125,7 +126,7 @@ fn run_scenario(name: &str, kind: ScenarioKind, churn: f64) -> ScenarioResult {
         }
 
         let t0 = Instant::now();
-        let report = engine.maintainer_epoch(&mut bubbles);
+        let report = engine.maintainer_epoch(&bubbles);
         out.delta_secs += t0.elapsed().as_secs_f64();
 
         let t1 = Instant::now();
@@ -144,16 +145,31 @@ fn run_scenario(name: &str, kind: ScenarioKind, churn: f64) -> ScenarioResult {
         });
         let tree = cluster_tree(&plot, &ExtractParams::with_min_size(MIN_CLUSTER));
         out.full_secs += t1.elapsed().as_secs_f64();
-        assert!(tree.range.1 >= tree.range.0, "scratch tree is well-formed");
 
-        // Each touched unordered pair costs exactly one rep distance.
-        let (d, s) = (report.touched, report.total);
-        assert_eq!(
-            report.pair_evals,
-            d * s - d * (d + 1) / 2,
-            "{name} epoch {epoch}: {d} touched of {s} slots"
+        // The engine's artifacts are the full pipeline's, bit for bit.
+        let (refs, ordering) = engine.ordering().expect("epoch ran");
+        let provenance: Vec<MergedRef> = scratch
+            .order
+            .iter()
+            .map(|&index| MergedRef { domain: 0, index })
+            .collect();
+        let plot_bits = |p: &ReachabilityPlot| -> Vec<(u64, u64)> {
+            p.entries()
+                .iter()
+                .map(|e| (e.id, e.reachability.to_bits()))
+                .collect()
+        };
+        let (mut got_tree, mut want_tree) = (Vec::new(), Vec::new());
+        tree_bits(engine.tree().expect("epoch ran"), &mut got_tree);
+        tree_bits(&tree, &mut want_tree);
+        assert!(
+            refs == &provenance[..]
+                && bits(&ordering.reachability) == bits(&scratch.reachability)
+                && bits(&ordering.virtual_reachability) == bits(&scratch.virtual_reachability)
+                && plot_bits(engine.plot().expect("epoch ran")) == plot_bits(&plot)
+                && got_tree == want_tree,
+            "{name} epoch {epoch}: the engine's epoch differs from the full pipeline"
         );
-        out.pair_evals += report.pair_evals as u64;
 
         for delta in &report.deltas {
             replica.apply(delta);
@@ -162,14 +178,6 @@ fn run_scenario(name: &str, kind: ScenarioKind, churn: f64) -> ScenarioResult {
             replica.snapshot() == engine.clusters(),
             "{name} epoch {epoch}: replayed deltas diverge from the engine's view"
         );
-
-        // A full recompute touches every tracked neighborhood.
-        out.delta_touched += report.touched as u64;
-        out.full_touched += report.total as u64;
-        if epoch > 0 {
-            out.steady_delta_touched += report.touched as u64;
-            out.steady_full_touched += report.total as u64;
-        }
     }
     for (total, counter) in out.stage_us.iter_mut().zip(&stage_counters) {
         *total = counter.get();
@@ -216,13 +224,8 @@ fn main() {
     for (name, kind, churn) in runs {
         let r = run_scenario(&name, kind, churn);
         eprintln!(
-            "{:<14} delta {:.4}s touched {:>6}  |  full {:.4}s touched {:>6}  ({:.1}x fewer)",
-            r.name,
-            r.delta_secs,
-            r.delta_touched,
-            r.full_secs,
-            r.full_touched,
-            r.full_touched as f64 / r.delta_touched.max(1) as f64,
+            "{:<14} delta {:.4}s  |  full {:.4}s",
+            r.name, r.delta_secs, r.full_secs,
         );
         let stages: Vec<String> = STAGES
             .iter()
@@ -232,15 +235,6 @@ fn main() {
         eprintln!("{:<14} per epoch: {}", "", stages.join(", "));
         results.push(r);
     }
-
-    let delta_touched: u64 = results.iter().map(|r| r.delta_touched).sum();
-    let full_touched: u64 = results.iter().map(|r| r.full_touched).sum();
-    let savings = full_touched as f64 / delta_touched.max(1) as f64;
-    eprintln!("overall: {savings:.2}x fewer touched neighborhoods than full recompute");
-    assert!(
-        full_touched >= 2 * delta_touched,
-        "the delta layer's contract is >=2x fewer touched neighborhoods, got {savings:.2}x"
-    );
 
     let mut json = String::new();
     json.push_str("{\n  \"bench\": \"delta\",\n");
@@ -272,24 +266,18 @@ fn main() {
             });
         let _ = writeln!(
             json,
-            "    {{\"scenario\": \"{}\", \"epochs\": {}, \"delta_secs\": {:.6}, \"full_secs\": {:.6}, \"delta_touched\": {}, \"full_touched\": {}, \"steady_delta_touched\": {}, \"steady_full_touched\": {}, \"touched_savings\": {:.3}, \"pair_evals\": {}, \"stage_secs_per_epoch\": {{{}}}{versus}}}{comma}",
+            "    {{\"scenario\": \"{}\", \"epochs\": {}, \"delta_secs\": {:.6}, \"full_secs\": {:.6}, \"stage_secs_per_epoch\": {{{}}}{versus}}}{comma}",
             r.name,
             r.epochs,
             r.delta_secs,
             r.full_secs,
-            r.delta_touched,
-            r.full_touched,
-            r.steady_delta_touched,
-            r.steady_full_touched,
-            r.full_touched as f64 / r.delta_touched.max(1) as f64,
-            r.pair_evals,
             stages.join(", "),
         );
     }
     json.push_str("  ],\n");
     let _ = writeln!(
         json,
-        "  \"overall_touched_savings\": {savings:.3},\n  \"note\": \"identical maintained state clustered both ways every epoch; outputs are bit-identical (crates/delta/tests/equivalence.rs), this records the work saved; touched counts include each run's first epoch, which resyncs and touches everything; delta_secs additionally covers delta derivation and subscription fanout, which the full pipeline does not provide; pair_evals counts one representative distance per touched unordered pair; stage_secs_per_epoch splits the engine's epoch (engine counters, microsecond resolution); baseline_* columns, when present, come from the same report built at an earlier commit and run on the same host\"\n}}"
+        "  \"note\": \"identical maintained state clustered both ways every epoch; the engine's provenance, reachability, plot and tree bits equal the full pipeline's (checked every epoch); delta_secs additionally covers the cluster-tree diff and subscription fanout, which the full pipeline does not provide; stage_secs_per_epoch splits the engine's epoch (engine counters, microsecond resolution); baseline_* columns, when present, come from the same report built at an earlier commit and run on the same host\"\n}}"
     );
     std::fs::write(&out_path, json).expect("write report");
     eprintln!("wrote {out_path}");

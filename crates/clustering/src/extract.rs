@@ -15,7 +15,6 @@
 //! the extracted clusters.
 
 use crate::reachability::ReachabilityPlot;
-use std::collections::HashMap;
 
 /// Parameters of the extraction.
 #[derive(Debug, Clone, Copy)]
@@ -190,255 +189,6 @@ pub fn cluster_tree(plot: &ReachabilityPlot, params: &ExtractParams) -> ClusterN
     let reach: Vec<f64> = plot.entries().iter().map(|e| e.reachability).collect();
     let maxima = local_maxima(&reach, params.min_cluster_size);
     build_node(&reach, 0, reach.len(), &maxima, None, params)
-}
-
-/// Reuse statistics of one [`cluster_tree_delta`] call.
-///
-/// `reused + rebuilt` can be smaller than `components`: a component that
-/// never receives an exact-range recursion call (it was merged into a
-/// neighbouring leaf because an infinite separator had two noise-sized
-/// flanks) is neither reused nor rebuilt as a unit.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TreeDeltaStats {
-    /// Components (maximal segments delimited by infinite reachability
-    /// entries) in the plot.
-    pub components: usize,
-    /// Component subtrees copied from the cache without recursing.
-    pub reused: usize,
-    /// Component subtrees rebuilt by the full recursion.
-    pub rebuilt: usize,
-}
-
-/// Cross-epoch cache of per-component extraction subtrees, the incremental
-/// side of [`cluster_tree_delta`].
-///
-/// **Why component-level reuse is sound.** A reachability plot decomposes
-/// into *components* at its infinite entries (every OPTICS ordering starts
-/// each connected component with an infinite reachability). A finite local
-/// maximum whose `±min_cluster_size` window would cross a component
-/// boundary is dominated by the infinite boundary entry and never
-/// qualifies, so every surviving finite maximum — index, value and
-/// significance decision — is a pure function of its own component's
-/// entries. Exact full-component ranges are only ever reached through
-/// splits at infinite maxima (for `min_cluster_size ≥ 1`, finite maxima
-/// are strictly interior to a component, so splitting at one never yields
-/// a component-aligned range), and every such call sees the same effective
-/// maxima subsequence (all finite maxima sort after every infinite one).
-/// The subtree built for an exact full-component range is therefore a pure
-/// function of the component's reachability bits, whether the component is
-/// terminal (window clamping at the plot end differs from domination by a
-/// following infinite entry), and the parameters — which is exactly the
-/// cache key. Bit-identity of [`cluster_tree_delta`] against
-/// [`cluster_tree`] is asserted over randomized plots and edits in
-/// `tests/delta_properties.rs`.
-#[derive(Debug, Default)]
-pub struct TreeCache {
-    /// Parameters the cached subtrees were built under
-    /// (`significance_ratio` bits, `min_cluster_size`); entries are
-    /// dropped when they change.
-    params: Option<(u64, usize)>,
-    /// `(component reachability bits, is terminal)` → subtree with ranges
-    /// relative to the component start and a `None` root split value.
-    entries: HashMap<(Vec<u64>, bool), ClusterNode>,
-}
-
-impl TreeCache {
-    /// An empty cache; the first [`cluster_tree_delta`] call through it
-    /// rebuilds every component.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Cached component subtrees currently held.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when nothing is cached.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-/// Clone of `node` with every range rebased from component-start `from`
-/// to `to`.
-fn rebase(node: &ClusterNode, from: usize, to: usize) -> ClusterNode {
-    ClusterNode {
-        range: (node.range.0 - from + to, node.range.1 - from + to),
-        split_value: node.split_value,
-        children: node.children.iter().map(|c| rebase(c, from, to)).collect(),
-    }
-}
-
-/// The component-reuse oracle threaded through the cached recursion.
-struct ReuseOracle<'a> {
-    /// Full component ranges, ascending; empty when reuse is disabled
-    /// (`min_cluster_size == 0`, where finite maxima can touch component
-    /// boundaries and the purity argument does not hold).
-    components: &'a [(usize, usize)],
-    reach: &'a [f64],
-    prev: HashMap<(Vec<u64>, bool), ClusterNode>,
-    fresh: HashMap<(Vec<u64>, bool), ClusterNode>,
-    stats: TreeDeltaStats,
-}
-
-impl ReuseOracle<'_> {
-    /// The cache key of the exact component `[start, end)`, if that range
-    /// is one.
-    fn component_key(&self, start: usize, end: usize) -> Option<(Vec<u64>, bool)> {
-        let idx = self.components.binary_search_by_key(&start, |c| c.0).ok()?;
-        if self.components[idx].1 != end {
-            return None;
-        }
-        let bits: Vec<u64> = self.reach[start..end].iter().map(|r| r.to_bits()).collect();
-        let terminal = end == self.reach.len();
-        Some((bits, terminal))
-    }
-
-    fn lookup(
-        &mut self,
-        start: usize,
-        end: usize,
-        split_value: Option<f64>,
-    ) -> Option<ClusterNode> {
-        let key = self.component_key(start, end)?;
-        let cached = self.fresh.get(&key).or_else(|| self.prev.get(&key))?;
-        let mut node = rebase(cached, 0, start);
-        node.split_value = split_value;
-        self.stats.reused += 1;
-        let relative = rebase(cached, 0, 0);
-        self.fresh.insert(key, relative);
-        Some(node)
-    }
-
-    fn record(&mut self, start: usize, end: usize, node: &ClusterNode) {
-        if let Some(key) = self.component_key(start, end) {
-            self.stats.rebuilt += 1;
-            let mut relative = rebase(node, start, 0);
-            relative.split_value = None;
-            self.fresh.insert(key, relative);
-        }
-    }
-}
-
-/// [`build_node`] with the component-reuse oracle: identical recursion,
-/// except that a call whose range is an exact full component is served
-/// from (and recorded into) the cache.
-fn build_node_cached(
-    reach: &[f64],
-    start: usize,
-    end: usize,
-    maxima: &[usize],
-    split_value: Option<f64>,
-    params: &ExtractParams,
-    oracle: &mut ReuseOracle<'_>,
-) -> ClusterNode {
-    if let Some(node) = oracle.lookup(start, end, split_value) {
-        return node;
-    }
-    let mut node = ClusterNode {
-        range: (start, end),
-        split_value,
-        children: Vec::new(),
-    };
-    for (pos, &m) in maxima.iter().enumerate() {
-        if m <= start || m >= end {
-            continue;
-        }
-        let v = reach[m];
-        let significant = if v.is_infinite() {
-            true
-        } else {
-            // The right flank is scanned only when the left one passes.
-            let bar = params.significance_ratio * v;
-            avg_finite(reach, start, m) < bar && avg_finite(reach, m + 1, end) < bar
-        };
-        if !significant {
-            continue;
-        }
-        let rest = &maxima[pos + 1..];
-        let left_ok = m - start >= params.min_cluster_size;
-        let right_ok = end - m >= params.min_cluster_size;
-        if !left_ok && !right_ok {
-            continue;
-        }
-        if left_ok {
-            node.children.push(build_node_cached(
-                reach,
-                start,
-                m,
-                rest,
-                Some(v),
-                params,
-                oracle,
-            ));
-        }
-        if right_ok {
-            node.children.push(build_node_cached(
-                reach,
-                m,
-                end,
-                rest,
-                Some(v),
-                params,
-                oracle,
-            ));
-        }
-        break;
-    }
-    oracle.record(start, end, &node);
-    node
-}
-
-/// [`cluster_tree`] with cross-epoch component reuse: bit-identical output
-/// (see [`TreeCache`] for the soundness argument), but components whose
-/// reachability bits are unchanged since the previous call are copied from
-/// `cache` instead of recursed into. After the call, `cache` holds exactly
-/// the current plot's component subtrees (stale entries are dropped).
-#[must_use]
-pub fn cluster_tree_delta(
-    plot: &ReachabilityPlot,
-    params: &ExtractParams,
-    cache: &mut TreeCache,
-) -> (ClusterNode, TreeDeltaStats) {
-    let reach: Vec<f64> = plot.entries().iter().map(|e| e.reachability).collect();
-    let params_key = (params.significance_ratio.to_bits(), params.min_cluster_size);
-    if cache.params != Some(params_key) {
-        cache.entries.clear();
-        cache.params = Some(params_key);
-    }
-    let maxima = local_maxima(&reach, params.min_cluster_size);
-
-    // Component table: segments delimited by infinite entries.
-    let mut components: Vec<(usize, usize)> = Vec::new();
-    if !reach.is_empty() && params.min_cluster_size >= 1 {
-        let mut starts = vec![0];
-        for (m, r) in reach.iter().enumerate().skip(1) {
-            if r.is_infinite() {
-                starts.push(m);
-            }
-        }
-        starts.push(reach.len());
-        components = starts.windows(2).map(|w| (w[0], w[1])).collect();
-    }
-
-    let mut oracle = ReuseOracle {
-        components: &components,
-        reach: &reach,
-        prev: std::mem::take(&mut cache.entries),
-        fresh: HashMap::new(),
-        stats: TreeDeltaStats {
-            components: components.len(),
-            reused: 0,
-            rebuilt: 0,
-        },
-    };
-    let root = build_node_cached(&reach, 0, reach.len(), &maxima, None, params, &mut oracle);
-    cache.entries = oracle.fresh;
-    (root, oracle.stats)
 }
 
 /// Extracts flat clusters: the leaf regions of the cluster tree, as lists

@@ -15,10 +15,6 @@
 //! * [`merged`](mod@merged) — cross-domain OPTICS: one pass over the union of
 //!   several independently-maintained bubble sets (the clustering stage of
 //!   the sharded service layer), with provenance back to each domain;
-//! * [`pair_cache`](mod@pair_cache) — the pairwise bubble-distance matrix
-//!   maintained incrementally across epochs: only rows of changed bubbles
-//!   are recomputed, bit-identical to a from-scratch matrix (the
-//!   candidate-generation stage of the delta clustering layer);
 //! * [`extract`](mod@extract) — automatic extraction of flat clusters from a
 //!   reachability plot via the cluster-tree method of Sander et al. 2003
 //!   (the paper's reference \[16\]), plus a fixed-threshold horizontal cut;
@@ -45,7 +41,6 @@ pub mod kmeans;
 pub mod merged;
 pub mod optics;
 pub mod optics_bubbles;
-pub mod pair_cache;
 pub mod reachability;
 pub mod render;
 pub mod slink;
@@ -53,17 +48,15 @@ pub mod xi;
 
 pub use agglomerative::{agglomerative, Linkage};
 pub use extract::{
-    cluster_tree, cluster_tree_delta, extract_clusters, extract_clusters_at, ClusterNode,
-    ExtractParams, TreeCache, TreeDeltaStats,
+    cluster_tree, extract_clusters, extract_clusters_at, ClusterNode, ExtractParams,
 };
 pub use kmeans::{kmeans_points, kmeans_summaries, kmeans_weighted, KMeansResult};
 pub use merged::{merge_domains, optics_merged, MergedBubbles, MergedRef};
 pub use optics::optics_points;
 pub use optics_bubbles::{
     bubble_distance, bubble_distance_flat, optics_bubbles, optics_bubbles_with, optics_from_matrix,
-    optics_from_matrix_with_scratch, BubbleOrdering, OpticsScratch, SummaryParts,
+    BubbleOrdering, SummaryParts,
 };
-pub use pair_cache::PairCache;
 pub use reachability::{PlotEntry, ReachabilityPlot};
 pub use render::render_reachability;
 pub use slink::{slink, Dendrogram};

@@ -54,32 +54,16 @@ pub fn bubble_distance<S: DataSummary>(a: &S, b: &S) -> f64 {
 /// [`bubble_distance`] over pre-extracted summary parts: representative
 /// coordinates, extent and `nnDist(1)` of each side.
 ///
-/// The `O(s²)` matrix-fill passes (here and in the delta layer's
-/// `PairCache`) extract each live summary's parts **once** into a flat
-/// [`SeedBlock`] and two `Vec<f64>`s, then call this per pair — the
-/// trait's `rep()` allocates a fresh `Vec` per call, which at `s²` pairs
-/// per epoch dominated the fill. Same floating-point operations in the
-/// same order as [`bubble_distance`], so the value is bit-identical.
+/// The `O(s²)` matrix-fill pass extracts each live summary's parts
+/// **once** into a flat [`SeedBlock`] and two `Vec<f64>`s, then calls this
+/// per pair — the trait's `rep()` allocates a fresh `Vec` per call, which
+/// at `s²` pairs per epoch dominated the fill. Same floating-point
+/// operations in the same order as [`bubble_distance`], so the value is
+/// bit-identical.
 #[inline]
 #[must_use]
 pub fn bubble_distance_flat(ra: &[f64], ea: f64, na: f64, rb: &[f64], eb: f64, nb: f64) -> f64 {
-    compose_bubble_distance(dist(ra, rb), ea, na, eb, nb)
-}
-
-/// The directed half of [`bubble_distance_flat`]: composes the bubble
-/// distance from `d = dist(rep_a, rep_b)` and each side's extent and
-/// `nnDist(1)`, taken in argument order.
-///
-/// `dist` is exactly symmetric (it sums the same per-lane `(a − b)²`
-/// terms in the same order either way), but the composition is not: the
-/// two `nnDist(1)` terms are added in argument order, so the two
-/// orientations of a pair can differ in the last bit. A caller that needs
-/// both computes `d` once and composes each orientation from it, with
-/// the bits `bubble_distance_flat` gives for that orientation.
-#[inline]
-#[must_use]
-pub(crate) fn compose_bubble_distance(d: f64, ea: f64, na: f64, eb: f64, nb: f64) -> f64 {
-    let gap = d - (ea + eb);
+    let gap = dist(ra, rb) - (ea + eb);
     if gap >= 0.0 {
         gap + na + nb
     } else {
@@ -277,9 +261,9 @@ pub fn optics_bubbles_with<S: DataSummary + Sync>(
 /// summary must be non-empty — and `pair[i * live.len() + j]` must hold
 /// `bubble_distance` between `live[i]` and `live[j]`. This is the exact
 /// expansion stage [`optics_bubbles_with`] runs after filling its own
-/// matrix; callers that maintain the matrix incrementally (the delta
-/// clustering layer) feed it here and get a bit-identical ordering, since
-/// every downstream decision reads only the matrix and the summaries.
+/// matrix: every decision reads only the matrix and the summaries, so a
+/// caller holding a matrix with the same bits gets a bit-identical
+/// ordering.
 ///
 /// The expansion is a dense Prim-style scan rather than a best-first
 /// heap: with the whole matrix materialised, each step makes one pass
@@ -305,44 +289,6 @@ pub fn optics_from_matrix<S: DataSummary>(
     eps: f64,
     min_pts: usize,
 ) -> BubbleOrdering {
-    optics_from_matrix_with_scratch(
-        summaries,
-        live,
-        pair,
-        eps,
-        min_pts,
-        &mut OpticsScratch::default(),
-    )
-}
-
-/// Reusable working memory for [`optics_from_matrix_with_scratch`]: the
-/// unprocessed-bubble list, reachability array and small-bubble neighbour
-/// list the expansion needs. A caller that re-runs the expansion every
-/// epoch (the delta clustering engine) holds one and reuses the
-/// allocations; the scratch never carries results between runs — every
-/// buffer is reset on entry.
-#[derive(Debug, Clone, Default)]
-pub struct OpticsScratch {
-    pending: Vec<usize>,
-    reach: Vec<f64>,
-    neigh: Vec<(usize, f64)>,
-}
-
-/// [`optics_from_matrix`] with caller-owned scratch memory; the returned
-/// ordering is bit-identical.
-///
-/// # Panics
-/// Panics if `min_pts == 0`, if `pair.len() != live.len()²`, or (in debug
-/// builds) if a listed summary is empty.
-#[must_use]
-pub fn optics_from_matrix_with_scratch<S: DataSummary>(
-    summaries: &[S],
-    live: &[usize],
-    pair: &[f64],
-    eps: f64,
-    min_pts: usize,
-    scratch: &mut OpticsScratch,
-) -> BubbleOrdering {
     assert!(min_pts > 0, "min_pts must be positive");
     let s = live.len();
     assert_eq!(pair.len(), s * s, "matrix must be dense over `live`");
@@ -356,15 +302,9 @@ pub fn optics_from_matrix_with_scratch<S: DataSummary>(
         virtual_reachability: Vec::with_capacity(s),
     };
 
-    let OpticsScratch {
-        pending,
-        reach,
-        neigh,
-    } = scratch;
-    pending.clear();
-    pending.extend(0..s);
-    reach.clear();
-    reach.resize(s, f64::INFINITY);
+    let mut pending: Vec<usize> = (0..s).collect();
+    let mut reach = vec![f64::INFINITY; s];
+    let mut neigh = Vec::new();
 
     // `pending` holds the unprocessed bubbles in no particular order (a
     // processed one is swap-removed), so every scan visits only those.
@@ -386,8 +326,8 @@ pub fn optics_from_matrix_with_scratch<S: DataSummary>(
             .virtual_reachability
             .push(summaries[live[i]].nn_dist(min_pts));
         let row = &pair[i * s..(i + 1) * s];
-        let core = core_distance(summaries, live, i, row, eps, min_pts, neigh);
-        next = relax_and_pick(row, core, eps, pending, reach);
+        let core = core_distance(summaries, live, i, row, eps, min_pts, &mut neigh);
+        next = relax_and_pick(row, core, eps, &pending, &mut reach);
     }
     ordering
 }

@@ -4,17 +4,14 @@
 //! [`reference_expansion`] is the earlier expansion kept verbatim as a
 //! test oracle: a lazy-deletion min-heap of `(reachability, index)`
 //! seeds and a fully sorted neighbour list per expanded bubble. The
-//! production [`optics_from_matrix_with_scratch`] must agree with it bit
+//! production [`optics_from_matrix`] must agree with it bit
 //! for bit — `order`, `reachability` and `virtual_reachability` — over
 //! inputs built to stress every tie-break: duplicated representatives
 //! (exact distance ties), empty summaries, finite `eps` that splits the
 //! input into components, `min_pts` from 1 to above every bubble's point
 //! count, and NaN pair entries.
 
-use idb_clustering::{
-    bubble_distance, optics_bubbles_with, optics_from_matrix_with_scratch, BubbleOrdering,
-    OpticsScratch,
-};
+use idb_clustering::{bubble_distance, optics_bubbles_with, optics_from_matrix, BubbleOrdering};
 use idb_core::DataSummary;
 use idb_geometry::Parallelism;
 use proptest::prelude::*;
@@ -224,7 +221,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
     /// Dense argmin expansion ≡ heap-plus-full-sort expansion, bit for
-    /// bit, with one scratch reused across every run of the case.
+    /// bit.
     #[test]
     fn dense_expansion_matches_heap_reference(
         raw in prop::collection::vec(orb_strategy(), 0..40),
@@ -237,14 +234,13 @@ proptest! {
         let s = live.len();
         let mut pair = live_matrix(&orbs, &live);
         let eps = eps_of(&pair, s, eps_pick);
-        let mut scratch = OpticsScratch::default();
 
         // Unpoisoned: the whole `optics_bubbles_with` pipeline (empty
         // summaries skipped) agrees too.
         let max_n = orbs.iter().map(|o| o.count as usize).max().unwrap_or(0);
         for min_pts in 1..=(max_n + 2) {
             let want = reference_expansion(&orbs, &live, &pair, eps, min_pts);
-            let got = optics_from_matrix_with_scratch(&orbs, &live, &pair, eps, min_pts, &mut scratch);
+            let got = optics_from_matrix(&orbs, &live, &pair, eps, min_pts);
             prop_assert_eq!(&got.order, &want.order, "min_pts {} eps {}", min_pts, eps);
             prop_assert_eq!(bits(&got.reachability), bits(&want.reachability));
             prop_assert_eq!(bits(&got.virtual_reachability), bits(&want.virtual_reachability));
@@ -268,7 +264,7 @@ proptest! {
         }
         let min_pts = 1 + extra_pts;
         let want = reference_expansion(&orbs, &live, &pair, eps, min_pts);
-        let got = optics_from_matrix_with_scratch(&orbs, &live, &pair, eps, min_pts, &mut scratch);
+        let got = optics_from_matrix(&orbs, &live, &pair, eps, min_pts);
         prop_assert_eq!(&got.order, &want.order);
         prop_assert_eq!(bits(&got.reachability), bits(&want.reachability));
         prop_assert_eq!(bits(&got.virtual_reachability), bits(&want.virtual_reachability));
@@ -284,12 +280,10 @@ fn finite_eps_components_match_the_reference() {
         .collect();
     let live: Vec<usize> = (0..orbs.len()).filter(|&i| orbs[i].count > 0).collect();
     let pair = live_matrix(&orbs, &live);
-    let mut scratch = OpticsScratch::default();
     for eps in [1.0, 2.5, 50.0] {
         for min_pts in [1, 4, 9, 40] {
             let want = reference_expansion(&orbs, &live, &pair, eps, min_pts);
-            let got =
-                optics_from_matrix_with_scratch(&orbs, &live, &pair, eps, min_pts, &mut scratch);
+            let got = optics_from_matrix(&orbs, &live, &pair, eps, min_pts);
             assert_eq!(got.order, want.order, "eps {eps} min_pts {min_pts}");
             assert_eq!(bits(&got.reachability), bits(&want.reachability));
             assert_eq!(
@@ -317,17 +311,9 @@ fn all_duplicates_order_by_index_like_the_reference() {
         .collect();
     let live: Vec<usize> = (0..orbs.len()).collect();
     let pair = live_matrix(&orbs, &live);
-    let mut scratch = OpticsScratch::default();
     for min_pts in [1, 2, 3, 4, 7, 30, 80] {
         let want = reference_expansion(&orbs, &live, &pair, f64::INFINITY, min_pts);
-        let got = optics_from_matrix_with_scratch(
-            &orbs,
-            &live,
-            &pair,
-            f64::INFINITY,
-            min_pts,
-            &mut scratch,
-        );
+        let got = optics_from_matrix(&orbs, &live, &pair, f64::INFINITY, min_pts);
         assert_eq!(got.order, want.order, "min_pts {min_pts}");
         assert_eq!(bits(&got.reachability), bits(&want.reachability));
         assert_eq!(

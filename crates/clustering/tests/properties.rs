@@ -2,11 +2,11 @@
 
 use idb_clustering::{
     agglomerative::{agglomerative_points, Linkage},
-    extract_clusters, extract_clusters_at,
+    cluster_tree, extract_clusters, extract_clusters_at,
     kmeans::kmeans_weighted,
     optics_points,
     slink::slink_points,
-    ExtractParams,
+    ClusterNode, ExtractParams, ReachabilityPlot,
 };
 use idb_store::PointStore;
 use proptest::prelude::*;
@@ -25,8 +25,63 @@ fn store_of(pts: &[Vec<f64>]) -> PointStore {
     s
 }
 
+/// The nesting invariants of an extracted hierarchy: children sit
+/// inside their parent's range, in order, each strictly smaller than
+/// its parent, every non-root node carrying a split value.
+fn assert_nesting(node: &ClusterNode) {
+    let (start, end) = node.range;
+    assert!(start <= end, "range is well-formed");
+    let mut prev_start = start;
+    for child in &node.children {
+        assert!(child.range.0 >= prev_start, "children are ordered");
+        assert!(child.range.0 >= start && child.range.1 <= end, "nested");
+        assert!(
+            child.range.1 - child.range.0 < end - start,
+            "a child is strictly smaller than its parent"
+        );
+        assert!(child.split_value.is_some(), "non-root nodes carry a split");
+        prev_start = child.range.0;
+        assert_nesting(child);
+    }
+}
+
+/// Raw reachability value: a finite draw plus an infinity marker (0
+/// means the entry becomes an infinity, i.e. starts a new component).
+type ReachRaw = (f64, u32);
+
+fn reach_strategy() -> impl Strategy<Value = ReachRaw> {
+    (0.1f64..20.0, 0u32..6)
+}
+
+fn reach_of((finite, marker): ReachRaw) -> f64 {
+    if marker == 0 {
+        f64::INFINITY
+    } else {
+        finite
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Random plots with infinite component starts: the extracted tree
+    /// covers the whole plot and satisfies the nesting invariants.
+    #[test]
+    fn cluster_tree_nests(
+        raw_reaches in prop::collection::vec(reach_strategy(), 6..60),
+        min_size in 1usize..8,
+    ) {
+        let mut plot = ReachabilityPlot::new();
+        for (i, &raw) in raw_reaches.iter().enumerate() {
+            // Every plot starts a component.
+            let r = if i == 0 { f64::INFINITY } else { reach_of(raw) };
+            plot.push(i as u64, r);
+        }
+        let tree = cluster_tree(&plot, &ExtractParams::with_min_size(min_size));
+        prop_assert_eq!(tree.range, (0, plot.len()));
+        prop_assert!(tree.split_value.is_none(), "the root carries no split");
+        assert_nesting(&tree);
+    }
 
     /// OPTICS emits every point exactly once, for any eps and min_pts.
     #[test]

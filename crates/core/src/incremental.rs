@@ -125,15 +125,12 @@ pub struct AdaptiveReport {
 }
 
 /// One structural change to the bubble slot space, in application order —
-/// the event stream a delta-maintained clustering layer consumes to know
-/// which pairwise distances may have changed.
+/// the event stream the incremental-checkpoint dirty tracker consumes to
+/// know which bubble slots a delta checkpoint must persist.
 ///
-/// Only *summary statistics* changes are reported: the bubble distance,
-/// core distance and virtual reachability are pure functions of a bubble's
-/// sufficient statistics, so a slot whose stats are untouched keeps every
-/// cached distance bit-identical. Membership *order* changes (swap-removes
-/// inside a member list) are deliberately not tracked — consumers re-read
-/// member lists when expanding a bubble ordering to a point plot.
+/// Only *summary statistics* changes are reported. Membership *order*
+/// changes (swap-removes inside a member list) are deliberately not
+/// tracked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BubbleChange {
     /// The stats of the bubble at this slot changed (insert, delete,
@@ -191,17 +188,12 @@ pub struct IncrementalBubbles {
     /// deterministic under any [`Parallelism`]. Disabled by default.
     obs: Obs,
     /// Whether structural changes are being recorded for
-    /// [`Self::take_changes`]. Off by default.
-    track_changes: bool,
-    /// The recorded change log; `None` while invalidated (an untrackable
-    /// operation — invariant repair — happened since the last drain).
-    changes: Option<Vec<BubbleChange>>,
-    /// Whether a second, independently drained change log is being
-    /// recorded for [`Self::take_ckpt_changes`] — the incremental-
-    /// checkpoint dirty tracker. Off by default.
+    /// [`Self::take_ckpt_changes`] — the incremental-checkpoint dirty
+    /// tracker. Off by default.
     ckpt_track: bool,
-    /// The checkpoint-side change log; same invalidation contract as
-    /// `changes`, drained on its own schedule.
+    /// The recorded change log; `None` while invalidated (tracking just
+    /// enabled, or an untrackable operation — invariant repair — happened
+    /// since the last drain).
     ckpt_changes: Option<Vec<BubbleChange>>,
     /// Reusable working memory for the dynamic paths. Never semantic.
     scratch: Scratch,
@@ -260,8 +252,6 @@ impl IncrementalBubbles {
             // A fresh build journals nothing: callers attach a handle with
             // `set_obs` once the summary exists.
             obs: Obs::disabled(),
-            track_changes: false,
-            changes: None,
             ckpt_track: false,
             ckpt_changes: None,
             scratch: Scratch::default(),
@@ -370,61 +360,31 @@ impl IncrementalBubbles {
         self.obs = obs;
     }
 
-    /// Turns structural change recording on or off (off by default).
+    /// Turns structural change recording for the incremental-checkpoint
+    /// dirty tracker on or off (off by default).
     ///
     /// While on, every operation that changes a bubble slot's summary
     /// statistics or the slot space itself appends a [`BubbleChange`] to
-    /// an internal log, drained by [`Self::take_changes`]. Tracking is a
-    /// pure output channel: it never affects summarization results and is
-    /// not persisted in snapshots. Enabling starts with an *invalid* log —
-    /// the first drain returns `None`, obliging the consumer to resync
-    /// against the current population before trusting subsequent logs
-    /// (the consumer has no way to know what happened before enabling,
-    /// e.g. across a crash/recovery boundary).
-    pub fn set_change_tracking(&mut self, on: bool) {
-        self.track_changes = on;
-        self.changes = None;
-    }
-
-    /// `true` while structural change recording is on.
-    #[must_use]
-    pub fn change_tracking(&self) -> bool {
-        self.track_changes
+    /// an internal log, drained by [`Self::take_ckpt_changes`]. Tracking
+    /// is a pure output channel: it never affects summarization results
+    /// and is not persisted in snapshots. Enabling starts with an
+    /// *invalid* log — the first drain returns `None`, obliging the
+    /// consumer to treat every slot as changed before trusting subsequent
+    /// logs (it cannot know what happened before enabling).
+    pub fn set_ckpt_tracking(&mut self, on: bool) {
+        self.ckpt_track = on;
+        self.ckpt_changes = None;
     }
 
     /// Drains the structural change log recorded since the previous drain
     /// (or since tracking was enabled).
     ///
     /// Returns `None` when the log is not continuously valid — tracking is
-    /// off, or an untrackable operation (invariant [`Self::repair`])
-    /// rewrote bubbles wholesale since the last drain. A `None` obliges
-    /// the consumer to treat *every* slot as changed; it is never silently
-    /// wrong. After a `None` with tracking on, recording resumes with a
-    /// fresh valid log.
-    pub fn take_changes(&mut self) -> Option<Vec<BubbleChange>> {
-        if !self.track_changes {
-            return None;
-        }
-        let drained = self.changes.take();
-        self.changes = Some(Vec::new());
-        drained
-    }
-
-    /// Turns the checkpoint-side structural change log on or off.
-    ///
-    /// A second, independently drained channel with exactly the contract
-    /// of [`Self::set_change_tracking`] / [`Self::take_changes`]: the
-    /// delta-subscription consumer and the incremental-checkpoint dirty
-    /// tracker drain on different schedules, so they cannot share one log.
-    /// Enabling starts with an *invalid* log (first drain returns `None`).
-    pub fn set_ckpt_tracking(&mut self, on: bool) {
-        self.ckpt_track = on;
-        self.ckpt_changes = None;
-    }
-
-    /// Drains the checkpoint-side change log recorded since the previous
-    /// drain. Same validity contract as [`Self::take_changes`]: `None`
-    /// means the consumer must treat every slot as dirty.
+    /// off, was just enabled, or an untrackable operation (invariant
+    /// [`Self::repair`]) rewrote bubbles wholesale since the last drain. A
+    /// `None` obliges the consumer to treat *every* slot as dirty; it is
+    /// never silently wrong. After a `None` with tracking on, recording
+    /// resumes with a fresh valid log.
     pub fn take_ckpt_changes(&mut self) -> Option<Vec<BubbleChange>> {
         if !self.ckpt_track {
             return None;
@@ -434,22 +394,16 @@ impl IncrementalBubbles {
         drained
     }
 
-    /// Appends to the change logs when tracking is on and the log is valid.
+    /// Appends to the change log when tracking is on and the log is valid.
     fn record_change(&mut self, change: BubbleChange) {
-        if let Some(log) = self.changes.as_mut() {
-            log.push(change);
-        }
         if let Some(log) = self.ckpt_changes.as_mut() {
             log.push(change);
         }
     }
 
-    /// Marks the change logs invalid until the next drain (an operation
+    /// Marks the change log invalid until the next drain (an operation
     /// mutated bubbles in a way the log cannot describe precisely).
     fn invalidate_changes(&mut self) {
-        if self.track_changes {
-            self.changes = None;
-        }
         if self.ckpt_track {
             self.ckpt_changes = None;
         }
@@ -1363,8 +1317,6 @@ impl IncrementalBubbles {
             obs: Obs::disabled(),
             // A decoded maintainer has no change history; a consumer that
             // re-enables tracking starts from a full recompute anyway.
-            track_changes: false,
-            changes: None,
             ckpt_track: false,
             ckpt_changes: None,
             scratch: Scratch::default(),
@@ -2096,6 +2048,51 @@ mod tests {
         assert_eq!(new_ids.len(), 15);
         ib.validate(&store);
         assert_eq!(ib.total_points(), store.len() as u64);
+    }
+
+    #[test]
+    fn checkpoint_change_log_is_valid_only_between_drains() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut store = toy_store(&mut rng);
+        let mut search = SearchStats::new();
+        let mut ib =
+            IncrementalBubbles::build(&store, MaintainerConfig::new(10), &mut rng, &mut search);
+        // Inserts one point and returns the slot of the bubble it joined.
+        let insert = |ib: &mut IncrementalBubbles, store: &mut PointStore, x: f64| {
+            let id = store.insert(&[x, 50.0], None);
+            ib.insert_point(id, &[x, 50.0], &mut SearchStats::new());
+            ib.assignment(id).expect("assigned") as u32
+        };
+
+        // Off: nothing is recorded, every drain is `None`.
+        insert(&mut ib, &mut store, 50.0);
+        assert_eq!(ib.take_ckpt_changes(), None);
+        assert_eq!(ib.take_ckpt_changes(), None);
+
+        // Enabling starts invalid: the first drain is `None`, then the
+        // log covers exactly what happened since the previous drain.
+        ib.set_ckpt_tracking(true);
+        insert(&mut ib, &mut store, 51.0);
+        assert_eq!(ib.take_ckpt_changes(), None);
+        assert_eq!(ib.take_ckpt_changes(), Some(Vec::new()));
+        let b = insert(&mut ib, &mut store, 52.0);
+        assert_eq!(ib.take_ckpt_changes(), Some(vec![BubbleChange::Touched(b)]));
+
+        // A repair invalidates the log for exactly one drain.
+        let wrong_n = ib.bubbles()[0].stats().n() + 7;
+        ib.corrupt_stats(0, wrong_n, vec![0.0; 2], 0.0);
+        let report = ib.repair(&store, &mut rng, &mut search);
+        assert!(report.issues_found > 0, "sabotage must be detected");
+        assert_eq!(ib.take_ckpt_changes(), None);
+        assert_eq!(ib.take_ckpt_changes(), Some(Vec::new()));
+        let b = insert(&mut ib, &mut store, 53.0);
+        assert_eq!(ib.take_ckpt_changes(), Some(vec![BubbleChange::Touched(b)]));
+        ib.validate(&store);
+
+        // Off again: `None`, whatever happened.
+        ib.set_ckpt_tracking(false);
+        insert(&mut ib, &mut store, 54.0);
+        assert_eq!(ib.take_ckpt_changes(), None);
     }
 
     #[test]

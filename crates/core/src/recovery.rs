@@ -1783,22 +1783,6 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
         &self.bubbles
     }
 
-    /// Turns structural change recording on or off on the live
-    /// summarization (see
-    /// [`IncrementalBubbles::set_change_tracking`]). Purely an output
-    /// channel for delta-clustering consumers; never journaled, never
-    /// persisted.
-    pub fn set_change_tracking(&mut self, on: bool) {
-        self.bubbles.set_change_tracking(on);
-    }
-
-    /// Drains the structural change log of the live summarization (see
-    /// [`IncrementalBubbles::take_changes`]); `None` obliges the consumer
-    /// to treat every bubble slot as changed.
-    pub fn take_changes(&mut self) -> Option<Vec<crate::incremental::BubbleChange>> {
-        self.bubbles.take_changes()
-    }
-
     /// Batches applied over the stream's whole life (across epochs).
     #[must_use]
     pub fn batches_applied(&self) -> u64 {

@@ -1,57 +1,43 @@
 //! The delta-maintained clustering engine.
 //!
-//! [`DeltaEngine`] consumes the maintainer's structural change stream
-//! ([`BubbleChange`]) and keeps the whole bubble-level clustering
-//! pipeline incrementally maintained across epochs:
+//! [`DeltaEngine`] re-clusters the bubbles from scratch every epoch, as
+//! the paper does after each batch — only the *bubbles* are maintained
+//! incrementally, and the summary keeps their count `s` small — and
+//! maintains what the from-scratch pipeline cannot: stable cluster ids
+//! and typed deltas.
 //!
-//! 1. **Candidate generation** — a [`PairCache`] mirrors the bubble slot
-//!    space of every domain (push / swap-remove / in-place stat changes)
-//!    and recomputes only the distance neighborhoods of *touched* slots
-//!    (one representative distance per touched unordered pair),
-//!    bit-identical to a from-scratch matrix;
-//! 2. **Expansion** — the live sub-matrix is viewed into an engine-owned
-//!    buffer reused across epochs, and [`optics_from_matrix`] runs the
-//!    exact `O(s²)` dense OPTICS stage `optics_bubbles_with` would run
-//!    over that matrix;
-//! 3. **Extraction** — the ordering is expanded to the point-level plot
+//! 1. **OPTICS** — [`optics_merged`] over the domains, domain-major: one
+//!    `O(s²)` bubble-distance matrix fill and one dense expansion;
+//! 2. **Extraction** — the ordering is expanded to the point-level plot
 //!    straight from the bubbles' member slices (no per-bubble buffer),
-//!    and [`cluster_tree_delta`] re-extracts the cluster tree, copying
-//!    components whose reachability bits are unchanged from the
-//!    previous epoch's [`TreeCache`];
-//! 4. **Diff** — the new tree is diffed against the previous epoch's
+//!    and [`cluster_tree`] extracts the cluster tree;
+//! 3. **Diff** — the new tree is diffed against the previous epoch's
 //!    identity tree into typed [`ClusterDelta`]s with stable cluster
 //!    ids, fanned out to registered subscriptions. The diff is
 //!    positional: one sort and merge-join of the plot's point ids
 //!    against the previous plot's, then linear scans over plot
 //!    positions (see the `deltas` module).
 //!
-//! Every stage is bit-identical to the from-scratch pipeline
-//! (`optics_merged` → `expand` → `cluster_tree`) by construction: the
-//! incremental parts only decide *what to recompute*, never *what the
-//! values are*. The differential suite in `tests/equivalence.rs` proves
-//! it over every dynamic scenario, engine, parallelism mode and
-//! partition count.
-//!
-//! When any domain's change log is unavailable (`take_changes` returned
-//! `None`: tracking just enabled, or invalidated by a repair/restart),
-//! the engine falls back to a **full resync** — every slot recomputed,
-//! same bits, no silent staleness.
+//! Stages 1–2 *are* the from-scratch pipeline (`optics_merged` →
+//! `expand` → `cluster_tree`), so every epoch's ordering, plot and tree
+//! are bit-identical to it by construction; the differential suite in
+//! `tests/equivalence.rs` checks it over every dynamic scenario, engine,
+//! parallelism mode and partition count.
 
 use crate::deltas::{diff_trees, ClusterDelta, ClusterId, IdTree};
 use crate::subscribe::{Interest, Subscriptions, VersionedDelta};
 use idb_clustering::merged::MergedRef;
 use idb_clustering::{
-    cluster_tree_delta, optics_from_matrix_with_scratch, BubbleOrdering, ClusterNode,
-    ExtractParams, OpticsScratch, PairCache, ReachabilityPlot, TreeCache, TreeDeltaStats,
+    cluster_tree, optics_merged, BubbleOrdering, ClusterNode, ExtractParams, ReachabilityPlot,
 };
-use idb_core::{Bubble, BubbleChange, DataSummary, IncrementalBubbles};
+use idb_core::{Bubble, IncrementalBubbles};
 use idb_geometry::Parallelism;
 use idb_obs::{EventKind, Obs};
 use idb_store::PointId;
 use std::collections::HashMap;
 
 /// Clustering parameters of a [`DeltaEngine`] — fixed for the engine's
-/// lifetime so cached state stays comparable across epochs.
+/// lifetime so cluster ids stay comparable across epochs.
 #[derive(Debug, Clone)]
 pub struct DeltaParams {
     /// OPTICS neighborhood bound (`f64::INFINITY` for the full
@@ -61,14 +47,14 @@ pub struct DeltaParams {
     pub min_pts: usize,
     /// Cluster-tree extraction parameters.
     pub extract: ExtractParams,
-    /// Parallelism of the touched-row refresh (a wall-clock knob only —
-    /// outputs are bit-identical across modes).
+    /// Parallelism of the bubble-distance matrix fill (a wall-clock knob
+    /// only — outputs are bit-identical across modes).
     pub par: Parallelism,
 }
 
 impl DeltaParams {
     /// The full hierarchy (`eps = ∞`) with the given density threshold
-    /// and minimum cluster size, refreshed serially.
+    /// and minimum cluster size, clustered serially.
     #[must_use]
     pub fn new(min_pts: usize, min_cluster_size: usize) -> Self {
         Self {
@@ -80,24 +66,41 @@ impl DeltaParams {
     }
 }
 
+/// Component counters of one epoch's cluster tree.
+///
+/// Every epoch extracts the whole tree, so `reused` is always 0 and
+/// `rebuilt` equals `components`; the fields keep the report's shape for
+/// consumers that read them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TreeDeltaStats {
+    /// Components (maximal segments delimited by infinite reachability
+    /// entries) in the plot.
+    pub components: usize,
+    /// Component subtrees carried over from the previous epoch (always
+    /// 0).
+    pub reused: usize,
+    /// Component subtrees extracted this epoch (all of them).
+    pub rebuilt: usize,
+}
+
 /// What one [`DeltaEngine::epoch`] did.
+///
+/// Every epoch recomputes every bubble's distances, so `touched` equals
+/// `total` and `resynced` is always `true`; the fields keep the report's
+/// shape for consumers that read them.
 #[derive(Debug, Clone)]
 pub struct EpochReport {
     /// The epoch number (0 for the engine's first epoch).
     pub epoch: u64,
-    /// Bubble slots whose distance neighborhood was recomputed.
+    /// Bubbles whose distances were computed: all of them.
     pub touched: usize,
-    /// Total tracked bubble slots (what a full recompute touches).
+    /// Bubbles across all domains, empty ones included.
     pub total: usize,
-    /// Whether the epoch fell back to a full resync (first epoch, a
-    /// domain without a valid change log, or a slot-space mismatch).
+    /// Whether the epoch recomputed from scratch: always.
     pub resynced: bool,
-    /// Unordered slot pairs whose distances were recomputed — one
-    /// representative distance each: `touched·total − touched(touched+1)/2`.
-    pub pair_evals: usize,
     /// The epoch's cluster deltas, in emission order.
     pub deltas: Vec<ClusterDelta>,
-    /// Cluster-tree component reuse counters.
+    /// Cluster-tree component counters.
     pub tree: TreeDeltaStats,
 }
 
@@ -114,12 +117,6 @@ struct EpochArtifacts {
 #[derive(Debug)]
 pub struct DeltaEngine {
     params: DeltaParams,
-    cache: PairCache,
-    tree_cache: TreeCache,
-    /// Per cache slot: the owning `(domain, index within domain)`.
-    owners: Vec<(u32, u32)>,
-    /// Per domain: domain-local bubble index → cache slot.
-    domain_slots: Vec<Vec<usize>>,
     /// The previous epoch's identity tree (`None` before the first
     /// epoch).
     id_tree: Option<IdTree>,
@@ -128,34 +125,21 @@ pub struct DeltaEngine {
     obs: Obs,
     epochs: u64,
     last: Option<EpochArtifacts>,
-    /// Reusable working memory for the per-epoch OPTICS expansion and the
-    /// live distance matrix it reads — after the first epoch neither
-    /// stage allocates unless the live count grows. Purely an
-    /// optimization; fresh buffers yield bit-identical orderings.
-    optics_scratch: OpticsScratch,
-    view: Vec<f64>,
 }
 
 impl DeltaEngine {
-    /// An engine with the given parameters and no tracked state; the
-    /// first epoch resyncs against whatever domains it is shown.
+    /// An engine with the given parameters and no epoch yet.
     #[must_use]
     pub fn new(params: DeltaParams) -> Self {
         assert!(params.min_pts > 0, "min_pts must be positive");
         Self {
             params,
-            cache: PairCache::new(),
-            tree_cache: TreeCache::new(),
-            owners: Vec::new(),
-            domain_slots: Vec::new(),
             id_tree: None,
             next_cluster_id: 0,
             subs: Subscriptions::new(),
             obs: Obs::disabled(),
             epochs: 0,
             last: None,
-            optics_scratch: OpticsScratch::default(),
-            view: Vec::new(),
         }
     }
 
@@ -166,11 +150,9 @@ impl DeltaEngine {
     }
 
     /// Routes observability through `obs`: every epoch emits an
-    /// [`EventKind::DeltaEpoch`] journal event and bumps the
-    /// `delta.rows_touched` / `delta.rows_total` / `delta.rows_saved` /
-    /// `delta.pair_evals` counters (the delta-vs-full work ledger) and the
-    /// per-stage time counters `delta.refresh_us`, `delta.view_us`,
-    /// `delta.expand_us`, `delta.extract_us` (plot expansion plus tree
+    /// [`EventKind::DeltaEpoch`] journal event and bumps `delta.epochs`
+    /// and the per-stage time counters `delta.optics_us` (merge, matrix
+    /// fill and expansion), `delta.extract_us` (plot expansion plus tree
     /// extraction) and `delta.diff_us` (the id diff plus the parent maps
     /// subtree subscriptions filter by).
     pub fn set_obs(&mut self, obs: Obs) {
@@ -184,7 +166,8 @@ impl DeltaEngine {
     }
 
     /// The most recent epoch's ordering with per-position provenance,
-    /// `None` before the first epoch.
+    /// `None` before the first epoch. `ordering.order` indexes the
+    /// domain-major concatenation of the epoch's domains.
     #[must_use]
     pub fn ordering(&self) -> Option<(&[MergedRef], &BubbleOrdering)> {
         self.last.as_ref().map(|a| (&a.refs[..], &a.ordering))
@@ -240,120 +223,53 @@ impl DeltaEngine {
         self.subs.poll(id)
     }
 
-    /// Runs one epoch against a single unsharded maintainer: drains its
-    /// change log (enabling tracking on first use — which forces this
-    /// epoch to resync, as the log cannot cover what happened before) and
-    /// clusters its bubbles. Point ids in plots and memberships are the
-    /// maintainer's own store ids.
-    pub fn maintainer_epoch(&mut self, bubbles: &mut IncrementalBubbles) -> EpochReport {
-        if !bubbles.change_tracking() {
-            bubbles.set_change_tracking(true);
-        }
-        let changes = vec![bubbles.take_changes()];
-        let domains = [bubbles.bubbles()];
-        self.epoch(&domains, changes, |_, id| u64::from(id.0))
+    /// Runs one epoch against a single unsharded maintainer. Point ids in
+    /// plots and memberships are the maintainer's own store ids.
+    pub fn maintainer_epoch(&mut self, bubbles: &IncrementalBubbles) -> EpochReport {
+        self.epoch(&[bubbles.bubbles()], |_, id| u64::from(id.0))
     }
 
     /// Runs one epoch over `domains` (one slice of bubbles per
-    /// maintainer domain, in a fixed domain order), with `changes[d]` the
-    /// domain's drained change log (`None` forces a full resync) and
-    /// `map_id` translating a domain-local point id into the global id
-    /// space used in plots and memberships.
+    /// maintainer domain, in a fixed domain order), with `map_id`
+    /// translating a domain-local point id into the global id space used
+    /// in plots and memberships.
     ///
-    /// The resulting ordering, plot and tree are bit-identical to the
-    /// from-scratch `optics_merged` → `expand` → `cluster_tree` pipeline
-    /// over the same domains.
-    ///
-    /// # Panics
-    /// Panics if `changes.len() != domains.len()`.
+    /// The ordering, plot and tree are the from-scratch `optics_merged`
+    /// → `expand` → `cluster_tree` pipeline over the same domains; only
+    /// the cluster ids carry over from the previous epoch.
     pub fn epoch(
         &mut self,
         domains: &[&[Bubble]],
-        changes: Vec<Option<Vec<BubbleChange>>>,
         map_id: impl Fn(u32, PointId) -> u64,
     ) -> EpochReport {
-        assert_eq!(
-            changes.len(),
-            domains.len(),
-            "one change log (or None) per domain"
-        );
         let timer = self.obs.start();
 
-        // --- 1. Sync the slot space. ---
-        let resynced = if self.try_apply_changes(domains, changes) {
-            false
-        } else {
-            self.resync(domains);
-            true
-        };
-
-        // --- 2. Refresh touched distance neighborhoods. ---
+        // --- 1. OPTICS over the union of the domains. ---
         let stage = self.obs.start();
-        let slot_summaries: Vec<&Bubble> = self
-            .owners
-            .iter()
-            .map(|&(d, j)| &domains[d as usize][j as usize])
-            .collect();
-        let touched = self.cache.refresh(&slot_summaries, self.params.par);
-        let pair_evals = self.cache.pair_evals();
-        let total = self.owners.len();
-        let refresh_us = stage.us();
-
-        // --- 3. Expand over the cached matrix, domain-major like
-        // `optics_merged`. ---
-        let stage = self.obs.start();
-        let live: Vec<usize> = self
-            .domain_slots
-            .iter()
-            .enumerate()
-            .flat_map(|(d, slots)| {
-                slots
-                    .iter()
-                    .enumerate()
-                    .filter(move |&(j, _)| domains[d][j].n() > 0)
-                    .map(|(_, &c)| c)
-            })
-            .collect();
-        self.cache.live_view(&live, &mut self.view);
-        let view_us = stage.us();
-        let stage = self.obs.start();
-        let ordering = optics_from_matrix_with_scratch(
-            &slot_summaries,
-            &live,
-            &self.view,
+        let (merged, ordering) = optics_merged(
+            domains,
             self.params.eps,
             self.params.min_pts,
-            &mut self.optics_scratch,
+            self.params.par,
         );
-        let expand_us = stage.us();
-        let stage = self.obs.start();
-        let refs: Vec<MergedRef> = ordering
-            .order
-            .iter()
-            .map(|&c| {
-                let (domain, index) = self.owners[c];
-                MergedRef {
-                    domain,
-                    index: index as usize,
-                }
-            })
-            .collect();
+        let optics_us = stage.us();
 
-        // --- 4. Expand to the point level, reading member ids straight
-        // from the bubbles, and re-extract the tree. ---
+        // --- 2. Expand to the point level, reading member ids straight
+        // from the bubbles, and extract the tree. ---
+        let stage = self.obs.start();
+        let refs: Vec<MergedRef> = ordering.order.iter().map(|&i| merged[i]).collect();
         let map_id = &map_id;
-        let plot = ordering.expand(|c| {
-            let (d, j) = self.owners[c];
-            domains[d as usize][j as usize]
+        let plot = ordering.expand(|i| {
+            let MergedRef { domain, index } = merged[i];
+            domains[domain as usize][index]
                 .members()
                 .iter()
-                .map(move |&id| map_id(d, id))
+                .map(move |&id| map_id(domain, id))
         });
-        let (tree, tree_stats) =
-            cluster_tree_delta(&plot, &self.params.extract, &mut self.tree_cache);
+        let tree = cluster_tree(&plot, &self.params.extract);
         let extract_us = stage.us();
 
-        // --- 5. Diff into typed deltas with stable ids: one id join
+        // --- 3. Diff into typed deltas with stable ids: one id join
         // against the previous plot, then positional scans. ---
         let stage = self.obs.start();
         let (id_tree, deltas) = diff_trees(
@@ -371,16 +287,17 @@ impl DeltaEngine {
         self.id_tree = Some(id_tree);
         let diff_us = stage.us();
 
-        // --- 6. Fan out to subscriptions and the observability ledger. ---
+        // --- 4. Fan out to subscriptions and the observability ledger. ---
         let epoch = self.epochs;
         self.epochs += 1;
         self.subs.fanout(epoch, &deltas, |root, delta| {
             in_subtree(root, delta, &old_parents, &new_parents)
         });
+        let total = merged.len();
         if self.obs.enabled() {
             self.obs.emit_timed(
                 EventKind::DeltaEpoch {
-                    touched: touched as u32,
+                    touched: total as u32,
                     total: total as u32,
                     deltas: deltas.len() as u32,
                 },
@@ -388,21 +305,11 @@ impl DeltaEngine {
             );
             let metrics = self.obs.metrics();
             metrics.counter("delta.epochs").inc();
-            metrics.counter("delta.rows_touched").add(touched as u64);
-            metrics.counter("delta.rows_total").add(total as u64);
-            metrics
-                .counter("delta.rows_saved")
-                .add((total - touched) as u64);
-            metrics.counter("delta.pair_evals").add(pair_evals as u64);
-            metrics.counter("delta.refresh_us").add(refresh_us);
-            metrics.counter("delta.view_us").add(view_us);
-            metrics.counter("delta.expand_us").add(expand_us);
+            metrics.counter("delta.optics_us").add(optics_us);
             metrics.counter("delta.extract_us").add(extract_us);
             metrics.counter("delta.diff_us").add(diff_us);
-            if resynced {
-                metrics.counter("delta.resyncs").inc();
-            }
         }
+        let components = component_count(&plot);
         self.last = Some(EpochArtifacts {
             refs,
             ordering,
@@ -412,104 +319,26 @@ impl DeltaEngine {
 
         EpochReport {
             epoch,
-            touched,
+            touched: total,
             total,
-            resynced,
-            pair_evals,
+            resynced: true,
             deltas,
-            tree: tree_stats,
+            tree: TreeDeltaStats {
+                components,
+                reused: 0,
+                rebuilt: components,
+            },
         }
     }
+}
 
-    /// Applies per-domain change logs to the slot mapping and the pair
-    /// cache. Returns `false` when a full resync is required instead:
-    /// domain count changed, a log is missing, or the resulting mapping
-    /// does not cover the domains (a defensive cross-check).
-    fn try_apply_changes(
-        &mut self,
-        domains: &[&[Bubble]],
-        changes: Vec<Option<Vec<BubbleChange>>>,
-    ) -> bool {
-        if self.domain_slots.len() != domains.len() {
-            return false;
-        }
-        if changes.iter().any(Option::is_none) {
-            return false;
-        }
-        for (d, log) in changes.into_iter().enumerate() {
-            for change in log.expect("checked above") {
-                match change {
-                    BubbleChange::Touched(i) => {
-                        let Some(&c) = self.domain_slots[d].get(i as usize) else {
-                            return false;
-                        };
-                        self.cache.touch(c);
-                    }
-                    BubbleChange::Pushed => {
-                        let c = self.cache.slots();
-                        self.cache.push();
-                        self.owners
-                            .push((d as u32, self.domain_slots[d].len() as u32));
-                        self.domain_slots[d].push(c);
-                    }
-                    BubbleChange::SwapRemoved(i) => {
-                        if !self.apply_swap_remove(d, i as usize) {
-                            return false;
-                        }
-                    }
-                }
-            }
-        }
-        // The mapping must exactly cover the domains we were shown.
-        self.domain_slots.len() == domains.len()
-            && self
-                .domain_slots
-                .iter()
-                .zip(domains)
-                .all(|(slots, dom)| slots.len() == dom.len())
-    }
-
-    /// Mirrors a maintainer-side `swap_remove(i)` in domain `d`: the
-    /// domain's last bubble moved to local index `i`, and the cache's
-    /// last slot moved into the removed bubble's slot.
-    fn apply_swap_remove(&mut self, d: usize, i: usize) -> bool {
-        let Some(&c_removed) = self.domain_slots[d].get(i) else {
-            return false;
-        };
-        // Domain-local remap (maintainer Vec::swap_remove semantics).
-        let c_last_local = self.domain_slots[d].pop().expect("get() proved non-empty");
-        if i < self.domain_slots[d].len() {
-            self.domain_slots[d][i] = c_last_local;
-            self.owners[c_last_local] = (d as u32, i as u32);
-        }
-        // Global cache remap (PairCache::swap_remove semantics).
-        self.cache.swap_remove(c_removed);
-        let moved_owner = self.owners.pop().expect("owners mirror cache slots");
-        if c_removed < self.owners.len() {
-            self.owners[c_removed] = moved_owner;
-            self.domain_slots[moved_owner.0 as usize][moved_owner.1 as usize] = c_removed;
-        }
-        true
-    }
-
-    /// Rebuilds the slot mapping from scratch and marks every slot dirty
-    /// — the sound fallback whenever incremental bookkeeping cannot be
-    /// trusted.
-    fn resync(&mut self, domains: &[&[Bubble]]) {
-        self.owners.clear();
-        self.domain_slots = domains
-            .iter()
-            .enumerate()
-            .map(|(d, dom)| {
-                (0..dom.len())
-                    .map(|j| {
-                        self.owners.push((d as u32, j as u32));
-                        self.owners.len() - 1
-                    })
-                    .collect()
-            })
-            .collect();
-        self.cache.reset(self.owners.len());
+/// Segments of `plot` delimited by infinite reachabilities: every OPTICS
+/// ordering starts each connected component with one.
+fn component_count(plot: &ReachabilityPlot) -> usize {
+    let entries = plot.entries();
+    match entries.split_first() {
+        None => 0,
+        Some((_, rest)) => 1 + rest.iter().filter(|e| e.reachability.is_infinite()).count(),
     }
 }
 

@@ -1,11 +1,9 @@
 //! The delta-clustering differential suite.
 //!
 //! One contract, proven by byte-level comparison on every epoch of
-//! every run: the delta-maintained pipeline — change-log bookkeeping,
-//! incremental pair-cache refresh, matrix-fed expansion, component-
-//! cached extraction — produces **bit-identical** artifacts to the
-//! from-scratch pipeline (`optics_bubbles_with` / `optics_merged` →
-//! `expand` → `cluster_tree`):
+//! every run: the delta engine's epoch produces **bit-identical**
+//! artifacts to the from-scratch pipeline (`optics_bubbles_with` /
+//! `optics_merged` → `expand` → `cluster_tree`):
 //!
 //! * the ordered provenance (which bubble at which position),
 //! * the reachability and virtual-reachability bits,
@@ -14,19 +12,20 @@
 //!
 //! The case matrix spans all six paper scenarios (plus the extended
 //! dynamics), every seed-search engine with warm-start on and off,
-//! serial and threaded refresh, unsharded maintainers and routers at
-//! one and four partitions, with fault-injected batches and a
-//! crash/restart (forced resync) along the way — well over 256 compared
-//! epochs in total; each test asserts its own floor. Every run journals
-//! into an in-memory recorder and its journal must pass
-//! [`check_journal_sharded`] (per epoch, touched never exceeds total).
+//! serial and threaded matrix fills, unsharded maintainers and routers
+//! at one and four partitions, with fault-injected batches, a
+//! crash/restart, an invariant repair and a domain-count change along
+//! the way — well over 256 compared epochs in total; each test asserts
+//! its own floor. Every run journals into an in-memory recorder and its
+//! journal must pass [`check_journal_sharded`] (per epoch, touched never
+//! exceeds total).
 
 use idb_clustering::{
     cluster_tree, optics_bubbles_with, optics_merged, BubbleOrdering, ClusterNode, ExtractParams,
     MergedRef,
 };
 use idb_core::{DataSummary, DurabilityConfig, IncrementalBubbles, MaintainerConfig, SeedSearch};
-use idb_delta::{router_epoch, DeltaEngine, DeltaParams, EpochReport};
+use idb_delta::{router_epoch, DeltaEngine, DeltaParams};
 use idb_geometry::{Parallelism, SearchStats};
 use idb_obs::{check_journal_sharded, Obs, RingRecorder};
 use idb_shard::{GlobalId, ShardConfig, ShardRouter};
@@ -128,15 +127,14 @@ fn assert_epoch_matches(
 }
 
 /// Drives one unsharded scenario run, comparing every epoch. Returns
-/// the number of compared epochs and whether any steady-state epoch
-/// actually saved work (touched < total).
+/// the number of compared epochs.
 fn run_unsharded(
     kind: ScenarioKind,
     seed_search: SeedSearch,
     warm_start: bool,
     par: Parallelism,
     epochs: usize,
-) -> (usize, bool) {
+) -> usize {
     let spec = ScenarioSpec::named(kind, DIM, 420, 0.10);
     let mut scenario = ScenarioEngine::new(spec);
     let mut srng = StdRng::seed_from_u64(SCENARIO_SEED);
@@ -154,7 +152,6 @@ fn run_unsharded(
     let mut engine = DeltaEngine::new(params(par));
     engine.set_obs(obs);
     let mut cases = 0;
-    let mut saved_work = false;
     for round in 0..epochs {
         if round > 0 {
             let batch = scenario.plan(&mut srng);
@@ -162,15 +159,7 @@ fn run_unsharded(
             scenario.confirm(&got);
             bubbles.maintain(&store, &mut mrng, &mut search);
         }
-        let report = engine.maintainer_epoch(&mut bubbles);
-        assert!(
-            report.touched <= report.total,
-            "touched must never exceed total"
-        );
-        assert_eq!(report.resynced, round == 0, "only the first epoch resyncs");
-        if round > 0 && report.touched < report.total {
-            saved_work = true;
-        }
+        engine.maintainer_epoch(&bubbles);
 
         let scratch = optics_bubbles_with(bubbles.bubbles(), f64::INFINITY, MIN_PTS, par);
         let scratch_refs: Vec<MergedRef> = (0..bubbles.bubbles().len())
@@ -200,28 +189,20 @@ fn run_unsharded(
         cases += 1;
     }
     assert_journal_valid(&ring, cases, &format!("{kind:?}/{seed_search:?}/{par:?}"));
-    (cases, saved_work)
+    cases
 }
 
 #[test]
 fn every_scenario_engine_and_warm_start_is_bit_identical() {
     let mut cases = 0;
-    let mut any_saved = false;
     for kind in ScenarioKind::all() {
         for seed_search in [SeedSearch::Brute, SeedSearch::Pruned, SeedSearch::KdTree] {
             for warm_start in [true, false] {
-                let (c, saved) =
-                    run_unsharded(kind, seed_search, warm_start, Parallelism::Serial, 6);
-                cases += c;
-                any_saved = any_saved || saved;
+                cases += run_unsharded(kind, seed_search, warm_start, Parallelism::Serial, 6);
             }
         }
     }
     assert!(cases >= 216, "case floor: got {cases}");
-    assert!(
-        any_saved,
-        "at least one steady-state epoch must refresh fewer slots than a full recompute"
-    );
 }
 
 #[test]
@@ -233,8 +214,7 @@ fn extended_dynamics_and_threaded_refresh_are_bit_identical() {
         ScenarioKind::Densify,
     ] {
         for par in [Parallelism::Serial, Parallelism::Threads(3)] {
-            let (c, _) = run_unsharded(kind, SeedSearch::Pruned, true, par, 5);
-            cases += c;
+            cases += run_unsharded(kind, SeedSearch::Pruned, true, par, 5);
         }
     }
     assert!(cases >= 30, "case floor: got {cases}");
@@ -242,10 +222,8 @@ fn extended_dynamics_and_threaded_refresh_are_bit_identical() {
 
 /// Drives one sharded run at the given partition and shard counts,
 /// comparing every epoch against the router's own merged cross-partition
-/// pass, with
-/// fault-injected batches and (when `crash` is set) a kill/restart of
-/// partition 0 in the middle — which must force exactly one resync and
-/// still be bit-identical.
+/// pass, with fault-injected batches and (when `crash` is set) a
+/// kill/restart of partition 0 in the middle.
 fn run_sharded(
     partitions: u32,
     shards: u32,
@@ -280,8 +258,8 @@ fn run_sharded(
         if round > 0 {
             if round % 4 == 3 {
                 // A fault-injected batch: rejected whole, must leave the
-                // delta state stream untouched (the next epoch sees only
-                // genuine changes).
+                // partitions untouched (the next epoch sees only genuine
+                // changes).
                 let bad = Batch {
                     deletes: Vec::new(),
                     inserts: vec![(vec![f64::NAN; DIM], None)],
@@ -305,13 +283,7 @@ fn run_sharded(
             let got = router.apply(&batch).expect("apply");
             scenario.confirm(&got);
         }
-        let report: EpochReport = router_epoch(&mut engine, &mut router).expect("online");
-        assert!(report.touched <= report.total);
-        if crash && round == rounds / 2 {
-            assert!(report.resynced, "a restarted partition must force resync");
-        } else if round > 0 {
-            assert!(!report.resynced, "round {round}: spurious resync");
-        }
+        router_epoch(&mut engine, &mut router).expect("online");
 
         let (scratch_refs, scratch) = router
             .cluster(f64::INFINITY, MIN_PTS, Parallelism::Serial)
@@ -369,17 +341,17 @@ fn sharded_delta_matches_the_merged_cross_partition_pass() {
 }
 
 #[test]
-fn a_partition_restart_forces_one_resync_and_stays_bit_identical() {
+fn a_partition_restart_stays_bit_identical() {
     for shards in [1, 4] {
         let cases = run_sharded(4, shards, Parallelism::Serial, true, 10);
         assert!(cases >= 10, "case floor: got {cases}");
     }
 }
 
-/// An unsharded maintainer that suffers a repair mid-run: the change
-/// log is invalidated, the next epoch must resync — and still match.
+/// An unsharded maintainer that suffers a repair mid-run: the epoch
+/// after it must still match.
 #[test]
-fn a_repair_invalidates_the_log_and_the_next_epoch_resyncs() {
+fn a_repair_mid_run_stays_bit_identical() {
     let spec = ScenarioSpec::named(ScenarioKind::Random, DIM, 400, 0.10);
     let mut scenario = ScenarioEngine::new(spec);
     let mut srng = StdRng::seed_from_u64(SCENARIO_SEED);
@@ -389,7 +361,7 @@ fn a_repair_invalidates_the_log_and_the_next_epoch_resyncs() {
     let mut bubbles =
         IncrementalBubbles::build(&store, MaintainerConfig::new(12), &mut mrng, &mut search);
     let mut engine = DeltaEngine::new(params(Parallelism::Serial));
-    engine.maintainer_epoch(&mut bubbles);
+    engine.maintainer_epoch(&bubbles);
 
     for round in 0..4 {
         let batch = scenario.plan(&mut srng);
@@ -397,19 +369,13 @@ fn a_repair_invalidates_the_log_and_the_next_epoch_resyncs() {
         scenario.confirm(&got);
         if round == 1 {
             // Sabotage one bubble's statistics, then repair: the rebuild
-            // drains and reattaches wholesale, so incremental bookkeeping
-            // can no longer be trusted and the log is invalidated.
+            // drains and reattaches wholesale.
             let wrong_n = bubbles.bubbles()[0].n() + 7;
             bubbles.corrupt_stats(0, wrong_n, vec![0.0; DIM], 0.0);
             let report = bubbles.repair(&store, &mut mrng, &mut search);
             assert!(report.issues_found > 0, "sabotage must be detected");
         }
-        let report = engine.maintainer_epoch(&mut bubbles);
-        assert_eq!(
-            report.resynced,
-            round == 1,
-            "round {round}: resync exactly after the repair"
-        );
+        engine.maintainer_epoch(&bubbles);
 
         let scratch = optics_bubbles_with(
             bubbles.bubbles(),
@@ -434,9 +400,9 @@ fn a_repair_invalidates_the_log_and_the_next_epoch_resyncs() {
 }
 
 /// The delta engine over explicit domains must also survive a domain
-/// *count* change (a partition added between epochs) by resyncing.
+/// *count* change (a partition added between epochs).
 #[test]
-fn a_domain_count_change_forces_a_resync() {
+fn a_domain_count_change_stays_bit_identical() {
     let mut store = PointStore::new(DIM);
     for i in 0..120 {
         let x = f64::from(i % 2) * 40.0 + f64::from(i % 10);
@@ -444,40 +410,31 @@ fn a_domain_count_change_forces_a_resync() {
     }
     let mut mrng = StdRng::seed_from_u64(MAINT_SEED);
     let mut search = SearchStats::new();
-    let mut a = IncrementalBubbles::build(&store, MaintainerConfig::new(6), &mut mrng, &mut search);
-    let mut b = IncrementalBubbles::build(&store, MaintainerConfig::new(6), &mut mrng, &mut search);
-    a.set_change_tracking(true);
-    b.set_change_tracking(true);
+    let a = IncrementalBubbles::build(&store, MaintainerConfig::new(6), &mut mrng, &mut search);
+    let b = IncrementalBubbles::build(&store, MaintainerConfig::new(6), &mut mrng, &mut search);
     let map_id = |d: u32, id: PointId| (u64::from(d) << 32) | u64::from(id.0);
 
     let mut engine = DeltaEngine::new(params(Parallelism::Serial));
-    let changes = vec![a.take_changes()];
-    let r1 = engine.epoch(&[a.bubbles()], changes, map_id);
-    assert!(r1.resynced, "first epoch resyncs");
-    let changes = vec![a.take_changes(), b.take_changes()];
-    let r2 = engine.epoch(&[a.bubbles(), b.bubbles()], changes, map_id);
-    assert!(r2.resynced, "domain count changed");
+    for domains in [&[a.bubbles()][..], &[a.bubbles(), b.bubbles()]] {
+        engine.epoch(domains, map_id);
 
-    let (scratch_refs, scratch) = optics_merged(
-        &[a.bubbles(), b.bubbles()],
-        f64::INFINITY,
-        MIN_PTS,
-        Parallelism::Serial,
-    );
-    let (refs, ordering) = engine.ordering().expect("epoch ran");
-    let scratch_provenance: Vec<MergedRef> =
-        scratch.order.iter().map(|&i| scratch_refs[i]).collect();
-    assert_eq!(refs, &scratch_provenance[..]);
-    assert_eq!(
-        ordering
-            .reachability
-            .iter()
-            .map(|r| r.to_bits())
-            .collect::<Vec<u64>>(),
-        scratch
-            .reachability
-            .iter()
-            .map(|r| r.to_bits())
-            .collect::<Vec<u64>>(),
-    );
+        let (scratch_refs, scratch) =
+            optics_merged(domains, f64::INFINITY, MIN_PTS, Parallelism::Serial);
+        let (refs, ordering) = engine.ordering().expect("epoch ran");
+        let scratch_provenance: Vec<MergedRef> =
+            scratch.order.iter().map(|&i| scratch_refs[i]).collect();
+        assert_eq!(refs, &scratch_provenance[..]);
+        assert_eq!(
+            ordering
+                .reachability
+                .iter()
+                .map(|r| r.to_bits())
+                .collect::<Vec<u64>>(),
+            scratch
+                .reachability
+                .iter()
+                .map(|r| r.to_bits())
+                .collect::<Vec<u64>>(),
+        );
+    }
 }

@@ -114,7 +114,7 @@ fn run_config(seed_search: SeedSearch, par: Parallelism, epochs: usize) -> Vec<F
             scenario.confirm(&got);
             bubbles.maintain(&store, &mut mrng, &mut search);
         }
-        engine.maintainer_epoch(&mut bubbles);
+        engine.maintainer_epoch(&bubbles);
         let fp = engine_fingerprint(&engine);
 
         // Delta vs scratch, every epoch, every artifact, bit for bit.

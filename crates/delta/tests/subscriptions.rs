@@ -49,7 +49,7 @@ fn drive(
             bubbles.maintain(&store, &mut mrng, &mut search);
         }
         at_epoch(&mut engine, epoch);
-        let report = engine.maintainer_epoch(&mut bubbles);
+        let report = engine.maintainer_epoch(&bubbles);
         assert_eq!(report.epoch, epoch);
         after_epoch(&mut engine, epoch, &report.deltas);
     }

@@ -293,14 +293,13 @@ pub enum EventKind {
         /// `true` on entering quarantine, `false` on release.
         entered: bool,
     },
-    /// One delta-clustering epoch finished: the incremental layer
-    /// refreshed only the touched distance neighborhoods and diffed the
-    /// resulting cluster tree against the previous epoch.
+    /// One delta-clustering epoch finished: the bubbles were clustered
+    /// and the resulting cluster tree diffed against the previous epoch.
     DeltaEpoch {
-        /// Bubble slots whose distance neighborhood was recomputed.
+        /// Bubble slots whose distances were computed: every epoch
+        /// clusters from scratch, so this equals `total`.
         touched: u32,
-        /// Total tracked bubble slots a full recompute would have
-        /// touched.
+        /// Total bubble slots clustered.
         total: u32,
         /// Typed cluster deltas emitted to subscribers this epoch.
         deltas: u32,

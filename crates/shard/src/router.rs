@@ -572,20 +572,6 @@ impl<S: DurableSink, C: CheckpointStore> ShardRouter<S, C> {
             .collect()
     }
 
-    /// Turns structural change tracking on or off on every *online*
-    /// partition (see [`DurableMaintainer::set_change_tracking`]). The
-    /// output channel of delta-clustering consumers; never journaled,
-    /// never persisted — a partition restarted through
-    /// [`ShardRouter::restart_partition`] comes back with tracking off,
-    /// which a delta consumer must treat as "everything changed".
-    pub fn set_change_tracking(&mut self, on: bool) {
-        for slot in &mut self.slots {
-            if let Some(m) = slot.maintainer.as_mut() {
-                m.set_change_tracking(on);
-            }
-        }
-    }
-
     /// Simulates a partition crash: drops its in-memory state and hands
     /// back the durable media (sink and checkpoint store) for
     /// [`ShardRouter::restart_partition`]. Returns `None` if the

@@ -83,14 +83,12 @@
 //! yields bit-identical summaries and cluster orderings (see the
 //! "Sharding" section of the README).
 //!
-//! Re-clustering from scratch every epoch wastes the work the
-//! maintainer just saved; the [`delta`] layer keeps the *clustering*
-//! incremental too. A [`delta::DeltaEngine`] consumes the maintainer's
-//! structural change stream, recomputes only the touched distance
-//! neighborhoods and changed tree components, and emits typed
-//! [`delta::ClusterDelta`]s with stable cluster ids to registered
-//! subscriptions — bit-identical to the from-scratch pipeline on every
-//! epoch (see the "Delta clustering" section of the README).
+//! Like the paper, every epoch re-clusters the bubbles from scratch; the
+//! [`delta`] layer adds identity across epochs. A [`delta::DeltaEngine`]
+//! runs the from-scratch pipeline, diffs the new cluster tree against
+//! the previous one, and emits typed [`delta::ClusterDelta`]s with
+//! stable cluster ids to registered subscriptions (see the "Delta
+//! clustering" section of the README).
 //!
 //! The individual layers are re-exported as modules: [`geometry`],
 //! [`store`], [`synth`], [`core`], [`clustering`], [`birch`], [`eval`],
