@@ -59,8 +59,9 @@ for report in shard delta kernel; do
         "$IDB_WAL_DIR/BENCH_${report}_smoke.json"
 done
 # Bit-identity must survive wider codegen: re-run the kernel property
-# suite, the re-baseline audit and the dense-vs-heap OPTICS expansion
-# equivalence with the host's full instruction set.
+# suite, the re-baseline audit and the equivalence of the matrix-free
+# OPTICS walk with the heap reference under the host's full instruction
+# set.
 # Guarded — skipped with a notice when the toolchain/target rejects the
 # flag (e.g. cross-compilation or unsupported CPUs).
 if RUSTFLAGS="-C target-cpu=native" cargo check $CARGOFLAGS -q -p idb-geometry 2>/dev/null; then

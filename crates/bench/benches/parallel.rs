@@ -1,6 +1,6 @@
-//! Bench: serial vs. parallel execution of the bulk hot paths — the
-//! construction-scan assignment (chunked across threads with per-worker
-//! distance counters) and the OPTICS-on-bubbles pair-matrix fill.
+//! Bench: serial vs. parallel execution of the construction-scan
+//! assignment (chunked across threads with per-worker distance counters).
+//! Bubble OPTICS has no parallel stage: its walk is serial.
 //!
 //! Every mode computes bit-identical results (see the differential
 //! suites), so the only question is wall-clock. `parallel_report` (a bin
@@ -9,7 +9,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use idb_bench::random_fixture;
-use idb_clustering::optics_bubbles_with;
 use idb_core::{IncrementalBubbles, MaintainerConfig, Parallelism};
 use idb_geometry::SearchStats;
 use rand::rngs::StdRng;
@@ -52,25 +51,5 @@ fn bench_parallel_build(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_optics(c: &mut Criterion) {
-    let mut group = c.benchmark_group("parallel_optics");
-    group.sample_size(10);
-    for &(dim, size) in &[(2usize, 10_000usize), (10, 10_000)] {
-        let (store, _) = random_fixture(dim, size, 13);
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut stats = SearchStats::new();
-        let ib =
-            IncrementalBubbles::build(&store, MaintainerConfig::new(400), &mut rng, &mut stats);
-        let bubbles = ib.bubbles().to_vec();
-        for (name, par) in MODES {
-            let label = format!("d{dim}_n{size}_s400");
-            group.bench_with_input(BenchmarkId::new(name, &label), &bubbles, |b, bubbles| {
-                b.iter(|| black_box(optics_bubbles_with(bubbles, f64::INFINITY, 40, par).len()));
-            });
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_parallel_build, bench_parallel_optics);
+criterion_group!(benches, bench_parallel_build);
 criterion_main!(benches);

@@ -2,12 +2,12 @@
 //! `BENCH_parallel.json` without the criterion harness (so it runs in
 //! offline environments where the criterion dependency is stubbed).
 //!
-//! The measured operations mirror `benches/parallel.rs`: the
-//! construction-scan assignment at dim ∈ {2, 10}, N ∈ {10k, 100k}, and
-//! the OPTICS-on-bubbles pair-matrix fill, each under `Serial`,
-//! `Threads(2)` and `Threads(4)`. Results are medians of `REPS` runs;
-//! distance-computation counts are recorded alongside to document that
-//! the modes do identical work.
+//! The measured operation mirrors `benches/parallel.rs`: the
+//! construction-scan assignment at dim ∈ {2, 10}, N ∈ {10k, 100k}, under
+//! `Serial`, `Threads(2)` and `Threads(4)`. Results are medians of `REPS`
+//! runs; distance-computation counts are recorded alongside to document
+//! that the modes do identical work. Bubble OPTICS is not measured: its
+//! walk is serial.
 //!
 //! The `work_partition` section replays the threaded batch driver's
 //! *exact* chunk boundaries (`⌈k / threads⌉` contiguous queries per
@@ -22,7 +22,6 @@
 //! Usage: `parallel_report [output.json]` (default `BENCH_parallel.json`).
 
 use idb_bench::{median, random_fixture};
-use idb_clustering::optics_bubbles_with;
 use idb_core::{IncrementalBubbles, MaintainerConfig, Parallelism};
 use idb_geometry::{NearestSeeds, SearchStats, SeedSearch};
 use idb_store::PointStore;
@@ -186,29 +185,6 @@ fn main() {
             eprintln!("build {label} {mode}: {median:.4}s ({work} distances)");
             rows.push(Row {
                 op: "build",
-                label: label.clone(),
-                mode,
-                median_secs: median,
-                distance_computations: work,
-            });
-        }
-    }
-
-    for &(dim, size) in &[(2usize, 10_000usize), (10, 10_000)] {
-        let (store, _) = random_fixture(dim, size, 13);
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut stats = SearchStats::new();
-        let ib =
-            IncrementalBubbles::build(&store, MaintainerConfig::new(400), &mut rng, &mut stats);
-        let bubbles = ib.bubbles().to_vec();
-        let label = format!("d{dim}_n{size}_s400");
-        for (mode, par) in MODES {
-            let (median, work) = median_secs(|| {
-                black_box(optics_bubbles_with(&bubbles, f64::INFINITY, 40, par).len()) as u64
-            });
-            eprintln!("optics {label} {mode}: {median:.4}s");
-            rows.push(Row {
-                op: "optics_bubbles",
                 label: label.clone(),
                 mode,
                 median_secs: median,

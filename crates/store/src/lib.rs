@@ -21,7 +21,6 @@
 
 use rand::Rng;
 
-pub mod layout;
 pub mod medium;
 pub mod segment;
 pub mod snapshot;
