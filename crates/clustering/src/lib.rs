@@ -54,8 +54,8 @@ pub use kmeans::{kmeans_points, kmeans_summaries, kmeans_weighted, KMeansResult}
 pub use merged::{merge_domains, optics_merged, MergedBubbles, MergedRef};
 pub use optics::optics_points;
 pub use optics_bubbles::{
-    bubble_distance, bubble_distance_flat, optics_bubbles, optics_bubbles_with, optics_from_matrix,
-    BubbleOrdering, SummaryParts,
+    bubble_distance, bubble_distance_flat, optics_bubbles, optics_from_matrix, BubbleOrdering,
+    SummaryParts,
 };
 pub use reachability::{PlotEntry, ReachabilityPlot};
 pub use render::render_reachability;

@@ -18,7 +18,7 @@
 //!   partition counts keeps its delta pipeline bit-identical to its own
 //!   merged cross-partition scratch pass.
 
-use idb_clustering::{cluster_tree, optics_bubbles_with, ClusterNode, ExtractParams, MergedRef};
+use idb_clustering::{cluster_tree, optics_bubbles, ClusterNode, ExtractParams, MergedRef};
 use idb_core::{DurabilityConfig, IncrementalBubbles, MaintainerConfig, SeedSearch};
 use idb_delta::{router_epoch, DeltaEngine, DeltaParams};
 use idb_geometry::{Parallelism, SearchStats};
@@ -118,7 +118,7 @@ fn run_config(seed_search: SeedSearch, par: Parallelism, epochs: usize) -> Vec<F
         let fp = engine_fingerprint(&engine);
 
         // Delta vs scratch, every epoch, every artifact, bit for bit.
-        let scratch = optics_bubbles_with(bubbles.bubbles(), f64::INFINITY, MIN_PTS, par);
+        let scratch = optics_bubbles(bubbles.bubbles(), f64::INFINITY, MIN_PTS);
         let scratch_plot = scratch.expand(|i| {
             bubbles.bubbles()[i]
                 .members()
