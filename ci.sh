@@ -59,9 +59,11 @@ for report in shard delta kernel; do
         "$IDB_WAL_DIR/BENCH_${report}_smoke.json"
 done
 # Bit-identity must survive wider codegen: re-run the kernel property
-# suite, the re-baseline audit and the equivalence of the matrix-free
-# OPTICS walk with the heap reference under the host's full instruction
-# set.
+# suite, the re-baseline audit, the equivalence of the matrix-free
+# OPTICS walk with the heap reference and that of the prefix-sum
+# cluster-tree extraction with the fold reference (its rounding margin
+# must hold under fused or reordered arithmetic too) under the host's
+# full instruction set.
 # Guarded — skipped with a notice when the toolchain/target rejects the
 # flag (e.g. cross-compilation or unsupported CPUs).
 if RUSTFLAGS="-C target-cpu=native" cargo check $CARGOFLAGS -q -p idb-geometry 2>/dev/null; then
@@ -69,6 +71,7 @@ if RUSTFLAGS="-C target-cpu=native" cargo check $CARGOFLAGS -q -p idb-geometry 2
     RUSTFLAGS="-C target-cpu=native" cargo test $CARGOFLAGS -q -p idb-geometry --test differential
     RUSTFLAGS="-C target-cpu=native" cargo test $CARGOFLAGS -q -p idb-delta --test rebaseline_audit
     RUSTFLAGS="-C target-cpu=native" cargo test $CARGOFLAGS -q -p idb-clustering --test optics_equivalence
+    RUSTFLAGS="-C target-cpu=native" cargo test $CARGOFLAGS -q -p idb-clustering --test extract_equivalence
 else
     echo "ci: target-cpu=native unsupported here; skipping native-codegen pass"
 fi

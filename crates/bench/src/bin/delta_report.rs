@@ -29,7 +29,9 @@
 //! Usage: `delta_report [output.json] [baseline.json]` (default
 //! `BENCH_delta.json`). With a baseline — the same report written by an
 //! earlier build on the same host — each scenario also records the
-//! baseline's `delta_secs` and `full_secs` and the speedup against them.
+//! baseline's `delta_secs` and `full_secs`, the speedup against them, and
+//! the baseline's `stage_secs_per_epoch` as
+//! `baseline_stage_secs_per_epoch`.
 
 use idb_clustering::{
     cluster_tree, optics_bubbles, ClusterNode, ExtractParams, MergedRef, ReachabilityPlot,
@@ -197,17 +199,28 @@ fn field(line: &str, key: &str) -> Option<f64> {
     rest[..end].trim().parse().ok()
 }
 
-/// Per scenario name: the baseline report's `(delta_secs, full_secs)`.
-fn read_baseline(path: &str) -> Vec<(String, f64, f64)> {
+/// One scenario's row of a baseline report.
+struct Baseline {
+    name: String,
+    delta_secs: f64,
+    full_secs: f64,
+    /// The row's `stage_secs_per_epoch` object, verbatim.
+    stages: String,
+}
+
+/// The baseline report's rows, by scenario name.
+fn read_baseline(path: &str) -> Vec<Baseline> {
     let text = std::fs::read_to_string(path).expect("read baseline report");
     text.lines()
         .filter_map(|line| {
             let name = line.split("\"scenario\": \"").nth(1)?.split('"').next()?;
-            Some((
-                name.to_string(),
-                field(line, "delta_secs")?,
-                field(line, "full_secs")?,
-            ))
+            let stages = line.split("\"stage_secs_per_epoch\": ").nth(1)?;
+            Some(Baseline {
+                name: name.to_string(),
+                delta_secs: field(line, "delta_secs")?,
+                full_secs: field(line, "full_secs")?,
+                stages: stages[..=stages.find('}')?].to_string(),
+            })
         })
         .collect()
 }
@@ -282,12 +295,15 @@ fn main() {
         let versus = baseline
             .iter()
             .flatten()
-            .find(|(name, _, _)| *name == r.name)
-            .map_or_else(String::new, |(_, delta, full)| {
+            .find(|b| b.name == r.name)
+            .map_or_else(String::new, |b| {
                 format!(
-                    ", \"baseline_delta_secs\": {delta:.6}, \"baseline_full_secs\": {full:.6}, \"delta_speedup\": {:.2}, \"full_speedup\": {:.2}",
-                    delta / r.delta_secs,
-                    full / r.full_secs
+                    ", \"baseline_delta_secs\": {:.6}, \"baseline_full_secs\": {:.6}, \"delta_speedup\": {:.2}, \"full_speedup\": {:.2}, \"baseline_stage_secs_per_epoch\": {}",
+                    b.delta_secs,
+                    b.full_secs,
+                    b.delta_secs / r.delta_secs,
+                    b.full_secs / r.full_secs,
+                    b.stages
                 )
             });
         let _ = writeln!(

@@ -13,6 +13,20 @@
 //! insignificant maxima are skipped, regions smaller than
 //! `min_cluster_size` are treated as noise, and the recursion's leaves are
 //! the extracted clusters.
+//!
+//! # Complexity
+//!
+//! For a plot of `n` entries, [`cluster_tree`] costs `O(n)` for prefix
+//! sums and neighbour tests, `O(w)` per entry that rises above a
+//! neighbour, one sort of the maxima, and `O(#maxima)` per tree node.
+//! Finding the maxima tests each entry against its two neighbours first,
+//! so only the entries that rise above one pay for the `2w + 1` window
+//! scan (most entries of a bubble plot are followers equal to their
+//! neighbours). Each significance test costs `O(1)`: a flank's average is
+//! read off prefix sums over the finite reachabilities (see [`Flanks`]).
+//! Only a test that the prefix sums cannot decide — its bar lies within
+//! their rounding margin — falls back to the left-to-right fold over the
+//! flank, so the tree stays bit for bit the fold's tree.
 
 use crate::reachability::ReachabilityPlot;
 
@@ -94,10 +108,14 @@ fn local_maxima(reach: &[f64], w: usize) -> Vec<usize> {
             maxima.push(m);
             continue;
         }
+        // The neighbour test is the cheap half of the condition; entries
+        // that equal both neighbours skip the window scan.
+        if !(reach[m - 1] < v || (m + 1 < n && reach[m + 1] < v)) {
+            continue;
+        }
         let lo = m.saturating_sub(w);
         let hi = (m + w + 1).min(n);
-        let dominated = (lo..hi).any(|j| reach[j] > v);
-        if !dominated && (reach[m - 1] < v || (m + 1 < n && reach[m + 1] < v)) {
+        if !(lo..hi).any(|j| reach[j] > v) {
             maxima.push(m);
         }
     }
@@ -128,14 +146,99 @@ fn avg_finite(reach: &[f64], start: usize, end: usize) -> f64 {
     }
 }
 
+/// Running totals over `reach[..i]`'s finite entries.
+#[derive(Clone, Copy, Default)]
+struct Prefix {
+    /// Their sum, added left to right.
+    sum: f64,
+    /// The sum of their magnitudes, added left to right.
+    mass: f64,
+    /// How many there are.
+    count: usize,
+}
+
+/// The reachability sequence with prefix sums over its finite entries,
+/// answering `avg_finite(reach, s, e) < bar` in `O(1)` except inside the
+/// rounding margin.
+///
+/// **Why a decided answer is the fold's answer.** Let `F` be the fold's
+/// sum over the flank's `c` finite entries (so `avg_finite` is
+/// `fl(F / c)`), `A = fl(sum[e] − sum[s])`, `T = mass[e]` and
+/// `u = EPSILON / 2`. Recursive summation of at most `n` terms errs by at
+/// most `γ_n = nu / (1 − nu)` times the magnitudes it added, and every
+/// magnitude here is in `T`: so `sum[e]`, `sum[s]` and `F` each err by
+/// at most `γ_n·T`, and the subtraction adds at most `u·(1 + 2γ_n)·T`.
+/// Hence `|A − F| < (3n + 1)·u·T·(1 + O(nu))`. The slack
+/// `4·(n + 1)·EPSILON·T = 8·(n + 1)·u·T` exceeds twice that, which covers
+/// the rounding of the slack's own product: one relative `u`, or, if it
+/// underflows, half a unit of `2^−1074`, while `A` and `F` are both
+/// doubles, so a nonzero `|A − F|` is at least `2^−1074`. Thus
+/// `A − slack ≤ F ≤ A + slack` as reals, and rounding is monotone, so
+/// `fl(A + slack) ≥ F ≥ fl(A − slack)`. Division by `c > 0` is monotone
+/// too: `fl((A + slack) / c) < bar` implies `fl(F / c) < bar`, and
+/// `fl((A − slack) / c) >= bar` implies `fl(F / c) >= bar`. The bound
+/// needs `A` and the slack finite (an overflowed prefix bounds nothing),
+/// so a non-finite one — like a NaN `bar`, which fails both comparisons —
+/// leaves the test to the fold.
+struct Flanks<'a> {
+    reach: &'a [f64],
+    /// `prefix[i]` covers `reach[..i]`.
+    prefix: Vec<Prefix>,
+    /// `4·(n + 1)·EPSILON`, exact in `f64`; times `T` it is the slack.
+    margin: f64,
+}
+
+impl<'a> Flanks<'a> {
+    fn new(reach: &'a [f64]) -> Self {
+        let mut prefix = Vec::with_capacity(reach.len() + 1);
+        let mut acc = Prefix::default();
+        prefix.push(acc);
+        for &r in reach {
+            if r.is_finite() {
+                acc.sum += r;
+                acc.mass += r.abs();
+                acc.count += 1;
+            }
+            prefix.push(acc);
+        }
+        Self {
+            reach,
+            prefix,
+            margin: 4.0 * (reach.len() + 1) as f64 * f64::EPSILON,
+        }
+    }
+
+    /// `avg_finite(reach, start, end) < bar`, bit for bit.
+    fn mean_below(&self, start: usize, end: usize, bar: f64) -> bool {
+        let (lo, hi) = (self.prefix[start], self.prefix[end]);
+        let c = hi.count - lo.count;
+        if c == 0 {
+            return 0.0 < bar;
+        }
+        let approx = hi.sum - lo.sum;
+        let slack = self.margin * hi.mass;
+        if approx.is_finite() && slack.is_finite() {
+            let c = c as f64;
+            if (approx + slack) / c < bar {
+                return true;
+            }
+            if (approx - slack) / c >= bar {
+                return false;
+            }
+        }
+        avg_finite(self.reach, start, end) < bar
+    }
+}
+
 fn build_node(
-    reach: &[f64],
+    flanks: &Flanks<'_>,
     start: usize,
     end: usize,
     maxima: &[usize],
     split_value: Option<f64>,
     params: &ExtractParams,
 ) -> ClusterNode {
+    let reach = flanks.reach;
     let mut node = ClusterNode {
         range: (start, end),
         split_value,
@@ -154,9 +257,9 @@ fn build_node(
         let significant = if v.is_infinite() {
             true
         } else {
-            // The right flank is scanned only when the left one passes.
+            // The right flank is tested only when the left one passes.
             let bar = params.significance_ratio * v;
-            avg_finite(reach, start, m) < bar && avg_finite(reach, m + 1, end) < bar
+            flanks.mean_below(start, m, bar) && flanks.mean_below(m + 1, end, bar)
         };
         if !significant {
             continue;
@@ -170,11 +273,11 @@ fn build_node(
         }
         if left_ok {
             node.children
-                .push(build_node(reach, start, m, rest, Some(v), params));
+                .push(build_node(flanks, start, m, rest, Some(v), params));
         }
         if right_ok {
             node.children
-                .push(build_node(reach, m, end, rest, Some(v), params));
+                .push(build_node(flanks, m, end, rest, Some(v), params));
         }
         break;
     }
@@ -188,7 +291,7 @@ fn build_node(
 pub fn cluster_tree(plot: &ReachabilityPlot, params: &ExtractParams) -> ClusterNode {
     let reach: Vec<f64> = plot.entries().iter().map(|e| e.reachability).collect();
     let maxima = local_maxima(&reach, params.min_cluster_size);
-    build_node(&reach, 0, reach.len(), &maxima, None, params)
+    build_node(&Flanks::new(&reach), 0, reach.len(), &maxima, None, params)
 }
 
 /// Extracts flat clusters: the leaf regions of the cluster tree, as lists

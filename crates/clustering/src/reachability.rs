@@ -62,21 +62,6 @@ impl ReachabilityPlot {
         self.entries.is_empty()
     }
 
-    /// Mean of the finite reachability values (`None` when there is none) —
-    /// a robust summary used by significance tests and diagnostics.
-    #[must_use]
-    pub fn mean_finite_reachability(&self) -> Option<f64> {
-        let mut sum = 0.0;
-        let mut count = 0usize;
-        for e in &self.entries {
-            if e.reachability.is_finite() {
-                sum += e.reachability;
-                count += 1;
-            }
-        }
-        (count > 0).then(|| sum / count as f64)
-    }
-
     /// Maximum finite reachability, or `None` when all are infinite.
     #[must_use]
     pub fn max_finite_reachability(&self) -> Option<f64> {
@@ -104,7 +89,7 @@ mod tests {
     }
 
     #[test]
-    fn mean_ignores_infinite() {
+    fn max_ignores_infinite() {
         let p = ReachabilityPlot::from_entries(vec![
             PlotEntry {
                 id: 0,
@@ -119,7 +104,6 @@ mod tests {
                 reachability: 4.0,
             },
         ]);
-        assert_eq!(p.mean_finite_reachability(), Some(3.0));
         assert_eq!(p.max_finite_reachability(), Some(4.0));
     }
 
@@ -129,7 +113,6 @@ mod tests {
             id: 0,
             reachability: f64::INFINITY,
         }]);
-        assert_eq!(p.mean_finite_reachability(), None);
         assert_eq!(p.max_finite_reachability(), None);
     }
 
@@ -137,6 +120,5 @@ mod tests {
     fn empty_plot() {
         let p = ReachabilityPlot::new();
         assert!(p.is_empty());
-        assert_eq!(p.mean_finite_reachability(), None);
     }
 }

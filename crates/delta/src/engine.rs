@@ -151,10 +151,10 @@ impl DeltaEngine {
 
     /// Routes observability through `obs`: every epoch emits an
     /// [`EventKind::DeltaEpoch`] journal event and bumps `delta.epochs`
-    /// and the per-stage time counters `delta.optics_us` (merge, matrix
-    /// fill and expansion), `delta.extract_us` (plot expansion plus tree
-    /// extraction) and `delta.diff_us` (the id diff plus the parent maps
-    /// subtree subscriptions filter by).
+    /// and the per-stage time counters `delta.optics_us` (domain merge,
+    /// distance rows and walk), `delta.extract_us` (plot expansion plus
+    /// tree extraction) and `delta.diff_us` (the id diff plus the parent
+    /// maps subtree subscriptions filter by).
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
     }
