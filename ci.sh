@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Full local CI gate: build, the tier-1 tests and the workspace test
 # suite, the file-backed crash smoke under extra seeds, observability
-# journal validation, the report checks, a native-codegen re-run of the
-# kernel-sensitive suites, lints, formatting, bench compilation, and the
-# benchmark's own tests, lints and formatting.
+# journal validation, the report checks, release and native-codegen
+# re-runs of the kernel-sensitive suites, lints, formatting, bench
+# compilation, and the benchmark's own tests, lints and formatting.
 #
 # The library reads no behaviour knobs from the environment: every
 # configuration axis — assignment engine, thread count, shard count,
@@ -58,12 +58,18 @@ for report in shard delta kernel; do
     cargo run $CARGOFLAGS --release -q -p idb-bench --bin "${report}_report" -- \
         "$IDB_WAL_DIR/BENCH_${report}_smoke.json"
 done
+# The column kernel of the bubble OPTICS walk is vectorised only with
+# optimisations on, so its equivalence with the heap reference (and that
+# of the cluster-tree extraction with the fold reference) also runs on
+# release codegen.
+cargo test $CARGOFLAGS -q --release -p idb-clustering --test optics_equivalence
+cargo test $CARGOFLAGS -q --release -p idb-clustering --test extract_equivalence
 # Bit-identity must survive wider codegen: re-run the kernel property
-# suite, the re-baseline audit, the equivalence of the matrix-free
+# suite, the re-baseline audit, the equivalence of the column-major
 # OPTICS walk with the heap reference and that of the prefix-sum
 # cluster-tree extraction with the fold reference (its rounding margin
 # must hold under fused or reordered arithmetic too) under the host's
-# full instruction set.
+# full instruction set, the last two in debug and in release.
 # Guarded — skipped with a notice when the toolchain/target rejects the
 # flag (e.g. cross-compilation or unsupported CPUs).
 if RUSTFLAGS="-C target-cpu=native" cargo check $CARGOFLAGS -q -p idb-geometry 2>/dev/null; then
@@ -72,6 +78,8 @@ if RUSTFLAGS="-C target-cpu=native" cargo check $CARGOFLAGS -q -p idb-geometry 2
     RUSTFLAGS="-C target-cpu=native" cargo test $CARGOFLAGS -q -p idb-delta --test rebaseline_audit
     RUSTFLAGS="-C target-cpu=native" cargo test $CARGOFLAGS -q -p idb-clustering --test optics_equivalence
     RUSTFLAGS="-C target-cpu=native" cargo test $CARGOFLAGS -q -p idb-clustering --test extract_equivalence
+    RUSTFLAGS="-C target-cpu=native" cargo test $CARGOFLAGS -q --release -p idb-clustering --test optics_equivalence
+    RUSTFLAGS="-C target-cpu=native" cargo test $CARGOFLAGS -q --release -p idb-clustering --test extract_equivalence
 else
     echo "ci: target-cpu=native unsupported here; skipping native-codegen pass"
 fi

@@ -18,6 +18,13 @@
 //! cross-epoch tree diff; `delta_secs − full_secs` is what identity
 //! maintenance costs.
 //!
+//! OPTICS is also reported in the paper's currency, distance
+//! evaluations: `optics_pairs_per_epoch` counts the pairs the walk
+//! evaluates, derived from the ordering and the point counts (step `t`
+//! of an `s`-bubble ordering evaluates `s − 1` pairs when its bubble
+//! holds fewer than `min_pts` points and `s − 1 − t` otherwise), and
+//! `optics_ns_per_pair` divides the OPTICS stage time by it.
+//!
 //! Two checks run after every epoch, and the run fails if either is
 //! missed:
 //!
@@ -29,14 +36,16 @@
 //! Usage: `delta_report [output.json] [baseline.json]` (default
 //! `BENCH_delta.json`). With a baseline — the same report written by an
 //! earlier build on the same host — each scenario also records the
-//! baseline's `delta_secs` and `full_secs`, the speedup against them, and
-//! the baseline's `stage_secs_per_epoch` as
-//! `baseline_stage_secs_per_epoch`.
+//! baseline's `delta_secs` and `full_secs`, the speedup against them, the
+//! baseline's `stage_secs_per_epoch` as `baseline_stage_secs_per_epoch`
+//! and, when the baseline reports them, its `optics_ns_per_pair` (its
+//! pair count must equal this run's, or the run fails).
 
 use idb_clustering::{
-    cluster_tree, optics_bubbles, ClusterNode, ExtractParams, MergedRef, ReachabilityPlot,
+    cluster_tree, optics_bubbles, BubbleOrdering, ClusterNode, ExtractParams, MergedRef,
+    ReachabilityPlot,
 };
-use idb_core::{IncrementalBubbles, MaintainerConfig};
+use idb_core::{DataSummary, IncrementalBubbles, MaintainerConfig};
 use idb_delta::{DeltaEngine, DeltaParams, TreeReplica};
 use idb_geometry::SearchStats;
 use idb_obs::Obs;
@@ -68,6 +77,37 @@ struct ScenarioResult {
     full_secs: f64,
     /// Summed microseconds of the engine's `STAGES` counters.
     stage_us: [u64; STAGES.len()],
+    /// Distance pairs the OPTICS walk evaluated, summed over the epochs.
+    pairs: u64,
+}
+
+impl ScenarioResult {
+    fn pairs_per_epoch(&self) -> f64 {
+        self.pairs as f64 / self.epochs as f64
+    }
+
+    /// OPTICS stage nanoseconds per evaluated pair.
+    fn ns_per_pair(&self) -> f64 {
+        self.stage_us[0] as f64 * 1e3 / self.pairs as f64
+    }
+}
+
+/// The distance pairs the OPTICS walk evaluates for `ordering`: step `t`
+/// computes a row over every other bubble when its bubble holds fewer
+/// than `MIN_PTS` points, and over the `s − 1 − t` unprocessed ones
+/// otherwise.
+fn optics_pairs(ordering: &BubbleOrdering, points: impl Fn(usize) -> u64) -> u64 {
+    let s = ordering.len() as u64;
+    (0..s)
+        .zip(&ordering.order)
+        .map(|(t, &i)| {
+            if points(i) < MIN_PTS as u64 {
+                s - 1
+            } else {
+                s - 1 - t
+            }
+        })
+        .sum()
 }
 
 /// The engine's per-stage time counters, in pipeline order, with the
@@ -128,6 +168,7 @@ fn run_scenario((name, kind, churn, points, target_bubbles): &Case) -> ScenarioR
         delta_secs: 0.0,
         full_secs: 0.0,
         stage_us: [0; STAGES.len()],
+        pairs: 0,
     };
     for epoch in 0..EPOCHS {
         if epoch > 0 {
@@ -152,6 +193,7 @@ fn run_scenario((name, kind, churn, points, target_bubbles): &Case) -> ScenarioR
         });
         let tree = cluster_tree(&plot, &ExtractParams::with_min_size(MIN_CLUSTER));
         out.full_secs += t1.elapsed().as_secs_f64();
+        out.pairs += optics_pairs(&scratch, |i| bubbles.bubbles()[i].n());
 
         // The engine's artifacts are the full pipeline's, bit for bit.
         let (refs, ordering) = engine.ordering().expect("epoch ran");
@@ -206,6 +248,8 @@ struct Baseline {
     full_secs: f64,
     /// The row's `stage_secs_per_epoch` object, verbatim.
     stages: String,
+    /// `optics_pairs_per_epoch` and `optics_ns_per_pair`, when reported.
+    pairs: Option<(f64, f64)>,
 }
 
 /// The baseline report's rows, by scenario name.
@@ -220,6 +264,7 @@ fn read_baseline(path: &str) -> Vec<Baseline> {
                 delta_secs: field(line, "delta_secs")?,
                 full_secs: field(line, "full_secs")?,
                 stages: stages[..=stages.find('}')?].to_string(),
+                pairs: field(line, "optics_pairs_per_epoch").zip(field(line, "optics_ns_per_pair")),
             })
         })
         .collect()
@@ -271,7 +316,13 @@ fn main() {
             .zip(r.stage_us)
             .map(|((_, stage), us)| format!("{stage} {:.3}ms", us as f64 / 1e3 / r.epochs as f64))
             .collect();
-        eprintln!("{:<14} per epoch: {}", "", stages.join(", "));
+        eprintln!(
+            "{:<14} per epoch: {}; optics {:.0} pairs at {:.2} ns/pair",
+            "",
+            stages.join(", "),
+            r.pairs_per_epoch(),
+            r.ns_per_pair()
+        );
         results.push(r);
     }
 
@@ -297,8 +348,17 @@ fn main() {
             .flatten()
             .find(|b| b.name == r.name)
             .map_or_else(String::new, |b| {
+                let pairs = b.pairs.map_or_else(String::new, |(pairs, ns)| {
+                    assert_eq!(
+                        format!("{pairs:.2}"),
+                        format!("{:.2}", r.pairs_per_epoch()),
+                        "{}: the baseline evaluated a different number of pairs",
+                        r.name
+                    );
+                    format!(", \"baseline_optics_ns_per_pair\": {ns:.3}")
+                });
                 format!(
-                    ", \"baseline_delta_secs\": {:.6}, \"baseline_full_secs\": {:.6}, \"delta_speedup\": {:.2}, \"full_speedup\": {:.2}, \"baseline_stage_secs_per_epoch\": {}",
+                    ", \"baseline_delta_secs\": {:.6}, \"baseline_full_secs\": {:.6}, \"delta_speedup\": {:.2}, \"full_speedup\": {:.2}, \"baseline_stage_secs_per_epoch\": {}{pairs}",
                     b.delta_secs,
                     b.full_secs,
                     b.delta_secs / r.delta_secs,
@@ -308,7 +368,7 @@ fn main() {
             });
         let _ = writeln!(
             json,
-            "    {{\"scenario\": \"{}\", \"points\": {}, \"target_bubbles\": {}, \"epochs\": {}, \"delta_secs\": {:.6}, \"full_secs\": {:.6}, \"stage_secs_per_epoch\": {{{}}}{versus}}}{comma}",
+            "    {{\"scenario\": \"{}\", \"points\": {}, \"target_bubbles\": {}, \"epochs\": {}, \"delta_secs\": {:.6}, \"full_secs\": {:.6}, \"stage_secs_per_epoch\": {{{}}}, \"optics_pairs_per_epoch\": {:.2}, \"optics_ns_per_pair\": {:.3}{versus}}}{comma}",
             r.name,
             r.points,
             r.target_bubbles,
@@ -316,12 +376,14 @@ fn main() {
             r.delta_secs,
             r.full_secs,
             stages.join(", "),
+            r.pairs_per_epoch(),
+            r.ns_per_pair(),
         );
     }
     json.push_str("  ],\n");
     let _ = writeln!(
         json,
-        "  \"note\": \"identical maintained state clustered both ways every epoch; the engine's provenance, reachability, plot and tree bits equal the full pipeline's (checked every epoch); delta_secs additionally covers the cluster-tree diff and subscription fanout, which the full pipeline does not provide; stage_secs_per_epoch splits the engine's epoch (engine counters, microsecond resolution); baseline_* columns, when present, come from the same report built at an earlier commit and run on the same host; a 200-bubble run lasts tens of milliseconds, so its speedup columns swing by tens of percent between two runs of one build, and only the multi-second many_bubbles row resolves a change\"\n}}"
+        "  \"note\": \"identical maintained state clustered both ways every epoch; the engine's provenance, reachability, plot and tree bits equal the full pipeline's (checked every epoch); delta_secs additionally covers the cluster-tree diff and subscription fanout, which the full pipeline does not provide; stage_secs_per_epoch splits the engine's epoch (engine counters, microsecond resolution); optics_pairs_per_epoch counts the distance pairs the OPTICS walk evaluates (s - 1 at a step whose bubble holds fewer than min_pts points, s - 1 - t at step t otherwise) and optics_ns_per_pair is the optics stage time over it; baseline_* columns, when present, come from the same report built at an earlier commit and run on the same host; a 200-bubble run lasts tens of milliseconds, so its speedup columns swing by tens of percent between two runs of one build, and only the multi-second many_bubbles row resolves a change\"\n}}"
     );
     std::fs::write(&out_path, json).expect("write report");
     eprintln!("wrote {out_path}");

@@ -22,16 +22,39 @@
 //!
 //! The ordering is OPTICS' best-first order, produced without a priority
 //! queue: each step computes the current bubble's distance row and makes
-//! one dense pass over it that lowers its neighbours' reachabilities and
-//! picks the next bubble by argmin ([`optics_from_matrix`]). An ordering
-//! costs `O(s²)` time and `O(s)` memory with no sorting; only a bubble
-//! holding fewer than `min_pts` points selects (and sorts) its few
-//! nearest neighbours to find its core distance.
+//! dense passes over it that lower its neighbours' reachabilities and
+//! pick the next bubble by argmin ([`optics_from_matrix`] describes the
+//! walk). An ordering costs `O(s²)` time and `O(s·d)` memory with no
+//! sorting.
+//!
+//! **Layout.** The walk extracts the live summaries once into columns —
+//! one per coordinate, plus extent, `nnDist(1)`, point count, live index
+//! and reachability — and keeps the unprocessed bubbles compacted at
+//! positions `[0, m)`: the picked bubble is swapped to position `m − 1`
+//! in every column. Every pass is then one contiguous loop over `[0, m)`
+//! with no gather through an index list, and the row kernel and the
+//! relax pass are branch-free, so LLVM vectorises them without `unsafe`,
+//! intrinsics or a target flag.
+//!
+//! **Order contract.** The row kernel evaluates each pair exactly as
+//! [`bubble_distance`] does with the lower live index first, so its bits
+//! are the ones a matrix's upper triangle would hold: the squared
+//! distance accumulates coordinate `k` into accumulator `k mod 4` and
+//! reduces `(a0 + a1) + (a2 + a3)` (the canonical order of
+//! [`idb_geometry::metric::sq_dist`]); then come the `sqrt`, the gap
+//! (minus the summed extents) and `(gap + n_lo) + n_hi` when it is not
+//! negative, else the larger of `n_lo` and `n_hi` with a signed-zero tie
+//! resolved to `n_lo`, where `lo` and `hi` are picked by selects on the
+//! live indices. Both arms are computed and one is selected. Up to
+//! `d = 4` every coordinate is fused into one pass; larger `d`
+//! accumulates column by column into four lane buffers per chunk of
+//! positions, which is the same order. Every operation is IEEE-754 and
+//! Rust neither contracts nor reassociates them, so vector and scalar
+//! code give the same bits.
 
 use crate::reachability::ReachabilityPlot;
 use idb_core::DataSummary;
-use idb_geometry::{dist, SeedBlock};
-use std::cmp::Ordering;
+use idb_geometry::dist;
 
 /// Distance between two non-empty data summaries.
 ///
@@ -40,83 +63,24 @@ use std::cmp::Ordering;
 #[must_use]
 pub fn bubble_distance<S: DataSummary>(a: &S, b: &S) -> f64 {
     debug_assert!(a.n() > 0 && b.n() > 0, "distance of empty summaries");
-    bubble_distance_flat(
-        &a.rep(),
-        a.extent(),
-        a.nn_dist(1),
-        &b.rep(),
-        b.extent(),
-        b.nn_dist(1),
-    )
-}
-
-/// [`bubble_distance`] over pre-extracted summary parts: representative
-/// coordinates, extent and `nnDist(1)` of each side.
-///
-/// The OPTICS walk extracts each live summary's parts **once** into a
-/// flat [`SeedBlock`] and two `Vec<f64>`s, then calls this per pair — the
-/// trait's `rep()` allocates a fresh `Vec` per call, which at `s²` pairs
-/// per epoch would dominate the walk. Same floating-point
-/// operations in the same order as [`bubble_distance`], so the value is
-/// bit-identical.
-#[inline]
-#[must_use]
-pub fn bubble_distance_flat(ra: &[f64], ea: f64, na: f64, rb: &[f64], eb: f64, nb: f64) -> f64 {
-    let gap = dist(ra, rb) - (ea + eb);
+    let gap = dist(&a.rep(), &b.rep()) - (a.extent() + b.extent());
     if gap >= 0.0 {
-        gap + na + nb
+        gap + a.nn_dist(1) + b.nn_dist(1)
     } else {
-        na.max(nb)
+        ordered_max(a.nn_dist(1), b.nn_dist(1))
     }
 }
 
-/// Extracted parts of the live summaries: dimension-strided representative
-/// block plus per-summary extent and `nnDist(1)` arrays, aligned with the
-/// `live` index list they were extracted from.
-#[derive(Debug, Clone)]
-pub struct SummaryParts {
-    /// Representative coordinates, one row per live summary.
-    pub reps: SeedBlock,
-    /// `extent()` per live summary.
-    pub extents: Vec<f64>,
-    /// `nn_dist(1)` per live summary.
-    pub nn1: Vec<f64>,
-}
-
-impl SummaryParts {
-    /// Extracts the parts of `summaries[live[..]]` (each must be
-    /// non-empty) for flat pairwise-distance evaluation.
-    pub fn extract<S: DataSummary>(summaries: &[S], live: &[usize]) -> Self {
-        let dim = live
-            .first()
-            .map_or(1, |&i| summaries[i].dim().max(1))
-            .max(1);
-        let mut parts = Self {
-            reps: SeedBlock::with_capacity(dim, live.len()),
-            extents: Vec::with_capacity(live.len()),
-            nn1: Vec::with_capacity(live.len()),
-        };
-        for &idx in live {
-            let s = &summaries[idx];
-            parts.reps.push(&s.rep());
-            parts.extents.push(s.extent());
-            parts.nn1.push(s.nn_dist(1));
-        }
-        parts
-    }
-
-    /// [`bubble_distance_flat`] between live rows `i` and `j`.
-    #[inline]
-    #[must_use]
-    pub fn distance(&self, i: usize, j: usize) -> f64 {
-        bubble_distance_flat(
-            self.reps.get(i),
-            self.extents[i],
-            self.nn1[i],
-            self.reps.get(j),
-            self.extents[j],
-            self.nn1[j],
-        )
+/// `a.max(b)` with the sign of a zero pinned: `−0.0` against `+0.0`
+/// returns `a`, where `f64::max` may return either (LLVM treats it as
+/// commutative, and swaps its operands when vectorising). A NaN yields
+/// the other operand, as in `f64::max`.
+#[inline(always)]
+fn ordered_max(a: f64, b: f64) -> f64 {
+    if b > a || a.is_nan() {
+        b
+    } else {
+        a
     }
 }
 
@@ -179,13 +143,13 @@ impl BubbleOrdering {
 /// neighbourhood (pass `f64::INFINITY` for the full hierarchy); `min_pts`
 /// counts *points*, not bubbles.
 ///
-/// Each bubble's distance row is computed when the walk reaches it
-/// ([`optics_from_matrix`] describes the walk), from [`SummaryParts`]
-/// extracted once per call. No `s × s` matrix is materialised, so working
-/// memory is `O(s)`.
+/// Each bubble's distance row is computed by the column kernel when the
+/// walk reaches it ([`optics_from_matrix`] describes the walk). No
+/// `s × s` matrix is materialised, so working memory is `O(s·d)`.
 ///
 /// # Panics
-/// Panics if `min_pts == 0`.
+/// Panics if `min_pts == 0` or if more than `u32::MAX` summaries are
+/// non-empty.
 #[must_use]
 pub fn optics_bubbles<S: DataSummary>(summaries: &[S], eps: f64, min_pts: usize) -> BubbleOrdering {
     assert!(min_pts > 0, "min_pts must be positive");
@@ -193,8 +157,7 @@ pub fn optics_bubbles<S: DataSummary>(summaries: &[S], eps: f64, min_pts: usize)
     let live: Vec<usize> = (0..summaries.len())
         .filter(|&i| summaries[i].n() > 0)
         .collect();
-    let parts = SummaryParts::extract(summaries, &live);
-    walk(summaries, &live, eps, min_pts, |a, b| parts.distance(a, b))
+    walk(summaries, &live, eps, min_pts, Columns::distance_row)
 }
 
 /// The OPTICS walk over a *precomputed* dense pairwise distance matrix.
@@ -202,29 +165,43 @@ pub fn optics_bubbles<S: DataSummary>(summaries: &[S], eps: f64, min_pts: usize)
 /// `live` lists the indices (into `summaries`) to order — every listed
 /// summary must be non-empty — and `pair[a * live.len() + b]` for
 /// `a < b` must hold `bubble_distance` between `live[a]` and `live[b]`;
-/// only that upper triangle is read. This is the walk
-/// [`optics_bubbles`] runs on distances it computes itself, in the
-/// same orientation, so a matrix with the same bits gives a bit-identical
+/// only that upper triangle is used. This is the walk [`optics_bubbles`]
+/// runs, reading each row from `pair` through the index column instead
+/// of computing it, so a matrix with the same bits gives a bit-identical
 /// ordering.
 ///
 /// The walk is a dense Prim-style scan rather than a best-first heap.
-/// When it reaches bubble `i` it computes `i`'s distance row into one
-/// reusable buffer — over the unprocessed bubbles only when `i` holds at
-/// least `min_pts` points, over every other bubble when it holds fewer
-/// (its core distance counts processed neighbours too). One pass over the
-/// unprocessed bubbles then lowers the reachability of `i`'s
-/// `eps`-neighbours and picks the next bubble as the unprocessed one of
-/// least finite reachability (ties by index, under `f64::total_cmp`) —
-/// exactly the order a lazy-deletion min-heap pops, since each bubble is
-/// pushed at most once per step, with a strictly lower reachability than
-/// any earlier push. One ordering costs `O(s²)` time, `O(s)` memory and
-/// no sorting: a bubble holding at least `min_pts` points has core
-/// distance `nnDist(min_pts)` and needs no neighbour list at all; a
-/// smaller one selects only its `min_pts − n` nearest neighbours.
+/// The unprocessed bubbles sit compacted at column positions `[0, m)`;
+/// the picked bubble is swapped to position `m − 1` and leaves that
+/// range. The walk computes its distance row into one reusable buffer:
+/// over the unprocessed bubbles only when it holds at least `min_pts`
+/// points (its core distance is `nnDist(min_pts)`), over every other
+/// bubble when it holds fewer (its core distance counts processed
+/// neighbours too, taken by ascending `(distance.total_cmp, index)`;
+/// a bounded insertion keeps only the shortest sorted prefix whose point
+/// counts reach `min_pts − n`). Two passes over `[0, m)` follow:
+///
+/// 1. a branch-free relax lowers `reach[j]` to `max(core, d)` for every
+///    `eps`-neighbour `j` (unless `core` is infinite) and tracks the least
+///    reachability under `<`;
+/// 2. the pick takes the least `(reach.total_cmp, index)` among the
+///    entries equal to that minimum.
+///
+/// The pick is the unprocessed bubble of least finite reachability under
+/// `(total_cmp, index)`, as it was for the single fused pass this walk
+/// replaced: a reachability is never NaN (a NaN distance fails
+/// `d <= eps`), so `<` orders it like `total_cmp` except that `−0.0 ==
+/// +0.0`, and the second pass separates those again. That is the order a
+/// lazy-deletion min-heap pops, since each bubble is pushed at most once
+/// per step with a strictly lower reachability than any earlier push.
+/// When no reachability is finite the component is exhausted and the
+/// lowest unprocessed index starts the next one. One ordering costs
+/// `O(s²)` time and no sorting.
 ///
 /// # Panics
-/// Panics if `min_pts == 0`, if `pair.len() != live.len()²`, or (in debug
-/// builds) if a listed summary is empty.
+/// Panics if `min_pts == 0`, if `pair.len() != live.len()²`, if
+/// `live.len() > u32::MAX`, or (in debug builds) if a listed summary is
+/// empty.
 #[must_use]
 pub fn optics_from_matrix<S: DataSummary>(
     summaries: &[S],
@@ -236,23 +213,187 @@ pub fn optics_from_matrix<S: DataSummary>(
     assert!(min_pts > 0, "min_pts must be positive");
     let s = live.len();
     assert_eq!(pair.len(), s * s, "matrix must be dense over `live`");
-    walk(summaries, live, eps, min_pts, |a, b| pair[a * s + b])
+    walk(summaries, live, eps, min_pts, |cols, cur, row| {
+        let a = cols.idx[cur] as usize;
+        for (d, &b) in row.iter_mut().zip(&cols.idx) {
+            let b = b as usize;
+            *d = if a < b {
+                pair[a * s + b]
+            } else {
+                pair[b * s + a]
+            };
+        }
+    })
 }
 
-/// The walk behind [`optics_bubbles`] and [`optics_from_matrix`]:
-/// `distance(a, b)` with `a < b` is the distance between live positions
-/// `a` and `b`.
-///
-/// A pair is always evaluated with the lower position first, whichever
-/// bubble the walk is at: `gap + na + nb` rounds differently from
-/// `gap + nb + na`, and this is the orientation the upper triangle of a
-/// matrix holds.
+/// The live summaries' parts as columns, indexed by *position*. The walk
+/// permutes positions (see [`Columns::swap`]); `idx` maps each position
+/// back to its live index, which orients pairs and breaks ties.
+#[derive(Debug)]
+struct Columns {
+    /// Representative coordinates, one column per dimension.
+    rep: Vec<Vec<f64>>,
+    /// `extent()`.
+    ext: Vec<f64>,
+    /// `nn_dist(1)`.
+    nn1: Vec<f64>,
+    /// `n()`.
+    count: Vec<u64>,
+    /// Live index: the position in `live` the summary was extracted from.
+    idx: Vec<u32>,
+    /// Reachability, `∞` until lowered.
+    reach: Vec<f64>,
+}
+
+/// Positions per lane-accumulator chunk of the `d > 4` kernel.
+const CHUNK: usize = 64;
+
+impl Columns {
+    /// Extracts `summaries[live[..]]` (each must be non-empty) at
+    /// positions `0..live.len()`.
+    fn extract<S: DataSummary>(summaries: &[S], live: &[usize]) -> Self {
+        let s = live.len();
+        assert!(u32::try_from(s).is_ok(), "too many summaries");
+        let dim = live.first().map_or(0, |&i| summaries[i].dim());
+        let mut cols = Self {
+            rep: (0..dim).map(|_| Vec::with_capacity(s)).collect(),
+            ext: Vec::with_capacity(s),
+            nn1: Vec::with_capacity(s),
+            count: Vec::with_capacity(s),
+            idx: (0..s as u32).collect(),
+            reach: vec![f64::INFINITY; s],
+        };
+        for &i in live {
+            let summary = &summaries[i];
+            for (col, x) in cols.rep.iter_mut().zip(summary.rep()) {
+                col.push(x);
+            }
+            cols.ext.push(summary.extent());
+            cols.nn1.push(summary.nn_dist(1));
+            cols.count.push(summary.n());
+        }
+        cols
+    }
+
+    /// Swaps positions `a` and `b` in every column.
+    fn swap(&mut self, a: usize, b: usize) {
+        for col in &mut self.rep {
+            col.swap(a, b);
+        }
+        self.ext.swap(a, b);
+        self.nn1.swap(a, b);
+        self.count.swap(a, b);
+        self.idx.swap(a, b);
+        self.reach.swap(a, b);
+    }
+
+    /// Writes the bubble distance between position `cur` and every
+    /// position `j < row.len()` into `row[j]` (`row[cur]` is left
+    /// meaningless), under the module's order contract.
+    fn distance_row(&self, cur: usize, row: &mut [f64]) {
+        match self.rep.len() {
+            1 => self.fused_row::<1>(cur, row),
+            2 => self.fused_row::<2>(cur, row),
+            3 => self.fused_row::<3>(cur, row),
+            4 => self.fused_row::<4>(cur, row),
+            _ => self.lane_row(cur, row),
+        }
+    }
+
+    /// [`Self::distance_row`] for `d = D ≤ 4`: one pass, every lane in
+    /// registers.
+    fn fused_row<const D: usize>(&self, cur: usize, row: &mut [f64]) {
+        let end = row.len();
+        let rep: [&[f64]; D] = std::array::from_fn(|k| &self.rep[k][..end]);
+        let x: [f64; D] = std::array::from_fn(|k| self.rep[k][cur]);
+        let (ext, nn1, idx) = (&self.ext[..end], &self.nn1[..end], &self.idx[..end]);
+        let own = Own::at(self, cur);
+        for j in 0..end {
+            let mut acc = [0.0f64; 4];
+            for k in 0..D {
+                let t = x[k] - rep[k][j];
+                acc[k % 4] += t * t;
+            }
+            let sq = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+            row[j] = own.distance(sq, ext[j], nn1[j], idx[j]);
+        }
+    }
+
+    /// [`Self::distance_row`] for any `d`: per chunk of positions, lane
+    /// `k` accumulates column by column into lane buffer `k mod 4`.
+    fn lane_row(&self, cur: usize, row: &mut [f64]) {
+        let own = Own::at(self, cur);
+        for (c, out) in row.chunks_mut(CHUNK).enumerate() {
+            let span = c * CHUNK..c * CHUNK + out.len();
+            let mut acc = [[0.0f64; CHUNK]; 4];
+            for (k, col) in self.rep.iter().enumerate() {
+                let x = col[cur];
+                for (a, &y) in acc[k % 4].iter_mut().zip(&col[span.clone()]) {
+                    let t = x - y;
+                    *a += t * t;
+                }
+            }
+            let (ext, nn1, idx) = (
+                &self.ext[span.clone()],
+                &self.nn1[span.clone()],
+                &self.idx[span],
+            );
+            for j in 0..out.len() {
+                let sq = (acc[0][j] + acc[1][j]) + (acc[2][j] + acc[3][j]);
+                out[j] = own.distance(sq, ext[j], nn1[j], idx[j]);
+            }
+        }
+    }
+}
+
+/// The non-coordinate parts of the bubble a row is computed for.
+#[derive(Clone, Copy)]
+struct Own {
+    ext: f64,
+    nn1: f64,
+    idx: u32,
+}
+
+impl Own {
+    fn at(cols: &Columns, cur: usize) -> Self {
+        Self {
+            ext: cols.ext[cur],
+            nn1: cols.nn1[cur],
+            idx: cols.idx[cur],
+        }
+    }
+
+    /// [`bubble_distance`] to the bubble with extent `ext`, `nnDist(1)`
+    /// `nn1` and live index `idx`, from the squared representative
+    /// distance `sq`, oriented with the lower live index first. Both arms
+    /// are computed and one is selected, so the loop stays branch-free.
+    #[inline(always)]
+    fn distance(self, sq: f64, ext: f64, nn1: f64, idx: u32) -> f64 {
+        let gap = sq.sqrt() - (self.ext + ext);
+        let other_lo = idx < self.idx;
+        let lo = if other_lo { nn1 } else { self.nn1 };
+        let hi = if other_lo { self.nn1 } else { nn1 };
+        let apart = (gap + lo) + hi;
+        let overlap = ordered_max(lo, hi);
+        if gap >= 0.0 {
+            apart
+        } else {
+            overlap
+        }
+    }
+}
+
+/// The walk behind [`optics_bubbles`] and [`optics_from_matrix`] (whose
+/// doc describes it) over the column layout of the module doc:
+/// `fill(cols, cur, row)` writes the distance between position `cur` and
+/// every position `j < row.len()` into `row[j]`, evaluated with the lower
+/// live index first (`row[cur]` may hold anything).
 fn walk<S: DataSummary>(
     summaries: &[S],
     live: &[usize],
     eps: f64,
     min_pts: usize,
-    distance: impl Fn(usize, usize) -> f64,
+    fill: impl Fn(&Columns, usize, &mut [f64]),
 ) -> BubbleOrdering {
     debug_assert!(
         live.iter().all(|&i| summaries[i].n() > 0),
@@ -264,113 +405,149 @@ fn walk<S: DataSummary>(
         reachability: Vec::with_capacity(s),
         virtual_reachability: Vec::with_capacity(s),
     };
-
-    let mut pending: Vec<usize> = (0..s).collect();
-    let mut reach = vec![f64::INFINITY; s];
+    let mut cols = Columns::extract(summaries, live);
     let mut row = vec![f64::NAN; s];
-    let mut neigh = Vec::new();
+    let mut nearest = Vec::new();
 
-    // `pending` holds the unprocessed bubbles in no particular order (a
-    // processed one is swap-removed), so every scan visits only those.
     // `next` is the position of the argmin picked by the previous step;
     // when it is `None` the component is exhausted and the lowest
     // unprocessed index starts the next one (at reachability ∞, which
     // `reach` still holds for it).
     let mut next = None;
-    while !pending.is_empty() {
+    for m in (0..s).rev() {
         let pos = next.unwrap_or_else(|| {
-            (0..pending.len())
-                .min_by_key(|&p| pending[p])
-                .expect("pending is non-empty")
+            (0..=m)
+                .min_by_key(|&p| cols.idx[p])
+                .expect("a bubble is unprocessed")
         });
-        let i = pending.swap_remove(pos);
-        ordering.order.push(live[i]);
-        ordering.reachability.push(reach[i]);
-        ordering
-            .virtual_reachability
-            .push(summaries[live[i]].nn_dist(min_pts));
-        // Only the entries the two passes below read are written; the
-        // rest of `row` holds earlier bubbles' values.
-        let oriented = |j: usize| {
-            if j < i {
-                distance(j, i)
-            } else {
-                distance(i, j)
-            }
-        };
-        if (summaries[live[i]].n() as usize) < min_pts {
-            for j in (0..s).filter(|&j| j != i) {
-                row[j] = oriented(j);
-            }
+        // The current bubble leaves the pending range `[0, m)`.
+        cols.swap(pos, m);
+        let i = live[cols.idx[m] as usize];
+        // One `nnDist(min_pts)` per step: the virtual reachability, and
+        // the core distance of a bubble holding `min_pts` points.
+        let virtual_reach = summaries[i].nn_dist(min_pts);
+        ordering.order.push(i);
+        ordering.reachability.push(cols.reach[m]);
+        ordering.virtual_reachability.push(virtual_reach);
+        let core = if cols.count[m] < min_pts as u64 {
+            fill(&cols, m, &mut row);
+            let needed = min_pts as u64 - cols.count[m];
+            core_distance(&cols, m, &row, eps, &mut nearest, needed)
         } else {
-            for &j in &pending {
-                row[j] = oriented(j);
-            }
-        }
-        let core = core_distance(summaries, live, i, &row, eps, min_pts, &mut neigh);
-        next = relax_and_pick(&row, core, eps, &pending, &mut reach);
+            fill(&cols, m, &mut row[..m]);
+            virtual_reach
+        };
+        next = relax_and_pick(&row[..m], core, eps, &cols.idx[..m], &mut cols.reach[..m]);
     }
     ordering
 }
 
-/// Core distance of live bubble `i`: `nnDist(min_pts)` when the bubble
-/// alone holds `min_pts` points (`row` is not read), otherwise the
-/// distance at which its `eps`-neighbours in `row` (read at every
-/// `j ≠ i`), taken by ascending `(distance.total_cmp, index)`, bring the
-/// point count to `min_pts` (`∞` if they never do).
-///
-/// Every live bubble holds at least one point, so at most the
-/// `min_pts − n` nearest neighbours are ever accumulated: they are
-/// selected in `O(s)` and only that prefix is sorted. The order is total
-/// (indices are distinct), so the prefix is exactly the full sort's.
-fn core_distance<S: DataSummary>(
-    summaries: &[S],
-    live: &[usize],
-    i: usize,
-    row: &[f64],
-    eps: f64,
-    min_pts: usize,
-    neigh: &mut Vec<(usize, f64)>,
-) -> f64 {
-    let own = summaries[live[i]].n() as usize;
-    if own >= min_pts {
-        return summaries[live[i]].nn_dist(min_pts);
-    }
-    neigh.clear();
-    neigh.extend(
-        row.iter()
-            .enumerate()
-            .filter(|&(j, &d)| j != i && d <= eps)
-            .map(|(j, &d)| (j, d)),
-    );
-    // `total_cmp` with the index tiebreak: a NaN never passes `d <= eps`,
-    // and exact distance ties (duplicated representatives) resolve by
-    // index, so the selection cannot depend on the algorithm's
-    // comparison sequence.
-    let by_distance = |a: &(usize, f64), b: &(usize, f64)| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0));
-    let needed = min_pts - own;
-    if neigh.len() > needed {
-        neigh.select_nth_unstable_by(needed - 1, by_distance);
-        neigh.truncate(needed);
-    }
-    neigh.sort_unstable_by(by_distance);
-    let mut acc = own;
-    for &(j, d) in neigh.iter() {
-        acc += summaries[live[j]].n() as usize;
-        if acc >= min_pts {
-            return d;
+/// Positions per skip test of [`core_distance`]'s scan.
+const SCAN: usize = 16;
+
+/// Lanes of the running minimum in [`lower_all`].
+const LANES: usize = 8;
+
+/// Sets `reach[j] = lower(reach[j], row[j])` for every `j` and returns
+/// the least result under `<` (`∞` for none). Each of [`LANES`] lanes
+/// keeps its own running minimum, so LLVM vectorises the loop; NaN is
+/// never stored, so the least value does not depend on the lane split.
+#[inline(always)]
+fn lower_all(reach: &mut [f64], row: &[f64], lower: impl Fn(f64, f64) -> f64) -> f64 {
+    let min = |a: f64, b: f64| if b < a { b } else { a };
+    let mut least = [f64::INFINITY; LANES];
+    let mut reach = reach.chunks_exact_mut(LANES);
+    let mut row = row.chunks_exact(LANES);
+    for (r, d) in reach.by_ref().zip(row.by_ref()) {
+        for l in 0..LANES {
+            r[l] = lower(r[l], d[l]);
+            least[l] = min(least[l], r[l]);
         }
     }
-    f64::INFINITY
+    for (r, &d) in reach.into_remainder().iter_mut().zip(row.remainder()) {
+        *r = lower(*r, d);
+        least[0] = min(least[0], *r);
+    }
+    least.into_iter().fold(f64::INFINITY, min)
 }
 
-/// One fused pass over the current bubble's distance row and the
-/// unprocessed bubbles `pending`: unless `core` is infinite (the bubble
-/// is not a core object), lower `reach[j]` to `max(core, d)` for every
-/// pending `j` within `eps`; then return the position in `pending` of the
-/// `j` with the least finite `reach[j]` under `(reach.total_cmp, index)`,
-/// or `None` when the component is exhausted. The key is total, so the
-/// pick does not depend on the order of `pending`.
+/// Core distance of the bubble at position `cur`, which holds fewer than
+/// `min_pts` points: the distance at which its `eps`-neighbours in `row`
+/// (every position but `cur`), taken by ascending
+/// `(distance.total_cmp, index)`, bring the point count to `min_pts`
+/// (`∞` if they never do).
+///
+/// `nearest` is kept, by bounded insertion, as the shortest sorted
+/// prefix of the neighbours seen so far whose counts reach the
+/// `min_pts − n` points still needed — at most `min_pts − n` entries,
+/// since every bubble holds a point. A neighbour after its last entry
+/// cannot join, and the key is total (indices are distinct), so the
+/// final prefix is exactly a full sort's.
+fn core_distance(
+    cols: &Columns,
+    cur: usize,
+    row: &[f64],
+    eps: f64,
+    nearest: &mut Vec<(f64, u32, u64)>,
+    needed: u64,
+) -> f64 {
+    let order = |a: &(f64, u32, u64), b: &(f64, u32, u64)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+    nearest.clear();
+    let mut held = 0;
+    // Only `d <= bound` can join: `eps` until `nearest` holds the needed
+    // points, then its last distance. A NaN never passes, and a whole
+    // chunk of positions is skipped by one vectorised test. The
+    // processed bubbles, most recent first, are scanned before the
+    // pending ones: the walk moves between neighbours, so `bound`
+    // tightens early. The key is total, so the scan order does not
+    // change the result.
+    let mut bound = eps;
+    for span in [cur + 1..row.len(), 0..cur] {
+        for (c, chunk) in row[span.clone()].chunks(SCAN).enumerate() {
+            if !chunk.iter().fold(false, |any, &d| any | (d <= bound)) {
+                continue;
+            }
+            for (j, &d) in (span.start + c * SCAN..).zip(chunk) {
+                let entry = (d, cols.idx[j], cols.count[j]);
+                let joins = d <= bound
+                    && (held < needed || order(&entry, &nearest[nearest.len() - 1]).is_lt());
+                if !joins {
+                    continue;
+                }
+                // Insertion step, then drop the entries the prefix no
+                // longer needs.
+                nearest.push(entry);
+                let mut at = nearest.len() - 1;
+                while at > 0 && order(&entry, &nearest[at - 1]).is_lt() {
+                    nearest[at] = nearest[at - 1];
+                    at -= 1;
+                }
+                nearest[at] = entry;
+                held += entry.2;
+                while held - nearest[nearest.len() - 1].2 >= needed {
+                    held -= nearest.pop().expect("held > 0").2;
+                }
+                if held >= needed {
+                    bound = nearest[nearest.len() - 1].0;
+                }
+            }
+        }
+    }
+    if held >= needed {
+        nearest[nearest.len() - 1].0
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// The two passes over the pending positions `[0, m)` (the slices' common
+/// length): unless `core` is infinite (the bubble is not a core object),
+/// lower `reach[j]` to `max(core, row[j])` wherever `row[j] <= eps`,
+/// tracking the least reachability under `<`; then return the position
+/// of the least `(reach.total_cmp, idx)` among the entries equal to it,
+/// or `None` when no reachability is finite (the component is
+/// exhausted). The key is total, so the pick does not depend on the
+/// order of the positions.
 ///
 /// A reachability is only ever stored when it is strictly below the
 /// previous one, starting from `∞`, so "below `∞`" here means "was ever
@@ -379,36 +556,34 @@ fn relax_and_pick(
     row: &[f64],
     core: f64,
     eps: f64,
-    pending: &[usize],
+    idx: &[u32],
     reach: &mut [f64],
 ) -> Option<usize> {
-    let relax = !core.is_infinite();
-    let mut best: Option<(usize, usize)> = None;
-    let mut best_reach = f64::INFINITY;
-    for (pos, &j) in pending.iter().enumerate() {
-        let r = &mut reach[j];
-        if relax {
-            let d = row[j];
+    let least = if core.is_infinite() {
+        lower_all(reach, row, |r, _| r)
+    } else {
+        lower_all(reach, row, |r, d| {
+            let candidate = core.max(d);
+            let lowered = if candidate < r { candidate } else { r };
             if d <= eps {
-                let candidate = core.max(d);
-                if candidate < *r {
-                    *r = candidate;
-                }
+                lowered
+            } else {
+                r
             }
-        }
-        if *r < f64::INFINITY {
-            let better = match r.total_cmp(&best_reach) {
-                Ordering::Less => true,
-                Ordering::Equal => best.is_some_and(|(_, b)| j < b),
-                Ordering::Greater => false,
-            };
-            if better {
-                best = Some((pos, j));
-                best_reach = *r;
-            }
+        })
+    };
+    if least == f64::INFINITY {
+        return None;
+    }
+    let mut best: Option<usize> = None;
+    for (p, &r) in reach.iter().enumerate() {
+        if r == least
+            && best.is_none_or(|b| r.total_cmp(&reach[b]).then(idx[p].cmp(&idx[b])).is_lt())
+        {
+            best = Some(p);
         }
     }
-    best.map(|(pos, _)| pos)
+    best
 }
 
 #[cfg(test)]
@@ -488,14 +663,22 @@ mod tests {
     }
 
     /// Drains `reach` through [`relax_and_pick`] with no relaxation (an
-    /// infinite core distance), starting from the unprocessed list
-    /// `pending`; returns the picked indices in order.
-    fn drain_picks(reach: &[f64], mut pending: Vec<usize>) -> Vec<usize> {
-        let row = vec![f64::NAN; reach.len()];
-        let mut reach = reach.to_vec();
+    /// infinite core distance), starting with the unprocessed indices
+    /// `pending` at positions `0..` (index `j` carries `reach[j]`) and
+    /// swapping each pick past the pending range as the walk does;
+    /// returns the picked indices in order.
+    fn drain_picks(reach: &[f64], pending: Vec<usize>) -> Vec<usize> {
+        let mut idx: Vec<u32> = pending.iter().map(|&j| j as u32).collect();
+        let mut at: Vec<f64> = pending.iter().map(|&j| reach[j]).collect();
+        let row = vec![f64::NAN; idx.len()];
         let mut picks = Vec::new();
-        while let Some(pos) = relax_and_pick(&row, f64::INFINITY, 1.0, &pending, &mut reach) {
-            picks.push(pending.swap_remove(pos));
+        let mut m = idx.len();
+        while let Some(pos) = relax_and_pick(&row[..m], f64::INFINITY, 1.0, &idx[..m], &mut at[..m])
+        {
+            m -= 1;
+            idx.swap(pos, m);
+            at.swap(pos, m);
+            picks.push(idx[m] as usize);
         }
         picks
     }

@@ -11,8 +11,11 @@
 //! every tie-break: duplicated representatives (exact distance
 //! ties), empty summaries, finite `eps` that splits the input into
 //! components, `min_pts` from 1 to above every bubble's point count (so
-//! small bubbles compute full rows), NaN pair entries, and distances
-//! whose bits depend on the pair's orientation.
+//! small bubbles compute full rows), NaN pair entries, distances whose
+//! bits depend on the pair's orientation, every dimension from 1 to 9
+//! (the fused and lane-accumulator kernels, chunk remainders included),
+//! and signed-zero `nnDist` values that make `−0.0` and `+0.0`
+//! distances and reachabilities tie under `==`.
 
 use idb_clustering::{bubble_distance, optics_bubbles, optics_from_matrix, BubbleOrdering};
 use idb_core::DataSummary;
@@ -162,7 +165,7 @@ fn reference_expansion<S: DataSummary>(
 
 /// The from-scratch matrix over `live`: upper triangle in position order,
 /// mirrored — the orientation `optics_bubbles` evaluates.
-fn live_matrix(orbs: &[Orb], live: &[usize]) -> Vec<f64> {
+fn live_matrix<S: DataSummary>(orbs: &[S], live: &[usize]) -> Vec<f64> {
     let s = live.len();
     let mut m = vec![0.0f64; s * s];
     for x in 0..s {
@@ -360,5 +363,143 @@ fn on_demand_rows_keep_the_matrix_orientation() {
                 bits(&want.virtual_reachability)
             );
         }
+    }
+}
+
+/// The dimensions the across-dimension cases run at: the fused kernel
+/// (`d ≤ 4`) and the lane-accumulator kernel with one, three, four and
+/// five lanes in its last block.
+const DIMS: [usize; 8] = [1, 2, 3, 4, 5, 7, 8, 9];
+
+/// Checks both entry points against the heap reference at one setting.
+fn assert_matches_reference<S: DataSummary>(
+    summaries: &[S],
+    live: &[usize],
+    pair: &[f64],
+    eps: f64,
+    min_pts: usize,
+) {
+    let want = reference_expansion(summaries, live, pair, eps, min_pts);
+    for got in [
+        optics_from_matrix(summaries, live, pair, eps, min_pts),
+        optics_bubbles(summaries, eps, min_pts),
+    ] {
+        assert_eq!(got.order, want.order, "eps {eps} min_pts {min_pts}");
+        assert_eq!(bits(&got.reachability), bits(&want.reachability));
+        assert_eq!(
+            bits(&got.virtual_reachability),
+            bits(&want.virtual_reachability)
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The column kernel ≡ the heap reference at every dimension, over
+    /// inputs long enough to cross the kernel's chunk boundaries.
+    #[test]
+    fn column_kernel_matches_heap_reference_in_every_dimension(
+        raw in prop::collection::vec(
+            (0u32..3, prop::collection::vec(0u32..3, 9), 0u64..9, 0usize..RADII.len()),
+            0..150,
+        ),
+        eps_pick in 0usize..4,
+    ) {
+        for dim in DIMS {
+            // Off-grid coordinates, so the squared distances round and
+            // their accumulation order shows in the bits; equal cells
+            // still give equal representatives.
+            let orbs: Vec<Orb> = raw
+                .iter()
+                .map(|(blob, cell, count, r)| Orb {
+                    at: (0..dim)
+                        .map(|k| {
+                            let c = f64::from(cell[k]);
+                            let blob = if k == 0 { f64::from(*blob) * 200.0 } else { 0.0 };
+                            blob + c * 1.37 + c * c * 0.071 * (k + 1) as f64
+                        })
+                        .collect(),
+                    count: *count,
+                    radius: RADII[*r],
+                })
+                .collect();
+            let live: Vec<usize> = (0..orbs.len()).filter(|&i| orbs[i].count > 0).collect();
+            let pair = live_matrix(&orbs, &live);
+            let eps = eps_of(&pair, live.len(), eps_pick);
+            for min_pts in [1, 2, 5, 9, 12] {
+                assert_matches_reference(&orbs, &live, &pair, eps, min_pts);
+            }
+        }
+    }
+}
+
+/// A summary whose extent and nearest-neighbour scale are independent,
+/// so overlapping bubbles can carry signed-zero `nnDist` values.
+#[derive(Debug, Clone)]
+struct Patch {
+    at: Vec<f64>,
+    count: u64,
+    extent: f64,
+    nn: f64,
+}
+
+impl DataSummary for Patch {
+    fn dim(&self) -> usize {
+        self.at.len()
+    }
+    fn n(&self) -> u64 {
+        self.count
+    }
+    fn rep(&self) -> Vec<f64> {
+        self.at.clone()
+    }
+    fn extent(&self) -> f64 {
+        self.extent
+    }
+    fn nn_dist(&self, k: usize) -> f64 {
+        self.nn * (k as f64).sqrt()
+    }
+}
+
+/// About 300 bubbles on 35 representatives (every distance ties with
+/// many others exactly), a sixth of them empty, with `nnDist` values of
+/// `−0.0`, `+0.0` and positive: overlapping pairs measure `±0.0`, so
+/// distances, core distances and reachabilities tie under `==` while
+/// differing under `total_cmp`.
+#[test]
+fn signed_zero_ties_at_scale_match_the_reference() {
+    for dim in [2, 6] {
+        let patches: Vec<Patch> = (0..320u32)
+            .map(|i| Patch {
+                at: (0..dim)
+                    .map(|k| match k {
+                        0 => f64::from(i % 7),
+                        1 => f64::from((i / 7) % 5),
+                        _ => 0.0,
+                    })
+                    .collect(),
+                count: u64::from(i % 6),
+                extent: [0.0, 0.75, 1.5][(i % 3) as usize],
+                nn: [-0.0, 0.0, 0.25, -0.0, 0.5][((i / 3) % 5) as usize],
+            })
+            .collect();
+        let live: Vec<usize> = (0..patches.len())
+            .filter(|&i| patches[i].count > 0)
+            .collect();
+        assert!(live.len() > 250, "{} live bubbles", live.len());
+        let pair = live_matrix(&patches, &live);
+        let mut zeros = [false; 2];
+        for eps in [f64::INFINITY, 0.0, 1.0] {
+            for min_pts in [1, 2, 3, 6, 12, 40] {
+                assert_matches_reference(&patches, &live, &pair, eps, min_pts);
+                for r in optics_bubbles(&patches, eps, min_pts).reachability {
+                    if r == 0.0 {
+                        zeros[usize::from(r.is_sign_negative())] = true;
+                    }
+                }
+            }
+        }
+        assert_eq!(zeros, [true, true], "both signed zeros are reachabilities");
     }
 }

@@ -7,8 +7,10 @@
 //! and typed deltas.
 //!
 //! 1. **OPTICS** — [`optics_merged`] over the domains, domain-major: one
-//!    `O(s²)` dense walk that computes each bubble's distance row when it
-//!    reaches it;
+//!    `O(s²)` dense walk over the bubbles extracted into columns, which
+//!    computes each bubble's distance row when it reaches it with a
+//!    vectorised, branch-free kernel and keeps the unprocessed bubbles
+//!    compacted so every pass is one contiguous loop;
 //! 2. **Extraction** — the ordering is expanded to the point-level plot
 //!    straight from the bubbles' member slices (no per-bubble buffer),
 //!    and [`cluster_tree`] extracts the cluster tree;
