@@ -52,8 +52,9 @@ cargo run $CARGOFLAGS --release -q -p idb-bench --bin journal_check -- "$IDB_WAL
 # Report smoke runs with their checks: the shard report (DESIGN.md §13),
 # the delta report's per-epoch bit-identity with the full pipeline and
 # delta-stream replay (§14), and the kernel report's 1.5x speedup at
-# d >= 64, whose self-checks also drive the incremental matrix/order-repair
-# counters end to end (§15).
+# d >= 64, which also builds the seed neighbor table both by `from_seeds`
+# and by pushes (they must agree) and reads its repair ledger off a live
+# maintainer (§15).
 for report in shard delta kernel; do
     cargo run $CARGOFLAGS --release -q -p idb-bench --bin "${report}_report" -- \
         "$IDB_WAL_DIR/BENCH_${report}_smoke.json"
@@ -65,16 +66,19 @@ done
 cargo test $CARGOFLAGS -q --release -p idb-clustering --test optics_equivalence
 cargo test $CARGOFLAGS -q --release -p idb-clustering --test extract_equivalence
 # Bit-identity must survive wider codegen: re-run the kernel property
-# suite, the re-baseline audit, the equivalence of the column-major
-# OPTICS walk with the heap reference and that of the prefix-sum
-# cluster-tree extraction with the fold reference (its rounding margin
-# must hold under fused or reordered arithmetic too) under the host's
-# full instruction set, the last two in debug and in release.
+# suite, the equivalence of the incrementally repaired seed neighbor
+# table with a fresh build, the re-baseline audit, the equivalence of the
+# column-major OPTICS walk with the heap reference and that of the
+# prefix-sum cluster-tree extraction with the fold reference (its
+# rounding margin must hold under fused or reordered arithmetic too)
+# under the host's full instruction set, the last two in debug and in
+# release.
 # Guarded — skipped with a notice when the toolchain/target rejects the
 # flag (e.g. cross-compilation or unsupported CPUs).
 if RUSTFLAGS="-C target-cpu=native" cargo check $CARGOFLAGS -q -p idb-geometry 2>/dev/null; then
     RUSTFLAGS="-C target-cpu=native" cargo test $CARGOFLAGS -q -p idb-geometry --test kernels
     RUSTFLAGS="-C target-cpu=native" cargo test $CARGOFLAGS -q -p idb-geometry --test differential
+    RUSTFLAGS="-C target-cpu=native" cargo test $CARGOFLAGS -q -p idb-geometry --test table_equivalence
     RUSTFLAGS="-C target-cpu=native" cargo test $CARGOFLAGS -q -p idb-delta --test rebaseline_audit
     RUSTFLAGS="-C target-cpu=native" cargo test $CARGOFLAGS -q -p idb-clustering --test optics_equivalence
     RUSTFLAGS="-C target-cpu=native" cargo test $CARGOFLAGS -q -p idb-clustering --test extract_equivalence

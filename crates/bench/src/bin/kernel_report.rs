@@ -10,12 +10,14 @@
 //!   early-exit nearest-neighbor scan pattern the assignment engines run.
 //! * **End-to-end flows**: the d10/100k construction scan per engine and
 //!   the d2/20k dynamic insert/delete flow, compared against the
-//!   pre-kernel-pass medians recorded by `assign_report` on this same
-//!   host immediately before the switch.
-//! * **Incremental-matrix accounting**: a seed-churn microbenchmark and
-//!   the dynamic flow's own counters, proving structural seed changes
-//!   touch O(s) matrix/order entries instead of the former O(s²) rebuild
-//!   (`naive` columns are what the pre-PR-8 strategy would have written).
+//!   pre-kernel-pass medians `assign_report` recorded immediately before
+//!   the switch (constants from the host that first ran this report, so
+//!   the speedup column holds only on that host).
+//! * **Neighbor-table accounting**: the `from_seeds` build at s = 512
+//!   (against the same table built by `s` pushes), a seed-churn
+//!   microbenchmark, and the dynamic flow's own repair ledger — row
+//!   entries actually moved or written per structural seed change, next to
+//!   the `s²` a per-mutation re-sort of every row would write (`naive`).
 //!
 //! Usage: `kernel_report [output.json]` (default `BENCH_kernel.json`).
 
@@ -236,60 +238,62 @@ fn end_to_end_rows() -> (Vec<EndToEndRow>, IncrementalBubbles) {
     (rows, last.expect("dynamic flow ran"))
 }
 
-struct MatrixReport {
-    ops: u64,
+struct TableReport {
     seeds: usize,
-    entries_written: u64,
+    build_secs: f64,
+    push_build_secs: f64,
+    ops: u64,
+    entries: u64,
     naive_entries: u64,
-    entries_per_op: f64,
-    naive_per_op: f64,
-    order_entries: u64,
-    order_naive_entries: u64,
-    relayouts: u64,
     churn_secs: f64,
 }
 
-/// Seed-churn microbenchmark: s pushes, then replace and swap-remove+push
-/// cycles — the structural mutations maintenance performs — with the
-/// matrix/order ledgers proving each touches O(s), not O(s²), entries.
-fn matrix_report(rng: &mut StdRng) -> MatrixReport {
+/// The neighbor table at s = 512: the median `from_seeds` build, the same
+/// table built by `s` pushes, then replace and swap-remove+push cycles —
+/// the structural mutations maintenance performs — with the repair ledger
+/// counting the row entries each one moves or writes.
+fn table_report(rng: &mut StdRng) -> TableReport {
     const S: usize = 512;
     const D: usize = 10;
     const CYCLES: usize = 256;
     let point = |rng: &mut StdRng| -> Vec<f64> {
         (0..D).map(|_| rng.gen_range(-100.0f64..100.0)).collect()
     };
+    let flat: Vec<f64> = (0..S).flat_map(|_| point(rng)).collect();
+    let build_secs = median_secs(|| NearestSeeds::from_seeds(D, flat.chunks_exact(D)).len() as f64);
     let t0 = Instant::now();
-    let mut seeds = NearestSeeds::new(D);
-    for _ in 0..S {
-        seeds.push(&point(rng));
+    let mut pushed = NearestSeeds::new(D);
+    for p in flat.chunks_exact(D) {
+        pushed.push(p);
     }
+    let push_build_secs = t0.elapsed().as_secs_f64();
+    let mut seeds = NearestSeeds::from_seeds(D, flat.chunks_exact(D));
+    assert!(
+        (0..S).all(|i| seeds.neighbor_order(i) == pushed.neighbor_order(i)
+            && seeds.neighbor_distances(i) == pushed.neighbor_distances(i)),
+        "from_seeds and pushes must build the same table"
+    );
+    let t0 = Instant::now();
     for i in 0..CYCLES {
         seeds.replace(i % seeds.len(), &point(rng));
         seeds.swap_remove(i % seeds.len());
         seeds.push(&point(rng));
     }
     let churn_secs = t0.elapsed().as_secs_f64();
-    let m = seeds.matrix_stats();
     let r = seeds.repair_stats();
-    let total = (m.entries_written + r.order_entries) as f64;
-    let naive = (m.naive_entries + r.order_naive_entries) as f64;
     eprintln!(
-        "matrix churn s={S}: {} ops in {churn_secs:.4}s, {:.0} entries/op vs {:.0} naive/op",
+        "seed table s={S}: build {build_secs:.4}s ({push_build_secs:.4}s by pushes); {} ops in {churn_secs:.4}s, {:.0} entries/op vs {:.0} naive/op",
         r.ops,
-        total / r.ops as f64,
-        naive / r.ops as f64
+        r.entries as f64 / r.ops as f64,
+        r.naive_entries as f64 / r.ops as f64
     );
-    MatrixReport {
-        ops: r.ops,
+    TableReport {
         seeds: S,
-        entries_written: m.entries_written,
-        naive_entries: m.naive_entries,
-        entries_per_op: total / r.ops as f64,
-        naive_per_op: naive / r.ops as f64,
-        order_entries: r.order_entries,
-        order_naive_entries: r.order_naive_entries,
-        relayouts: m.relayouts,
+        build_secs,
+        push_build_secs,
+        ops: r.ops,
+        entries: r.entries,
+        naive_entries: r.naive_entries,
         churn_secs,
     }
 }
@@ -302,8 +306,8 @@ fn main() {
 
     let kernels = kernel_rows(&mut rng);
     let (end_to_end, dynamic_ib) = end_to_end_rows();
-    let matrix = matrix_report(&mut rng);
-    let (dyn_matrix, dyn_repair) = dynamic_ib.seed_repair_stats();
+    let table = table_report(&mut rng);
+    let dyn_repair = dynamic_ib.seed_repair_stats();
 
     let min_speedup_high_d = kernels
         .iter()
@@ -319,7 +323,7 @@ fn main() {
         json,
         "  \"min_kernel_speedup_d64_plus\": {min_speedup_high_d:.2},"
     );
-    json.push_str("  \"note\": \"scalar columns run the historical sequential kernels kept in metric::scalar (same binary, same flags); pre_kernel_secs are assign_report medians recorded on this host at the commit before the canonical-kernel switch; naive columns are what the pre-PR-8 full-rebuild strategy would have written\",\n");
+    json.push_str("  \"note\": \"scalar columns run the historical sequential kernels kept in metric::scalar (same binary, same flags); pre_kernel_secs are constants: assign_report medians recorded at the commit before the canonical-kernel switch on the host that first ran this report, so they compare only with runs on that host; naive columns are the entries a re-sort of every neighbor row per seed mutation would write\",\n");
     json.push_str("  \"kernels\": [\n");
     for (i, r) in kernels.iter().enumerate() {
         let comma = if i + 1 == kernels.len() { "" } else { "," };
@@ -355,28 +359,24 @@ fn main() {
     json.push_str("  ],\n");
     let _ = writeln!(
         json,
-        "  \"matrix_churn\": {{\"seeds\": {}, \"ops\": {}, \"secs\": {:.6}, \"matrix_entries_written\": {}, \"matrix_naive_entries\": {}, \"order_entries\": {}, \"order_naive_entries\": {}, \"relayouts\": {}, \"entries_per_op\": {:.1}, \"naive_entries_per_op\": {:.1}}},",
-        matrix.seeds,
-        matrix.ops,
-        matrix.churn_secs,
-        matrix.entries_written,
-        matrix.naive_entries,
-        matrix.order_entries,
-        matrix.order_naive_entries,
-        matrix.relayouts,
-        matrix.entries_per_op,
-        matrix.naive_per_op
+        "  \"seed_table\": {{\"seeds\": {}, \"build_secs\": {:.6}, \"push_build_secs\": {:.6}, \"ops\": {}, \"churn_secs\": {:.6}, \"entries\": {}, \"naive_entries\": {}, \"entries_per_op\": {:.1}, \"naive_entries_per_op\": {:.1}}},",
+        table.seeds,
+        table.build_secs,
+        table.push_build_secs,
+        table.ops,
+        table.churn_secs,
+        table.entries,
+        table.naive_entries,
+        table.entries as f64 / table.ops as f64,
+        table.naive_entries as f64 / table.ops as f64
     );
     let _ = writeln!(
         json,
-        "  \"dynamic_flow_repair\": {{\"ops\": {}, \"matrix_entries_written\": {}, \"matrix_naive_entries\": {}, \"order_entries\": {}, \"order_naive_entries\": {}, \"rows_saved_factor\": {:.1}}}",
+        "  \"dynamic_flow_repair\": {{\"ops\": {}, \"entries\": {}, \"naive_entries\": {}, \"rows_saved_factor\": {:.1}}}",
         dyn_repair.ops,
-        dyn_matrix.entries_written,
-        dyn_matrix.naive_entries,
-        dyn_repair.order_entries,
-        dyn_repair.order_naive_entries,
-        (dyn_matrix.naive_entries + dyn_repair.order_naive_entries) as f64
-            / (dyn_matrix.entries_written + dyn_repair.order_entries).max(1) as f64
+        dyn_repair.entries,
+        dyn_repair.naive_entries,
+        dyn_repair.naive_entries as f64 / dyn_repair.entries.max(1) as f64
     );
     json.push_str("}\n");
     std::fs::write(&out_path, json).expect("write report");

@@ -33,8 +33,8 @@ pub struct MaintainerConfig {
     /// 0.9 and validates 0.8); determines `k = 1/sqrt(1-p)`.
     pub probability: f64,
     /// Nearest-seed engine for construction, insertion and redistribution:
-    /// brute force, triangle-inequality pruning over the seed distance
-    /// matrix (Section 3, Figure 2), or a k-d tree over the seeds. Every
+    /// brute force, triangle-inequality pruning over the seed neighbor
+    /// rows (Section 3, Figure 2), or a k-d tree over the seeds. Every
     /// engine returns bit-identical assignments; they differ only in how
     /// many distance computations they spend.
     pub seed_search: SeedSearch,

@@ -212,19 +212,33 @@ pub enum AuditIssue {
         /// The inconsistent bubble.
         bubble: usize,
     },
-    /// A bubble's seed disagrees with the seed matrix's copy.
+    /// A bubble's seed disagrees with the seed neighbor table's copy.
     SeedOutOfSync {
         /// The inconsistent bubble.
         bubble: usize,
     },
-    /// A cached pairwise seed distance is non-finite or disagrees with the
-    /// distance recomputed from the seed coordinates.
-    SeedMatrixDrift {
-        /// First bubble of the pair.
+    /// A seed's neighbor row does not list every seed exactly once.
+    NeighborRowNotPermutation {
+        /// The bubble owning the row.
+        row: usize,
+    },
+    /// A seed's neighbor row is not sorted by `(distance, index)`: entry
+    /// `pos - 1` does not order strictly before entry `pos`.
+    NeighborRowMisordered {
+        /// The bubble owning the row.
+        row: usize,
+        /// The first out-of-order position.
+        pos: usize,
+    },
+    /// A distance stored in bubble `i`'s neighbor row for bubble `j` is
+    /// non-finite or disagrees with the distance recomputed from the seed
+    /// coordinates.
+    NeighborDistanceDrift {
+        /// The bubble owning the row.
         i: usize,
-        /// Second bubble of the pair.
+        /// The bubble the entry names.
         j: usize,
-        /// The cached distance.
+        /// The stored distance.
         stored: f64,
         /// The recomputed distance.
         recomputed: f64,
@@ -249,7 +263,10 @@ impl AuditIssue {
             | Self::NonFiniteStats { bubble }
             | Self::NonFiniteSeed { bubble }
             | Self::SeedOutOfSync { bubble } => vec![bubble],
-            Self::SeedMatrixDrift { i, j, .. } => vec![i, j],
+            Self::NeighborRowNotPermutation { row } | Self::NeighborRowMisordered { row, .. } => {
+                vec![row]
+            }
+            Self::NeighborDistanceDrift { i, j, .. } => vec![i, j],
         }
     }
 }
@@ -319,17 +336,26 @@ impl fmt::Display for AuditIssue {
             Self::SeedOutOfSync { bubble } => {
                 write!(
                     f,
-                    "bubble {bubble}: seed matrix out of sync with bubble seed"
+                    "bubble {bubble}: seed table out of sync with bubble seed"
                 )
             }
-            Self::SeedMatrixDrift {
+            Self::NeighborRowNotPermutation { row } => {
+                write!(
+                    f,
+                    "bubble {row}: neighbor row does not list every seed once"
+                )
+            }
+            Self::NeighborRowMisordered { row, pos } => {
+                write!(f, "bubble {row}: neighbor row out of order at {pos}")
+            }
+            Self::NeighborDistanceDrift {
                 i,
                 j,
                 stored,
                 recomputed,
             } => write!(
                 f,
-                "seed matrix entry ({i}, {j}) drifted ({stored} vs {recomputed})"
+                "bubble {i}: neighbor distance to {j} drifted ({stored} vs {recomputed})"
             ),
         }
     }
@@ -344,7 +370,7 @@ pub struct AuditReport {
     pub bubbles: usize,
     /// Points covered by the (verified) membership tables.
     pub points: u64,
-    /// Pairwise seed-matrix entries verified.
+    /// Neighbor-table distances verified.
     pub checked_pairs: usize,
 }
 
@@ -426,7 +452,11 @@ mod tests {
             vec![4]
         );
         assert_eq!(
-            AuditIssue::SeedMatrixDrift {
+            AuditIssue::NeighborRowMisordered { row: 3, pos: 7 }.implicated_bubbles(),
+            vec![3]
+        );
+        assert_eq!(
+            AuditIssue::NeighborDistanceDrift {
                 i: 1,
                 j: 2,
                 stored: 0.0,

@@ -37,9 +37,7 @@ use crate::config::{MaintainerConfig, Parallelism, SplitSeedPolicy};
 use crate::error::{AuditError, AuditIssue, AuditReport, RepairReport, UpdateError};
 use crate::quality::{classify, Classification};
 use idb_geometry::parallel::run_chunks;
-use idb_geometry::{
-    dist, MatrixStats, NearestSeeds, RepairMetrics, RepairStats, SearchMetrics, SearchStats,
-};
+use idb_geometry::{dist, NearestSeeds, RepairMetrics, RepairStats, SearchMetrics, SearchStats};
 use idb_obs::{Cause, EventKind, Obs};
 use idb_store::{Batch, PointId, PointStore, StorageError};
 use rand::Rng;
@@ -207,7 +205,7 @@ impl IncrementalBubbles {
     /// The assignment scan — the dominant O(N·s·d) cost — runs under
     /// `config.parallelism`: points are chunked across scoped worker
     /// threads, each with its own instrumented distance counter, all
-    /// sharing the read-only seed–seed matrix; the per-chunk counters are
+    /// sharing the read-only seed neighbor table; the per-chunk counters are
     /// merged into `search` afterwards. Every mode yields a bit-identical
     /// maintainer and identical counts for the same RNG seed (seed
     /// selection is the only RNG consumer and happens up front).
@@ -233,13 +231,11 @@ impl IncrementalBubbles {
         );
         let dim = store.dim();
         let seed_ids = store.sample_distinct(config.num_bubbles, rng);
-        let mut seeds = NearestSeeds::new(dim);
-        let mut bubbles = Vec::with_capacity(config.num_bubbles);
-        for id in &seed_ids {
-            let p = store.point(*id);
-            seeds.push(p);
-            bubbles.push(Bubble::new(p.to_vec()));
-        }
+        let seeds = NearestSeeds::from_seeds(dim, seed_ids.iter().map(|&id| store.point(id)));
+        let bubbles = seed_ids
+            .iter()
+            .map(|&id| Bubble::new(store.point(id).to_vec()))
+            .collect();
         let mut this = Self {
             dim,
             config,
@@ -424,17 +420,16 @@ impl IncrementalBubbles {
     /// are on. Call sites snapshot immediately before the leaf mutations
     /// (seed pushes, replacements, removals) so nested phases never double
     /// count.
-    fn observe_repair(&self, matrix_before: MatrixStats, repair_before: RepairStats) {
+    fn observe_repair(&self, before: RepairStats) {
         if !self.obs.metrics_on() {
             return;
         }
-        let matrix = self.seeds.matrix_stats().delta_since(&matrix_before);
-        let repair = self.seeds.repair_stats().delta_since(&repair_before);
+        let repair = self.seeds.repair_stats().delta_since(&before);
         if repair.ops == 0 {
             return;
         }
         RepairMetrics::register(self.obs.metrics(), self.config.seed_search.as_str())
-            .observe(&matrix, &repair);
+            .observe(&repair);
     }
 
     /// Dimensionality of the summarized points.
@@ -443,13 +438,13 @@ impl IncrementalBubbles {
         self.dim
     }
 
-    /// The seed set's cumulative structural-repair accounting: the
-    /// pairwise-matrix write ledger and the order-cache repair ledger
-    /// (DESIGN.md §15). `kernel_report` reads this after a dynamic flow to
-    /// verify the incremental repair touches O(s) entries per seed change.
+    /// The seed set's cumulative neighbor-table repair ledger (DESIGN.md
+    /// §15): row entries moved or written by the incremental mutators
+    /// since the table was built. `kernel_report` reads this after a
+    /// dynamic flow to compare it with a per-mutation rebuild.
     #[must_use]
-    pub fn seed_repair_stats(&self) -> (MatrixStats, RepairStats) {
-        (self.seeds.matrix_stats(), self.seeds.repair_stats())
+    pub fn seed_repair_stats(&self) -> RepairStats {
+        self.seeds.repair_stats()
     }
 
     /// Number of bubbles (constant over the lifetime of the maintainer —
@@ -681,7 +676,7 @@ impl IncrementalBubbles {
     /// Transactional batch application: the whole batch is validated
     /// up front and only then applied.
     ///
-    /// On `Err`, the maintainer (bubbles, assignment tables, seed matrix,
+    /// On `Err`, the maintainer (bubbles, assignment tables, seed table,
     /// point total) and the store are **bit-identical** to their pre-call
     /// state — validation touches nothing, and a validated batch cannot
     /// fail mid-apply.
@@ -904,11 +899,10 @@ impl IncrementalBubbles {
             }
         };
 
-        let matrix_before = self.seeds.matrix_stats();
         let repair_before = self.seeds.repair_stats();
         self.seeds.replace(donor, &p1);
         self.seeds.replace(over, &p2);
-        self.observe_repair(matrix_before, repair_before);
+        self.observe_repair(repair_before);
         *self.bubbles[donor].seed_mut() = p1.clone();
         *self.bubbles[over].seed_mut() = p2.clone();
 
@@ -1127,10 +1121,9 @@ impl IncrementalBubbles {
         // Materialize the new bubble at a placeholder position; `split`
         // re-seeds both participants from the over-filled members.
         let placeholder = self.bubbles[over].seed().to_vec();
-        let matrix_before = self.seeds.matrix_stats();
         let repair_before = self.seeds.repair_stats();
         let new_idx = self.seeds.push(&placeholder);
-        self.observe_repair(matrix_before, repair_before);
+        self.observe_repair(repair_before);
         self.bubbles.push(Bubble::new(placeholder));
         debug_assert_eq!(new_idx, self.bubbles.len() - 1);
         self.record_change(BubbleChange::Pushed);
@@ -1182,10 +1175,9 @@ impl IncrementalBubbles {
         assert!(i < self.bubbles.len(), "bubble index out of bounds");
         self.merge_away(i, store, search, Cause::Retire)?;
         self.bubbles.swap_remove(i);
-        let matrix_before = self.seeds.matrix_stats();
         let repair_before = self.seeds.repair_stats();
         self.seeds.swap_remove(i);
-        self.observe_repair(matrix_before, repair_before);
+        self.observe_repair(repair_before);
         self.record_change(BubbleChange::SwapRemoved(i as u32));
         // The swap-remove invalidates two indices: `i` itself (retired)
         // and the former last index (now living at `i`). The warm-start
@@ -1367,7 +1359,7 @@ impl IncrementalBubbles {
                     "bubble {bi}: linear sum drifted ({got} vs {want})"
                 );
             }
-            // The seed matrix row must match the actual seed coordinates.
+            // The seed table's copy must match the actual seed coordinates.
             assert_eq!(self.seeds.seed(bi), b.seed(), "bubble {bi}: seed sync");
         }
         assert_eq!(seen, self.total_points, "membership covers all points");
@@ -1487,12 +1479,76 @@ impl IncrementalBubbles {
         issues
     }
 
+    /// Seed `i`'s neighbor row, walked once: it must list every seed
+    /// exactly once, be sorted by `(distance, index)` — a misordered row
+    /// makes the pruned search's tail cut skip the true nearest seed — and
+    /// store distances that match the seed coordinates (`finite[j]` skips
+    /// seeds already reported as non-finite). Appends the violations to
+    /// `issues` and returns the number of distances checked; `seen` is
+    /// scratch.
+    fn neighbor_row_issues(
+        &self,
+        i: usize,
+        finite: &[bool],
+        seen: &mut Vec<bool>,
+        issues: &mut Vec<AuditIssue>,
+    ) -> usize {
+        let s = self.bubbles.len();
+        let ids = self.seeds.neighbor_order(i);
+        let w = self.seeds.neighbor_distances(i);
+        seen.clear();
+        seen.resize(s, false);
+        let permutation = ids.len() == s
+            && w.len() == s
+            && ids.iter().all(|&j| {
+                seen.get_mut(j as usize)
+                    .is_some_and(|v| !std::mem::replace(v, true))
+            });
+        if !permutation {
+            issues.push(AuditIssue::NeighborRowNotPermutation { row: i });
+            return 0;
+        }
+        if let Some(pos) = (1..s).find(|&k| {
+            w[k - 1]
+                .total_cmp(&w[k])
+                .then(ids[k - 1].cmp(&ids[k]))
+                .is_ge()
+        }) {
+            issues.push(AuditIssue::NeighborRowMisordered { row: i, pos });
+        }
+        if !finite[i] {
+            return 0; // already reported via NonFiniteSeed/SeedOutOfSync
+        }
+        let mut checked = 0;
+        for (&j, &stored) in ids.iter().zip(w) {
+            let j = j as usize;
+            if !finite[j] {
+                continue;
+            }
+            let recomputed = if j == i {
+                0.0
+            } else {
+                dist(self.seeds.seed(i), self.seeds.seed(j))
+            };
+            checked += 1;
+            if Self::drifted(stored, recomputed, 1e-9 * (1.0 + recomputed.abs())) {
+                issues.push(AuditIssue::NeighborDistanceDrift {
+                    i,
+                    j,
+                    stored,
+                    recomputed,
+                });
+            }
+        }
+        checked
+    }
+
     /// Walks every invariant and returns all violations found (plus the
-    /// number of seed-matrix pairs checked). Shared by [`Self::audit`] and
-    /// [`Self::repair`].
+    /// number of neighbor-table distances checked). Shared by
+    /// [`Self::audit`] and [`Self::repair`].
     ///
     /// The two O(N·d) / O(s²·d) sweeps — per-bubble statistics recompute
-    /// and seed-matrix verification — fan out over contiguous chunks of
+    /// and neighbor-row verification — fan out over contiguous chunks of
     /// bubbles/rows under the configured parallelism; chunk results are
     /// concatenated in index order, so the issue list (order included) is
     /// identical to a serial walk.
@@ -1546,29 +1602,24 @@ impl IncrementalBubbles {
             }
         }
 
-        // Seed matrix: every cached pairwise distance must match the
-        // distance recomputed from the (finite) seed coordinates.
+        // Neighbor table: each row walked once, in chunks of rows.
+        let finite: Vec<bool> = (0..self.bubbles.len())
+            .map(|i| self.seeds.seed(i).iter().all(|x| x.is_finite()))
+            .collect();
+        let rows: Vec<usize> = (0..self.bubbles.len()).collect();
+        let per_row = run_chunks(&rows, threads, |chunk| {
+            let mut seen = Vec::new();
+            let mut found = Vec::new();
+            let mut checked = 0;
+            for &i in chunk {
+                checked += self.neighbor_row_issues(i, &finite, &mut seen, &mut found);
+            }
+            (found, checked)
+        });
         let mut checked_pairs = 0usize;
-        for i in 0..self.bubbles.len() {
-            if self.seeds.seed(i).iter().any(|x| !x.is_finite()) {
-                continue; // already reported via NonFiniteSeed/SeedOutOfSync
-            }
-            for j in (i + 1)..self.bubbles.len() {
-                if self.seeds.seed(j).iter().any(|x| !x.is_finite()) {
-                    continue;
-                }
-                let stored = self.seeds.pair_distance(i, j);
-                let recomputed = dist(self.seeds.seed(i), self.seeds.seed(j));
-                checked_pairs += 1;
-                if Self::drifted(stored, recomputed, 1e-9 * (1.0 + recomputed.abs())) {
-                    issues.push(AuditIssue::SeedMatrixDrift {
-                        i,
-                        j,
-                        stored,
-                        recomputed,
-                    });
-                }
-            }
+        for (found, checked) in per_row {
+            issues.extend(found);
+            checked_pairs += checked;
         }
         (issues, checked_pairs)
     }
@@ -1577,8 +1628,8 @@ impl IncrementalBubbles {
     /// anything: Σ bubble `n` equals the live point count, the assignment
     /// and position tables are mutually consistent with the member lists in
     /// both directions, each bubble's `(n, LS, SS)` matches its recomputed
-    /// member statistics within a drift tolerance, and the seed matrix is
-    /// finite and in sync with the seeds. O(N·d + s²).
+    /// member statistics within a drift tolerance, and the seed neighbor
+    /// table is finite, sorted and in sync with the seeds. O(N·d + s²·d).
     ///
     /// The panicking twin is [`Self::validate`]; production code paths
     /// (e.g. after restoring a snapshot of uncertain provenance) should
@@ -1614,8 +1665,10 @@ impl IncrementalBubbles {
     ///
     /// 1. stale assignment entries of dead points are cleared;
     /// 2. each quarantined bubble is drained and its statistics reset;
-    /// 3. quarantined bubbles get their seed re-synced into the seed
-    ///    matrix — re-drawn from a random live point when non-finite;
+    /// 3. quarantined bubbles with a non-finite seed get it re-drawn from
+    ///    a random live point, and the seed neighbor table is rebuilt from
+    ///    the bubble seeds (one sort per row), which also heals a damaged
+    ///    row;
     /// 4. every live point left uncovered (drained, or inconsistent to
     ///    begin with) is reattached to its nearest seed, exactly like an
     ///    insertion — warm-starting each search at the point's prior
@@ -1685,7 +1738,7 @@ impl IncrementalBubbles {
             }
         }
 
-        // 3. Re-seed quarantined bubbles and re-sync the seed matrix rows.
+        // 3. Re-draw non-finite seeds, then rebuild the neighbor table.
         for (bi, q) in quarantined.iter().enumerate() {
             if !*q {
                 continue;
@@ -1705,8 +1758,9 @@ impl IncrementalBubbles {
                 *self.bubbles[bi].seed_mut() = fresh;
                 report.reseeded += 1;
             }
-            let seed = self.bubbles[bi].seed().to_vec();
-            self.seeds.replace(bi, &seed);
+        }
+        if quarantined.contains(&true) {
+            self.seeds = NearestSeeds::from_seeds(self.dim, self.bubbles.iter().map(Bubble::seed));
         }
 
         // 4. Reattach every uncovered live point, like an insertion. The
@@ -1785,11 +1839,18 @@ impl IncrementalBubbles {
         self.member_pos[slot] = value;
     }
 
-    /// Overwrites a bubble's seed *without* re-syncing the seed matrix
-    /// (test sabotage hook).
+    /// Overwrites a bubble's seed *without* re-syncing the seed neighbor
+    /// table (test sabotage hook).
     #[doc(hidden)]
     pub fn corrupt_seed(&mut self, bubble: usize, seed: Vec<f64>) {
         *self.bubbles[bubble].seed_mut() = seed;
+    }
+
+    /// Mutable access to one seed's neighbor row, its ids and distances
+    /// (test sabotage hook).
+    #[doc(hidden)]
+    pub fn corrupt_neighbor_row(&mut self, bubble: usize) -> (&mut [u32], &mut [f64]) {
+        self.seeds.neighbor_row_mut(bubble)
     }
 
     /// Overwrites the tracked point total (test sabotage hook).

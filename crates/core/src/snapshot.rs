@@ -177,7 +177,6 @@ impl IncrementalBubbles {
                 "implausible live bubble count {live_count}"
             )));
         }
-        let mut seeds = NearestSeeds::new(dim);
         let mut bubbles = Vec::with_capacity(live_count);
         let mut assign = vec![u32::MAX; store.slots()];
         let mut member_pos = vec![u32::MAX; store.slots()];
@@ -188,7 +187,6 @@ impl IncrementalBubbles {
             for x in coord.iter_mut() {
                 *x = read_f64(r)?;
             }
-            seeds.push(&coord);
             let mut bubble = Bubble::new(coord.clone());
 
             let n = read_u64(r)?;
@@ -232,6 +230,8 @@ impl IncrementalBubbles {
             )));
         }
 
+        // One sort per neighbor row instead of `live_count` pushes.
+        let seeds = NearestSeeds::from_seeds(dim, bubbles.iter().map(Bubble::seed));
         Ok(Self::from_raw_parts(
             dim,
             config,

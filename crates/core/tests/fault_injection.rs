@@ -258,6 +258,49 @@ fn audit_detects_and_repair_heals_every_sabotage() {
             },
         ),
         (
+            "misordered neighbor row",
+            |ib, _| {
+                // Adjacent entries always have distinct keys, so a swap
+                // breaks the (distance, index) order.
+                let (ids, w) = ib.corrupt_neighbor_row(0);
+                ids.swap(1, 2);
+                w.swap(1, 2);
+            },
+            |issues| {
+                issues
+                    .iter()
+                    .any(|i| matches!(i, AuditIssue::NeighborRowMisordered { row: 0, pos: 2 }))
+            },
+        ),
+        (
+            "drifted neighbor distance",
+            |ib, _| {
+                // Inflating the farthest entry keeps the row sorted.
+                let (_, w) = ib.corrupt_neighbor_row(1);
+                *w.last_mut().unwrap() += 1.0;
+            },
+            |issues| {
+                issues
+                    .iter()
+                    .any(|i| matches!(i, AuditIssue::NeighborDistanceDrift { i: 1, .. }))
+                    && !issues
+                        .iter()
+                        .any(|i| matches!(i, AuditIssue::NeighborRowMisordered { .. }))
+            },
+        ),
+        (
+            "neighbor row lost an index",
+            |ib, _| {
+                let (ids, _) = ib.corrupt_neighbor_row(2);
+                ids[1] = ids[0];
+            },
+            |issues| {
+                issues
+                    .iter()
+                    .any(|i| matches!(i, AuditIssue::NeighborRowNotPermutation { row: 2 }))
+            },
+        ),
+        (
             "wrong point total",
             |ib, _| ib.corrupt_total(1),
             |issues| {

@@ -3,26 +3,28 @@
 //! Constructing data bubbles assigns every database point to its closest
 //! seed. Lemma 1 of the paper lets us skip computing `dist(p, s_j)` whenever
 //! the pairwise seed distance to a known-close seed already proves `s_j`
-//! cannot win: the pairwise distances are precomputed once in a
-//! [`SymMatrix`], and each avoided evaluation is recorded in the caller's
-//! [`SearchStats`].
+//! cannot win: the pairwise distances are precomputed once, as one sorted
+//! neighbor row per seed, and each avoided evaluation is recorded in the
+//! caller's [`SearchStats`].
 //!
 //! [`NearestSeeds`] owns the seed coordinates (flat, contiguous) together
-//! with their pairwise distance matrix and offers three interchangeable
-//! engines, selected by [`SeedSearch`]:
+//! with their neighbor table and offers three interchangeable engines,
+//! selected by [`SeedSearch`]:
 //!
 //! * [`SeedSearch::Brute`] — computes all `s` distances (what a standard
 //!   implementation does); the accounting baseline.
 //! * [`SeedSearch::Pruned`] — the Figure 2 algorithm, reworked: the search
 //!   runs in *squared-distance* space (one `sqrt` per improvement instead
 //!   of one per candidate), visits candidates in ascending order of their
-//!   matrix-row distance to the start seed (a per-seed order cache kept
-//!   fresh by [`push`](NearestSeeds::push)/[`replace`](NearestSeeds::replace)),
-//!   prunes the whole remaining tail once the pairwise distance exceeds
-//!   `d(p, start) + best` — by the triangle inequality nothing further out
-//!   can beat or tie the best — and evaluates survivors with the
-//!   early-exit kernel [`sq_dist_bounded`], charging abandoned evaluations
-//!   to `stats.partial`.
+//!   pairwise distance to the start seed (the start's neighbor row, which
+//!   stores each distance next to its seed index and is kept sorted by
+//!   [`push`](NearestSeeds::push)/[`replace`](NearestSeeds::replace)/
+//!   [`swap_remove`](NearestSeeds::swap_remove)), prunes the whole
+//!   remaining tail once the pairwise distance exceeds `d(p, start) + best`
+//!   — by the triangle inequality nothing further out can beat or tie the
+//!   best — and evaluates survivors with the early-exit kernel
+//!   [`sq_dist_bounded`], charging abandoned evaluations to
+//!   `stats.partial`.
 //! * [`SeedSearch::KdTree`] — a k-d tree over the seeds (lazily built,
 //!   invalidated by every mutation), best for low dimensionality and large
 //!   seed counts; same accounting, with cut-off subtrees charged to
@@ -34,10 +36,21 @@
 //! final `sqrt` of the same winning value. The differential suites in
 //! `tests/` enforce this across engines, hints, exclusions and thread
 //! counts.
+//!
+//! # The neighbor table (DESIGN.md §15)
+//!
+//! Row `i` lists every seed index `j` (itself included) with `dist(i, j)`
+//! stored inline, as two parallel arrays sorted by the key
+//! `(distance.total_cmp, j)`. The key is unique per row, so a row's content
+//! depends only on the seed coordinates, never on the mutation history:
+//! [`NearestSeeds::from_seeds`] sorts each row once, and the mutators keep
+//! every row equal to that fresh sort. Re-seeding seed `i` moves one entry
+//! per row: its old key (read from row `i` itself) and its new key are
+//! binary-searched, and only the entries between the two positions shift.
+//! There is no `s × s` matrix: the table holds `12 · s²` bytes.
 
 use crate::block::SeedBlock;
 use crate::kdtree::KdTree;
-use crate::matrix::{MatrixStats, SymMatrix};
 use crate::metric::{dist, sq_dist, sq_dist_bounded};
 use crate::parallel::{run_ranges, Parallelism};
 use crate::stats::SearchStats;
@@ -58,8 +71,8 @@ pub enum SeedSearch {
     /// Evaluate every seed; the baseline whose cost defines
     /// [`SearchStats::total`].
     Brute,
-    /// Triangle-inequality pruning over the pairwise matrix (Figure 2),
-    /// with matrix-ordered candidate visits and early-exit kernels.
+    /// Triangle-inequality pruning over the neighbor rows (Figure 2), with
+    /// distance-ordered candidate visits and early-exit kernels.
     #[default]
     Pruned,
     /// A k-d tree over the seeds; subtree cuts replace Lemma 1.
@@ -79,7 +92,117 @@ impl SeedSearch {
     }
 }
 
-/// A set of seed points plus their pairwise distance matrix.
+/// A distance as an integer with the order of [`f64::total_cmp`]. A
+/// neighbor-row entry's sort key is `(dist_key(distance), index)`.
+#[inline]
+fn dist_key(d: f64) -> u64 {
+    // `total_cmp`'s own transform, shifted from signed to unsigned order.
+    let bits = d.to_bits() as i64;
+    (bits ^ ((((bits >> 63) as u64) >> 1) as i64)) as u64 ^ (1 << 63)
+}
+
+/// One seed's neighbor row: every seed index and its distance to the
+/// row's owner, as parallel arrays sorted ascending by
+/// `(dist_key(distance), index)`.
+#[derive(Debug, Clone)]
+struct Row {
+    ids: Vec<u32>,
+    w: Vec<f64>,
+}
+
+impl Row {
+    /// The row over `w`, the distances from the owner to each seed in
+    /// index order, sorted in place; `keys` is scratch reused across rows.
+    ///
+    /// Sorts one `u64` per entry: the distance key with its low bits
+    /// replaced by the index, an order that agrees with the exact key
+    /// wherever the kept bits differ. One insertion pass with the exact
+    /// key then orders the rare entries whose kept bits tie.
+    fn sorted(mut w: Vec<f64>, keys: &mut Vec<u64>) -> Self {
+        let bits = usize::BITS - w.len().leading_zeros();
+        let index = |k: u64| (k & ((1 << bits) - 1)) as usize;
+        keys.clear();
+        keys.extend(
+            w.iter()
+                .zip(0u64..)
+                .map(|(&d, j)| (dist_key(d) >> bits << bits) | j),
+        );
+        keys.sort_unstable();
+        let exact = |k: u64| (dist_key(w[index(k)]), index(k));
+        for a in 1..keys.len() {
+            let (e, key) = (keys[a], exact(keys[a]));
+            let mut b = a;
+            while b > 0 && exact(keys[b - 1]) > key {
+                keys[b] = keys[b - 1];
+                b -= 1;
+            }
+            keys[b] = e;
+        }
+        let ids: Vec<u32> = keys.iter().map(|&k| index(k) as u32).collect();
+        for (k, &j) in keys.iter_mut().zip(&ids) {
+            *k = w[j as usize].to_bits();
+        }
+        for (d, &k) in w.iter_mut().zip(keys.iter()) {
+            *d = f64::from_bits(k);
+        }
+        Self { ids, w }
+    }
+
+    /// The row's distances scattered back into seed-index order.
+    fn scatter(&self) -> Vec<f64> {
+        let mut d = vec![0.0; self.ids.len()];
+        for (&j, &dj) in self.ids.iter().zip(&self.w) {
+            d[j as usize] = dj;
+        }
+        d
+    }
+
+    /// The number of entries ordering before the key `(k, id)`: a binary
+    /// search over the distances alone, then a step over the exact
+    /// distance ties with a lower index.
+    fn rank(&self, k: u64, id: u32) -> usize {
+        let mut p = self.w.partition_point(|&x| dist_key(x) < k);
+        while p < self.ids.len() && dist_key(self.w[p]) == k && self.ids[p] < id {
+            p += 1;
+        }
+        p
+    }
+
+    /// The position of the entry `(k, id)`.
+    ///
+    /// # Panics
+    /// Panics if the row holds no such entry (a corrupted table).
+    fn find(&self, k: u64, id: u32) -> usize {
+        let p = self.rank(k, id);
+        assert!(self.ids.get(p) == Some(&id), "neighbor row lost index {id}");
+        p
+    }
+
+    /// Moves the entry at `from` to `to` and writes `(d, id)` there,
+    /// shifting only the entries in between. Returns the entries moved or
+    /// written.
+    fn place(&mut self, from: usize, to: usize, d: f64, id: u32) -> u64 {
+        if to > from {
+            self.ids.copy_within(from + 1..=to, from);
+            self.w.copy_within(from + 1..=to, from);
+        } else {
+            self.ids.copy_within(to..from, to + 1);
+            self.w.copy_within(to..from, to + 1);
+        }
+        self.ids[to] = id;
+        self.w[to] = d;
+        from.abs_diff(to) as u64 + 1
+    }
+
+    /// Removes the entry at `p`; returns the entries moved.
+    fn remove(&mut self, p: usize) -> u64 {
+        self.ids.remove(p);
+        self.w.remove(p);
+        (self.ids.len() - p) as u64
+    }
+}
+
+/// A set of seed points plus their neighbor table.
 ///
 /// Seeds are identified by dense indices `0..len()`; the incremental
 /// maintainer keeps these indices aligned with its bubble ids.
@@ -109,33 +232,32 @@ pub struct NearestSeeds {
     /// Seed coordinates in one contiguous dimension-strided block, so the
     /// candidate scans walk linear memory.
     block: SeedBlock,
-    pairwise: SymMatrix,
-    /// `order[i]` holds all seed indices sorted ascending by
-    /// `(pairwise(i, j), j)` — the visit order that makes the Lemma 1
-    /// bound fire as early as possible when the search starts at seed `i`.
-    order: Vec<Vec<u32>>,
-    /// Cumulative order-cache repair accounting (DESIGN.md §15).
+    /// `rows[i]` holds all seed indices with their distance to seed `i`,
+    /// sorted ascending by `(distance, index)` — the visit order that makes
+    /// the Lemma 1 bound fire as early as possible when the search starts
+    /// at seed `i`.
+    rows: Vec<Row>,
+    /// Cumulative neighbor-table repair accounting (DESIGN.md §15).
     repair: RepairStats,
     /// Lazily built k-d tree over the seeds for [`SeedSearch::KdTree`];
     /// cleared by every mutation, rebuilt (deterministically) on demand.
     kd: OnceLock<KdTree>,
 }
 
-/// Cumulative accounting of the incremental order-cache repair performed by
-/// the seed-set mutators ([`NearestSeeds::push`], [`NearestSeeds::replace`],
-/// [`NearestSeeds::swap_remove`]).
+/// Cumulative accounting of the incremental neighbor-table repair performed
+/// by the seed-set mutators ([`NearestSeeds::push`],
+/// [`NearestSeeds::replace`], [`NearestSeeds::swap_remove`]).
 ///
-/// `order_entries` counts order-cache slots actually spliced, repositioned
-/// or rebuilt; `order_naive_entries` counts the slots a full re-sort of
-/// every row — the pre-PR-8 strategy for `swap_remove` — would have
-/// touched (`s²` per mutation). The pairwise-matrix analogue lives in
-/// [`MatrixStats`], read through [`NearestSeeds::matrix_stats`].
+/// `entries` counts the row entries (an index and its distance) actually
+/// moved or written; `naive_entries` counts the entries a re-sort of every
+/// row per mutation would write (`s²` per mutation).
+/// [`NearestSeeds::from_seeds`] builds the table and charges nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepairStats {
-    /// Order-cache slots actually touched by incremental repair.
-    pub order_entries: u64,
-    /// Slots a full per-mutation rebuild of the cache would have touched.
-    pub order_naive_entries: u64,
+    /// Row entries moved or written by incremental repair.
+    pub entries: u64,
+    /// Entries a full per-mutation rebuild of the table would write.
+    pub naive_entries: u64,
     /// Structural mutations performed (push + replace + swap_remove).
     pub ops: u64,
 }
@@ -145,8 +267,8 @@ impl RepairStats {
     #[must_use]
     pub fn delta_since(&self, before: &Self) -> Self {
         Self {
-            order_entries: self.order_entries - before.order_entries,
-            order_naive_entries: self.order_naive_entries - before.order_naive_entries,
+            entries: self.entries - before.entries,
+            naive_entries: self.naive_entries - before.naive_entries,
             ops: self.ops - before.ops,
         }
     }
@@ -163,14 +285,16 @@ impl NearestSeeds {
         Self {
             dim,
             block: SeedBlock::new(dim),
-            pairwise: SymMatrix::zeros(0),
-            order: Vec::new(),
+            rows: Vec::new(),
             repair: RepairStats::default(),
             kd: OnceLock::new(),
         }
     }
 
-    /// Builds a seed set from an iterator of seed coordinates.
+    /// Builds a seed set from an iterator of seed coordinates, sorting each
+    /// neighbor row once, in place: `O(s² · d)` distances, `O(s² log s)`
+    /// comparisons and no memory beyond the table's. The table equals the
+    /// one `s` [`push`](Self::push)es would build.
     ///
     /// # Panics
     /// Panics if any seed's dimensionality differs from `dim`.
@@ -179,9 +303,26 @@ impl NearestSeeds {
         I: IntoIterator<Item = &'a [f64]>,
     {
         let mut set = Self::new(dim);
-        for s in seeds {
-            set.push(s);
+        for p in seeds {
+            assert_eq!(p.len(), dim, "seed dimensionality mismatch");
+            set.block.push(p);
         }
+        let s = set.block.len();
+        // Distances in index order, each pair computed once as
+        // `dist(later, earlier)` — the argument order of `push` — and
+        // mirrored, so both rows of a pair hold the same bits.
+        let mut w: Vec<Vec<f64>> = (0..s).map(|_| vec![0.0; s]).collect();
+        for j in 1..s {
+            let (earlier, rest) = w.split_at_mut(j);
+            let x = set.block.get(j);
+            for (i, wi) in earlier.iter_mut().enumerate() {
+                let d = dist(x, set.block.get(i));
+                rest[0][i] = d;
+                wi[j] = d;
+            }
+        }
+        let mut keys = Vec::with_capacity(s);
+        set.rows = w.into_iter().map(|w| Row::sorted(w, &mut keys)).collect();
         set
     }
 
@@ -194,7 +335,7 @@ impl NearestSeeds {
     /// Number of seeds.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.pairwise.len()
+        self.rows.len()
     }
 
     /// `true` when the set holds no seeds.
@@ -220,163 +361,153 @@ impl NearestSeeds {
         &self.block
     }
 
-    /// Cumulative pairwise-matrix write accounting (DESIGN.md §15).
-    #[must_use]
-    pub fn matrix_stats(&self) -> MatrixStats {
-        self.pairwise.stats()
-    }
-
-    /// Cumulative order-cache repair accounting (DESIGN.md §15).
+    /// Cumulative neighbor-table repair accounting (DESIGN.md §15).
     #[must_use]
     pub fn repair_stats(&self) -> RepairStats {
         self.repair
     }
 
-    /// Pairwise distance between seeds `i` and `j` as stored in the matrix.
-    #[inline]
-    #[must_use]
-    pub fn pair_distance(&self, i: usize, j: usize) -> f64 {
-        self.pairwise.get(i, j)
-    }
-
-    /// The other seeds of the set in ascending order of their pairwise
-    /// distance to seed `i` (ties by index; `i` itself leads its own row).
-    /// This is the visit order of [`Self::nearest_pruned`], exposed so the
-    /// maintainer can read off a seed's nearest surviving neighbour — e.g.
-    /// as a warm-start hint after a merge retires the seed — without any
-    /// extra distance computations.
+    /// The seeds in ascending order of their distance to seed `i` (ties by
+    /// index; `i` itself leads its own row unless a lower-indexed duplicate
+    /// precedes it). This is the visit order of [`Self::nearest_pruned`],
+    /// exposed so the maintainer can read off a seed's nearest surviving
+    /// neighbour — e.g. as a warm-start hint after a merge retires the seed
+    /// — without any extra distance computations.
     ///
     /// # Panics
     /// Panics if `i` is out of bounds.
     #[inline]
     #[must_use]
     pub fn neighbor_order(&self, i: usize) -> &[u32] {
-        &self.order[i]
+        &self.rows[i].ids
     }
 
-    fn sorted_row(pairwise: &SymMatrix, i: usize) -> Vec<u32> {
-        let row = pairwise.row(i);
-        let mut idx: Vec<u32> = (0..pairwise.len() as u32).collect();
-        idx.sort_by(|&a, &b| row[a as usize].total_cmp(&row[b as usize]).then(a.cmp(&b)));
-        idx
+    /// The distances aligned with [`Self::neighbor_order`]`(i)`: entry `k`
+    /// is the distance from seed `i` to seed `neighbor_order(i)[k]`.
+    ///
+    /// # Panics
+    /// Panics if `i` is out of bounds.
+    #[inline]
+    #[must_use]
+    pub fn neighbor_distances(&self, i: usize) -> &[f64] {
+        &self.rows[i].w
     }
 
-    /// Appends a new seed, filling in its pairwise distance row and
-    /// splicing it into every order-cache row, and returns its index.
+    /// Mutable access to seed `i`'s neighbor row (test sabotage hook: the
+    /// audit suites damage the table through it).
+    #[doc(hidden)]
+    pub fn neighbor_row_mut(&mut self, i: usize) -> (&mut [u32], &mut [f64]) {
+        let row = &mut self.rows[i];
+        (&mut row.ids, &mut row.w)
+    }
+
+    /// Appends a new seed, inserting it into every neighbor row at its
+    /// binary-searched position and sorting its own row, and returns its
+    /// index.
     ///
     /// # Panics
     /// Panics if the seed's dimensionality differs from the set's.
     pub fn push(&mut self, seed: &[f64]) -> usize {
         assert_eq!(seed.len(), self.dim, "seed dimensionality mismatch");
-        self.block.push(seed);
-        let idx = self.pairwise.push_row();
-        let block = &self.block;
-        self.pairwise.refresh_row(idx, |j| dist(seed, block.get(j)));
+        let idx = self.block.push(seed);
         let new = idx as u32;
-        for (i, row) in self.order.iter_mut().enumerate() {
-            let prow = self.pairwise.row(i);
-            let pd = prow[idx];
-            let pos = row
-                .binary_search_by(|&x| prow[x as usize].total_cmp(&pd).then(x.cmp(&new)))
-                .unwrap_err();
-            row.insert(pos, new);
+        let mut d: Vec<f64> = (0..idx).map(|j| dist(seed, self.block.get(j))).collect();
+        let mut entries = 0;
+        for (row, &dj) in self.rows.iter_mut().zip(&d) {
+            // The new index is the largest, so it follows its ties.
+            let pos = row.rank(dist_key(dj), new);
+            row.ids.insert(pos, new);
+            row.w.insert(pos, dj);
+            entries += (row.ids.len() - pos) as u64;
         }
-        self.order.push(Self::sorted_row(&self.pairwise, idx));
+        d.push(0.0);
+        self.rows.push(Row::sorted(d, &mut Vec::new()));
         let s = self.len() as u64;
-        self.repair.order_entries += (s - 1) + s; // one splice per old row + the new row
-        self.repair.order_naive_entries += s * s;
+        self.repair.entries += entries + s;
+        self.repair.naive_entries += s * s;
         self.repair.ops += 1;
         self.kd = OnceLock::new();
         idx
     }
 
-    /// Replaces seed `i` with new coordinates, recomputing its pairwise
-    /// distance row in O(s) and re-sorting the order cache — the
-    /// bookkeeping the paper performs when a bubble is re-seeded during a
-    /// merge/split rebuild.
+    /// Replaces seed `i` with new coordinates — the bookkeeping the paper
+    /// performs when a bubble is re-seeded during a merge/split rebuild.
+    /// Its `s` new distances are computed once and its row is re-sorted.
+    /// In every other row, its old key (the old distances are read from
+    /// row `i` itself) and its new key are binary-searched, and only the
+    /// entries between the two positions shift.
     ///
     /// # Panics
-    /// Panics if `i` is out of bounds or the dimensionality differs.
+    /// Panics if `i` is out of bounds, if the dimensionality differs, or
+    /// if a neighbor row has lost seed `i` (a damaged table).
     pub fn replace(&mut self, i: usize, seed: &[f64]) {
         assert_eq!(seed.len(), self.dim, "seed dimensionality mismatch");
-        assert!(i < self.len(), "seed index out of bounds");
+        let s = self.len();
+        assert!(i < s, "seed index out of bounds");
         self.block.set(i, seed);
-        let block = &self.block;
-        self.pairwise.refresh_row(i, |j| dist(seed, block.get(j)));
-        // Reposition entry `i` inside every other row (its key changed);
-        // rebuild row `i` outright.
+        let old = self.rows[i].scatter();
+        let new: Vec<f64> = (0..s)
+            .map(|j| {
+                if j == i {
+                    0.0
+                } else {
+                    dist(seed, self.block.get(j))
+                }
+            })
+            .collect();
         let iu = i as u32;
-        for (j, row) in self.order.iter_mut().enumerate() {
-            if j == i {
-                continue;
+        let mut entries = 0;
+        for (j, row) in self.rows.iter_mut().enumerate() {
+            if j != i {
+                let from = row.find(dist_key(old[j]), iu);
+                // The new key's rank counts the old entry iff it orders
+                // first.
+                let q = row.rank(dist_key(new[j]), iu);
+                let to = if q > from { q - 1 } else { q };
+                entries += row.place(from, to, new[j], iu);
             }
-            let prow = self.pairwise.row(j);
-            let pd = prow[i];
-            let pos = row
-                .iter()
-                .position(|&x| x == iu)
-                .expect("order row lost an index");
-            row.remove(pos);
-            let ins = row
-                .binary_search_by(|&x| prow[x as usize].total_cmp(&pd).then(x.cmp(&iu)))
-                .unwrap_err();
-            row.insert(ins, iu);
         }
-        self.order[i] = Self::sorted_row(&self.pairwise, i);
-        let s = self.len() as u64;
-        self.repair.order_entries += (s - 1) + s; // one reposition per other row + row i
-        self.repair.order_naive_entries += s * s;
+        self.rows[i] = Row::sorted(new, &mut Vec::new());
+        let s = s as u64;
+        self.repair.entries += entries + s;
+        self.repair.naive_entries += s * s;
         self.repair.ops += 1;
         self.kd = OnceLock::new();
     }
 
     /// Removes seed `i` with swap-remove semantics: the last seed takes
-    /// index `i`. The pairwise matrix follows, and the order cache is
-    /// *repaired* rather than rebuilt: every row drops the retired index
-    /// and repositions the renamed one among its exact-distance ties —
-    /// distances between surviving seeds are unchanged, so the relative
-    /// order of all other entries is already correct. O(s) per row with no
-    /// re-sort and no allocation, versus the O(s² log s) full rebuild this
-    /// replaced; [`Self::repair_stats`] counts both sides.
+    /// index `i`, and its row becomes row `i`. Every row drops the retired
+    /// index (a tail shift) and re-keys the renamed one, which can only
+    /// move left among its exact-distance ties — distances between
+    /// surviving seeds are unchanged, so every other entry keeps its
+    /// relative order. Both seeds' distances are read from their own rows.
     ///
     /// # Panics
-    /// Panics if `i` is out of bounds.
+    /// Panics if `i` is out of bounds, or if a neighbor row has lost seed
+    /// `i` or the last seed (a damaged table).
     pub fn swap_remove(&mut self, i: usize) {
         let s = self.len();
         assert!(i < s, "seed index out of bounds");
         let last = s - 1;
-        self.block.swap_remove(i);
-        self.pairwise.swap_remove(i);
-        let iu = i as u32;
-        let lu = last as u32;
-        // Row `i` inherits the moved seed's old row; the retired row drops.
-        self.order.swap_remove(i);
-        for (j, row) in self.order.iter_mut().enumerate() {
-            let pos = row
-                .iter()
-                .position(|&x| x == iu)
-                .expect("order row lost an index");
-            row.remove(pos);
-            self.repair.order_entries += 1;
+        let (iu, lu) = (i as u32, last as u32);
+        let gone = self.rows[i].scatter();
+        let moved = self.rows[last].scatter();
+        let mut entries = 0;
+        for (j, row) in self.rows.iter_mut().enumerate() {
+            if j == i {
+                continue; // the retired row itself
+            }
+            entries += row.remove(row.find(dist_key(gone[j]), iu));
             if i != last {
-                // The moved seed keeps its distances but changes identity
-                // (last → i), which can shift its rank among exact ties:
-                // the sort key is (distance, index). Remove and re-splice.
-                let pos = row
-                    .iter()
-                    .position(|&x| x == lu)
-                    .expect("order row lost an index");
-                row.remove(pos);
-                let prow = self.pairwise.row(j);
-                let pd = prow[i];
-                let ins = row
-                    .binary_search_by(|&x| prow[x as usize].total_cmp(&pd).then(x.cmp(&iu)))
-                    .unwrap_err();
-                row.insert(ins, iu);
-                self.repair.order_entries += 1;
+                let k = dist_key(moved[j]);
+                let from = row.find(k, lu);
+                entries += row.place(from, row.rank(k, iu), moved[j], iu);
             }
         }
-        self.repair.order_naive_entries += (last * last) as u64;
+        self.rows.swap_remove(i);
+        self.block.swap_remove(i);
+        self.repair.entries += entries;
+        self.repair.naive_entries += (last * last) as u64;
         self.repair.ops += 1;
         self.kd = OnceLock::new();
     }
@@ -410,7 +541,7 @@ impl NearestSeeds {
     }
 
     /// Nearest seed via the triangle-inequality algorithm of Figure 2,
-    /// upgraded to squared-space comparisons, matrix-ordered candidate
+    /// upgraded to squared-space comparisons, distance-ordered candidate
     /// visits, wholesale tail pruning and early-exit evaluation.
     ///
     /// `hint`, when given, is used as the start seed — a caller that
@@ -421,8 +552,8 @@ impl NearestSeeds {
     ///
     /// The start's distance `d₀ = d(p, start)` is computed in full. The
     /// remaining candidates are visited in ascending pairwise distance to
-    /// the start (the cached order). For candidate `j` at pairwise
-    /// distance `w`:
+    /// the start, reading the start's neighbor row front to back. For
+    /// candidate `j` at pairwise distance `w`:
     ///
     /// * `w > d₀ + best` — by the triangle inequality
     ///   `d(p, j) ≥ w − d₀ > best`, and every later candidate is at least
@@ -460,14 +591,15 @@ impl NearestSeeds {
         let d_start = best_sq.sqrt();
         let mut best_d = d_start;
 
-        let order = &self.order[start];
-        let prow = self.pairwise.row(start);
-        for (pos, &j32) in order.iter().enumerate() {
+        let Row {
+            ids: order,
+            w: dists,
+        } = &self.rows[start];
+        for (pos, (&j32, &w)) in order.iter().zip(dists).enumerate() {
             let j = j32 as usize;
             if j == start || Some(j) == exclude {
                 continue;
             }
-            let w = prow[j];
             if w > d_start + best_d {
                 // Everything from here on is at least `w` away from the
                 // start, hence strictly farther from `p` than the best.
@@ -729,32 +861,90 @@ mod tests {
         )
     }
 
-    fn assert_order_cache_consistent(s: &NearestSeeds) {
+    /// Distance from seed `i` to seed `j` as stored in row `i`.
+    fn pair(s: &NearestSeeds, i: usize, j: usize) -> f64 {
+        let k = s
+            .neighbor_order(i)
+            .iter()
+            .position(|&x| x as usize == j)
+            .expect("row covers every seed");
+        s.neighbor_distances(i)[k]
+    }
+
+    /// Every row covers all seeds once, is sorted by (distance, index),
+    /// stores the true distances bit for bit, and equals the row a fresh
+    /// `from_seeds` over the same coordinates sorts.
+    fn assert_rows_consistent(s: &NearestSeeds) {
+        let fresh = NearestSeeds::from_seeds(s.dim(), (0..s.len()).map(|i| s.seed(i)));
         for i in 0..s.len() {
-            let row = s.neighbor_order(i);
+            let (row, w) = (s.neighbor_order(i), s.neighbor_distances(i));
             assert_eq!(row.len(), s.len(), "row {i} covers all seeds");
+            assert_eq!(w.len(), s.len(), "row {i} has one distance per seed");
             let mut seen: Vec<u32> = row.to_vec();
             seen.sort_unstable();
             assert_eq!(seen, (0..s.len() as u32).collect::<Vec<_>>());
-            for w in row.windows(2) {
-                let (a, b) = (w[0] as usize, w[1] as usize);
-                let (da, db) = (s.pair_distance(i, a), s.pair_distance(i, b));
+            for k in 1..row.len() {
+                let (a, b) = (row[k - 1], row[k]);
                 assert!(
-                    da < db || (da == db && a < b),
-                    "row {i}: {a} (d={da}) before {b} (d={db})"
+                    w[k - 1] < w[k] || (w[k - 1] == w[k] && a < b),
+                    "row {i}: {a} (d={}) before {b} (d={})",
+                    w[k - 1],
+                    w[k]
                 );
+            }
+            for (&j, &d) in row.iter().zip(w) {
+                let j = j as usize;
+                let want = if j == i {
+                    0.0
+                } else {
+                    dist(s.seed(i), s.seed(j))
+                };
+                assert_eq!(d.to_bits(), want.to_bits(), "row {i} entry {j}");
+            }
+            assert_eq!(row, fresh.neighbor_order(i), "row {i} ids");
+            assert_eq!(w, fresh.neighbor_distances(i), "row {i} distances");
+        }
+    }
+
+    #[test]
+    fn neighbor_rows_filled_on_build() {
+        let s = grid_seeds();
+        assert_eq!(s.len(), 4);
+        assert!((pair(&s, 0, 1) - 10.0).abs() < 1e-12);
+        assert!((pair(&s, 0, 3) - 200f64.sqrt()).abs() < 1e-12);
+        assert_eq!(pair(&s, 2, 2), 0.0);
+        assert_rows_consistent(&s);
+    }
+
+    #[test]
+    fn dist_key_orders_like_total_cmp() {
+        let vals = [
+            f64::NEG_INFINITY,
+            -3.5,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            1.0 + f64::EPSILON,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for &a in &vals {
+            for &b in &vals {
+                assert_eq!(dist_key(a).cmp(&dist_key(b)), a.total_cmp(&b), "{a} vs {b}");
             }
         }
     }
 
     #[test]
-    fn pairwise_matrix_filled_on_push() {
-        let s = grid_seeds();
-        assert_eq!(s.len(), 4);
-        assert!((s.pair_distance(0, 1) - 10.0).abs() < 1e-12);
-        assert!((s.pair_distance(0, 3) - 200f64.sqrt()).abs() < 1e-12);
-        assert_eq!(s.pair_distance(2, 2), 0.0);
-        assert_order_cache_consistent(&s);
+    fn sorted_orders_distances_that_differ_only_in_dropped_bits() {
+        // Three entries keep 2 index bits, so these distances share their
+        // packed key and only the exact-key pass can order them.
+        let e = f64::EPSILON;
+        let row = Row::sorted(vec![1.0 + 2.0 * e, 1.0 + e, 1.0], &mut Vec::new());
+        assert_eq!(row.ids, [2, 1, 0]);
+        assert_eq!(row.w, [1.0, 1.0 + e, 1.0 + 2.0 * e]);
     }
 
     #[test]
@@ -875,12 +1065,13 @@ mod tests {
     }
 
     #[test]
-    fn replace_updates_matrix_order_and_results() {
+    fn replace_updates_rows_and_results() {
         let mut s = grid_seeds();
         // Move seed 3 next to the origin.
         s.replace(3, &[0.5, 0.5]);
-        assert!((s.pair_distance(3, 0) - 0.5f64.sqrt()).abs() < 1e-12);
-        assert_order_cache_consistent(&s);
+        assert!((pair(&s, 3, 0) - 0.5f64.sqrt()).abs() < 1e-12);
+        assert!((pair(&s, 0, 3) - 0.5f64.sqrt()).abs() < 1e-12);
+        assert_rows_consistent(&s);
         for engine in ENGINES {
             let mut stats = SearchStats::new();
             let (idx, _) = s
@@ -891,7 +1082,7 @@ mod tests {
     }
 
     #[test]
-    fn swap_remove_keeps_matrix_and_order_consistent() {
+    fn swap_remove_keeps_rows_consistent() {
         let mut s = grid_seeds();
         s.swap_remove(1); // seed (10, 0) removed; (10, 10) takes index 1
         assert_eq!(s.len(), 3);
@@ -899,10 +1090,10 @@ mod tests {
         for i in 0..3 {
             for j in 0..3 {
                 let expect = dist(s.seed(i), s.seed(j));
-                assert!((s.pair_distance(i, j) - expect).abs() < 1e-12, "({i},{j})");
+                assert!((pair(&s, i, j) - expect).abs() < 1e-12, "({i},{j})");
             }
         }
-        assert_order_cache_consistent(&s);
+        assert_rows_consistent(&s);
         // Searches still agree with brute force.
         let q = [9.0, 9.0];
         let mut b = SearchStats::new();
@@ -921,7 +1112,7 @@ mod tests {
         s.swap_remove(3);
         assert_eq!(s.len(), 3);
         assert_eq!(s.seed(0), &[0.0, 0.0]);
-        assert_order_cache_consistent(&s);
+        assert_rows_consistent(&s);
     }
 
     #[test]
@@ -941,40 +1132,60 @@ mod tests {
         );
         for removed in [0usize, 2, 1] {
             s.swap_remove(removed);
-            assert_order_cache_consistent(&s);
-            // The repaired cache must equal a from-scratch rebuild: the
-            // sorted order with the (distance, index) tie-break is unique.
-            for j in 0..s.len() {
-                assert_eq!(
-                    s.neighbor_order(j),
-                    NearestSeeds::sorted_row(&s.pairwise, j).as_slice(),
-                    "row {j} after removing {removed}"
-                );
-            }
+            assert_rows_consistent(&s);
         }
     }
 
     #[test]
-    fn swap_remove_repair_touches_o_s_entries() {
+    fn near_replace_shifts_only_the_span_between() {
+        // Seeds on a line at the integers: nudging one seed by 0.1 moves
+        // its entry past at most its mirror tie in each other row.
+        let n = 60;
+        let seeds: Vec<[f64; 1]> = (0..n).map(|i| [f64::from(i)]).collect();
+        let mut s = NearestSeeds::from_seeds(1, seeds.iter().map(|p| p.as_slice()));
+        assert_eq!(
+            s.repair_stats(),
+            RepairStats::default(),
+            "a build is no repair"
+        );
+        s.replace(30, &[30.1]);
+        assert_rows_consistent(&s);
+        let near = s.repair_stats();
+        assert_eq!(near.ops, 1);
+        assert_eq!(near.naive_entries, (n * n) as u64);
+        // Each other row: at most two entries shifted plus the write; row
+        // 30 itself is rewritten.
+        assert!(near.entries <= 3 * (n as u64 - 1) + n as u64, "{near:?}");
+        // A far move shifts the entry across most of each row.
+        s.replace(30, &[1000.0]);
+        assert_rows_consistent(&s);
+        let far = s.repair_stats().delta_since(&near);
+        assert!(far.entries > 10 * near.entries, "{far:?} vs {near:?}");
+    }
+
+    #[test]
+    fn swap_remove_ledger_counts_the_shifted_tail() {
         let n = 60;
         let seeds: Vec<[f64; 2]> = (0..n).map(|i| [f64::from(i), f64::from(i * i)]).collect();
         let mut s = NearestSeeds::from_seeds(2, seeds.iter().map(|p| p.as_slice()));
-        let before = s.repair_stats();
-        let mbefore = s.matrix_stats();
-        s.swap_remove(7);
+        // Removing the last seed only drops one entry per row: the entries
+        // shifted are exactly those after it.
+        let tail: u64 = (0..n as usize - 1)
+            .map(|i| {
+                let row = s.neighbor_order(i);
+                let p = row
+                    .iter()
+                    .position(|&x| x as usize == n as usize - 1)
+                    .unwrap();
+                (row.len() - 1 - p) as u64
+            })
+            .sum();
+        s.swap_remove(n as usize - 1);
         let d = s.repair_stats();
-        let md = s.matrix_stats();
-        // Order cache: one removal + one re-splice per surviving row.
-        assert_eq!(d.order_entries - before.order_entries, 2 * (n as u64 - 1));
-        assert_eq!(
-            d.order_naive_entries - before.order_naive_entries,
-            (n as u64 - 1) * (n as u64 - 1)
-        );
-        assert_eq!(d.ops - before.ops, 1);
-        // Matrix: one row copy + one column walk, not a rebuild.
-        let written = md.entries_written - mbefore.entries_written;
-        assert_eq!(written, (n + n - 1) as u64);
-        assert!(written < (n * n) as u64 / 10, "O(s), nowhere near O(s²)");
+        assert_eq!(d.entries, tail);
+        assert_eq!(d.naive_entries, ((n - 1) * (n - 1)) as u64);
+        assert_eq!(d.ops, 1);
+        assert_rows_consistent(&s);
     }
 
     #[test]
@@ -1000,7 +1211,7 @@ mod tests {
     }
 
     #[test]
-    fn order_cache_tracks_incremental_pushes() {
+    fn rows_track_incremental_pushes() {
         let mut s = NearestSeeds::new(2);
         let pts = [
             [3.0, 1.0],
@@ -1012,7 +1223,7 @@ mod tests {
         ];
         for p in &pts {
             s.push(p);
-            assert_order_cache_consistent(&s);
+            assert_rows_consistent(&s);
         }
     }
 

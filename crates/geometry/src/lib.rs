@@ -8,11 +8,12 @@
 //!   counting is a first-class citizen rather than an afterthought.
 //! * [`stats`] — [`SearchStats`], the accumulator for
 //!   computed vs. pruned distance calculations.
-//! * [`matrix`] — [`SymMatrix`], the seed–seed pairwise
-//!   distance matrix required by the triangle-inequality pruning lemma.
 //! * [`assign`] — [`NearestSeeds`], the Figure 2
 //!   algorithm of the paper: nearest-seed search that prunes candidate seeds
-//!   with the triangle inequality, plus the brute-force baseline.
+//!   with the triangle inequality, plus the brute-force baseline. The
+//!   seed–seed distances the pruning lemma needs live in one sorted
+//!   neighbor row per seed (ids with their distances inline), repaired in
+//!   place when a seed is added, moved or removed.
 //! * [`kdtree`] — a k-d tree for point-level range and k-NN queries, used by
 //!   the point-level OPTICS and DBSCAN substrates.
 //! * [`obs`] — [`SearchMetrics`], the bridge that folds
@@ -33,7 +34,6 @@
 pub mod assign;
 pub mod block;
 pub mod kdtree;
-pub mod matrix;
 pub mod metric;
 pub mod obs;
 pub mod parallel;
@@ -42,7 +42,6 @@ pub mod stats;
 pub use assign::{NearestSeeds, RepairStats, SeedSearch, NO_HINT};
 pub use block::SeedBlock;
 pub use kdtree::KdTree;
-pub use matrix::{MatrixStats, SymMatrix};
 pub use metric::{dist, sq_dist};
 pub use obs::{RepairMetrics, SearchMetrics};
 pub use parallel::Parallelism;

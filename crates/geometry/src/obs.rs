@@ -23,7 +23,6 @@
 //! excluded from that contract.
 
 use crate::assign::RepairStats;
-use crate::matrix::MatrixStats;
 use crate::stats::SearchStats;
 use idb_obs::{Counter, Histogram, MetricsRegistry};
 
@@ -65,16 +64,14 @@ impl SearchMetrics {
 }
 
 /// Registry handles for the seed-set structural-repair metrics
-/// (DESIGN.md §15): how much matrix and order-cache work the incremental
-/// repair paths actually performed versus what eager per-mutation rebuilds
-/// would have cost.
+/// (DESIGN.md §15): how many neighbor-table entries the incremental repair
+/// paths actually moved or wrote versus what a per-mutation re-sort of
+/// every row would have written.
 ///
 /// ```text
-/// repair.<engine>.ops            structural seed mutations (push/replace/remove)
-/// repair.<engine>.matrix_writes  pairwise-matrix f64 stores performed
-/// repair.<engine>.matrix_naive   stores an eager full rebuild would perform
-/// repair.<engine>.order_writes   order-cache slots spliced or rebuilt
-/// repair.<engine>.order_naive    slots a full per-mutation re-sort would touch
+/// repair.<engine>.ops     structural seed mutations (push/replace/remove)
+/// repair.<engine>.writes  neighbor-row entries moved or written
+/// repair.<engine>.naive   entries a full per-mutation rebuild would write
 /// ```
 ///
 /// Like [`SearchMetrics`], values inherit the bit-identity guarantee: the
@@ -83,10 +80,8 @@ impl SearchMetrics {
 #[derive(Debug, Clone)]
 pub struct RepairMetrics {
     ops: Counter,
-    matrix_writes: Counter,
-    matrix_naive: Counter,
-    order_writes: Counter,
-    order_naive: Counter,
+    writes: Counter,
+    naive: Counter,
 }
 
 impl RepairMetrics {
@@ -97,21 +92,17 @@ impl RepairMetrics {
         let name = |suffix: &str| format!("repair.{engine}.{suffix}");
         RepairMetrics {
             ops: registry.counter(&name("ops")),
-            matrix_writes: registry.counter(&name("matrix_writes")),
-            matrix_naive: registry.counter(&name("matrix_naive")),
-            order_writes: registry.counter(&name("order_writes")),
-            order_naive: registry.counter(&name("order_naive")),
+            writes: registry.counter(&name("writes")),
+            naive: registry.counter(&name("naive")),
         }
     }
 
-    /// Folds one structural phase into the registry: the matrix and
-    /// order-cache accounting deltas accumulated across its mutations.
-    pub fn observe(&self, matrix: &MatrixStats, repair: &RepairStats) {
+    /// Folds one structural phase into the registry: the repair
+    /// accounting delta accumulated across its mutations.
+    pub fn observe(&self, repair: &RepairStats) {
         self.ops.add(repair.ops);
-        self.matrix_writes.add(matrix.entries_written);
-        self.matrix_naive.add(matrix.naive_entries);
-        self.order_writes.add(repair.order_entries);
-        self.order_naive.add(repair.order_naive_entries);
+        self.writes.add(repair.entries);
+        self.naive.add(repair.naive_entries);
     }
 }
 
@@ -163,17 +154,12 @@ mod tests {
     fn repair_metrics_fold_deltas_into_named_counters() {
         let registry = MetricsRegistry::new();
         let m = RepairMetrics::register(&registry, "pruned");
-        let matrix = MatrixStats {
-            entries_written: 11,
-            naive_entries: 400,
-            relayouts: 1,
-        };
         let repair = RepairStats {
-            order_entries: 9,
-            order_naive_entries: 100,
+            entries: 9,
+            naive_entries: 100,
             ops: 3,
         };
-        m.observe(&matrix, &repair);
+        m.observe(&repair);
         let counters = registry.counters();
         let get = |name: &str| {
             counters
@@ -183,9 +169,7 @@ mod tests {
                 .unwrap_or_else(|| panic!("missing {name}"))
         };
         assert_eq!(get("repair.pruned.ops"), 3);
-        assert_eq!(get("repair.pruned.matrix_writes"), 11);
-        assert_eq!(get("repair.pruned.matrix_naive"), 400);
-        assert_eq!(get("repair.pruned.order_writes"), 9);
-        assert_eq!(get("repair.pruned.order_naive"), 100);
+        assert_eq!(get("repair.pruned.writes"), 9);
+        assert_eq!(get("repair.pruned.naive"), 100);
     }
 }

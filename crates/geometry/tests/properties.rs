@@ -65,10 +65,10 @@ proptest! {
         }
     }
 
-    /// Replacing a seed keeps the pairwise matrix consistent with actual
-    /// seed coordinates.
+    /// Replacing a seed keeps its neighbor row and its entry in every
+    /// other row consistent with the actual seed coordinates.
     #[test]
-    fn replace_keeps_matrix_consistent(
+    fn replace_keeps_neighbor_rows_consistent(
         seeds in points(2, 20),
         newseed in point(2),
         idx_raw in 0usize..64,
@@ -76,9 +76,14 @@ proptest! {
         let mut set = NearestSeeds::from_seeds(2, seeds.iter().map(|s| s.as_slice()));
         let idx = idx_raw % set.len();
         set.replace(idx, &newseed);
+        for (&j, &d) in set.neighbor_order(idx).iter().zip(set.neighbor_distances(idx)) {
+            let expect = dist(set.seed(idx), set.seed(j as usize));
+            prop_assert!((d - expect).abs() < 1e-9);
+        }
         for j in 0..set.len() {
+            let k = set.neighbor_order(j).iter().position(|&x| x as usize == idx).unwrap();
             let expect = dist(set.seed(idx), set.seed(j));
-            prop_assert!((set.pair_distance(idx, j) - expect).abs() < 1e-9);
+            prop_assert!((set.neighbor_distances(j)[k] - expect).abs() < 1e-9);
         }
     }
 
