@@ -87,9 +87,10 @@ if RUSTFLAGS="-C target-cpu=native" cargo check $CARGOFLAGS -q -p idb-geometry 2
 else
     echo "ci: target-cpu=native unsupported here; skipping native-codegen pass"
 fi
-# Lint every workspace crate's lib, bins and tests (bench targets need
-# the real criterion crate and are compile-checked separately below).
-cargo clippy $CARGOFLAGS --workspace --lib --bins --tests -- -D warnings
+# Lint every workspace crate's lib, bins, tests and examples (bench
+# targets need the real criterion crate and are compile-checked
+# separately below).
+cargo clippy $CARGOFLAGS --workspace --lib --bins --tests --examples -- -D warnings
 cargo fmt --check
 cargo bench $CARGOFLAGS --no-run
 # The benchmark is its own package outside the workspace; it refuses to

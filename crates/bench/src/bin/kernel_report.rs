@@ -8,6 +8,7 @@
 //!   precisely so this stays an honest same-binary comparison) against
 //!   the canonical 4-lane kernels, for both the full `sq_dist` and the
 //!   early-exit nearest-neighbor scan pattern the assignment engines run.
+//!   Both sides run in interleaved rounds and each keeps its fastest.
 //! * **End-to-end flows**: the d10/100k construction scan per engine and
 //!   the d2/20k dynamic insert/delete flow, compared against the
 //!   pre-kernel-pass medians `assign_report` recorded immediately before
@@ -32,9 +33,14 @@ use std::hint::black_box;
 use std::time::Instant;
 
 const REPS: usize = 5;
+/// Interleaved rounds per kernel comparison (see [`kernel_rows`]).
+const KERNEL_REPS: usize = 61;
 const KERNEL_DIMS: [usize; 5] = [2, 10, 64, 256, 768];
 /// Lanes (f64 subtract-square-accumulate steps) per timed kernel pass.
-const LANE_BUDGET: usize = 16_000_000;
+/// Passes of a few milliseconds, many rounds of them: on a shared host a
+/// short pass is more likely to fit inside a quiet spell, and the
+/// fastest round per side is what the report keeps.
+const LANE_BUDGET: usize = 4_000_000;
 /// Lanes resident per buffer (≈256 KiB). A seed set is a few hundred
 /// seeds and lives in cache, so the microbench holds the working set
 /// cache-resident too — otherwise high-d cases measure DRAM bandwidth,
@@ -42,27 +48,72 @@ const LANE_BUDGET: usize = 16_000_000;
 /// actual regime.
 const WORKSET_LANES: usize = 32_768;
 
-/// Median wall-clock seconds of `REPS` runs of `f` (its `f64` checksum is
+/// Wall-clock seconds of one run of `f` (its `f64` checksum is
 /// black-boxed so the measured loops cannot be elided).
+fn time<F: FnMut() -> f64>(mut f: F) -> f64 {
+    let t0 = Instant::now();
+    black_box(f());
+    t0.elapsed().as_secs_f64()
+}
+
+/// Median wall-clock seconds of `REPS` runs of `f`.
 fn median_secs<F: FnMut() -> f64>(mut f: F) -> f64 {
-    let mut times = Vec::with_capacity(REPS);
-    for _ in 0..REPS {
-        let t0 = Instant::now();
-        black_box(f());
-        times.push(t0.elapsed().as_secs_f64());
+    median((0..REPS).map(|_| time(&mut f)).collect())
+}
+
+/// A scalar baseline timed against a canonical kernel in interleaved
+/// rounds: each side's seconds, one entry per round.
+#[derive(Default)]
+struct Paired {
+    base: Vec<f64>,
+    cand: Vec<f64>,
+}
+
+impl Paired {
+    /// Times `base` and `cand` back to back, alternating which goes first
+    /// from round to round.
+    fn round<B: FnMut() -> f64, C: FnMut() -> f64>(&mut self, base: B, cand: C) {
+        if self.base.len() % 2 == 0 {
+            self.base.push(time(base));
+            self.cand.push(time(cand));
+        } else {
+            self.cand.push(time(cand));
+            self.base.push(time(base));
+        }
     }
-    median(times)
+
+    /// Speedup of the fastest rounds: noise on a shared host only ever
+    /// adds time, so each side's minimum is its least disturbed run.
+    fn speedup(&self) -> f64 {
+        fastest(&self.base) / fastest(&self.cand)
+    }
+
+    /// The JSON fields of this comparison, with the spread of the
+    /// per-round speedups.
+    fn json(&self, name: &str) -> String {
+        let ratios = self.base.iter().zip(&self.cand).map(|(b, c)| b / c);
+        format!(
+            "\"{name}_scalar_secs\": {:.6}, \"{name}_unrolled_secs\": {:.6}, \"{name}_speedup\": {:.2}, \"{name}_speedup_rep_min\": {:.2}, \"{name}_speedup_rep_max\": {:.2}",
+            fastest(&self.base),
+            fastest(&self.cand),
+            self.speedup(),
+            ratios.clone().fold(f64::INFINITY, f64::min),
+            ratios.fold(0.0, f64::max)
+        )
+    }
+}
+
+fn fastest(secs: &[f64]) -> f64 {
+    secs.iter().copied().fold(f64::INFINITY, f64::min)
 }
 
 struct KernelRow {
     d: usize,
-    evals: usize,
-    scalar_secs: f64,
-    unrolled_secs: f64,
-    speedup: f64,
-    scan_scalar_secs: f64,
-    scan_unrolled_secs: f64,
-    scan_speedup: f64,
+    iters: usize,
+    a: Vec<f64>,
+    b: Vec<f64>,
+    full: Paired,
+    scan: Paired,
 }
 
 /// Full-kernel pass: every pair (a_i, b_i), `iters` sweeps. Generic over
@@ -112,47 +163,61 @@ fn scan_pass<K: Fn(&[f64], &[f64], f64) -> Option<f64>>(
     acc
 }
 
+/// Kernel comparisons at every `KERNEL_DIMS` entry. Each of the
+/// `KERNEL_REPS` rounds visits every dimension, so one dimension's rounds
+/// are spread over the whole measurement rather than packed into a window
+/// that a single busy spell on a shared host can cover.
 fn kernel_rows(rng: &mut StdRng) -> Vec<KernelRow> {
-    let mut rows = Vec::new();
-    for d in KERNEL_DIMS {
-        let n = (WORKSET_LANES / d).clamp(4, 4_096);
-        let iters = (LANE_BUDGET / (n * d)).max(1);
-        let evals = n * iters;
-        let a: Vec<f64> = (0..n * d).map(|_| rng.gen_range(-100.0..100.0)).collect();
-        let b: Vec<f64> = (0..n * d).map(|_| rng.gen_range(-100.0..100.0)).collect();
-
-        let scalar_secs = median_secs(|| full_pass(&a, &b, d, iters, scalar::sq_dist));
-        let unrolled_secs = median_secs(|| full_pass(&a, &b, d, iters, sq_dist));
-        let scan_scalar_secs = median_secs(|| scan_pass(&a, &b, d, iters, scalar::sq_dist_bounded));
-        let scan_unrolled_secs = median_secs(|| scan_pass(&a, &b, d, iters, sq_dist_bounded));
-        let speedup = scalar_secs / unrolled_secs;
-        let scan_speedup = scan_scalar_secs / scan_unrolled_secs;
+    let mut rows: Vec<KernelRow> = KERNEL_DIMS
+        .iter()
+        .map(|&d| {
+            let n = (WORKSET_LANES / d).clamp(4, 4_096);
+            let mut buf = || (0..n * d).map(|_| rng.gen_range(-100.0..100.0)).collect();
+            KernelRow {
+                d,
+                iters: (LANE_BUDGET / (n * d)).max(1),
+                a: buf(),
+                b: buf(),
+                full: Paired::default(),
+                scan: Paired::default(),
+            }
+        })
+        .collect();
+    for _ in 0..KERNEL_REPS {
+        for row in &mut rows {
+            let (d, iters, a, b) = (row.d, row.iters, &row.a, &row.b);
+            row.full.round(
+                || full_pass(a, b, d, iters, scalar::sq_dist),
+                || full_pass(a, b, d, iters, sq_dist),
+            );
+            row.scan.round(
+                || scan_pass(a, b, d, iters, scalar::sq_dist_bounded),
+                || scan_pass(a, b, d, iters, sq_dist_bounded),
+            );
+        }
+    }
+    for r in &rows {
         eprintln!(
-            "kernel d={d}: sq_dist {scalar_secs:.4}s -> {unrolled_secs:.4}s ({speedup:.2}x), \
-             nn-scan {scan_scalar_secs:.4}s -> {scan_unrolled_secs:.4}s ({scan_speedup:.2}x)"
+            "kernel d={}: {}, {}",
+            r.d,
+            r.full.json("sq_dist"),
+            r.scan.json("nn_scan")
         );
-        rows.push(KernelRow {
-            d,
-            evals,
-            scalar_secs,
-            unrolled_secs,
-            speedup,
-            scan_scalar_secs,
-            scan_unrolled_secs,
-            scan_speedup,
-        });
     }
     rows
 }
 
 /// Pre-kernel-pass medians from `assign_report`, recorded on this host at
 /// the commit immediately before the canonical-kernel switch (PR 8).
-const PRE_BUILD_D10_N100K: [(&str, f64); 3] = [
-    ("brute", 0.202_469),
-    ("pruned", 0.196_494),
-    ("kdtree", 0.212_089),
+const PRE_BUILD_D10_N100K: [(&str, SeedSearch, f64); 3] = [
+    ("brute", SeedSearch::Brute, 0.202_469),
+    ("pruned", SeedSearch::Pruned, 0.196_494),
+    ("kdtree", SeedSearch::KdTree, 0.212_089),
 ];
-const PRE_DYNAMIC_WARM: [(&str, f64); 2] = [("pruned", 0.028_776), ("kdtree", 0.015_742)];
+const PRE_DYNAMIC_WARM: [(&str, SeedSearch, f64); 2] = [
+    ("pruned", SeedSearch::Pruned, 0.028_776),
+    ("kdtree", SeedSearch::KdTree, 0.015_742),
+];
 
 struct EndToEndRow {
     case: &'static str,
@@ -184,11 +249,7 @@ fn dynamic_flow(engine: SeedSearch) -> IncrementalBubbles {
 fn end_to_end_rows() -> (Vec<EndToEndRow>, IncrementalBubbles) {
     let mut rows = Vec::new();
     let (_, store, _) = complex_fixture(10, 100_000, 11);
-    for (name, engine) in [
-        ("brute", SeedSearch::Brute),
-        ("pruned", SeedSearch::Pruned),
-        ("kdtree", SeedSearch::KdTree),
-    ] {
+    for (name, engine, pre) in PRE_BUILD_D10_N100K {
         let median = median_secs(|| {
             let mut rng = StdRng::seed_from_u64(1);
             let mut stats = SearchStats::new();
@@ -198,11 +259,6 @@ fn end_to_end_rows() -> (Vec<EndToEndRow>, IncrementalBubbles) {
             let ib = IncrementalBubbles::build(&store, config, &mut rng, &mut stats);
             ib.total_points() as f64
         });
-        let pre = PRE_BUILD_D10_N100K
-            .iter()
-            .find(|(n, _)| *n == name)
-            .expect("known engine")
-            .1;
         eprintln!("build complex_d10_n100000 {name}: {median:.4}s (pre-kernel {pre:.4}s)");
         rows.push(EndToEndRow {
             case: "build_complex_d10_n100000_s200",
@@ -212,21 +268,13 @@ fn end_to_end_rows() -> (Vec<EndToEndRow>, IncrementalBubbles) {
         });
     }
     let mut last = None;
-    for (name, engine) in [
-        ("pruned", SeedSearch::Pruned),
-        ("kdtree", SeedSearch::KdTree),
-    ] {
+    for (name, engine, pre) in PRE_DYNAMIC_WARM {
         let median = median_secs(|| {
             let ib = dynamic_flow(engine);
             let total = ib.total_points() as f64;
             last = Some(ib);
             total
         });
-        let pre = PRE_DYNAMIC_WARM
-            .iter()
-            .find(|(n, _)| *n == name)
-            .expect("known engine")
-            .1;
         eprintln!("dynamic complex_d2_n20000 {name} warm: {median:.4}s (pre-kernel {pre:.4}s)");
         rows.push(EndToEndRow {
             case: "dynamic_complex_d2_n20000_s200_5batches_warm",
@@ -312,32 +360,29 @@ fn main() {
     let min_speedup_high_d = kernels
         .iter()
         .filter(|r| r.d >= 64)
-        .map(|r| r.speedup)
+        .map(|r| r.full.speedup())
         .fold(f64::INFINITY, f64::min);
 
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"bench\": \"kernel\",");
     let _ = writeln!(json, "  \"reps\": {REPS},");
+    let _ = writeln!(json, "  \"kernel_reps\": {KERNEL_REPS},");
     let _ = writeln!(
         json,
         "  \"min_kernel_speedup_d64_plus\": {min_speedup_high_d:.2},"
     );
-    json.push_str("  \"note\": \"scalar columns run the historical sequential kernels kept in metric::scalar (same binary, same flags); pre_kernel_secs are constants: assign_report medians recorded at the commit before the canonical-kernel switch on the host that first ran this report, so they compare only with runs on that host; naive columns are the entries a re-sort of every neighbor row per seed mutation would write\",\n");
+    json.push_str("  \"note\": \"scalar columns run the historical sequential kernels kept in metric::scalar (same binary, same flags); kernel secs are the fastest of kernel_reps interleaved rounds per side, speedup is their ratio and speedup_rep_min/max the spread of the per-round ratios; end_to_end median_secs are medians of reps runs; pre_kernel_secs are constants: assign_report medians recorded at the commit before the canonical-kernel switch on the host that first ran this report, so they compare only with runs on that host; naive columns are the entries a re-sort of every neighbor row per seed mutation would write\",\n");
     json.push_str("  \"kernels\": [\n");
     for (i, r) in kernels.iter().enumerate() {
         let comma = if i + 1 == kernels.len() { "" } else { "," };
         let _ = writeln!(
             json,
-            "    {{\"d\": {}, \"evals\": {}, \"sq_dist_scalar_secs\": {:.6}, \"sq_dist_unrolled_secs\": {:.6}, \"sq_dist_speedup\": {:.2}, \"nn_scan_scalar_secs\": {:.6}, \"nn_scan_unrolled_secs\": {:.6}, \"nn_scan_speedup\": {:.2}}}{}",
+            "    {{\"d\": {}, \"evals\": {}, {}, {}}}{}",
             r.d,
-            r.evals,
-            r.scalar_secs,
-            r.unrolled_secs,
-            r.speedup,
-            r.scan_scalar_secs,
-            r.scan_unrolled_secs,
-            r.scan_speedup,
+            r.a.len() / r.d * r.iters,
+            r.full.json("sq_dist"),
+            r.scan.json("nn_scan"),
             comma
         );
     }
@@ -382,9 +427,12 @@ fn main() {
     std::fs::write(&out_path, json).expect("write report");
     eprintln!("wrote {out_path} (min d>=64 kernel speedup {min_speedup_high_d:.2}x)");
     // The regression floor ci.sh enforces: the canonical kernels must beat
-    // the retained metric::scalar baseline by >= 1.5x at d >= 64. Measured
-    // headroom is 1.8-2.8x, so a trip means a real codegen or kernel
-    // regression, not timer noise.
+    // the retained metric::scalar baseline by >= 1.5x at d >= 64. Thirty
+    // consecutive runs on a shared 2-vCPU x86-64 host read 1.65-1.99x at
+    // d = 64 (always the minimum); ten of them read 2.34-2.43x at d = 256
+    // and 2.50-2.72x at d = 768. Single rounds ranged from 0.4x to 4.9x,
+    // which is why the floor applies to the fastest rounds and not to any
+    // one of them.
     assert!(
         min_speedup_high_d >= 1.5,
         "kernel regression: min d>=64 speedup {min_speedup_high_d:.2}x is below the 1.5x floor"

@@ -317,8 +317,8 @@ pub fn extract_clusters(plot: &ReachabilityPlot, params: &ExtractParams) -> Vec<
 ///
 /// Simpler and more rigid than [`extract_clusters`] — it fixes one global
 /// density level, which is exactly the single-resolution limitation
-/// hierarchical extraction avoids — but useful for cross-checks against
-/// DBSCAN and for callers who know their density scale.
+/// hierarchical extraction avoids — but useful for callers who know their
+/// density scale.
 #[must_use]
 pub fn extract_clusters_at(plot: &ReachabilityPlot, t: f64, min_size: usize) -> Vec<Vec<u64>> {
     let mut clusters = Vec::new();

@@ -1,30 +1,22 @@
-//! Cross-checks of the clustering algorithms against independent
-//! brute-force reference implementations.
+//! Cross-checks of the clustering pipeline against independent
+//! brute-force reference implementations and invariants.
 //!
-//! Each production algorithm here (OPTICS, DBSCAN, NN-chain agglomerative
-//! clustering, ξ-extraction, cluster-tree extraction) is validated against
-//! a slow, textbook re-implementation written with none of the production
-//! shortcuts — different data structures, different traversal order — so a
-//! shared bug is unlikely. The suite is organized in four sections:
+//! Point-level OPTICS is validated against a slow, textbook
+//! re-implementation written with none of the production shortcuts —
+//! different data structures, different traversal order — so a shared bug
+//! is unlikely. The suite is organized in three sections:
 //!
 //! 1. **Density orderings vs. references** — OPTICS reachability multisets
-//!    and DBSCAN partitions against O(n²) references.
-//! 2. **Dendrograms vs. references** — NN-chain merge heights against a
-//!    greedy global-minimum agglomerative reference, with and without
-//!    distance ties, plus a replay check that every emitted merge height
-//!    is the true linkage distance at merge time.
-//! 3. **Plot extraction invariants** — ξ-clusters and cluster-tree
-//!    clusters over randomized reachability plots: bounds, nesting,
-//!    disjointness.
-//! 4. **Degenerate inputs** — duplicate-heavy point sets, singleton and
+//!    against an O(n²) reference.
+//! 2. **Plot extraction invariants** — cluster-tree clusters over
+//!    randomized reachability plots assign each point at most once.
+//! 3. **Degenerate inputs** — duplicate-heavy point sets, singleton and
 //!    coincident bubbles.
 
-use idb_clustering::agglomerative::{agglomerative_points, Linkage};
 use idb_clustering::extract::{extract_clusters, ExtractParams};
 use idb_clustering::optics_bubbles::{bubble_distance, optics_bubbles};
 use idb_clustering::optics_points;
 use idb_clustering::reachability::{PlotEntry, ReachabilityPlot};
-use idb_clustering::xi::{extract_xi, XiParams};
 use idb_core::{DataSummary, SufficientStats};
 use idb_store::PointStore;
 use rand::rngs::StdRng;
@@ -184,353 +176,9 @@ fn optics_reachability_multiset_matches_reference() {
     }
 }
 
-/// Textbook DBSCAN: core flags by brute-force neighbourhood counts, BFS
-/// over core points.
-fn dbscan_reference(pts: &[Vec<f64>], eps: f64, min_pts: usize) -> Vec<Option<usize>> {
-    let n = pts.len();
-    let d = |i: usize, j: usize| idb_geometry::dist(&pts[i], &pts[j]);
-    let core: Vec<bool> = (0..n)
-        .map(|i| (0..n).filter(|&j| d(i, j) <= eps).count() >= min_pts)
-        .collect();
-    let mut labels: Vec<Option<usize>> = vec![None; n];
-    let mut c = 0usize;
-    for i in 0..n {
-        if !core[i] || labels[i].is_some() {
-            continue;
-        }
-        let mut stack = vec![i];
-        labels[i] = Some(c);
-        while let Some(x) = stack.pop() {
-            for j in 0..n {
-                if d(x, j) <= eps && labels[j].is_none() {
-                    labels[j] = Some(c);
-                    if core[j] {
-                        stack.push(j);
-                    }
-                }
-            }
-        }
-        c += 1;
-    }
-    labels
-}
-
-/// Noise sets must match exactly; the core-point partition must be
-/// identical. (Border points may legitimately land in either adjacent
-/// cluster depending on visit order, so they are excluded.)
-#[test]
-fn dbscan_partition_matches_reference() {
-    for seed in 0..30u64 {
-        let mut rng = StdRng::seed_from_u64(900 + seed);
-        let pts = random_points(&mut rng, 50, 0.0, 10.0);
-        for (eps, min_pts) in [(1.0, 3), (0.7, 4), (2.0, 6)] {
-            let store = store_of(&pts);
-            let res = idb_clustering::dbscan::dbscan(&store, eps, min_pts);
-            let want = dbscan_reference(&pts, eps, min_pts);
-            let d = |i: usize, j: usize| idb_geometry::dist(&pts[i], &pts[j]);
-            let n = pts.len();
-            let core: Vec<bool> = (0..n)
-                .map(|i| (0..n).filter(|&j| d(i, j) <= eps).count() >= min_pts)
-                .collect();
-            for i in 0..n {
-                assert_eq!(
-                    res.labels[i].is_none(),
-                    want[i].is_none(),
-                    "seed {seed} eps {eps} mp {min_pts} pt {i}: noise mismatch (core={})",
-                    core[i]
-                );
-            }
-            for i in 0..n {
-                for j in 0..n {
-                    if core[i] && core[j] {
-                        assert_eq!(
-                            res.labels[i] == res.labels[j],
-                            want[i] == want[j],
-                            "seed {seed} eps {eps} mp {min_pts}: core pts {i},{j}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// 2. Dendrograms vs. references
+// 2. Plot extraction invariants
 // ---------------------------------------------------------------------------
-
-/// Greedy global-minimum agglomerative reference with Lance–Williams
-/// updates; returns the sorted merge heights.
-fn agglomerative_reference(points: &[Vec<f64>], linkage: Linkage) -> Vec<f64> {
-    let n = points.len();
-    let mut d = vec![0.0f64; n * n];
-    for i in 0..n {
-        for j in 0..n {
-            let mut v = idb_geometry::dist(&points[i], &points[j]);
-            if linkage == Linkage::Ward {
-                v *= v;
-            }
-            d[i * n + j] = v;
-        }
-    }
-    let mut active: Vec<usize> = (0..n).collect();
-    let mut size = vec![1.0f64; n];
-    let mut heights = Vec::new();
-    while active.len() > 1 {
-        let (mut ba, mut bb, mut best) = (0, 0, f64::INFINITY);
-        for (x, &i) in active.iter().enumerate() {
-            for &j in &active[x + 1..] {
-                if d[i * n + j] < best {
-                    best = d[i * n + j];
-                    ba = i;
-                    bb = j;
-                }
-            }
-        }
-        heights.push(best);
-        let (na, nb) = (size[ba], size[bb]);
-        for &m in &active {
-            if m == ba || m == bb {
-                continue;
-            }
-            let dam = d[ba * n + m];
-            let dbm = d[bb * n + m];
-            let nm = size[m];
-            let new = match linkage {
-                Linkage::Single => dam.min(dbm),
-                Linkage::Complete => dam.max(dbm),
-                Linkage::Average => (na * dam + nb * dbm) / (na + nb),
-                Linkage::Ward => ((na + nm) * dam + (nb + nm) * dbm - nm * best) / (na + nb + nm),
-            };
-            d[ba * n + m] = new;
-            d[m * n + ba] = new;
-        }
-        size[ba] += size[bb];
-        active.retain(|&x| x != bb);
-    }
-    heights.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    heights
-}
-
-fn sorted_nn_chain_heights(pts: &[Vec<f64>], linkage: Linkage) -> Vec<f64> {
-    let mut h: Vec<f64> = agglomerative_points(pts, linkage)
-        .merges()
-        .iter()
-        .map(|m| m.height)
-        .collect();
-    h.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    h
-}
-
-/// Tie-free continuous inputs: NN-chain and the greedy reference must
-/// produce the same merge heights under every linkage.
-#[test]
-fn nn_chain_heights_match_reference_all_linkages() {
-    for seed in 0..15u64 {
-        let mut rng = StdRng::seed_from_u64(1000 + seed);
-        let pts = random_points(&mut rng, 25, 0.0, 10.0);
-        for linkage in [
-            Linkage::Single,
-            Linkage::Complete,
-            Linkage::Average,
-            Linkage::Ward,
-        ] {
-            let got = sorted_nn_chain_heights(&pts, linkage);
-            let want = agglomerative_reference(&pts, linkage);
-            assert_eq!(got.len(), want.len());
-            for (g, w) in got.iter().zip(&want) {
-                assert!((g - w).abs() < 1e-7, "seed {seed} {linkage:?}: {g} vs {w}");
-            }
-        }
-    }
-}
-
-/// Ties (integer grids): only single linkage is checked against the
-/// reference — its sorted merge heights are the MST edge weights, a
-/// multiset invariant under any tie-breaking order. For the other
-/// linkages, tied merges taken in a different order legitimately change
-/// later heights; the replay check below covers their validity instead.
-#[test]
-fn nn_chain_single_linkage_heights_match_reference_under_ties() {
-    for seed in 0..15u64 {
-        let mut rng = StdRng::seed_from_u64(2000 + seed);
-        let pts = grid_points(&mut rng, 20, 4);
-        let got = sorted_nn_chain_heights(&pts, Linkage::Single);
-        let want = agglomerative_reference(&pts, Linkage::Single);
-        for (g, w) in got.iter().zip(&want) {
-            assert!(
-                (g - w).abs() < 1e-7,
-                "seed {seed}: got {got:?} want {want:?}"
-            );
-        }
-    }
-}
-
-/// Replays the emitted merges in order and verifies every merge height is
-/// the *true* linkage distance between the two clusters at merge time
-/// (Ward via the centroid formula).
-fn check_dendrogram_valid(pts: &[Vec<f64>], linkage: Linkage, seed: u64) -> Result<(), String> {
-    let r = agglomerative_points(pts, linkage);
-    let n = pts.len();
-    let mut members: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
-    let mut slot: Vec<usize> = (0..n).collect();
-    let d0 = |i: usize, j: usize| {
-        let v = idb_geometry::dist(&pts[i], &pts[j]);
-        if linkage == Linkage::Ward {
-            v * v
-        } else {
-            v
-        }
-    };
-    for m in r.merges() {
-        let sa = slot[m.a];
-        let sb = slot[m.b];
-        if sa == sb {
-            return Err(format!(
-                "seed {seed} {linkage:?}: merge {m:?} within one cluster"
-            ));
-        }
-        let (ca, cb) = (&members[sa], &members[sb]);
-        let true_h = match linkage {
-            Linkage::Single => {
-                let mut best = f64::INFINITY;
-                for &x in ca {
-                    for &y in cb {
-                        best = best.min(d0(x, y));
-                    }
-                }
-                best
-            }
-            Linkage::Complete => {
-                let mut best = 0.0f64;
-                for &x in ca {
-                    for &y in cb {
-                        best = best.max(d0(x, y));
-                    }
-                }
-                best
-            }
-            Linkage::Average => {
-                let mut s = 0.0;
-                for &x in ca {
-                    for &y in cb {
-                        s += d0(x, y);
-                    }
-                }
-                s / (ca.len() * cb.len()) as f64
-            }
-            Linkage::Ward => {
-                let dim = pts[0].len();
-                let mean = |c: &Vec<usize>| -> Vec<f64> {
-                    let mut v = vec![0.0; dim];
-                    for &x in c {
-                        for k in 0..dim {
-                            v[k] += pts[x][k];
-                        }
-                    }
-                    for vk in &mut v {
-                        *vk /= c.len() as f64;
-                    }
-                    v
-                };
-                let (ma, mb) = (mean(ca), mean(cb));
-                let sq = idb_geometry::sq_dist(&ma, &mb);
-                2.0 * (ca.len() * cb.len()) as f64 / (ca.len() + cb.len()) as f64 * sq
-            }
-        };
-        if (m.height - true_h).abs() > 1e-7 {
-            return Err(format!(
-                "seed {seed} {linkage:?}: merge height {} but true linkage distance {true_h}",
-                m.height
-            ));
-        }
-        let moved = std::mem::take(&mut members[sb]);
-        for &x in &moved {
-            slot[x] = sa;
-        }
-        members[sa].extend(moved);
-    }
-    Ok(())
-}
-
-#[test]
-fn nn_chain_dendrogram_is_valid_under_ties() {
-    let mut failures = Vec::new();
-    for seed in 0..60u64 {
-        let mut rng = StdRng::seed_from_u64(3000 + seed);
-        let pts = grid_points(&mut rng, 18, 4);
-        for linkage in [
-            Linkage::Single,
-            Linkage::Complete,
-            Linkage::Average,
-            Linkage::Ward,
-        ] {
-            if let Err(e) = check_dendrogram_valid(&pts, linkage, seed) {
-                failures.push(e);
-            }
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "{} failures, first 5:\n{}",
-        failures.len(),
-        failures[..failures.len().min(5)].join("\n")
-    );
-}
-
-// ---------------------------------------------------------------------------
-// 3. Plot extraction invariants
-// ---------------------------------------------------------------------------
-
-fn assert_nested_or_disjoint(clusters: &[idb_clustering::XiCluster], n: usize, context: &str) {
-    for c in clusters {
-        assert!(c.start < c.end, "{context}: bad range {c:?}");
-        assert!(c.end <= n, "{context}: out of bounds {c:?} n {n}");
-    }
-    for a in clusters {
-        for b in clusters {
-            let disjoint = a.end <= b.start || b.end <= a.start;
-            let nested =
-                (a.start <= b.start && b.end <= a.end) || (b.start <= a.start && a.end <= b.end);
-            assert!(disjoint || nested, "{context}: {a:?} vs {b:?}");
-        }
-    }
-}
-
-/// ξ-clusters over arbitrary plots (random interior infinities included)
-/// are in-bounds and form a laminar family: any two are nested or
-/// disjoint.
-#[test]
-fn xi_clusters_are_nested_or_disjoint() {
-    for seed in 0..200u64 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let n = rng.gen_range(1..80);
-        let plot = random_plot(&mut rng, n);
-        let clusters = extract_xi(&plot, &XiParams::new(0.1, 3));
-        assert_nested_or_disjoint(&clusters, n, &format!("seed {seed}"));
-    }
-}
-
-/// The same laminar-family invariant on plots whose only infinity is the
-/// leading entry — the common case of a single connected component.
-#[test]
-fn xi_clusters_are_nested_or_disjoint_on_finite_interiors() {
-    for seed in 0..500u64 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let n = rng.gen_range(4..80);
-        let reach: Vec<f64> = (0..n)
-            .map(|i| {
-                if i == 0 {
-                    f64::INFINITY
-                } else {
-                    rng.gen_range(0.01..10.0)
-                }
-            })
-            .collect();
-        let clusters = extract_xi(&plot_of(&reach), &XiParams::new(0.1, 3));
-        assert_nested_or_disjoint(&clusters, n, &format!("finite-interior seed {seed}"));
-    }
-}
 
 /// Cluster-tree extraction returns clusters of plot ids: every id at most
 /// once, all ids drawn from the plot.
@@ -552,7 +200,7 @@ fn extracted_clusters_assign_each_point_at_most_once() {
 }
 
 // ---------------------------------------------------------------------------
-// 4. Degenerate inputs
+// 3. Degenerate inputs
 // ---------------------------------------------------------------------------
 
 /// Minimal summary wrapper for bubble-level degenerate cases.
@@ -590,7 +238,6 @@ fn degenerate_inputs_stay_total() {
             let plot = optics_points(&store, eps, mp);
             assert_eq!(plot.len(), n);
             let _ = extract_clusters(&plot, &ExtractParams::with_min_size(3));
-            let _ = extract_xi(&plot, &XiParams::new(0.15, 3));
         }
         // Singleton and coincident bubbles.
         let summaries: Vec<RawSummary> = (0..rng.gen_range(1..10))

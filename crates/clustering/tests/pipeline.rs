@@ -111,50 +111,6 @@ fn expansion_emits_each_member_exactly_once() {
 }
 
 #[test]
-fn xi_extraction_agrees_with_cluster_tree_on_real_plots() {
-    use idb_clustering::{extract_xi, xi::xi_cluster_ids, XiParams};
-    let store = three_cluster_store(1500, 11);
-    let plot = optics_points(&store, f64::INFINITY, 8);
-
-    let tree_clusters = extract_clusters(&plot, &ExtractParams::with_min_size(50));
-    let xi_clusters = extract_xi(&plot, &XiParams::new(0.05, 50));
-    let xi_ids = xi_cluster_ids(&plot, &xi_clusters);
-
-    assert_eq!(tree_clusters.len(), 3);
-    // ξ produces a nested hierarchy; its *minimal* clusters must align
-    // with the three generated blobs: for every tree cluster there is a ξ
-    // cluster sharing > 80 % of its members.
-    for tc in &tree_clusters {
-        let tc_set: std::collections::HashSet<u64> = tc.iter().copied().collect();
-        let best = xi_ids
-            .iter()
-            .map(|xc| xc.iter().filter(|id| tc_set.contains(id)).count())
-            .max()
-            .unwrap_or(0);
-        assert!(
-            best as f64 > tc.len() as f64 * 0.8,
-            "xi misses a generated cluster (best overlap {best}/{})",
-            tc.len()
-        );
-    }
-    // Purity is only meaningful for the *leaves* of the ξ hierarchy —
-    // outer clusters legitimately mix the classes they nest.
-    let leaves: Vec<Vec<u64>> = xi_clusters
-        .iter()
-        .zip(&xi_ids)
-        .filter(|(outer, _)| {
-            !xi_clusters.iter().any(|inner| {
-                inner != *outer && outer.start <= inner.start && inner.end <= outer.end
-            })
-        })
-        .map(|(_, ids)| ids.clone())
-        .collect();
-    assert!(!leaves.is_empty());
-    let (p, _) = purity(&store, &leaves);
-    assert!(p > 0.9, "xi leaf purity {p}");
-}
-
-#[test]
 fn bubble_pipeline_handles_single_cluster() {
     let model = MixtureModel::new(
         2,

@@ -1,17 +1,11 @@
 //! Property-based tests for the clustering substrate.
 
 use idb_clustering::{
-    agglomerative::{agglomerative_points, Linkage},
-    cluster_tree, extract_clusters, extract_clusters_at,
-    kmeans::kmeans_weighted,
-    optics_points,
-    slink::slink_points,
-    ClusterNode, ExtractParams, ReachabilityPlot,
+    cluster_tree, extract_clusters, extract_clusters_at, optics_points, ClusterNode, ExtractParams,
+    ReachabilityPlot,
 };
 use idb_store::PointStore;
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn points(dim: usize, max: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
     prop::collection::vec(prop::collection::vec(-100.0f64..100.0, dim), 2..max)
@@ -140,52 +134,5 @@ proptest! {
                 prop_assert!(seen.insert(*id));
             }
         }
-    }
-
-    /// SLINK and the NN-chain single-link implementation produce identical
-    /// merge-height multisets on any input.
-    #[test]
-    fn slink_equals_nn_chain_single(pts in points(3, 40)) {
-        let slk = slink_points(&pts);
-        let agg = agglomerative_points(&pts, Linkage::Single);
-        let mut a = slk.merge_levels();
-        let mut b: Vec<f64> = agg.merges().iter().map(|m| m.height).collect();
-        a.sort_by(|x, y| x.partial_cmp(y).unwrap());
-        b.sort_by(|x, y| x.partial_cmp(y).unwrap());
-        prop_assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            prop_assert!((x - y).abs() < 1e-9, "{x} vs {y}");
-        }
-    }
-
-    /// Cutting any linkage into k clusters yields exactly min(k, n) labels.
-    #[test]
-    fn cut_into_respects_k(
-        pts in points(2, 40),
-        k in 1usize..10,
-    ) {
-        for linkage in [Linkage::Single, Linkage::Complete, Linkage::Average, Linkage::Ward] {
-            let labels = agglomerative_points(&pts, linkage).cut_into(k);
-            let distinct: std::collections::HashSet<usize> = labels.iter().copied().collect();
-            prop_assert_eq!(distinct.len(), k.min(pts.len()), "{:?}", linkage);
-        }
-    }
-
-    /// Weighted k-means: assignments index live centroids and the inertia
-    /// never exceeds the single-centroid inertia.
-    #[test]
-    fn kmeans_inertia_monotone_in_k(
-        pts in points(2, 60),
-        seed in 0u64..1000,
-    ) {
-        let weights = vec![1.0; pts.len()];
-        let mut rng1 = StdRng::seed_from_u64(seed);
-        let mut rng2 = StdRng::seed_from_u64(seed);
-        let one = kmeans_weighted(&pts, &weights, 1, 30, &mut rng1);
-        let many = kmeans_weighted(&pts, &weights, 4, 30, &mut rng2);
-        for &a in &many.assignments {
-            prop_assert!(a < many.centroids.len());
-        }
-        prop_assert!(many.inertia <= one.inertia + 1e-9);
     }
 }

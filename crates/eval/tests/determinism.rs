@@ -7,10 +7,7 @@
 //! chain — by running every stage twice per seed, across 64 seeds, and
 //! demanding bit-identical `f64` results and identical cluster sets.
 
-use idb_clustering::xi::xi_cluster_ids;
-use idb_clustering::{
-    cluster_tree, extract_clusters, extract_xi, optics_points, ClusterNode, ExtractParams, XiParams,
-};
+use idb_clustering::{cluster_tree, extract_clusters, optics_points, ClusterNode, ExtractParams};
 use idb_eval::{adjusted_rand_index, fscore};
 use idb_store::PointStore;
 use idb_synth::{ClusterModel, MixtureModel};
@@ -56,18 +53,14 @@ fn tree_bits(node: &ClusterNode) -> Vec<(usize, usize, u64, usize)> {
 struct RunBits {
     plot: Vec<(u64, u64)>,
     clusters: Vec<Vec<u64>>,
-    xi: Vec<(usize, usize)>,
     tree: Vec<(usize, usize, u64, usize)>,
     ari: u64,
-    ari_xi: u64,
     fscore: u64,
 }
 
 fn run_once(store: &PointStore) -> RunBits {
     let plot = optics_points(store, f64::INFINITY, 5);
     let clusters = extract_clusters(&plot, &ExtractParams::with_min_size(10));
-    let xi = extract_xi(&plot, &XiParams::new(0.05, 10));
-    let xi_ids = xi_cluster_ids(&plot, &xi);
     let tree = cluster_tree(&plot, &ExtractParams::with_min_size(10));
     RunBits {
         plot: plot
@@ -76,10 +69,8 @@ fn run_once(store: &PointStore) -> RunBits {
             .map(|e| (e.id, e.reachability.to_bits()))
             .collect(),
         clusters: clusters.clone(),
-        xi: xi.iter().map(|c| (c.start, c.end)).collect(),
         tree: tree_bits(&tree),
         ari: adjusted_rand_index(store, &clusters).to_bits(),
-        ari_xi: adjusted_rand_index(store, &xi_ids).to_bits(),
         fscore: fscore(store, &clusters).overall.to_bits(),
     }
 }

@@ -1,7 +1,7 @@
 //! A k-d tree over a static snapshot of points.
 //!
-//! The point-level clustering substrates (OPTICS on raw points, DBSCAN)
-//! need ε-range queries and k-nearest-neighbour queries over the current
+//! The point-level clustering substrate (OPTICS on raw points) needs
+//! ε-range queries and k-nearest-neighbour queries over the current
 //! database contents. A k-d tree built once per clustering run gives
 //! `O(log n)` expected query time in the low dimensionalities the paper
 //! evaluates (2–20), replacing the `O(n)` scan a naive implementation would

@@ -15,7 +15,7 @@
 //!   neighbor row per seed (ids with their distances inline), repaired in
 //!   place when a seed is added, moved or removed.
 //! * [`kdtree`] — a k-d tree for point-level range and k-NN queries, used by
-//!   the point-level OPTICS and DBSCAN substrates.
+//!   point-level OPTICS.
 //! * [`obs`] — [`SearchMetrics`], the bridge that folds
 //!   `SearchStats` deltas into the shared `idb-obs` metrics registry as
 //!   per-engine counter families.

@@ -315,10 +315,6 @@ mod tests {
     #[test]
     fn a_well_formed_journal_passes() {
         let events = vec![
-            ev(EventKind::Build {
-                points: 100,
-                bubbles: 10,
-            }),
             ev(EventKind::Delete { bubble: 1 }),
             ev(EventKind::Insert { bubble: 0 }),
             ev(EventKind::Insert { bubble: 2 }),

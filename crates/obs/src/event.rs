@@ -16,8 +16,6 @@ use std::fmt;
 /// Why a structural operation fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Cause {
-    /// Initial construction over the store.
-    Build,
     /// Direct consequence of applying an update batch.
     Batch,
     /// The synchronized merge/split maintenance round (Section 4.2).
@@ -33,7 +31,6 @@ pub enum Cause {
 impl Cause {
     fn as_str(self) -> &'static str {
         match self {
-            Cause::Build => "build",
             Cause::Batch => "batch",
             Cause::Maintain => "maintain",
             Cause::Adaptive => "adaptive",
@@ -44,7 +41,6 @@ impl Cause {
 
     fn parse(s: &str) -> Option<Self> {
         Some(match s {
-            "build" => Cause::Build,
             "batch" => Cause::Batch,
             "maintain" => Cause::Maintain,
             "adaptive" => Cause::Adaptive,
@@ -84,15 +80,6 @@ impl SinkOp {
 /// The typed payload of one journal entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventKind {
-    /// Initial construction finished. A build starts with observability
-    /// disabled, so the maintainer no longer emits this; it stays in the
-    /// vocabulary so journals that carry it still parse.
-    Build {
-        /// Points summarized.
-        points: u64,
-        /// Bubbles created.
-        bubbles: u32,
-    },
     /// One point inserted into a bubble.
     Insert {
         /// The receiving bubble index.
@@ -321,7 +308,6 @@ impl EventKind {
     #[must_use]
     pub fn tag(&self) -> &'static str {
         match self {
-            EventKind::Build { .. } => "build",
             EventKind::Insert { .. } => "insert",
             EventKind::Delete { .. } => "delete",
             EventKind::BatchApplied { .. } => "batch",
@@ -434,10 +420,6 @@ impl Event {
             s.push_str(&v.to_string());
         };
         match &self.kind {
-            EventKind::Build { points, bubbles } => {
-                num(&mut s, "points", *points);
-                num(&mut s, "bubbles", u64::from(*bubbles));
-            }
             EventKind::Insert { bubble } | EventKind::Delete { bubble } => {
                 num(&mut s, "bubble", u64::from(*bubble));
             }
@@ -615,10 +597,6 @@ impl Event {
         };
         let get_cause = |k: &str| get(k).and_then(Cause::parse);
         let kind = match get("k")? {
-            "build" => EventKind::Build {
-                points: get_u64("points")?,
-                bubbles: get_u32("bubbles")?,
-            },
             "insert" => EventKind::Insert {
                 bubble: get_u32("bubble")?,
             },
@@ -785,13 +763,6 @@ mod tests {
 
     fn corpus() -> Vec<Event> {
         vec![
-            Event::new(
-                EventKind::Build {
-                    points: 1000,
-                    bubbles: 40,
-                },
-                1234,
-            ),
             Event::new(EventKind::Insert { bubble: 7 }, 3),
             Event::new(EventKind::Delete { bubble: 0 }, 0),
             Event::new(
@@ -1004,6 +975,7 @@ mod tests {
             "{\"k\":\"insert\",\"bubble\":-1,\"us\":0}", // negative
             "{\"k\":\"nope\",\"us\":0}",                 // unknown tag
             "{\"k\":\"split\",\"over\":1,\"donor\":2,\"moved\":3,\"cause\":\"weird\",\"us\":0}",
+            "{\"k\":\"build\",\"points\":1000,\"bubbles\":40,\"us\":0}", // retired tag
         ] {
             assert!(Event::parse_jsonl(line).is_none(), "{line:?}");
         }

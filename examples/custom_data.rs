@@ -1,8 +1,8 @@
 //! Running the pipeline on your own data: CSV in, clusters out.
 //!
 //! This example writes a small CSV (standing in for an external dataset),
-//! loads it back through `idb_synth::io`, summarizes, clusters and renders
-//! the reachability plot in the terminal. Point it at a real file with
+//! loads it back through `idb_synth::io`, summarizes and clusters it. Point
+//! it at a real file with
 //!
 //! ```text
 //! cargo run --release --example custom_data -- path/to/points.csv
@@ -12,7 +12,6 @@
 //! label column (integer or `noise`). The example's synthetic file uses
 //! labels; pass an unlabeled file and the F-score is simply skipped.
 
-use incremental_data_bubbles::clustering::render_reachability;
 use incremental_data_bubbles::prelude::*;
 use incremental_data_bubbles::synth::io::{load_csv, save_csv};
 use rand::rngs::StdRng;
@@ -88,8 +87,6 @@ fn main() {
 
     let min_cluster = (store.len() / 100).max(10);
     let outcome = pipeline::cluster_bubbles(&bubbles, 10, min_cluster);
-    println!("\nreachability plot (valleys are clusters):");
-    print!("{}", render_reachability(&outcome.plot, 72, 9));
     println!("\n{} clusters:", outcome.clusters.len());
     for (i, c) in outcome.clusters.iter().enumerate() {
         println!("  cluster {i}: {} points", c.len());

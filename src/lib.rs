@@ -4,8 +4,8 @@
 //! Summarization for Dynamic Hierarchical Clustering"* (Nassar, Sander,
 //! Cheng — SIGMOD 2004), including every substrate its evaluation depends
 //! on: OPTICS on points and on summaries, automatic reachability-plot
-//! cluster extraction, SLINK, DBSCAN, a BIRCH CF-tree baseline, dynamic
-//! workload generators and the full experiment harness.
+//! cluster extraction, a BIRCH CF-tree baseline, dynamic workload
+//! generators and the full experiment harness.
 //!
 //! ## Quickstart
 //!

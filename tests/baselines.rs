@@ -1,8 +1,7 @@
 //! Cross-baseline integration: the alternative clustering substrates
-//! (SLINK, DBSCAN, point-level OPTICS, BIRCH CF leaves) agree with the
-//! data-bubble pipeline about obvious structure.
+//! (point-level OPTICS, BIRCH CF leaves) agree with the data-bubble
+//! pipeline about obvious structure.
 
-use incremental_data_bubbles::clustering::{dbscan::dbscan, slink::slink_points};
 use incremental_data_bubbles::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -37,17 +36,6 @@ fn all_substrates_find_the_two_blobs() {
     let plot = optics_points(&store, f64::INFINITY, 8);
     let points = extract_clusters(&plot, &ExtractParams::with_min_size(400));
     assert_eq!(points.len(), 2, "point OPTICS");
-
-    // DBSCAN.
-    let flat = dbscan(&store, 3.0, 8);
-    assert_eq!(flat.num_clusters, 2, "DBSCAN");
-
-    // SLINK on a subsample (O(n²)).
-    let sample: Vec<Vec<f64>> = store.iter().take(400).map(|(_, p, _)| p.to_vec()).collect();
-    let dendro = slink_points(&sample);
-    let labels = dendro.cut_into(2);
-    let distinct: std::collections::HashSet<usize> = labels.iter().copied().collect();
-    assert_eq!(distinct.len(), 2, "SLINK");
 
     // BIRCH CF leaves through the same summary-OPTICS pipeline.
     let mut tree = CfTree::new(2, 8, 16, 4.0);
