@@ -2,8 +2,9 @@
 # Full local CI gate: build, the tier-1 tests and the workspace test
 # suite, the file-backed crash smoke under extra seeds, observability
 # journal validation, the report checks, release and native-codegen
-# re-runs of the kernel-sensitive suites, lints, formatting, bench
-# compilation, and the benchmark's own tests, lints and formatting.
+# re-runs of the kernel-sensitive suites, lints, rustdoc warnings,
+# formatting, bench compilation, and the benchmark's own tests, lints and
+# formatting.
 #
 # The library reads no behaviour knobs from the environment: every
 # configuration axis — assignment engine, thread count, shard count,
@@ -91,6 +92,9 @@ fi
 # targets need the real criterion crate and are compile-checked
 # separately below).
 cargo clippy $CARGOFLAGS --workspace --lib --bins --tests --examples -- -D warnings
+# Rustdoc warnings fail too, so a doc link to a deleted or private item
+# cannot linger.
+RUSTDOCFLAGS="-D warnings" cargo doc $CARGOFLAGS --workspace --no-deps
 cargo fmt --check
 cargo bench $CARGOFLAGS --no-run
 # The benchmark is its own package outside the workspace; it refuses to

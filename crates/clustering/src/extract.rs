@@ -23,7 +23,7 @@
 //! so only the entries that rise above one pay for the `2w + 1` window
 //! scan (most entries of a bubble plot are followers equal to their
 //! neighbours). Each significance test costs `O(1)`: a flank's average is
-//! read off prefix sums over the finite reachabilities (see [`Flanks`]).
+//! read off prefix sums over the finite reachabilities (see `Flanks`).
 //! Only a test that the prefix sums cannot decide — its bar lies within
 //! their rounding margin — falls back to the left-to-right fold over the
 //! flank, so the tree stays bit for bit the fold's tree.
@@ -308,39 +308,6 @@ pub fn extract_clusters(plot: &ReachabilityPlot, params: &ExtractParams) -> Vec<
         .collect()
 }
 
-/// Horizontal-cut extraction: the DBSCAN-equivalent flat clustering at a
-/// fixed reachability threshold `t`. A cluster is a maximal run of entries
-/// whose reachability is below `t`; the entry that exceeds `t` starts the
-/// next candidate run (its own displayed reachability is the cost of
-/// jumping to it, but the *following* entries decide whether a cluster
-/// forms). Runs shorter than `min_size` are dropped as noise.
-///
-/// Simpler and more rigid than [`extract_clusters`] — it fixes one global
-/// density level, which is exactly the single-resolution limitation
-/// hierarchical extraction avoids — but useful for callers who know their
-/// density scale.
-#[must_use]
-pub fn extract_clusters_at(plot: &ReachabilityPlot, t: f64, min_size: usize) -> Vec<Vec<u64>> {
-    let mut clusters = Vec::new();
-    let mut current: Vec<u64> = Vec::new();
-    for e in plot.entries() {
-        if e.reachability > t {
-            if current.len() >= min_size {
-                clusters.push(std::mem::take(&mut current));
-            } else {
-                current.clear();
-            }
-        }
-        // The boundary entry opens the next run: it is the first point of
-        // the cluster reached by crossing the wall.
-        current.push(e.id);
-    }
-    if current.len() >= min_size {
-        clusters.push(current);
-    }
-    clusters
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -440,37 +407,6 @@ mod tests {
     fn tiny_plot_below_min_size_yields_nothing() {
         let plot = plot_of(&[INF, 0.1]);
         assert!(extract_clusters(&plot, &ExtractParams::with_min_size(5)).is_empty());
-    }
-
-    #[test]
-    fn horizontal_cut_splits_at_threshold() {
-        let reach = [INF, 0.1, 0.1, 0.1, 5.0, 0.1, 0.1, 0.1];
-        let plot = plot_of(&reach);
-        let clusters = extract_clusters_at(&plot, 1.0, 2);
-        assert_eq!(clusters.len(), 2);
-        assert_eq!(clusters[0], vec![0, 1, 2, 3]);
-        assert_eq!(clusters[1], vec![4, 5, 6, 7]);
-    }
-
-    #[test]
-    fn horizontal_cut_drops_small_runs() {
-        let reach = [INF, 0.1, 0.1, 5.0, 0.1, 5.0, 0.1, 0.1, 0.1];
-        let plot = plot_of(&reach);
-        let clusters = extract_clusters_at(&plot, 1.0, 3);
-        // The middle run (entries 3, 4) has size 2 < 3 and is dropped.
-        assert_eq!(clusters.len(), 2);
-        assert_eq!(clusters[0].len(), 3);
-        assert_eq!(clusters[1].len(), 4);
-    }
-
-    #[test]
-    fn horizontal_cut_threshold_above_everything_is_one_cluster() {
-        let reach = [INF, 0.5, 0.9, 0.5];
-        let plot = plot_of(&reach);
-        // INF always exceeds t, so the first entry re-opens the single run.
-        let clusters = extract_clusters_at(&plot, 10.0, 2);
-        assert_eq!(clusters.len(), 1);
-        assert_eq!(clusters[0].len(), 4);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   the sharded service layer), with provenance back to each domain;
 //! * [`extract`](mod@extract) — automatic extraction of flat clusters from a
 //!   reachability plot via the cluster-tree method of Sander et al. 2003
-//!   (the paper's reference \[16\]), plus a fixed-threshold horizontal cut.
+//!   (the paper's reference \[16\]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,9 +27,7 @@ pub mod optics;
 pub mod optics_bubbles;
 pub mod reachability;
 
-pub use extract::{
-    cluster_tree, extract_clusters, extract_clusters_at, ClusterNode, ExtractParams,
-};
+pub use extract::{cluster_tree, extract_clusters, ClusterNode, ExtractParams};
 pub use merged::{merge_domains, optics_merged, MergedBubbles, MergedRef};
 pub use optics::optics_points;
 pub use optics_bubbles::{bubble_distance, optics_bubbles, optics_from_matrix, BubbleOrdering};

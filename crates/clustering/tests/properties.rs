@@ -1,8 +1,7 @@
 //! Property-based tests for the clustering substrate.
 
 use idb_clustering::{
-    cluster_tree, extract_clusters, extract_clusters_at, optics_points, ClusterNode, ExtractParams,
-    ReachabilityPlot,
+    cluster_tree, extract_clusters, optics_points, ClusterNode, ExtractParams, ReachabilityPlot,
 };
 use idb_store::PointStore;
 use proptest::prelude::*;
@@ -113,26 +112,5 @@ proptest! {
             }
         }
         prop_assert!(seen.len() <= plot.len());
-    }
-
-    /// Horizontal cuts also yield disjoint clusters covering at most the
-    /// whole plot, and a cut above the maximum finite reachability puts
-    /// everything into one cluster.
-    #[test]
-    fn horizontal_cut_properties(pts in points(2, 60)) {
-        let store = store_of(&pts);
-        let plot = optics_points(&store, f64::INFINITY, 2);
-        let max = plot.max_finite_reachability().unwrap_or(1.0);
-        let all = extract_clusters_at(&plot, max + 1.0, 1);
-        prop_assert_eq!(all.len(), 1);
-        prop_assert_eq!(all[0].len(), plot.len());
-
-        let some = extract_clusters_at(&plot, max / 2.0, 2);
-        let mut seen = std::collections::HashSet::new();
-        for c in &some {
-            for id in c {
-                prop_assert!(seen.insert(*id));
-            }
-        }
     }
 }

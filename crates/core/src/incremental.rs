@@ -33,7 +33,7 @@
 //! bound early and never change any result.
 
 use crate::bubble::Bubble;
-use crate::config::{MaintainerConfig, Parallelism, SplitSeedPolicy};
+use crate::config::{MaintainerConfig, SplitSeedPolicy};
 use crate::error::{AuditError, AuditIssue, AuditReport, RepairReport, UpdateError};
 use crate::quality::{classify, Classification};
 use idb_geometry::parallel::run_chunks;
@@ -122,26 +122,6 @@ pub struct AdaptiveReport {
     pub retired: usize,
 }
 
-/// One structural change to the bubble slot space, in application order —
-/// the event stream the incremental-checkpoint dirty tracker consumes to
-/// know which bubble slots a delta checkpoint must persist.
-///
-/// Only *summary statistics* changes are reported. Membership *order*
-/// changes (swap-removes inside a member list) are deliberately not
-/// tracked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BubbleChange {
-    /// The stats of the bubble at this slot changed (insert, delete,
-    /// merge-away drain, split redistribution, sabotage hooks).
-    Touched(u32),
-    /// A new bubble slot was appended at the end of the population.
-    Pushed,
-    /// The slot was removed and the former last slot moved into it
-    /// (`Vec::swap_remove` semantics). The moved bubble itself is
-    /// unchanged — only its index is.
-    SwapRemoved(u32),
-}
-
 /// Reusable per-batch working memory for the dynamic paths (DESIGN.md §15).
 ///
 /// Every buffer is logically empty between operations — only the backing
@@ -183,16 +163,14 @@ pub struct IncrementalBubbles {
     last_insert: u32,
     /// Journal + metrics sinks. Structural events are emitted only from
     /// the single thread driving the maintainer, so the recorded stream is
-    /// deterministic under any [`Parallelism`]. Disabled by default.
+    /// deterministic under any [`Parallelism`](crate::Parallelism). Disabled
+    /// by default.
     obs: Obs,
-    /// Whether structural changes are being recorded for
-    /// [`Self::take_ckpt_changes`] — the incremental-checkpoint dirty
-    /// tracker. Off by default.
-    ckpt_track: bool,
-    /// The recorded change log; `None` while invalidated (tracking just
-    /// enabled, or an untrackable operation — invariant repair — happened
-    /// since the last drain).
-    ckpt_changes: Option<Vec<BubbleChange>>,
+    /// One flag per bubble slot: whether the slot's snapshot record
+    /// changed since the window opened (at the newest full checkpoint) —
+    /// what a delta checkpoint persists. `None` while untracked; growing,
+    /// retiring and repairing close the window.
+    dirty: Option<Vec<bool>>,
     /// Reusable working memory for the dynamic paths. Never semantic.
     scratch: Scratch,
 }
@@ -248,8 +226,7 @@ impl IncrementalBubbles {
             // A fresh build journals nothing: callers attach a handle with
             // `set_obs` once the summary exists.
             obs: Obs::disabled(),
-            ckpt_track: false,
-            ckpt_changes: None,
+            dirty: None,
             scratch: Scratch::default(),
         };
         let mut ids = Vec::with_capacity(store.len());
@@ -265,30 +242,6 @@ impl IncrementalBubbles {
             this.total_points += 1;
         }
         this
-    }
-
-    /// [`Self::build`] pinned to `Parallelism::Threads(threads)`,
-    /// overriding `config.parallelism`. Kept as a convenience for callers
-    /// that size the fan-out themselves; results are identical to the
-    /// serial build for the same RNG seed.
-    ///
-    /// # Panics
-    /// Panics if `threads == 0` or the store holds fewer points than
-    /// `config.num_bubbles`.
-    pub fn build_parallel<R: Rng + ?Sized>(
-        store: &PointStore,
-        config: MaintainerConfig,
-        rng: &mut R,
-        threads: usize,
-        search: &mut SearchStats,
-    ) -> Self {
-        assert!(threads > 0, "at least one thread is required");
-        Self::build(
-            store,
-            config.with_parallelism(Parallelism::Threads(threads)),
-            rng,
-            search,
-        )
     }
 
     /// Nearest eligible seed for every point in the flat `queries` buffer,
@@ -356,52 +309,27 @@ impl IncrementalBubbles {
         self.obs = obs;
     }
 
-    /// Turns structural change recording for the incremental-checkpoint
-    /// dirty tracker on or off (off by default).
-    ///
-    /// While on, every operation that changes a bubble slot's summary
-    /// statistics or the slot space itself appends a [`BubbleChange`] to
-    /// an internal log, drained by [`Self::take_ckpt_changes`]. Tracking
-    /// is a pure output channel: it never affects summarization results
-    /// and is not persisted in snapshots. Enabling starts with an
-    /// *invalid* log — the first drain returns `None`, obliging the
-    /// consumer to treat every slot as changed before trusting subsequent
-    /// logs (it cannot know what happened before enabling).
-    pub fn set_ckpt_tracking(&mut self, on: bool) {
-        self.ckpt_track = on;
-        self.ckpt_changes = None;
+    /// Opens a fresh dirty window with every slot clean: from here on,
+    /// each slot whose snapshot record changes is flagged until the window
+    /// closes. The durability layer opens one at every full checkpoint.
+    pub(crate) fn open_dirty_window(&mut self) {
+        self.dirty = Some(vec![false; self.bubbles.len()]);
     }
 
-    /// Drains the structural change log recorded since the previous drain
-    /// (or since tracking was enabled).
-    ///
-    /// Returns `None` when the log is not continuously valid — tracking is
-    /// off, was just enabled, or an untrackable operation (invariant
-    /// [`Self::repair`]) rewrote bubbles wholesale since the last drain. A
-    /// `None` obliges the consumer to treat *every* slot as dirty; it is
-    /// never silently wrong. After a `None` with tracking on, recording
-    /// resumes with a fresh valid log.
-    pub fn take_ckpt_changes(&mut self) -> Option<Vec<BubbleChange>> {
-        if !self.ckpt_track {
-            return None;
-        }
-        let drained = self.ckpt_changes.take();
-        self.ckpt_changes = Some(Vec::new());
-        drained
+    /// Closes the dirty window: the next checkpoint must be full.
+    pub(crate) fn close_dirty_window(&mut self) {
+        self.dirty = None;
     }
 
-    /// Appends to the change log when tracking is on and the log is valid.
-    fn record_change(&mut self, change: BubbleChange) {
-        if let Some(log) = self.ckpt_changes.as_mut() {
-            log.push(change);
-        }
+    /// The slots changed since the dirty window opened, one flag per slot;
+    /// `None` when no window is open.
+    pub(crate) fn dirty_slots(&self) -> Option<&[bool]> {
+        self.dirty.as_deref()
     }
 
-    /// Marks the change log invalid until the next drain (an operation
-    /// mutated bubbles in a way the log cannot describe precisely).
-    fn invalidate_changes(&mut self) {
-        if self.ckpt_track {
-            self.ckpt_changes = None;
+    fn mark_dirty(&mut self, slot: usize) {
+        if let Some(flags) = self.dirty.as_mut() {
+            flags[slot] = true;
         }
     }
 
@@ -527,7 +455,7 @@ impl IncrementalBubbles {
         b.members_mut().push(id);
         b.stats_mut().add(p);
         self.assign[slot] = bubble as u32;
-        self.record_change(BubbleChange::Touched(bubble as u32));
+        self.mark_dirty(bubble);
     }
 
     /// Detaches a point from its bubble (O(1) swap-remove), returning the
@@ -589,7 +517,7 @@ impl IncrementalBubbles {
         assert_eq!(p.len(), self.dim, "point dimensionality mismatch");
         let bubble = self.detach(id);
         self.bubbles[bubble].stats_mut().remove(p);
-        self.record_change(BubbleChange::Touched(bubble as u32));
+        self.mark_dirty(bubble);
         self.total_points -= 1;
         self.obs.emit(
             EventKind::Delete {
@@ -630,12 +558,6 @@ impl IncrementalBubbles {
     /// # Errors
     /// The same typed errors as [`Self::try_apply_batch`].
     pub fn check_batch(&self, store: &PointStore, batch: &Batch) -> Result<(), UpdateError> {
-        self.validate_batch(store, batch)
-    }
-
-    /// Pre-validates `batch` against the current state; `Ok(())` means the
-    /// infallible apply path cannot fail.
-    fn validate_batch(&self, store: &PointStore, batch: &Batch) -> Result<(), UpdateError> {
         for (index, (p, _)) in batch.inserts.iter().enumerate() {
             if p.len() != self.dim {
                 return Err(UpdateError::DimensionMismatch {
@@ -701,7 +623,7 @@ impl IncrementalBubbles {
         batch: &Batch,
         search: &mut SearchStats,
     ) -> Result<Vec<PointId>, UpdateError> {
-        self.validate_batch(store, batch)?;
+        self.check_batch(store, batch)?;
         let timer = self.obs.start();
         let before = *search;
         // One scratch buffer carries every deleted point's coordinates —
@@ -779,7 +701,7 @@ impl IncrementalBubbles {
         }
         let members = self.bubbles[donor].take_members();
         self.bubbles[donor].stats_mut().clear();
-        self.record_change(BubbleChange::Touched(donor as u32));
+        self.mark_dirty(donor);
         let released = members.len() as u64;
         let hint = self
             .seeds
@@ -861,8 +783,8 @@ impl IncrementalBubbles {
         }
         let members = self.bubbles[over].take_members();
         self.bubbles[over].stats_mut().clear();
-        self.record_change(BubbleChange::Touched(over as u32));
-        self.record_change(BubbleChange::Touched(donor as u32));
+        self.mark_dirty(over);
+        self.mark_dirty(donor);
         debug_assert!(members.len() >= 2, "split requires at least two members");
         let flat = &scratch.flat;
         let pt = |i: usize| &flat[i * dim..(i + 1) * dim];
@@ -1118,6 +1040,8 @@ impl IncrementalBubbles {
             self.bubbles[over].members().len() >= 2,
             "growing requires at least two members to split"
         );
+        // A new slot is beyond what the dirty window tracks.
+        self.close_dirty_window();
         // Materialize the new bubble at a placeholder position; `split`
         // re-seeds both participants from the over-filled members.
         let placeholder = self.bubbles[over].seed().to_vec();
@@ -1126,7 +1050,6 @@ impl IncrementalBubbles {
         self.observe_repair(repair_before);
         self.bubbles.push(Bubble::new(placeholder));
         debug_assert_eq!(new_idx, self.bubbles.len() - 1);
-        self.record_change(BubbleChange::Pushed);
         // Journal the growth *before* the split so the journal checker can
         // pair the split with the event that created its donor slot.
         self.obs.emit(
@@ -1178,7 +1101,8 @@ impl IncrementalBubbles {
         let repair_before = self.seeds.repair_stats();
         self.seeds.swap_remove(i);
         self.observe_repair(repair_before);
-        self.record_change(BubbleChange::SwapRemoved(i as u32));
+        // The swap-remove renumbers a slot; the dirty window cannot follow.
+        self.close_dirty_window();
         // The swap-remove invalidates two indices: `i` itself (retired)
         // and the former last index (now living at `i`). The warm-start
         // hint must follow the same remapping, or a later insert would
@@ -1307,10 +1231,7 @@ impl IncrementalBubbles {
             // Snapshot decoding starts silent; recovery installs the live
             // handle before replaying the WAL tail.
             obs: Obs::disabled(),
-            // A decoded maintainer has no change history; a consumer that
-            // re-enables tracking starts from a full recompute anyway.
-            ckpt_track: false,
-            ckpt_changes: None,
+            dirty: None,
             scratch: Scratch::default(),
         }
     }
@@ -1691,10 +1612,9 @@ impl IncrementalBubbles {
         if issues.is_empty() {
             return RepairReport::default();
         }
-        // Repair rewrites bubbles wholesale (drains, reseeds, reattaches);
-        // the change log cannot describe that precisely, so consumers must
-        // fall back to a full recompute.
-        self.invalidate_changes();
+        // Repair rewrites bubbles wholesale (drains, reseeds, reattaches)
+        // and rebuilds the seed table; the next checkpoint must be full.
+        self.close_dirty_window();
         let mut report = RepairReport {
             issues_found: issues.len(),
             ..RepairReport::default()
@@ -1824,7 +1744,7 @@ impl IncrementalBubbles {
     pub fn corrupt_stats(&mut self, bubble: usize, n: u64, ls: Vec<f64>, ss: f64) {
         *self.bubbles[bubble].stats_mut() =
             crate::stats::SufficientStats::from_raw_parts(n, ls, ss);
-        self.record_change(BubbleChange::Touched(bubble as u32));
+        self.mark_dirty(bubble);
     }
 
     /// Overwrites one assignment-table entry (test sabotage hook).
@@ -1888,7 +1808,7 @@ impl IncrementalBubbles {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{QualityKind, SeedSearch};
+    use crate::config::{Parallelism, QualityKind, SeedSearch};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -2112,7 +2032,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_change_log_is_valid_only_between_drains() {
+    fn dirty_window_flags_exactly_the_touched_slots() {
         let mut rng = StdRng::seed_from_u64(13);
         let mut store = toy_store(&mut rng);
         let mut search = SearchStats::new();
@@ -2122,38 +2042,53 @@ mod tests {
         let insert = |ib: &mut IncrementalBubbles, store: &mut PointStore, x: f64| {
             let id = store.insert(&[x, 50.0], None);
             ib.insert_point(id, &[x, 50.0], &mut SearchStats::new());
-            ib.assignment(id).expect("assigned") as u32
+            ib.assignment(id).expect("assigned")
+        };
+        let flagged = |ib: &IncrementalBubbles| -> Option<Vec<usize>> {
+            ib.dirty_slots()
+                .map(|f| (0..f.len()).filter(|&i| f[i]).collect())
         };
 
-        // Off: nothing is recorded, every drain is `None`.
+        // Untracked: nothing is flagged, whatever happens.
         insert(&mut ib, &mut store, 50.0);
-        assert_eq!(ib.take_ckpt_changes(), None);
-        assert_eq!(ib.take_ckpt_changes(), None);
+        assert_eq!(flagged(&ib), None);
 
-        // Enabling starts invalid: the first drain is `None`, then the
-        // log covers exactly what happened since the previous drain.
-        ib.set_ckpt_tracking(true);
-        insert(&mut ib, &mut store, 51.0);
-        assert_eq!(ib.take_ckpt_changes(), None);
-        assert_eq!(ib.take_ckpt_changes(), Some(Vec::new()));
-        let b = insert(&mut ib, &mut store, 52.0);
-        assert_eq!(ib.take_ckpt_changes(), Some(vec![BubbleChange::Touched(b)]));
-
-        // A repair invalidates the log for exactly one drain.
-        let wrong_n = ib.bubbles()[0].stats().n() + 7;
-        ib.corrupt_stats(0, wrong_n, vec![0.0; 2], 0.0);
-        let report = ib.repair(&store, &mut rng, &mut search);
-        assert!(report.issues_found > 0, "sabotage must be detected");
-        assert_eq!(ib.take_ckpt_changes(), None);
-        assert_eq!(ib.take_ckpt_changes(), Some(Vec::new()));
-        let b = insert(&mut ib, &mut store, 53.0);
-        assert_eq!(ib.take_ckpt_changes(), Some(vec![BubbleChange::Touched(b)]));
+        // A window starts clean and flags exactly the slots touched since.
+        ib.open_dirty_window();
+        assert_eq!(flagged(&ib), Some(vec![]));
+        assert_eq!(ib.dirty_slots().map(<[bool]>::len), Some(ib.num_bubbles()));
+        let a = insert(&mut ib, &mut store, 51.0);
+        assert_eq!(flagged(&ib), Some(vec![a]));
+        let victim = store
+            .ids()
+            .find(|&id| ib.assignment(id).is_some_and(|b| b != a))
+            .expect("a point outside bubble a");
+        let b = ib.assignment(victim).expect("assigned");
+        let p = store.point(victim).to_vec();
+        ib.remove_point(victim, &p);
+        store.remove(victim);
+        let mut want = vec![a, b];
+        want.sort_unstable();
+        assert_eq!(flagged(&ib), Some(want));
         ib.validate(&store);
 
-        // Off again: `None`, whatever happened.
-        ib.set_ckpt_tracking(false);
-        insert(&mut ib, &mut store, 54.0);
-        assert_eq!(ib.take_ckpt_changes(), None);
+        // Growing, retiring and repairing each close the window.
+        let heaviest = (0..ib.num_bubbles())
+            .max_by_key(|&i| ib.bubble(i).members().len())
+            .unwrap();
+        ib.grow_bubble(heaviest, &store, &mut rng, &mut search);
+        assert_eq!(flagged(&ib), None);
+        ib.open_dirty_window();
+        ib.retire_bubble(0, &store, &mut search);
+        assert_eq!(flagged(&ib), None);
+        ib.open_dirty_window();
+        let wrong_n = ib.bubbles()[0].stats().n() + 7;
+        ib.corrupt_stats(0, wrong_n, vec![0.0; 2], 0.0);
+        assert_eq!(flagged(&ib), Some(vec![0]));
+        let report = ib.repair(&store, &mut rng, &mut search);
+        assert!(report.issues_found > 0, "sabotage must be detected");
+        assert_eq!(flagged(&ib), None);
+        ib.validate(&store);
     }
 
     #[test]
@@ -2263,11 +2198,10 @@ mod tests {
         for threads in [1usize, 2, 4] {
             let mut rng = StdRng::seed_from_u64(8);
             let mut stats = SearchStats::new();
-            let par = IncrementalBubbles::build_parallel(
+            let par = IncrementalBubbles::build(
                 &store,
-                MaintainerConfig::new(10),
+                MaintainerConfig::new(10).with_parallelism(Parallelism::Threads(threads)),
                 &mut rng,
-                threads,
                 &mut stats,
             );
             par.validate(&store);
@@ -2276,21 +2210,6 @@ mod tests {
             assert_eq!(a, b, "threads = {threads}");
             assert_eq!(stats.total(), seq_stats.total(), "same total work");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one thread")]
-    fn zero_threads_panics() {
-        let mut rng = StdRng::seed_from_u64(43);
-        let store = toy_store(&mut rng);
-        let mut stats = SearchStats::new();
-        let _ = IncrementalBubbles::build_parallel(
-            &store,
-            MaintainerConfig::new(4),
-            &mut rng,
-            0,
-            &mut stats,
-        );
     }
 
     #[test]

@@ -49,13 +49,10 @@ pub mod stats;
 pub use bubble::{Bubble, DataSummary};
 pub use config::{MaintainerConfig, Parallelism, QualityKind, SeedSearch, SplitSeedPolicy};
 pub use error::{AuditError, AuditIssue, AuditReport, RepairReport, UpdateError};
-pub use incremental::{
-    AdaptivePolicy, AdaptiveReport, BubbleChange, IncrementalBubbles, MaintenanceReport,
-};
+pub use incremental::{AdaptivePolicy, AdaptiveReport, IncrementalBubbles, MaintenanceReport};
 pub use quality::{chebyshev_k, BubbleClass, Classification};
 pub use recovery::{
-    checkpoint_name, decode_checkpoint, decode_delta_checkpoint, delta_base_seq, encode_checkpoint,
-    encode_delta_checkpoint, recover, recover_chain, CheckpointStore, DurabilityConfig,
+    checkpoint_name, encode_checkpoint, recover, recover_chain, CheckpointStore, DurabilityConfig,
     DurableMaintainer, FsCheckpoints, Health, Recovered, RecoveryError, DELTA_CHECKPOINT_MAGIC,
 };
 pub use stats::SufficientStats;

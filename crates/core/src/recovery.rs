@@ -7,10 +7,18 @@
 //! that determinism into crash consistency. The write-ahead log
 //! ([`idb_store::wal`]) records each applied batch together with its
 //! maintenance decision and RNG seed; periodic checkpoints capture the
-//! full store + summarization state in the checksummed v2 snapshot
-//! format; and [`recover`] rebuilds the exact in-memory state by loading
-//! the newest usable checkpoint and replaying the WAL tail through the
-//! very same `try_apply_batch`/`maintain` code the live path runs.
+//! store + summarization state in checksummed snapshot frames; and
+//! [`recover`] rebuilds the exact in-memory state by loading the newest
+//! usable checkpoint and replaying the WAL tail through the very same
+//! `try_apply_batch`/`maintain` code the live path runs.
+//!
+//! A checkpoint is either *full* (the store and bubble snapshots) or a
+//! *delta* against the newest full base: the bubble records of the slots
+//! [`IncrementalBubbles`] flagged as changed since that base, plus the
+//! WAL span that rolls the base's store forward. The record layout and
+//! the splice of a delta's records over its base belong to
+//! [`crate::snapshot`]; this module only frames checkpoints and decides
+//! which kind to take.
 //!
 //! A torn WAL tail (the crash happened mid-commit) is truncated, not an
 //! error: those batches were never acknowledged as durable. Everything
@@ -25,18 +33,16 @@
 
 use crate::config::MaintainerConfig;
 use crate::error::UpdateError;
-use crate::incremental::{BubbleChange, IncrementalBubbles};
+use crate::incremental::IncrementalBubbles;
+use crate::snapshot::read_dirty_records;
 use idb_geometry::SearchStats;
 use idb_obs::{EventKind, Obs};
 use idb_store::segment::read_chain;
-use idb_store::snapshot::{
-    read_frame, read_u32, read_u64, write_frame, write_u32, write_u64, SnapshotError,
-};
+use idb_store::snapshot::{read_frame, read_u64, write_frame, write_u64, SnapshotError};
 use idb_store::wal::{read_wal, DurableSink, WalContents, WalError, WalRecord, WalWriter};
 use idb_store::{Batch, FsMedium, Medium, PointId, PointStore, StorageBudget, StorageError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::io;
 use std::time::Duration;
@@ -257,22 +263,12 @@ pub fn encode_checkpoint(
     Ok(out)
 }
 
-/// Decodes a checkpoint blob, validating both nested snapshots. Returns
-/// `(seq, batches_covered, store, bubbles)`.
-///
-/// # Errors
-/// [`SnapshotError`] when the frame, either nested snapshot, or the
-/// trailing byte accounting is damaged.
-pub fn decode_checkpoint(
+/// Decodes a full checkpoint blob, validating both nested snapshots.
+/// Returns `(seq, batches_covered, store, bubbles)`.
+fn decode_checkpoint(
     bytes: &[u8],
 ) -> Result<(u64, u64, PointStore, IncrementalBubbles), SnapshotError> {
-    let mut r: &[u8] = bytes;
-    let Some(payload) = read_frame(&mut r, CHECKPOINT_MAGIC)? else {
-        // Checkpoints never existed in the unchecksummed v1 format.
-        return Err(SnapshotError::Corrupt(
-            "legacy v1 framing is not valid for checkpoints".into(),
-        ));
-    };
+    let payload = read_frame(&mut &bytes[..], CHECKPOINT_MAGIC)?;
     let mut cur: &[u8] = &payload;
     let seq = read_u64(&mut cur)?;
     let covered = read_u64(&mut cur)?;
@@ -287,128 +283,33 @@ pub fn decode_checkpoint(
     Ok((seq, covered, store, bubbles))
 }
 
-/// A bubbles-snapshot body plus the byte span of each live bubble record.
-type BodySpans = (Vec<u8>, Vec<(usize, usize)>);
-
-/// Parses a framed bubbles snapshot into its raw body plus the byte span
-/// of each live bubble record — the splice points delta checkpoints work
-/// over. Record layout per `snapshot::write_body`: `seed f64×dim | n u64 |
-/// ls f64×dim | ss f64 | member_count u64 | ids u32×mc`.
-fn bubble_record_spans(frame: &[u8]) -> Result<BodySpans, SnapshotError> {
-    let mut r: &[u8] = frame;
-    let Some(body) = read_frame(&mut r, crate::snapshot::MAGIC)? else {
-        return Err(SnapshotError::Corrupt(
-            "legacy v1 bubble snapshots cannot be delta-spliced".into(),
-        ));
-    };
-    // Header: dim u64 | num_bubbles u64 | probability f64 | 3 enum bytes |
-    // live_count u64 — records start at byte 35.
-    if body.len() < 35 {
-        return Err(SnapshotError::Corrupt(
-            "bubble snapshot body too short for its header".into(),
-        ));
-    }
-    let dim = read_u64(&mut &body[0..8])? as usize;
-    if dim == 0 || dim > (1 << 20) {
-        return Err(SnapshotError::Corrupt(format!(
-            "implausible dimensionality {dim} in bubble snapshot"
-        )));
-    }
-    let live = read_u64(&mut &body[27..35])? as usize;
-    if live > (1 << 24) {
-        return Err(SnapshotError::Corrupt(format!(
-            "implausible bubble count {live} in bubble snapshot"
-        )));
-    }
-    let fixed = 16 * dim + 24;
-    let mut spans = Vec::with_capacity(live);
-    let mut at = 35usize;
-    for slot in 0..live {
-        let mc_at = at + 16 * dim + 16;
-        if mc_at + 8 > body.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "bubble record {slot} is truncated"
-            )));
-        }
-        let mc = read_u64(&mut &body[mc_at..mc_at + 8])? as usize;
-        if mc > (1 << 32) {
-            return Err(SnapshotError::Corrupt(format!(
-                "implausible member count {mc} in bubble record {slot}"
-            )));
-        }
-        let len = fixed + 4 * mc;
-        if at + len > body.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "bubble record {slot} overruns the body"
-            )));
-        }
-        spans.push((at, at + len));
-        at += len;
-    }
-    if at != body.len() {
-        return Err(SnapshotError::Corrupt(format!(
-            "{} trailing bytes after the bubble records",
-            body.len() - at
-        )));
-    }
-    Ok((body, spans))
-}
-
-/// Encodes an incremental (delta) checkpoint: a v2 frame whose payload is
-/// `seq | covered | base_seq | base_covered | live_count | dirty_count |
-/// (slot u32 | record_len u64 | record bytes)×` — only the bubble records
-/// in `dirty` (slots dirtied since the full checkpoint `base_seq`, which
-/// covered `base_covered` batches) are persisted. [`decode_delta_checkpoint`]
-/// reconstructs the full state from the base blob plus the WAL records in
-/// `[base_covered, covered)`.
-///
-/// # Errors
-/// When a dirty slot is out of range for the live population (a dirty-
-/// tracking bug, surfaced as a typed error rather than a bad blob).
-pub fn encode_delta_checkpoint(
+/// Encodes a delta checkpoint: a frame whose payload is `seq | covered |
+/// base_seq | base_covered` followed by the bubble records of the slots
+/// flagged in `dirty` (see `IncrementalBubbles::write_dirty_records`) —
+/// the slots changed since the full checkpoint `base_seq`, which covered
+/// `base_covered` batches. Decoding rebuilds the full state from the base
+/// blob plus the WAL records in `[base_covered, covered)`.
+fn encode_delta_checkpoint(
     seq: u64,
     covered: u64,
-    base_seq: u64,
-    base_covered: u64,
+    base: (u64, u64),
     bubbles: &IncrementalBubbles,
-    dirty: &BTreeSet<u32>,
+    dirty: &[bool],
 ) -> io::Result<Vec<u8>> {
-    let mut snap = Vec::new();
-    bubbles.write_snapshot(&mut snap)?;
-    let (body, spans) = bubble_record_spans(&snap)
-        .map_err(|e| io::Error::other(format!("own snapshot failed to parse: {e}")))?;
-    let live = spans.len();
     let mut payload = Vec::new();
     write_u64(&mut payload, seq)?;
     write_u64(&mut payload, covered)?;
-    write_u64(&mut payload, base_seq)?;
-    write_u64(&mut payload, base_covered)?;
-    write_u64(&mut payload, live as u64)?;
-    write_u64(&mut payload, dirty.len() as u64)?;
-    for &slot in dirty {
-        let (start, end) = *spans.get(slot as usize).ok_or_else(|| {
-            io::Error::other(format!("dirty slot {slot} out of range ({live} live)"))
-        })?;
-        write_u32(&mut payload, slot)?;
-        write_u64(&mut payload, (end - start) as u64)?;
-        payload.extend_from_slice(&body[start..end]);
-    }
+    write_u64(&mut payload, base.0)?;
+    write_u64(&mut payload, base.1)?;
+    bubbles.write_dirty_records(dirty, &mut payload)?;
     let mut out = Vec::with_capacity(payload.len() + 24);
     write_frame(&mut out, DELTA_CHECKPOINT_MAGIC, &payload)?;
     Ok(out)
 }
 
 /// The `base_seq` a delta checkpoint builds on, without decoding the rest.
-///
-/// # Errors
-/// [`SnapshotError`] when the frame is damaged or not a delta checkpoint.
-pub fn delta_base_seq(bytes: &[u8]) -> Result<u64, SnapshotError> {
-    let mut r: &[u8] = bytes;
-    let Some(payload) = read_frame(&mut r, DELTA_CHECKPOINT_MAGIC)? else {
-        return Err(SnapshotError::Corrupt(
-            "legacy v1 framing is not valid for delta checkpoints".into(),
-        ));
-    };
+fn delta_base_seq(bytes: &[u8]) -> Result<u64, SnapshotError> {
+    let payload = read_frame(&mut &bytes[..], DELTA_CHECKPOINT_MAGIC)?;
     let mut cur: &[u8] = &payload;
     let _seq = read_u64(&mut cur)?;
     let _covered = read_u64(&mut cur)?;
@@ -419,51 +320,27 @@ pub fn delta_base_seq(bytes: &[u8]) -> Result<u64, SnapshotError> {
 /// was logged into: the base's store is rolled forward by replaying the
 /// logged batches in `[base_covered, covered)` (deletes then inserts per
 /// record, exactly the live path's order, so the free list is
-/// bit-identical), the dirty bubble records are spliced over the base's
-/// snapshot body, and the result is validated by the ordinary snapshot
-/// reader. Returns `(seq, covered, store, bubbles)`.
-///
-/// # Errors
-/// [`SnapshotError`] when either frame is damaged, the base does not
-/// match what the delta claims, the WAL no longer covers
-/// `[base_covered, covered)`, or the spliced snapshot fails validation.
-pub fn decode_delta_checkpoint(
+/// bit-identical), and the delta's bubble records are spliced over the
+/// base's bubble snapshot, which the ordinary snapshot reader validates.
+/// Returns `(seq, covered, store, bubbles)`.
+fn decode_delta_checkpoint(
     bytes: &[u8],
     base: &[u8],
     wal_base: u64,
     wal_records: &[WalRecord],
 ) -> Result<(u64, u64, PointStore, IncrementalBubbles), SnapshotError> {
-    let mut r: &[u8] = bytes;
-    let Some(payload) = read_frame(&mut r, DELTA_CHECKPOINT_MAGIC)? else {
-        return Err(SnapshotError::Corrupt(
-            "legacy v1 framing is not valid for delta checkpoints".into(),
-        ));
-    };
+    let payload = read_frame(&mut &bytes[..], DELTA_CHECKPOINT_MAGIC)?;
     let mut cur: &[u8] = &payload;
     let seq = read_u64(&mut cur)?;
     let covered = read_u64(&mut cur)?;
     let base_seq = read_u64(&mut cur)?;
     let base_covered = read_u64(&mut cur)?;
-    let live = read_u64(&mut cur)? as usize;
-    let dirty_count = read_u64(&mut cur)? as usize;
     if covered < base_covered {
         return Err(SnapshotError::Corrupt(format!(
             "delta covers {covered} batches, before its base's {base_covered}"
         )));
     }
-    let mut dirty: BTreeMap<u32, &[u8]> = BTreeMap::new();
-    for _ in 0..dirty_count {
-        let slot = read_u32(&mut cur)?;
-        let len = read_u64(&mut cur)? as usize;
-        if len > cur.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "dirty record for slot {slot} overruns the payload"
-            )));
-        }
-        let (rec, rest) = cur.split_at(len);
-        dirty.insert(slot, rec);
-        cur = rest;
-    }
+    let dirty = read_dirty_records(&mut cur)?;
     if !cur.is_empty() {
         return Err(SnapshotError::Corrupt(format!(
             "{} trailing bytes after the delta payload",
@@ -472,12 +349,7 @@ pub fn decode_delta_checkpoint(
     }
 
     // The full base: `seq | covered | store | bubbles`.
-    let mut br: &[u8] = base;
-    let Some(bpayload) = read_frame(&mut br, CHECKPOINT_MAGIC)? else {
-        return Err(SnapshotError::Corrupt(
-            "a delta's base must be a full checkpoint".into(),
-        ));
-    };
+    let bpayload = read_frame(&mut &base[..], CHECKPOINT_MAGIC)?;
     let mut bcur: &[u8] = &bpayload;
     let bseq = read_u64(&mut bcur)?;
     let bcov = read_u64(&mut bcur)?;
@@ -488,7 +360,6 @@ pub fn decode_delta_checkpoint(
         )));
     }
     let mut store = PointStore::read_snapshot(&mut bcur)?;
-    let bubbles_frame = bcur;
 
     // Roll the store forward with the logged batches the delta sits on.
     if wal_base > base_covered {
@@ -512,26 +383,7 @@ pub fn decode_delta_checkpoint(
         }
     }
 
-    // Splice the dirty records over the base body.
-    let (body, spans) = bubble_record_spans(bubbles_frame)?;
-    let mut new_body = Vec::with_capacity(body.len());
-    new_body.extend_from_slice(&body[0..27]);
-    write_u64(&mut new_body, live as u64)?;
-    for slot in 0..live {
-        if let Some(rec) = dirty.get(&u32::try_from(slot).expect("slot fits u32")) {
-            new_body.extend_from_slice(rec);
-        } else if let Some(&(s, e)) = spans.get(slot) {
-            new_body.extend_from_slice(&body[s..e]);
-        } else {
-            return Err(SnapshotError::Corrupt(format!(
-                "slot {slot} grew past the base population but is not in the delta"
-            )));
-        }
-    }
-    let mut framed = Vec::with_capacity(new_body.len() + 24);
-    write_frame(&mut framed, crate::snapshot::MAGIC, &new_body)?;
-    let mut fr: &[u8] = &framed;
-    let bubbles = IncrementalBubbles::read_snapshot(&mut fr, &store)?;
+    let bubbles = IncrementalBubbles::read_spliced(bcur, &dirty, &store)?;
     Ok((seq, covered, store, bubbles))
 }
 
@@ -831,76 +683,6 @@ pub enum Health {
     },
 }
 
-/// Mirrors the maintainer's [`BubbleChange`] log into the set of bubble
-/// slots dirtied since the newest full checkpoint — what a delta
-/// checkpoint persists. The key invariant: a slot *not* in `dirty` holds
-/// byte-identical snapshot content to the same slot in the base full
-/// checkpoint (only the last slot ever moves, and its landing slot is
-/// marked dirty).
-#[derive(Debug)]
-struct DirtyTracker {
-    /// `false` until the first full rebase, or after an untrackable
-    /// operation (repair) — a delta cannot be taken, only a full.
-    valid: bool,
-    /// Mirror of the live bubble count.
-    count: usize,
-    dirty: BTreeSet<u32>,
-}
-
-impl DirtyTracker {
-    fn new() -> Self {
-        Self {
-            valid: false,
-            count: 0,
-            dirty: BTreeSet::new(),
-        }
-    }
-
-    /// Folds one drained change log in. `None` (tracking gap) invalidates.
-    fn absorb(&mut self, changes: Option<Vec<BubbleChange>>) {
-        let Some(changes) = changes else {
-            self.invalidate();
-            return;
-        };
-        if !self.valid {
-            return;
-        }
-        for c in changes {
-            match c {
-                BubbleChange::Touched(i) => {
-                    self.dirty.insert(i);
-                }
-                BubbleChange::Pushed => {
-                    self.dirty.insert(self.count as u32);
-                    self.count += 1;
-                }
-                BubbleChange::SwapRemoved(i) => {
-                    let last = (self.count - 1) as u32;
-                    // The old last slot's content moved into `i`; the
-                    // vacated slot no longer exists.
-                    self.dirty.remove(&last);
-                    if i != last {
-                        self.dirty.insert(i);
-                    }
-                    self.count -= 1;
-                }
-            }
-        }
-    }
-
-    /// Starts a fresh dirty window against a just-encoded full base.
-    fn rebase(&mut self, live_count: usize) {
-        self.valid = true;
-        self.count = live_count;
-        self.dirty.clear();
-    }
-
-    fn invalidate(&mut self) {
-        self.valid = false;
-        self.dirty.clear();
-    }
-}
-
 /// A checkpoint being streamed out across batch applications.
 #[derive(Debug)]
 struct PendingCheckpoint {
@@ -944,8 +726,6 @@ pub struct DurableMaintainer<S: DurableSink, C: CheckpointStore> {
     last_full: Option<(u64, u64)>,
     /// Checkpoints taken since the last full rebase.
     checkpoints_since_full: u64,
-    /// Bubble slots dirtied since `last_full`.
-    dirty: DirtyTracker,
     /// The checkpoint currently streaming out, one chunk per batch.
     pending_ckpt: Option<PendingCheckpoint>,
     /// Batches shed with a typed error (buffer cap or disk budget).
@@ -1049,7 +829,7 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
     /// anchors first and replaces the old epoch after.
     fn start(
         store: PointStore,
-        mut bubbles: IncrementalBubbles,
+        bubbles: IncrementalBubbles,
         dcfg: DurabilityConfig,
         sink: S,
         checkpoints: C,
@@ -1059,10 +839,6 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
         // The wrapper journals into the same stream as the summarization
         // it wraps; the WAL writer gets a clone so commits land there too.
         let obs = bubbles.obs().clone();
-        // The incremental-checkpoint dirty tracker feeds off the
-        // checkpoint-side change channel (independent of the consumer-
-        // facing one).
-        bubbles.set_ckpt_tracking(true);
         let mut wal = WalWriter::new(sink, store.dim(), base, dcfg.group_commit);
         wal.set_obs(obs.clone());
         if !resuming {
@@ -1085,7 +861,6 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
             wal_base: base,
             last_full: None,
             checkpoints_since_full: 0,
-            dirty: DirtyTracker::new(),
             pending_ckpt: None,
             shed_batches: 0,
             sink_full: false,
@@ -1257,7 +1032,6 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
             }
         }
         self.batches_applied += 1;
-        self.dirty.absorb(self.bubbles.take_ckpt_changes());
         self.drive_checkpoint();
         self.enforce_hot_budget();
         Ok(ids)
@@ -1520,35 +1294,28 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
         self.note_health();
     }
 
-    /// Encodes the next checkpoint — full on the rebase cadence (or when
-    /// the dirty log has a gap), delta otherwise — and stages it for
-    /// chunked writing.
+    /// Encodes the next checkpoint — delta when a full base exists, the
+    /// bubbles' dirty window is open and the rebase cadence allows it,
+    /// full otherwise — and stages it for chunked writing.
     fn begin_checkpoint(&mut self) {
         let seq = self.next_checkpoint_seq;
         let covered = self.batches_applied;
-        let full = self.last_full.is_none()
-            || !self.dirty.valid
-            || self.checkpoints_since_full + 1 >= self.dcfg.full_rebase_interval.max(1);
-        let blob = if full {
-            let blob = encode_checkpoint(seq, covered, &self.store, &self.bubbles);
-            if blob.is_ok() {
-                // The blob captures the state exactly as of `covered`;
-                // the dirty window restarts against it. If the stream
-                // later fails, `advance_pending` invalidates the tracker.
-                let _ = self.bubbles.take_ckpt_changes();
-                self.dirty.rebase(self.bubbles.bubbles().len());
+        let rebase_due = self.checkpoints_since_full + 1 >= self.dcfg.full_rebase_interval.max(1);
+        let (full, blob) = match (self.last_full, self.bubbles.dirty_slots()) {
+            (Some(base), Some(dirty)) if !rebase_due => (
+                false,
+                encode_delta_checkpoint(seq, covered, base, &self.bubbles, dirty),
+            ),
+            _ => {
+                let blob = encode_checkpoint(seq, covered, &self.store, &self.bubbles);
+                if blob.is_ok() {
+                    // The blob captures the state exactly as of `covered`;
+                    // the dirty window restarts against it. If the stream
+                    // later fails, `advance_pending` closes the window.
+                    self.bubbles.open_dirty_window();
+                }
+                (true, blob)
             }
-            blob
-        } else {
-            let (base_seq, base_covered) = self.last_full.expect("checked above");
-            encode_delta_checkpoint(
-                seq,
-                covered,
-                base_seq,
-                base_covered,
-                &self.bubbles,
-                &self.dirty.dirty,
-            )
         };
         match blob {
             Ok(blob) => {
@@ -1562,7 +1329,7 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
             }
             Err(_) => {
                 if full {
-                    self.dirty.invalidate();
+                    self.bubbles.close_dirty_window();
                 }
                 self.checkpoint_down = true;
             }
@@ -1611,10 +1378,10 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
             Err(_) => {
                 self.checkpoints.abort_stream(p.seq);
                 if p.is_full {
-                    // The dirty window was rebased against this blob; it
+                    // The dirty window was opened against this blob; it
                     // never became durable, so a delta can no longer lean
                     // on it.
-                    self.dirty.invalidate();
+                    self.bubbles.close_dirty_window();
                 }
                 // Burn the sequence number: a fresh attempt must not
                 // continue an abandoned chunk stream under the same seq.
@@ -1691,7 +1458,7 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
         if let Some(p) = self.pending_ckpt.take() {
             self.checkpoints.abort_stream(p.seq);
             if p.is_full {
-                self.dirty.invalidate();
+                self.bubbles.close_dirty_window();
             }
             // The abandoned stream's seq is burned (see `advance_pending`).
             self.next_checkpoint_seq = p.seq + 1;
@@ -1718,8 +1485,7 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
             m.counter("checkpoint.bytes").add(blob.len() as u64);
             m.histogram("checkpoint.encode_us").record(timer.us());
         }
-        let _ = self.bubbles.take_ckpt_changes();
-        self.dirty.rebase(self.bubbles.bubbles().len());
+        self.bubbles.open_dirty_window();
         self.last_full = Some((self.next_checkpoint_seq, self.batches_applied));
         self.checkpoints_since_full = 0;
         self.next_checkpoint_seq += 1;

@@ -1,10 +1,10 @@
-//! Snapshot round-trip property sweep (engine × warm-start × format).
+//! Snapshot round-trip property sweep (engine × warm-start × dimension).
 //!
 //! Persisting a maintainer and reading it back must reproduce the decoded
 //! configuration and every bubble's sufficient statistics *exactly* — for
-//! each seed-search engine, with warm-start hints on and off, and through
-//! both the current v2 checksummed framing and the legacy v1 format (for
-//! both the bubble snapshot and the store snapshot it sits on).
+//! each seed-search engine, with warm-start hints on and off, through the
+//! checksummed snapshot frames of both the bubbles and the store they sit
+//! on.
 //!
 //! Two knobs are deliberately runtime-only and not persisted: `warm_start`
 //! (assignment hints are rebuilt from scratch after a load) and
@@ -20,25 +20,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const ENGINES: [SeedSearch; 3] = [SeedSearch::Brute, SeedSearch::Pruned, SeedSearch::KdTree];
-
-/// Re-encodes framed v2 snapshot bytes as the legacy v1 format:
-/// magic + version 1 + the identical body, no length or checksums.
-fn to_v1(v2: &[u8], magic: &[u8; 4]) -> Vec<u8> {
-    let mut v1 = Vec::new();
-    v1.extend_from_slice(magic);
-    v1.extend_from_slice(&1u32.to_le_bytes());
-    v1.extend_from_slice(&v2[24..]);
-    v1
-}
-
-/// Strips the trailing free-list section a current store snapshot carries,
-/// which the v1 era predates.
-fn strip_free_section(body: Vec<u8>, store: &PointStore) -> Vec<u8> {
-    let free_bytes = 8 + 4 * store.free_slots().len();
-    let mut body = body;
-    body.truncate(body.len() - free_bytes);
-    body
-}
 
 fn churned_store(dim: usize, rng: &mut StdRng) -> PointStore {
     let mut store = PointStore::new(dim);
@@ -95,61 +76,43 @@ fn engine_by_warm_start_by_format_round_trip_sweep() {
                 let ib =
                     IncrementalBubbles::build(&store, config.clone(), &mut build_rng, &mut stats);
 
-                let mut store_v2 = Vec::new();
-                store.write_snapshot(&mut store_v2).unwrap();
-                let mut ib_v2 = Vec::new();
-                ib.write_snapshot(&mut ib_v2).unwrap();
+                let mut store_bytes = Vec::new();
+                store.write_snapshot(&mut store_bytes).unwrap();
+                let mut ib_bytes = Vec::new();
+                ib.write_snapshot(&mut ib_bytes).unwrap();
 
-                let store_variants: [(&str, Vec<u8>); 2] = [
-                    ("store v2", store_v2.clone()),
-                    (
-                        "store v1",
-                        strip_free_section(to_v1(&store_v2, b"IDBP"), &store),
-                    ),
-                ];
-                let ib_variants: [(&str, Vec<u8>); 2] = [
-                    ("bubbles v2", ib_v2.clone()),
-                    ("bubbles v1", to_v1(&ib_v2, b"IDBB")),
-                ];
+                let what = format!("{engine:?}/warm={warm_start}/dim={dim}");
+                let rstore = PointStore::read_snapshot(&mut store_bytes.as_slice())
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                let rib = IncrementalBubbles::read_snapshot(&mut ib_bytes.as_slice(), &rstore)
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
 
-                for (sname, sbytes) in &store_variants {
-                    for (bname, bbytes) in &ib_variants {
-                        let what =
-                            format!("{engine:?}/warm={warm_start}/dim={dim}/{sname}/{bname}");
-                        let rstore = PointStore::read_snapshot(&mut sbytes.as_slice())
-                            .unwrap_or_else(|e| panic!("{what}: {e}"));
-                        let rib =
-                            IncrementalBubbles::read_snapshot(&mut bbytes.as_slice(), &rstore)
-                                .unwrap_or_else(|e| panic!("{what}: {e}"));
+                // Persisted knobs decode exactly.
+                let rc = rib.config();
+                assert_eq!(rc.num_bubbles, config.num_bubbles, "{what}");
+                assert_eq!(
+                    rc.probability.to_bits(),
+                    config.probability.to_bits(),
+                    "{what}"
+                );
+                assert_eq!(rc.seed_search, engine, "{what}");
+                assert_eq!(rc.quality, config.quality, "{what}");
+                assert_eq!(rc.split_seeds, config.split_seeds, "{what}");
+                // Runtime-only knobs come back as defaults, never
+                // as whatever the writer happened to run with.
+                let defaults = MaintainerConfig::new(rc.num_bubbles);
+                assert_eq!(rc.warm_start, defaults.warm_start, "{what}");
+                assert_eq!(rc.parallelism, defaults.parallelism, "{what}");
 
-                        // Persisted knobs decode exactly.
-                        let rc = rib.config();
-                        assert_eq!(rc.num_bubbles, config.num_bubbles, "{what}");
-                        assert_eq!(
-                            rc.probability.to_bits(),
-                            config.probability.to_bits(),
-                            "{what}"
-                        );
-                        assert_eq!(rc.seed_search, engine, "{what}");
-                        assert_eq!(rc.quality, config.quality, "{what}");
-                        assert_eq!(rc.split_seeds, config.split_seeds, "{what}");
-                        // Runtime-only knobs come back as defaults, never
-                        // as whatever the writer happened to run with.
-                        let defaults = MaintainerConfig::new(rc.num_bubbles);
-                        assert_eq!(rc.warm_start, defaults.warm_start, "{what}");
-                        assert_eq!(rc.parallelism, defaults.parallelism, "{what}");
+                assert_bit_identical(&ib, &rib, &what);
 
-                        assert_bit_identical(&ib, &rib, &what);
-
-                        // The restored maintainer is operational under its
-                        // engine: one maintenance round must run clean.
-                        let mut rib = rib;
-                        let mut round_rng = StdRng::seed_from_u64(17);
-                        let mut rstats = SearchStats::new();
-                        rib.maintain(&rstore, &mut round_rng, &mut rstats);
-                        rib.audit(&rstore).unwrap_or_else(|e| panic!("{what}: {e}"));
-                    }
-                }
+                // The restored maintainer is operational under its
+                // engine: one maintenance round must run clean.
+                let mut rib = rib;
+                let mut round_rng = StdRng::seed_from_u64(17);
+                let mut rstats = SearchStats::new();
+                rib.maintain(&rstore, &mut round_rng, &mut rstats);
+                rib.audit(&rstore).unwrap_or_else(|e| panic!("{what}: {e}"));
             }
         }
     }

@@ -5,7 +5,7 @@
 
 use idb_eval::accounting::{distance_saving_factor, rebuild_cost};
 use idb_eval::table::Table;
-use idb_geometry::{NearestSeeds, Parallelism, SearchStats};
+use idb_geometry::{NearestSeeds, Parallelism, SearchStats, SeedSearch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -72,7 +72,14 @@ fn parallel_assignment_counters_yield_identical_accounting() {
             .map(|_| rng.gen_range(-12.0..12.0))
             .collect();
         let mut serial = SearchStats::new();
-        seeds.nearest_batch_pruned(&queries, None, Parallelism::Serial, &mut serial);
+        seeds.nearest_batch(
+            &queries,
+            None,
+            SeedSearch::Pruned,
+            None,
+            Parallelism::Serial,
+            &mut serial,
+        );
         let n = 100_000u64;
         let s = seeds.len() as u64;
         let serial_factor = distance_saving_factor(n, s, serial);
@@ -82,7 +89,7 @@ fn parallel_assignment_counters_yield_identical_accounting() {
             Parallelism::Threads(8),
         ] {
             let mut stats = SearchStats::new();
-            seeds.nearest_batch_pruned(&queries, None, par, &mut stats);
+            seeds.nearest_batch(&queries, None, SeedSearch::Pruned, None, par, &mut stats);
             assert_eq!(stats, serial);
             assert_eq!(distance_saving_factor(n, s, stats), serial_factor);
         }

@@ -4,7 +4,7 @@
 //! extension (its Section 6 future work).
 
 use crate::common::{f1, f4, RunConfig};
-use idb_core::{AdaptivePolicy, IncrementalBubbles, MaintainerConfig};
+use idb_core::{AdaptivePolicy, IncrementalBubbles, MaintainerConfig, Parallelism};
 use idb_eval::{fscore, write_csv, Table};
 use idb_geometry::SearchStats;
 use idb_store::Batch;
@@ -46,11 +46,10 @@ pub fn run_scaling(cfg: &RunConfig) {
             let mut rng_par = StdRng::seed_from_u64(cfg.seed);
             let mut par_search = SearchStats::new();
             let t1 = Instant::now();
-            let _ = IncrementalBubbles::build_parallel(
+            let _ = IncrementalBubbles::build(
                 &store,
-                MaintainerConfig::new(cfg.num_bubbles),
+                MaintainerConfig::new(cfg.num_bubbles).with_parallelism(Parallelism::Threads(4)),
                 &mut rng_par,
-                4,
                 &mut par_search,
             );
             let build_par_ms = t1.elapsed().as_secs_f64() * 1e3;

@@ -354,13 +354,6 @@ impl NearestSeeds {
         self.block.get(i)
     }
 
-    /// The seed coordinates as one contiguous dimension-strided block.
-    #[inline]
-    #[must_use]
-    pub fn seed_block(&self) -> &SeedBlock {
-        &self.block
-    }
-
     /// Cumulative neighbor-table repair accounting (DESIGN.md §15).
     #[must_use]
     pub fn repair_stats(&self) -> RepairStats {
@@ -809,36 +802,6 @@ impl NearestSeeds {
             out.extend(chunk_results);
             *stats += chunk_stats;
         }
-    }
-
-    /// [`Self::nearest_batch`] with [`SeedSearch::Brute`] and no hints.
-    ///
-    /// # Panics
-    /// Panics if `queries.len()` is not a multiple of `dim`, or if there
-    /// are queries but no eligible seed.
-    pub fn nearest_batch_brute(
-        &self,
-        queries: &[f64],
-        exclude: Option<usize>,
-        par: Parallelism,
-        stats: &mut SearchStats,
-    ) -> Vec<(u32, f64)> {
-        self.nearest_batch(queries, exclude, SeedSearch::Brute, None, par, stats)
-    }
-
-    /// [`Self::nearest_batch`] with [`SeedSearch::Pruned`] and no hints.
-    ///
-    /// # Panics
-    /// Panics if `queries.len()` is not a multiple of `dim`, or if there
-    /// are queries but no eligible seed.
-    pub fn nearest_batch_pruned(
-        &self,
-        queries: &[f64],
-        exclude: Option<usize>,
-        par: Parallelism,
-        stats: &mut SearchStats,
-    ) -> Vec<(u32, f64)> {
-        self.nearest_batch(queries, exclude, SeedSearch::Pruned, None, par, stats)
     }
 }
 
@@ -1289,7 +1252,14 @@ mod tests {
         let s = grid_seeds();
         let mut stats = SearchStats::new();
         assert!(s
-            .nearest_batch_brute(&[], None, Parallelism::Auto, &mut stats)
+            .nearest_batch(
+                &[],
+                None,
+                SeedSearch::Brute,
+                None,
+                Parallelism::Auto,
+                &mut stats
+            )
             .is_empty());
         assert_eq!(stats, SearchStats::new());
     }
@@ -1299,7 +1269,14 @@ mod tests {
     fn batch_ragged_buffer_panics() {
         let s = grid_seeds();
         let mut stats = SearchStats::new();
-        let _ = s.nearest_batch_brute(&[1.0, 2.0, 3.0], None, Parallelism::Serial, &mut stats);
+        let _ = s.nearest_batch(
+            &[1.0, 2.0, 3.0],
+            None,
+            SeedSearch::Brute,
+            None,
+            Parallelism::Serial,
+            &mut stats,
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Bridges the per-query [`SearchStats`](crate::stats::SearchStats)
-//! accounting into the shared metrics registry.
+//! Bridges the per-query [`SearchStats`] accounting into the shared
+//! metrics registry.
 //!
 //! The assignment engines already produce the paper's Figure 8–10
 //! currency — computed / pruned / partially-evaluated candidate counts —

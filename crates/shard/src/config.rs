@@ -100,15 +100,6 @@ impl ShardConfig {
         self
     }
 
-    /// Sets the per-partition hot-point budget (see
-    /// [`ShardConfig::hot_points`]); `None` disables tiering for every
-    /// partition regardless of the durability config.
-    #[must_use]
-    pub fn with_hot_points(mut self, hot_points: Option<usize>) -> Self {
-        self.hot_points = Some(hot_points);
-        self
-    }
-
     /// The shard owning `partition`: contiguous balanced ranges, so a
     /// shard's partitions sit side by side and the grouping is a pure
     /// function of `(partition, partitions, shards)`.

@@ -19,11 +19,9 @@ use std::io::{self, Read, Write};
 const MAGIC: &[u8; 4] = b"IDBP";
 const LABEL_NOISE: u32 = u32::MAX;
 
-/// Current snapshot format version: a CRC-framed payload (see
-/// [`write_frame`]). Version-1 snapshots (unchecksummed streams) are still
-/// readable.
+/// Snapshot format version: a CRC-framed payload (see [`write_frame`]).
+/// Any other version, including the unchecksummed version 1, is rejected.
 pub const FRAME_VERSION: u32 = 2;
-const LEGACY_VERSION: u32 = 1;
 
 /// Payloads larger than this are rejected before allocation. Generous —
 /// a billion 20-dimensional points fit — but bounds what a hand-crafted
@@ -93,28 +91,6 @@ pub fn read_f64<R: Read>(r: &mut R) -> io::Result<f64> {
     Ok(f64::from_le_bytes(buf))
 }
 
-/// Reads a `u64`, or `None` at a clean end of stream — used for optional
-/// trailing sections that legacy snapshot bodies lack entirely.
-fn try_read_u64<R: Read>(r: &mut R) -> Result<Option<u64>, SnapshotError> {
-    let mut buf = [0u8; 8];
-    let mut filled = 0;
-    while filled < 8 {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-    match filled {
-        0 => Ok(None),
-        8 => Ok(Some(u64::from_le_bytes(buf))),
-        n => Err(SnapshotError::Corrupt(format!(
-            "truncated trailing section ({n} of 8 bytes)"
-        ))),
-    }
-}
-
 /// Table for the IEEE CRC-32 (reflected polynomial `0xEDB88320`), built at
 /// compile time.
 const CRC_TABLE: [u32; 256] = {
@@ -171,65 +147,60 @@ pub fn write_frame<W: Write>(w: &mut W, magic: &[u8; 4], payload: &[u8]) -> io::
     w.write_all(payload)
 }
 
-/// Reads a snapshot frame header written by [`write_frame`].
-///
-/// Returns `Ok(Some(payload))` for a verified version-2 frame, or
-/// `Ok(None)` for a legacy version-1 snapshot — the caller then parses the
-/// rest of `r` as the unchecksummed version-1 stream.
+/// Reads a snapshot frame written by [`write_frame`] and returns its
+/// verified payload.
 ///
 /// # Errors
-/// [`SnapshotError::Corrupt`] on a wrong magic, an unsupported version, an
-/// implausible payload length, or a checksum mismatch in either the header
-/// or the payload; [`SnapshotError::Io`] when the stream ends early.
-pub fn read_frame<R: Read>(r: &mut R, magic: &[u8; 4]) -> Result<Option<Vec<u8>>, SnapshotError> {
+/// [`SnapshotError::Corrupt`] on a wrong magic, a version other than
+/// [`FRAME_VERSION`], an implausible payload length, or a checksum
+/// mismatch in either the header or the payload; [`SnapshotError::Io`]
+/// when the stream ends early.
+pub fn read_frame<R: Read>(r: &mut R, magic: &[u8; 4]) -> Result<Vec<u8>, SnapshotError> {
     let mut head = [0u8; 8];
     r.read_exact(&mut head)?;
     if &head[..4] != magic {
         return Err(SnapshotError::Corrupt("bad magic".into()));
     }
     let version = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes"));
-    match version {
-        LEGACY_VERSION => Ok(None),
-        FRAME_VERSION => {
-            let mut rest = [0u8; 16];
-            r.read_exact(&mut rest)?;
-            let mut header = [0u8; 20];
-            header[..8].copy_from_slice(&head);
-            header[8..].copy_from_slice(&rest[..12]);
-            let header_crc = u32::from_le_bytes(rest[12..16].try_into().expect("4 bytes"));
-            if crc32(&header) != header_crc {
-                return Err(SnapshotError::Corrupt("header checksum mismatch".into()));
-            }
-            let payload_len = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-            if payload_len > MAX_PAYLOAD {
-                return Err(SnapshotError::Corrupt(format!(
-                    "implausible payload length {payload_len}"
-                )));
-            }
-            let payload_crc = u32::from_le_bytes(header[16..20].try_into().expect("4 bytes"));
-            // Never allocate more than the input can actually supply: grow
-            // while reading (capped pre-allocation) instead of trusting the
-            // declared length, so a hostile prefix on a short stream cannot
-            // drive the reader out of memory.
-            let mut payload = Vec::with_capacity(
-                usize::try_from(payload_len.min(1 << 20)).expect("capped length fits usize"),
-            );
-            let got = r.by_ref().take(payload_len).read_to_end(&mut payload)?;
-            if got as u64 != payload_len {
-                return Err(SnapshotError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    format!("payload truncated: {got} of {payload_len} bytes"),
-                )));
-            }
-            if crc32(&payload) != payload_crc {
-                return Err(SnapshotError::Corrupt("payload checksum mismatch".into()));
-            }
-            Ok(Some(payload))
-        }
-        other => Err(SnapshotError::Corrupt(format!(
-            "unsupported version {other}"
-        ))),
+    if version != FRAME_VERSION {
+        return Err(SnapshotError::Corrupt(format!(
+            "unsupported version {version}"
+        )));
     }
+    let mut rest = [0u8; 16];
+    r.read_exact(&mut rest)?;
+    let mut header = [0u8; 20];
+    header[..8].copy_from_slice(&head);
+    header[8..].copy_from_slice(&rest[..12]);
+    let header_crc = u32::from_le_bytes(rest[12..16].try_into().expect("4 bytes"));
+    if crc32(&header) != header_crc {
+        return Err(SnapshotError::Corrupt("header checksum mismatch".into()));
+    }
+    let payload_len = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
+    if payload_len > MAX_PAYLOAD {
+        return Err(SnapshotError::Corrupt(format!(
+            "implausible payload length {payload_len}"
+        )));
+    }
+    let payload_crc = u32::from_le_bytes(header[16..20].try_into().expect("4 bytes"));
+    // Never allocate more than the input can actually supply: grow while
+    // reading (capped pre-allocation) instead of trusting the declared
+    // length, so a hostile prefix on a short stream cannot drive the
+    // reader out of memory.
+    let mut payload = Vec::with_capacity(
+        usize::try_from(payload_len.min(1 << 20)).expect("capped length fits usize"),
+    );
+    let got = r.by_ref().take(payload_len).read_to_end(&mut payload)?;
+    if got as u64 != payload_len {
+        return Err(SnapshotError::Io(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("payload truncated: {got} of {payload_len} bytes"),
+        )));
+    }
+    if crc32(&payload) != payload_crc {
+        return Err(SnapshotError::Corrupt("payload checksum mismatch".into()));
+    }
+    Ok(payload)
 }
 
 impl PointStore {
@@ -265,8 +236,7 @@ impl PointStore {
         }
         // The free list in reuse order: slot ids are only stable across a
         // restart if a restored store recycles slots in the exact order the
-        // original would have, so the stack is persisted verbatim. (Legacy
-        // snapshots lack this section and rebuild it in descending order.)
+        // original would have, so the stack is persisted verbatim.
         write_u64(w, self.free_slots().len() as u64)?;
         for &slot in self.free_slots() {
             write_u32(w, slot)?;
@@ -275,39 +245,31 @@ impl PointStore {
     }
 
     /// Restores a store from a snapshot. Slot numbers, labels and
-    /// live-list order are identical to the snapshotted store.
-    ///
-    /// Version-2 snapshots are checksum-verified (header and payload)
-    /// before any parsing; legacy version-1 snapshots are still accepted
-    /// and parsed with structural validation only.
+    /// live-list order are identical to the snapshotted store. The frame
+    /// is checksum-verified (header and payload) before any parsing.
     ///
     /// # Errors
     /// [`SnapshotError::Corrupt`] on checksum or structural damage;
     /// [`SnapshotError::Io`] when the stream ends early.
     pub fn read_snapshot<R: Read>(r: &mut R) -> Result<Self, SnapshotError> {
-        match read_frame(r, MAGIC)? {
-            Some(payload) => {
-                let remaining = payload.len() as u64;
-                let mut cur: &[u8] = &payload;
-                let store = Self::read_body(&mut cur, Some(remaining))?;
-                if !cur.is_empty() {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "{} trailing bytes after payload",
-                        cur.len()
-                    )));
-                }
-                Ok(store)
-            }
-            None => Self::read_body(r, None),
+        let payload = read_frame(r, MAGIC)?;
+        let mut cur: &[u8] = &payload;
+        let store = Self::read_body(&mut cur)?;
+        if !cur.is_empty() {
+            return Err(SnapshotError::Corrupt(format!(
+                "{} trailing bytes after payload",
+                cur.len()
+            )));
         }
+        Ok(store)
     }
 
-    /// Decodes the snapshot body. When the caller knows how many input
-    /// bytes back the header's claims (`remaining`, available for framed
-    /// snapshots), every allocation is capped against that budget *before*
-    /// it happens, so a hostile header cannot force an out-of-memory
-    /// condition — it fails with a typed error instead.
-    fn read_body<R: Read>(r: &mut R, remaining: Option<u64>) -> Result<Self, SnapshotError> {
+    /// Decodes the snapshot body. Every allocation is capped against the
+    /// input bytes that back the header's claims *before* it happens, so
+    /// a hostile header cannot force an out-of-memory condition — it fails
+    /// with a typed error instead.
+    fn read_body(r: &mut &[u8]) -> Result<Self, SnapshotError> {
+        let rem = r.len() as u64;
         let dim = read_u64(r)? as usize;
         if dim == 0 || dim > 1 << 20 {
             return Err(SnapshotError::Corrupt(format!("implausible dim {dim}")));
@@ -319,39 +281,30 @@ impl PointStore {
                 "len {len} exceeds slots {slots}"
             )));
         }
-        if let Some(rem) = remaining {
-            // Each live entry occupies 8 + 8·dim input bytes, so `len`
-            // (and with it `dim`) is bounded by the input.
-            let live_cost = (len as u64).saturating_mul(8 + 8 * dim as u64);
-            if live_cost.saturating_add(24) > rem {
-                return Err(SnapshotError::Corrupt(format!(
-                    "live section claims {live_cost} bytes but only {rem} are framed"
-                )));
-            }
-            // Free slots cost 4 input bytes each in the free-list section;
-            // grant legacy bodies (which lack the section) the same
-            // headroom so a hostile `slots` cannot inflate the allocation.
-            let holes = (slots - len) as u64;
-            if holes > rem / 4 + 1 {
-                return Err(SnapshotError::Corrupt(format!(
-                    "{holes} free slots claimed but only {rem} bytes framed"
-                )));
-            }
+        // Each live entry occupies 8 + 8·dim input bytes, so `len` (and
+        // with it `dim`) is bounded by the input.
+        let live_cost = (len as u64).saturating_mul(8 + 8 * dim as u64);
+        if live_cost.saturating_add(24) > rem {
+            return Err(SnapshotError::Corrupt(format!(
+                "live section claims {live_cost} bytes but only {rem} are framed"
+            )));
         }
-        // Cap the big allocation itself: framed snapshots may allocate at
-        // most a fixed multiple of their input (every realistic store is
-        // far below this; a hostile header fails typed instead of OOMing),
-        // and the unframed legacy path — whose input size is unknowable —
-        // gets a generous absolute ceiling.
+        // Free slots cost 4 input bytes each in the free-list section, so
+        // a hostile `slots` cannot inflate the allocation.
+        let holes = (slots - len) as u64;
+        if holes > rem / 4 + 1 {
+            return Err(SnapshotError::Corrupt(format!(
+                "{holes} free slots claimed but only {rem} bytes framed"
+            )));
+        }
+        // Cap the big allocation itself at a fixed multiple of the input
+        // (every realistic store is far below this; a hostile header fails
+        // typed instead of OOMing).
         let coord_count = slots.checked_mul(dim).ok_or_else(|| {
             SnapshotError::Corrupt(format!("coordinate count {slots}×{dim} overflows"))
         })?;
-        let cap = match remaining {
-            Some(rem) => {
-                usize::try_from(rem.saturating_mul(8).saturating_add(1 << 16)).unwrap_or(usize::MAX)
-            }
-            None => 1 << 28,
-        };
+        let cap =
+            usize::try_from(rem.saturating_mul(8).saturating_add(1 << 16)).unwrap_or(usize::MAX);
         if coord_count > cap {
             return Err(SnapshotError::Corrupt(format!(
                 "{coord_count} coordinates claimed, beyond the allocation cap {cap}"
@@ -377,49 +330,36 @@ impl PointStore {
             live_pos[slot] = pos as u32;
             live_list.push(slot as u32);
         }
-        // Free-slot section (absent in legacy snapshots): the reuse stack
-        // in stack order, so a restored store hands out the same ids the
-        // original would have. Legacy snapshots rebuild it in descending
-        // slot order instead.
-        let free = match try_read_u64(r)? {
-            Some(count) => {
-                let count = usize::try_from(count)
-                    .map_err(|_| SnapshotError::Corrupt(format!("free count {count} overflows")))?;
-                if count != slots - len {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "free count {count} != slots {slots} - live {len}"
-                    )));
-                }
-                let mut free = Vec::with_capacity(count);
-                let mut seen = vec![false; slots];
-                for _ in 0..count {
-                    let slot = read_u32(r)? as usize;
-                    if slot >= slots {
-                        return Err(SnapshotError::Corrupt(format!(
-                            "free slot {slot} out of range"
-                        )));
-                    }
-                    if live_pos[slot] != u32::MAX {
-                        return Err(SnapshotError::Corrupt(format!("free slot {slot} is live")));
-                    }
-                    if seen[slot] {
-                        return Err(SnapshotError::Corrupt(format!(
-                            "duplicate free slot {slot}"
-                        )));
-                    }
-                    seen[slot] = true;
-                    free.push(slot as u32);
-                }
-                free
+        // The free-slot section: the reuse stack in stack order, so a
+        // restored store hands out the same ids the original would have.
+        let count = read_u64(r)?;
+        let count = usize::try_from(count)
+            .map_err(|_| SnapshotError::Corrupt(format!("free count {count} overflows")))?;
+        if count != slots - len {
+            return Err(SnapshotError::Corrupt(format!(
+                "free count {count} != slots {slots} - live {len}"
+            )));
+        }
+        let mut free = Vec::with_capacity(count);
+        let mut seen = vec![false; slots];
+        for _ in 0..count {
+            let slot = read_u32(r)? as usize;
+            if slot >= slots {
+                return Err(SnapshotError::Corrupt(format!(
+                    "free slot {slot} out of range"
+                )));
             }
-            None => {
-                let mut free: Vec<u32> = (0..slots as u32)
-                    .filter(|&s| live_pos[s as usize] == u32::MAX)
-                    .collect();
-                free.reverse();
-                free
+            if live_pos[slot] != u32::MAX {
+                return Err(SnapshotError::Corrupt(format!("free slot {slot} is live")));
             }
-        };
+            if seen[slot] {
+                return Err(SnapshotError::Corrupt(format!(
+                    "duplicate free slot {slot}"
+                )));
+            }
+            seen[slot] = true;
+            free.push(slot as u32);
+        }
 
         Ok(Self::from_raw_parts(
             dim, coords, labels, live_pos, live_list, free,
@@ -524,9 +464,12 @@ mod tests {
         let store = churned_store();
         let mut buf = Vec::new();
         store.write_snapshot(&mut buf).unwrap();
-        buf[4] = 99; // version byte
-        let err = PointStore::read_snapshot(&mut buf.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("version"), "{err}");
+        // Version 1 is the retired unchecksummed format; 99 never existed.
+        for version in [1u8, 99] {
+            buf[4] = version;
+            let err = PointStore::read_snapshot(&mut buf.as_slice()).unwrap_err();
+            assert!(err.to_string().contains("unsupported version"), "{err}");
+        }
     }
 
     #[test]
@@ -596,35 +539,6 @@ mod tests {
         reframe(&mut buf);
         let err = PointStore::read_snapshot(&mut buf.as_slice()).unwrap_err();
         assert!(err.to_string().contains("trailing"), "{err}");
-    }
-
-    #[test]
-    fn legacy_v1_snapshot_still_reads() {
-        let store = churned_store();
-        let mut buf = Vec::new();
-        store.write_snapshot(&mut buf).unwrap();
-        // A true v1 snapshot is magic + version + the body *without* the
-        // free-slot section (which v1 writers did not emit).
-        let free_section = 8 + 4 * store.free_slots().len();
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(b"IDBP");
-        v1.extend_from_slice(&1u32.to_le_bytes());
-        v1.extend_from_slice(&buf[24..buf.len() - free_section]);
-        let restored = PointStore::read_snapshot(&mut v1.as_slice()).unwrap();
-        assert_eq!(restored.len(), store.len());
-        let a: Vec<_> = store.iter().map(|(id, p, l)| (id, p.to_vec(), l)).collect();
-        let b: Vec<_> = restored
-            .iter()
-            .map(|(id, p, l)| (id, p.to_vec(), l))
-            .collect();
-        assert_eq!(a, b);
-        // v1 carried no reuse order; the rebuilt free list is the
-        // deterministic descending fallback.
-        let mut want: Vec<u32> = (0..store.slots() as u32)
-            .filter(|&s| !restored.contains(crate::PointId(s)))
-            .collect();
-        want.reverse();
-        assert_eq!(restored.free_slots(), &want[..]);
     }
 
     #[test]
