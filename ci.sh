@@ -3,8 +3,7 @@
 # suite, the file-backed crash smoke under extra seeds, observability
 # journal validation, the report checks, release and native-codegen
 # re-runs of the kernel-sensitive suites, lints, rustdoc warnings,
-# formatting, bench compilation, and the benchmark's own tests, lints and
-# formatting.
+# formatting, and the benchmark's own tests, lints and formatting.
 #
 # The library reads no behaviour knobs from the environment: every
 # configuration axis — assignment engine, thread count, shard count,
@@ -52,11 +51,13 @@ fi
 cargo run $CARGOFLAGS --release -q -p idb-bench --bin journal_check -- "$IDB_WAL_DIR/idb-journals"
 # Report smoke runs with their checks: the shard report (DESIGN.md §13),
 # the delta report's per-epoch bit-identity with the full pipeline and
-# delta-stream replay (§14), and the kernel report's 1.5x speedup at
+# delta-stream replay (§14), the kernel report's 1.5x speedup at
 # d >= 64, which also builds the seed neighbor table both by `from_seeds`
 # and by pushes (they must agree) and reads its repair ledger off a live
-# maintainer (§15).
-for report in shard delta kernel; do
+# maintainer (§15), the durability report's bounded WAL footprint over
+# 2,500 batches (§16) and its tiered ≡ resident snapshot bytes (§17), and
+# the parallel report's partition replay ≡ threaded counters (§9).
+for report in shard delta kernel durability parallel; do
     cargo run $CARGOFLAGS --release -q -p idb-bench --bin "${report}_report" -- \
         "$IDB_WAL_DIR/BENCH_${report}_smoke.json"
 done
@@ -88,15 +89,12 @@ if RUSTFLAGS="-C target-cpu=native" cargo check $CARGOFLAGS -q -p idb-geometry 2
 else
     echo "ci: target-cpu=native unsupported here; skipping native-codegen pass"
 fi
-# Lint every workspace crate's lib, bins, tests and examples (bench
-# targets need the real criterion crate and are compile-checked
-# separately below).
+# Lint every workspace crate's lib, bins, tests and examples.
 cargo clippy $CARGOFLAGS --workspace --lib --bins --tests --examples -- -D warnings
 # Rustdoc warnings fail too, so a doc link to a deleted or private item
 # cannot linger.
 RUSTDOCFLAGS="-D warnings" cargo doc $CARGOFLAGS --workspace --no-deps
 cargo fmt --check
-cargo bench $CARGOFLAGS --no-run
 # The benchmark is its own package outside the workspace; it refuses to
 # run under any IDB_* variable, so its checks run without the scratch
 # paths.

@@ -1,6 +1,4 @@
-//! Records the assignment-engine comparison to `BENCH_assign.json`
-//! without the criterion harness (so it runs in offline environments
-//! where the criterion dependency is stubbed).
+//! Records the assignment-engine comparison to `BENCH_assign.json`.
 //!
 //! Two workload families, each measured per [`SeedSearch`] engine:
 //!
@@ -21,14 +19,12 @@
 //!
 //! Usage: `assign_report [output.json]` (default `BENCH_assign.json`).
 
-use idb_bench::{complex_fixture, median};
-use idb_core::{IncrementalBubbles, MaintainerConfig, Parallelism, SeedSearch};
+use idb_bench::{complex_fixture, dynamic_flow, json_list, median_secs, write_report};
+use idb_core::{IncrementalBubbles, MaintainerConfig, SeedSearch};
 use idb_geometry::SearchStats;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
-use std::hint::black_box;
-use std::time::Instant;
 
 const ENGINES: [(&str, SeedSearch); 3] = [
     ("brute", SeedSearch::Brute),
@@ -37,54 +33,24 @@ const ENGINES: [(&str, SeedSearch); 3] = [
 ];
 const REPS: usize = 5;
 
-/// Median wall-clock seconds of `REPS` runs of `f`, which returns the
-/// run's distance accounting (identical across runs by construction).
-fn median_secs<F: FnMut() -> SearchStats>(mut f: F) -> (f64, SearchStats) {
-    let mut times = Vec::with_capacity(REPS);
-    let mut stats = SearchStats::new();
-    for _ in 0..REPS {
-        let t0 = Instant::now();
-        stats = f();
-        times.push(t0.elapsed().as_secs_f64());
-    }
-    (median(times), stats)
-}
-
-struct Row {
-    op: &'static str,
-    label: String,
-    engine: &'static str,
-    warm_start: bool,
-    median_secs: f64,
-    stats: SearchStats,
-}
-
-/// One dynamic flow: build (uncounted), then five batches with a
-/// maintenance round after each; returns the per-batch accounting.
-fn dynamic_flow(engine: SeedSearch, warm: bool) -> SearchStats {
-    let (mut scenario, mut store, mut rng) = complex_fixture(2, 20_000, 17);
-    let config = MaintainerConfig::new(200)
-        .with_seed_search(engine)
-        .with_warm_start(warm)
-        .with_parallelism(Parallelism::Serial);
-    let mut build_stats = SearchStats::new();
-    let mut ib = IncrementalBubbles::build(&store, config, &mut rng, &mut build_stats);
-    let mut stats = SearchStats::new();
-    for _ in 0..5 {
-        let batch = scenario.plan(&mut rng);
-        let ids = ib.apply_batch(&mut store, &batch, &mut stats);
-        scenario.confirm(&ids);
-        ib.maintain(&store, &mut rng, &mut stats);
-    }
-    black_box(ib.total_points());
-    stats
+/// One result row, also logged to stderr.
+fn row(op: &str, case: &str, engine: &str, warm: bool, secs: f64, stats: &SearchStats) -> String {
+    eprintln!(
+        "{op} {case} {engine} warm={warm}: {secs:.4}s (computed {}, pruned {}, partial {})",
+        stats.computed, stats.pruned, stats.partial
+    );
+    format!(
+        "{{\"op\": \"{op}\", \"case\": \"{case}\", \"engine\": \"{engine}\", \"warm_start\": {warm}, \"median_secs\": {secs:.6}, \"computed\": {}, \"pruned\": {}, \"partial\": {}, \"pruned_fraction\": {:.4}, \"avoided_fraction\": {:.4}}}",
+        stats.computed,
+        stats.pruned,
+        stats.partial,
+        stats.pruned_fraction(),
+        stats.avoided_fraction(),
+    )
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_assign.json".to_string());
-    let mut rows: Vec<Row> = Vec::new();
+    let mut rows = Vec::new();
 
     // Static construction scans over the clustered scenario data the
     // paper's figures use (uniform random data is the pruning worst case
@@ -96,30 +62,16 @@ fn main() {
         (10, 100_000),
     ] {
         let (_, store, _) = complex_fixture(dim, size, 11);
-        let label = format!("complex_d{dim}_n{size}_s200");
+        let case = format!("complex_d{dim}_n{size}_s200");
         for (name, engine) in ENGINES {
-            let (median, stats) = median_secs(|| {
+            let (secs, (_, stats)) = median_secs(REPS, || {
                 let mut rng = StdRng::seed_from_u64(1);
                 let mut stats = SearchStats::new();
-                let config = MaintainerConfig::new(200)
-                    .with_seed_search(engine)
-                    .with_parallelism(Parallelism::Serial);
+                let config = MaintainerConfig::new(200).with_seed_search(engine);
                 let ib = IncrementalBubbles::build(&store, config, &mut rng, &mut stats);
-                black_box(ib.total_points());
-                stats
+                (ib.total_points(), stats)
             });
-            eprintln!(
-                "build {label} {name}: {median:.4}s (computed {}, pruned {}, partial {})",
-                stats.computed, stats.pruned, stats.partial
-            );
-            rows.push(Row {
-                op: "build",
-                label: label.clone(),
-                engine: name,
-                warm_start: false,
-                median_secs: median,
-                stats,
-            });
+            rows.push(row("build", &case, name, false, secs, &stats));
         }
     }
 
@@ -127,22 +79,12 @@ fn main() {
     let mut pruned_dynamic = [0u64; 2]; // [cold, warm] computed
     for (name, engine) in ENGINES {
         for warm in [false, true] {
-            let (median, stats) = median_secs(|| dynamic_flow(engine, warm));
-            eprintln!(
-                "dynamic complex_d2_n20000 {name} warm={warm}: {median:.4}s (computed {}, pruned {}, partial {})",
-                stats.computed, stats.pruned, stats.partial
-            );
+            let (secs, (_, stats)) = median_secs(REPS, || dynamic_flow(engine, warm));
             if name == "pruned" {
                 pruned_dynamic[usize::from(warm)] = stats.computed;
             }
-            rows.push(Row {
-                op: "dynamic",
-                label: "complex_d2_n20000_s200_5batches".to_string(),
-                engine: name,
-                warm_start: warm,
-                median_secs: median,
-                stats,
-            });
+            let case = "complex_d2_n20000_s200_5batches";
+            rows.push(row("dynamic", case, name, warm, secs, &stats));
         }
     }
     let reduction = if pruned_dynamic[0] > 0 {
@@ -160,26 +102,6 @@ fn main() {
         "  \"warm_start_computed_reduction_pruned\": {reduction:.4},"
     );
     json.push_str("  \"note\": \"medians, serial mode; every engine returns bit-identical assignments (see the differential suites), so the engines and the warm-start toggle differ only in wall-clock and in how the per-candidate accounting splits into computed/pruned/partial\",\n");
-    json.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"op\": \"{}\", \"case\": \"{}\", \"engine\": \"{}\", \"warm_start\": {}, \"median_secs\": {:.6}, \"computed\": {}, \"pruned\": {}, \"partial\": {}, \"pruned_fraction\": {:.4}, \"avoided_fraction\": {:.4}}}{}",
-            r.op,
-            r.label,
-            r.engine,
-            r.warm_start,
-            r.median_secs,
-            r.stats.computed,
-            r.stats.pruned,
-            r.stats.partial,
-            r.stats.pruned_fraction(),
-            r.stats.avoided_fraction(),
-            comma
-        );
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, json).expect("write report");
-    eprintln!("wrote {out_path}");
+    let _ = writeln!(json, "  \"results\": {}\n}}", json_list(4, rows));
+    write_report("BENCH_assign.json", &json);
 }

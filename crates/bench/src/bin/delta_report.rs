@@ -1,6 +1,5 @@
 //! Records the delta-maintained clustering layer's epoch profile to
-//! `BENCH_delta.json` without the criterion harness (so it runs in
-//! offline environments where the criterion dependency is stubbed).
+//! `BENCH_delta.json`.
 //!
 //! For every paper scenario at `s` = 200 bubbles, a churn-heavy stress
 //! variant, and a `many_bubbles` case at the stackbench workload's scale
@@ -41,6 +40,7 @@
 //! and, when the baseline reports them, its `optics_ns_per_pair` (its
 //! pair count must equal this run's, or the run fails).
 
+use idb_bench::{json_list, write_report};
 use idb_clustering::{
     cluster_tree, optics_bubbles, BubbleOrdering, ClusterNode, ExtractParams, MergedRef,
     ReachabilityPlot,
@@ -271,11 +271,7 @@ fn read_baseline(path: &str) -> Vec<Baseline> {
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let out_path = args
-        .next()
-        .unwrap_or_else(|| "BENCH_delta.json".to_string());
-    let baseline = args.next().map(|path| read_baseline(&path));
+    let baseline = std::env::args().nth(2).map(|path| read_baseline(&path));
 
     let mut runs: Vec<Case> = ScenarioKind::all()
         .into_iter()
@@ -332,10 +328,7 @@ fn main() {
         json,
         "  \"workload\": {{\"dim\": {DIM}, \"epochs\": {EPOCHS}, \"min_pts\": {MIN_PTS}, \"min_cluster_size\": {MIN_CLUSTER}}},"
     );
-    json.push_str("  \"scenarios\": [\n");
-    let count = results.len();
-    for (i, r) in results.iter().enumerate() {
-        let comma = if i + 1 == count { "" } else { "," };
+    let scenarios = results.iter().map(|r| {
         let stages: Vec<String> = STAGES
             .iter()
             .zip(r.stage_us)
@@ -366,9 +359,8 @@ fn main() {
                     b.stages
                 )
             });
-        let _ = writeln!(
-            json,
-            "    {{\"scenario\": \"{}\", \"points\": {}, \"target_bubbles\": {}, \"epochs\": {}, \"delta_secs\": {:.6}, \"full_secs\": {:.6}, \"stage_secs_per_epoch\": {{{}}}, \"optics_pairs_per_epoch\": {:.2}, \"optics_ns_per_pair\": {:.3}{versus}}}{comma}",
+        format!(
+            "{{\"scenario\": \"{}\", \"points\": {}, \"target_bubbles\": {}, \"epochs\": {}, \"delta_secs\": {:.6}, \"full_secs\": {:.6}, \"stage_secs_per_epoch\": {{{}}}, \"optics_pairs_per_epoch\": {:.2}, \"optics_ns_per_pair\": {:.3}{versus}}}",
             r.name,
             r.points,
             r.target_bubbles,
@@ -378,13 +370,12 @@ fn main() {
             stages.join(", "),
             r.pairs_per_epoch(),
             r.ns_per_pair(),
-        );
-    }
-    json.push_str("  ],\n");
+        )
+    });
+    let _ = writeln!(json, "  \"scenarios\": {},", json_list(4, scenarios));
     let _ = writeln!(
         json,
         "  \"note\": \"identical maintained state clustered both ways every epoch; the engine's provenance, reachability, plot and tree bits equal the full pipeline's (checked every epoch); delta_secs additionally covers the cluster-tree diff and subscription fanout, which the full pipeline does not provide; stage_secs_per_epoch splits the engine's epoch (engine counters, microsecond resolution); optics_pairs_per_epoch counts the distance pairs the OPTICS walk evaluates (s - 1 at a step whose bubble holds fewer than min_pts points, s - 1 - t at step t otherwise) and optics_ns_per_pair is the optics stage time over it; baseline_* columns, when present, come from the same report built at an earlier commit and run on the same host; a 200-bubble run lasts tens of milliseconds, so its speedup columns swing by tens of percent between two runs of one build, and only the multi-second many_bubbles row resolves a change\"\n}}"
     );
-    std::fs::write(&out_path, json).expect("write report");
-    eprintln!("wrote {out_path}");
+    write_report("BENCH_delta.json", &json);
 }

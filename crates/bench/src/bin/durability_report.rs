@@ -1,6 +1,4 @@
-//! Records the durability-layer cost profile to `BENCH_durability.json`
-//! without the criterion harness (so it runs in offline environments
-//! where the criterion dependency is stubbed).
+//! Records the durability-layer cost profile to `BENCH_durability.json`.
 //!
 //! Three measurements over the complex dynamic scenario:
 //!
@@ -18,128 +16,87 @@
 //! Usage: `durability_report [output.json]` (default
 //! `BENCH_durability.json`).
 
-use idb_bench::{complex_fixture, median};
+use idb_bench::{json_list, median_secs, median_secs_with, planned_stream, write_report};
 use idb_core::{
     recover, recover_chain, DurabilityConfig, DurableMaintainer, IncrementalBubbles,
-    MaintainerConfig, Parallelism, SeedSearch,
+    MaintainerConfig,
 };
 use idb_geometry::SearchStats;
 use idb_obs::{EventKind, Obs, RingRecorder};
 use idb_store::segment::SegmentedSink;
 use idb_store::wal::{read_wal, scratch_dir, FileSink, ObjectSink};
-use idb_store::{Batch, MemMedium};
+use idb_store::{Batch, MemMedium, PointStore};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::Instant;
 
 const REPS: usize = 5;
 const BATCHES: usize = 64;
 
-struct Stream {
-    store: idb_store::PointStore,
-    config: MaintainerConfig,
-    steps: Vec<(Batch, u64)>,
-}
-
-/// Pre-plans a fixed 64-batch stream so every measured variant runs the
-/// identical workload.
-fn plan_stream() -> Stream {
-    let (mut scenario, store, mut rng) = complex_fixture(2, 20_000, 23);
-    let mut sim = store.clone();
-    let steps = (0..BATCHES)
-        .map(|_| {
-            let (batch, _) = scenario.step_plain(&mut sim, &mut rng);
-            (batch, rng.gen::<u64>())
-        })
-        .collect();
-    Stream {
-        store,
-        config: MaintainerConfig::new(200)
-            .with_seed_search(SeedSearch::Pruned)
-            .with_parallelism(Parallelism::Serial),
-        steps,
-    }
-}
-
-fn build(stream: &Stream) -> IncrementalBubbles {
+fn build(store: &PointStore) -> IncrementalBubbles {
     let mut rng = StdRng::seed_from_u64(7);
     let mut stats = SearchStats::new();
-    IncrementalBubbles::build(&stream.store, stream.config.clone(), &mut rng, &mut stats)
+    IncrementalBubbles::build(store, MaintainerConfig::new(200), &mut rng, &mut stats)
 }
 
 /// The undurable baseline: the same batches and maintenance, no logging.
-fn baseline_secs(stream: &Stream) -> f64 {
-    median(
-        (0..REPS)
-            .map(|_| {
-                let mut store = stream.store.clone();
-                let mut ib = build(stream);
-                let mut stats = SearchStats::new();
-                let t0 = Instant::now();
-                for (batch, seed) in &stream.steps {
-                    ib.apply_batch(&mut store, batch, &mut stats);
-                    let mut rng = StdRng::seed_from_u64(*seed);
-                    ib.maintain(&store, &mut rng, &mut stats);
-                }
-                t0.elapsed().as_secs_f64()
-            })
-            .collect(),
-    )
+fn baseline_secs(store: &PointStore, steps: &[(Batch, u64)]) -> f64 {
+    let replay = |(mut ib, mut store): (IncrementalBubbles, PointStore)| {
+        let mut stats = SearchStats::new();
+        for (batch, seed) in steps {
+            ib.apply_batch(&mut store, batch, &mut stats);
+            ib.maintain(&store, &mut StdRng::seed_from_u64(*seed), &mut stats);
+        }
+        (ib, store)
+    };
+    median_secs_with(REPS, || (build(store), store.clone()), replay).0
 }
 
-fn durable_secs<S, F>(stream: &Stream, group_commit: usize, mut sink: F) -> f64
+fn durable_secs<S, F>(
+    store: &PointStore,
+    steps: &[(Batch, u64)],
+    group_commit: usize,
+    mut sink: F,
+) -> f64
 where
     S: idb_store::DurableSink,
     F: FnMut() -> S,
 {
-    median(
-        (0..REPS)
-            .map(|_| {
-                let dcfg = DurabilityConfig {
-                    group_commit,
-                    checkpoint_interval: u64::MAX,
-                    ..DurabilityConfig::default()
-                };
-                let mut dm = DurableMaintainer::adopt(
-                    stream.store.clone(),
-                    build(stream),
-                    dcfg,
-                    sink(),
-                    MemMedium::new(),
-                )
-                .expect("sink is healthy");
-                let mut stats = SearchStats::new();
-                let t0 = Instant::now();
-                for (batch, seed) in &stream.steps {
-                    dm.apply_with(batch, *seed, true, &mut stats)
-                        .expect("planned batches are valid");
-                }
-                dm.sync();
-                t0.elapsed().as_secs_f64()
-            })
-            .collect(),
-    )
+    let adopt = || {
+        let dcfg = DurabilityConfig {
+            group_commit,
+            checkpoint_interval: u64::MAX,
+            ..DurabilityConfig::default()
+        };
+        DurableMaintainer::adopt(store.clone(), build(store), dcfg, sink(), MemMedium::new())
+            .expect("sink is healthy")
+    };
+    let replay = |mut dm: DurableMaintainer<S, MemMedium>| {
+        let mut stats = SearchStats::new();
+        for (batch, seed) in steps {
+            dm.apply_with(batch, *seed, true, &mut stats)
+                .expect("planned batches are valid");
+        }
+        dm.sync();
+        dm
+    };
+    median_secs_with(REPS, adopt, replay).0
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_durability.json".to_string());
-    let stream = plan_stream();
+    let (store, steps) = planned_stream(2, 20_000, 23, BATCHES);
     let mut json = String::new();
     json.push_str("{\n  \"bench\": \"durability\",\n");
     let _ = writeln!(json, "  \"reps\": {REPS},");
     let _ = writeln!(json, "  \"batches\": {BATCHES},");
 
     // WAL throughput.
-    let base = baseline_secs(&stream);
+    let base = baseline_secs(&store, &steps);
     eprintln!("baseline (no durability): {base:.4}s for {BATCHES} batches");
-    json.push_str("  \"wal_throughput\": [\n");
     let mut rows = vec![("none", "baseline", 0usize, base)];
     for group_commit in [1usize, 8] {
-        let mem = durable_secs(&stream, group_commit, || {
+        let mem = durable_secs(&store, &steps, group_commit, || {
             ObjectSink::new(MemMedium::new(), "wal")
         });
         eprintln!("mem sink, group_commit={group_commit}: {mem:.4}s");
@@ -147,31 +104,28 @@ fn main() {
         let dir = scratch_dir().join(format!("idb-durability-bench-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("create bench scratch dir");
         let path = dir.join("bench.wal");
-        let file = durable_secs(&stream, group_commit, || {
+        let file = durable_secs(&store, &steps, group_commit, || {
             FileSink::create(&path).expect("create bench wal")
         });
         eprintln!("file sink, group_commit={group_commit}: {file:.4}s");
         rows.push(("file", "durable", group_commit, file));
         let _ = std::fs::remove_dir_all(&dir);
     }
-    for (i, (sink, mode, gc, secs)) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"sink\": \"{sink}\", \"mode\": \"{mode}\", \"group_commit\": {gc}, \"median_secs\": {secs:.6}, \"batches_per_sec\": {:.1}}}{comma}",
+    let rows = rows.iter().map(|(sink, mode, gc, secs)| {
+        format!(
+            "{{\"sink\": \"{sink}\", \"mode\": \"{mode}\", \"group_commit\": {gc}, \"median_secs\": {secs:.6}, \"batches_per_sec\": {:.1}}}",
             BATCHES as f64 / secs
-        );
-    }
-    json.push_str("  ],\n");
+        )
+    });
+    let _ = writeln!(json, "  \"wal_throughput\": {},", json_list(4, rows));
 
     // Recovery time vs. WAL tail length: one run with only the baseline
     // anchor checkpoint (covering batch 0), recovered from prefixes of
     // the WAL, so the replay tail is exactly the number of records in
     // the prefix. Plus the cost of writing one full checkpoint.
-    json.push_str("  \"recovery\": [\n");
     let mut dm = DurableMaintainer::adopt(
-        stream.store.clone(),
-        build(&stream),
+        store.clone(),
+        build(&store),
         DurabilityConfig {
             checkpoint_interval: u64::MAX,
             ..DurabilityConfig::default()
@@ -181,64 +135,42 @@ fn main() {
     )
     .expect("mem sink is healthy");
     let mut stats = SearchStats::new();
-    for (batch, seed) in &stream.steps {
+    for (batch, seed) in &steps {
         dm.apply_with(batch, *seed, true, &mut stats)
             .expect("planned batches are valid");
     }
     let (end_store, ib, sink, ckpts) = dm.into_parts();
 
     // Checkpoint serialization cost, measured on the final state.
-    let times: Vec<f64> = (0..REPS)
-        .map(|_| {
-            let t0 = Instant::now();
-            let blob = idb_core::encode_checkpoint(999, BATCHES as u64, &end_store, &ib)
-                .expect("in-memory encode");
-            std::hint::black_box(blob.len());
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    let blob = idb_core::encode_checkpoint(999, BATCHES as u64, &end_store, &ib)
-        .expect("in-memory encode");
-    let checkpoint_cost = (median(times), blob.len());
+    let (encode_secs, blob) = median_secs(REPS, || {
+        idb_core::encode_checkpoint(999, BATCHES as u64, &end_store, &ib).expect("in-memory encode")
+    });
 
     let wal_bytes = sink.bytes();
     let ends = read_wal(&wal_bytes).expect("reference wal is intact").ends;
     let mut recovery_rows = Vec::new();
     for tail in [1usize, 16, 64] {
         let prefix = &wal_bytes[..ends[tail - 1]];
-        let times: Vec<f64> = (0..REPS)
-            .map(|_| {
-                let t0 = Instant::now();
-                let rec = recover(prefix, &ckpts, &Obs::disabled()).expect("clean recovery");
-                std::hint::black_box(rec.batches_durable);
-                t0.elapsed().as_secs_f64()
-            })
-            .collect();
-        let rec = recover(prefix, &ckpts, &Obs::disabled()).expect("clean recovery");
-        assert_eq!(rec.replayed as usize, tail);
-        let secs = median(times);
+        let (secs, rec) = median_secs(REPS, || {
+            recover(prefix, &ckpts, &Obs::disabled()).expect("clean recovery")
+        });
+        assert_eq!(rec.replayed, tail);
         eprintln!(
             "recover: replay tail of {tail} batches ({} WAL bytes): {secs:.4}s",
             prefix.len()
         );
         recovery_rows.push((tail, prefix.len(), secs));
     }
-    for (i, (tail, wal_len, secs)) in recovery_rows.iter().enumerate() {
-        let comma = if i + 1 == recovery_rows.len() {
-            ""
-        } else {
-            ","
-        };
-        let _ = writeln!(
-            json,
-            "    {{\"replayed_batches\": {tail}, \"wal_bytes\": {wal_len}, \"median_secs\": {secs:.6}}}{comma}"
-        );
-    }
-    json.push_str("  ],\n");
+    let recovery_rows = recovery_rows.iter().map(|(tail, wal_len, secs)| {
+        format!(
+            "{{\"replayed_batches\": {tail}, \"wal_bytes\": {wal_len}, \"median_secs\": {secs:.6}}}"
+        )
+    });
+    let _ = writeln!(json, "  \"recovery\": {},", json_list(4, recovery_rows));
     let _ = writeln!(
         json,
-        "  \"checkpoint\": {{\"median_encode_secs\": {:.6}, \"blob_bytes\": {}}},",
-        checkpoint_cost.0, checkpoint_cost.1
+        "  \"checkpoint\": {{\"median_encode_secs\": {encode_secs:.6}, \"blob_bytes\": {}}},",
+        blob.len()
     );
 
     // Bounded footprint under the segmented WAL: the same stream against
@@ -250,10 +182,10 @@ fn main() {
     const CKPT_INTERVAL: u64 = 8;
     let ring = Arc::new(RingRecorder::new());
     let medium = MemMedium::new();
-    let mut ib = build(&stream);
+    let mut ib = build(&store);
     ib.set_obs(Obs::with_recorder(ring.clone()));
     let mut dm = DurableMaintainer::adopt(
-        stream.store.clone(),
+        store.clone(),
         ib,
         DurabilityConfig {
             checkpoint_interval: CKPT_INTERVAL,
@@ -267,7 +199,7 @@ fn main() {
     .expect("mem segments are healthy");
     let mut stats = SearchStats::new();
     let mut max_live = 0u64;
-    for (batch, seed) in &stream.steps {
+    for (batch, seed) in &steps {
         dm.apply_with(batch, *seed, true, &mut stats)
             .expect("planned batches are valid");
         max_live = max_live.max(dm.live_wal_bytes().expect("segmented sink reports live"));
@@ -289,18 +221,10 @@ fn main() {
     }
     let total_appended = reclaimed + final_live;
     let amplification = total_appended as f64 / max_live.max(1) as f64;
-    let times: Vec<f64> = (0..REPS)
-        .map(|_| {
-            let t0 = Instant::now();
-            let rec =
-                recover_chain(&medium, &seg_ckpts, &Obs::disabled()).expect("clean chain recovery");
-            std::hint::black_box(rec.batches_durable);
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    let rec = recover_chain(&medium, &seg_ckpts, &Obs::disabled()).expect("clean chain recovery");
+    let (chain_secs, rec) = median_secs(REPS, || {
+        recover_chain(&medium, &seg_ckpts, &Obs::disabled()).expect("clean chain recovery")
+    });
     assert_eq!(rec.batches_durable as usize, BATCHES);
-    let chain_secs = median(times);
     eprintln!(
         "segmented (segment={SEGMENT_BYTES}B, ckpt every {CKPT_INTERVAL}): \
          peak live {max_live}B, appended {total_appended}B (x{amplification:.2}), \
@@ -324,23 +248,14 @@ fn main() {
     // appended bytes grow linearly. Smaller fixture, one rep — this is a
     // footprint measurement, not a timing one.
     const SUSTAINED_BATCHES: usize = 2500;
-    let (mut scenario, small_store, mut srng) = complex_fixture(2, 2_000, 31);
-    let mut sim = small_store.clone();
-    let sustained_steps: Vec<(Batch, u64)> = (0..SUSTAINED_BATCHES)
-        .map(|_| {
-            let (batch, _) = scenario.step_plain(&mut sim, &mut srng);
-            (batch, srng.gen::<u64>())
-        })
-        .collect();
+    let (small_store, sustained_steps) = planned_stream(2, 2_000, 31, SUSTAINED_BATCHES);
     let ring = Arc::new(RingRecorder::new());
     let medium = MemMedium::new();
     let mut srng2 = StdRng::seed_from_u64(8);
     let mut sstats = SearchStats::new();
     let mut ib = IncrementalBubbles::build(
         &small_store,
-        MaintainerConfig::new(50)
-            .with_seed_search(SeedSearch::Pruned)
-            .with_parallelism(Parallelism::Serial),
+        MaintainerConfig::new(50),
         &mut srng2,
         &mut sstats,
     );
@@ -410,15 +325,8 @@ fn main() {
     // never semantics.
     const HOT: usize = 64;
     const TIER_BATCHES: usize = 160;
-    let (mut scenario, tier_store, mut trng) = complex_fixture(2, 2_000, 47);
+    let (tier_store, tier_steps) = planned_stream(2, 2_000, 47, TIER_BATCHES);
     let tier_dim = tier_store.dim();
-    let mut sim = tier_store.clone();
-    let tier_steps: Vec<(Batch, u64)> = (0..TIER_BATCHES)
-        .map(|_| {
-            let (batch, _) = scenario.step_plain(&mut sim, &mut trng);
-            (batch, trng.gen::<u64>())
-        })
-        .collect();
     let max_inserts = tier_steps
         .iter()
         .map(|(b, _)| b.inserts.len())
@@ -428,14 +336,8 @@ fn main() {
     let run_tiered = |hot: Option<usize>, stream_points: &mut usize| {
         let mut rng = StdRng::seed_from_u64(9);
         let mut stats = SearchStats::new();
-        let ib = IncrementalBubbles::build(
-            &tier_store,
-            MaintainerConfig::new(50)
-                .with_seed_search(SeedSearch::Pruned)
-                .with_parallelism(Parallelism::Serial),
-            &mut rng,
-            &mut stats,
-        );
+        let ib =
+            IncrementalBubbles::build(&tier_store, MaintainerConfig::new(50), &mut rng, &mut stats);
         let mut dm = DurableMaintainer::adopt(
             tier_store.clone(),
             ib,
@@ -514,18 +416,18 @@ fn main() {
          \"cold_reads\": {}, \"cold_bytes\": {}, \"evictions\": {},",
         tc.hits, tc.misses, tc.cold_reads, tc.cold_bytes, tc.evictions
     );
-    json.push_str("    \"resident_curve\": [\n");
-    for (i, (stream, live, resident, bytes)) in tier_curve.iter().enumerate() {
-        let comma = if i + 1 == tier_curve.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "      {{\"stream_points\": {stream}, \"live_points\": {live}, \
-             \"resident_points\": {resident}, \"resident_coord_bytes\": {bytes}}}{comma}"
-        );
-    }
-    json.push_str("    ]\n  },\n");
+    let curve = tier_curve.iter().map(|(stream, live, resident, bytes)| {
+        format!(
+            "{{\"stream_points\": {stream}, \"live_points\": {live}, \
+             \"resident_points\": {resident}, \"resident_coord_bytes\": {bytes}}}"
+        )
+    });
+    let _ = writeln!(
+        json,
+        "    \"resident_curve\": {}\n  }},",
+        json_list(6, curve)
+    );
 
     json.push_str("  \"note\": \"complex d2 n20000 s200 scenario, 64 pre-planned batches with maintenance after each, serial mode; durable runs use validate + WAL append + group commit + apply + checkpoint cadence as configured; recovery replays the WAL tail beyond the newest checkpoint; the segmented section streams the same batches through a segment chain with delta checkpoints and compaction, so the live footprint stays bounded while total appended bytes grow; the tier section replays a pre-planned stream tiered (hot cap 64) and fully resident, proving a flat resident-set curve with bit-identical final snapshots\"\n}\n");
-    std::fs::write(&out_path, json).expect("write report");
-    eprintln!("wrote {out_path}");
+    write_report("BENCH_durability.json", &json);
 }

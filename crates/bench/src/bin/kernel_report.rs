@@ -1,5 +1,5 @@
 //! Records the canonical-kernel comparison to `BENCH_kernel.json`
-//! (DESIGN.md §15) without the criterion harness.
+//! (DESIGN.md §15).
 //!
 //! Three measurement families:
 //!
@@ -22,8 +22,8 @@
 //!
 //! Usage: `kernel_report [output.json]` (default `BENCH_kernel.json`).
 
-use idb_bench::{complex_fixture, median};
-use idb_core::{IncrementalBubbles, MaintainerConfig, Parallelism, SeedSearch};
+use idb_bench::{complex_fixture, dynamic_flow, json_list, median_secs, write_report};
+use idb_core::{IncrementalBubbles, MaintainerConfig, SeedSearch};
 use idb_geometry::metric::{scalar, sq_dist, sq_dist_bounded};
 use idb_geometry::{NearestSeeds, SearchStats};
 use rand::rngs::StdRng;
@@ -54,11 +54,6 @@ fn time<F: FnMut() -> f64>(mut f: F) -> f64 {
     let t0 = Instant::now();
     black_box(f());
     t0.elapsed().as_secs_f64()
-}
-
-/// Median wall-clock seconds of `REPS` runs of `f`.
-fn median_secs<F: FnMut() -> f64>(mut f: F) -> f64 {
-    median((0..REPS).map(|_| time(&mut f)).collect())
 }
 
 /// A scalar baseline timed against a canonical kernel in interleaved
@@ -226,38 +221,16 @@ struct EndToEndRow {
     pre_kernel_secs: f64,
 }
 
-/// The d2/20k dynamic flow of `assign_report` (five batches, maintenance
-/// after each, warm-started); returns the maintainer for counter reads.
-fn dynamic_flow(engine: SeedSearch) -> IncrementalBubbles {
-    let (mut scenario, mut store, mut rng) = complex_fixture(2, 20_000, 17);
-    let config = MaintainerConfig::new(200)
-        .with_seed_search(engine)
-        .with_warm_start(true)
-        .with_parallelism(Parallelism::Serial);
-    let mut build_stats = SearchStats::new();
-    let mut ib = IncrementalBubbles::build(&store, config, &mut rng, &mut build_stats);
-    let mut stats = SearchStats::new();
-    for _ in 0..5 {
-        let batch = scenario.plan(&mut rng);
-        let ids = ib.apply_batch(&mut store, &batch, &mut stats);
-        scenario.confirm(&ids);
-        ib.maintain(&store, &mut rng, &mut stats);
-    }
-    ib
-}
-
 fn end_to_end_rows() -> (Vec<EndToEndRow>, IncrementalBubbles) {
     let mut rows = Vec::new();
     let (_, store, _) = complex_fixture(10, 100_000, 11);
     for (name, engine, pre) in PRE_BUILD_D10_N100K {
-        let median = median_secs(|| {
+        let (median, _) = median_secs(REPS, || {
             let mut rng = StdRng::seed_from_u64(1);
             let mut stats = SearchStats::new();
-            let config = MaintainerConfig::new(200)
-                .with_seed_search(engine)
-                .with_parallelism(Parallelism::Serial);
+            let config = MaintainerConfig::new(200).with_seed_search(engine);
             let ib = IncrementalBubbles::build(&store, config, &mut rng, &mut stats);
-            ib.total_points() as f64
+            ib.total_points()
         });
         eprintln!("build complex_d10_n100000 {name}: {median:.4}s (pre-kernel {pre:.4}s)");
         rows.push(EndToEndRow {
@@ -269,12 +242,10 @@ fn end_to_end_rows() -> (Vec<EndToEndRow>, IncrementalBubbles) {
     }
     let mut last = None;
     for (name, engine, pre) in PRE_DYNAMIC_WARM {
-        let median = median_secs(|| {
-            let ib = dynamic_flow(engine);
-            let total = ib.total_points() as f64;
-            last = Some(ib);
-            total
-        });
+        // The d2/20k dynamic flow of `assign_report`, warm-started; the
+        // last maintainer is kept for its repair ledger.
+        let (median, (ib, _)) = median_secs(REPS, || dynamic_flow(engine, true));
+        last = Some(ib);
         eprintln!("dynamic complex_d2_n20000 {name} warm: {median:.4}s (pre-kernel {pre:.4}s)");
         rows.push(EndToEndRow {
             case: "dynamic_complex_d2_n20000_s200_5batches_warm",
@@ -308,7 +279,9 @@ fn table_report(rng: &mut StdRng) -> TableReport {
         (0..D).map(|_| rng.gen_range(-100.0f64..100.0)).collect()
     };
     let flat: Vec<f64> = (0..S).flat_map(|_| point(rng)).collect();
-    let build_secs = median_secs(|| NearestSeeds::from_seeds(D, flat.chunks_exact(D)).len() as f64);
+    let (build_secs, _) = median_secs(REPS, || {
+        NearestSeeds::from_seeds(D, flat.chunks_exact(D)).len()
+    });
     let t0 = Instant::now();
     let mut pushed = NearestSeeds::new(D);
     for p in flat.chunks_exact(D) {
@@ -347,9 +320,6 @@ fn table_report(rng: &mut StdRng) -> TableReport {
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_kernel.json".to_string());
     let mut rng = StdRng::seed_from_u64(88);
 
     let kernels = kernel_rows(&mut rng);
@@ -373,35 +343,27 @@ fn main() {
         "  \"min_kernel_speedup_d64_plus\": {min_speedup_high_d:.2},"
     );
     json.push_str("  \"note\": \"scalar columns run the historical sequential kernels kept in metric::scalar (same binary, same flags); kernel secs are the fastest of kernel_reps interleaved rounds per side, speedup is their ratio and speedup_rep_min/max the spread of the per-round ratios; end_to_end median_secs are medians of reps runs; pre_kernel_secs are constants: assign_report medians recorded at the commit before the canonical-kernel switch on the host that first ran this report, so they compare only with runs on that host; naive columns are the entries a re-sort of every neighbor row per seed mutation would write\",\n");
-    json.push_str("  \"kernels\": [\n");
-    for (i, r) in kernels.iter().enumerate() {
-        let comma = if i + 1 == kernels.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"d\": {}, \"evals\": {}, {}, {}}}{}",
+    let kernel_rows = kernels.iter().map(|r| {
+        format!(
+            "{{\"d\": {}, \"evals\": {}, {}, {}}}",
             r.d,
             r.a.len() / r.d * r.iters,
             r.full.json("sq_dist"),
             r.scan.json("nn_scan"),
-            comma
-        );
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"end_to_end\": [\n");
-    for (i, r) in end_to_end.iter().enumerate() {
-        let comma = if i + 1 == end_to_end.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"case\": \"{}\", \"engine\": \"{}\", \"median_secs\": {:.6}, \"pre_kernel_secs\": {:.6}, \"speedup\": {:.2}}}{}",
+        )
+    });
+    let _ = writeln!(json, "  \"kernels\": {},", json_list(4, kernel_rows));
+    let end_to_end = end_to_end.iter().map(|r| {
+        format!(
+            "{{\"case\": \"{}\", \"engine\": \"{}\", \"median_secs\": {:.6}, \"pre_kernel_secs\": {:.6}, \"speedup\": {:.2}}}",
             r.case,
             r.engine,
             r.median_secs,
             r.pre_kernel_secs,
             r.pre_kernel_secs / r.median_secs,
-            comma
-        );
-    }
-    json.push_str("  ],\n");
+        )
+    });
+    let _ = writeln!(json, "  \"end_to_end\": {},", json_list(4, end_to_end));
     let _ = writeln!(
         json,
         "  \"seed_table\": {{\"seeds\": {}, \"build_secs\": {:.6}, \"push_build_secs\": {:.6}, \"ops\": {}, \"churn_secs\": {:.6}, \"entries\": {}, \"naive_entries\": {}, \"entries_per_op\": {:.1}, \"naive_entries_per_op\": {:.1}}},",
@@ -424,8 +386,8 @@ fn main() {
         dyn_repair.naive_entries as f64 / dyn_repair.entries.max(1) as f64
     );
     json.push_str("}\n");
-    std::fs::write(&out_path, json).expect("write report");
-    eprintln!("wrote {out_path} (min d>=64 kernel speedup {min_speedup_high_d:.2}x)");
+    write_report("BENCH_kernel.json", &json);
+    eprintln!("min d>=64 kernel speedup {min_speedup_high_d:.2}x");
     // The regression floor ci.sh enforces: the canonical kernels must beat
     // the retained metric::scalar baseline by >= 1.5x at d >= 64. Thirty
     // consecutive runs on a shared 2-vCPU x86-64 host read 1.65-1.99x at

@@ -1,6 +1,4 @@
-//! Records the observability-layer cost profile to `BENCH_obs.json`
-//! without the criterion harness (so it runs in offline environments
-//! where the criterion dependency is stubbed).
+//! Records the observability-layer cost profile to `BENCH_obs.json`.
 //!
 //! One pre-planned complex-scenario update stream (batches + maintenance)
 //! is timed under each observability configuration, and the static
@@ -25,20 +23,21 @@
 //!
 //! Usage: `obs_report [output.json]` (default `BENCH_obs.json`).
 
-use idb_bench::{complex_fixture, median};
-use idb_core::{IncrementalBubbles, MaintainerConfig, Parallelism, SeedSearch};
+use idb_bench::{json_list, median, planned_stream, write_report};
+use idb_core::{IncrementalBubbles, MaintainerConfig};
 use idb_geometry::SearchStats;
 use idb_obs::{MetricsRegistry, Obs, RingRecorder};
 use idb_store::wal::scratch_dir;
-use idb_store::Batch;
+use idb_store::{Batch, PointStore};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
 const REPS: usize = 7;
 const BATCHES: usize = 48;
+const BUBBLES: usize = 400;
 
 /// The trimmed floor of a sample set — the mean of the five smallest
 /// samples. Interference only ever adds time, so the smallest samples
@@ -65,40 +64,14 @@ fn summed_step_floors(runs: &[Vec<f64>]) -> f64 {
         .sum()
 }
 
-struct Stream {
-    store: idb_store::PointStore,
-    config: MaintainerConfig,
-    steps: Vec<(Batch, u64)>,
-}
-
-/// Pre-plans a fixed stream so every measured configuration runs the
-/// identical workload.
-fn plan_stream() -> Stream {
-    let (mut scenario, store, mut rng) = complex_fixture(2, 40_000, 31);
-    let mut sim = store.clone();
-    let steps = (0..BATCHES)
-        .map(|_| {
-            let (batch, _) = scenario.step_plain(&mut sim, &mut rng);
-            (batch, rng.gen::<u64>())
-        })
-        .collect();
-    Stream {
-        store,
-        config: MaintainerConfig::new(400)
-            .with_seed_search(SeedSearch::Pruned)
-            .with_parallelism(Parallelism::Serial),
-        steps,
-    }
-}
-
 /// Times the static construction scan — the `assign_report` build path —
 /// under the default observability a build installs (disabled, i.e. the
 /// shipped `NullRecorder`).
-fn run_build(stream: &Stream) -> f64 {
+fn run_build(store: &PointStore) -> f64 {
     let mut rng = StdRng::seed_from_u64(7);
     let mut stats = SearchStats::new();
     let t0 = Instant::now();
-    let ib = IncrementalBubbles::build(&stream.store, stream.config.clone(), &mut rng, &mut stats);
+    let ib = IncrementalBubbles::build(store, MaintainerConfig::new(BUBBLES), &mut rng, &mut stats);
     let secs = t0.elapsed().as_secs_f64();
     std::hint::black_box(ib.total_points());
     secs
@@ -106,14 +79,15 @@ fn run_build(stream: &Stream) -> f64 {
 
 /// Runs the stream once with `obs` installed; returns per-step seconds
 /// (one entry per batch + its maintenance round).
-fn run_once(stream: &Stream, obs: Obs) -> Vec<f64> {
+fn run_once(store: &PointStore, steps: &[(Batch, u64)], obs: Obs) -> Vec<f64> {
     let mut rng = StdRng::seed_from_u64(7);
     let mut stats = SearchStats::new();
-    let mut store = stream.store.clone();
-    let mut ib = IncrementalBubbles::build(&store, stream.config.clone(), &mut rng, &mut stats);
+    let mut store = store.clone();
+    let mut ib =
+        IncrementalBubbles::build(&store, MaintainerConfig::new(BUBBLES), &mut rng, &mut stats);
     ib.set_obs(obs);
-    let mut step_secs = Vec::with_capacity(stream.steps.len());
-    for (batch, seed) in &stream.steps {
+    let mut step_secs = Vec::with_capacity(steps.len());
+    for (batch, seed) in steps {
         let t0 = Instant::now();
         ib.apply_batch(&mut store, batch, &mut stats);
         let mut round_rng = StdRng::seed_from_u64(*seed);
@@ -125,10 +99,7 @@ fn run_once(stream: &Stream, obs: Obs) -> Vec<f64> {
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_obs.json".to_string());
-    let stream = plan_stream();
+    let (store, steps) = planned_stream(2, 40_000, 31, BATCHES);
     let dir = scratch_dir().join(format!("idb-obs-bench-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create bench scratch dir");
 
@@ -160,18 +131,19 @@ fn main() {
     let mut step_runs: Vec<Vec<Vec<f64>>> = vec![Vec::new(); 5];
     let mut build_samples: Vec<Vec<f64>> = vec![Vec::new(); 2];
     let mut build_ratios: Vec<f64> = Vec::new();
-    std::hint::black_box(run_once(&stream, Obs::disabled())); // Warmup.
+    std::hint::black_box(run_once(&store, &steps, Obs::disabled())); // Warmup.
     for rep in 0..REPS {
         for i in 0..6 {
             let idx = usize::from((i + rep) % 2 == 1);
-            step_runs[idx].push(run_once(&stream, Obs::disabled()));
+            step_runs[idx].push(run_once(&store, &steps, Obs::disabled()));
         }
         step_runs[2].push(run_once(
-            &stream,
+            &store,
+            &steps,
             Obs::new(Arc::new(idb_obs::NullRecorder), metrics_registry.clone()),
         ));
-        step_runs[3].push(run_once(&stream, Obs::with_recorder(ring.clone())));
-        step_runs[4].push(run_once(&stream, Obs::with_recorder(jsonl.clone())));
+        step_runs[3].push(run_once(&store, &steps, Obs::with_recorder(ring.clone())));
+        step_runs[4].push(run_once(&store, &steps, Obs::with_recorder(jsonl.clone())));
         // The build scan is a single short (~0.1s) region that cannot be
         // segmented, so it is measured as back-to-back pairs instead: the
         // two members of a pair run ~0.1s apart, too close for drift to
@@ -180,12 +152,12 @@ fn main() {
         // order flips every other pair.
         for i in 0..4 {
             let (b, n) = if (i + rep) % 2 == 0 {
-                let b = run_build(&stream);
-                let n = run_build(&stream);
+                let b = run_build(&store);
+                let n = run_build(&store);
                 (b, n)
             } else {
-                let n = run_build(&stream);
-                let b = run_build(&stream);
+                let n = run_build(&store);
+                let b = run_build(&store);
                 (b, n)
             };
             build_samples[0].push(b);
@@ -212,9 +184,7 @@ fn main() {
     json.push_str("{\n  \"bench\": \"obs\",\n");
     let _ = writeln!(json, "  \"reps\": {REPS},");
     let _ = writeln!(json, "  \"batches\": {BATCHES},");
-    json.push_str("  \"rows\": [\n");
-    for (i, (config, (secs, med))) in CONFIGS.iter().zip(floors.iter().zip(&medians)).enumerate() {
-        let comma = if i + 1 == CONFIGS.len() { "" } else { "," };
+    let rows = CONFIGS.iter().zip(floors.iter().zip(&medians)).map(|(config, (secs, med))| {
         // Each build row compares against the build baseline; every stream
         // row against the stream baseline. The build_null row reports the
         // headline paired-ratio statistic rather than a floor ratio.
@@ -224,12 +194,11 @@ fn main() {
             _ => (secs / base - 1.0) * 100.0,
         };
         eprintln!("{config}: {secs:.4}s floor / {med:.4}s median ({pct:+.2}% vs baseline)");
-        let _ = writeln!(
-            json,
-            "    {{\"config\": \"{config}\", \"floor_secs\": {secs:.6}, \"median_secs\": {med:.6}, \"overhead_pct\": {pct:.3}}}{comma}"
-        );
-    }
-    json.push_str("  ],\n");
+        format!(
+            "{{\"config\": \"{config}\", \"floor_secs\": {secs:.6}, \"median_secs\": {med:.6}, \"overhead_pct\": {pct:.3}}}"
+        )
+    });
+    let _ = writeln!(json, "  \"rows\": {},", json_list(4, rows));
     let _ = writeln!(json, "  \"null_overhead_pct\": {null_overhead_pct:.3},");
     let _ = writeln!(
         json,
@@ -245,8 +214,7 @@ fn main() {
          pairs of the static construction scan (the assign_report build path); enabled rows \
          add metrics, an in-memory journal, and a JSONL journal\"\n}\n",
     );
-    std::fs::write(&out_path, json).expect("write report");
-    eprintln!("wrote {out_path}");
+    write_report("BENCH_obs.json", &json);
     if null_overhead_pct.abs() > 2.0 {
         eprintln!("warning: null overhead {null_overhead_pct:.2}% exceeds the 2% budget");
     }

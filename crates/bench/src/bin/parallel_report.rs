@@ -1,9 +1,7 @@
 //! Records the serial-vs-parallel wall-clock comparison to
-//! `BENCH_parallel.json` without the criterion harness (so it runs in
-//! offline environments where the criterion dependency is stubbed).
+//! `BENCH_parallel.json`.
 //!
-//! The measured operation mirrors `benches/parallel.rs`: the
-//! construction-scan assignment at dim ∈ {2, 10}, N ∈ {10k, 100k}, under
+//! The measured operation is the construction-scan assignment at dim ∈ {2, 10}, N ∈ {10k, 100k}, under
 //! `Serial`, `Threads(2)` and `Threads(4)`. Results are medians of `REPS`
 //! runs; distance-computation counts are recorded alongside to document
 //! that the modes do identical work. Bubble OPTICS is not measured: its
@@ -21,15 +19,13 @@
 //!
 //! Usage: `parallel_report [output.json]` (default `BENCH_parallel.json`).
 
-use idb_bench::{median, random_fixture};
+use idb_bench::{json_list, median_secs, random_fixture, write_report};
 use idb_core::{IncrementalBubbles, MaintainerConfig, Parallelism};
 use idb_geometry::{NearestSeeds, SearchStats, SeedSearch};
 use idb_store::PointStore;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
-use std::hint::black_box;
-use std::time::Instant;
 
 const MODES: [(&str, Parallelism); 3] = [
     ("serial", Parallelism::Serial),
@@ -37,26 +33,6 @@ const MODES: [(&str, Parallelism); 3] = [
     ("threads4", Parallelism::Threads(4)),
 ];
 const REPS: usize = 5;
-
-/// Median wall-clock seconds of `REPS` runs of `f`.
-fn median_secs<F: FnMut() -> u64>(mut f: F) -> (f64, u64) {
-    let mut times = Vec::with_capacity(REPS);
-    let mut work = 0;
-    for _ in 0..REPS {
-        let t0 = Instant::now();
-        work = f();
-        times.push(t0.elapsed().as_secs_f64());
-    }
-    (median(times), work)
-}
-
-struct Row {
-    op: &'static str,
-    label: String,
-    mode: &'static str,
-    median_secs: f64,
-    distance_computations: u64,
-}
 
 /// One worker's share of a chunked batch search: how many queries the
 /// deterministic partition handed it and what its searches counted.
@@ -156,10 +132,7 @@ fn partition_replay(store: &PointStore, dim: usize, threads: usize) -> Partition
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_parallel.json".to_string());
-    let mut rows: Vec<Row> = Vec::new();
+    let mut rows = Vec::new();
 
     for &(dim, size) in &[
         (2usize, 10_000usize),
@@ -170,7 +143,7 @@ fn main() {
         let (store, _) = random_fixture(dim, size, 11);
         let label = format!("d{dim}_n{size}_s200");
         for (mode, par) in MODES {
-            let (median, work) = median_secs(|| {
+            let (median, (_, work)) = median_secs(REPS, || {
                 let mut rng = StdRng::seed_from_u64(1);
                 let mut stats = SearchStats::new();
                 let ib = IncrementalBubbles::build(
@@ -179,17 +152,12 @@ fn main() {
                     &mut rng,
                     &mut stats,
                 );
-                black_box(ib.total_points());
-                stats.computed
+                (ib.total_points(), stats.computed)
             });
             eprintln!("build {label} {mode}: {median:.4}s ({work} distances)");
-            rows.push(Row {
-                op: "build",
-                label: label.clone(),
-                mode,
-                median_secs: median,
-                distance_computations: work,
-            });
+            rows.push(format!(
+                "{{\"op\": \"build\", \"case\": \"{label}\", \"mode\": \"{mode}\", \"median_secs\": {median:.6}, \"distance_computations\": {work}}}"
+            ));
         }
     }
 
@@ -213,36 +181,28 @@ fn main() {
     let _ = writeln!(json, "  \"reps\": {REPS},");
     let _ = writeln!(json, "  \"host_available_parallelism\": {host_threads},");
     json.push_str("  \"note\": \"medians; all modes compute bit-identical results and identical distance counts (see the differential suites); speedup requires host_available_parallelism > 1\",\n");
-    json.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"op\": \"{}\", \"case\": \"{}\", \"mode\": \"{}\", \"median_secs\": {:.6}, \"distance_computations\": {}}}{}",
-            r.op, r.label, r.mode, r.median_secs, r.distance_computations, comma
-        );
-    }
-    json.push_str("  ],\n");
+    let _ = writeln!(json, "  \"results\": {},", json_list(4, rows));
     json.push_str("  \"work_partition_note\": \"exact replay of the batch driver's contiguous chunk split; per-worker counters asserted to sum to the threaded run's counters; evenness = min/max across workers\",\n");
-    json.push_str("  \"work_partition\": [\n");
-    for (i, p) in partitions.iter().enumerate() {
-        let comma = if i + 1 == partitions.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"case\": \"{}\", \"threads\": {}, \"candidate_evenness\": {:.6}, \"computed_evenness\": {:.6}, \"workers\": [",
-            p.case, p.threads, p.candidate_evenness, p.computed_evenness
-        );
-        for (j, w) in p.workers.iter().enumerate() {
-            let wcomma = if j + 1 == p.workers.len() { "" } else { "," };
-            let _ = writeln!(
-                json,
-                "      {{\"worker\": {}, \"points\": {}, \"computed\": {}, \"pruned\": {}, \"partial\": {}}}{}",
-                w.worker, w.points, w.stats.computed, w.stats.pruned, w.stats.partial, wcomma
-            );
-        }
-        let _ = writeln!(json, "    ]}}{comma}");
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, json).expect("write report");
-    eprintln!("wrote {out_path}");
+    let partitions = partitions.iter().map(|p| {
+        let workers = p.workers.iter().map(|w| {
+            format!(
+                "{{\"worker\": {}, \"points\": {}, \"computed\": {}, \"pruned\": {}, \"partial\": {}}}",
+                w.worker, w.points, w.stats.computed, w.stats.pruned, w.stats.partial
+            )
+        });
+        format!(
+            "{{\"case\": \"{}\", \"threads\": {}, \"candidate_evenness\": {:.6}, \"computed_evenness\": {:.6}, \"workers\": {}}}",
+            p.case,
+            p.threads,
+            p.candidate_evenness,
+            p.computed_evenness,
+            json_list(6, workers)
+        )
+    });
+    let _ = writeln!(
+        json,
+        "  \"work_partition\": {}\n}}",
+        json_list(4, partitions)
+    );
+    write_report("BENCH_parallel.json", &json);
 }

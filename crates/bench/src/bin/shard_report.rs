@@ -1,6 +1,5 @@
 //! Records the sharded service layer's scaling profile to
-//! `BENCH_shard.json` without the criterion harness (so it runs in
-//! offline environments where the criterion dependency is stubbed).
+//! `BENCH_shard.json`.
 //!
 //! Two measurements:
 //!
@@ -17,7 +16,7 @@
 //!
 //! Usage: `shard_report [output.json]` (default `BENCH_shard.json`).
 
-use idb_bench::median;
+use idb_bench::{json_list, median, write_report};
 use idb_core::{DurabilityConfig, MaintainerConfig};
 use idb_geometry::Parallelism;
 use idb_obs::Obs;
@@ -63,15 +62,26 @@ fn make_router(shards: u32) -> (ShardRouter<ObjectSink<MemMedium>, MemMedium>, V
     (router, ids)
 }
 
+/// Batch `i` of the fixed stream: deletes the `i`-th run of
+/// `DELETES_PER_BATCH` initial points (the stream never outruns them) and
+/// inserts fresh ones.
+fn stream_batch(initial: &[PointId], i: usize, rng: &mut StdRng) -> Batch {
+    Batch {
+        deletes: initial[i * DELETES_PER_BATCH..(i + 1) * DELETES_PER_BATCH].to_vec(),
+        inserts: (0..INSERTS_PER_BATCH)
+            .map(|_| (random_point(rng), Some(1)))
+            .collect(),
+    }
+}
+
 /// Runs the fixed stream at one shard count: waves of `WAVE` submissions
 /// drained with as many threads as shards. Returns (total seconds, drain
 /// seconds, points at end) — the drain is the part the shard count
 /// parallelizes (routing and queueing stay serial at the client), and
 /// the point count doubles as a cheap cross-run equality check.
 fn run_stream(shards: u32) -> (f64, f64, u64) {
-    let (mut router, mut live) = make_router(shards);
+    let (mut router, initial) = make_router(shards);
     let mut brng = StdRng::seed_from_u64(0x5AD);
-    let mut cursor = 0usize;
     let drain_mode = Parallelism::Threads(shards as usize);
 
     let t0 = Instant::now();
@@ -79,22 +89,15 @@ fn run_stream(shards: u32) -> (f64, f64, u64) {
     let mut done = 0usize;
     while done < BATCHES {
         let wave = WAVE.min(BATCHES - done);
-        for _ in 0..wave {
-            let deletes: Vec<PointId> = live[cursor..cursor + DELETES_PER_BATCH].to_vec();
-            cursor += DELETES_PER_BATCH;
-            let batch = Batch {
-                deletes,
-                inserts: (0..INSERTS_PER_BATCH)
-                    .map(|_| (random_point(&mut brng), Some(1)))
-                    .collect(),
-            };
+        for i in done..done + wave {
+            let batch = stream_batch(&initial, i, &mut brng);
             router.submit(&batch).expect("queue sized for the wave");
         }
         let td = Instant::now();
         let results = router.drain_with(drain_mode);
         drain_secs += td.elapsed().as_secs_f64();
         for (_, result) in results {
-            live.extend(result.expect("valid batches"));
+            result.expect("valid batches");
         }
         done += wave;
     }
@@ -106,9 +109,6 @@ fn run_stream(shards: u32) -> (f64, f64, u64) {
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_shard.json".to_string());
     let mut json = String::new();
     json.push_str("{\n  \"bench\": \"shard\",\n");
     let _ = writeln!(json, "  \"reps\": {REPS},");
@@ -125,10 +125,9 @@ fn main() {
     );
 
     // Throughput vs. shard count.
-    json.push_str("  \"throughput\": [\n");
     let mut reference_points = None;
-    let shard_counts = [1u32, 2, 4, 8];
-    for (i, &shards) in shard_counts.iter().enumerate() {
+    let mut throughput = Vec::new();
+    for shards in [1u32, 2, 4, 8] {
         let mut times = Vec::new();
         let mut drains = Vec::new();
         let mut points = 0u64;
@@ -145,30 +144,20 @@ fn main() {
         let secs = median(times);
         let drain = median(drains);
         eprintln!("{shards} shards: {secs:.4}s total, {drain:.4}s in drain, {BATCHES} batches");
-        let comma = if i + 1 == shard_counts.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"shards\": {shards}, \"median_secs\": {secs:.6}, \"median_drain_secs\": {drain:.6}, \"batches_per_sec\": {:.1}}}{comma}",
+        throughput.push(format!(
+            "{{\"shards\": {shards}, \"median_secs\": {secs:.6}, \"median_drain_secs\": {drain:.6}, \"batches_per_sec\": {:.1}}}",
             BATCHES as f64 / secs
-        );
+        ));
     }
-    json.push_str("  ],\n");
+    let _ = writeln!(json, "  \"throughput\": {},", json_list(4, throughput));
 
     // Single-partition recovery vs. whole-system restart, on the state
     // the stream left behind.
-    let (mut router, mut live) = make_router(8);
+    let (mut router, initial) = make_router(8);
     let mut brng = StdRng::seed_from_u64(0x5AD);
-    let mut cursor = 0usize;
-    for _ in 0..BATCHES {
-        let deletes: Vec<PointId> = live[cursor..cursor + DELETES_PER_BATCH].to_vec();
-        cursor += DELETES_PER_BATCH;
-        let batch = Batch {
-            deletes,
-            inserts: (0..INSERTS_PER_BATCH)
-                .map(|_| (random_point(&mut brng), Some(1)))
-                .collect(),
-        };
-        live.extend(router.apply(&batch).expect("valid batches"));
+    for i in 0..BATCHES {
+        let batch = stream_batch(&initial, i, &mut brng);
+        router.apply(&batch).expect("valid batches");
     }
     router.sync_all();
 
@@ -197,6 +186,5 @@ fn main() {
         "  \"recovery\": [\n    {{\"scope\": \"single_partition\", \"median_secs\": {single:.6}}},\n    {{\"scope\": \"whole_system\", \"median_secs\": {whole:.6}}}\n  ],"
     );
     json.push_str("  \"note\": \"uniform d4 stream over 8 partitions; shard counts share one bit-identical outcome (see crates/shard/tests/differential.rs); recovery restarts via checkpoint + WAL-tail replay while sibling partitions keep serving\"\n}\n");
-    std::fs::write(&out_path, json).expect("write report");
-    eprintln!("wrote {out_path}");
+    write_report("BENCH_shard.json", &json);
 }

@@ -61,16 +61,6 @@ impl ReachabilityPlot {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Maximum finite reachability, or `None` when all are infinite.
-    #[must_use]
-    pub fn max_finite_reachability(&self) -> Option<f64> {
-        self.entries
-            .iter()
-            .map(|e| e.reachability)
-            .filter(|r| r.is_finite())
-            .fold(None, |acc, r| Some(acc.map_or(r, |a: f64| a.max(r))))
-    }
 }
 
 #[cfg(test)]
@@ -86,34 +76,6 @@ mod tests {
         assert!(!p.is_empty());
         assert_eq!(p.entries()[1].id, 7);
         assert_eq!(p.entries()[1].reachability, 1.5);
-    }
-
-    #[test]
-    fn max_ignores_infinite() {
-        let p = ReachabilityPlot::from_entries(vec![
-            PlotEntry {
-                id: 0,
-                reachability: f64::INFINITY,
-            },
-            PlotEntry {
-                id: 1,
-                reachability: 2.0,
-            },
-            PlotEntry {
-                id: 2,
-                reachability: 4.0,
-            },
-        ]);
-        assert_eq!(p.max_finite_reachability(), Some(4.0));
-    }
-
-    #[test]
-    fn all_infinite_yields_none() {
-        let p = ReachabilityPlot::from_entries(vec![PlotEntry {
-            id: 0,
-            reachability: f64::INFINITY,
-        }]);
-        assert_eq!(p.max_finite_reachability(), None);
     }
 
     #[test]

@@ -40,6 +40,6 @@ mod recorder;
 
 pub use check::{check_journal, check_journal_sharded, JournalSummary};
 pub use event::{Cause, Event, EventKind, SinkOp};
-pub use metrics::{Counter, Histogram, MetricsRegistry, MetricsShard, LATENCY_BOUNDS_US};
+pub use metrics::{Counter, Histogram, MetricsRegistry, LATENCY_BOUNDS_US};
 pub use obs::{Obs, ObsTimer};
 pub use recorder::{JsonlRecorder, NullRecorder, Recorder, RingRecorder};

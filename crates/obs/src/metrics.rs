@@ -210,34 +210,6 @@ impl MetricsRegistry {
     }
 }
 
-/// A private, single-threaded accumulator for parallel sections: workers
-/// add into their own shard without synchronization, and the coordinator
-/// folds the shards into the shared registry in chunk order.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsShard {
-    counts: BTreeMap<String, u64>,
-}
-
-impl MetricsShard {
-    /// An empty shard.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `n` to the shard-local counter `name`.
-    pub fn add(&mut self, name: &str, n: u64) {
-        *self.counts.entry(name.to_string()).or_default() += n;
-    }
-
-    /// Folds this shard into `registry` and clears it.
-    pub fn merge_into(&mut self, registry: &MetricsRegistry) {
-        for (name, n) in std::mem::take(&mut self.counts) {
-            registry.counter(&name).add(n);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,27 +246,6 @@ mod tests {
         assert_eq!(h2.bounds(), &[10, 20]);
         h1.record(15);
         assert_eq!(h2.count(), 1);
-    }
-
-    #[test]
-    fn shards_merge_into_the_registry() {
-        let reg = MetricsRegistry::new();
-        let mut s1 = MetricsShard::new();
-        let mut s2 = MetricsShard::new();
-        s1.add("n", 3);
-        s2.add("n", 4);
-        s2.add("m", 1);
-        // Chunk order: shard 1 then shard 2. Addition is commutative, so
-        // any merge order lands on the same totals — the ordering
-        // discipline matters for event streams, not counters, but the
-        // fold still walks shards in chunk order by construction.
-        s1.merge_into(&reg);
-        s2.merge_into(&reg);
-        assert_eq!(
-            reg.counters(),
-            vec![("m".to_string(), 1), ("n".to_string(), 7)]
-        );
-        assert!(s1.counts.is_empty() && s2.counts.is_empty());
     }
 
     #[test]
