@@ -46,8 +46,10 @@ if [ -n "$(find "$IDB_COLD_DIR" -mindepth 1 -print -quit)" ]; then
     exit 1
 fi
 # Observability (DESIGN.md §12): the JSONL journals the core differential
-# suite wrote above, parsed from disk and checked against the op-journal
-# invariants (split pairing, batch accounting, non-empty commit groups).
+# suite wrote above, parsed from disk and checked against the seven
+# op-journal invariants of crates/obs/src/check.rs (split pairing, batch
+# accounting, non-empty commit groups, rotation and compaction
+# monotonicity, chunk streams, nonzero tier traffic).
 cargo run $CARGOFLAGS --release -q -p idb-bench --bin journal_check -- "$IDB_WAL_DIR/idb-journals"
 # Report smoke runs with their checks: the shard report (DESIGN.md §13),
 # the delta report's per-epoch bit-identity with the full pipeline and

@@ -12,9 +12,7 @@
 //!
 //! Usage: `summary_report [output.json]` (default `BENCH_summary.json`).
 
-use idb_bench::{
-    complex_fixture, json_list, median_secs, median_secs_with, random_fixture, write_report,
-};
+use idb_bench::{json_list, median_secs, median_secs_with, random_fixture, write_report};
 use idb_birch::CfTree;
 use idb_clustering::{optics_bubbles, optics_points};
 use idb_core::{IncrementalBubbles, MaintainerConfig, SeedSearch, SplitSeedPolicy};
@@ -27,10 +25,14 @@ use std::hint::black_box;
 const REPS: usize = 5;
 const SIZE: usize = 20_000;
 const BUBBLES: usize = 200;
+/// The maintenance fixture's summary size: ten points per bubble.
+const MAINTAIN_BUBBLES: usize = 2_000;
+/// Unmaintained 10% batches applied before the measured round.
+const MAINTAIN_BATCHES: usize = 10;
 /// Classifications per timed run: one takes about a microsecond, too
 /// close to the timer's own cost to time alone.
 const CLASSIFY_CALLS: usize = 1_000;
-const NOTE: &str = "medians, serial mode, pruned engine unless named; state a measured run mutates is cloned before the clock starts; computed counts full distance computations (the paper's Figure 10/11 currency); incremental_vs_rebuild applies one withheld batch to a warmed-up summary (apply + one maintain round) against a brute-force rebuild of the updated database; optics runs OPTICS with unbounded eps and min_pts 10 on the raw points and on the bubble summary expanded to a point-level plot; ingest builds data bubbles against CF-tree insertion (branching 8, leaf capacity 16, threshold 5.0); maintenance times beta classification alone (per call, over 1000 calls per run) and one maintain round under each split-seed policy, four unmaintained batches after the build";
+const NOTE: &str = "medians, serial mode, pruned engine unless named; state a measured run mutates is cloned before the clock starts; computed counts full distance computations (the paper's Figure 10/11 currency); incremental_vs_rebuild applies one withheld batch to a warmed-up summary (apply + one maintain round) against a brute-force rebuild of the updated database; optics runs OPTICS with unbounded eps and min_pts 10 on the raw points and on the bubble summary expanded to a point-level plot; ingest builds data bubbles against CF-tree insertion (branching 8, leaf capacity 16, threshold 5.0); maintenance times beta classification alone (per call, over 1000 calls per run) and one maintain round under each split-seed policy, on random churn with 2000 bubbles (ten points each) after ten unmaintained 10% batches";
 
 /// Incremental maintenance of one batch against a complete rebuild.
 fn incremental_rows() -> Vec<String> {
@@ -173,14 +175,18 @@ fn ingest_rows() -> Vec<String> {
 
 /// β classification and one maintain round per split-seed policy.
 fn maintenance_rows() -> Vec<String> {
-    // A state right after four disruptive batches with no maintenance, so
-    // the measured round has real work.
+    // Random churn over ten points per bubble, ten unmaintained batches
+    // after the build: the measured round has tens of over-filled
+    // bubbles to split.
     let state = |policy: SplitSeedPolicy| {
-        let (mut engine, mut store, mut rng) = complex_fixture(2, SIZE, 31);
+        let mut rng = StdRng::seed_from_u64(31);
+        let spec = ScenarioSpec::named(ScenarioKind::Random, 2, SIZE, 0.10);
+        let mut engine = ScenarioEngine::new(spec);
+        let mut store = engine.populate(&mut rng);
         let mut search = SearchStats::new();
-        let config = MaintainerConfig::new(BUBBLES).with_split_seeds(policy);
+        let config = MaintainerConfig::new(MAINTAIN_BUBBLES).with_split_seeds(policy);
         let mut ib = IncrementalBubbles::build(&store, config, &mut rng, &mut search);
-        for _ in 0..4 {
+        for _ in 0..MAINTAIN_BATCHES {
             let batch = engine.plan(&mut rng);
             let ids = ib.apply_batch(&mut store, &batch, &mut search);
             engine.confirm(&ids);

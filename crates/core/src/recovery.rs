@@ -893,14 +893,21 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
         Ok(this)
     }
 
-    /// Emits a `health` journal event when the degraded/healthy state has
-    /// changed since the last one.
-    fn note_health(&mut self) {
-        let degraded = self.wal_down
+    /// Whether any durability flag holds the maintainer degraded: the WAL
+    /// sink or checkpoint store down, disk-budget pressure, or the cold
+    /// tier down or poisoned.
+    fn degraded(&self) -> bool {
+        self.wal_down
             || self.checkpoint_down
             || self.budget_pressure
             || self.tier_down
-            || self.tier_poisoned;
+            || self.tier_poisoned
+    }
+
+    /// Emits a `health` journal event when the degraded/healthy state has
+    /// changed since the last one.
+    fn note_health(&mut self) {
+        let degraded = self.degraded();
         if degraded != self.reported_degraded {
             self.reported_degraded = degraded;
             self.obs.emit(
@@ -1464,34 +1471,28 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
             self.next_checkpoint_seq = p.seq + 1;
         }
         let timer = self.obs.start();
-        let blob = encode_checkpoint(
-            self.next_checkpoint_seq,
-            self.batches_applied,
-            &self.store,
-            &self.bubbles,
-        )?;
-        self.checkpoints.save(self.next_checkpoint_seq, &blob)?;
-        self.obs.emit(
-            EventKind::Checkpoint {
-                seq: self.next_checkpoint_seq,
-                covered: self.batches_applied,
-                bytes: blob.len() as u64,
+        let (seq, covered) = (self.next_checkpoint_seq, self.batches_applied);
+        let blob = encode_checkpoint(seq, covered, &self.store, &self.bubbles)?;
+        self.checkpoints.save(seq, &blob)?;
+        let us = timer.us();
+        self.bubbles.open_dirty_window();
+        let written = blob.len();
+        self.finish_checkpoint(
+            &PendingCheckpoint {
+                seq,
+                covered,
+                blob,
+                written,
+                is_full: true,
             },
-            timer.us(),
+            us,
         );
         if self.obs.metrics_on() {
-            let m = self.obs.metrics();
-            m.counter("checkpoint.taken").inc();
-            m.counter("checkpoint.bytes").add(blob.len() as u64);
-            m.histogram("checkpoint.encode_us").record(timer.us());
+            self.obs
+                .metrics()
+                .histogram("checkpoint.encode_us")
+                .record(us);
         }
-        self.bubbles.open_dirty_window();
-        self.last_full = Some((self.next_checkpoint_seq, self.batches_applied));
-        self.checkpoints_since_full = 0;
-        self.next_checkpoint_seq += 1;
-        self.last_checkpoint_at = self.batches_applied;
-        self.checkpoint_down = false;
-        self.compact();
         Ok(())
     }
 
@@ -1500,12 +1501,7 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
     /// budget is forcing sheds, or while the cold tier is down/poisoned.
     #[must_use]
     pub fn health(&self) -> Health {
-        if self.wal_down
-            || self.checkpoint_down
-            || self.budget_pressure
-            || self.tier_down
-            || self.tier_poisoned
-        {
+        if self.degraded() {
             Health::Degraded {
                 buffered_batches: self.wal.pending_records(),
                 shed_batches: self.shed_batches,

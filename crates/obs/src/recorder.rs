@@ -2,7 +2,7 @@
 //!
 //! * [`NullRecorder`] — the default; reports itself disabled so emission
 //!   sites skip event construction and timing entirely.
-//! * [`RingRecorder`] — an in-memory ring for tests and the equivalence
+//! * [`RingRecorder`] — an in-memory log for tests and the equivalence
 //!   suites.
 //! * [`JsonlRecorder`] — appends one JSON object per event to a file,
 //!   opened lazily on the first event so idle maintainers leave no
@@ -46,80 +46,47 @@ impl Recorder for NullRecorder {
     }
 }
 
-/// An in-memory recorder keeping the most recent events (all of them by
-/// default), for tests and the bit-identity suites.
+/// An in-memory recorder keeping every event, for tests and the
+/// bit-identity suites.
 #[derive(Debug, Default)]
 pub struct RingRecorder {
-    inner: Mutex<RingInner>,
-}
-
-#[derive(Debug, Default)]
-struct RingInner {
-    events: Vec<Event>,
-    capacity: Option<usize>,
-    dropped: u64,
+    events: Mutex<Vec<Event>>,
 }
 
 impl RingRecorder {
-    /// An unbounded recorder.
+    /// An empty recorder.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// A recorder keeping only the newest `capacity` events.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "a zero-capacity ring records nothing");
-        RingRecorder {
-            inner: Mutex::new(RingInner {
-                events: Vec::new(),
-                capacity: Some(capacity),
-                dropped: 0,
-            }),
-        }
-    }
-
-    /// A snapshot of the retained events, oldest first.
+    /// A snapshot of the recorded events, oldest first.
     #[must_use]
     pub fn events(&self) -> Vec<Event> {
-        self.inner.lock().expect("ring poisoned").events.clone()
+        self.events.lock().expect("ring poisoned").clone()
     }
 
-    /// The number of events currently retained.
+    /// The number of events recorded.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("ring poisoned").events.len()
+        self.events.lock().expect("ring poisoned").len()
     }
 
-    /// Whether no events are retained.
+    /// Whether no events are recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// How many events the capacity bound evicted.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.inner.lock().expect("ring poisoned").dropped
-    }
-
-    /// Removes and returns every retained event, oldest first.
+    /// Removes and returns every recorded event, oldest first.
     pub fn take(&self) -> Vec<Event> {
-        std::mem::take(&mut self.inner.lock().expect("ring poisoned").events)
+        std::mem::take(&mut *self.events.lock().expect("ring poisoned"))
     }
 }
 
 impl Recorder for RingRecorder {
     fn record(&self, event: Event) {
-        let mut inner = self.inner.lock().expect("ring poisoned");
-        if let Some(cap) = inner.capacity {
-            if inner.events.len() == cap {
-                inner.events.remove(0);
-                inner.dropped += 1;
-            }
-        }
-        inner.events.push(event);
+        self.events.lock().expect("ring poisoned").push(event);
     }
 }
 
@@ -236,13 +203,12 @@ mod tests {
 
     #[test]
     fn ring_keeps_order_and_honors_capacity() {
-        let r = RingRecorder::with_capacity(2);
+        let r = RingRecorder::new();
         assert!(r.is_enabled() && r.is_empty());
         for i in 0..4 {
             r.record(ev(i));
         }
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.dropped(), 2);
+        assert_eq!(r.len(), 4);
         let events: Vec<u32> = r
             .take()
             .iter()
@@ -251,7 +217,7 @@ mod tests {
                 _ => unreachable!(),
             })
             .collect();
-        assert_eq!(events, vec![2, 3]);
+        assert_eq!(events, vec![0, 1, 2, 3]);
         assert!(r.is_empty());
     }
 

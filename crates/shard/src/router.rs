@@ -86,6 +86,38 @@ struct PendingTicket {
     error: Option<ShardError>,
 }
 
+/// What applying one queue entry produced, kept with the entry's routing
+/// facts until it is settled on its ticket.
+#[derive(Debug)]
+struct Outcome {
+    ticket: u64,
+    partition: u32,
+    insert_positions: Vec<u32>,
+    result: Result<Vec<PointId>, ShardError>,
+}
+
+/// Records an entry's outcome on its pending ticket: the client ids of
+/// its inserts, or its error when the ticket has none yet.
+fn settle(pending: &mut BTreeMap<u64, PendingTicket>, outcome: Outcome) {
+    let ticket = pending
+        .get_mut(&outcome.ticket)
+        .expect("drained entry without a pending ticket");
+    match outcome.result {
+        Ok(locals) => {
+            for (&pos, &local) in outcome.insert_positions.iter().zip(&locals) {
+                ticket.ids[pos as usize] = GlobalId {
+                    partition: outcome.partition,
+                    local,
+                }
+                .client_id();
+            }
+        }
+        Err(e) => {
+            ticket.error.get_or_insert(e);
+        }
+    }
+}
+
 /// Supervisor view of one partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PartitionStatus {
@@ -395,39 +427,21 @@ impl<S: DurableSink, C: CheckpointStore> ShardRouter<S, C> {
         Ok(ticket)
     }
 
-    /// Applies one queue entry to its partition and records the outcome
-    /// on the pending ticket.
-    fn apply_entry(
-        slot: &mut PartitionSlot<S, C>,
-        entry: QueueEntry,
-        pending: &mut BTreeMap<u64, PendingTicket>,
-    ) {
-        let ticket = pending
-            .get_mut(&entry.ticket)
-            .expect("queued entry without a pending ticket");
-        let Some(maintainer) = slot.maintainer.as_mut() else {
+    /// Applies one queue entry to its partition.
+    fn run_entry(slot: &mut PartitionSlot<S, C>, entry: QueueEntry) -> Outcome {
+        let partition = entry.partition;
+        let result = match slot.maintainer.as_mut() {
             // Crashed between submit and drain.
-            ticket.error.get_or_insert(ShardError::Unavailable {
-                partition: entry.partition,
-            });
-            return;
+            None => Err(ShardError::Unavailable { partition }),
+            Some(m) => m
+                .apply(&entry.sub, &mut slot.rng, &mut slot.search)
+                .map_err(|source| ShardError::Rejected { partition, source }),
         };
-        match maintainer.apply(&entry.sub, &mut slot.rng, &mut slot.search) {
-            Ok(locals) => {
-                for (&pos, &local) in entry.insert_positions.iter().zip(&locals) {
-                    ticket.ids[pos as usize] = GlobalId {
-                        partition: entry.partition,
-                        local,
-                    }
-                    .client_id();
-                }
-            }
-            Err(source) => {
-                ticket.error.get_or_insert(ShardError::Rejected {
-                    partition: entry.partition,
-                    source,
-                });
-            }
+        Outcome {
+            ticket: entry.ticket,
+            partition,
+            insert_positions: entry.insert_positions,
+            result,
         }
     }
 
@@ -436,11 +450,8 @@ impl<S: DurableSink, C: CheckpointStore> ShardRouter<S, C> {
     pub fn drain(&mut self) -> Vec<TicketResult> {
         for queue in &mut self.queues {
             while let Some(entry) = queue.pop_front() {
-                Self::apply_entry(
-                    &mut self.slots[entry.partition as usize],
-                    entry,
-                    &mut self.pending,
-                );
+                let outcome = Self::run_entry(&mut self.slots[entry.partition as usize], entry);
+                settle(&mut self.pending, outcome);
             }
         }
         self.take_completed()
@@ -694,7 +705,6 @@ impl<S: DurableSink + Send, C: CheckpointStore + Send> ShardRouter<S, C> {
         }
 
         // Outcomes per shard, merged deterministically afterwards.
-        type Outcome = (u64, u32, Vec<u32>, Result<Vec<PointId>, ShardError>);
         let mut buckets: Vec<Vec<(usize, Vec<Outcome>)>> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(threads);
             let mut lanes: Vec<Vec<ShardWork<'_, S, C>>> =
@@ -709,23 +719,7 @@ impl<S: DurableSink + Send, C: CheckpointStore + Send> ShardRouter<S, C> {
                         let mut shard_out: Vec<Outcome> = Vec::new();
                         while let Some(entry) = queue.pop_front() {
                             let slot = &mut slots[entry.partition as usize - start];
-                            let result = match slot.maintainer.as_mut() {
-                                None => Err(ShardError::Unavailable {
-                                    partition: entry.partition,
-                                }),
-                                Some(m) => m
-                                    .apply(&entry.sub, &mut slot.rng, &mut slot.search)
-                                    .map_err(|source| ShardError::Rejected {
-                                        partition: entry.partition,
-                                        source,
-                                    }),
-                            };
-                            shard_out.push((
-                                entry.ticket,
-                                entry.partition,
-                                entry.insert_positions,
-                                result,
-                            ));
+                            shard_out.push(Self::run_entry(slot, entry));
                         }
                         out.push((start, shard_out));
                     }
@@ -741,26 +735,11 @@ impl<S: DurableSink + Send, C: CheckpointStore + Send> ShardRouter<S, C> {
             buckets
         });
 
-        // Merge in (shard, FIFO) order — the serial drain's order.
+        // Settle in (shard, FIFO) order — the serial drain's order.
         let mut merged: Vec<(usize, Vec<Outcome>)> = buckets.drain(..).flatten().collect();
         merged.sort_by_key(|(start, _)| *start);
-        for (_, outcomes) in merged {
-            for (ticket, partition, insert_positions, result) in outcomes {
-                let pending = self
-                    .pending
-                    .get_mut(&ticket)
-                    .expect("drained entry without a pending ticket");
-                match result {
-                    Ok(locals) => {
-                        for (&pos, &local) in insert_positions.iter().zip(&locals) {
-                            pending.ids[pos as usize] = GlobalId { partition, local }.client_id();
-                        }
-                    }
-                    Err(e) => {
-                        pending.error.get_or_insert(e);
-                    }
-                }
-            }
+        for outcome in merged.into_iter().flat_map(|(_, outcomes)| outcomes) {
+            settle(&mut self.pending, outcome);
         }
         self.queues = (0..shards).map(|_| VecDeque::new()).collect();
         self.take_completed()
