@@ -55,10 +55,12 @@ cargo run $CARGOFLAGS --release -q -p idb-bench --bin journal_check -- "$IDB_WAL
 # the delta report's per-epoch bit-identity with the full pipeline and
 # delta-stream replay (§14), the kernel report's 1.5x speedup at
 # d >= 64, which also builds the seed neighbor table both by `from_seeds`
-# and by pushes (they must agree) and reads its repair ledger off a live
-# maintainer (§15), the durability report's bounded WAL footprint over
-# 2,500 batches (§16) and its tiered ≡ resident snapshot bytes (§17), and
-# the parallel report's partition replay ≡ threaded counters (§9).
+# and by pushes (they must agree), checks every row against a fresh
+# `from_seeds` after 768 churn ops whose re-seeds the rows settle lazily,
+# and reads its repair ledger off a live maintainer (§15), the durability
+# report's bounded WAL footprint over 2,500 batches (§16) and its
+# tiered ≡ resident snapshot bytes (§17), and the parallel report's
+# partition replay ≡ threaded counters (§9).
 for report in shard delta kernel durability parallel; do
     cargo run $CARGOFLAGS --release -q -p idb-bench --bin "${report}_report" -- \
         "$IDB_WAL_DIR/BENCH_${report}_smoke.json"

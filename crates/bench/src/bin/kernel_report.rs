@@ -16,9 +16,10 @@
 //!   the speedup column holds only on that host).
 //! * **Neighbor-table accounting**: the `from_seeds` build at s = 512
 //!   (against the same table built by `s` pushes), a seed-churn
-//!   microbenchmark, and the dynamic flow's own repair ledger — row
-//!   entries actually moved or written per structural seed change, next to
-//!   the `s²` a per-mutation re-sort of every row would write (`naive`).
+//!   microbenchmark, a re-seed loop that reads rows as sparsely as
+//!   maintenance does, and the dynamic flow's own repair ledger — row
+//!   entries written per structural seed change, next to the `s²` a
+//!   per-mutation re-sort of every row would write (`naive`).
 //!
 //! Usage: `kernel_report [output.json]` (default `BENCH_kernel.json`).
 
@@ -265,12 +266,22 @@ struct TableReport {
     entries: u64,
     naive_entries: u64,
     churn_secs: f64,
+    reseeds: u64,
+    reseed_entries: u64,
+    reseed_secs: f64,
 }
+
+/// Rows read between two re-seeds in the re-seed loop: about what the
+/// `many_bubbles` workload reads.
+const READS_PER_RESEED: usize = 11;
 
 /// The neighbor table at s = 512: the median `from_seeds` build, the same
 /// table built by `s` pushes, then replace and swap-remove+push cycles —
 /// the structural mutations maintenance performs — with the repair ledger
-/// counting the row entries each one moves or writes.
+/// counting the row entries each one (and each settle of a re-seed into
+/// the rows) writes; then re-seeds alone, each followed by in-place reads
+/// of [`READS_PER_RESEED`] random rows. After each loop every row, read,
+/// must equal a fresh `from_seeds` over the final coordinates.
 fn table_report(rng: &mut StdRng) -> TableReport {
     const S: usize = 512;
     const D: usize = 10;
@@ -302,11 +313,32 @@ fn table_report(rng: &mut StdRng) -> TableReport {
     }
     let churn_secs = t0.elapsed().as_secs_f64();
     let r = seeds.repair_stats();
+    let assert_fresh = |seeds: &NearestSeeds, after: &str| {
+        let fresh = NearestSeeds::from_seeds(D, (0..seeds.len()).map(|i| seeds.seed(i)));
+        assert!(
+            (0..seeds.len()).all(|i| seeds.neighbor_order(i) == fresh.neighbor_order(i)
+                && seeds.neighbor_distances(i) == fresh.neighbor_distances(i)),
+            "after the {after} every row must equal from_seeds over the final coordinates"
+        );
+    };
+    assert_fresh(&seeds, "churn");
+    let t0 = Instant::now();
+    for _ in 0..3 * CYCLES {
+        seeds.replace(rng.gen_range(0..S), &point(rng));
+        for _ in 0..READS_PER_RESEED {
+            seeds.settle_row(rng.gen_range(0..S));
+        }
+    }
+    let reseed_secs = t0.elapsed().as_secs_f64();
+    let reseed = seeds.repair_stats().delta_since(&r);
+    assert_fresh(&seeds, "re-seeds");
     eprintln!(
-        "seed table s={S}: build {build_secs:.4}s ({push_build_secs:.4}s by pushes); {} ops in {churn_secs:.4}s, {:.0} entries/op vs {:.0} naive/op",
+        "seed table s={S}: build {build_secs:.4}s ({push_build_secs:.4}s by pushes); {} ops in {churn_secs:.4}s, {:.0} entries/op vs {:.0} naive/op; {} re-seeds in {reseed_secs:.4}s, {:.0} entries/op",
         r.ops,
         r.entries as f64 / r.ops as f64,
-        r.naive_entries as f64 / r.ops as f64
+        r.naive_entries as f64 / r.ops as f64,
+        reseed.ops,
+        reseed.entries as f64 / reseed.ops as f64,
     );
     TableReport {
         seeds: S,
@@ -316,6 +348,9 @@ fn table_report(rng: &mut StdRng) -> TableReport {
         entries: r.entries,
         naive_entries: r.naive_entries,
         churn_secs,
+        reseeds: reseed.ops,
+        reseed_entries: reseed.entries,
+        reseed_secs,
     }
 }
 
@@ -342,7 +377,7 @@ fn main() {
         json,
         "  \"min_kernel_speedup_d64_plus\": {min_speedup_high_d:.2},"
     );
-    json.push_str("  \"note\": \"scalar columns run the historical sequential kernels kept in metric::scalar (same binary, same flags); kernel secs are the fastest of kernel_reps interleaved rounds per side, speedup is their ratio and speedup_rep_min/max the spread of the per-round ratios; end_to_end median_secs are medians of reps runs; pre_kernel_secs are constants: assign_report medians recorded at the commit before the canonical-kernel switch on the host that first ran this report, so they compare only with runs on that host; naive columns are the entries a re-sort of every neighbor row per seed mutation would write\",\n");
+    json.push_str("  \"note\": \"scalar columns run the historical sequential kernels kept in metric::scalar (same binary, same flags); kernel secs are the fastest of kernel_reps interleaved rounds per side, speedup is their ratio and speedup_rep_min/max the spread of the per-round ratios; end_to_end median_secs are medians of reps runs; pre_kernel_secs are constants: assign_report medians recorded at the commit before the canonical-kernel switch on the host that first ran this report, so they compare only with runs on that host; naive columns are the entries a re-sort of every neighbor row per seed mutation would write; seed_table's churn cycles replace, swap_remove and push, and each removal settles every row first, while its reseed loop replaces alone and settles reads_per_reseed random rows in place after each re-seed\",\n");
     let kernel_rows = kernels.iter().map(|r| {
         format!(
             "{{\"d\": {}, \"evals\": {}, {}, {}}}",
@@ -366,7 +401,7 @@ fn main() {
     let _ = writeln!(json, "  \"end_to_end\": {},", json_list(4, end_to_end));
     let _ = writeln!(
         json,
-        "  \"seed_table\": {{\"seeds\": {}, \"build_secs\": {:.6}, \"push_build_secs\": {:.6}, \"ops\": {}, \"churn_secs\": {:.6}, \"entries\": {}, \"naive_entries\": {}, \"entries_per_op\": {:.1}, \"naive_entries_per_op\": {:.1}}},",
+        "  \"seed_table\": {{\"seeds\": {}, \"build_secs\": {:.6}, \"push_build_secs\": {:.6}, \"ops\": {}, \"churn_secs\": {:.6}, \"entries\": {}, \"naive_entries\": {}, \"entries_per_op\": {:.1}, \"naive_entries_per_op\": {:.1}, \"reseeds\": {}, \"reads_per_reseed\": {READS_PER_RESEED}, \"reseed_secs\": {:.6}, \"reseed_entries_per_op\": {:.1}}},",
         table.seeds,
         table.build_secs,
         table.push_build_secs,
@@ -375,7 +410,10 @@ fn main() {
         table.entries,
         table.naive_entries,
         table.entries as f64 / table.ops as f64,
-        table.naive_entries as f64 / table.ops as f64
+        table.naive_entries as f64 / table.ops as f64,
+        table.reseeds,
+        table.reseed_secs,
+        table.reseed_entries as f64 / table.reseeds as f64,
     );
     let _ = writeln!(
         json,

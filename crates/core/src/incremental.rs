@@ -346,14 +346,14 @@ impl IncrementalBubbles {
     /// Folds the seed-set structural accounting accumulated since the given
     /// snapshots into the `repair.<engine>.*` metric family, when metrics
     /// are on. Call sites snapshot immediately before the leaf mutations
-    /// (seed pushes, replacements, removals) so nested phases never double
-    /// count.
+    /// (seed pushes, replacements, removals) and row settles so nested
+    /// phases never double count.
     fn observe_repair(&self, before: RepairStats) {
         if !self.obs.metrics_on() {
             return;
         }
         let repair = self.seeds.repair_stats().delta_since(&before);
-        if repair.ops == 0 {
+        if repair == RepairStats::default() {
             return;
         }
         RepairMetrics::register(self.obs.metrics(), self.config.seed_search.as_str())
@@ -432,15 +432,20 @@ impl IncrementalBubbles {
     }
 
     /// Finds the closest seed to `p` under the configured engine, starting
-    /// the pruned search at `hint` when warm-starting is enabled.
+    /// the pruned search at `hint` when warm-starting is enabled. The
+    /// pruned search's start row is settled in place first.
     fn nearest(
-        &self,
+        &mut self,
         p: &[f64],
         exclude: Option<usize>,
         hint: Option<usize>,
         search: &mut SearchStats,
     ) -> Option<usize> {
         let hint = if self.config.warm_start { hint } else { None };
+        let repair_before = self.seeds.repair_stats();
+        self.seeds
+            .settle_start(self.config.seed_search, exclude, hint);
+        self.observe_repair(repair_before);
         self.seeds
             .nearest(self.config.seed_search, p, exclude, hint, search)
             .map(|(i, _)| i)
@@ -703,12 +708,23 @@ impl IncrementalBubbles {
         self.bubbles[donor].stats_mut().clear();
         self.mark_dirty(donor);
         let released = members.len() as u64;
+        // Settle the rows about to be read in place — the donor's, and the
+        // pruned searches' start — so the fan-out below reads them as is.
+        let repair_before = self.seeds.repair_stats();
+        self.seeds.settle_row(donor);
         let hint = self
             .seeds
             .neighbor_order(donor)
             .iter()
             .copied()
             .find(|&k| k as usize != donor);
+        let start = hint.filter(|_| self.config.warm_start);
+        self.seeds.settle_start(
+            self.config.seed_search,
+            Some(donor),
+            start.map(|h| h as usize),
+        );
+        self.observe_repair(repair_before);
         let hints = match hint {
             Some(h) => {
                 scratch.hints.clear();

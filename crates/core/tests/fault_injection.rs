@@ -301,6 +301,30 @@ fn audit_detects_and_repair_heals_every_sabotage() {
             },
         ),
         (
+            "drifted neighbor distance under pending re-seeds",
+            |ib, store| {
+                // Row 1 is damaged, then two re-seeds it has not read yet
+                // (a grow's split) leave it stale: the audit reads it
+                // settled, and the damage must survive the settle.
+                let (ids, w) = ib.corrupt_neighbor_row(1);
+                let far = *ids.last().unwrap() as usize;
+                *w.last_mut().unwrap() += 1.0;
+                let over = (0..ib.num_bubbles())
+                    .find(|&b| b != 1 && b != far && ib.bubble(b).members().len() >= 2)
+                    .expect("a splittable bubble besides row 1's farthest");
+                let mut rng = StdRng::seed_from_u64(5);
+                ib.grow_bubble(over, store, &mut rng, &mut SearchStats::new());
+            },
+            |issues| {
+                issues
+                    .iter()
+                    .any(|i| matches!(i, AuditIssue::NeighborDistanceDrift { i: 1, .. }))
+                    && !issues
+                        .iter()
+                        .any(|i| matches!(i, AuditIssue::NeighborRowMisordered { .. }))
+            },
+        ),
+        (
             "wrong point total",
             |ib, _| ib.corrupt_total(1),
             |issues| {

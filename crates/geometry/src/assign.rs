@@ -17,9 +17,9 @@
 //!   runs in *squared-distance* space (one `sqrt` per improvement instead
 //!   of one per candidate), visits candidates in ascending order of their
 //!   pairwise distance to the start seed (the start's neighbor row, which
-//!   stores each distance next to its seed index and is kept sorted by
+//!   stores each distance next to its seed index and is settled through
 //!   [`push`](NearestSeeds::push)/[`replace`](NearestSeeds::replace)/
-//!   [`swap_remove`](NearestSeeds::swap_remove)), prunes the whole
+//!   [`swap_remove`](NearestSeeds::swap_remove) when read), prunes the whole
 //!   remaining tail once the pairwise distance exceeds `d(p, start) + best`
 //!   — by the triangle inequality nothing further out can beat or tie the
 //!   best — and evaluates survivors with the early-exit kernel
@@ -43,11 +43,19 @@
 //! stored inline, as two parallel arrays sorted by the key
 //! `(distance.total_cmp, j)`. The key is unique per row, so a row's content
 //! depends only on the seed coordinates, never on the mutation history:
-//! [`NearestSeeds::from_seeds`] sorts each row once, and the mutators keep
-//! every row equal to that fresh sort. Re-seeding seed `i` moves one entry
-//! per row: its old key (read from row `i` itself) and its new key are
-//! binary-searched, and only the entries between the two positions shift.
-//! There is no `s × s` matrix: the table holds `12 · s²` bytes.
+//! [`NearestSeeds::from_seeds`] sorts each row once, and a row equals a
+//! fresh sort whenever it is read.
+//!
+//! Re-seeding seed `i` rebuilds row `i` and appends one record, `i` and its
+//! old coordinates, to a shared replace log; the other rows are left alone.
+//! Each row keeps a cursor into the log and is *settled* only when it is
+//! read: for every seed logged past the cursor, its stale distance is
+//! recomputed from its first logged old coordinates (bit-exact, because
+//! `dist` is symmetric to the bit), the stale entries are binary-searched,
+//! the new keys ranked, and only entries between the outermost old and new
+//! positions move, each at most once. A log longer than `s` records is
+//! folded into every row and cleared, so it holds `O(s · d)` memory. There
+//! is no `s × s` matrix: the table holds `12 · s²` bytes.
 
 use crate::block::SeedBlock;
 use crate::kdtree::KdTree;
@@ -59,6 +67,9 @@ use std::sync::OnceLock;
 
 /// Sentinel in a per-query hint buffer meaning "no hint for this query".
 pub const NO_HINT: u32 = u32::MAX;
+
+/// "No earlier record" in [`ReplaceLog::prev`].
+const NO_RECORD: u32 = u32::MAX;
 
 /// Which nearest-seed engine the maintainer and batch drivers use.
 ///
@@ -103,11 +114,57 @@ fn dist_key(d: f64) -> u64 {
 
 /// One seed's neighbor row: every seed index and its distance to the
 /// row's owner, as parallel arrays sorted ascending by
-/// `(dist_key(distance), index)`.
+/// `(dist_key(distance), index)`, as of replace-log position `seen`.
 #[derive(Debug, Clone)]
 struct Row {
     ids: Vec<u32>,
     w: Vec<f64>,
+    /// The log records before this position are folded into the row; the
+    /// rest are pending.
+    seen: usize,
+}
+
+/// The re-seeds not yet folded into every row, oldest first: each record
+/// holds the re-seeded index and the coordinates it had before the move.
+#[derive(Debug, Clone, Default)]
+struct ReplaceLog {
+    ids: Vec<u32>,
+    /// Each record's previous record of the same seed, or [`NO_RECORD`]:
+    /// a record is its seed's first past a cursor `c` iff `prev < c`.
+    prev: Vec<u32>,
+    /// Old coordinates, `dim` per record.
+    coords: Vec<f64>,
+}
+
+impl ReplaceLog {
+    fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    fn push(&mut self, i: u32, old: &[f64]) {
+        let prev = self.ids.iter().rposition(|&j| j == i);
+        self.prev.push(prev.map_or(NO_RECORD, |k| k as u32));
+        self.ids.push(i);
+        self.coords.extend_from_slice(old);
+    }
+
+    fn clear(&mut self) {
+        self.ids.clear();
+        self.prev.clear();
+        self.coords.clear();
+    }
+}
+
+/// Working memory of a settle, reused across settles.
+#[derive(Debug, Clone, Default)]
+struct Splice {
+    /// Positions of the stale entries.
+    old: Vec<usize>,
+    /// The new entries: distance key, index, distance and, once ranked,
+    /// final position.
+    new: Vec<(u64, u32, f64, usize)>,
+    /// Runs of surviving entries to move: start, end and signed shift.
+    runs: Vec<(usize, usize, isize)>,
 }
 
 impl Row {
@@ -145,7 +202,7 @@ impl Row {
         for (d, &k) in w.iter_mut().zip(keys.iter()) {
             *d = f64::from_bits(k);
         }
-        Self { ids, w }
+        Self { ids, w, seen: 0 }
     }
 
     /// The row's distances scattered back into seed-index order.
@@ -200,6 +257,91 @@ impl Row {
         self.w.remove(p);
         (self.ids.len() - p) as u64
     }
+
+    /// Folds the log records past `seen` into this row of seed `owner`
+    /// (whose coordinates `block` holds) and returns the entries written.
+    ///
+    /// Every seed logged past the cursor has one stale entry, keyed by its
+    /// distance to its *first* logged old coordinates — the row was sorted
+    /// over those — recomputed bit for bit because `dist` is symmetric to
+    /// the bit. The stale entries are binary-searched and the new keys
+    /// ranked against the unchanged row; between those positions the
+    /// surviving entries form runs, each shifted by the new entries before
+    /// it less the stale ones. Runs shifting left move first, left to
+    /// right, then runs shifting right, right to left, so each survivor
+    /// moves at most once and in place; the new entries fill the gaps. One
+    /// pending seed costs one shift of [`Self::place`].
+    ///
+    /// # Panics
+    /// Panics if the row holds no stale entry for a logged seed (a
+    /// corrupted table).
+    fn settle(
+        &mut self,
+        owner: usize,
+        log: &ReplaceLog,
+        block: &SeedBlock,
+        splice: &mut Splice,
+    ) -> u64 {
+        let from = self.seen;
+        self.seen = log.len();
+        let dim = block.dim();
+        let x = block.get(owner);
+        splice.old.clear();
+        splice.new.clear();
+        for k in from..log.len() {
+            if log.prev[k] != NO_RECORD && log.prev[k] as usize >= from {
+                continue; // an earlier record of this seed is pending too
+            }
+            let j = log.ids[k];
+            let old = dist(x, &log.coords[k * dim..(k + 1) * dim]);
+            let new = dist(x, block.get(j as usize));
+            splice.old.push(self.find(dist_key(old), j));
+            splice.new.push((dist_key(new), j, new, 0));
+        }
+        let m = splice.new.len();
+        splice.old.sort_unstable();
+        splice.new.sort_unstable_by_key(|e| (e.0, e.1));
+        // Walk the events in row order — a new entry lands before the
+        // first original entry that orders after it — tracking the shift
+        // of the survivors: +1 per new entry, -1 per stale one passed.
+        splice.runs.clear();
+        let (mut pos, mut shift, mut gone) = (0, 0isize, 0);
+        for e in 0..m {
+            let (k, j, ..) = splice.new[e];
+            let q = self.rank(k, j);
+            while gone < m && splice.old[gone] < q {
+                let g = splice.old[gone];
+                splice.runs.push((pos, g, shift));
+                (pos, shift, gone) = (g + 1, shift - 1, gone + 1);
+            }
+            splice.runs.push((pos, q, shift));
+            pos = q;
+            splice.new[e].3 = q.wrapping_add_signed(shift);
+            shift += 1;
+        }
+        for &g in &splice.old[gone..] {
+            splice.runs.push((pos, g, shift));
+            (pos, shift) = (g + 1, shift - 1);
+        }
+        debug_assert_eq!(shift, 0, "a settle keeps the row length");
+        let mut entries = m as u64;
+        let moving = splice.runs.iter().filter(|r| r.2 != 0 && r.0 < r.1);
+        for &(a, b, d) in moving.clone().filter(|r| r.2 < 0) {
+            self.ids.copy_within(a..b, a.wrapping_add_signed(d));
+            self.w.copy_within(a..b, a.wrapping_add_signed(d));
+            entries += (b - a) as u64;
+        }
+        for &(a, b, d) in moving.rev().filter(|r| r.2 > 0) {
+            self.ids.copy_within(a..b, a.wrapping_add_signed(d));
+            self.w.copy_within(a..b, a.wrapping_add_signed(d));
+            entries += (b - a) as u64;
+        }
+        for &(_, j, d, at) in &splice.new {
+            self.ids[at] = j;
+            self.w[at] = d;
+        }
+        entries
+    }
 }
 
 /// A set of seed points plus their neighbor table.
@@ -235,8 +377,16 @@ pub struct NearestSeeds {
     /// `rows[i]` holds all seed indices with their distance to seed `i`,
     /// sorted ascending by `(distance, index)` — the visit order that makes
     /// the Lemma 1 bound fire as early as possible when the search starts
-    /// at seed `i`.
+    /// at seed `i` — once the log records past its cursor are settled.
     rows: Vec<Row>,
+    /// The re-seeds some row has not settled yet.
+    log: ReplaceLog,
+    /// Settled copies of stale rows made by `&self` readers, each with the
+    /// entries its settle wrote; the next mutation folds them into `rows`.
+    /// Boxed, so that an empty slot costs two words.
+    settled: Vec<OnceLock<Box<(Row, u64)>>>,
+    /// Working memory of in-place settles.
+    splice: Splice,
     /// Cumulative neighbor-table repair accounting (DESIGN.md §15).
     repair: RepairStats,
     /// Lazily built k-d tree over the seeds for [`SeedSearch::KdTree`];
@@ -246,15 +396,19 @@ pub struct NearestSeeds {
 
 /// Cumulative accounting of the incremental neighbor-table repair performed
 /// by the seed-set mutators ([`NearestSeeds::push`],
-/// [`NearestSeeds::replace`], [`NearestSeeds::swap_remove`]).
+/// [`NearestSeeds::replace`], [`NearestSeeds::swap_remove`]) and by the
+/// settles that fold their re-seeds into the rows read afterwards.
 ///
-/// `entries` counts the row entries (an index and its distance) actually
-/// moved or written; `naive_entries` counts the entries a re-sort of every
-/// row per mutation would write (`s²` per mutation).
-/// [`NearestSeeds::from_seeds`] builds the table and charges nothing.
+/// `entries` counts the row entries (an index and its distance) written by
+/// row rebuilds and settle splices, plus the shifts of `push` and
+/// `swap_remove`; a settled copy made by a `&self` reader is charged when
+/// the next mutation folds it into the table. `naive_entries` counts the
+/// entries a re-sort of every row per mutation would write (`s²` per
+/// mutation). [`NearestSeeds::from_seeds`] builds the table and charges
+/// nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepairStats {
-    /// Row entries moved or written by incremental repair.
+    /// Row entries written by row rebuilds, settles and shifts.
     pub entries: u64,
     /// Entries a full per-mutation rebuild of the table would write.
     pub naive_entries: u64,
@@ -286,6 +440,9 @@ impl NearestSeeds {
             dim,
             block: SeedBlock::new(dim),
             rows: Vec::new(),
+            log: ReplaceLog::default(),
+            settled: Vec::new(),
+            splice: Splice::default(),
             repair: RepairStats::default(),
             kd: OnceLock::new(),
         }
@@ -323,6 +480,7 @@ impl NearestSeeds {
         }
         let mut keys = Vec::with_capacity(s);
         set.rows = w.into_iter().map(|w| Row::sorted(w, &mut keys)).collect();
+        set.settled = (0..s).map(|_| OnceLock::new()).collect();
         set
     }
 
@@ -360,6 +518,83 @@ impl NearestSeeds {
         self.repair
     }
 
+    /// Row `i`, settled: the row itself when no re-seed is pending for it,
+    /// else a settled copy made once and kept until the next mutation
+    /// folds it in (threads reading the same stale row share one copy).
+    fn row(&self, i: usize) -> &Row {
+        let row = &self.rows[i];
+        if row.seen == self.log.len() {
+            return row;
+        }
+        &self.settled[i]
+            .get_or_init(|| {
+                let mut copy = row.clone();
+                let entries = copy.settle(i, &self.log, &self.block, &mut Splice::default());
+                Box::new((copy, entries))
+            })
+            .0
+    }
+
+    /// Settles row `i` in place, so that readers of it make no copy. The
+    /// maintainer calls it on the rows it is about to search from.
+    ///
+    /// # Panics
+    /// Panics if `i` is out of bounds, or if the row has lost a seed whose
+    /// re-seed is pending (a damaged table).
+    pub fn settle_row(&mut self, i: usize) {
+        if let Some(copy) = self.settled[i].take() {
+            let (row, entries) = *copy;
+            self.rows[i] = row;
+            self.repair.entries += entries;
+        } else if self.rows[i].seen < self.log.len() {
+            self.repair.entries += self.rows[i].settle(i, &self.log, &self.block, &mut self.splice);
+        }
+    }
+
+    /// Settles the row a search by `engine` under `exclude` and `hint`
+    /// reads (see [`Self::settle_row`]): the start row of
+    /// [`SeedSearch::Pruned`]; the other engines read no row.
+    pub fn settle_start(
+        &mut self,
+        engine: SeedSearch,
+        exclude: Option<usize>,
+        hint: Option<usize>,
+    ) {
+        if engine != SeedSearch::Pruned {
+            return;
+        }
+        if let Some(start) = self.pruned_start(exclude, hint) {
+            self.settle_row(start);
+        }
+    }
+
+    /// Folds every settled copy into its row: the first step of each
+    /// mutation, so that no copy outlives the log state it was made for.
+    fn fold_copies(&mut self) {
+        for (row, copy) in self.rows.iter_mut().zip(&mut self.settled) {
+            if let Some(copy) = copy.take() {
+                let (settled, entries) = *copy;
+                *row = settled;
+                self.repair.entries += entries;
+            }
+        }
+    }
+
+    /// Settles every row and clears the log.
+    fn settle_all(&mut self) {
+        self.fold_copies();
+        if self.log.len() == 0 {
+            return;
+        }
+        for (i, row) in self.rows.iter_mut().enumerate() {
+            if row.seen < self.log.len() {
+                self.repair.entries += row.settle(i, &self.log, &self.block, &mut self.splice);
+            }
+            row.seen = 0;
+        }
+        self.log.clear();
+    }
+
     /// The seeds in ascending order of their distance to seed `i` (ties by
     /// index; `i` itself leads its own row unless a lower-indexed duplicate
     /// precedes it). This is the visit order of [`Self::nearest_pruned`],
@@ -372,7 +607,7 @@ impl NearestSeeds {
     #[inline]
     #[must_use]
     pub fn neighbor_order(&self, i: usize) -> &[u32] {
-        &self.rows[i].ids
+        &self.row(i).ids
     }
 
     /// The distances aligned with [`Self::neighbor_order`]`(i)`: entry `k`
@@ -383,25 +618,27 @@ impl NearestSeeds {
     #[inline]
     #[must_use]
     pub fn neighbor_distances(&self, i: usize) -> &[f64] {
-        &self.rows[i].w
+        &self.row(i).w
     }
 
-    /// Mutable access to seed `i`'s neighbor row (test sabotage hook: the
-    /// audit suites damage the table through it).
+    /// Mutable access to seed `i`'s neighbor row, settled first (test
+    /// sabotage hook: the audit suites damage the table through it).
     #[doc(hidden)]
     pub fn neighbor_row_mut(&mut self, i: usize) -> (&mut [u32], &mut [f64]) {
+        self.settle_row(i);
         let row = &mut self.rows[i];
         (&mut row.ids, &mut row.w)
     }
 
-    /// Appends a new seed, inserting it into every neighbor row at its
-    /// binary-searched position and sorting its own row, and returns its
-    /// index.
+    /// Appends a new seed, settling every row, inserting the seed into each
+    /// at its binary-searched position and sorting its own row, and returns
+    /// its index.
     ///
     /// # Panics
     /// Panics if the seed's dimensionality differs from the set's.
     pub fn push(&mut self, seed: &[f64]) -> usize {
         assert_eq!(seed.len(), self.dim, "seed dimensionality mismatch");
+        self.settle_all();
         let idx = self.block.push(seed);
         let new = idx as u32;
         let mut d: Vec<f64> = (0..idx).map(|j| dist(seed, self.block.get(j))).collect();
@@ -415,6 +652,7 @@ impl NearestSeeds {
         }
         d.push(0.0);
         self.rows.push(Row::sorted(d, &mut Vec::new()));
+        self.settled.push(OnceLock::new());
         let s = self.len() as u64;
         self.repair.entries += entries + s;
         self.repair.naive_entries += s * s;
@@ -426,19 +664,19 @@ impl NearestSeeds {
     /// Replaces seed `i` with new coordinates — the bookkeeping the paper
     /// performs when a bubble is re-seeded during a merge/split rebuild.
     /// Its `s` new distances are computed once and its row is re-sorted.
-    /// In every other row, its old key (the old distances are read from
-    /// row `i` itself) and its new key are binary-searched, and only the
-    /// entries between the two positions shift.
+    /// The other rows are left stale: the re-seed is logged with the old
+    /// coordinates, and each row settles it when next read (see the module
+    /// docs). A log longer than `s` records is folded into every row.
     ///
     /// # Panics
-    /// Panics if `i` is out of bounds, if the dimensionality differs, or
-    /// if a neighbor row has lost seed `i` (a damaged table).
+    /// Panics if `i` is out of bounds or if the dimensionality differs.
     pub fn replace(&mut self, i: usize, seed: &[f64]) {
         assert_eq!(seed.len(), self.dim, "seed dimensionality mismatch");
         let s = self.len();
         assert!(i < s, "seed index out of bounds");
+        self.fold_copies();
+        self.log.push(i as u32, self.block.get(i));
         self.block.set(i, seed);
-        let old = self.rows[i].scatter();
         let new: Vec<f64> = (0..s)
             .map(|j| {
                 if j == i {
@@ -448,28 +686,21 @@ impl NearestSeeds {
                 }
             })
             .collect();
-        let iu = i as u32;
-        let mut entries = 0;
-        for (j, row) in self.rows.iter_mut().enumerate() {
-            if j != i {
-                let from = row.find(dist_key(old[j]), iu);
-                // The new key's rank counts the old entry iff it orders
-                // first.
-                let q = row.rank(dist_key(new[j]), iu);
-                let to = if q > from { q - 1 } else { q };
-                entries += row.place(from, to, new[j], iu);
-            }
-        }
         self.rows[i] = Row::sorted(new, &mut Vec::new());
+        self.rows[i].seen = self.log.len();
         let s = s as u64;
-        self.repair.entries += entries + s;
+        self.repair.entries += s;
         self.repair.naive_entries += s * s;
         self.repair.ops += 1;
         self.kd = OnceLock::new();
+        if self.log.len() as u64 > s {
+            self.settle_all();
+        }
     }
 
     /// Removes seed `i` with swap-remove semantics: the last seed takes
-    /// index `i`, and its row becomes row `i`. Every row drops the retired
+    /// index `i`, and its row becomes row `i`. Every row is settled, then
+    /// drops the retired
     /// index (a tail shift) and re-keys the renamed one, which can only
     /// move left among its exact-distance ties — distances between
     /// surviving seeds are unchanged, so every other entry keeps its
@@ -481,6 +712,7 @@ impl NearestSeeds {
     pub fn swap_remove(&mut self, i: usize) {
         let s = self.len();
         assert!(i < s, "seed index out of bounds");
+        self.settle_all();
         let last = s - 1;
         let (iu, lu) = (i as u32, last as u32);
         let gone = self.rows[i].scatter();
@@ -498,6 +730,7 @@ impl NearestSeeds {
             }
         }
         self.rows.swap_remove(i);
+        self.settled.pop();
         self.block.swap_remove(i);
         self.repair.entries += entries;
         self.repair.naive_entries += (last * last) as u64;
@@ -572,12 +805,8 @@ impl NearestSeeds {
         stats: &mut SearchStats,
     ) -> Option<(usize, f64)> {
         debug_assert_eq!(p.len(), self.dim, "query dimensionality mismatch");
-        let s = self.len();
-        let exclude = exclude.filter(|&e| e < s);
-        let start = match hint {
-            Some(h) if h < s && Some(h) != exclude => h,
-            _ => (0..s).find(|&i| Some(i) != exclude)?,
-        };
+        let exclude = exclude.filter(|&e| e < self.len());
+        let start = self.pruned_start(exclude, hint)?;
         let mut best_sq = sq_dist(p, self.seed(start));
         stats.computed += 1;
         let mut best_idx = start;
@@ -587,7 +816,8 @@ impl NearestSeeds {
         let Row {
             ids: order,
             w: dists,
-        } = &self.rows[start];
+            ..
+        } = self.row(start);
         for (pos, (&j32, &w)) in order.iter().zip(dists).enumerate() {
             let j = j32 as usize;
             if j == start || Some(j) == exclude {
@@ -620,6 +850,17 @@ impl NearestSeeds {
             }
         }
         Some((best_idx, best_sq.sqrt()))
+    }
+
+    /// The seed [`Self::nearest_pruned`] starts from: the hint when it is
+    /// a valid, non-excluded index, else the first non-excluded seed.
+    fn pruned_start(&self, exclude: Option<usize>, hint: Option<usize>) -> Option<usize> {
+        let s = self.len();
+        let exclude = exclude.filter(|&e| e < s);
+        match hint {
+            Some(h) if h < s && Some(h) != exclude => Some(h),
+            _ => (0..s).find(|&i| Some(i) != exclude),
+        }
     }
 
     /// Nearest seed via the lazily built k-d tree index. Best for low
@@ -1099,6 +1340,15 @@ mod tests {
         }
     }
 
+    /// Settles every row in place and returns the entries it charged.
+    fn settle_every_row(s: &mut NearestSeeds) -> u64 {
+        let before = s.repair_stats();
+        for i in 0..s.len() {
+            s.settle_row(i);
+        }
+        s.repair_stats().delta_since(&before).entries
+    }
+
     #[test]
     fn near_replace_shifts_only_the_span_between() {
         // Seeds on a line at the integers: nudging one seed by 0.1 moves
@@ -1111,19 +1361,24 @@ mod tests {
             RepairStats::default(),
             "a build is no repair"
         );
+        // A replace rebuilds its own row and leaves the others unread.
         s.replace(30, &[30.1]);
+        let replaced = s.repair_stats();
+        assert_eq!(replaced.ops, 1);
+        assert_eq!(replaced.naive_entries, (n * n) as u64);
+        assert_eq!(replaced.entries, n as u64, "only row 30 is written");
+        // Reading a row settles it: at most two entries shifted plus the
+        // write per row; row 30 itself is already settled.
+        let near = settle_every_row(&mut s);
+        assert!(near <= 3 * (n as u64 - 1), "{near}");
+        assert_eq!(settle_every_row(&mut s), 0, "a settled row costs nothing");
         assert_rows_consistent(&s);
-        let near = s.repair_stats();
-        assert_eq!(near.ops, 1);
-        assert_eq!(near.naive_entries, (n * n) as u64);
-        // Each other row: at most two entries shifted plus the write; row
-        // 30 itself is rewritten.
-        assert!(near.entries <= 3 * (n as u64 - 1) + n as u64, "{near:?}");
-        // A far move shifts the entry across most of each row.
+        // A far move shifts the entry across most of each row when read.
         s.replace(30, &[1000.0]);
+        assert_eq!(s.repair_stats().entries, replaced.entries + near + n as u64);
+        let far = settle_every_row(&mut s);
+        assert!(far > 10 * near, "{far} vs {near}");
         assert_rows_consistent(&s);
-        let far = s.repair_stats().delta_since(&near);
-        assert!(far.entries > 10 * near.entries, "{far:?} vs {near:?}");
     }
 
     #[test]
@@ -1131,11 +1386,16 @@ mod tests {
         let n = 60;
         let seeds: Vec<[f64; 2]> = (0..n).map(|i| [f64::from(i), f64::from(i * i)]).collect();
         let mut s = NearestSeeds::from_seeds(2, seeds.iter().map(|p| p.as_slice()));
+        // Leave a re-seed pending: swap_remove settles it first.
+        s.replace(7, &[3.5, 1.5]);
+        let before = s.repair_stats();
+        let mut settled = s.clone();
+        let settle = settle_every_row(&mut settled);
         // Removing the last seed only drops one entry per row: the entries
         // shifted are exactly those after it.
         let tail: u64 = (0..n as usize - 1)
             .map(|i| {
-                let row = s.neighbor_order(i);
+                let row = settled.neighbor_order(i);
                 let p = row
                     .iter()
                     .position(|&x| x as usize == n as usize - 1)
@@ -1144,11 +1404,24 @@ mod tests {
             })
             .sum();
         s.swap_remove(n as usize - 1);
-        let d = s.repair_stats();
-        assert_eq!(d.entries, tail);
+        let d = s.repair_stats().delta_since(&before);
+        assert!(settle > 0);
+        assert_eq!(d.entries, settle + tail);
         assert_eq!(d.naive_entries, ((n - 1) * (n - 1)) as u64);
         assert_eq!(d.ops, 1);
         assert_rows_consistent(&s);
+    }
+
+    #[test]
+    #[should_panic(expected = "neighbor row lost index 1")]
+    fn settle_panics_when_a_logged_seed_is_missing() {
+        let mut s = grid_seeds();
+        // Row 0 loses seed 1 (its slot now names seed 2 twice), then seed
+        // 1 is re-seeded: reading row 0 must settle that re-seed.
+        let p = s.rows[0].ids.iter().position(|&j| j == 1).unwrap();
+        s.rows[0].ids[p] = 2;
+        s.replace(1, &[5.0, 5.0]);
+        let _ = s.neighbor_order(0);
     }
 
     #[test]

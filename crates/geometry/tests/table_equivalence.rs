@@ -16,8 +16,17 @@
 //!   so do sequential pushes;
 //! * the pruned search on the repaired table returns the same results and
 //!   the same `SearchStats` as on the fresh table.
+//!
+//! Reading every row after every step leaves each row one pending re-seed
+//! at most. The sparse-read scripts read one random row with p = 0.1 per
+//! step instead, over runs longer than the seed count, so rows settle many
+//! pending re-seeds at once (repeated re-seeds of one seed included) and
+//! the replace log folds. Each read row equals the oracle bit for bit, and
+//! so do clones taken with re-seeds pending; pruned searches from a read
+//! row, and threaded batches with per-query hints over stale rows, match a
+//! fresh table and the serial call, `SearchStats` included.
 
-use idb_geometry::{dist, NearestSeeds, SearchStats};
+use idb_geometry::{dist, NearestSeeds, Parallelism, SearchStats, SeedSearch, NO_HINT};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -207,6 +216,182 @@ fn repaired_table_equals_a_fresh_build_after_every_step() {
                 );
                 assert_eq!(got_stats, want_stats, "{what}: query {q} stats");
             }
+        }
+    }
+}
+
+const SPARSE_SCRIPTS: usize = 16;
+const SPARSE_STEPS: usize = 400;
+
+/// One sparse-script mutation: mostly re-seeds — a third of them of one
+/// `hot` seed — with a rare push or swap_remove, so that runs between two
+/// full settles are longer than the seed count.
+fn sparse_step(script: &mut Script, seeds: &mut NearestSeeds, hot: usize) -> &'static str {
+    let s = seeds.len();
+    match script.rng.gen_range(0..100) {
+        0 => {
+            let p = script.point();
+            seeds.push(&p);
+            "push"
+        }
+        1 if s > 2 => {
+            let i = script.rng.gen_range(0..s);
+            seeds.swap_remove(i);
+            "swap_remove"
+        }
+        2..=33 => {
+            let i = hot % s;
+            let p = if script.rng.gen_bool(0.5) {
+                script.near(seeds.seed(i))
+            } else {
+                script.point()
+            };
+            seeds.replace(i, &p);
+            "re-seed the hot seed"
+        }
+        34..=43 => {
+            let (i, k) = (script.rng.gen_range(0..s), script.rng.gen_range(0..s));
+            let p = seeds.seed(k).to_vec();
+            seeds.replace(i, &p);
+            "move onto a duplicate"
+        }
+        44..=50 => {
+            let i = script.rng.gen_range(0..s);
+            let p = seeds.seed(i).to_vec();
+            seeds.replace(i, &p);
+            "move in place"
+        }
+        _ => script.step(seeds),
+    }
+}
+
+fn assert_row_is_oracle(seeds: &NearestSeeds, i: usize, what: &str) {
+    let (ids, w) = oracle_row(seeds, i);
+    assert_eq!(
+        seeds.neighbor_order(i),
+        ids.as_slice(),
+        "{what}: row {i} ids"
+    );
+    assert_eq!(
+        bits(seeds.neighbor_distances(i)),
+        bits(&w),
+        "{what}: row {i} distances"
+    );
+}
+
+/// `k` queries around the seeds and across the space, one hint each
+/// ([`NO_HINT`] for a fifth of them).
+fn queries_with_hints(script: &mut Script, seeds: &NearestSeeds, k: usize) -> (Vec<f64>, Vec<u32>) {
+    let s = seeds.len();
+    let mut flat = Vec::with_capacity(k * script.dim);
+    let mut hints = Vec::with_capacity(k);
+    for q in 0..k {
+        let p = if q % 2 == 0 {
+            let j = script.rng.gen_range(0..s);
+            script.near(seeds.seed(j))
+        } else {
+            script.point()
+        };
+        flat.extend_from_slice(&p);
+        hints.push(if script.rng.gen_bool(0.2) {
+            NO_HINT
+        } else {
+            script.rng.gen_range(0..s as u32)
+        });
+    }
+    (flat, hints)
+}
+
+#[test]
+fn sparse_reads_settle_many_pending_reseeds() {
+    let mut master = StdRng::seed_from_u64(0x5ECD);
+    for script_no in 0..SPARSE_SCRIPTS {
+        let mut script = Script {
+            rng: StdRng::seed_from_u64(master.gen()),
+            dim: [1, 2, 3, 10][script_no % 4],
+            grid: script_no % 8 < 4,
+        };
+        let n0 = script.rng.gen_range(4..=24);
+        let initial: Vec<Vec<f64>> = (0..n0).map(|_| script.point()).collect();
+        let mut seeds = NearestSeeds::from_seeds(script.dim, initial.iter().map(Vec::as_slice));
+        let hot = script.rng.gen_range(0..n0);
+        for step in 0..SPARSE_STEPS {
+            let op = sparse_step(&mut script, &mut seeds, hot);
+            let what = format!("sparse script {script_no} step {step} ({op})");
+            let s = seeds.len();
+
+            if script.rng.gen_bool(0.1) {
+                // Read one row, through a settled copy or settled in place,
+                // and search from it.
+                let i = script.rng.gen_range(0..s);
+                if script.rng.gen_bool(0.5) {
+                    seeds.settle_row(i);
+                }
+                assert_row_is_oracle(&seeds, i, &what);
+                let fresh = NearestSeeds::from_seeds(script.dim, (0..s).map(|j| seeds.seed(j)));
+                for q in 0..4 {
+                    let p = if q % 2 == 0 {
+                        script.near(seeds.seed(i))
+                    } else {
+                        script.point()
+                    };
+                    let exclude = (s > 1 && script.rng.gen_bool(0.3))
+                        .then(|| script.rng.gen_range(0..s))
+                        .filter(|&e| e != i);
+                    let mut got_stats = SearchStats::new();
+                    let got = seeds.nearest_pruned(&p, exclude, Some(i), &mut got_stats);
+                    let mut want_stats = SearchStats::new();
+                    let want = fresh.nearest_pruned(&p, exclude, Some(i), &mut want_stats);
+                    assert_eq!(
+                        got.map(|(j, d)| (j, d.to_bits())),
+                        want.map(|(j, d)| (j, d.to_bits())),
+                        "{what}: query {q} from row {i}"
+                    );
+                    assert_eq!(got_stats, want_stats, "{what}: query {q} stats");
+                }
+            }
+
+            if script.rng.gen_bool(0.05) {
+                // Threaded and serial batches over the same stale rows,
+                // each on its own copy of the table, and on a fresh one.
+                let (flat, hints) = queries_with_hints(&mut script, &seeds, 24);
+                let serial_seeds = seeds.clone();
+                let fresh = NearestSeeds::from_seeds(script.dim, (0..s).map(|j| seeds.seed(j)));
+                let mut runs = Vec::new();
+                for (table, par) in [
+                    (&seeds, Parallelism::Threads(2)),
+                    (&serial_seeds, Parallelism::Serial),
+                    (&fresh, Parallelism::Serial),
+                ] {
+                    let mut stats = SearchStats::new();
+                    let out = table.nearest_batch(
+                        &flat,
+                        None,
+                        SeedSearch::Pruned,
+                        Some(&hints),
+                        par,
+                        &mut stats,
+                    );
+                    let out: Vec<(u32, u64)> = out.iter().map(|&(j, d)| (j, d.to_bits())).collect();
+                    runs.push((out, stats));
+                }
+                assert_eq!(runs[0], runs[1], "{what}: threaded vs serial batch");
+                assert_eq!(runs[1], runs[2], "{what}: stale vs fresh batch");
+            }
+
+            if script.rng.gen_bool(0.02) {
+                // A clone with re-seeds pending reads as the original.
+                let copy = seeds.clone();
+                assert_eq!(copy.len(), s, "{what}: clone size");
+                for i in 0..s {
+                    assert_eq!(copy.seed(i), seeds.seed(i), "{what}: clone seed {i}");
+                    assert_row_is_oracle(&copy, i, &format!("{what}, clone"));
+                }
+            }
+        }
+        let s = seeds.len();
+        for i in 0..s {
+            assert_row_is_oracle(&seeds, i, &format!("sparse script {script_no} end"));
         }
     }
 }
