@@ -2,10 +2,12 @@
 //! `BENCH_delta.json`.
 //!
 //! For every paper scenario at `s` = 200 bubbles, a churn-heavy stress
-//! variant, and a `many_bubbles` case at the stackbench workload's scale
+//! variant, a `many_bubbles` case at the stackbench workload's scale
 //! (`s` = 2,000 bubbles of about 10 points each, where OPTICS dominates
-//! the epoch), the same maintained summary is clustered two ways each
-//! epoch:
+//! the epoch) and a `monitor_d2` case shaped like that workload (`n` =
+//! 10,000, `s` = 400, 1% churn, 200 epochs, where the diff costs about
+//! as much as OPTICS), the same maintained summary is clustered two ways
+//! each epoch:
 //!
 //! * **full** — the from-scratch pipeline (`optics_bubbles` →
 //!   `expand` → `cluster_tree`);
@@ -15,7 +17,9 @@
 //! The engine's per-stage counters split each epoch into OPTICS (the
 //! distance rows and the walk), extraction (plot and tree) and the
 //! cross-epoch tree diff; `delta_secs − full_secs` is what identity
-//! maintenance costs.
+//! maintenance costs. `payload_ids_per_epoch` counts the point ids the
+//! deltas carry (`Born` members plus `MembershipChanged` added and
+//! removed), the first epoch's births included.
 //!
 //! OPTICS is also reported in the paper's currency, distance
 //! evaluations: `optics_pairs_per_epoch` counts the pairs the walk
@@ -38,7 +42,8 @@
 //! baseline's `delta_secs` and `full_secs`, the speedup against them, the
 //! baseline's `stage_secs_per_epoch` as `baseline_stage_secs_per_epoch`
 //! and, when the baseline reports them, its `optics_ns_per_pair` (its
-//! pair count must equal this run's, or the run fails).
+//! pair count must equal this run's, or the run fails) and its
+//! `payload_ids_per_epoch`.
 
 use idb_bench::{json_list, write_report};
 use idb_clustering::{
@@ -46,7 +51,7 @@ use idb_clustering::{
     ReachabilityPlot,
 };
 use idb_core::{DataSummary, IncrementalBubbles, MaintainerConfig};
-use idb_delta::{DeltaEngine, DeltaParams, TreeReplica};
+use idb_delta::{ClusterDelta, DeltaEngine, DeltaParams, TreeReplica};
 use idb_geometry::SearchStats;
 use idb_obs::Obs;
 use idb_synth::{ScenarioEngine, ScenarioKind, ScenarioSpec};
@@ -57,6 +62,7 @@ use std::time::Instant;
 
 const DIM: usize = 2;
 const POINTS: usize = 4_000;
+/// Epochs per case, except `monitor_d2`.
 const EPOCHS: usize = 20;
 const MIN_PTS: usize = 6;
 const MIN_CLUSTER: usize = 8;
@@ -65,6 +71,12 @@ const TARGET_BUBBLES: usize = 200;
 /// about 2,000 bubbles of about 10 points each.
 const MANY_POINTS: usize = 20_000;
 const MANY_BUBBLES: usize = 2_000;
+/// The `monitor_d2` case: stackbench's workload of that name clusters
+/// 10,000 points in 400 bubbles (four partitions of 100) every batch.
+/// Each epoch lasts about a millisecond, so the case runs 200 of them.
+const MONITOR_POINTS: usize = 10_000;
+const MONITOR_BUBBLES: usize = 400;
+const MONITOR_EPOCHS: usize = 200;
 const SCENARIO_SEED: u64 = 20_260_808;
 const MAINT_SEED: u64 = 99;
 
@@ -79,6 +91,8 @@ struct ScenarioResult {
     stage_us: [u64; STAGES.len()],
     /// Distance pairs the OPTICS walk evaluated, summed over the epochs.
     pairs: u64,
+    /// Point ids carried by the deltas, summed over the epochs.
+    payload_ids: u64,
 }
 
 impl ScenarioResult {
@@ -89,6 +103,21 @@ impl ScenarioResult {
     /// OPTICS stage nanoseconds per evaluated pair.
     fn ns_per_pair(&self) -> f64 {
         self.stage_us[0] as f64 * 1e3 / self.pairs as f64
+    }
+
+    fn payload_ids_per_epoch(&self) -> f64 {
+        self.payload_ids as f64 / self.epochs as f64
+    }
+}
+
+/// The point ids `delta` carries.
+fn payload_ids(delta: &ClusterDelta) -> u64 {
+    match delta {
+        ClusterDelta::Born { members, .. } => members.len() as u64,
+        ClusterDelta::MembershipChanged { added, removed, .. } => {
+            (added.len() + removed.len()) as u64
+        }
+        _ => 0,
     }
 }
 
@@ -135,13 +164,13 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// One scenario: name, generator, churn per batch, points and target
-/// bubble count.
-type Case = (String, ScenarioKind, f64, usize, usize);
+/// One scenario: name, generator, churn per batch, points, target bubble
+/// count and epochs.
+type Case = (String, ScenarioKind, f64, usize, usize, usize);
 
-/// Drives one scenario for [`EPOCHS`] epochs, timing the delta engine
-/// against the from-scratch pipeline on identical maintained state.
-fn run_scenario((name, kind, churn, points, target_bubbles): &Case) -> ScenarioResult {
+/// Drives one scenario for its epochs, timing the delta engine against
+/// the from-scratch pipeline on identical maintained state.
+fn run_scenario((name, kind, churn, points, target_bubbles, epochs): &Case) -> ScenarioResult {
     let spec = ScenarioSpec::named(*kind, DIM, *points, *churn);
     let mut scenario = ScenarioEngine::new(spec);
     let mut srng = StdRng::seed_from_u64(SCENARIO_SEED);
@@ -164,13 +193,14 @@ fn run_scenario((name, kind, churn, points, target_bubbles): &Case) -> ScenarioR
         name: name.clone(),
         points: *points,
         target_bubbles: *target_bubbles,
-        epochs: EPOCHS,
+        epochs: *epochs,
         delta_secs: 0.0,
         full_secs: 0.0,
         stage_us: [0; STAGES.len()],
         pairs: 0,
+        payload_ids: 0,
     };
-    for epoch in 0..EPOCHS {
+    for epoch in 0..*epochs {
         if epoch > 0 {
             let batch = scenario.plan(&mut srng);
             let got = bubbles.apply_batch(&mut store, &batch, &mut search);
@@ -222,6 +252,7 @@ fn run_scenario((name, kind, churn, points, target_bubbles): &Case) -> ScenarioR
 
         for delta in &report.deltas {
             replica.apply(delta);
+            out.payload_ids += payload_ids(delta);
         }
         assert!(
             replica.snapshot() == engine.clusters(),
@@ -250,6 +281,8 @@ struct Baseline {
     stages: String,
     /// `optics_pairs_per_epoch` and `optics_ns_per_pair`, when reported.
     pairs: Option<(f64, f64)>,
+    /// `payload_ids_per_epoch`, when reported.
+    payload_ids: Option<f64>,
 }
 
 /// The baseline report's rows, by scenario name.
@@ -265,6 +298,7 @@ fn read_baseline(path: &str) -> Vec<Baseline> {
                 full_secs: field(line, "full_secs")?,
                 stages: stages[..=stages.find('}')?].to_string(),
                 pairs: field(line, "optics_pairs_per_epoch").zip(field(line, "optics_ns_per_pair")),
+                payload_ids: field(line, "payload_ids_per_epoch"),
             })
         })
         .collect()
@@ -282,6 +316,7 @@ fn main() {
                 0.015,
                 POINTS,
                 TARGET_BUBBLES,
+                EPOCHS,
             )
         })
         .collect();
@@ -291,6 +326,7 @@ fn main() {
         0.08,
         POINTS,
         TARGET_BUBBLES,
+        EPOCHS,
     ));
     runs.push((
         "many_bubbles".to_string(),
@@ -298,6 +334,15 @@ fn main() {
         0.01,
         MANY_POINTS,
         MANY_BUBBLES,
+        EPOCHS,
+    ));
+    runs.push((
+        "monitor_d2".to_string(),
+        ScenarioKind::Complex,
+        0.01,
+        MONITOR_POINTS,
+        MONITOR_BUBBLES,
+        MONITOR_EPOCHS,
     ));
 
     let mut results = Vec::new();
@@ -313,11 +358,12 @@ fn main() {
             .map(|((_, stage), us)| format!("{stage} {:.3}ms", us as f64 / 1e3 / r.epochs as f64))
             .collect();
         eprintln!(
-            "{:<14} per epoch: {}; optics {:.0} pairs at {:.2} ns/pair",
+            "{:<14} per epoch: {}; optics {:.0} pairs at {:.2} ns/pair; {:.0} payload ids",
             "",
             stages.join(", "),
             r.pairs_per_epoch(),
-            r.ns_per_pair()
+            r.ns_per_pair(),
+            r.payload_ids_per_epoch()
         );
         results.push(r);
     }
@@ -350,8 +396,11 @@ fn main() {
                     );
                     format!(", \"baseline_optics_ns_per_pair\": {ns:.3}")
                 });
+                let ids = b.payload_ids.map_or_else(String::new, |ids| {
+                    format!(", \"baseline_payload_ids_per_epoch\": {ids:.2}")
+                });
                 format!(
-                    ", \"baseline_delta_secs\": {:.6}, \"baseline_full_secs\": {:.6}, \"delta_speedup\": {:.2}, \"full_speedup\": {:.2}, \"baseline_stage_secs_per_epoch\": {}{pairs}",
+                    ", \"baseline_delta_secs\": {:.6}, \"baseline_full_secs\": {:.6}, \"delta_speedup\": {:.2}, \"full_speedup\": {:.2}, \"baseline_stage_secs_per_epoch\": {}{pairs}{ids}",
                     b.delta_secs,
                     b.full_secs,
                     b.delta_secs / r.delta_secs,
@@ -360,7 +409,7 @@ fn main() {
                 )
             });
         format!(
-            "{{\"scenario\": \"{}\", \"points\": {}, \"target_bubbles\": {}, \"epochs\": {}, \"delta_secs\": {:.6}, \"full_secs\": {:.6}, \"stage_secs_per_epoch\": {{{}}}, \"optics_pairs_per_epoch\": {:.2}, \"optics_ns_per_pair\": {:.3}{versus}}}",
+            "{{\"scenario\": \"{}\", \"points\": {}, \"target_bubbles\": {}, \"epochs\": {}, \"delta_secs\": {:.6}, \"full_secs\": {:.6}, \"stage_secs_per_epoch\": {{{}}}, \"optics_pairs_per_epoch\": {:.2}, \"optics_ns_per_pair\": {:.3}, \"payload_ids_per_epoch\": {:.2}{versus}}}",
             r.name,
             r.points,
             r.target_bubbles,
@@ -370,12 +419,13 @@ fn main() {
             stages.join(", "),
             r.pairs_per_epoch(),
             r.ns_per_pair(),
+            r.payload_ids_per_epoch(),
         )
     });
     let _ = writeln!(json, "  \"scenarios\": {},", json_list(4, scenarios));
     let _ = writeln!(
         json,
-        "  \"note\": \"identical maintained state clustered both ways every epoch; the engine's provenance, reachability, plot and tree bits equal the full pipeline's (checked every epoch); delta_secs additionally covers the cluster-tree diff and subscription fanout, which the full pipeline does not provide; stage_secs_per_epoch splits the engine's epoch (engine counters, microsecond resolution); optics_pairs_per_epoch counts the distance pairs the OPTICS walk evaluates (s - 1 at a step whose bubble holds fewer than min_pts points, s - 1 - t at step t otherwise) and optics_ns_per_pair is the optics stage time over it; baseline_* columns, when present, come from the same report built at an earlier commit and run on the same host; a 200-bubble run lasts tens of milliseconds, so its speedup columns swing by tens of percent between two runs of one build, and only the multi-second many_bubbles row resolves a change\"\n}}"
+        "  \"note\": \"identical maintained state clustered both ways every epoch; the engine's provenance, reachability, plot and tree bits equal the full pipeline's (checked every epoch); delta_secs additionally covers the cluster-tree diff and subscription fanout, which the full pipeline does not provide; stage_secs_per_epoch splits the engine's epoch (engine counters, microsecond resolution); optics_pairs_per_epoch counts the distance pairs the OPTICS walk evaluates (s - 1 at a step whose bubble holds fewer than min_pts points, s - 1 - t at step t otherwise) and optics_ns_per_pair is the optics stage time over it; payload_ids_per_epoch counts the point ids the deltas carry (Born members, MembershipChanged added and removed; the first epoch's births included); baseline_* columns, when present, come from the same report built at an earlier commit and run on the same host; a 200-bubble run lasts tens of milliseconds, so its speedup columns swing by tens of percent between two runs of one build; the many_bubbles and monitor_d2 rows last a few tenths of a second each and resolve a change\"\n}}"
     );
     write_report("BENCH_delta.json", &json);
 }

@@ -826,7 +826,9 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
 
     /// Starts durable operation at batch sequence `base`. A fresh stream
     /// commits the WAL header, then its baseline checkpoint; a resumed one
-    /// anchors first and replaces the old epoch after.
+    /// anchors first and replaces the old epoch after. Either checkpoint
+    /// is encoded from the resident store, before a configured cold tier
+    /// spills it, so it reads no point back from the cold medium.
     fn start(
         store: PointStore,
         bubbles: IncrementalBubbles,
@@ -869,11 +871,14 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
             tier_poisoned: false,
             tier_seen: idb_store::TierCounters::default(),
         };
+        // The baseline or recovery anchor for this epoch, encoded while
+        // the store is still resident.
+        this.checkpoint_now()?;
         // Tiering starts *after* the (untiered) build/recovery produced the
-        // summarization: the store spills everything to the cold medium and
-        // serves reads on demand. The cold file is an ephemeral spill, not
-        // durability state — recovery always rebuilds untiered and re-tiers
-        // here.
+        // summarization and its anchor: the store spills everything to the
+        // cold medium and serves reads on demand. The cold file is an
+        // ephemeral spill, not durability state — recovery always rebuilds
+        // untiered and re-tiers here.
         if let Some(hot) = this.dcfg.hot_points {
             if !this.store.tiered() {
                 this.store
@@ -882,7 +887,6 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
             }
             this.tier_seen = this.store.tier_counters().unwrap_or_default();
         }
-        this.checkpoint_now()?; // The recovery anchor for this epoch.
         if resuming {
             // The old epoch may only go once the anchor is durable.
             let anchor = this.next_checkpoint_seq - 1;

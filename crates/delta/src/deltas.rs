@@ -26,33 +26,43 @@
 //! # How the diff runs
 //!
 //! Every cluster is a contiguous range of its epoch's plot, so the
-//! identity tree keeps ranges only, next to the epoch's `(point id,
-//! position)` pairs sorted by id. **Precondition:** plot ids are unique
-//! (they are point ids; debug builds assert it).
+//! identity tree keeps ranges only, next to the plot's point ids and a
+//! [`SlotTable`]: each plotted point's position, keyed by its `(domain,
+//! store slot)`. **Precondition:** a point's id is a function of its key
+//! that is injective and the same every epoch (debug builds check that
+//! ids are unique).
 //!
-//! * **Join.** The new pairs are sorted once and merge-joined against
-//!   the previous epoch's, giving every new position its old position
-//!   and every old position its new one (or a "gone" sentinel for
-//!   inserted and deleted points).
+//! * **Join.** The new and previous tables are walked side by side, one
+//!   lookup per slot, giving every new position its old position and
+//!   every old position its new one (or a "gone" sentinel for inserted
+//!   and deleted points). Equal keys are equal ids, so this is the
+//!   id-equality join: a slot freed and reused by a new point between
+//!   epochs joins as the same point.
 //! * **Unchanged check.** A matched cluster kept its members iff the two
 //!   ranges have equal sizes and every point of the new range came from
 //!   the old range — the join is one-to-one, so no sets are compared.
+//! * **Membership changes.** A changed cluster's `added` points are the
+//!   positions of its new range whose old position lies outside its old
+//!   range; its `removed` points are the positions of its old range whose
+//!   new position lies outside its new range.
 //! * **Votes and retirements.** A new child's votes scan its range's old
 //!   positions, each located among the old children's sorted, disjoint
 //!   ranges by binary search; a dead old cluster scans its old range's
 //!   new positions against the new children's ranges the same way.
-//! * **Payloads.** Sorted member lists are built only for `Born` and
-//!   `MembershipChanged`, all at once after the tree walk, by one pass
-//!   over the id-sorted pairs (see `memberships`).
+//! * **Payloads.** A set of positions is put in id order without a
+//!   comparison sort: its keys are marked in a bitmap over the slot
+//!   table, which is read back in key order (see `IdSorter`). Ids
+//!   increase with the key under both of the engine's id maps; under any
+//!   other map the set is sorted afterwards.
 //!
-//! One epoch costs `O(n log n)` for the sort plus `O(depth · n)` of
-//! linear scans and the size of the emitted payloads — no per-node sort
-//! and no point-id hash map. `deltas/reference.rs` keeps the earlier
-//! sort-and-hash diff as a test oracle the positional one must match
-//! exactly.
+//! One epoch costs `O(slots)` for the join plus `O(depth · n)` of linear
+//! scans and `O(k + slots / 64)` per emitted payload of `k` ids — no sort
+//! of the plot and no point-id hash map. `deltas/reference.rs` keeps the
+//! earlier sort-and-hash diff, with its full-membership payloads, as a
+//! test oracle the positional one must match exactly.
 
 use idb_clustering::{ClusterNode, ReachabilityPlot};
-use std::cmp::{Ordering, Reverse};
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 
 /// A stable cluster identity, valid across epochs for as long as the
@@ -97,13 +107,17 @@ pub enum ClusterDelta {
         /// The ended cluster.
         id: ClusterId,
     },
-    /// A surviving cluster whose membership changed. Carries the full new
-    /// (sorted) membership.
+    /// A surviving cluster whose membership changed. Carries the change,
+    /// not the new membership: the new membership is the previous one
+    /// plus `added`, minus `removed`. At least one of the two is
+    /// non-empty.
     MembershipChanged {
         /// The cluster whose membership changed.
         id: ClusterId,
-        /// The new sorted membership.
-        members: Vec<u64>,
+        /// Sorted point ids that joined the cluster; none was a member.
+        added: Vec<u64>,
+        /// Sorted point ids that left the cluster; each was a member.
+        removed: Vec<u64>,
     },
 }
 
@@ -124,7 +138,7 @@ impl ClusterDelta {
 /// The identity-carrying mirror of one extracted cluster tree: the same
 /// shape and plot ranges as the epoch's [`ClusterNode`] tree, plus the
 /// stable id of every node. Memberships are not stored; the owning
-/// [`IdTree`] derives them from its id-sorted plot pairs on demand.
+/// [`IdTree`] derives them from its plot on demand.
 #[derive(Debug, Clone)]
 pub(crate) struct IdNode {
     pub id: ClusterId,
@@ -138,8 +152,10 @@ pub(crate) struct IdNode {
 #[derive(Debug, Clone)]
 pub(crate) struct IdTree {
     pub root: IdNode,
-    /// The epoch's `(point id, plot position)` pairs, sorted by id.
-    by_id: Vec<(u64, usize)>,
+    /// The epoch's point ids, by plot position.
+    ids: Vec<u64>,
+    /// The epoch's plot positions, by `(domain, store slot)`.
+    slots: SlotTable,
 }
 
 impl IdTree {
@@ -154,19 +170,15 @@ impl IdTree {
 
     /// The canonical `(id, parent, members)` view, sorted by id — the
     /// representation [`TreeReplica::snapshot`] reconstructs. Builds every
-    /// node's membership, `O(depth · n)`; the epoch itself never calls it.
+    /// node's membership, `O(depth · n + nodes · slots / 64)`; the epoch
+    /// itself never calls it.
     pub fn canonical(&self) -> Vec<(ClusterId, Option<ClusterId>, Vec<u64>)> {
-        let mut nodes = Vec::new();
-        let mut ranges = Vec::new();
+        let mut sorter = IdSorter::new(&self.slots, &self.ids);
+        let mut out = Vec::new();
         self.walk(|node, parent| {
-            nodes.push((node.id, parent));
-            ranges.push(node.range);
+            let (start, end) = node.range;
+            out.push((node.id, parent, sorter.sorted(start..end)));
         });
-        let mut out: Vec<_> = nodes
-            .into_iter()
-            .zip(memberships(&self.by_id, &ranges))
-            .map(|((id, parent), members)| (id, parent, members))
-            .collect();
         out.sort_by_key(|(id, _, _)| *id);
         out
     }
@@ -187,63 +199,149 @@ impl IdTree {
     }
 }
 
-/// "No such position / range" sentinel of the join and membership
-/// tables.
+/// "No such position" sentinel of the join.
 const NONE: usize = usize::MAX;
 
-/// Sorted point ids of every plot region in `ranges`, in one pass over
-/// the id-sorted `(id, position)` pairs: no per-region sort.
-///
-/// The regions must be nodes of one cluster tree, so any two are nested
-/// or disjoint. Each position is mapped to the innermost region holding
-/// it, and each region to the innermost region strictly enclosing it;
-/// walking that chain from every pair, in id order, appends the id to
-/// each region holding its position. Costs `O(n + Σ |region|)`.
-fn memberships(by_id: &[(u64, usize)], ranges: &[(usize, usize)]) -> Vec<Vec<u64>> {
-    // Outer regions first (by start, longer first), so inner ones paint
-    // over them and find their enclosing region already painted.
-    let mut order: Vec<usize> = (0..ranges.len()).collect();
-    order.sort_unstable_by_key(|&k| (ranges[k].0, Reverse(ranges[k].1)));
-    let mut innermost = vec![NONE; by_id.len()];
-    let mut up = vec![NONE; ranges.len()];
-    for k in order {
-        let (start, end) = ranges[k];
-        if start < end {
-            up[k] = innermost[start];
-            innermost[start..end].fill(k);
-        }
-    }
-    let mut out: Vec<Vec<u64>> = ranges
-        .iter()
-        .map(|&(start, end)| Vec::with_capacity(end - start))
-        .collect();
-    for &(id, pos) in by_id {
-        let mut k = innermost[pos];
-        while k != NONE {
-            out[k].push(id);
-            k = up[k];
-        }
-    }
-    out
+/// One epoch's plot positions, direct-addressed by `(domain, store
+/// slot)`: domain `d`'s slots are the keys `starts[d]..starts[d + 1]`,
+/// and a key with no point in the plot maps to [`EMPTY`]. Domains may
+/// change their slot count, and their number, between epochs. Keys and
+/// positions are stored as `u32`, half the memory traffic of `usize`.
+#[derive(Debug, Clone)]
+pub(crate) struct SlotTable {
+    starts: Vec<usize>,
+    /// Per key: the plot position, or [`EMPTY`].
+    pos: Vec<u32>,
+    /// Per plot position: its key.
+    keys: Vec<u32>,
 }
 
-/// Merge-joins two id-sorted `(id, position)` lists into
-/// `(old_of_new, new_of_old)`: each plot position's position in the
-/// other epoch's plot, or [`NONE`] for a point only one epoch has.
-fn join(old: &[(u64, usize)], new: &[(u64, usize)]) -> (Vec<usize>, Vec<usize>) {
-    let mut old_of_new = vec![NONE; new.len()];
-    let mut new_of_old = vec![NONE; old.len()];
-    let (mut i, mut j) = (0, 0);
-    while i < old.len() && j < new.len() {
-        let ((old_id, op), (new_id, np)) = (old[i], new[j]);
-        match old_id.cmp(&new_id) {
-            Ordering::Less => i += 1,
-            Ordering::Greater => j += 1,
-            Ordering::Equal => {
-                old_of_new[np] = op;
-                new_of_old[op] = np;
-                i += 1;
-                j += 1;
+/// An unused key of a [`SlotTable`].
+const EMPTY: u32 = u32::MAX;
+
+impl SlotTable {
+    /// An empty table for a plot of `len` points, with room for
+    /// `bounds[d]` slots in domain `d`.
+    ///
+    /// # Panics
+    /// Panics if the slots or the points number `u32::MAX` or more.
+    pub fn new(bounds: impl IntoIterator<Item = usize>, len: usize) -> Self {
+        let mut starts = vec![0];
+        let mut end = 0;
+        for bound in bounds {
+            end += bound;
+            starts.push(end);
+        }
+        assert!(
+            end < EMPTY as usize && len < EMPTY as usize,
+            "a slot table indexes keys and positions as u32"
+        );
+        Self {
+            starts,
+            pos: vec![EMPTY; end],
+            keys: vec![EMPTY; len],
+        }
+    }
+
+    /// A recorder that fills the table while the plot is laid out.
+    pub fn recorder(&mut self) -> SlotRecorder<'_> {
+        SlotRecorder {
+            starts: &self.starts,
+            pos: Cell::from_mut(&mut self.pos[..]).as_slice_of_cells(),
+            keys: Cell::from_mut(&mut self.keys[..]).as_slice_of_cells(),
+            next: Cell::new(0),
+        }
+    }
+
+    fn domains(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    fn domain(&self, d: usize) -> &[u32] {
+        &self.pos[self.starts[d]..self.starts[d + 1]]
+    }
+}
+
+/// Fills a [`SlotTable`] in plot order: the `k`-th call to
+/// [`note`](Self::note) records plot position `k` under its key. Shared
+/// by reference, so the plot's member iterators can each hold it.
+pub(crate) struct SlotRecorder<'a> {
+    starts: &'a [usize],
+    pos: &'a [Cell<u32>],
+    keys: &'a [Cell<u32>],
+    next: Cell<u32>,
+}
+
+impl SlotRecorder<'_> {
+    /// Records the next plot position under `(domain, slot)`.
+    pub fn note(&self, domain: u32, slot: u32) {
+        let d = domain as usize;
+        let key = self.starts[d] + slot as usize;
+        debug_assert!(key < self.starts[d + 1], "slot outside its domain's bound");
+        let pos = self.next.get();
+        self.pos[key].set(pos);
+        self.keys[pos as usize].set(key as u32);
+        self.next.set(pos + 1);
+    }
+}
+
+/// Puts sets of one plot's positions in id order without a comparison
+/// sort: a set's keys are marked in a bitmap over the slot table, which
+/// is read back in key order — `O(k + slots / 64)` for `k` positions.
+struct IdSorter<'a> {
+    slots: &'a SlotTable,
+    ids: &'a [u64],
+    /// All zero between calls.
+    bits: Vec<u64>,
+}
+
+impl<'a> IdSorter<'a> {
+    fn new(slots: &'a SlotTable, ids: &'a [u64]) -> Self {
+        Self {
+            slots,
+            ids,
+            bits: vec![0; slots.pos.len().div_ceil(64)],
+        }
+    }
+
+    /// The ids at `positions` (distinct plot positions), sorted.
+    fn sorted(&mut self, positions: impl IntoIterator<Item = usize>) -> Vec<u64> {
+        let (mut count, mut lo, mut hi) = (0, usize::MAX, 0);
+        for p in positions {
+            let key = self.slots.keys[p] as usize;
+            self.bits[key / 64] |= 1 << (key % 64);
+            count += 1;
+            lo = lo.min(key / 64);
+            hi = hi.max(key / 64 + 1);
+        }
+        let mut out = Vec::with_capacity(count);
+        for w in lo..hi {
+            let mut word = std::mem::take(&mut self.bits[w]);
+            while word != 0 {
+                let key = w * 64 + word.trailing_zeros() as usize;
+                out.push(self.ids[self.slots.pos[key] as usize]);
+                word &= word - 1;
+            }
+        }
+        if !out.is_sorted() {
+            // An id map that does not increase with the key.
+            out.sort_unstable();
+        }
+        out
+    }
+}
+
+/// Walks two epochs' slot tables side by side into `(old_of_new,
+/// new_of_old)`: each plot position's position in the other epoch's
+/// plot, or [`NONE`] for a point only one epoch has.
+fn join(old: &SlotTable, new: &SlotTable) -> (Vec<usize>, Vec<usize>) {
+    let mut old_of_new = vec![NONE; new.keys.len()];
+    let mut new_of_old = vec![NONE; old.keys.len()];
+    for d in 0..old.domains().min(new.domains()) {
+        for (&op, &np) in old.domain(d).iter().zip(new.domain(d)) {
+            if op != EMPTY && np != EMPTY {
+                old_of_new[np as usize] = op as usize;
+                new_of_old[op as usize] = np as usize;
             }
         }
     }
@@ -257,81 +355,94 @@ fn owner(nodes: &[IdNode], pos: usize) -> Option<usize> {
     (i < nodes.len() && nodes[i].range.0 <= pos).then_some(i)
 }
 
+/// The positions of `range` outside the sorted, disjoint sub-ranges
+/// `holes`.
+fn outside(
+    range: (usize, usize),
+    holes: impl Iterator<Item = (usize, usize)>,
+) -> impl Iterator<Item = usize> {
+    let mut at = range.0;
+    holes
+        .chain([(range.1, range.1)])
+        .flat_map(move |(start, end)| {
+            let gap = at..start;
+            at = end;
+            gap
+        })
+}
+
+/// Whether `pos` lies in the half-open `range`; never for [`NONE`].
+fn inside(range: (usize, usize), pos: usize) -> bool {
+    range.0 <= pos && pos < range.1
+}
+
 /// The four delta buckets of one epoch, concatenated in emission order:
 /// removals (old-tree postorder) → splits → births (new-tree preorder) →
-/// membership changes.
+/// membership changes (preorder; `None` holds the place of a matched
+/// cluster whose membership did not change).
 #[derive(Debug, Default)]
 struct DiffOut {
     removals: Vec<ClusterDelta>,
     splits: Vec<ClusterDelta>,
     born: Vec<ClusterDelta>,
-    membership: Vec<ClusterDelta>,
+    membership: Vec<Option<ClusterDelta>>,
 }
 
 /// Diffs the previous epoch's identity tree against the freshly extracted
-/// tree. Returns the new identity tree and the epoch's delta stream.
+/// tree, whose plot positions `slots` holds. Returns the new identity
+/// tree and the epoch's delta stream.
 ///
 /// Plot ids must be unique — they are point ids; debug builds check it.
 pub(crate) fn diff_trees(
     prev: Option<&IdTree>,
     tree: &ClusterNode,
     plot: &ReachabilityPlot,
+    slots: SlotTable,
     next_id: &mut u64,
 ) -> (IdTree, Vec<ClusterDelta>) {
-    let mut by_id: Vec<(u64, usize)> = plot
-        .entries()
-        .iter()
-        .enumerate()
-        .map(|(pos, e)| (e.id, pos))
-        .collect();
-    by_id.sort_unstable_by_key(|&(id, _)| id);
+    let ids: Vec<u64> = plot.entries().iter().map(|e| e.id).collect();
     debug_assert!(
-        by_id.windows(2).all(|w| w[0].0 < w[1].0),
+        slots.keys.len() == ids.len()
+            && slots
+                .keys
+                .iter()
+                .enumerate()
+                .all(|(p, &k)| slots.pos.get(k as usize) == Some(&(p as u32))),
+        "one slot per plot position"
+    );
+    debug_assert!(
+        {
+            let mut sorted = ids.clone();
+            sorted.sort_unstable();
+            sorted.windows(2).all(|w| w[0] < w[1])
+        },
         "plot ids must be unique"
     );
     let (old_of_new, new_of_old) =
-        prev.map_or_else(Default::default, |old| join(&old.by_id, &by_id));
+        prev.map_or_else(Default::default, |old| join(&old.slots, &slots));
     let mut diff = Diff {
         old_of_new,
         new_of_old,
         next_id,
         out: DiffOut::default(),
-        born_ranges: Vec::new(),
-        changed_ranges: Vec::new(),
+        new_ids: IdSorter::new(&slots, &ids),
+        old_ids: prev.map(|old| IdSorter::new(&old.slots, &old.ids)),
     };
     let root = match prev {
         None => diff.fresh(tree, None),
-        Some(old) => diff.matched(&old.root, tree),
+        Some(old) => diff.matched(&old.root, tree).0,
     };
-
-    // Fill the membership payloads, births then changes, in one pass.
-    let Diff {
-        mut out,
-        born_ranges,
-        changed_ranges,
-        ..
-    } = diff;
-    let ranges: Vec<(usize, usize)> = born_ranges.into_iter().chain(changed_ranges).collect();
-    let payloads = out.born.iter_mut().chain(&mut out.membership);
-    for (delta, list) in payloads.zip(memberships(&by_id, &ranges)) {
-        if let ClusterDelta::Born { members, .. }
-        | ClusterDelta::MembershipChanged { members, .. } = delta
-        {
-            *members = list;
-        }
-    }
-
+    let out = diff.out;
     let mut deltas = out.removals;
     deltas.extend(out.splits);
     deltas.extend(out.born);
-    deltas.extend(out.membership);
-    (IdTree { root, by_id }, deltas)
+    deltas.extend(out.membership.into_iter().flatten());
+    (IdTree { root, ids, slots }, deltas)
 }
 
 /// One epoch's diff state: the position join against the previous plot,
-/// the id counter and the emitted deltas. `Born` and `MembershipChanged`
-/// deltas are emitted with empty member lists; their plot ranges are
-/// recorded alongside, in emission order, and [`diff_trees`] fills them.
+/// the id counter, the emitted deltas, and each plot's [`IdSorter`] for
+/// the payloads.
 struct Diff<'a> {
     /// Per new plot position: the point's previous-epoch position.
     old_of_new: Vec<usize>,
@@ -339,8 +450,9 @@ struct Diff<'a> {
     new_of_old: Vec<usize>,
     next_id: &'a mut u64,
     out: DiffOut,
-    born_ranges: Vec<(usize, usize)>,
-    changed_ranges: Vec<(usize, usize)>,
+    new_ids: IdSorter<'a>,
+    /// `None` in the engine's first epoch.
+    old_ids: Option<IdSorter<'a>>,
 }
 
 impl Diff<'_> {
@@ -349,12 +461,12 @@ impl Diff<'_> {
     fn fresh(&mut self, tree: &ClusterNode, parent: Option<ClusterId>) -> IdNode {
         let id = ClusterId(*self.next_id);
         *self.next_id += 1;
+        let (start, end) = tree.range;
         self.out.born.push(ClusterDelta::Born {
             id,
             parent,
-            members: Vec::new(),
+            members: self.new_ids.sorted(start..end),
         });
-        self.born_ranges.push(tree.range);
         let children = tree
             .children
             .iter()
@@ -370,24 +482,22 @@ impl Diff<'_> {
     /// Diffs one matched `(old, new)` pair: carries the old id over,
     /// matches the children by point-overlap voting, recurses into
     /// matched pairs, births unmatched new children and retires unmatched
-    /// old ones.
-    fn matched(&mut self, old: &IdNode, new: &ClusterNode) -> IdNode {
-        // Equal sizes and every new point was inside the old range: the
-        // join is one-to-one, so the memberships are equal.
-        let (o, n) = (old.range, new.range);
-        let unchanged = n.1 - n.0 == o.1 - o.0
-            && self.old_of_new[n.0..n.1]
-                .iter()
-                .all(|&op| o.0 <= op && op < o.1);
-        if !unchanged {
-            self.out.membership.push(ClusterDelta::MembershipChanged {
-                id: old.id,
-                members: Vec::new(),
-            });
-            self.changed_ranges.push(n);
-        }
+    /// old ones. Returns the new identity node, the positions the cluster
+    /// gained (in the new plot) and the positions it lost (in the old).
+    ///
+    /// A matched child's old range lies inside `old`'s and its new range
+    /// inside `new`'s, so a point this cluster gained or lost inside a
+    /// matched child's range was gained or lost by that child too: the
+    /// sets are filtered up from the children's, and only positions
+    /// outside every matched child are scanned here.
+    fn matched(&mut self, old: &IdNode, new: &ClusterNode) -> (IdNode, Vec<usize>, Vec<usize>) {
+        // Membership changes are emitted in preorder: hold this cluster's
+        // place until its children are diffed.
+        let slot = self.out.membership.len();
+        self.out.membership.push(None);
 
-        // Vote: each new child's points, by the old child that held them.
+        // Vote: each new child's points, by the old child that held them
+        // (runs of points mostly share one, so the last is tried first).
         // Candidate (overlap, old child, new child) triples, strongest
         // first; ties toward the smaller (older) id, then the leftmost new
         // child. Greedy one-to-one assignment.
@@ -395,10 +505,24 @@ impl Diff<'_> {
         let mut votes = vec![0usize; old.children.len()];
         for (ncp, nc) in new.children.iter().enumerate() {
             votes.fill(0);
+            // The old child that held the current run of points, its
+            // range, and the run's length.
+            let (mut last, mut held, mut run) = (0, (0, 0), 0);
             for &op in &self.old_of_new[nc.range.0..nc.range.1] {
-                if let Some(ocp) = owner(&old.children, op) {
-                    votes[ocp] += 1;
+                if inside(held, op) {
+                    run += 1;
+                    continue;
                 }
+                if run > 0 {
+                    votes[last] += run;
+                }
+                (last, held, run) = match owner(&old.children, op) {
+                    Some(ocp) => (ocp, old.children[ocp].range, 1),
+                    None => (0, (0, 0), 0),
+                };
+            }
+            if run > 0 {
+                votes[last] += run;
             }
             for (ocp, &v) in votes.iter().enumerate() {
                 if v > 0 {
@@ -422,15 +546,54 @@ impl Diff<'_> {
 
         // Build the new children left to right: matched pairs recurse, the
         // rest are born fresh.
-        let id_children: Vec<IdNode> = new
-            .children
-            .iter()
-            .enumerate()
-            .map(|(ncp, nc)| match new_match[ncp] {
-                Some(ocp) => self.matched(&old.children[ocp], nc),
+        let (o, n) = (old.range, new.range);
+        let (mut added, mut removed) = (Vec::new(), Vec::new());
+        let mut id_children = Vec::with_capacity(new.children.len());
+        for (ncp, nc) in new.children.iter().enumerate() {
+            id_children.push(match new_match[ncp] {
+                Some(ocp) => {
+                    let (child, gained, lost) = self.matched(&old.children[ocp], nc);
+                    added.extend(
+                        gained
+                            .into_iter()
+                            .filter(|&p| !inside(o, self.old_of_new[p])),
+                    );
+                    removed.extend(lost.into_iter().filter(|&p| !inside(n, self.new_of_old[p])));
+                    child
+                }
                 None => self.fresh(nc, Some(old.id)),
-            })
-            .collect();
+            });
+        }
+        let matched_new = new.children.iter().zip(&new_match);
+        let matched_old = old.children.iter().zip(&old_match);
+        added.extend(
+            outside(
+                n,
+                matched_new
+                    .filter(|(_, m)| m.is_some())
+                    .map(|(c, _)| c.range),
+            )
+            .filter(|&p| !inside(o, self.old_of_new[p])),
+        );
+        removed.extend(
+            outside(
+                o,
+                matched_old
+                    .filter(|(_, m)| m.is_some())
+                    .map(|(c, _)| c.range),
+            )
+            .filter(|&p| !inside(n, self.new_of_old[p])),
+        );
+        if !added.is_empty() || !removed.is_empty() {
+            let old_ids = self.old_ids.as_mut();
+            self.out.membership[slot] = Some(ClusterDelta::MembershipChanged {
+                id: old.id,
+                added: self.new_ids.sorted(added.iter().copied()),
+                removed: old_ids
+                    .expect("a matched node has a previous epoch")
+                    .sorted(removed.iter().copied()),
+            });
+        }
 
         // Retire unmatched old children (whole subtrees, postorder) now that
         // every surviving new child id is known.
@@ -448,11 +611,12 @@ impl Diff<'_> {
             });
         }
 
-        IdNode {
+        let node = IdNode {
             id: old.id,
             range: n,
             children: id_children,
-        }
+        };
+        (node, added, removed)
     }
 
     /// Emits `Absorbed`/`Retired` for a dead old subtree, children first.
@@ -513,9 +677,9 @@ impl TreeReplica {
             ClusterDelta::Absorbed { id, .. } | ClusterDelta::Retired { id } => {
                 self.nodes.remove(id);
             }
-            ClusterDelta::MembershipChanged { id, members } => {
+            ClusterDelta::MembershipChanged { id, added, removed } => {
                 if let Some((_, m)) = self.nodes.get_mut(id) {
-                    *m = members.clone();
+                    *m = apply_change(m, added, removed);
                 }
             }
             ClusterDelta::Split { .. } => {} // Advisory; births carry the state.
@@ -545,12 +709,40 @@ impl TreeReplica {
     }
 }
 
+/// `members` plus `added`, minus `removed`, all three sorted, with
+/// `added` disjoint from `members` and `removed` a subset of it: one
+/// merge.
+fn apply_change(members: &[u64], added: &[u64], removed: &[u64]) -> Vec<u64> {
+    let mut out = Vec::with_capacity((members.len() + added.len()).saturating_sub(removed.len()));
+    let (mut added, mut removed) = (added.iter().peekable(), removed.iter().peekable());
+    for &m in members {
+        if removed.next_if_eq(&&m).is_some() {
+            continue;
+        }
+        while let Some(&a) = added.next_if(|&&a| a < m) {
+            out.push(a);
+        }
+        out.push(m);
+    }
+    out.extend(added);
+    out
+}
+
 #[cfg(test)]
 mod reference;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn diff(
+        prev: Option<&IdTree>,
+        tree: &ClusterNode,
+        plot: &ReachabilityPlot,
+        next: &mut u64,
+    ) -> (IdTree, Vec<ClusterDelta>) {
+        diff_trees(prev, tree, plot, SlotTable::of_plot(plot), next)
+    }
 
     fn plot_of(reach: &[f64]) -> ReachabilityPlot {
         let mut p = ReachabilityPlot::new();
@@ -581,7 +773,7 @@ mod tests {
         let plot = plot_of(&[f64::INFINITY, 1.0, 1.0, 5.0, 1.0, 1.0]);
         let tree = node((0, 6), vec![leaf((0, 3)), leaf((3, 6))]);
         let mut next = 0;
-        let (id_tree, deltas) = diff_trees(None, &tree, &plot, &mut next);
+        let (id_tree, deltas) = diff(None, &tree, &plot, &mut next);
         assert_eq!(id_tree.root.id, ClusterId(0));
         assert_eq!(
             deltas.iter().map(ClusterDelta::subject).collect::<Vec<_>>(),
@@ -602,9 +794,9 @@ mod tests {
         let plot = plot_of(&[f64::INFINITY, 1.0, 1.0, 5.0, 1.0, 1.0]);
         let tree = node((0, 6), vec![leaf((0, 3)), leaf((3, 6))]);
         let mut next = 0;
-        let (first, born) = diff_trees(None, &tree, &plot, &mut next);
+        let (first, born) = diff(None, &tree, &plot, &mut next);
         assert_eq!(born.len(), 3);
-        let (second, deltas) = diff_trees(Some(&first), &tree, &plot, &mut next);
+        let (second, deltas) = diff(Some(&first), &tree, &plot, &mut next);
         assert!(deltas.is_empty(), "{deltas:?}");
         assert_eq!(second.canonical(), first.canonical());
     }
@@ -614,9 +806,9 @@ mod tests {
         let plot = plot_of(&[f64::INFINITY, 1.0, 1.0, 1.0, 1.0, 1.0]);
         let flat = node((0, 6), vec![]);
         let mut next = 0;
-        let (first, _) = diff_trees(None, &flat, &plot, &mut next);
+        let (first, _) = diff(None, &flat, &plot, &mut next);
         let split = node((0, 6), vec![leaf((0, 3)), leaf((3, 6))]);
-        let (second, deltas) = diff_trees(Some(&first), &split, &plot, &mut next);
+        let (second, deltas) = diff(Some(&first), &split, &plot, &mut next);
         assert_eq!(second.root.id, ClusterId(0));
         let kinds: Vec<&ClusterDelta> = deltas.iter().collect();
         assert!(matches!(
@@ -633,11 +825,11 @@ mod tests {
         let plot1 = plot_of(&[f64::INFINITY, 1.0, 1.0, 5.0, 1.0, 1.0]);
         let tree1 = node((0, 6), vec![leaf((0, 3)), leaf((3, 6))]);
         let mut next = 0;
-        let (first, _) = diff_trees(None, &tree1, &plot1, &mut next);
+        let (first, _) = diff(None, &tree1, &plot1, &mut next);
 
         // Same ids, boundary shifted: point 3 now in the left region.
         let tree2 = node((0, 6), vec![leaf((0, 4)), leaf((4, 6))]);
-        let (second, deltas) = diff_trees(Some(&first), &tree2, &plot1, &mut next);
+        let (second, deltas) = diff(Some(&first), &tree2, &plot1, &mut next);
         assert_eq!(second.root.children[0].id, first.root.children[0].id);
         assert_eq!(second.root.children[1].id, first.root.children[1].id);
         // Only membership changes, no births or removals.
@@ -652,12 +844,12 @@ mod tests {
         let plot1 = plot_of(&[f64::INFINITY, 1.0, 1.0, 5.0, 1.0, 1.0]);
         let tree1 = node((0, 6), vec![leaf((0, 3)), leaf((3, 6))]);
         let mut next = 0;
-        let (first, _) = diff_trees(None, &tree1, &plot1, &mut next);
+        let (first, _) = diff(None, &tree1, &plot1, &mut next);
 
         // The right cluster's region merges into the left: one child
         // covering everything. Its points survive inside the survivor.
         let tree2 = node((0, 6), vec![leaf((0, 6))]);
-        let (second, deltas) = diff_trees(Some(&first), &tree2, &plot1, &mut next);
+        let (second, deltas) = diff(Some(&first), &tree2, &plot1, &mut next);
         let survivor = second.root.children[0].id;
         assert_eq!(
             survivor, first.root.children[0].id,
@@ -674,12 +866,12 @@ mod tests {
         let plot1 = plot_of(&[f64::INFINITY, 1.0, 1.0, 5.0, 1.0, 1.0]);
         let tree1 = node((0, 6), vec![leaf((0, 3)), leaf((3, 6))]);
         let mut next = 0;
-        let (first, _) = diff_trees(None, &tree1, &plot1, &mut next);
+        let (first, _) = diff(None, &tree1, &plot1, &mut next);
 
         // Points 3..6 are gone entirely.
         let plot2 = plot_of(&[f64::INFINITY, 1.0, 1.0]);
         let tree2 = node((0, 3), vec![leaf((0, 3))]);
-        let (_, deltas) = diff_trees(Some(&first), &tree2, &plot2, &mut next);
+        let (_, deltas) = diff(Some(&first), &tree2, &plot2, &mut next);
         assert!(deltas.iter().any(
             |d| matches!(d, ClusterDelta::Retired { id } if *id == first.root.children[1].id)
         ));
@@ -690,7 +882,7 @@ mod tests {
         let mut next = 0;
         let mut replica = TreeReplica::new();
         let plot1 = plot_of(&[f64::INFINITY, 1.0, 1.0, 1.0, 1.0, 1.0]);
-        let (mut id_tree, deltas) = diff_trees(None, &node((0, 6), vec![]), &plot1, &mut next);
+        let (mut id_tree, deltas) = diff(None, &node((0, 6), vec![]), &plot1, &mut next);
         for d in &deltas {
             replica.apply(d);
         }
@@ -713,7 +905,7 @@ mod tests {
             ),
         ];
         for (plot, tree) in &epochs {
-            let (nt, deltas) = diff_trees(Some(&id_tree), tree, plot, &mut next);
+            let (nt, deltas) = diff(Some(&id_tree), tree, plot, &mut next);
             for d in &deltas {
                 replica.apply(d);
             }

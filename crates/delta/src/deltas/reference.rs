@@ -2,18 +2,52 @@
 //!
 //! [`ref_diff_trees`] is the earlier implementation kept as a test
 //! oracle: every identity node stores its sorted membership, every
-//! matched level re-sorts each child's plot region, and votes and
-//! retirements go through point-id hash maps. The production
-//! [`diff_trees`] must agree with it exactly — the delta stream in
-//! emission order, the id counter and the canonical view — at every
-//! epoch of random multi-epoch sequences: inserts, deletes, moves and
-//! reshuffles between plots, random nested trees with gaps, single-child
-//! chains and root-only trees, and empty plots.
+//! matched level re-sorts each child's plot region, votes and
+//! retirements go through point-id hash maps, points are joined by id
+//! equality, and a membership change carries the cluster's full new
+//! membership. The production [`diff_trees`] must agree with it exactly
+//! — the delta stream in emission order, the id counter and the
+//! canonical view — at every epoch of random multi-epoch sequences, up
+//! to the membership-change payload: each production change applied to
+//! the cluster's previous membership must give the reference's full
+//! list. The sequences cover inserts, deletes, moves and reshuffles
+//! between plots, store slots freed and reused by new points, domains
+//! that grow, shrink, appear and vanish, random nested trees with gaps,
+//! single-child chains and root-only trees, and empty plots. Each
+//! sequence also runs with slot keys whose order differs from the ids'.
 
 use super::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+impl SlotTable {
+    /// The table of a plot whose ids are `(domain << 32) | slot`, the key
+    /// order of the engine's sharded id map.
+    pub(crate) fn of_plot(plot: &ReachabilityPlot) -> Self {
+        Self::keyed(plot, |id| ((id >> 32) as u32, id as u32))
+    }
+
+    /// The table of a plot under the `(domain, slot)` keys `key` gives
+    /// its ids.
+    pub(crate) fn keyed(plot: &ReachabilityPlot, key: impl Fn(u64) -> (u32, u32)) -> Self {
+        let mut bounds: Vec<usize> = Vec::new();
+        for e in plot.entries() {
+            let (d, slot) = key(e.id);
+            if bounds.len() <= d as usize {
+                bounds.resize(d as usize + 1, 0);
+            }
+            bounds[d as usize] = bounds[d as usize].max(slot as usize + 1);
+        }
+        let mut table = Self::new(bounds, plot.len());
+        let recorder = table.recorder();
+        for e in plot.entries() {
+            let (d, slot) = key(e.id);
+            recorder.note(d, slot);
+        }
+        table
+    }
+}
 
 /// The reference identity node: id plus sorted membership.
 #[derive(Debug, Clone)]
@@ -51,13 +85,29 @@ fn region_members(plot: &ReachabilityPlot, range: (usize, usize)) -> Vec<u64> {
     ids
 }
 
+/// Membership changes as the earlier diff emitted them: each changed
+/// cluster's id and full new membership.
+type FullChanges = Vec<(ClusterId, Vec<u64>)>;
+
+/// The reference's output buckets: [`DiffOut`]'s, except for the
+/// membership changes.
+#[derive(Debug, Default)]
+struct RefOut {
+    removals: Vec<ClusterDelta>,
+    splits: Vec<ClusterDelta>,
+    born: Vec<ClusterDelta>,
+    membership: FullChanges,
+}
+
+/// The reference diff: its new tree, the stream's removals, splits and
+/// births, and its membership changes (emitted after them).
 fn ref_diff_trees(
     prev: Option<&RefNode>,
     tree: &ClusterNode,
     plot: &ReachabilityPlot,
     next_id: &mut u64,
-) -> (RefNode, Vec<ClusterDelta>) {
-    let mut out = DiffOut::default();
+) -> (RefNode, Vec<ClusterDelta>, FullChanges) {
+    let mut out = RefOut::default();
     let root = match prev {
         None => ref_build_fresh(tree, plot, None, next_id, &mut out),
         Some(old) => ref_diff_node(old, tree, plot, next_id, &mut out),
@@ -65,8 +115,7 @@ fn ref_diff_trees(
     let mut deltas = out.removals;
     deltas.extend(out.splits);
     deltas.extend(out.born);
-    deltas.extend(out.membership);
-    (root, deltas)
+    (root, deltas, out.membership)
 }
 
 fn ref_build_fresh(
@@ -74,7 +123,7 @@ fn ref_build_fresh(
     plot: &ReachabilityPlot,
     parent: Option<ClusterId>,
     next_id: &mut u64,
-    out: &mut DiffOut,
+    out: &mut RefOut,
 ) -> RefNode {
     let id = ClusterId(*next_id);
     *next_id += 1;
@@ -101,14 +150,11 @@ fn ref_diff_node(
     new: &ClusterNode,
     plot: &ReachabilityPlot,
     next_id: &mut u64,
-    out: &mut DiffOut,
+    out: &mut RefOut,
 ) -> RefNode {
     let members = region_members(plot, new.range);
     if members != old.members {
-        out.membership.push(ClusterDelta::MembershipChanged {
-            id: old.id,
-            members: members.clone(),
-        });
+        out.membership.push((old.id, members.clone()));
     }
     let mut point_owner: HashMap<u64, usize> = HashMap::new();
     for (ocp, oc) in old.children.iter().enumerate() {
@@ -181,7 +227,7 @@ fn ref_diff_node(
     }
 }
 
-fn ref_retire_subtree(node: &RefNode, point_dest: &HashMap<u64, ClusterId>, out: &mut DiffOut) {
+fn ref_retire_subtree(node: &RefNode, point_dest: &HashMap<u64, ClusterId>, out: &mut RefOut) {
     for c in &node.children {
         ref_retire_subtree(c, point_dest, out);
     }
@@ -219,23 +265,65 @@ fn node(range: (usize, usize), children: Vec<ClusterNode>) -> ClusterNode {
     }
 }
 
-/// The next plot: deletes, inserts and moves applied to `ids`, or now and
-/// then a full reshuffle or an empty plot. Fresh ids come from
-/// `next_point`, spaced so the id order differs from insertion order.
-fn evolve(ids: &[u64], max_n: usize, next_point: &mut u64, rng: &mut StdRng) -> Vec<u64> {
+/// Store slots per domain, handed out as `PointStore` does: a freed slot
+/// is reused, last freed first, before the domain's slot count grows.
+/// Point ids are `(domain << 32) | slot`, as the sharded id map makes
+/// them.
+#[derive(Debug, Default)]
+struct Slabs {
+    next: Vec<u32>,
+    free: Vec<Vec<u32>>,
+}
+
+impl Slabs {
+    fn alloc(&mut self, domain: usize) -> u64 {
+        if self.next.len() <= domain {
+            self.next.resize(domain + 1, 0);
+            self.free.resize(domain + 1, Vec::new());
+        }
+        let slot = self.free[domain].pop().unwrap_or_else(|| {
+            self.next[domain] += 1;
+            self.next[domain] - 1
+        });
+        ((domain as u64) << 32) | u64::from(slot)
+    }
+
+    fn release(&mut self, id: u64) {
+        self.free[(id >> 32) as usize].push(id as u32);
+    }
+}
+
+/// The next plot: deletes, inserts (into freed slots first) and moves
+/// applied to `ids`, now and then a change of the domain count (points
+/// of a dropped domain are deleted), a full reshuffle or an empty plot.
+fn evolve(
+    ids: &[u64],
+    max_n: usize,
+    domains: &mut usize,
+    slabs: &mut Slabs,
+    rng: &mut StdRng,
+) -> Vec<u64> {
     if rng.gen_bool(0.05) {
+        ids.iter().for_each(|&id| slabs.release(id));
         return Vec::new();
     }
-    let mut out: Vec<u64> = ids.iter().copied().filter(|_| rng.gen_bool(0.85)).collect();
+    if rng.gen_bool(0.2) {
+        *domains = rng.gen_range(1..=3);
+    }
+    let mut out = Vec::new();
+    for &id in ids {
+        if ((id >> 32) as usize) < *domains && rng.gen_bool(0.85) {
+            out.push(id);
+        } else {
+            slabs.release(id);
+        }
+    }
     for _ in 0..rng.gen_range(0..=max_n / 3 + 1) {
         if out.len() >= max_n {
             break;
         }
-        *next_point += 1;
-        let id = next_point.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
-        if !out.contains(&id) {
-            out.insert(rng.gen_range(0..=out.len()), id);
-        }
+        let id = slabs.alloc(rng.gen_range(0..*domains));
+        out.insert(rng.gen_range(0..=out.len()), id);
     }
     for _ in 0..rng.gen_range(0..=out.len() / 4) {
         let p = out.remove(rng.gen_range(0..out.len()));
@@ -284,24 +372,89 @@ fn random_tree(range: (usize, usize), depth: usize, rng: &mut StdRng) -> Cluster
     node(range, children)
 }
 
-/// Runs both diffs over the same epoch sequence, asserting equal outputs
-/// at every epoch. Returns the positional diff's per-epoch outputs.
+/// Runs the positional diff, under two key layouts, and the reference
+/// over the same epoch sequence, asserting equal outputs at every epoch.
+/// Returns the positional diff's per-epoch outputs under the engine's
+/// layout.
 fn assert_same_streams(epochs: &[(Vec<u64>, ClusterNode)]) -> Vec<(IdTree, Vec<ClusterDelta>)> {
+    let outputs = positional_run(epochs, SlotTable::of_plot);
+    // Keys whose order is not the ids' order: payloads are sorted after
+    // the bitmap pass, and the stream must not change.
+    let swapped = positional_run(epochs, |plot| {
+        SlotTable::keyed(plot, |id| ((id >> 32) as u32, id as u32 ^ 1))
+    });
+    for (e, (a, b)) in outputs.iter().zip(&swapped).enumerate() {
+        assert_eq!(a.1, b.1, "epoch {e}: stream under swapped keys");
+    }
+
+    let mut ref_next = 0;
+    let mut reference: Option<RefNode> = None;
+    for (e, ((ids, clusters), (t, deltas))) in epochs.iter().zip(&outputs).enumerate() {
+        let plot = plot_of(ids);
+        let (r, ref_deltas, ref_changes) =
+            ref_diff_trees(reference.as_ref(), clusters, &plot, &mut ref_next);
+        assert!(deltas.len() >= ref_deltas.len(), "epoch {e}: stream length");
+        let (rest, changes) = deltas.split_at(ref_deltas.len());
+        assert_eq!(rest, &ref_deltas[..], "epoch {e}: delta stream");
+        assert_eq!(changes.len(), ref_changes.len(), "epoch {e}: changes");
+        let previous: BTreeMap<ClusterId, Vec<u64>> = reference
+            .as_ref()
+            .map(|r| {
+                r.canonical()
+                    .into_iter()
+                    .map(|(id, _, m)| (id, m))
+                    .collect()
+            })
+            .unwrap_or_default();
+        for (change, (ref_id, full)) in changes.iter().zip(&ref_changes) {
+            let ClusterDelta::MembershipChanged { id, added, removed } = change else {
+                panic!("epoch {e}: {change:?} where a membership change is due");
+            };
+            assert_eq!(id, ref_id, "epoch {e}: change order");
+            let before = &previous[id];
+            assert_membership_delta(before, added, removed);
+            assert_eq!(
+                &apply_change(before, added, removed),
+                full,
+                "epoch {e}: cluster {id:?} membership"
+            );
+        }
+        assert_eq!(t.canonical(), r.canonical(), "epoch {e}: canonical view");
+        reference = Some(r);
+    }
+    outputs
+}
+
+/// The positional diff over `epochs`, each plot's slot table built by
+/// `table`; checks the id counter against the reference's.
+fn positional_run(
+    epochs: &[(Vec<u64>, ClusterNode)],
+    table: impl Fn(&ReachabilityPlot) -> SlotTable,
+) -> Vec<(IdTree, Vec<ClusterDelta>)> {
     let (mut next, mut ref_next) = (0, 0);
     let mut outputs: Vec<(IdTree, Vec<ClusterDelta>)> = Vec::new();
     let mut reference: Option<RefNode> = None;
     for (e, (ids, clusters)) in epochs.iter().enumerate() {
         let plot = plot_of(ids);
         let prev = outputs.last().map(|(t, _)| t);
-        let (t, deltas) = diff_trees(prev, clusters, &plot, &mut next);
-        let (r, ref_deltas) = ref_diff_trees(reference.as_ref(), clusters, &plot, &mut ref_next);
-        assert_eq!(deltas, ref_deltas, "epoch {e}: delta stream");
+        let out = diff_trees(prev, clusters, &plot, table(&plot), &mut next);
+        let (r, _, _) = ref_diff_trees(reference.as_ref(), clusters, &plot, &mut ref_next);
         assert_eq!(next, ref_next, "epoch {e}: id counter");
-        assert_eq!(t.canonical(), r.canonical(), "epoch {e}: canonical view");
-        outputs.push((t, deltas));
+        outputs.push(out);
         reference = Some(r);
     }
     outputs
+}
+
+/// A membership change's contract: both sets sorted, not both empty,
+/// `added` disjoint from the previous membership and `removed` inside it.
+fn assert_membership_delta(before: &[u64], added: &[u64], removed: &[u64]) {
+    assert!(!added.is_empty() || !removed.is_empty(), "empty change");
+    for set in [added, removed] {
+        assert!(set.windows(2).all(|w| w[0] < w[1]), "unsorted set");
+    }
+    assert!(added.iter().all(|a| before.binary_search(a).is_err()));
+    assert!(removed.iter().all(|r| before.binary_search(r).is_ok()));
 }
 
 proptest! {
@@ -316,11 +469,11 @@ proptest! {
         epochs in 1usize..10,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut next_point = 0;
+        let (mut domains, mut slabs) = (1, Slabs::default());
         let mut ids: Vec<u64> = Vec::new();
         let mut sequence = Vec::new();
         for _ in 0..epochs {
-            ids = evolve(&ids, max_n, &mut next_point, &mut rng);
+            ids = evolve(&ids, max_n, &mut domains, &mut slabs, &mut rng);
             let tree = random_tree((0, ids.len()), depth, &mut rng);
             sequence.push((ids.clone(), tree));
         }
@@ -422,4 +575,74 @@ fn chains_root_only_and_empty_plots_match_the_reference() {
         (fewer, chain(0, 9)),
     ];
     assert_same_streams(&epochs);
+}
+
+/// A slot freed by a deleted point and reused by a new one between two
+/// epochs carries the same id, so the join treats the new point as the
+/// old one moved: one cluster gains it and the other loses it, as the
+/// id-equality join decides.
+#[test]
+fn a_reused_slot_joins_as_the_same_point() {
+    let two = |split: usize| {
+        node(
+            (0, 6),
+            vec![node((0, split), vec![]), node((split, 6), vec![])],
+        )
+    };
+    let epochs = vec![
+        ((0..6).collect::<Vec<u64>>(), two(3)),
+        // Slot 4 was freed and refilled by a point in the left cluster.
+        (vec![0, 1, 2, 4, 3, 5], two(4)),
+    ];
+    let [(first, _), (_, deltas)] = &assert_same_streams(&epochs)[..] else {
+        unreachable!("two epochs")
+    };
+    let (left, right) = (first.root.children[0].id, first.root.children[1].id);
+    assert_eq!(
+        deltas,
+        &[
+            ClusterDelta::MembershipChanged {
+                id: left,
+                added: vec![4],
+                removed: vec![],
+            },
+            ClusterDelta::MembershipChanged {
+                id: right,
+                added: vec![],
+                removed: vec![4],
+            },
+        ]
+    );
+}
+
+/// Domains whose slot counts grow and shrink, and a domain count that
+/// rises, falls and skips a domain: the slot join still pairs exactly
+/// the points with equal ids.
+#[test]
+fn domains_that_grow_shrink_appear_and_vanish_match_the_reference() {
+    let key = |domain: u64, slots: std::ops::Range<u64>| slots.map(move |s| (domain << 32) | s);
+    let halves = |len: usize| {
+        node(
+            (0, len),
+            vec![node((0, len / 2), vec![]), node((len / 2, len), vec![])],
+        )
+    };
+    let grown: Vec<u64> = key(0, 0..9).chain(key(1, 0..3)).collect();
+    let shrunk: Vec<u64> = key(2, 0..2).chain(key(0, 0..4)).collect();
+    let epochs = vec![
+        (key(0, 0..6).collect(), halves(6)),
+        (grown.clone(), halves(grown.len())),
+        (shrunk.clone(), halves(shrunk.len())),
+        (key(1, 0..5).collect(), halves(5)),
+        (grown.clone(), halves(grown.len())),
+    ];
+    let outputs = assert_same_streams(&epochs);
+    // Shrinking from `grown` to `shrunk` keeps exactly domain 0's slots
+    // 0..4 and loses the rest: the root's change says so.
+    let root = outputs[0].0.root.id;
+    assert!(outputs[2].1.contains(&ClusterDelta::MembershipChanged {
+        id: root,
+        added: key(2, 0..2).collect(),
+        removed: key(0, 4..9).chain(key(1, 0..3)).collect(),
+    }));
 }

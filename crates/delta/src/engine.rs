@@ -17,9 +17,12 @@
 //! 3. **Diff** — the new tree is diffed against the previous epoch's
 //!    identity tree into typed [`ClusterDelta`]s with stable cluster
 //!    ids, fanned out to registered subscriptions. The diff is
-//!    positional: one sort and merge-join of the plot's point ids
-//!    against the previous plot's, then linear scans over plot
-//!    positions (see the `deltas` module).
+//!    positional: expansion records every point's plot position in a
+//!    table keyed by `(domain, store slot)`, the diff joins it against
+//!    the previous epoch's table slot by slot, with no sort, and then
+//!    runs linear scans over plot positions (see the `deltas` module).
+//!    A changed cluster's delta carries the points it gained and lost,
+//!    so payloads scale with the change.
 //!
 //! Stages 1–2 *are* the from-scratch pipeline (`optics_merged` →
 //! `expand` → `cluster_tree`), so every epoch's ordering, plot and tree
@@ -27,7 +30,7 @@
 //! `tests/equivalence.rs` checks it over every dynamic scenario, engine,
 //! parallelism mode and partition count.
 
-use crate::deltas::{diff_trees, ClusterDelta, ClusterId, IdTree};
+use crate::deltas::{diff_trees, ClusterDelta, ClusterId, IdTree, SlotTable};
 use crate::subscribe::{Interest, Subscriptions, VersionedDelta};
 use idb_clustering::merged::MergedRef;
 use idb_clustering::{
@@ -122,6 +125,9 @@ pub struct DeltaEngine {
     /// The previous epoch's identity tree (`None` before the first
     /// epoch).
     id_tree: Option<IdTree>,
+    /// `id_tree`'s `(cluster, parent)` map, kept only while a subtree
+    /// subscription needs it.
+    parents: Option<Parents>,
     next_cluster_id: u64,
     subs: Subscriptions,
     obs: Obs,
@@ -137,6 +143,7 @@ impl DeltaEngine {
         Self {
             params,
             id_tree: None,
+            parents: None,
             next_cluster_id: 0,
             subs: Subscriptions::new(),
             obs: Obs::disabled(),
@@ -155,8 +162,8 @@ impl DeltaEngine {
     /// [`EventKind::DeltaEpoch`] journal event and bumps `delta.epochs`
     /// and the per-stage time counters `delta.optics_us` (domain merge,
     /// distance rows and walk), `delta.extract_us` (plot expansion plus
-    /// tree extraction) and `delta.diff_us` (the id diff plus the parent
-    /// maps subtree subscriptions filter by).
+    /// tree extraction) and `delta.diff_us` (the id diff, plus the parent
+    /// maps while a subtree subscription filters by them).
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
     }
@@ -234,7 +241,11 @@ impl DeltaEngine {
     /// Runs one epoch over `domains` (one slice of bubbles per
     /// maintainer domain, in a fixed domain order), with `map_id`
     /// translating a domain-local point id into the global id space used
-    /// in plots and memberships.
+    /// in plots and memberships. `map_id` must be injective and the same
+    /// every epoch: the diff joins epochs by `(domain, local id)`, and
+    /// equal keys must mean equal ids. Member lists are cheapest when it
+    /// is also increasing in `(domain, local id)`, as both built-in maps
+    /// are (see the `deltas` module).
     ///
     /// The ordering, plot and tree are the from-scratch `optics_merged`
     /// → `expand` → `cluster_tree` pipeline over the same domains; only
@@ -252,35 +263,54 @@ impl DeltaEngine {
         let optics_us = stage.us();
 
         // --- 2. Expand to the point level, reading member ids straight
-        // from the bubbles, and extract the tree. ---
+        // from the bubbles and noting each point's position under its
+        // (domain, slot) key, and extract the tree. ---
         let stage = self.obs.start();
         let refs: Vec<MergedRef> = ordering.order.iter().map(|&i| merged[i]).collect();
         let map_id = &map_id;
-        let plot = ordering.expand(|i| {
-            let MergedRef { domain, index } = merged[i];
-            domains[domain as usize][index]
-                .members()
-                .iter()
-                .map(move |&id| map_id(domain, id))
-        });
+        let points = domains
+            .iter()
+            .flat_map(|d| d.iter())
+            .map(|b| b.members().len());
+        let mut slots = SlotTable::new(domains.iter().map(|d| slot_bound(d)), points.sum());
+        let plot = {
+            let recorder = slots.recorder();
+            let recorder = &recorder;
+            ordering.expand(|i| {
+                let MergedRef { domain, index } = merged[i];
+                domains[domain as usize][index]
+                    .members()
+                    .iter()
+                    .map(move |&id| {
+                        recorder.note(domain, id.0);
+                        map_id(domain, id)
+                    })
+            })
+        };
         let tree = cluster_tree(&plot, &self.params.extract);
         let extract_us = stage.us();
 
-        // --- 3. Diff into typed deltas with stable ids: one id join
-        // against the previous plot, then positional scans. ---
+        // --- 3. Diff into typed deltas with stable ids: one slot join
+        // against the previous plot, then positional scans. Subtree
+        // subscriptions also need both trees' parent maps; the new one
+        // is carried to the next epoch as its old one. ---
         let stage = self.obs.start();
         let (id_tree, deltas) = diff_trees(
             self.id_tree.as_ref(),
             &tree,
             &plot,
+            slots,
             &mut self.next_cluster_id,
         );
-        let old_parents = self
-            .id_tree
-            .as_ref()
-            .map(IdTree::parents)
-            .unwrap_or_default();
-        let new_parents = id_tree.parents();
+        let parents = self.subs.has_subtree().then(|| {
+            let old = self.parents.take().unwrap_or_else(|| {
+                self.id_tree
+                    .as_ref()
+                    .map(IdTree::parents)
+                    .unwrap_or_default()
+            });
+            (old, id_tree.parents())
+        });
         self.id_tree = Some(id_tree);
         let diff_us = stage.us();
 
@@ -288,8 +318,11 @@ impl DeltaEngine {
         let epoch = self.epochs;
         self.epochs += 1;
         self.subs.fanout(epoch, &deltas, |root, delta| {
-            in_subtree(root, delta, &old_parents, &new_parents)
+            parents
+                .as_ref()
+                .is_some_and(|(old, new)| in_subtree(root, delta, old, new))
         });
+        self.parents = parents.map(|(_, new)| new);
         let total = merged.len();
         if self.obs.enabled() {
             self.obs.emit_timed(
@@ -329,6 +362,18 @@ impl DeltaEngine {
     }
 }
 
+/// One past the highest store slot among `bubbles`' members: the
+/// domain's size in the epoch's [`SlotTable`].
+fn slot_bound(bubbles: &[Bubble]) -> usize {
+    let top = bubbles.iter().fold(None, |top, b| {
+        b.members().iter().map(|id| id.0).max().max(top)
+    });
+    top.map_or(0, |slot| slot as usize + 1)
+}
+
+/// A cluster tree's `(cluster, parent)` map.
+type Parents = HashMap<ClusterId, Option<ClusterId>>;
+
 /// Segments of `plot` delimited by infinite reachabilities: every OPTICS
 /// ordering starts each connected component with one.
 fn component_count(plot: &ReachabilityPlot) -> usize {
@@ -345,8 +390,8 @@ fn component_count(plot: &ReachabilityPlot) -> usize {
 fn in_subtree(
     root: ClusterId,
     delta: &ClusterDelta,
-    old_parents: &HashMap<ClusterId, Option<ClusterId>>,
-    new_parents: &HashMap<ClusterId, Option<ClusterId>>,
+    old_parents: &Parents,
+    new_parents: &Parents,
 ) -> bool {
     let parents = match delta {
         ClusterDelta::Absorbed { .. } | ClusterDelta::Retired { .. } => old_parents,

@@ -88,6 +88,13 @@ impl Subscriptions {
             .map_or_else(Vec::new, |(_, _, queue)| queue.drain(..).collect())
     }
 
+    /// Whether any subscription filters by subtree.
+    pub(crate) fn has_subtree(&self) -> bool {
+        self.subs
+            .iter()
+            .any(|(_, interest, _)| matches!(interest, Interest::Subtree(_)))
+    }
+
     /// Queues `deltas` (already in emission order) for every subscription
     /// whose interest matches; `in_subtree(root, delta)` answers subtree
     /// membership against the epoch's trees.

@@ -27,7 +27,7 @@ use idb_clustering::{
     MergedRef,
 };
 use idb_core::{DataSummary, DurabilityConfig, IncrementalBubbles, MaintainerConfig, SeedSearch};
-use idb_delta::{router_epoch, DeltaEngine, DeltaParams};
+use idb_delta::{router_epoch, DeltaEngine, DeltaParams, Interest, TreeReplica};
 use idb_geometry::{Parallelism, SearchStats};
 use idb_obs::{check_journal_sharded, Obs, RingRecorder};
 use idb_shard::{GlobalId, ShardConfig, ShardRouter};
@@ -397,22 +397,42 @@ fn a_repair_mid_run_stays_bit_identical() {
 }
 
 /// The delta engine over explicit domains must also survive a domain
-/// *count* change (a partition added between epochs).
+/// *count* change (a partition added or dropped between epochs) and
+/// domains whose slot counts grow and shrink: the ordering stays
+/// bit-identical to the merged pass, and the delta stream replayed into
+/// a [`TreeReplica`] stays equal to the engine's view, whose root holds
+/// exactly the plotted ids.
 #[test]
 fn a_domain_count_change_stays_bit_identical() {
-    let mut store = PointStore::new(DIM);
-    for i in 0..120 {
-        let x = f64::from(i % 2) * 40.0 + f64::from(i % 10);
-        store.insert(&[x, f64::from(i / 2)], None);
-    }
+    let store_of = |n: u32| {
+        let mut store = PointStore::new(DIM);
+        for i in 0..n {
+            let x = f64::from(i % 2) * 40.0 + f64::from(i % 10);
+            store.insert(&[x, f64::from(i / 2)], None);
+        }
+        store
+    };
     let mut mrng = StdRng::seed_from_u64(MAINT_SEED);
     let mut search = SearchStats::new();
-    let a = IncrementalBubbles::build(&store, MaintainerConfig::new(6), &mut mrng, &mut search);
-    let b = IncrementalBubbles::build(&store, MaintainerConfig::new(6), &mut mrng, &mut search);
+    let mut build = |store: &PointStore| {
+        IncrementalBubbles::build(store, MaintainerConfig::new(6), &mut mrng, &mut search)
+    };
+    let (large, small) = (store_of(120), store_of(60));
+    let a = build(&large);
+    let b = build(&large);
+    let c = build(&small);
     let map_id = |d: u32, id: PointId| (u64::from(d) << 32) | u64::from(id.0);
 
     let mut engine = DeltaEngine::new(params(Parallelism::Serial));
-    for domains in [&[a.bubbles()][..], &[a.bubbles(), b.bubbles()]] {
+    let sub = engine.subscribe(Interest::Tree);
+    let mut replica = TreeReplica::new();
+    for domains in [
+        &[a.bubbles()][..],
+        &[a.bubbles(), b.bubbles()],
+        &[c.bubbles()],
+        &[c.bubbles(), a.bubbles(), c.bubbles()],
+        &[b.bubbles()],
+    ] {
         engine.epoch(domains, map_id);
 
         let (scratch_refs, scratch) = optics_merged(domains, f64::INFINITY, MIN_PTS);
@@ -432,5 +452,21 @@ fn a_domain_count_change_stays_bit_identical() {
                 .map(|r| r.to_bits())
                 .collect::<Vec<u64>>(),
         );
+
+        for v in engine.poll(sub) {
+            replica.apply(&v.delta);
+        }
+        let clusters = engine.clusters();
+        assert_eq!(replica.snapshot(), clusters);
+        let mut plotted: Vec<u64> = engine
+            .plot()
+            .expect("epoch ran")
+            .entries()
+            .iter()
+            .map(|e| e.id)
+            .collect();
+        plotted.sort_unstable();
+        let root = clusters.iter().find(|(_, parent, _)| parent.is_none());
+        assert_eq!(root.map(|(_, _, members)| members), Some(&plotted));
     }
 }

@@ -202,3 +202,84 @@ fn subtree_and_predicate_interests_filter_consistently() {
         .collect();
     assert_eq!(retired, expect, "predicate sees exactly its matches");
 }
+
+/// A subtree subscription on a non-root cluster, taken mid-stream,
+/// dropped and taken again, sees exactly the deltas whose subject lies
+/// under that cluster: removals by the previous epoch's ancestry, the
+/// rest by the new epoch's. The ancestry comes from a replica of the
+/// full stream, independent of the parent maps the engine keeps while a
+/// subtree subscription exists.
+#[test]
+fn a_subtree_subscription_follows_ancestry_across_its_gaps() {
+    use std::collections::BTreeMap;
+    type Parents = BTreeMap<ClusterId, Option<ClusterId>>;
+    let parents = |replica: &TreeReplica| -> Parents {
+        replica
+            .snapshot()
+            .into_iter()
+            .map(|(id, parent, _)| (id, parent))
+            .collect()
+    };
+    let under = |root: ClusterId, mut at: Option<ClusterId>, parents: &Parents| {
+        while let Some(id) = at {
+            if id == root {
+                return true;
+            }
+            at = parents.get(&id).copied().flatten();
+        }
+        false
+    };
+    // Epochs 2–3 run with no subtree subscription and reshape the tree,
+    // so a parent map carried across that gap would be stale at epoch 4.
+    const LIVE: [std::ops::Range<u64>; 2] = [1..2, 4..EPOCHS];
+    let tree_sub = Cell::new(None);
+    let sub = Cell::new(None);
+    let watched = Cell::new(None);
+    let mut replica = TreeReplica::new();
+    let (mut expect, mut got) = (Vec::new(), Vec::new());
+    drive(
+        |engine, epoch| {
+            if epoch == 0 {
+                tree_sub.set(Some(engine.subscribe(Interest::Tree)));
+            }
+            if epoch == LIVE[0].start {
+                let clusters = engine.clusters();
+                let child = clusters
+                    .iter()
+                    .find(|(_, parent, _)| *parent == Some(ClusterId(0)))
+                    .map(|(id, _, _)| *id)
+                    .expect("the root has a child to watch");
+                watched.set(Some(child));
+            }
+            if LIVE.iter().any(|r| r.start == epoch) {
+                let id = watched.get().expect("chosen before the first window");
+                sub.set(Some(engine.subscribe(Interest::Subtree(id))));
+            }
+            if LIVE.iter().any(|r| r.end == epoch) {
+                assert!(engine.unsubscribe(sub.get().unwrap()));
+            }
+        },
+        |engine, epoch, _| {
+            let before = parents(&replica);
+            let deltas = engine.poll(tree_sub.get().unwrap());
+            for v in &deltas {
+                replica.apply(&v.delta);
+            }
+            let after = parents(&replica);
+            if LIVE.iter().any(|r| r.contains(&epoch)) {
+                let root = watched.get().unwrap();
+                expect.extend(deltas.into_iter().filter(|v| {
+                    let removal = matches!(
+                        v.delta,
+                        ClusterDelta::Absorbed { .. } | ClusterDelta::Retired { .. }
+                    );
+                    let tree = if removal { &before } else { &after };
+                    under(root, Some(v.delta.subject()), tree)
+                }));
+                got.extend(engine.poll(sub.get().unwrap()));
+            }
+        },
+    );
+    assert!(!expect.is_empty(), "the watched subtree changed");
+    assert_eq!(got, expect);
+}

@@ -818,18 +818,29 @@ impl NearestSeeds {
             w: dists,
             ..
         } = self.row(start);
+        // The row lists every seed once, so the start and the excluded
+        // seed are its only entries never counted; `skipped` of them lie
+        // before the current position.
+        let uncounted = 1 + usize::from(exclude.is_some());
+        let mut skipped = 0;
         for (pos, (&j32, &w)) in order.iter().zip(dists).enumerate() {
             let j = j32 as usize;
             if j == start || Some(j) == exclude {
+                skipped += 1;
                 continue;
             }
             if w > d_start + best_d {
                 // Everything from here on is at least `w` away from the
                 // start, hence strictly farther from `p` than the best.
-                let tail = order[pos..]
-                    .iter()
-                    .filter(|&&k| k as usize != start && Some(k as usize) != exclude)
-                    .count();
+                let tail = (order.len() - pos + skipped).saturating_sub(uncounted);
+                debug_assert_eq!(
+                    tail,
+                    order[pos..]
+                        .iter()
+                        .filter(|&&k| k as usize != start && Some(k as usize) != exclude)
+                        .count(),
+                    "a row lists every seed once"
+                );
                 stats.pruned += tail as u64;
                 break;
             }
