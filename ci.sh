@@ -59,9 +59,10 @@ cargo run $CARGOFLAGS --release -q -p idb-bench --bin journal_check -- "$IDB_WAL
 # `from_seeds` after 768 churn ops whose re-seeds the rows settle lazily,
 # and reads its repair ledger off a live maintainer (§15), the durability
 # report's bounded WAL footprint over 2,500 batches (§16) and its
-# tiered ≡ resident snapshot bytes (§17), and the parallel report's
-# partition replay ≡ threaded counters (§9).
-for report in shard delta kernel durability parallel; do
+# tiered ≡ resident snapshot bytes (§17), the parallel report's
+# partition replay ≡ threaded counters (§9), and the summary report's
+# point-level and bubble OPTICS plots covering every point.
+for report in shard delta kernel durability parallel summary; do
     cargo run $CARGOFLAGS --release -q -p idb-bench --bin "${report}_report" -- \
         "$IDB_WAL_DIR/BENCH_${report}_smoke.json"
 done

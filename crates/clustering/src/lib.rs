@@ -6,8 +6,9 @@
 //!
 //! * [`reachability`](mod@reachability) — reachability plots ([`ReachabilityPlot`]) produced
 //!   by any OPTICS variant;
-//! * [`optics`](mod@optics) — OPTICS over raw database points, backed by the k-d tree
-//!   (the expensive path data bubbles exist to avoid);
+//! * [`optics`](mod@optics) — OPTICS over raw database points, as the bubble walk
+//!   over one-point summaries (the expensive path data bubbles exist to
+//!   avoid);
 //! * [`optics_bubbles`](mod@optics_bubbles) — OPTICS over data summaries: the bubble distance,
 //!   weighted core distances and the *virtual reachability* expansion that
 //!   turns a bubble-level ordering back into a point-level plot;

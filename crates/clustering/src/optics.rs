@@ -12,45 +12,41 @@
 //!   processes the not-yet-emitted point with the smallest current
 //!   reachability.
 //!
-//! ε-neighbourhoods come from a [`KdTree`] built over a snapshot of the
-//! store, so one call is `O(n · (log n + |N_eps|))` instead of the `O(n²)`
-//! of a scan-based implementation. The priority queue uses lazy deletion:
-//! stale heap entries (whose reachability has since improved) are skipped
-//! on pop.
+//! A point is a data bubble of one: `n = 1`, extent 0 and `nnDist` 0. The
+//! bubble distance between two such bubbles is exactly their Euclidean
+//! distance, and a bubble of one point counts itself first and then its
+//! neighbours towards `min_pts`, which is the point-level core distance.
+//! So [`optics_points`] is the walk of [`optics_bubbles`] over one-point
+//! summaries, with its `(reachability, index)` pick: `O(n²)` time and
+//! `O(n·d)` memory for any `eps`.
 
+use crate::optics_bubbles::optics_bubbles;
 use crate::reachability::ReachabilityPlot;
-use idb_geometry::KdTree;
+use idb_core::DataSummary;
 use idb_store::PointStore;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
-/// Min-heap entry (reversed ordering over reachability).
-#[derive(Debug, Clone, Copy)]
-struct Seed {
-    reach: f64,
-    /// Dense index of the point (position in the snapshot id table).
-    idx: u32,
-}
+/// One live point as a summary of one.
+struct OnePoint<'a>(&'a [f64]);
 
-impl PartialEq for Seed {
-    fn eq(&self, other: &Self) -> bool {
-        self.reach == other.reach && self.idx == other.idx
+impl DataSummary for OnePoint<'_> {
+    fn dim(&self) -> usize {
+        self.0.len()
     }
-}
-impl Eq for Seed {}
-impl PartialOrd for Seed {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+
+    fn n(&self) -> u64 {
+        1
     }
-}
-impl Ord for Seed {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we need the smallest reach.
-        other
-            .reach
-            .partial_cmp(&self.reach)
-            .unwrap_or(Ordering::Equal)
-            .then(other.idx.cmp(&self.idx))
+
+    fn rep(&self) -> Vec<f64> {
+        self.0.to_vec()
+    }
+
+    fn extent(&self) -> f64 {
+        0.0
+    }
+
+    fn nn_dist(&self, _k: usize) -> f64 {
+        0.0
     }
 }
 
@@ -59,7 +55,9 @@ impl Ord for Seed {
 /// Returns the reachability plot in processing order; ids are the
 /// [`idb_store::PointId`] raw values. `eps` bounds the neighbourhood search
 /// (pass `f64::INFINITY` for the complete hierarchy at any density);
-/// `min_pts` is the usual density smoothing parameter.
+/// `min_pts` is the usual density smoothing parameter. Ties in
+/// reachability go to the point that comes first in
+/// [`PointStore::ids`] order, which also picks each component's start.
 ///
 /// # Examples
 /// ```
@@ -85,86 +83,9 @@ impl Ord for Seed {
 /// Panics if `min_pts == 0`.
 #[must_use]
 pub fn optics_points(store: &PointStore, eps: f64, min_pts: usize) -> ReachabilityPlot {
-    assert!(min_pts > 0, "min_pts must be positive");
-    let n = store.len();
-    let mut plot = ReachabilityPlot::new();
-    if n == 0 {
-        return plot;
-    }
-
-    // Snapshot: dense indices 0..n with an id table.
     let ids: Vec<u64> = store.ids().map(|id| u64::from(id.0)).collect();
-    let coords: Vec<&[f64]> = store.ids().map(|id| store.point(id)).collect();
-    let tree = KdTree::build(store.dim(), ids.iter().copied().zip(coords.iter().copied()));
-    // Map raw id -> dense index for neighbour lookups.
-    let max_id = ids.iter().copied().max().unwrap_or(0) as usize;
-    let mut dense = vec![u32::MAX; max_id + 1];
-    for (i, &id) in ids.iter().enumerate() {
-        dense[id as usize] = i as u32;
-    }
-
-    let mut processed = vec![false; n];
-    let mut reach = vec![f64::INFINITY; n];
-    let mut heap: BinaryHeap<Seed> = BinaryHeap::new();
-
-    // Reusable neighbour buffer: (dense index, distance).
-    let mut neigh: Vec<(u32, f64)> = Vec::new();
-
-    let expand = |i: usize,
-                  processed: &mut Vec<bool>,
-                  reach: &mut Vec<f64>,
-                  heap: &mut BinaryHeap<Seed>,
-                  neigh: &mut Vec<(u32, f64)>| {
-        // Neighbourhood of the point being emitted.
-        neigh.clear();
-        let eps_query = if eps.is_finite() { eps } else { f64::MAX };
-        for (id, d) in tree.range(coords[i], eps_query) {
-            neigh.push((dense[id as usize], d));
-        }
-        // Core distance: distance to the min_pts-th closest (the point
-        // itself is part of its own neighbourhood, as in the original
-        // formulation).
-        if neigh.len() < min_pts {
-            return;
-        }
-        neigh.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(Ordering::Equal));
-        let core = neigh[min_pts - 1].1;
-        for &(j, d) in neigh.iter() {
-            let j = j as usize;
-            if processed[j] {
-                continue;
-            }
-            let r = core.max(d);
-            if r < reach[j] {
-                reach[j] = r;
-                heap.push(Seed {
-                    reach: r,
-                    idx: j as u32,
-                });
-            }
-        }
-    };
-
-    for start in 0..n {
-        if processed[start] {
-            continue;
-        }
-        // Emit the component starting at `start`.
-        processed[start] = true;
-        plot.push(ids[start], f64::INFINITY);
-        expand(start, &mut processed, &mut reach, &mut heap, &mut neigh);
-
-        while let Some(Seed { reach: r, idx }) = heap.pop() {
-            let i = idx as usize;
-            if processed[i] || r > reach[i] {
-                continue; // stale entry
-            }
-            processed[i] = true;
-            plot.push(ids[i], reach[i]);
-            expand(i, &mut processed, &mut reach, &mut heap, &mut neigh);
-        }
-    }
-    plot
+    let points: Vec<OnePoint<'_>> = store.ids().map(|id| OnePoint(store.point(id))).collect();
+    optics_bubbles(&points, eps, min_pts).expand(|i| std::iter::once(ids[i]))
 }
 
 #[cfg(test)]

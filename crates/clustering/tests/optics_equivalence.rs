@@ -9,7 +9,8 @@
 //! matrix through [`optics_from_matrix`] and computing each distance row
 //! on demand in [`optics_bubbles`], over inputs built to stress
 //! every tie-break: duplicated representatives (exact distance
-//! ties), empty summaries, finite `eps` that splits the input into
+//! ties), one-point summaries (the points `optics_points` orders), empty
+//! summaries, finite `eps` that splits the input into
 //! components, `min_pts` from 1 to above every bubble's point count (so
 //! small bubbles compute full rows), NaN pair entries, distances whose
 //! bits depend on the pair's orientation, every dimension from 1 to 9
@@ -234,44 +235,54 @@ proptest! {
         extra_pts in 0usize..12,
         poison in prop::collection::vec((0usize..1_000, 0usize..1_000), 0..6),
     ) {
-        let orbs: Vec<Orb> = raw.into_iter().map(orb_of).collect();
-        let live: Vec<usize> = (0..orbs.len()).filter(|&i| orbs[i].count > 0).collect();
-        let s = live.len();
-        let mut pair = live_matrix(&orbs, &live);
-        let eps = eps_of(&pair, s, eps_pick);
+        let bubbles: Vec<Orb> = raw.iter().copied().map(orb_of).collect();
+        // One more input class: one-point summaries (count 1, radius 0, so
+        // extent and every nnDist are 0), the points `optics_points` walks.
+        // Their bubble distance is the Euclidean one, and the coarse grid
+        // repeats representatives, so distances tie exactly.
+        let points: Vec<Orb> = raw
+            .iter()
+            .map(|&r| Orb { count: 1, radius: 0.0, ..orb_of(r) })
+            .collect();
+        let max_n = bubbles.iter().map(|o| o.count as usize).max().unwrap_or(0);
+        for orbs in [bubbles, points] {
+            let live: Vec<usize> = (0..orbs.len()).filter(|&i| orbs[i].count > 0).collect();
+            let s = live.len();
+            let mut pair = live_matrix(&orbs, &live);
+            let eps = eps_of(&pair, s, eps_pick);
 
-        // Unpoisoned: the whole `optics_bubbles` pipeline (empty
-        // summaries skipped, rows computed on demand) agrees too.
-        let max_n = orbs.iter().map(|o| o.count as usize).max().unwrap_or(0);
-        for min_pts in 1..=(max_n + 2) {
-            let want = reference_expansion(&orbs, &live, &pair, eps, min_pts);
-            let got = optics_from_matrix(&orbs, &live, &pair, eps, min_pts);
-            prop_assert_eq!(&got.order, &want.order, "min_pts {} eps {}", min_pts, eps);
-            prop_assert_eq!(bits(&got.reachability), bits(&want.reachability));
-            prop_assert_eq!(bits(&got.virtual_reachability), bits(&want.virtual_reachability));
-            let full = optics_bubbles(&orbs, eps, min_pts);
-            prop_assert_eq!(&full.order, &want.order);
-            prop_assert_eq!(bits(&full.reachability), bits(&want.reachability));
-            prop_assert_eq!(bits(&full.virtual_reachability), bits(&want.virtual_reachability));
-        }
+            // Unpoisoned: the whole `optics_bubbles` pipeline (empty
+            // summaries skipped, rows computed on demand) agrees too.
+            for min_pts in 1..=(max_n + 2) {
+                let want = reference_expansion(&orbs, &live, &pair, eps, min_pts);
+                let got = optics_from_matrix(&orbs, &live, &pair, eps, min_pts);
+                prop_assert_eq!(&got.order, &want.order, "min_pts {} eps {}", min_pts, eps);
+                prop_assert_eq!(bits(&got.reachability), bits(&want.reachability));
+                prop_assert_eq!(bits(&got.virtual_reachability), bits(&want.virtual_reachability));
+                let full = optics_bubbles(&orbs, eps, min_pts);
+                prop_assert_eq!(&full.order, &want.order);
+                prop_assert_eq!(bits(&full.reachability), bits(&want.reachability));
+                prop_assert_eq!(bits(&full.virtual_reachability), bits(&want.virtual_reachability));
+            }
 
-        // NaN pair entries (both orientations) are no edges in either
-        // expansion; `min_pts` runs past every bubble's count.
-        if s >= 2 {
-            for &(a, b) in &poison {
-                let (x, y) = (a % s, b % s);
-                if x != y {
-                    pair[x * s + y] = f64::NAN;
-                    pair[y * s + x] = f64::NAN;
+            // NaN pair entries (both orientations) are no edges in either
+            // expansion; `min_pts` runs past every bubble's count.
+            if s >= 2 {
+                for &(a, b) in &poison {
+                    let (x, y) = (a % s, b % s);
+                    if x != y {
+                        pair[x * s + y] = f64::NAN;
+                        pair[y * s + x] = f64::NAN;
+                    }
                 }
             }
+            let min_pts = 1 + extra_pts;
+            let want = reference_expansion(&orbs, &live, &pair, eps, min_pts);
+            let got = optics_from_matrix(&orbs, &live, &pair, eps, min_pts);
+            prop_assert_eq!(&got.order, &want.order);
+            prop_assert_eq!(bits(&got.reachability), bits(&want.reachability));
+            prop_assert_eq!(bits(&got.virtual_reachability), bits(&want.virtual_reachability));
         }
-        let min_pts = 1 + extra_pts;
-        let want = reference_expansion(&orbs, &live, &pair, eps, min_pts);
-        let got = optics_from_matrix(&orbs, &live, &pair, eps, min_pts);
-        prop_assert_eq!(&got.order, &want.order);
-        prop_assert_eq!(bits(&got.reachability), bits(&want.reachability));
-        prop_assert_eq!(bits(&got.virtual_reachability), bits(&want.virtual_reachability));
     }
 }
 

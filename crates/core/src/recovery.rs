@@ -991,16 +991,7 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
                 }
                 Err(e) => {
                     self.tier_down = true;
-                    self.shed_batches += 1;
-                    self.obs.emit(
-                        EventKind::StorageShed {
-                            buffered: self.wal.pending_records() as u64,
-                            shed: self.shed_batches,
-                        },
-                        0,
-                    );
-                    self.note_health();
-                    return Err(UpdateError::Storage(e));
+                    return Err(self.shed(e));
                 }
             }
         }
@@ -1234,23 +1225,10 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
         }
         // 3) Shed, typed.
         self.budget_pressure = true;
-        self.shed_batches += 1;
-        self.obs.emit(
-            EventKind::StorageShed {
-                buffered: self.wal.pending_records() as u64,
-                shed: self.shed_batches,
-            },
-            0,
-        );
-        if self.obs.metrics_on() {
-            self.obs.metrics().counter("storage.shed").inc();
-        }
-        self.note_health();
-        Err(StorageError::BudgetExceeded {
+        Err(self.shed(StorageError::BudgetExceeded {
             live_bytes: live,
             budget,
-        }
-        .into())
+        }))
     }
 
     /// Hard cap on the degraded-mode buffer: one more drain attempt, then
@@ -1263,18 +1241,6 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
             return Ok(());
         }
         let buffered = self.wal.pending_records();
-        self.shed_batches += 1;
-        self.obs.emit(
-            EventKind::StorageShed {
-                buffered: buffered as u64,
-                shed: self.shed_batches,
-            },
-            0,
-        );
-        if self.obs.metrics_on() {
-            self.obs.metrics().counter("storage.shed").inc();
-        }
-        self.note_health();
         let err = if self.sink_full {
             StorageError::Enospc {
                 detail: format!(
@@ -1287,7 +1253,27 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
                 max: self.dcfg.max_buffered,
             }
         };
-        Err(err.into())
+        Err(self.shed(err))
+    }
+
+    /// Sheds the incoming batch with `err`: the one path for the cold-tier
+    /// probe, the disk budget and the buffer cap. Counts the shed, journals
+    /// it with the buffered record count, feeds the `storage.shed` metric
+    /// and reports health, so the caller sets its degraded flag first.
+    fn shed(&mut self, err: StorageError) -> UpdateError {
+        self.shed_batches += 1;
+        self.obs.emit(
+            EventKind::StorageShed {
+                buffered: self.wal.pending_records() as u64,
+                shed: self.shed_batches,
+            },
+            0,
+        );
+        if self.obs.metrics_on() {
+            self.obs.metrics().counter("storage.shed").inc();
+        }
+        self.note_health();
+        UpdateError::Storage(err)
     }
 
     /// Starts a checkpoint when the interval is due and advances the
@@ -1312,6 +1298,7 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
         let seq = self.next_checkpoint_seq;
         let covered = self.batches_applied;
         let rebase_due = self.checkpoints_since_full + 1 >= self.dcfg.full_rebase_interval.max(1);
+        let timer = self.obs.start();
         let (full, blob) = match (self.last_full, self.bubbles.dirty_slots()) {
             (Some(base), Some(dirty)) if !rebase_due => (
                 false,
@@ -1328,6 +1315,7 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
                 (true, blob)
             }
         };
+        self.note_encode(timer.us());
         match blob {
             Ok(blob) => {
                 self.pending_ckpt = Some(PendingCheckpoint {
@@ -1477,6 +1465,7 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
         let timer = self.obs.start();
         let (seq, covered) = (self.next_checkpoint_seq, self.batches_applied);
         let blob = encode_checkpoint(seq, covered, &self.store, &self.bubbles)?;
+        self.note_encode(timer.us());
         self.checkpoints.save(seq, &blob)?;
         let us = timer.us();
         self.bubbles.open_dirty_window();
@@ -1491,13 +1480,18 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
             },
             us,
         );
+        Ok(())
+    }
+
+    /// Records one checkpoint encode's time in `checkpoint.encode_us`:
+    /// every checkpoint begun, interval (full or delta) or forced.
+    fn note_encode(&self, us: u64) {
         if self.obs.metrics_on() {
             self.obs
                 .metrics()
                 .histogram("checkpoint.encode_us")
                 .record(us);
         }
-        Ok(())
     }
 
     /// Current durability health: [`Health::Degraded`] while the WAL sink
@@ -1680,6 +1674,41 @@ mod tests {
         assert_eq!(rec.batches_durable, 10);
         assert!(!rec.torn_tail);
         assert_eq!(fingerprint(&rec.store, &rec.bubbles), want);
+    }
+
+    #[test]
+    fn every_checkpoint_begun_records_its_encode_time() {
+        let (store, config) = fixture(150, 7);
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut search = SearchStats::new();
+        let mut ib = IncrementalBubbles::build(&store, config, &mut rng, &mut search);
+        let obs = Obs::metrics_only();
+        ib.set_obs(obs.clone());
+        let dcfg = DurabilityConfig {
+            checkpoint_interval: 2,
+            ..DurabilityConfig::default()
+        };
+        let mut dm = DurableMaintainer::adopt(
+            store,
+            ib,
+            dcfg,
+            ObjectSink::new(MemMedium::new(), "wal"),
+            MemMedium::new(),
+        )
+        .unwrap();
+        for _ in 0..16 {
+            let batch = random_batch(dm.store(), &mut rng);
+            dm.apply(&batch, &mut rng, &mut search).unwrap();
+        }
+        dm.flush_checkpoint();
+        dm.checkpoint_now().unwrap();
+        // Healthy media: every checkpoint begun (the baseline, the
+        // interval ones, full and delta, and the forced one) was taken.
+        let m = obs.metrics();
+        let taken = m.counter("checkpoint.taken").get();
+        assert!(taken >= 4, "baseline, interval and forced: {taken}");
+        assert!(m.counter("checkpoint.delta").get() > 0);
+        assert_eq!(m.histogram("checkpoint.encode_us").count(), taken);
     }
 
     #[test]

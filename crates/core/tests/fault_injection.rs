@@ -959,7 +959,10 @@ fn cold_tier_outage_degrades_typed_and_heals() {
     use idb_store::{MemMedium, ObjectSink};
     use idb_synth::FaultMedium;
 
-    let (mut store, ib, mut rng, mut search) = fixture(0xC01D);
+    let (mut store, mut ib, mut rng, mut search) = fixture(0xC01D);
+    // Metrics on: every shed must reach the `storage.shed` counter.
+    let obs = Obs::metrics_only();
+    ib.set_obs(obs.clone());
     let hot = 8;
     let cold = FaultMedium::new();
     store
@@ -1010,6 +1013,12 @@ fn cold_tier_outage_degrades_typed_and_heals() {
         dm.wal_sink().bytes().len(),
         wal_before,
         "the shed happens before the WAL: no record may land"
+    );
+    assert_eq!(dm.shed_batches(), 1);
+    assert_eq!(
+        obs.metrics().counter("storage.shed").get(),
+        dm.shed_batches(),
+        "a cold-tier shed must count in the storage.shed metric"
     );
 
     // Heal: the state is exactly what it was before the shed, and the

@@ -14,8 +14,8 @@
 //!   seed–seed distances the pruning lemma needs live in one sorted
 //!   neighbor row per seed (ids with their distances inline), repaired in
 //!   place when a seed is added, moved or removed.
-//! * [`kdtree`] — a k-d tree for point-level range and k-NN queries, used by
-//!   point-level OPTICS.
+//! * [`kdtree`] — a k-d tree over the seeds: the nearest-seed engine
+//!   behind `SeedSearch::KdTree`.
 //! * [`obs`] — [`SearchMetrics`], the bridge that folds
 //!   `SearchStats` deltas into the shared `idb-obs` metrics registry as
 //!   per-engine counter families.

@@ -2,11 +2,10 @@
 //!
 //! The triangle-inequality search is the paper's Section 3 contribution; its
 //! single most important invariant is that pruning never changes the result
-//! relative to the brute-force baseline. The k-d tree's range/knn results are
-//! likewise checked against exhaustive scans on random inputs.
+//! relative to the brute-force baseline.
 
 use idb_geometry::metric::{sq_dist, sq_dist_bounded};
-use idb_geometry::{dist, KdTree, NearestSeeds, SearchStats, SeedSearch};
+use idb_geometry::{dist, NearestSeeds, SearchStats, SeedSearch};
 use proptest::prelude::*;
 
 fn point(dim: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -84,44 +83,6 @@ proptest! {
             let k = set.neighbor_order(j).iter().position(|&x| x as usize == idx).unwrap();
             let expect = dist(set.seed(idx), set.seed(j));
             prop_assert!((set.neighbor_distances(j)[k] - expect).abs() < 1e-9);
-        }
-    }
-
-    /// k-d tree range query equals the brute-force filter.
-    #[test]
-    fn kdtree_range_equals_scan(
-        pts in points(2, 120),
-        q in point(2),
-        eps in 0.0f64..120.0,
-    ) {
-        let tree = KdTree::build(2, pts.iter().enumerate().map(|(i, p)| (i as u64, p.as_slice())));
-        let mut got: Vec<u64> = tree.range(&q, eps).into_iter().map(|(id, _)| id).collect();
-        got.sort_unstable();
-        let mut want: Vec<u64> = pts
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| dist(p, &q) <= eps)
-            .map(|(i, _)| i as u64)
-            .collect();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
-    }
-
-    /// k-d tree knn distances equal the k smallest brute-force distances.
-    #[test]
-    fn kdtree_knn_equals_scan(
-        pts in points(3, 100),
-        q in point(3),
-        k in 1usize..20,
-    ) {
-        let tree = KdTree::build(3, pts.iter().enumerate().map(|(i, p)| (i as u64, p.as_slice())));
-        let got = tree.knn(&q, k);
-        let mut want: Vec<f64> = pts.iter().map(|p| dist(p, &q)).collect();
-        want.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let expect_len = k.min(pts.len());
-        prop_assert_eq!(got.len(), expect_len);
-        for (i, (_, d)) in got.iter().enumerate() {
-            prop_assert!((d - want[i]).abs() < 1e-9);
         }
     }
 }

@@ -23,24 +23,17 @@ pub struct ClusterOutcome {
 
 /// Clusters the current bubble population: OPTICS over the non-empty
 /// bubbles (`eps = ∞`, the full hierarchy), virtual-reachability
-/// expansion, cluster-tree extraction with `min_cluster_size`.
+/// expansion, cluster-tree extraction with `min_cluster_size` — that is,
+/// [`cluster_summaries`] over the bubbles with their member ids.
 #[must_use]
 pub fn cluster_bubbles(
     bubbles: &IncrementalBubbles,
     min_pts: usize,
     min_cluster_size: usize,
 ) -> ClusterOutcome {
-    let ordering = optics_bubbles(bubbles.bubbles(), f64::INFINITY, min_pts);
-    let plot = ordering.expand(|i| {
-        bubbles
-            .bubble(i)
-            .members()
-            .iter()
-            .map(|id| u64::from(id.0))
-            .collect::<Vec<_>>()
-    });
-    let clusters = extract_clusters(&plot, &ExtractParams::with_min_size(min_cluster_size));
-    ClusterOutcome { plot, clusters }
+    cluster_summaries(bubbles.bubbles(), min_pts, min_cluster_size, move |i| {
+        bubbles.bubble(i).members().iter().map(|id| u64::from(id.0))
+    })
 }
 
 /// Clusters an arbitrary summary set (e.g. BIRCH CF leaves) the same way.
