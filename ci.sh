@@ -58,8 +58,10 @@ cargo run $CARGOFLAGS --release -q -p idb-bench --bin journal_check -- "$IDB_WAL
 # and by pushes (they must agree), checks every row against a fresh
 # `from_seeds` after 768 churn ops whose re-seeds the rows settle lazily,
 # and reads its repair ledger off a live maintainer (§15), the durability
-# report's bounded WAL footprint over 2,500 batches (§16) and its
-# tiered ≡ resident snapshot bytes (§17), the parallel report's
+# report's bounded WAL footprint over 2,500 batches (§16), its tiered ≡
+# resident snapshot bytes (§17) and its codec checks (sliced CRC ≡ the
+# byte loop, a full checkpoint encoded over a file spill ≡ the resident
+# blob, decode → re-encode ≡ the blob; §16–§17), the parallel report's
 # partition replay ≡ threaded counters (§9), and the summary report's
 # point-level and bubble OPTICS plots covering every point.
 for report in shard delta kernel durability parallel summary; do

@@ -10,29 +10,184 @@
 //! * **Recovery time vs. WAL tail length** — wall-clock to recover from
 //!   the latest checkpoint as the number of batches to replay grows
 //!   (checkpoint cadence 1, 16, 64 over a 64-batch stream).
-//! * **Checkpoint write cost** — median seconds to serialize and store
-//!   one full checkpoint, with its size in bytes.
+//! * **The checkpoint codec** — on the final state of that stream: CRC-32
+//!   throughput (the library's sliced CRC beside a byte-at-a-time
+//!   reference, values checked equal), and one full checkpoint's encode
+//!   with the store resident and tiered (hot budget 64, every point cold
+//!   in a file spill under the scratch directory; the two blobs must be
+//!   byte-identical) and its decode (which must re-encode to the same
+//!   bytes).
 //!
-//! Usage: `durability_report [output.json]` (default
-//! `BENCH_durability.json`).
+//! Usage: `durability_report [output.json] [baseline.json]` (default
+//! `BENCH_durability.json`). With a baseline — the same report written
+//! by an earlier build on the same host — the codec section also records
+//! the baseline's numbers as `baseline_*`.
 
 use idb_bench::{json_list, median_secs, median_secs_with, planned_stream, write_report};
+use idb_core::recovery::CHECKPOINT_MAGIC;
 use idb_core::{
-    recover, recover_chain, DurabilityConfig, DurableMaintainer, IncrementalBubbles,
-    MaintainerConfig,
+    encode_checkpoint, recover, recover_chain, DurabilityConfig, DurableMaintainer,
+    IncrementalBubbles, MaintainerConfig,
 };
 use idb_geometry::SearchStats;
 use idb_obs::{EventKind, Obs, RingRecorder};
 use idb_store::segment::SegmentedSink;
+use idb_store::snapshot::{crc32, read_frame, read_u64};
 use idb_store::wal::{read_wal, scratch_dir, FileSink, ObjectSink};
-use idb_store::{Batch, MemMedium, PointStore};
+use idb_store::{Batch, FsCold, MemMedium, PointStore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::sync::Arc;
 
 const REPS: usize = 5;
 const BATCHES: usize = 64;
+/// CRC passes over the checkpoint blob per timed run.
+const CRC_PASSES: usize = 16;
+/// The codec section's hot budget: the spill leaves every point cold.
+const CODEC_HOT: usize = 64;
+
+/// The byte table of the IEEE CRC-32, for the byte-at-a-time reference.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
+};
+
+/// IEEE CRC-32 one byte per step: the reference the sliced
+/// [`crc32`] is timed and checked against.
+fn crc32_bytewise(data: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in data {
+        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c ^ 0xFFFF_FFFF
+}
+
+/// Decodes a full checkpoint blob (frame, sequence numbers, store and
+/// bubble snapshots) through the public codec.
+fn decode(blob: &[u8]) -> (PointStore, IncrementalBubbles) {
+    let payload = read_frame(&mut &blob[..], CHECKPOINT_MAGIC).expect("checkpoint frame");
+    let mut cur: &[u8] = &payload;
+    read_u64(&mut cur).expect("seq");
+    read_u64(&mut cur).expect("covered");
+    let store = PointStore::read_snapshot(&mut cur).expect("store snapshot");
+    let bubbles = IncrementalBubbles::read_snapshot(&mut cur, &store).expect("bubble snapshot");
+    assert!(
+        cur.is_empty(),
+        "trailing bytes after the checkpoint payload"
+    );
+    (store, bubbles)
+}
+
+/// Seconds per `f()` (median over [`REPS`] runs of `passes` calls each).
+fn secs_per_call<T>(passes: usize, mut f: impl FnMut() -> T) -> f64 {
+    median_secs(REPS, || {
+        for _ in 0..passes {
+            black_box(f());
+        }
+    })
+    .0 / passes as f64
+}
+
+/// The value of numeric field `key` inside object `section` of a report
+/// this binary wrote.
+fn report_number(text: &str, section: &str, key: &str) -> Option<f64> {
+    let body = &text[text.find(&format!("\"{section}\": {{"))?..];
+    let body = &body[..body.find('}')?];
+    let value = &body[body.find(&format!("\"{key}\": "))? + key.len() + 4..];
+    let end = value.find([',', '}']).unwrap_or(value.len());
+    value[..end].trim().parse().ok()
+}
+
+/// The codec section (see the module docs) over one final state, with
+/// `baseline`'s numbers as `baseline_*` fields when given.
+fn codec_section(store: &PointStore, ib: &IncrementalBubbles, baseline: Option<&str>) -> String {
+    let covered = BATCHES as u64;
+    let (resident_secs, blob) = median_secs(REPS, || {
+        encode_checkpoint(999, covered, store, ib).expect("in-memory encode")
+    });
+    let mb = blob.len() as f64 / 1e6;
+    assert_eq!(
+        crc32(&blob),
+        crc32_bytewise(&blob),
+        "sliced == reference CRC"
+    );
+    let crc_secs = secs_per_call(CRC_PASSES, || crc32(black_box(&blob)));
+    let reference_secs = secs_per_call(CRC_PASSES, || crc32_bytewise(black_box(&blob)));
+
+    let dir = scratch_dir();
+    std::fs::create_dir_all(&dir).expect("create bench scratch dir");
+    let path = dir.join(format!(
+        "idb-durability-codec-{}.points",
+        std::process::id()
+    ));
+    let mut tiered = store.clone();
+    tiered
+        .enable_tier(
+            Box::new(FsCold::create(&path).expect("create spill")),
+            CODEC_HOT,
+        )
+        .expect("spill");
+    let (tiered_secs, tiered_blob) = median_secs(REPS, || {
+        encode_checkpoint(999, covered, &tiered, ib).expect("tiered encode")
+    });
+    drop(tiered);
+    assert!(
+        tiered_blob == blob,
+        "tiered and resident checkpoints must be byte-identical"
+    );
+    let (decode_secs, (rstore, rib)) = median_secs(REPS, || decode(&blob));
+    assert!(
+        encode_checkpoint(999, covered, &rstore, &rib).expect("re-encode") == blob,
+        "a decoded checkpoint must re-encode to the same bytes"
+    );
+    let crc_mb_s = mb / crc_secs;
+    let reference_mb_s = mb / reference_secs;
+    eprintln!(
+        "codec ({} B blob): crc {crc_mb_s:.0} MB/s (byte loop {reference_mb_s:.0}); \
+         encode resident {resident_secs:.6}s, tiered {tiered_secs:.6}s; decode {decode_secs:.6}s",
+        blob.len()
+    );
+    let fields = [
+        ("crc_mb_per_s", crc_mb_s, 1),
+        ("reference_crc_mb_per_s", reference_mb_s, 1),
+        ("resident_encode_secs", resident_secs, 6),
+        ("tiered_encode_secs", tiered_secs, 6),
+        ("decode_secs", decode_secs, 6),
+    ];
+    let mut row = format!(
+        "{{\"blob_bytes\": {}, \"crc_passes\": {CRC_PASSES}, \"hot_points\": {CODEC_HOT}, \
+         \"tiered_equals_resident\": true",
+        blob.len()
+    );
+    for (key, value, digits) in fields {
+        let _ = write!(row, ", \"{key}\": {value:.digits$}");
+    }
+    if let Some(text) = baseline {
+        for (key, _, digits) in fields {
+            let value = report_number(text, "codec", key).expect("baseline codec field");
+            let _ = write!(row, ", \"baseline_{key}\": {value:.digits$}");
+        }
+    }
+    row.push('}');
+    row
+}
 
 fn build(store: &PointStore) -> IncrementalBubbles {
     let mut rng = StdRng::seed_from_u64(7);
@@ -141,11 +296,6 @@ fn main() {
     }
     let (end_store, ib, sink, ckpts) = dm.into_parts();
 
-    // Checkpoint serialization cost, measured on the final state.
-    let (encode_secs, blob) = median_secs(REPS, || {
-        idb_core::encode_checkpoint(999, BATCHES as u64, &end_store, &ib).expect("in-memory encode")
-    });
-
     let wal_bytes = sink.bytes();
     let ends = read_wal(&wal_bytes).expect("reference wal is intact").ends;
     let mut recovery_rows = Vec::new();
@@ -167,11 +317,11 @@ fn main() {
         )
     });
     let _ = writeln!(json, "  \"recovery\": {},", json_list(4, recovery_rows));
-    let _ = writeln!(
-        json,
-        "  \"checkpoint\": {{\"median_encode_secs\": {encode_secs:.6}, \"blob_bytes\": {}}},",
-        blob.len()
-    );
+    let baseline = std::env::args()
+        .nth(2)
+        .map(|path| std::fs::read_to_string(path).expect("read baseline report"));
+    let codec = codec_section(&end_store, &ib, baseline.as_deref());
+    let _ = writeln!(json, "  \"codec\": {codec},");
 
     // Bounded footprint under the segmented WAL: the same stream against
     // a segment chain with streaming checkpoints and compaction, sampling
@@ -428,6 +578,6 @@ fn main() {
         json_list(6, curve)
     );
 
-    json.push_str("  \"note\": \"complex d2 n20000 s200 scenario, 64 pre-planned batches with maintenance after each, serial mode; durable runs use validate + WAL append + group commit + apply + checkpoint cadence as configured; recovery replays the WAL tail beyond the newest checkpoint; the segmented section streams the same batches through a segment chain with delta checkpoints and compaction, so the live footprint stays bounded while total appended bytes grow; the tier section replays a pre-planned stream tiered (hot cap 64) and fully resident, proving a flat resident-set curve with bit-identical final snapshots\"\n}\n");
+    json.push_str("  \"note\": \"complex d2 n20000 s200 scenario, 64 pre-planned batches with maintenance after each, serial mode; durable runs use validate + WAL append + group commit + apply + checkpoint cadence as configured; recovery replays the WAL tail beyond the newest checkpoint; the segmented section streams the same batches through a segment chain with delta checkpoints and compaction, so the live footprint stays bounded while total appended bytes grow; the tier section replays a pre-planned stream tiered (hot cap 64) and fully resident, proving a flat resident-set curve with bit-identical final snapshots; the codec section times CRC-32 over the final state's checkpoint blob (crc_passes passes a run) and that blob's encode, resident and over a file spill that leaves every point cold (asserted byte-identical), and its decode; baseline_* fields, when present, come from the same report built at an earlier commit and run on the same host\"\n}\n");
     write_report("BENCH_durability.json", &json);
 }

@@ -1711,6 +1711,84 @@ mod tests {
         assert_eq!(m.histogram("checkpoint.encode_us").count(), taken);
     }
 
+    /// A cold read outage that strikes a full checkpoint's encode (the
+    /// snapshot's one spill read) costs only that checkpoint: the batch
+    /// applies, the checkpoint goes down and the dirty window closes, and
+    /// after the volume heals the next checkpoint is full and
+    /// byte-identical to what a resident twin encodes at the same point.
+    #[test]
+    fn cold_outage_during_a_full_encode_keeps_the_batch_and_heals() {
+        use idb_synth::FaultMedium;
+        type Durable = DurableMaintainer<ObjectSink<MemMedium>, MemMedium>;
+        let (store, config) = fixture(200, 11);
+        let dcfg = |hot_points| DurabilityConfig {
+            checkpoint_interval: 1,
+            full_rebase_interval: 2,
+            checkpoint_chunk_bytes: 1 << 30,
+            hot_points,
+            ..DurabilityConfig::default()
+        };
+        let mut rng = StdRng::seed_from_u64(12);
+        let ib = IncrementalBubbles::build(&store, config, &mut rng, &mut SearchStats::new());
+        let adopt = |store: PointStore, hot_points| {
+            DurableMaintainer::adopt(
+                store,
+                ib.clone(),
+                dcfg(hot_points),
+                ObjectSink::new(MemMedium::new(), "wal"),
+                MemMedium::new(),
+            )
+            .unwrap()
+        };
+        let cold = FaultMedium::new();
+        let mut tiered_store = store.clone();
+        tiered_store.enable_tier(Box::new(cold.clone()), 8).unwrap();
+        let mut dm = adopt(tiered_store, Some(8));
+        let mut twin = adopt(store, None);
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut search = SearchStats::new();
+        let mut step = |dm: &mut Durable, twin: &mut Durable, batch: &Batch, seed: u64| {
+            let maintain = !batch.deletes.is_empty();
+            let ids = dm.apply_with(batch, seed, maintain, &mut search).unwrap();
+            let twin_ids = twin.apply_with(batch, seed, maintain, &mut search);
+            assert_eq!(twin_ids.unwrap(), ids);
+        };
+        // Batch 1 takes a delta checkpoint against the baseline.
+        let b1 = random_batch(dm.store(), &mut rng);
+        step(&mut dm, &mut twin, &b1, 1);
+        assert_eq!(
+            (dm.checkpoints_since_full, dm.health()),
+            (1, Health::Healthy)
+        );
+        // Batch 2 is due a full rebase, and the spill read fails. An
+        // insert-only batch without maintenance reads no cold record, so
+        // it still applies.
+        cold.set_read_outage(true);
+        let b2 = Batch {
+            deletes: Vec::new(),
+            inserts: vec![(vec![0.5, -0.5], Some(1)), (vec![3.0, 4.0], None)],
+        };
+        step(&mut dm, &mut twin, &b2, 2);
+        assert!(dm.checkpoint_down && dm.pending_ckpt.is_none());
+        assert!(
+            dm.bubbles.dirty_slots().is_none(),
+            "the dirty window closed"
+        );
+        assert!(matches!(dm.health(), Health::Degraded { .. }));
+        assert!(!dm.tier_poisoned());
+        let seq = dm.next_checkpoint_seq;
+        assert!(dm.checkpoints().load(seq).is_err(), "nothing was published");
+        // Healed: the next checkpoint is full, and byte-identical to the
+        // resident twin's encoding of the same state.
+        cold.heal();
+        let b3 = random_batch(dm.store(), &mut rng);
+        step(&mut dm, &mut twin, &b3, 3);
+        assert_eq!(dm.health(), Health::Healthy);
+        assert_eq!(dm.last_full, Some((seq, 3)));
+        let want = encode_checkpoint(seq, 3, twin.store(), twin.bubbles()).unwrap();
+        assert_eq!(dm.checkpoints().load(seq).unwrap(), want);
+    }
+
     #[test]
     fn rejected_batches_are_never_logged() {
         let (store, config) = fixture(100, 5);

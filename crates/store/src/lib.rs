@@ -40,6 +40,19 @@ use tier::{Spill, Tier, FREE_FRAME, NONE_FRAME};
 /// Bytes per staged chunk when [`PointStore::enable_tier`] spills.
 const SPILL_CHUNK_BYTES: usize = 64 * 1024;
 
+/// Coordinates a cold demand read decodes per positioned read, through a
+/// stack buffer: one read for any `dim` up to this.
+const COLD_READ_COORDS: usize = 64;
+
+/// `coords` as little-endian bytes, in `buf` (cleared first).
+fn le_bytes<'a>(buf: &'a mut Vec<u8>, coords: &[f64]) -> &'a [u8] {
+    buf.clear();
+    for x in coords {
+        buf.extend_from_slice(&x.to_le_bytes());
+    }
+    buf
+}
+
 /// Stable identifier of a live point: an index into the store's slot space.
 ///
 /// Ids are only meaningful while the point is live; a deleted slot may be
@@ -561,17 +574,92 @@ impl PointStore {
             out.extend_from_slice(&self.coords[f * dim..(f + 1) * dim]);
             return Ok(());
         }
-        let mut bytes = vec![0u8; dim * 8];
-        tier.cold.read_at((s * dim * 8) as u64, &mut bytes)?;
+        // Decoded through a stack buffer, one positioned read per
+        // `COLD_READ_COORDS` coordinates: no allocation per record.
+        let mut bytes = [0u8; COLD_READ_COORDS * 8];
+        let start = out.len();
+        let record = (s * dim * 8) as u64;
+        for first in (0..dim).step_by(COLD_READ_COORDS) {
+            let buf = &mut bytes[..(dim - first).min(COLD_READ_COORDS) * 8];
+            if let Err(e) = tier.cold.read_at(record + (first * 8) as u64, buf) {
+                out.truncate(start);
+                return Err(e);
+            }
+            out.extend(
+                buf.chunks_exact(8)
+                    .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk"))),
+            );
+        }
         tier.misses.fetch_add(1, Relaxed);
         tier.cold_reads.fetch_add(1, Relaxed);
         tier.cold_bytes.fetch_add((dim * 8) as u64, Relaxed);
-        out.extend(
-            bytes
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk"))),
-        );
         Ok(())
+    }
+
+    /// Calls `f(id, record)` for every live point in live-list order,
+    /// `record` being the point's `dim` coordinates as little-endian
+    /// bytes — what a snapshot writes. Hot (and untiered) points are
+    /// encoded from the slab. When any live point is cold, the whole
+    /// spill is read **once** and each cold record is copied out of it:
+    /// the spill already holds those bytes. That transient buffer is the
+    /// spill's size, at most `slots · dim · 8` bytes, and is dropped on
+    /// return. Reads never promote, and the traffic counters count
+    /// records served, exactly as per-record demand reads would.
+    ///
+    /// # Errors
+    /// A failed spill read, or a cold slot whose record lies past the end
+    /// of the bytes read, is an [`std::io::Error`] wrapping
+    /// [`StorageError::ColdIo`] — never a zero fill. Errors from `f` pass
+    /// through.
+    pub(crate) fn for_each_record(
+        &self,
+        mut f: impl FnMut(PointId, &[u8]) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
+        use std::sync::atomic::Ordering::Relaxed;
+        let dim = self.dim;
+        let rec = dim * 8;
+        let mut hot = Vec::with_capacity(rec);
+        let Some(tier) = &self.tier else {
+            return self.live_list.iter().try_for_each(|&slot| {
+                let s = slot as usize;
+                f(
+                    PointId(slot),
+                    le_bytes(&mut hot, &self.coords[s * dim..(s + 1) * dim]),
+                )
+            });
+        };
+        let spill = if self.all_resident() {
+            Vec::new()
+        } else {
+            tier.cold.read_all().map_err(std::io::Error::other)?
+        };
+        let (mut hits, mut misses) = (0u64, 0u64);
+        let result = self.live_list.iter().try_for_each(|&slot| {
+            let s = slot as usize;
+            let frame = tier.frame_of[s] as usize;
+            if frame != NONE_FRAME as usize {
+                hits += 1;
+                let coords = &self.coords[frame * dim..(frame + 1) * dim];
+                return f(PointId(slot), le_bytes(&mut hot, coords));
+            }
+            let record = spill.get(s * rec..(s + 1) * rec).ok_or_else(|| {
+                std::io::Error::other(StorageError::ColdIo {
+                    op: "read",
+                    detail: format!(
+                        "cold slot {s}'s record ends at byte {} but the spill holds {}",
+                        (s + 1) * rec,
+                        spill.len()
+                    ),
+                })
+            })?;
+            misses += 1;
+            f(PointId(slot), record)
+        });
+        tier.hits.fetch_add(hits, Relaxed);
+        tier.misses.fetch_add(misses, Relaxed);
+        tier.cold_reads.fetch_add(misses, Relaxed);
+        tier.cold_bytes.fetch_add(misses * rec as u64, Relaxed);
+        result
     }
 
     /// Verifies that every id in `ids` is readable (hot or cold). The
@@ -623,11 +711,8 @@ impl PointStore {
                     continue;
                 }
                 let slot = tier.frame_slot[f] as usize;
-                buf.clear();
-                for x in &self.coords[f * dim..(f + 1) * dim] {
-                    buf.extend_from_slice(&x.to_le_bytes());
-                }
-                tier.cold.write_at((slot * dim * 8) as u64, &buf)?;
+                let record = le_bytes(&mut buf, &self.coords[f * dim..(f + 1) * dim]);
+                tier.cold.write_at((slot * dim * 8) as u64, record)?;
                 tier.frame_of[slot] = NONE_FRAME;
                 tier.frame_slot[f] = FREE_FRAME;
                 tier.free_frames.push(f as u32);
@@ -817,6 +902,40 @@ mod tests {
         assert_eq!(c.cold_reads, 10);
         assert_eq!(c.cold_bytes, 10 * 16);
         assert_eq!(c.hits, 0);
+    }
+
+    #[test]
+    fn wide_cold_records_read_back_in_chunks() {
+        let dim = 2 * COLD_READ_COORDS + 22;
+        let point = |i: usize| -> Vec<f64> { (0..dim).map(|k| (i * dim + k) as f64).collect() };
+        let mut s = PointStore::new(dim);
+        let ids: Vec<PointId> = (0..5).map(|i| s.insert(&point(i), None)).collect();
+        let cold = MemMedium::new();
+        s.enable_tier(Box::new(cold.clone()), 1).unwrap();
+        let mut buf = vec![-1.0];
+        for (i, id) in ids.iter().enumerate() {
+            buf.truncate(1);
+            s.read_point_into(*id, &mut buf).unwrap();
+            assert_eq!(buf[1..], point(i)[..], "point {i}");
+        }
+        let c = s.tier_counters().unwrap();
+        assert_eq!((c.misses, c.cold_reads), (5, 5), "one record each");
+        assert_eq!(c.cold_bytes, 5 * dim as u64 * 8);
+        // A spill cut inside the last record's final chunk: the read fails
+        // typed and `out` is left as passed in, not half-extended.
+        cold.truncate("", (5 * dim * 8 - 8) as u64).unwrap();
+        buf.truncate(1);
+        let err = s.read_point_into(ids[4], &mut buf).unwrap_err();
+        assert!(
+            matches!(err, StorageError::ColdIo { op: "read", .. }),
+            "{err}"
+        );
+        assert_eq!(buf, vec![-1.0]);
+        assert_eq!(
+            s.tier_counters().unwrap(),
+            c,
+            "a failed read counts nothing"
+        );
     }
 
     #[test]

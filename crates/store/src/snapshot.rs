@@ -91,10 +91,13 @@ pub fn read_f64<R: Read>(r: &mut R) -> io::Result<f64> {
     Ok(f64::from_le_bytes(buf))
 }
 
-/// Table for the IEEE CRC-32 (reflected polynomial `0xEDB88320`), built at
-/// compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Tables for the IEEE CRC-32 (reflected polynomial `0xEDB88320`), built
+/// at compile time for slicing-by-16: `CRC_TABLES[0]` is the classic
+/// byte table, and `CRC_TABLES[k][b]` is the CRC of byte `b` followed by
+/// `k` zero bytes, so sixteen input bytes fold in with sixteen
+/// independent lookups.
+const CRC_TABLES: [[u32; 256]; 16] = {
+    let mut t = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -107,19 +110,50 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 };
 
-/// IEEE CRC-32 of `data` (the zlib/PNG polynomial). Hand-rolled — the
-/// workspace carries no checksum dependency.
+/// IEEE CRC-32 of `data` (the zlib/PNG polynomial), sixteen bytes per
+/// step. Hand-rolled — the workspace carries no checksum dependency.
 #[must_use]
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut blocks = data.chunks_exact(16);
+    for b in &mut blocks {
+        let x = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[15][(x & 0xFF) as usize]
+            ^ t[14][((x >> 8) & 0xFF) as usize]
+            ^ t[13][((x >> 16) & 0xFF) as usize]
+            ^ t[12][(x >> 24) as usize]
+            ^ t[11][usize::from(b[4])]
+            ^ t[10][usize::from(b[5])]
+            ^ t[9][usize::from(b[6])]
+            ^ t[8][usize::from(b[7])]
+            ^ t[7][usize::from(b[8])]
+            ^ t[6][usize::from(b[9])]
+            ^ t[5][usize::from(b[10])]
+            ^ t[4][usize::from(b[11])]
+            ^ t[3][usize::from(b[12])]
+            ^ t[2][usize::from(b[13])]
+            ^ t[1][usize::from(b[14])]
+            ^ t[0][usize::from(b[15])];
+    }
+    for &b in blocks.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -220,20 +254,15 @@ impl PointStore {
         write_u64(w, self.dim() as u64)?;
         write_u64(w, self.slots() as u64)?;
         write_u64(w, self.len() as u64)?;
-        // Demand-fetch each payload so tiered stores snapshot without
-        // materializing the cold set; the bytes are identical to the
-        // classic all-resident encoding. A cold-read failure surfaces as
-        // an I/O error and feeds the caller's checkpoint failure ladder.
-        let mut p = Vec::with_capacity(self.dim());
-        for id in self.ids() {
+        // Tiered stores read their spill once and copy each cold record
+        // out of it; the bytes are identical to the all-resident
+        // encoding. A cold-read failure surfaces as an I/O error and feeds
+        // the caller's checkpoint failure ladder.
+        self.for_each_record(|id, record| {
             write_u32(w, id.0)?;
-            p.clear();
-            self.read_point_into(id, &mut p).map_err(io::Error::other)?;
-            for &x in &p {
-                write_f64(w, x)?;
-            }
-            write_u32(w, self.label(id).unwrap_or(LABEL_NOISE))?;
-        }
+            w.write_all(record)?;
+            write_u32(w, self.label(id).unwrap_or(LABEL_NOISE))
+        })?;
         // The free list in reuse order: slot ids are only stable across a
         // restart if a restored store recycles slots in the exact order the
         // original would have, so the stack is persisted verbatim.
@@ -370,6 +399,7 @@ impl PointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PointId;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -500,10 +530,172 @@ mod tests {
         assert!(err.to_string().contains("duplicate"), "{err}");
     }
 
+    /// The byte-at-a-time CRC-32 the sliced one must equal.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
     #[test]
     fn crc32_matches_the_standard_check_value() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_byte_loop() {
+        let mut rng = StdRng::seed_from_u64(32);
+        let buf: Vec<u8> = (0..(1 << 20) + 16).map(|_| rng.gen()).collect();
+        // Every length through several 16-byte blocks and remainders, at
+        // every alignment of the block loop against the allocation.
+        for start in 0..16 {
+            for len in 0..=300 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
+            }
+        }
+        let mib = &buf[..1 << 20];
+        assert_eq!(crc32(mib), crc32_bytewise(mib));
+        // Runs of one byte value exercise every table row at one index.
+        for v in [0u8, 0xFF, 0x80] {
+            let s = vec![v; 1000];
+            assert_eq!(crc32(&s), crc32_bytewise(&s), "byte {v:#x}");
+        }
+    }
+
+    fn snapshot_bytes(store: &PointStore) -> Vec<u8> {
+        let mut buf = Vec::new();
+        store.write_snapshot(&mut buf).expect("snapshot");
+        buf
+    }
+
+    /// Live slots of a tiered store that are cold, ascending.
+    fn cold_slots(store: &PointStore) -> Vec<usize> {
+        let tier = store.tier.as_ref().expect("tiered");
+        let mut cold: Vec<usize> = store
+            .ids()
+            .map(PointId::index)
+            .filter(|&s| tier.frame_of[s] == crate::tier::NONE_FRAME)
+            .collect();
+        cold.sort_unstable();
+        cold
+    }
+
+    /// Drives a resident store and a tiered twin through the same churn —
+    /// dead slots before the spill, slots reused from the free list,
+    /// fresh slots past the spill's end that stay hot, evictions — and
+    /// checks after every step that both snapshot to the same bytes, with
+    /// every record counted once as a hit or a cold read.
+    fn tiered_snapshot_matches_resident(dim: usize, cold: Box<dyn crate::Medium>) {
+        let mut rng = StdRng::seed_from_u64(dim as u64);
+        let point = |rng: &mut StdRng| -> Vec<f64> { (0..dim).map(|_| rng.gen()).collect() };
+        let mut resident = PointStore::new(dim);
+        let mut ids = Vec::new();
+        for i in 0..240 {
+            ids.push(resident.insert(&point(&mut rng), Some(i % 5)));
+        }
+        // Dead slots inside the spill.
+        for id in ids.drain(..).step_by(4) {
+            resident.remove(id);
+        }
+        let mut tiered = resident.clone();
+        tiered.enable_tier(cold, 16).expect("spill");
+        assert_eq!(snapshot_bytes(&tiered), snapshot_bytes(&resident));
+        let remove = |resident: &mut PointStore, tiered: &mut PointStore, rng: &mut StdRng| {
+            let live: Vec<PointId> = resident.ids().collect();
+            for _ in 0..12 {
+                let id = live[rng.gen_range(0..live.len())];
+                if resident.contains(id) {
+                    resident.remove(id);
+                    tiered.remove(id);
+                }
+            }
+        };
+        let (mut past_end_hot, mut reused) = (false, false);
+        for round in 0..12 {
+            remove(&mut resident, &mut tiered, &mut rng);
+            // Reuses the free list first, then grows past the spill's end.
+            for _ in 0..(15 + round * 3) {
+                let p = point(&mut rng);
+                let label = if rng.gen_bool(0.2) { None } else { Some(1) };
+                let slots = resident.slots();
+                let id = resident.insert(&p, label);
+                assert_eq!(tiered.insert(&p, label), id);
+                reused |= id.index() < slots;
+            }
+            // Dead slots at snapshot time, some of them just inserted.
+            remove(&mut resident, &mut tiered, &mut rng);
+            if round % 3 != 2 {
+                tiered.enforce_hot_budget().expect("evict");
+            }
+            // A live record past the spill's end can only be hot.
+            let spill = tiered.tier.as_ref().expect("tiered").cold.read_all();
+            let spill_len = spill.expect("spill").len();
+            past_end_hot |= tiered
+                .ids()
+                .any(|id| (id.index() + 1) * dim * 8 > spill_len);
+            let before = tiered.tier_counters().expect("tiered");
+            assert_eq!(
+                snapshot_bytes(&tiered),
+                snapshot_bytes(&resident),
+                "d={dim} round {round}"
+            );
+            let after = tiered.tier_counters().expect("tiered");
+            let cold = cold_slots(&tiered).len() as u64;
+            assert_eq!(after.misses - before.misses, cold);
+            assert_eq!(after.cold_reads - before.cold_reads, cold);
+            assert_eq!(after.cold_bytes - before.cold_bytes, cold * dim as u64 * 8);
+            assert_eq!(after.hits - before.hits, tiered.len() as u64 - cold);
+        }
+        assert!(past_end_hot, "no hot slot past the spill's end was covered");
+        assert!(reused, "no slot was reused");
+        assert!(!cold_slots(&tiered).is_empty() && !tiered.free_slots().is_empty());
+    }
+
+    #[test]
+    fn tiered_snapshot_bytes_equal_resident_on_memory() {
+        for dim in [1, 2, 10] {
+            tiered_snapshot_matches_resident(dim, Box::new(crate::MemMedium::new()));
+        }
+    }
+
+    #[test]
+    fn tiered_snapshot_bytes_equal_resident_on_a_file() {
+        let dir = crate::wal::scratch_dir();
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        for dim in [1, 2, 10] {
+            let path = dir.join(format!(
+                "idb-snapshot-spill-{}-{dim}.points",
+                std::process::id()
+            ));
+            let cold = crate::FsCold::create(&path).expect("spill file");
+            tiered_snapshot_matches_resident(dim, Box::new(cold));
+            assert!(!path.exists(), "the spill is removed with its store");
+        }
+    }
+
+    #[test]
+    fn spill_truncated_under_a_cold_slot_is_a_typed_error() {
+        use crate::{Medium, MemMedium, StorageError};
+        let mut store = churned_store();
+        let cold = MemMedium::new();
+        store.enable_tier(Box::new(cold.clone()), 8).expect("spill");
+        store.insert(&[1.0, 2.0, 3.0], None);
+        let last_cold = *cold_slots(&store).last().expect("cold slots");
+        // Cut the spill halfway into the highest cold record.
+        cold.truncate("", (last_cold * 24 + 12) as u64)
+            .expect("truncate");
+        let err = store.write_snapshot(&mut Vec::new()).unwrap_err();
+        let inner = err.get_ref().and_then(|e| e.downcast_ref::<StorageError>());
+        assert!(
+            matches!(inner, Some(StorageError::ColdIo { op: "read", .. })),
+            "{err}"
+        );
+        assert!(err.to_string().contains("spill holds"), "{err}");
     }
 
     #[test]

@@ -120,6 +120,12 @@ impl Spill {
         Ok(spill)
     }
 
+    /// The whole spill in one read: a snapshot copies its cold records
+    /// out of this instead of fetching them one positioned read each.
+    pub(crate) fn read_all(&self) -> Result<Vec<u8>, StorageError> {
+        self.medium.read(SPILL).map_err(|e| cold_io("read", &e))
+    }
+
     pub(crate) fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), StorageError> {
         self.medium
             .read_at(SPILL, offset, buf)
@@ -150,10 +156,12 @@ pub struct TierCounters {
     pub hits: u64,
     /// Demand reads that had to go to the cold medium.
     pub misses: u64,
-    /// Records read from the cold medium (== `misses`; kept separate so
-    /// future prefetching can diverge them).
+    /// Records served from the cold medium (== `misses`). A demand read
+    /// fetches its record with one positioned read; a snapshot reads the
+    /// whole spill once and counts each cold record it copies out of it,
+    /// so the count is of records, not of medium operations.
     pub cold_reads: u64,
-    /// Payload bytes read from the cold medium.
+    /// Payload bytes of the records counted in `cold_reads`.
     pub cold_bytes: u64,
     /// Hot frames evicted (written) to the cold medium.
     pub evictions: u64,

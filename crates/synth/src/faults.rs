@@ -428,6 +428,21 @@ mod tests {
     }
 
     #[test]
+    fn read_outage_fails_whole_and_positioned_reads() {
+        let m = FaultMedium::new();
+        m.append("spill", b"abcdef").unwrap();
+        m.set_read_outage(true);
+        assert!(m.read("spill").is_err(), "a whole-object read");
+        assert!(m.read_at("spill", 2, &mut [0u8; 2]).is_err());
+        m.append("spill", b"g").unwrap();
+        m.heal();
+        assert_eq!(m.read("spill").unwrap(), b"abcdefg");
+        let mut buf = [0u8; 2];
+        m.read_at("spill", 2, &mut buf).unwrap();
+        assert_eq!(&buf, b"cd");
+    }
+
+    #[test]
     fn kill_after_fails_every_later_op_until_healed() {
         let m = FaultMedium::new();
         m.start_trace();
