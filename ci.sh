@@ -51,7 +51,10 @@ fi
 # accounting, non-empty commit groups, rotation and compaction
 # monotonicity, chunk streams, nonzero tier traffic).
 cargo run $CARGOFLAGS --release -q -p idb-bench --bin journal_check -- "$IDB_WAL_DIR/idb-journals"
-# Report smoke runs with their checks: the shard report (DESIGN.md §13),
+# Report smoke runs with their checks: the assignment report's
+# engine agreement (every engine, warm-started or not, leaves the same
+# bubbles and the same candidate total on the last run of each flow; §15),
+# the shard report (DESIGN.md §13),
 # the delta report's per-epoch bit-identity with the full pipeline and
 # delta-stream replay (§14), the kernel report's 1.5x speedup at
 # d >= 64, which also builds the seed neighbor table both by `from_seeds`
@@ -64,7 +67,7 @@ cargo run $CARGOFLAGS --release -q -p idb-bench --bin journal_check -- "$IDB_WAL
 # blob, decode → re-encode ≡ the blob; §16–§17), the parallel report's
 # partition replay ≡ threaded counters (§9), and the summary report's
 # point-level and bubble OPTICS plots covering every point.
-for report in shard delta kernel durability parallel summary; do
+for report in assign shard delta kernel durability parallel summary; do
     cargo run $CARGOFLAGS --release -q -p idb-bench --bin "${report}_report" -- \
         "$IDB_WAL_DIR/BENCH_${report}_smoke.json"
 done

@@ -12,6 +12,12 @@
 //!   workloads it was built for. The summaries are bit-identical either
 //!   way (see the differential suites); only the accounting moves.
 //!
+//! The report checks that claim on the last run of each flow: every
+//! engine, warm-started or not, leaves the same bubbles (seeds and
+//! statistics bit for bit, members in order) and charges the same
+//! [`SearchStats::total`] — the per-candidate accounting only splits
+//! differently into computed, pruned and partial.
+//!
 //! The top-level `warm_start_computed_reduction_pruned` field is the
 //! headline number: the fraction of full distance computations the warm
 //! started pruned engine avoids relative to the cold-started one on the
@@ -49,6 +55,22 @@ fn row(op: &str, case: &str, engine: &str, warm: bool, secs: f64, stats: &Search
     )
 }
 
+/// What every engine and warm-start setting must agree on: the flow's
+/// candidate total, then per bubble its seed, `LS` and `SS` as bits, `n`
+/// and its members in order.
+fn outcome(ib: &IncrementalBubbles, stats: &SearchStats) -> Vec<u64> {
+    let mut out = vec![stats.total()];
+    for b in ib.bubbles() {
+        let st = b.stats();
+        let coords = b.seed().iter().chain(st.linear_sum());
+        out.extend(coords.map(|x| x.to_bits()));
+        out.push(st.square_sum().to_bits());
+        out.push(st.n());
+        out.extend(b.members().iter().map(|id| u64::from(id.0)));
+    }
+    out
+}
+
 fn main() {
     let mut rows = Vec::new();
 
@@ -63,27 +85,39 @@ fn main() {
     ] {
         let (_, store, _) = complex_fixture(dim, size, 11);
         let case = format!("complex_d{dim}_n{size}_s200");
+        let mut first = None;
         for (name, engine) in ENGINES {
-            let (secs, (_, stats)) = median_secs(REPS, || {
+            let (secs, (ib, stats)) = median_secs(REPS, || {
                 let mut rng = StdRng::seed_from_u64(1);
                 let mut stats = SearchStats::new();
                 let config = MaintainerConfig::new(200).with_seed_search(engine);
                 let ib = IncrementalBubbles::build(&store, config, &mut rng, &mut stats);
-                (ib.total_points(), stats)
+                (ib, stats)
             });
+            let got = outcome(&ib, &stats);
+            assert!(
+                *first.get_or_insert_with(|| got.clone()) == got,
+                "build {case}: {name} differs"
+            );
             rows.push(row("build", &case, name, false, secs, &stats));
         }
     }
 
     // Dynamic insert/delete flows, warm vs. cold.
     let mut pruned_dynamic = [0u64; 2]; // [cold, warm] computed
+    let mut first = None;
     for (name, engine) in ENGINES {
         for warm in [false, true] {
-            let (secs, (_, stats)) = median_secs(REPS, || dynamic_flow(engine, warm));
+            let (secs, (ib, stats)) = median_secs(REPS, || dynamic_flow(engine, warm));
             if name == "pruned" {
                 pruned_dynamic[usize::from(warm)] = stats.computed;
             }
             let case = "complex_d2_n20000_s200_5batches";
+            let got = outcome(&ib, &stats);
+            assert!(
+                *first.get_or_insert_with(|| got.clone()) == got,
+                "dynamic: {name} warm={warm} differs"
+            );
             rows.push(row("dynamic", case, name, warm, secs, &stats));
         }
     }
@@ -101,7 +135,7 @@ fn main() {
         json,
         "  \"warm_start_computed_reduction_pruned\": {reduction:.4},"
     );
-    json.push_str("  \"note\": \"medians, serial mode; every engine returns bit-identical assignments (see the differential suites), so the engines and the warm-start toggle differ only in wall-clock and in how the per-candidate accounting splits into computed/pruned/partial\",\n");
+    json.push_str("  \"note\": \"medians, serial mode; every engine returns bit-identical assignments (asserted on the last run of each flow: the same bubbles and SearchStats::total), so the engines and the warm-start toggle differ only in wall-clock and in how the per-candidate accounting splits into computed/pruned/partial\",\n");
     let _ = writeln!(json, "  \"results\": {}\n}}", json_list(4, rows));
     write_report("BENCH_assign.json", &json);
 }

@@ -313,15 +313,15 @@ fn table_report(rng: &mut StdRng) -> TableReport {
     }
     let churn_secs = t0.elapsed().as_secs_f64();
     let r = seeds.repair_stats();
-    let assert_fresh = |seeds: &NearestSeeds, after: &str| {
-        let fresh = NearestSeeds::from_seeds(D, (0..seeds.len()).map(|i| seeds.seed(i)));
+    let assert_fresh = |seeds: &mut NearestSeeds, after: &str| {
+        let mut fresh = NearestSeeds::from_seeds(D, (0..seeds.len()).map(|i| seeds.seed(i)));
         assert!(
             (0..seeds.len()).all(|i| seeds.neighbor_order(i) == fresh.neighbor_order(i)
                 && seeds.neighbor_distances(i) == fresh.neighbor_distances(i)),
             "after the {after} every row must equal from_seeds over the final coordinates"
         );
     };
-    assert_fresh(&seeds, "churn");
+    assert_fresh(&mut seeds, "churn");
     let t0 = Instant::now();
     for _ in 0..3 * CYCLES {
         seeds.replace(rng.gen_range(0..S), &point(rng));
@@ -331,7 +331,7 @@ fn table_report(rng: &mut StdRng) -> TableReport {
     }
     let reseed_secs = t0.elapsed().as_secs_f64();
     let reseed = seeds.repair_stats().delta_since(&r);
-    assert_fresh(&seeds, "re-seeds");
+    assert_fresh(&mut seeds, "re-seeds");
     eprintln!(
         "seed table s={S}: build {build_secs:.4}s ({push_build_secs:.4}s by pushes); {} ops in {churn_secs:.4}s, {:.0} entries/op vs {:.0} naive/op; {} re-seeds in {reseed_secs:.4}s, {:.0} entries/op",
         r.ops,

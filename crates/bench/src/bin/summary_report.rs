@@ -196,9 +196,9 @@ fn maintenance_rows() -> Vec<String> {
     let mut rows = Vec::new();
     let (ib, _) = state(SplitSeedPolicy::Random);
     let (secs, over_filled) = median_secs(REPS, || {
-        (0..CLASSIFY_CALLS)
-            .map(|_| black_box(ib.classify_now()).over_filled().len())
-            .last()
+        (0..CLASSIFY_CALLS).fold(None, |_, _| {
+            Some(black_box(ib.classify_now()).over_filled().len())
+        })
     });
     let secs = secs / CLASSIFY_CALLS as f64;
     let over_filled = over_filled.expect("classified at least once");

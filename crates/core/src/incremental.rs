@@ -236,7 +236,8 @@ impl IncrementalBubbles {
             flat.extend_from_slice(p);
         }
         // A fresh build has no assignment history to warm-start from.
-        let targets = this.batch_targets(&flat, None, None, search);
+        let mut targets = Vec::new();
+        this.batch_targets(&flat, None, None, search, &mut targets);
         for (&id, &(b, _)) in ids.iter().zip(&targets) {
             this.attach(id, b as usize, store.point(id));
             this.total_points += 1;
@@ -245,33 +246,13 @@ impl IncrementalBubbles {
     }
 
     /// Nearest eligible seed for every point in the flat `queries` buffer,
-    /// under the configured engine and parallelism. `hints` carries one
-    /// warm-start seed per query ([`idb_geometry::NO_HINT`] for none) and
-    /// is dropped wholesale when [`MaintainerConfig::warm_start`] is off.
-    /// Counter merging keeps `search` bit-identical to a serial scan.
+    /// under the configured engine and parallelism, written into `out`
+    /// (the steady-state paths pass their scratch arena). `hints` carries
+    /// one warm-start seed per query ([`idb_geometry::NO_HINT`] for none)
+    /// and is dropped wholesale when [`MaintainerConfig::warm_start`] is
+    /// off. Counter merging keeps `search` bit-identical to a serial scan.
     fn batch_targets(
-        &self,
-        queries: &[f64],
-        exclude: Option<usize>,
-        hints: Option<&[u32]>,
-        search: &mut SearchStats,
-    ) -> Vec<(u32, f64)> {
-        let hints = if self.config.warm_start { hints } else { None };
-        self.seeds.nearest_batch(
-            queries,
-            exclude,
-            self.config.seed_search,
-            hints,
-            self.config.parallelism,
-            search,
-        )
-    }
-
-    /// [`Self::batch_targets`] writing into a caller-owned buffer — the
-    /// allocation-free variant the steady-state paths feed their scratch
-    /// arena through. Results and accounting are bit-identical.
-    fn batch_targets_into(
-        &self,
+        &mut self,
         queries: &[f64],
         exclude: Option<usize>,
         hints: Option<&[u32]>,
@@ -346,8 +327,8 @@ impl IncrementalBubbles {
     /// Folds the seed-set structural accounting accumulated since the given
     /// snapshots into the `repair.<engine>.*` metric family, when metrics
     /// are on. Call sites snapshot immediately before the leaf mutations
-    /// (seed pushes, replacements, removals) and row settles so nested
-    /// phases never double count.
+    /// (seed pushes, replacements, removals) and the searches, which settle
+    /// the rows they read, so nested phases never double count.
     fn observe_repair(&self, before: RepairStats) {
         if !self.obs.metrics_on() {
             return;
@@ -432,8 +413,9 @@ impl IncrementalBubbles {
     }
 
     /// Finds the closest seed to `p` under the configured engine, starting
-    /// the pruned search at `hint` when warm-starting is enabled. The
-    /// pruned search's start row is settled in place first.
+    /// the pruned search at `hint` when warm-starting is enabled. The seed
+    /// table settles the start row it reads; the entries that writes are
+    /// folded into the repair metrics.
     fn nearest(
         &mut self,
         p: &[f64],
@@ -443,12 +425,11 @@ impl IncrementalBubbles {
     ) -> Option<usize> {
         let hint = if self.config.warm_start { hint } else { None };
         let repair_before = self.seeds.repair_stats();
-        self.seeds
-            .settle_start(self.config.seed_search, exclude, hint);
+        let found = self
+            .seeds
+            .nearest(self.config.seed_search, p, exclude, hint, search);
         self.observe_repair(repair_before);
-        self.seeds
-            .nearest(self.config.seed_search, p, exclude, hint, search)
-            .map(|(i, _)| i)
+        found.map(|(i, _)| i)
     }
 
     /// Attaches a point to a bubble, maintaining the membership tables.
@@ -628,20 +609,47 @@ impl IncrementalBubbles {
         batch: &Batch,
         search: &mut SearchStats,
     ) -> Result<Vec<PointId>, UpdateError> {
+        self.stage_batch(store, batch)?;
+        Ok(self.apply_staged(store, batch, search))
+    }
+
+    /// The first step of [`Self::try_apply_batch`]: validates `batch`
+    /// ([`Self::check_batch`]) and stages every deleted point's coordinates
+    /// into one scratch buffer, strided by `dim` — each cold record read
+    /// once. Nothing mutates but the scratch buffer, so `Err` leaves the
+    /// maintainer and the store as they were. The durability layer stages
+    /// before logging, so a cold outage rejects the batch unlogged.
+    ///
+    /// # Errors
+    /// The errors of [`Self::try_apply_batch`].
+    pub(crate) fn stage_batch(
+        &mut self,
+        store: &PointStore,
+        batch: &Batch,
+    ) -> Result<(), UpdateError> {
         self.check_batch(store, batch)?;
-        let timer = self.obs.start();
-        let before = *search;
-        // One scratch buffer carries every deleted point's coordinates —
-        // staged up front (a cold-tier read failure must reject the batch
-        // before anything mutates), strided by `dim` for the remove loop.
-        let mut coords = std::mem::take(&mut self.scratch.coords);
+        let coords = &mut self.scratch.coords;
         coords.clear();
         for &id in &batch.deletes {
-            if let Err(e) = store.read_point_into(id, &mut coords) {
-                self.scratch.coords = coords;
-                return Err(UpdateError::Storage(e));
-            }
+            store
+                .read_point_into(id, coords)
+                .map_err(UpdateError::Storage)?;
         }
+        Ok(())
+    }
+
+    /// The second step of [`Self::try_apply_batch`]: applies the batch the
+    /// last [`Self::stage_batch`] validated and staged. It cannot fail.
+    pub(crate) fn apply_staged(
+        &mut self,
+        store: &mut PointStore,
+        batch: &Batch,
+        search: &mut SearchStats,
+    ) -> Vec<PointId> {
+        let timer = self.obs.start();
+        let before = *search;
+        let coords = std::mem::take(&mut self.scratch.coords);
+        debug_assert_eq!(coords.len(), batch.deletes.len() * self.dim, "batch staged");
         for (i, &id) in batch.deletes.iter().enumerate() {
             self.remove_point(id, &coords[i * self.dim..(i + 1) * self.dim]);
             store.remove(id);
@@ -665,7 +673,7 @@ impl IncrementalBubbles {
             },
             timer.us(),
         );
-        Ok(new_ids)
+        new_ids
     }
 
     /// Releases all members of a bubble to their next-closest bubbles
@@ -708,23 +716,15 @@ impl IncrementalBubbles {
         self.bubbles[donor].stats_mut().clear();
         self.mark_dirty(donor);
         let released = members.len() as u64;
-        // Settle the rows about to be read in place — the donor's, and the
-        // pruned searches' start — so the fan-out below reads them as is.
+        // The seed table settles the rows read below — the donor's, and
+        // the pruned searches' start — in place.
         let repair_before = self.seeds.repair_stats();
-        self.seeds.settle_row(donor);
         let hint = self
             .seeds
             .neighbor_order(donor)
             .iter()
             .copied()
             .find(|&k| k as usize != donor);
-        let start = hint.filter(|_| self.config.warm_start);
-        self.seeds.settle_start(
-            self.config.seed_search,
-            Some(donor),
-            start.map(|h| h as usize),
-        );
-        self.observe_repair(repair_before);
         let hints = match hint {
             Some(h) => {
                 scratch.hints.clear();
@@ -734,13 +734,14 @@ impl IncrementalBubbles {
             None => None,
         };
         // The donor must not re-attract its own points.
-        self.batch_targets_into(
+        self.batch_targets(
             &scratch.flat,
             Some(donor),
             hints,
             search,
             &mut scratch.targets,
         );
+        self.observe_repair(repair_before);
         for (i, (&id, &(target, _))) in members.iter().zip(&scratch.targets).enumerate() {
             let slot = id.index();
             self.assign[slot] = NONE;
@@ -1252,60 +1253,15 @@ impl IncrementalBubbles {
         }
     }
 
-    /// Exhaustively checks every internal invariant against the store.
-    /// Intended for tests; O(N).
+    /// Exhaustively checks every internal invariant against the store —
+    /// everything [`Self::audit`] checks, without journaling an audit
+    /// event. Intended for tests; O(N·d + s²·d).
     ///
     /// # Panics
-    /// Panics (with a description) on the first violated invariant.
+    /// Panics listing every violated invariant, in discovery order.
     pub fn validate(&self, store: &PointStore) {
-        assert_eq!(self.total_points, store.len() as u64, "total point count");
-        let mut seen = 0u64;
-        let mut buf = Vec::new();
-        for (bi, b) in self.bubbles.iter().enumerate() {
-            assert_eq!(
-                b.stats().n() as usize,
-                b.members().len(),
-                "bubble {bi}: stats n vs member count"
-            );
-            let mut ls = vec![0.0; self.dim];
-            for (pos, &id) in b.members().iter().enumerate() {
-                assert!(store.contains(id), "bubble {bi}: dead member {id:?}");
-                assert_eq!(
-                    self.assign[id.index()],
-                    bi as u32,
-                    "bubble {bi}: assign table disagrees for {id:?}"
-                );
-                assert_eq!(
-                    self.member_pos[id.index()] as usize,
-                    pos,
-                    "bubble {bi}: member_pos disagrees for {id:?}"
-                );
-                buf.clear();
-                store
-                    .read_point_into(id, &mut buf)
-                    .expect("validate: cold point fetch failed");
-                for (l, &x) in ls.iter_mut().zip(&buf) {
-                    *l += x;
-                }
-                seen += 1;
-            }
-            let tolerance = 1e-6 * (1.0 + b.stats().n() as f64);
-            for (got, want) in b.stats().linear_sum().iter().zip(&ls) {
-                assert!(
-                    (got - want).abs() < tolerance,
-                    "bubble {bi}: linear sum drifted ({got} vs {want})"
-                );
-            }
-            // The seed table's copy must match the actual seed coordinates.
-            assert_eq!(self.seeds.seed(bi), b.seed(), "bubble {bi}: seed sync");
-        }
-        assert_eq!(seen, self.total_points, "membership covers all points");
-        for id in store.ids() {
-            assert!(
-                self.assign[id.index()] != NONE,
-                "live point {id:?} unassigned"
-            );
-        }
+        let (issues, _) = self.collect_issues(store);
+        assert!(issues.is_empty(), "invariants violated: {issues:?}");
     }
 
     /// Drift tolerance for comparing stored sufficient statistics against
@@ -1431,8 +1387,7 @@ impl IncrementalBubbles {
         issues: &mut Vec<AuditIssue>,
     ) -> usize {
         let s = self.bubbles.len();
-        let ids = self.seeds.neighbor_order(i);
-        let w = self.seeds.neighbor_distances(i);
+        let (ids, w) = self.seeds.neighbor_row(i);
         seen.clear();
         seen.resize(s, false);
         let permutation = ids.len() == s
@@ -1457,7 +1412,7 @@ impl IncrementalBubbles {
             return 0; // already reported via NonFiniteSeed/SeedOutOfSync
         }
         let mut checked = 0;
-        for (&j, &stored) in ids.iter().zip(w) {
+        for (&j, &stored) in ids.iter().zip(w.iter()) {
             let j = j as usize;
             if !finite[j] {
                 continue;

@@ -738,11 +738,11 @@ pub struct DurableMaintainer<S: DurableSink, C: CheckpointStore> {
     /// back under the cap.
     budget_pressure: bool,
     /// Whether the cold tier last refused IO (outage on the spill medium).
-    /// Batches are rejected typed while down; a successful prefetch or
-    /// budget sweep heals it.
+    /// Batches are rejected typed while down; a batch whose payloads all
+    /// stage, or a successful budget sweep, heals it.
     tier_down: bool,
-    /// Whether a cold failure struck *after* a batch was logged (mid-apply
-    /// or mid-maintenance): the in-memory state then diverges from what
+    /// Whether a cold failure struck *after* a batch was logged (in its
+    /// maintenance round): the in-memory state then diverges from what
     /// replaying the WAL would produce, so every further batch is rejected
     /// until the caller rebuilds via recovery.
     tier_poisoned: bool,
@@ -943,6 +943,10 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
 
     /// Applies one batch durably with an explicit maintenance decision and
     /// RNG seed (what gets logged — and therefore what replay reproduces).
+    /// The order is validate and stage ([`IncrementalBubbles`] reads each
+    /// deleted point once) → log → apply the staged batch, which cannot
+    /// fail; only the maintenance round after it can still meet a cold
+    /// failure.
     ///
     /// Sink failures do **not** fail the batch: the maintainer retries per
     /// [`DurabilityConfig`], then degrades to in-memory operation and
@@ -975,25 +979,22 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
                     .into(),
             }));
         }
-        // Validate before logging: the WAL must only ever contain batches
-        // that replay cleanly.
-        self.bubbles.check_batch(&self.store, batch)?;
-        // Probe the cold tier before logging: every payload this batch
-        // needs must be fetchable, so a cold outage rejects the batch
-        // typed — logged nowhere, nothing applied — instead of poisoning.
-        if self.store.tiered() {
-            match self.store.prefetch(&batch.deletes) {
-                Ok(()) => {
-                    if self.tier_down {
-                        self.tier_down = false;
-                        self.note_health();
-                    }
-                }
-                Err(e) => {
-                    self.tier_down = true;
-                    return Err(self.shed(e));
+        // Validate and stage before logging: the WAL must only ever contain
+        // batches that replay cleanly, and every payload this batch needs
+        // is read now — once — so a cold outage rejects the batch typed,
+        // logged nowhere and nothing applied, instead of poisoning.
+        match self.bubbles.stage_batch(&self.store, batch) {
+            Ok(()) => {
+                if self.tier_down {
+                    self.tier_down = false;
+                    self.note_health();
                 }
             }
+            Err(UpdateError::Storage(e)) => {
+                self.tier_down = true;
+                return Err(self.shed(e));
+            }
+            Err(e) => return Err(e),
         }
         // Bounded resources next: shed (typed) before anything is logged
         // or applied.
@@ -1007,23 +1008,7 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
         if self.wal.wants_commit() {
             self.commit_wal();
         }
-        // `check_batch` above guarantees this succeeds; if the validator
-        // and the applier ever disagree (a bug), surface the typed error
-        // instead of aborting the process — the caller still holds a
-        // consistent pre-batch view and can drop the maintainer. A cold
-        // failure *here* is past the point of no return (the record is
-        // logged): poison the tier so the divergence cannot compound.
-        let ids = match self.bubbles.try_apply_batch(&mut self.store, batch, search) {
-            Ok(ids) => ids,
-            Err(e) => {
-                if matches!(e, UpdateError::Storage(StorageError::ColdIo { .. })) {
-                    self.tier_down = true;
-                    self.tier_poisoned = true;
-                    self.note_health();
-                }
-                return Err(e);
-            }
-        };
+        let ids = self.bubbles.apply_staged(&mut self.store, batch, search);
         if maintain {
             let mut rng = StdRng::seed_from_u64(round_seed);
             if let Err(e) = self.bubbles.try_maintain(&self.store, &mut rng, search) {
@@ -1256,8 +1241,8 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
         Err(self.shed(err))
     }
 
-    /// Sheds the incoming batch with `err`: the one path for the cold-tier
-    /// probe, the disk budget and the buffer cap. Counts the shed, journals
+    /// Sheds the incoming batch with `err`: the one path for a cold read
+    /// while staging, the disk budget and the buffer cap. Counts the shed, journals
     /// it with the buffered record count, feeds the `storage.shed` metric
     /// and reports health, so the caller sets its degraded flag first.
     fn shed(&mut self, err: StorageError) -> UpdateError {

@@ -726,6 +726,63 @@ fn sink_death_in_a_fleet_stays_contained_and_heals_bit_identically() {
     }
 }
 
+/// The durable path reads each deleted point's cold record once: staging
+/// it before the WAL append both proves the tier can serve the batch and
+/// carries the coordinates the apply removes. With maintenance off and no
+/// checkpoint due, `k` cold deletes raise `cold_reads` by exactly `k`.
+#[test]
+fn durable_batch_reads_each_cold_delete_once() {
+    let (mut store, ib, _, mut search) = fixture(0x0DE1);
+    let hot = 8;
+    store
+        .enable_tier(Box::new(MemMedium::new()), hot)
+        .expect("initial spill over a healthy medium");
+    let dcfg = DurabilityConfig {
+        checkpoint_interval: 1_000,
+        hot_points: Some(hot),
+        ..DurabilityConfig::default()
+    };
+    let mut dm = DurableMaintainer::adopt(
+        store,
+        ib,
+        dcfg,
+        ObjectSink::new(MemMedium::new(), "wal"),
+        MemMedium::new(),
+    )
+    .expect("MemSink never fails");
+    let counters = |dm: &DurableMaintainer<_, _>| dm.store().tier_counters().expect("tiered");
+    for (round, k) in [1usize, 3, 7].into_iter().enumerate() {
+        // Cold ids, found by a read that misses (reads never promote).
+        let mut cold = Vec::new();
+        let mut buf = Vec::new();
+        for id in dm.store().ids() {
+            let misses = counters(&dm).misses;
+            dm.store()
+                .read_point_into(id, &mut buf)
+                .expect("healthy tier");
+            if counters(&dm).misses > misses {
+                cold.push(id);
+            }
+            if cold.len() == k {
+                break;
+            }
+        }
+        assert_eq!(cold.len(), k, "the store has {k} cold points");
+        let before = counters(&dm).cold_reads;
+        let batch = Batch {
+            deletes: cold,
+            inserts: Vec::new(),
+        };
+        dm.apply_with(&batch, round as u64, false, &mut search)
+            .expect("a healthy tier applies");
+        assert_eq!(
+            counters(&dm).cold_reads - before,
+            k as u64,
+            "round {round}: one cold read per cold delete"
+        );
+    }
+}
+
 /// A small valid churn batch against the maintainer's current store.
 fn churn_batch<R: Rng + ?Sized>(store: &PointStore, brng: &mut R) -> Batch {
     let delete = store.ids().next().unwrap();

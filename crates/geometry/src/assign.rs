@@ -17,18 +17,16 @@
 //!   runs in *squared-distance* space (one `sqrt` per improvement instead
 //!   of one per candidate), visits candidates in ascending order of their
 //!   pairwise distance to the start seed (the start's neighbor row, which
-//!   stores each distance next to its seed index and is settled through
-//!   [`push`](NearestSeeds::push)/[`replace`](NearestSeeds::replace)/
-//!   [`swap_remove`](NearestSeeds::swap_remove) when read), prunes the whole
+//!   stores each distance next to its seed index), prunes the whole
 //!   remaining tail once the pairwise distance exceeds `d(p, start) + best`
 //!   — by the triangle inequality nothing further out can beat or tie the
 //!   best — and evaluates survivors with the early-exit kernel
 //!   [`sq_dist_bounded`], charging abandoned evaluations to
 //!   `stats.partial`.
-//! * [`SeedSearch::KdTree`] — a k-d tree over the seeds (lazily built,
-//!   invalidated by every mutation), best for low dimensionality and large
-//!   seed counts; same accounting, with cut-off subtrees charged to
-//!   `stats.pruned`.
+//! * [`SeedSearch::KdTree`] — a k-d tree over the seeds (built by the first
+//!   k-d search after a mutation, dropped by every mutation), best for low
+//!   dimensionality and large seed counts; same accounting, with cut-off
+//!   subtrees charged to `stats.pruned`.
 //!
 //! All three return **bit-identical** `(index, distance)` results: each
 //! compares candidates by their squared distance (accumulated in the same
@@ -56,14 +54,23 @@
 //! positions move, each at most once. A log longer than `s` records is
 //! folded into every row and cleared, so it holds `O(s · d)` memory. There
 //! is no `s × s` matrix: the table holds `12 · s²` bytes.
+//!
+//! The table settles its own rows; callers only query it. Every reader that
+//! can settle takes `&mut self` and settles, in place, exactly the rows it
+//! reads, charging the entries written to [`RepairStats`] at that moment:
+//! a pruned search its start row, a batch every distinct start row before
+//! its fan-out (the workers then share the table read-only), the row
+//! accessors their row, and `push`/`swap_remove`/a log fold every row. The
+//! one `&self` reader, [`NearestSeeds::neighbor_row`], settles a transient
+//! copy of a stale row that is neither kept nor charged — the audit's view.
 
 use crate::block::SeedBlock;
 use crate::kdtree::KdTree;
 use crate::metric::{dist, sq_dist, sq_dist_bounded};
 use crate::parallel::{run_ranges, Parallelism};
 use crate::stats::SearchStats;
+use std::borrow::Cow;
 use std::ops::Range;
-use std::sync::OnceLock;
 
 /// Sentinel in a per-query hint buffer meaning "no hint for this query".
 pub const NO_HINT: u32 = u32::MAX;
@@ -353,7 +360,7 @@ impl Row {
 /// ```
 /// use idb_geometry::{NearestSeeds, SearchStats};
 ///
-/// let seeds = NearestSeeds::from_seeds(
+/// let mut seeds = NearestSeeds::from_seeds(
 ///     1,
 ///     [[0.0].as_slice(), [10.0].as_slice(), [20.0].as_slice()],
 /// );
@@ -381,17 +388,13 @@ pub struct NearestSeeds {
     rows: Vec<Row>,
     /// The re-seeds some row has not settled yet.
     log: ReplaceLog,
-    /// Settled copies of stale rows made by `&self` readers, each with the
-    /// entries its settle wrote; the next mutation folds them into `rows`.
-    /// Boxed, so that an empty slot costs two words.
-    settled: Vec<OnceLock<Box<(Row, u64)>>>,
     /// Working memory of in-place settles.
     splice: Splice,
     /// Cumulative neighbor-table repair accounting (DESIGN.md §15).
     repair: RepairStats,
-    /// Lazily built k-d tree over the seeds for [`SeedSearch::KdTree`];
-    /// cleared by every mutation, rebuilt (deterministically) on demand.
-    kd: OnceLock<KdTree>,
+    /// The k-d tree over the seeds for [`SeedSearch::KdTree`]: built by the
+    /// first k-d search after a mutation, dropped by every mutation.
+    kd: Option<KdTree>,
 }
 
 /// Cumulative accounting of the incremental neighbor-table repair performed
@@ -401,11 +404,12 @@ pub struct NearestSeeds {
 ///
 /// `entries` counts the row entries (an index and its distance) written by
 /// row rebuilds and settle splices, plus the shifts of `push` and
-/// `swap_remove`; a settled copy made by a `&self` reader is charged when
-/// the next mutation folds it into the table. `naive_entries` counts the
-/// entries a re-sort of every row per mutation would write (`s²` per
-/// mutation). [`NearestSeeds::from_seeds`] builds the table and charges
-/// nothing.
+/// `swap_remove`. A settle is charged when it happens, by whichever `&mut`
+/// reader settles the row in place (see the module docs); the `&self`
+/// reader [`NearestSeeds::neighbor_row`] charges nothing. `naive_entries`
+/// counts the entries a re-sort of every row per mutation would write
+/// (`s²` per mutation). [`NearestSeeds::from_seeds`] builds the table and
+/// charges nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepairStats {
     /// Row entries written by row rebuilds, settles and shifts.
@@ -441,10 +445,9 @@ impl NearestSeeds {
             block: SeedBlock::new(dim),
             rows: Vec::new(),
             log: ReplaceLog::default(),
-            settled: Vec::new(),
             splice: Splice::default(),
             repair: RepairStats::default(),
-            kd: OnceLock::new(),
+            kd: None,
         }
     }
 
@@ -480,7 +483,6 @@ impl NearestSeeds {
         }
         let mut keys = Vec::with_capacity(s);
         set.rows = w.into_iter().map(|w| Row::sorted(w, &mut keys)).collect();
-        set.settled = (0..s).map(|_| OnceLock::new()).collect();
         set
     }
 
@@ -518,107 +520,76 @@ impl NearestSeeds {
         self.repair
     }
 
-    /// Row `i`, settled: the row itself when no re-seed is pending for it,
-    /// else a settled copy made once and kept until the next mutation
-    /// folds it in (threads reading the same stale row share one copy).
-    fn row(&self, i: usize) -> &Row {
-        let row = &self.rows[i];
-        if row.seen == self.log.len() {
-            return row;
-        }
-        &self.settled[i]
-            .get_or_init(|| {
-                let mut copy = row.clone();
-                let entries = copy.settle(i, &self.log, &self.block, &mut Splice::default());
-                Box::new((copy, entries))
-            })
-            .0
-    }
-
-    /// Settles row `i` in place, so that readers of it make no copy. The
-    /// maintainer calls it on the rows it is about to search from.
+    /// Settles row `i` in place: folds the re-seeds logged past its cursor
+    /// into it and charges the entries written to [`RepairStats`]. A
+    /// current row costs nothing. Every `&mut` reader of a row settles it
+    /// through here first.
     ///
     /// # Panics
     /// Panics if `i` is out of bounds, or if the row has lost a seed whose
     /// re-seed is pending (a damaged table).
     pub fn settle_row(&mut self, i: usize) {
-        if let Some(copy) = self.settled[i].take() {
-            let (row, entries) = *copy;
-            self.rows[i] = row;
-            self.repair.entries += entries;
-        } else if self.rows[i].seen < self.log.len() {
+        if self.rows[i].seen < self.log.len() {
             self.repair.entries += self.rows[i].settle(i, &self.log, &self.block, &mut self.splice);
-        }
-    }
-
-    /// Settles the row a search by `engine` under `exclude` and `hint`
-    /// reads (see [`Self::settle_row`]): the start row of
-    /// [`SeedSearch::Pruned`]; the other engines read no row.
-    pub fn settle_start(
-        &mut self,
-        engine: SeedSearch,
-        exclude: Option<usize>,
-        hint: Option<usize>,
-    ) {
-        if engine != SeedSearch::Pruned {
-            return;
-        }
-        if let Some(start) = self.pruned_start(exclude, hint) {
-            self.settle_row(start);
-        }
-    }
-
-    /// Folds every settled copy into its row: the first step of each
-    /// mutation, so that no copy outlives the log state it was made for.
-    fn fold_copies(&mut self) {
-        for (row, copy) in self.rows.iter_mut().zip(&mut self.settled) {
-            if let Some(copy) = copy.take() {
-                let (settled, entries) = *copy;
-                *row = settled;
-                self.repair.entries += entries;
-            }
         }
     }
 
     /// Settles every row and clears the log.
     fn settle_all(&mut self) {
-        self.fold_copies();
         if self.log.len() == 0 {
             return;
         }
-        for (i, row) in self.rows.iter_mut().enumerate() {
-            if row.seen < self.log.len() {
-                self.repair.entries += row.settle(i, &self.log, &self.block, &mut self.splice);
-            }
-            row.seen = 0;
+        for i in 0..self.rows.len() {
+            self.settle_row(i);
+            self.rows[i].seen = 0;
         }
         self.log.clear();
     }
 
     /// The seeds in ascending order of their distance to seed `i` (ties by
     /// index; `i` itself leads its own row unless a lower-indexed duplicate
-    /// precedes it). This is the visit order of [`Self::nearest_pruned`],
-    /// exposed so the maintainer can read off a seed's nearest surviving
-    /// neighbour — e.g. as a warm-start hint after a merge retires the seed
-    /// — without any extra distance computations.
+    /// precedes it), with the row settled in place first. This is the visit
+    /// order of [`Self::nearest_pruned`], exposed so the maintainer can read
+    /// off a seed's nearest surviving neighbour — e.g. as a warm-start hint
+    /// after a merge retires the seed — without any extra distance
+    /// computations.
     ///
     /// # Panics
     /// Panics if `i` is out of bounds.
-    #[inline]
-    #[must_use]
-    pub fn neighbor_order(&self, i: usize) -> &[u32] {
-        &self.row(i).ids
+    pub fn neighbor_order(&mut self, i: usize) -> &[u32] {
+        self.settle_row(i);
+        &self.rows[i].ids
     }
 
     /// The distances aligned with [`Self::neighbor_order`]`(i)`: entry `k`
-    /// is the distance from seed `i` to seed `neighbor_order(i)[k]`.
+    /// is the distance from seed `i` to seed `neighbor_order(i)[k]`. The row
+    /// is settled in place first.
     ///
     /// # Panics
     /// Panics if `i` is out of bounds.
-    #[inline]
+    pub fn neighbor_distances(&mut self, i: usize) -> &[f64] {
+        self.settle_row(i);
+        &self.rows[i].w
+    }
+
+    /// Seed `i`'s neighbor row, ids and distances, read without settling
+    /// it: the stored row when it is current, else a transient settled copy
+    /// that is neither kept nor charged to [`RepairStats`]. The maintainer's
+    /// audit reads the table through this, so an audit leaves the rows,
+    /// their cursors and the ledger as it found them.
+    ///
+    /// # Panics
+    /// Panics if `i` is out of bounds, or if a stale row has lost a seed
+    /// whose re-seed is pending (a damaged table).
     #[must_use]
-    pub fn neighbor_distances(&self, i: usize) -> &[f64] {
-        &self.row(i).w
+    pub fn neighbor_row(&self, i: usize) -> (Cow<'_, [u32]>, Cow<'_, [f64]>) {
+        let row = &self.rows[i];
+        if row.seen == self.log.len() {
+            return (Cow::Borrowed(&row.ids), Cow::Borrowed(&row.w));
+        }
+        let mut copy = row.clone();
+        copy.settle(i, &self.log, &self.block, &mut Splice::default());
+        (Cow::Owned(copy.ids), Cow::Owned(copy.w))
     }
 
     /// Mutable access to seed `i`'s neighbor row, settled first (test
@@ -652,12 +623,11 @@ impl NearestSeeds {
         }
         d.push(0.0);
         self.rows.push(Row::sorted(d, &mut Vec::new()));
-        self.settled.push(OnceLock::new());
         let s = self.len() as u64;
         self.repair.entries += entries + s;
         self.repair.naive_entries += s * s;
         self.repair.ops += 1;
-        self.kd = OnceLock::new();
+        self.kd = None;
         idx
     }
 
@@ -674,7 +644,6 @@ impl NearestSeeds {
         assert_eq!(seed.len(), self.dim, "seed dimensionality mismatch");
         let s = self.len();
         assert!(i < s, "seed index out of bounds");
-        self.fold_copies();
         self.log.push(i as u32, self.block.get(i));
         self.block.set(i, seed);
         let new: Vec<f64> = (0..s)
@@ -692,7 +661,7 @@ impl NearestSeeds {
         self.repair.entries += s;
         self.repair.naive_entries += s * s;
         self.repair.ops += 1;
-        self.kd = OnceLock::new();
+        self.kd = None;
         if self.log.len() as u64 > s {
             self.settle_all();
         }
@@ -730,12 +699,11 @@ impl NearestSeeds {
             }
         }
         self.rows.swap_remove(i);
-        self.settled.pop();
         self.block.swap_remove(i);
         self.repair.entries += entries;
         self.repair.naive_entries += (last * last) as u64;
         self.repair.ops += 1;
-        self.kd = OnceLock::new();
+        self.kd = None;
     }
 
     /// Brute-force nearest seed: computes the squared distance from `p` to
@@ -798,6 +766,18 @@ impl NearestSeeds {
     /// evaluation and resolve to the lowest index, keeping the result
     /// bit-identical to [`Self::nearest_brute`].
     pub fn nearest_pruned(
+        &mut self,
+        p: &[f64],
+        exclude: Option<usize>,
+        hint: Option<usize>,
+        stats: &mut SearchStats,
+    ) -> Option<(usize, f64)> {
+        self.nearest(SeedSearch::Pruned, p, exclude, hint, stats)
+    }
+
+    /// The body of [`Self::nearest_pruned`], over a start row already
+    /// settled.
+    fn pruned(
         &self,
         p: &[f64],
         exclude: Option<usize>,
@@ -816,8 +796,9 @@ impl NearestSeeds {
         let Row {
             ids: order,
             w: dists,
-            ..
-        } = self.row(start);
+            seen,
+        } = &self.rows[start];
+        debug_assert_eq!(*seen, self.log.len(), "the start row is settled");
         // The row lists every seed once, so the start and the excluded
         // seed are its only entries never counted; `skipped` of them lie
         // before the current position.
@@ -874,12 +855,12 @@ impl NearestSeeds {
         }
     }
 
-    /// Nearest seed via the lazily built k-d tree index. Best for low
-    /// dimensionality; same result and accounting contract as the other
-    /// engines, with candidates cut off by subtree bounds charged to
-    /// `stats.pruned` (derived from the eligible count, since the tree
-    /// does not track subtree sizes).
-    pub fn nearest_kd(
+    /// Nearest seed via the k-d tree index ([`SeedSearch::KdTree`]), over a
+    /// tree already built. Best for low dimensionality; same result and
+    /// accounting contract as the other engines, with candidates cut off by
+    /// subtree bounds charged to `stats.pruned` (derived from the eligible
+    /// count, since the tree does not track subtree sizes).
+    fn kd_search(
         &self,
         p: &[f64],
         exclude: Option<usize>,
@@ -893,9 +874,7 @@ impl NearestSeeds {
         if eligible == 0 {
             return None;
         }
-        let tree = self
-            .kd
-            .get_or_init(|| KdTree::build_dense(self.dim, self.block.as_flat()));
+        let tree = self.kd.as_ref().expect("the k-d tree is built");
         let before_computed = stats.computed;
         let before_partial = stats.partial;
         let (idx, sq) =
@@ -905,9 +884,27 @@ impl NearestSeeds {
         Some((idx as usize, sq.sqrt()))
     }
 
-    /// Nearest seed via the engine selected by `engine`. [`SeedSearch::Brute`]
-    /// ignores the hint (it evaluates everything regardless).
-    pub fn nearest(
+    /// Readies what a search by `engine` under `exclude` and `hint` reads:
+    /// the pruned search's start row, settled in place, or the k-d tree,
+    /// built if a mutation dropped it. Brute force reads neither.
+    fn prepare(&mut self, engine: SeedSearch, exclude: Option<usize>, hint: Option<usize>) {
+        match engine {
+            SeedSearch::Brute => {}
+            SeedSearch::Pruned => {
+                if let Some(start) = self.pruned_start(exclude, hint) {
+                    self.settle_row(start);
+                }
+            }
+            SeedSearch::KdTree => {
+                if self.kd.is_none() {
+                    self.kd = Some(KdTree::build_dense(self.dim, self.block.as_flat()));
+                }
+            }
+        }
+    }
+
+    /// The search of `engine` over what [`Self::prepare`] readied.
+    fn search(
         &self,
         engine: SeedSearch,
         p: &[f64],
@@ -917,9 +914,25 @@ impl NearestSeeds {
     ) -> Option<(usize, f64)> {
         match engine {
             SeedSearch::Brute => self.nearest_brute(p, exclude, stats),
-            SeedSearch::Pruned => self.nearest_pruned(p, exclude, hint, stats),
-            SeedSearch::KdTree => self.nearest_kd(p, exclude, hint, stats),
+            SeedSearch::Pruned => self.pruned(p, exclude, hint, stats),
+            SeedSearch::KdTree => self.kd_search(p, exclude, hint, stats),
         }
+    }
+
+    /// Nearest seed via the engine selected by `engine`, after settling the
+    /// pruned search's start row in place or building the k-d tree.
+    /// [`SeedSearch::Brute`] ignores the hint (it evaluates everything
+    /// regardless).
+    pub fn nearest(
+        &mut self,
+        engine: SeedSearch,
+        p: &[f64],
+        exclude: Option<usize>,
+        hint: Option<usize>,
+        stats: &mut SearchStats,
+    ) -> Option<(usize, f64)> {
+        self.prepare(engine, exclude, hint);
+        self.search(engine, p, exclude, hint, stats)
     }
 
     /// Nearest seed for every query in a flat `queries` buffer
@@ -932,19 +945,21 @@ impl NearestSeeds {
     /// maintainer passes each point's previous bubble here so batch
     /// maintenance becomes mostly O(1)-computed confirmations.
     ///
-    /// Work is fanned out per [`Parallelism`]: queries are split into
-    /// contiguous index ranges, each range runs the identical per-query
-    /// search with its own [`SearchStats`] counter, and the per-range
-    /// counters are summed into `stats` in range order — so the counts
-    /// (and every result) are bit-identical to a serial loop over the same
-    /// queries.
+    /// Every distinct start row the queries read is settled in place (or
+    /// the k-d tree built) first, in the calling thread. The work then fans
+    /// out per [`Parallelism`] over the table, read-only: queries are split
+    /// into contiguous index ranges, each range runs the identical
+    /// per-query search with its own [`SearchStats`] counter, and the
+    /// per-range counters are summed into `stats` in range order — so the
+    /// counts, every result, the rows and the [`RepairStats`] are
+    /// bit-identical to a serial loop over the same queries.
     ///
     /// # Panics
     /// Panics if `queries.len()` is not a multiple of `dim`, if `hints` is
     /// given with a length other than the query count, or if there are
     /// queries but no eligible seed.
     pub fn nearest_batch(
-        &self,
+        &mut self,
         queries: &[f64],
         exclude: Option<usize>,
         engine: SeedSearch,
@@ -957,9 +972,14 @@ impl NearestSeeds {
         results
     }
 
-    /// Runs the per-query search for one contiguous query index range,
-    /// appending `(index, distance)` pairs to `out` — the shared inner loop
-    /// of every batch path, serial or fanned out.
+    /// The warm-start hint of query `qi`, if any.
+    fn hint_of(hints: Option<&[u32]>, qi: usize) -> Option<usize> {
+        hints.and_then(|h| (h[qi] != NO_HINT).then_some(h[qi] as usize))
+    }
+
+    /// Runs the per-query search for one contiguous query index range over
+    /// a prepared table, appending `(index, distance)` pairs to `out` — the
+    /// shared inner loop of every batch path, serial or fanned out.
     #[allow(clippy::too_many_arguments)]
     fn search_range(
         &self,
@@ -973,12 +993,8 @@ impl NearestSeeds {
     ) {
         for qi in range {
             let q = &queries[qi * self.dim..(qi + 1) * self.dim];
-            let hint = hints.and_then(|h| {
-                let v = h[qi];
-                (v != NO_HINT).then_some(v as usize)
-            });
             let (i, d) = self
-                .nearest(engine, q, exclude, hint, local)
+                .search(engine, q, exclude, Self::hint_of(hints, qi), local)
                 .expect("batch assignment requires at least one eligible seed");
             out.push((i as u32, d));
         }
@@ -996,7 +1012,7 @@ impl NearestSeeds {
     /// queries but no eligible seed.
     #[allow(clippy::too_many_arguments)]
     pub fn nearest_batch_into(
-        &self,
+        &mut self,
         queries: &[f64],
         exclude: Option<usize>,
         engine: SeedSearch,
@@ -1018,11 +1034,8 @@ impl NearestSeeds {
         if k == 0 {
             return;
         }
-        if engine == SeedSearch::KdTree {
-            // Build the shared index once in the calling thread instead of
-            // having every worker race on the lazy init.
-            self.kd
-                .get_or_init(|| KdTree::build_dense(self.dim, self.block.as_flat()));
+        for qi in 0..k {
+            self.prepare(engine, exclude, Self::hint_of(hints, qi));
         }
         // Chunk length in *queries*, so hint and query slices stay aligned.
         let chunk_points = k.div_ceil(par.effective_threads());
@@ -1078,12 +1091,12 @@ mod tests {
 
     /// Distance from seed `i` to seed `j` as stored in row `i`.
     fn pair(s: &NearestSeeds, i: usize, j: usize) -> f64 {
-        let k = s
-            .neighbor_order(i)
+        let (ids, w) = s.neighbor_row(i);
+        let k = ids
             .iter()
             .position(|&x| x as usize == j)
             .expect("row covers every seed");
-        s.neighbor_distances(i)[k]
+        w[k]
     }
 
     /// Every row covers all seeds once, is sorted by (distance, index),
@@ -1092,7 +1105,7 @@ mod tests {
     fn assert_rows_consistent(s: &NearestSeeds) {
         let fresh = NearestSeeds::from_seeds(s.dim(), (0..s.len()).map(|i| s.seed(i)));
         for i in 0..s.len() {
-            let (row, w) = (s.neighbor_order(i), s.neighbor_distances(i));
+            let (row, w) = s.neighbor_row(i);
             assert_eq!(row.len(), s.len(), "row {i} covers all seeds");
             assert_eq!(w.len(), s.len(), "row {i} has one distance per seed");
             let mut seen: Vec<u32> = row.to_vec();
@@ -1107,7 +1120,7 @@ mod tests {
                     w[k]
                 );
             }
-            for (&j, &d) in row.iter().zip(w) {
+            for (&j, &d) in row.iter().zip(w.iter()) {
                 let j = j as usize;
                 let want = if j == i {
                     0.0
@@ -1116,8 +1129,8 @@ mod tests {
                 };
                 assert_eq!(d.to_bits(), want.to_bits(), "row {i} entry {j}");
             }
-            assert_eq!(row, fresh.neighbor_order(i), "row {i} ids");
-            assert_eq!(w, fresh.neighbor_distances(i), "row {i} distances");
+            assert_eq!(row, fresh.neighbor_row(i).0, "row {i} ids");
+            assert_eq!(w, fresh.neighbor_row(i).1, "row {i} distances");
         }
     }
 
@@ -1164,7 +1177,7 @@ mod tests {
 
     #[test]
     fn all_engines_agree() {
-        let s = grid_seeds();
+        let mut s = grid_seeds();
         let queries = [
             [1.0, 1.0],
             [9.0, 1.0],
@@ -1194,7 +1207,7 @@ mod tests {
 
     #[test]
     fn pruning_actually_happens_near_a_seed() {
-        let s = grid_seeds();
+        let mut s = grid_seeds();
         let mut stats = SearchStats::new();
         // A point almost on seed 0: every other seed is >= 10 away, i.e.
         // beyond dist(p, s0) + best, so the whole ordered tail is pruned
@@ -1210,7 +1223,7 @@ mod tests {
 
     #[test]
     fn exclusion_is_respected_by_every_engine() {
-        let s = grid_seeds();
+        let mut s = grid_seeds();
         let mut b = SearchStats::new();
         let (bidx, bd) = s.nearest_brute(&[0.1, 0.1], Some(0), &mut b).unwrap();
         assert_ne!(bidx, 0);
@@ -1229,7 +1242,7 @@ mod tests {
 
     #[test]
     fn duplicate_seeds_resolve_to_lowest_index() {
-        let s = NearestSeeds::from_seeds(
+        let mut s = NearestSeeds::from_seeds(
             2,
             [
                 [4.0, 4.0].as_slice(),
@@ -1257,7 +1270,7 @@ mod tests {
 
     #[test]
     fn empty_set_returns_none() {
-        let s = NearestSeeds::new(3);
+        let mut s = NearestSeeds::new(3);
         let mut stats = SearchStats::new();
         for engine in ENGINES {
             assert!(s
@@ -1437,7 +1450,7 @@ mod tests {
 
     #[test]
     fn batch_into_reuses_buffer_and_matches_batch() {
-        let s = grid_seeds();
+        let mut s = grid_seeds();
         let queries: Vec<f64> = (0..30)
             .flat_map(|i| {
                 let t = f64::from(i);
@@ -1476,7 +1489,7 @@ mod tests {
 
     #[test]
     fn batch_matches_per_query_calls_in_every_mode() {
-        let s = grid_seeds();
+        let mut s = grid_seeds();
         let queries: Vec<f64> = (0..40)
             .flat_map(|i| {
                 let t = i as f64;
@@ -1514,7 +1527,7 @@ mod tests {
 
     #[test]
     fn batch_respects_exclusion() {
-        let s = grid_seeds();
+        let mut s = grid_seeds();
         let queries = [0.1, 0.1, 9.9, 9.9];
         for engine in ENGINES {
             let mut stats = SearchStats::new();
@@ -1533,7 +1546,7 @@ mod tests {
 
     #[test]
     fn batch_empty_queries() {
-        let s = grid_seeds();
+        let mut s = grid_seeds();
         let mut stats = SearchStats::new();
         assert!(s
             .nearest_batch(
@@ -1551,7 +1564,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "multiple of dim")]
     fn batch_ragged_buffer_panics() {
-        let s = grid_seeds();
+        let mut s = grid_seeds();
         let mut stats = SearchStats::new();
         let _ = s.nearest_batch(
             &[1.0, 2.0, 3.0],
@@ -1566,7 +1579,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "one hint per query")]
     fn batch_misaligned_hints_panic() {
-        let s = grid_seeds();
+        let mut s = grid_seeds();
         let mut stats = SearchStats::new();
         let _ = s.nearest_batch(
             &[1.0, 2.0],
@@ -1580,7 +1593,7 @@ mod tests {
 
     #[test]
     fn hint_does_not_change_result() {
-        let s = grid_seeds();
+        let mut s = grid_seeds();
         for engine in ENGINES {
             for hint in 0..4 {
                 let mut stats = SearchStats::new();
@@ -1595,7 +1608,7 @@ mod tests {
 
     #[test]
     fn neighbor_order_starts_with_self_and_ranks_by_distance() {
-        let s = grid_seeds();
+        let mut s = grid_seeds();
         let row = s.neighbor_order(0);
         assert_eq!(row[0], 0);
         assert_eq!(row[3], 3, "diagonal neighbor is farthest from seed 0");

@@ -83,7 +83,7 @@ fn random_case(rng: &mut StdRng) -> Case {
 }
 
 /// Per-query serial reference for one case under one engine.
-fn reference(case: &Case, engine: SeedSearch, hinted: bool) -> (Vec<(u32, f64)>, SearchStats) {
+fn reference(case: &mut Case, engine: SeedSearch, hinted: bool) -> (Vec<(u32, f64)>, SearchStats) {
     let mut stats = SearchStats::new();
     let out = case
         .queries
@@ -111,10 +111,10 @@ fn reference(case: &Case, engine: SeedSearch, hinted: bool) -> (Vec<(u32, f64)>,
 fn batch_matches_serial_reference_in_every_engine_and_mode() {
     let mut rng = StdRng::seed_from_u64(0xB001);
     for case_no in 0..CASES {
-        let case = random_case(&mut rng);
+        let mut case = random_case(&mut rng);
         for engine in ENGINES {
             for hinted in [false, true] {
-                let (ref_out, ref_stats) = reference(&case, engine, hinted);
+                let (ref_out, ref_stats) = reference(&mut case, engine, hinted);
                 let hints = hinted.then_some(case.hints.as_slice());
                 for par in MODES {
                     let mut stats = SearchStats::new();
@@ -147,11 +147,11 @@ fn batch_matches_serial_reference_in_every_engine_and_mode() {
 fn engines_bit_identical_to_brute_force() {
     let mut rng = StdRng::seed_from_u64(0xAB);
     for case_no in 0..CASES {
-        let case = random_case(&mut rng);
-        let (brute, brute_stats) = reference(&case, SeedSearch::Brute, false);
+        let mut case = random_case(&mut rng);
+        let (brute, brute_stats) = reference(&mut case, SeedSearch::Brute, false);
         for engine in [SeedSearch::Pruned, SeedSearch::KdTree] {
             for hinted in [false, true] {
-                let (out, stats) = reference(&case, engine, hinted);
+                let (out, stats) = reference(&mut case, engine, hinted);
                 assert_eq!(out.len(), brute.len());
                 for (q, (b, o)) in brute.iter().zip(&out).enumerate() {
                     assert_eq!(
@@ -186,7 +186,7 @@ fn engines_bit_identical_to_brute_force() {
 fn merged_counters_cover_every_candidate_exactly_once() {
     let mut rng = StdRng::seed_from_u64(0xCC);
     for _ in 0..CASES {
-        let case = random_case(&mut rng);
+        let mut case = random_case(&mut rng);
         let queries = case.queries.len() / case.dim;
         let eligible = case.seeds.len() - usize::from(case.exclude.is_some());
         for engine in ENGINES {
@@ -244,9 +244,9 @@ fn engines_stay_identical_across_seed_mutations() {
                     *h = rng.gen_range(0..s) as u32;
                 }
             }
-            let (brute, _) = reference(&case, SeedSearch::Brute, false);
+            let (brute, _) = reference(&mut case, SeedSearch::Brute, false);
             for engine in [SeedSearch::Pruned, SeedSearch::KdTree] {
-                let (out, _) = reference(&case, engine, true);
+                let (out, _) = reference(&mut case, engine, true);
                 for (q, (b, o)) in brute.iter().zip(&out).enumerate() {
                     assert_eq!(
                         (b.0, b.1.to_bits()),

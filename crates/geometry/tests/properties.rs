@@ -27,7 +27,7 @@ proptest! {
         q in point(3),
         hint_raw in 0usize..64,
     ) {
-        let set = NearestSeeds::from_seeds(3, seeds.iter().map(|s| s.as_slice()));
+        let mut set = NearestSeeds::from_seeds(3, seeds.iter().map(|s| s.as_slice()));
         let hint = Some(hint_raw % set.len());
         let mut bs = SearchStats::new();
         let mut ps = SearchStats::new();
@@ -48,7 +48,7 @@ proptest! {
         q in point(2),
         ex_raw in 0usize..64,
     ) {
-        let set = NearestSeeds::from_seeds(2, seeds.iter().map(|s| s.as_slice()));
+        let mut set = NearestSeeds::from_seeds(2, seeds.iter().map(|s| s.as_slice()));
         let ex = ex_raw % set.len();
         let mut bs = SearchStats::new();
         let mut ps = SearchStats::new();
@@ -75,7 +75,8 @@ proptest! {
         let mut set = NearestSeeds::from_seeds(2, seeds.iter().map(|s| s.as_slice()));
         let idx = idx_raw % set.len();
         set.replace(idx, &newseed);
-        for (&j, &d) in set.neighbor_order(idx).iter().zip(set.neighbor_distances(idx)) {
+        let (order, dists) = set.neighbor_row(idx);
+        for (&j, &d) in order.iter().zip(dists.iter()) {
             let expect = dist(set.seed(idx), set.seed(j as usize));
             prop_assert!((d - expect).abs() < 1e-9);
         }

@@ -22,9 +22,11 @@
 //! step instead, over runs longer than the seed count, so rows settle many
 //! pending re-seeds at once (repeated re-seeds of one seed included) and
 //! the replace log folds. Each read row equals the oracle bit for bit, and
-//! so do clones taken with re-seeds pending; pruned searches from a read
-//! row, and threaded batches with per-query hints over stale rows, match a
-//! fresh table and the serial call, `SearchStats` included.
+//! so do clones taken with re-seeds pending and the audit's read-only view
+//! of a stale table, which settles nothing (ledger and cursors untouched);
+//! pruned searches from a read row, and threaded batches with per-query
+//! hints over stale rows, match a fresh table and the serial call,
+//! `SearchStats`, every row and the repair ledger included.
 
 use idb_geometry::{dist, NearestSeeds, Parallelism, SearchStats, SeedSearch, NO_HINT};
 use rand::rngs::StdRng;
@@ -56,7 +58,7 @@ fn bits(w: &[f64]) -> Vec<u64> {
     w.iter().map(|x| x.to_bits()).collect()
 }
 
-fn assert_same_table(a: &NearestSeeds, b: &NearestSeeds, what: &str) {
+fn assert_same_table(a: &mut NearestSeeds, b: &mut NearestSeeds, what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: seed count");
     for i in 0..a.len() {
         assert_eq!(
@@ -187,13 +189,13 @@ fn repaired_table_equals_a_fresh_build_after_every_step() {
                     "{what}: row {i} distances"
                 );
             }
-            let fresh = NearestSeeds::from_seeds(script.dim, (0..s).map(|i| seeds.seed(i)));
-            assert_same_table(&seeds, &fresh, &format!("{what}, from_seeds"));
+            let mut fresh = NearestSeeds::from_seeds(script.dim, (0..s).map(|i| seeds.seed(i)));
+            assert_same_table(&mut seeds, &mut fresh, &format!("{what}, from_seeds"));
             let mut pushed = NearestSeeds::new(script.dim);
             for i in 0..s {
                 pushed.push(seeds.seed(i));
             }
-            assert_same_table(&fresh, &pushed, &format!("{what}, pushes"));
+            assert_same_table(&mut fresh, &mut pushed, &format!("{what}, pushes"));
 
             for q in 0..QUERIES {
                 let p = if q % 3 == 0 {
@@ -265,7 +267,7 @@ fn sparse_step(script: &mut Script, seeds: &mut NearestSeeds, hot: usize) -> &'s
     }
 }
 
-fn assert_row_is_oracle(seeds: &NearestSeeds, i: usize, what: &str) {
+fn assert_row_is_oracle(seeds: &mut NearestSeeds, i: usize, what: &str) {
     let (ids, w) = oracle_row(seeds, i);
     assert_eq!(
         seeds.neighbor_order(i),
@@ -277,6 +279,44 @@ fn assert_row_is_oracle(seeds: &NearestSeeds, i: usize, what: &str) {
         bits(&w),
         "{what}: row {i} distances"
     );
+}
+
+/// Every row and the repair ledger of `a` equal those of `b`, the rows
+/// as the `&self` reader sees them; settling every row of a clone of each
+/// then charges the same entries, so their cursors agree too.
+fn assert_same_settles(a: &NearestSeeds, b: &NearestSeeds, what: &str) {
+    assert_eq!(a.repair_stats(), b.repair_stats(), "{what}: repair ledger");
+    for i in 0..a.len() {
+        assert_eq!(a.neighbor_row(i), b.neighbor_row(i), "{what}: row {i}");
+    }
+    let (mut a, mut b) = (a.clone(), b.clone());
+    for i in 0..a.len() {
+        a.settle_row(i);
+        b.settle_row(i);
+    }
+    assert_eq!(
+        a.repair_stats(),
+        b.repair_stats(),
+        "{what}: pending settles"
+    );
+}
+
+/// The audit's `&self` reader over a table with re-seeds pending: every row
+/// it returns is the oracle, and it settles nothing — the table afterwards
+/// equals a clone taken before, ledger and cursors included.
+fn assert_read_only_view_is_oracle(seeds: &NearestSeeds, what: &str) {
+    let before = seeds.clone();
+    for i in 0..seeds.len() {
+        let (ids, w) = oracle_row(seeds, i);
+        let (got_ids, got_w) = seeds.neighbor_row(i);
+        assert_eq!(*got_ids, *ids, "{what}: row {i} ids, read-only");
+        assert_eq!(
+            bits(&got_w),
+            bits(&w),
+            "{what}: row {i} distances, read-only"
+        );
+    }
+    assert_same_settles(seeds, &before, &format!("{what}, read-only"));
 }
 
 /// `k` queries around the seeds and across the space, one hint each
@@ -321,14 +361,16 @@ fn sparse_reads_settle_many_pending_reseeds() {
             let s = seeds.len();
 
             if script.rng.gen_bool(0.1) {
-                // Read one row, through a settled copy or settled in place,
-                // and search from it.
+                // Read one row, settled in place before or by the read, and
+                // search from it.
                 let i = script.rng.gen_range(0..s);
                 if script.rng.gen_bool(0.5) {
                     seeds.settle_row(i);
+                } else {
+                    assert_read_only_view_is_oracle(&seeds, &what);
                 }
-                assert_row_is_oracle(&seeds, i, &what);
-                let fresh = NearestSeeds::from_seeds(script.dim, (0..s).map(|j| seeds.seed(j)));
+                assert_row_is_oracle(&mut seeds, i, &what);
+                let mut fresh = NearestSeeds::from_seeds(script.dim, (0..s).map(|j| seeds.seed(j)));
                 for q in 0..4 {
                     let p = if q % 2 == 0 {
                         script.near(seeds.seed(i))
@@ -355,13 +397,13 @@ fn sparse_reads_settle_many_pending_reseeds() {
                 // Threaded and serial batches over the same stale rows,
                 // each on its own copy of the table, and on a fresh one.
                 let (flat, hints) = queries_with_hints(&mut script, &seeds, 24);
-                let serial_seeds = seeds.clone();
-                let fresh = NearestSeeds::from_seeds(script.dim, (0..s).map(|j| seeds.seed(j)));
+                let mut serial_seeds = seeds.clone();
+                let mut fresh = NearestSeeds::from_seeds(script.dim, (0..s).map(|j| seeds.seed(j)));
                 let mut runs = Vec::new();
                 for (table, par) in [
-                    (&seeds, Parallelism::Threads(2)),
-                    (&serial_seeds, Parallelism::Serial),
-                    (&fresh, Parallelism::Serial),
+                    (&mut seeds, Parallelism::Threads(2)),
+                    (&mut serial_seeds, Parallelism::Serial),
+                    (&mut fresh, Parallelism::Serial),
                 ] {
                     let mut stats = SearchStats::new();
                     let out = table.nearest_batch(
@@ -377,21 +419,23 @@ fn sparse_reads_settle_many_pending_reseeds() {
                 }
                 assert_eq!(runs[0], runs[1], "{what}: threaded vs serial batch");
                 assert_eq!(runs[1], runs[2], "{what}: stale vs fresh batch");
+                // Both batches settled the same start rows in place.
+                assert_same_settles(&seeds, &serial_seeds, &format!("{what}, batch"));
             }
 
             if script.rng.gen_bool(0.02) {
                 // A clone with re-seeds pending reads as the original.
-                let copy = seeds.clone();
+                let mut copy = seeds.clone();
                 assert_eq!(copy.len(), s, "{what}: clone size");
                 for i in 0..s {
                     assert_eq!(copy.seed(i), seeds.seed(i), "{what}: clone seed {i}");
-                    assert_row_is_oracle(&copy, i, &format!("{what}, clone"));
+                    assert_row_is_oracle(&mut copy, i, &format!("{what}, clone"));
                 }
             }
         }
         let s = seeds.len();
         for i in 0..s {
-            assert_row_is_oracle(&seeds, i, &format!("sparse script {script_no} end"));
+            assert_row_is_oracle(&mut seeds, i, &format!("sparse script {script_no} end"));
         }
     }
 }
