@@ -78,12 +78,15 @@ done
 cargo test $CARGOFLAGS -q --release -p idb-clustering --test optics_equivalence
 cargo test $CARGOFLAGS -q --release -p idb-clustering --test extract_equivalence
 # Bit-identity must survive wider codegen: re-run the kernel property
-# suite, the equivalence of the incrementally repaired seed neighbor
-# table with a fresh build, the re-baseline audit, the equivalence of the
-# column-major OPTICS walk with the heap reference and that of the
-# prefix-sum cluster-tree extraction with the fold reference (its
-# rounding margin must hold under fused or reordered arithmetic too)
-# under the host's full instruction set, the last two in debug and in
+# suite (its early-exit kernel must reject exactly above the bound), the
+# engines' differential suite (equal, counts included, to the reference
+# walk over the every-block kernel), the equivalence of the
+# incrementally repaired seed neighbor table with a fresh build, the
+# re-baseline audit, the equivalence of the column-major OPTICS walk with
+# the heap reference and that of the prefix-sum cluster-tree extraction
+# with the fold reference (its rounding margin must hold under fused or
+# reordered arithmetic too) under the host's full instruction set, the
+# kernel and differential suites and the last two in debug and in
 # release.
 # Guarded — skipped with a notice when the toolchain/target rejects the
 # flag (e.g. cross-compilation or unsupported CPUs).
@@ -94,6 +97,8 @@ if RUSTFLAGS="-C target-cpu=native" cargo check $CARGOFLAGS -q -p idb-geometry 2
     RUSTFLAGS="-C target-cpu=native" cargo test $CARGOFLAGS -q -p idb-delta --test rebaseline_audit
     RUSTFLAGS="-C target-cpu=native" cargo test $CARGOFLAGS -q -p idb-clustering --test optics_equivalence
     RUSTFLAGS="-C target-cpu=native" cargo test $CARGOFLAGS -q -p idb-clustering --test extract_equivalence
+    RUSTFLAGS="-C target-cpu=native" cargo test $CARGOFLAGS -q --release -p idb-geometry --test kernels
+    RUSTFLAGS="-C target-cpu=native" cargo test $CARGOFLAGS -q --release -p idb-geometry --test differential
     RUSTFLAGS="-C target-cpu=native" cargo test $CARGOFLAGS -q --release -p idb-clustering --test optics_equivalence
     RUSTFLAGS="-C target-cpu=native" cargo test $CARGOFLAGS -q --release -p idb-clustering --test extract_equivalence
 else

@@ -6,9 +6,12 @@
 //!   construction scan of Section 3, reported as median wall-clock plus
 //!   the full computed/pruned/partial accounting (the paper's Figure 10
 //!   currency).
-//! * **A dynamic insert/delete flow** (complex scenario, five batches with
-//!   maintenance after each) run twice per engine — warm-start hints on
-//!   and off — to quantify what the hint threading buys on exactly the
+//! * **Dynamic insert/delete flows** (complex scenario, 20k points, s =
+//!   200, five batches with maintenance after each) at d = 2 and at d =
+//!   10 — the dimension, bubble count and update share of one
+//!   `ingest_d10` partition, which holds half as many points — run twice
+//!   per engine, warm-start hints on
+//!   and off, to quantify what the hint threading buys on exactly the
 //!   workloads it was built for. The summaries are bit-identical either
 //!   way (see the differential suites); only the accounting moves.
 //!
@@ -23,9 +26,14 @@
 //! started pruned engine avoids relative to the cold-started one on the
 //! dynamic flow.
 //!
-//! Usage: `assign_report [output.json]` (default `BENCH_assign.json`).
+//! Usage: `assign_report [output.json] [baseline.json]` (default
+//! `BENCH_assign.json`). A baseline is this report built at an earlier
+//! commit and run on the same host: each row then records the baseline's
+//! `baseline_median_secs`, and the report asserts that every row's
+//! computed/pruned/partial counts equal the baseline's — a change that
+//! claims to move only wall-clock time is checked to do the same work.
 
-use idb_bench::{complex_fixture, dynamic_flow, json_list, median_secs, write_report};
+use idb_bench::{complex_fixture, dynamic_flow, json_list, median_secs, row_number, write_report};
 use idb_core::{IncrementalBubbles, MaintainerConfig, SeedSearch};
 use idb_geometry::SearchStats;
 use rand::rngs::StdRng;
@@ -39,14 +47,68 @@ const ENGINES: [(&str, SeedSearch); 3] = [
 ];
 const REPS: usize = 5;
 
+/// The rows of the baseline report, if one was given: each row's
+/// identifying prefix (`op`, `case`, `engine`, `warm_start`), its median
+/// seconds and its accounting.
+struct Baseline(Vec<(String, f64, SearchStats)>);
+
+impl Baseline {
+    fn read(path: &str) -> Self {
+        let text = std::fs::read_to_string(path).expect("read baseline report");
+        let rows = text
+            .lines()
+            .filter_map(|line| {
+                let key = &line[line.find("{\"op\"")?..line.find(", \"median_secs\"")?];
+                let count = |k| row_number(line, k).map(|x| x as u64);
+                let stats = SearchStats {
+                    computed: count("computed")?,
+                    pruned: count("pruned")?,
+                    partial: count("partial")?,
+                };
+                Some((key.to_string(), row_number(line, "median_secs")?, stats))
+            })
+            .collect();
+        Self(rows)
+    }
+
+    /// The baseline's median seconds for the row `key`, after checking
+    /// that it did the same work.
+    fn secs(&self, key: &str, stats: &SearchStats) -> f64 {
+        let (_, secs, base) = self
+            .0
+            .iter()
+            .find(|(k, ..)| k == key)
+            .unwrap_or_else(|| panic!("the baseline report has no row {key}"));
+        assert_eq!(
+            stats, base,
+            "{key}: the accounting differs from the baseline's"
+        );
+        *secs
+    }
+}
+
 /// One result row, also logged to stderr.
-fn row(op: &str, case: &str, engine: &str, warm: bool, secs: f64, stats: &SearchStats) -> String {
+fn row(
+    op: &str,
+    case: &str,
+    engine: &str,
+    warm: bool,
+    secs: f64,
+    stats: &SearchStats,
+    baseline: Option<&Baseline>,
+) -> String {
     eprintln!(
         "{op} {case} {engine} warm={warm}: {secs:.4}s (computed {}, pruned {}, partial {})",
         stats.computed, stats.pruned, stats.partial
     );
+    let key = format!(
+        "{{\"op\": \"{op}\", \"case\": \"{case}\", \"engine\": \"{engine}\", \"warm_start\": {warm}"
+    );
+    let versus = baseline.map_or(String::new(), |b| {
+        format!(", \"baseline_median_secs\": {:.6}", b.secs(&key, stats))
+    });
     format!(
-        "{{\"op\": \"{op}\", \"case\": \"{case}\", \"engine\": \"{engine}\", \"warm_start\": {warm}, \"median_secs\": {secs:.6}, \"computed\": {}, \"pruned\": {}, \"partial\": {}, \"pruned_fraction\": {:.4}, \"avoided_fraction\": {:.4}}}",
+        "{key}, \"median_secs\": {secs:.6}{versus}, \"computed\": {}, \"pruned\": {}, \"partial\": {}, \"pruned_fraction\": {:.4}, \"avoided_fraction\": {:.4}}}",
         stats.computed,
         stats.pruned,
         stats.partial,
@@ -72,6 +134,8 @@ fn outcome(ib: &IncrementalBubbles, stats: &SearchStats) -> Vec<u64> {
 }
 
 fn main() {
+    let baseline = std::env::args().nth(2).map(|path| Baseline::read(&path));
+    let baseline = baseline.as_ref();
     let mut rows = Vec::new();
 
     // Static construction scans over the clustered scenario data the
@@ -99,26 +163,28 @@ fn main() {
                 *first.get_or_insert_with(|| got.clone()) == got,
                 "build {case}: {name} differs"
             );
-            rows.push(row("build", &case, name, false, secs, &stats));
+            rows.push(row("build", &case, name, false, secs, &stats, baseline));
         }
     }
 
     // Dynamic insert/delete flows, warm vs. cold.
-    let mut pruned_dynamic = [0u64; 2]; // [cold, warm] computed
-    let mut first = None;
-    for (name, engine) in ENGINES {
-        for warm in [false, true] {
-            let (secs, (ib, stats)) = median_secs(REPS, || dynamic_flow(engine, warm));
-            if name == "pruned" {
-                pruned_dynamic[usize::from(warm)] = stats.computed;
+    let mut pruned_dynamic = [0u64; 2]; // [cold, warm] computed at d = 2
+    for dim in [2, 10] {
+        let case = format!("complex_d{dim}_n20000_s200_5batches");
+        let mut first = None;
+        for (name, engine) in ENGINES {
+            for warm in [false, true] {
+                let (secs, (ib, stats)) = median_secs(REPS, || dynamic_flow(dim, engine, warm));
+                if dim == 2 && name == "pruned" {
+                    pruned_dynamic[usize::from(warm)] = stats.computed;
+                }
+                let got = outcome(&ib, &stats);
+                assert!(
+                    *first.get_or_insert_with(|| got.clone()) == got,
+                    "dynamic {case}: {name} warm={warm} differs"
+                );
+                rows.push(row("dynamic", &case, name, warm, secs, &stats, baseline));
             }
-            let case = "complex_d2_n20000_s200_5batches";
-            let got = outcome(&ib, &stats);
-            assert!(
-                *first.get_or_insert_with(|| got.clone()) == got,
-                "dynamic: {name} warm={warm} differs"
-            );
-            rows.push(row("dynamic", case, name, warm, secs, &stats));
         }
     }
     let reduction = if pruned_dynamic[0] > 0 {
@@ -135,7 +201,7 @@ fn main() {
         json,
         "  \"warm_start_computed_reduction_pruned\": {reduction:.4},"
     );
-    json.push_str("  \"note\": \"medians, serial mode; every engine returns bit-identical assignments (asserted on the last run of each flow: the same bubbles and SearchStats::total), so the engines and the warm-start toggle differ only in wall-clock and in how the per-candidate accounting splits into computed/pruned/partial\",\n");
+    json.push_str("  \"note\": \"medians, serial mode; every engine returns bit-identical assignments (asserted on the last run of each flow: the same bubbles and SearchStats::total), so the engines and the warm-start toggle differ only in wall-clock and in how the per-candidate accounting splits into computed/pruned/partial; the headline warm-start reduction is the d = 2 flow's; baseline_median_secs, when present, comes from the same report built at an earlier commit and run on the same host, whose computed/pruned/partial counts are asserted equal to this run's\",\n");
     let _ = writeln!(json, "  \"results\": {}\n}}", json_list(4, rows));
     write_report("BENCH_assign.json", &json);
 }

@@ -45,7 +45,7 @@
 //! pair count must equal this run's, or the run fails) and its
 //! `payload_ids_per_epoch`.
 
-use idb_bench::{json_list, write_report};
+use idb_bench::{json_list, row_number, write_report};
 use idb_clustering::{
     cluster_tree, optics_bubbles, BubbleOrdering, ClusterNode, ExtractParams, MergedRef,
     ReachabilityPlot,
@@ -265,13 +265,6 @@ fn run_scenario((name, kind, churn, points, target_bubbles, epochs): &Case) -> S
     out
 }
 
-/// The number after `"key": ` in `line`, if any.
-fn field(line: &str, key: &str) -> Option<f64> {
-    let rest = &line[line.find(&format!("\"{key}\": "))? + key.len() + 4..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
 /// One scenario's row of a baseline report.
 struct Baseline {
     name: String,
@@ -294,11 +287,12 @@ fn read_baseline(path: &str) -> Vec<Baseline> {
             let stages = line.split("\"stage_secs_per_epoch\": ").nth(1)?;
             Some(Baseline {
                 name: name.to_string(),
-                delta_secs: field(line, "delta_secs")?,
-                full_secs: field(line, "full_secs")?,
+                delta_secs: row_number(line, "delta_secs")?,
+                full_secs: row_number(line, "full_secs")?,
                 stages: stages[..=stages.find('}')?].to_string(),
-                pairs: field(line, "optics_pairs_per_epoch").zip(field(line, "optics_ns_per_pair")),
-                payload_ids: field(line, "payload_ids_per_epoch"),
+                pairs: row_number(line, "optics_pairs_per_epoch")
+                    .zip(row_number(line, "optics_ns_per_pair")),
+                payload_ids: row_number(line, "payload_ids_per_epoch"),
             })
         })
         .collect()

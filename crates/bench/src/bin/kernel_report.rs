@@ -245,7 +245,7 @@ fn end_to_end_rows() -> (Vec<EndToEndRow>, IncrementalBubbles) {
     for (name, engine, pre) in PRE_DYNAMIC_WARM {
         // The d2/20k dynamic flow of `assign_report`, warm-started; the
         // last maintainer is kept for its repair ledger.
-        let (median, (ib, _)) = median_secs(REPS, || dynamic_flow(engine, true));
+        let (median, (ib, _)) = median_secs(REPS, || dynamic_flow(2, engine, true));
         last = Some(ib);
         eprintln!("dynamic complex_d2_n20000 {name} warm: {median:.4}s (pre-kernel {pre:.4}s)");
         rows.push(EndToEndRow {

@@ -2,7 +2,7 @@
 //!
 //! Every wall-clock claim in the repository is a `*_report` binary that
 //! writes a committed `BENCH_*.json` through this crate: the shared
-//! fixtures, the pre-planned update stream, the d2/20k dynamic flow,
+//! fixtures, the pre-planned update stream, the 20k-point dynamic flow,
 //! median timing, and the report's JSON lists and output file. Each
 //! report records the paper's currency (distance computations, Fig.
 //! 10/11) next to the seconds wherever the measured operation counts it.
@@ -62,13 +62,18 @@ pub fn planned_stream(
     (store, steps)
 }
 
-/// The d2/20k dynamic insert/delete flow: a complex scenario of 20,000
-/// points summarized by 200 bubbles (the build is not counted), then five
-/// batches with a maintenance round after each. Returns the maintainer
-/// and the five batches' distance accounting.
+/// The dynamic insert/delete flow at dimension `dim`: a complex scenario
+/// of 20,000 points summarized by 200 bubbles (the build is not counted),
+/// then five batches, each replacing 5% of the points, with a maintenance
+/// round after each. Returns the maintainer and the five batches' distance
+/// accounting.
 #[must_use]
-pub fn dynamic_flow(engine: SeedSearch, warm_start: bool) -> (IncrementalBubbles, SearchStats) {
-    let (mut scenario, mut store, mut rng) = complex_fixture(2, 20_000, 17);
+pub fn dynamic_flow(
+    dim: usize,
+    engine: SeedSearch,
+    warm_start: bool,
+) -> (IncrementalBubbles, SearchStats) {
+    let (mut scenario, mut store, mut rng) = complex_fixture(dim, 20_000, 17);
     let config = MaintainerConfig::new(200)
         .with_seed_search(engine)
         .with_warm_start(warm_start);
@@ -138,6 +143,15 @@ pub fn json_list(indent: usize, rows: impl IntoIterator<Item = String>) -> Strin
     let body: String = rows.into_iter().map(|r| format!(",\n{pad}{r}")).collect();
     let body = body.strip_prefix(',').unwrap_or("");
     format!("[{body}\n{}]", &pad[2.min(indent)..])
+}
+
+/// The number after `"key": ` in one JSON row of a report, if present —
+/// how a report reads its own earlier output as a baseline.
+#[must_use]
+pub fn row_number(line: &str, key: &str) -> Option<f64> {
+    let rest = &line[line.find(&format!("\"{key}\": "))? + key.len() + 4..];
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
+    rest[..end].trim().parse().ok()
 }
 
 /// Writes a report to its path — the first command-line argument, else

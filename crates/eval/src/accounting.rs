@@ -12,8 +12,8 @@
 //!   triangle inequalities performs over the same batch.
 //!
 //! Only fully evaluated distances ([`SearchStats::computed`]) count toward
-//! the incremental side of the factor: early-exit partial evaluations
-//! ([`SearchStats::partial`]) abandon after a prefix of the dimensions and
+//! the incremental side of the factor: partial evaluations
+//! ([`SearchStats::partial`]), rejected by the early-exit kernel's bound,
 //! are deliberately excluded, keeping the factor conservative.
 
 use idb_geometry::SearchStats;
@@ -63,8 +63,8 @@ mod tests {
 
     #[test]
     fn partial_evaluations_do_not_shrink_the_factor() {
-        // Early-exit partials abandon after a prefix of the dimensions;
-        // only full computations count against the incremental scheme.
+        // Partials are rejected by the early-exit kernel's bound; only
+        // full computations count against the incremental scheme.
         let full_only = SearchStats {
             computed: 50_000,
             pruned: 150_000,

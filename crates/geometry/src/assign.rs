@@ -21,8 +21,10 @@
 //!   remaining tail once the pairwise distance exceeds `d(p, start) + best`
 //!   — by the triangle inequality nothing further out can beat or tie the
 //!   best — and evaluates survivors with the early-exit kernel
-//!   [`sq_dist_bounded`], charging abandoned evaluations to
-//!   `stats.partial`.
+//!   [`sq_dist_bounded`] against the best square so far, charging rejected
+//!   evaluations to `stats.partial`. The kernel checks its bound once per
+//!   16 lanes; a rejection is decided by the bound alone, so the counts do
+//!   not depend on that cadence.
 //! * [`SeedSearch::KdTree`] — a k-d tree over the seeds (built by the first
 //!   k-d search after a mutation, dropped by every mutation), best for low
 //!   dimensionality and large seed counts; same accounting, with cut-off
@@ -756,9 +758,12 @@ impl NearestSeeds {
     ///   (this is Lemma 1's condition, reached before `w` grows past the
     ///   tail cutoff);
     /// * otherwise the squared distance is evaluated with
-    ///   [`sq_dist_bounded`] against the best-so-far square: abandoned
-    ///   evaluations are charged to `stats.partial`, completed ones to
-    ///   `stats.computed`.
+    ///   [`sq_dist_bounded`] against the best-so-far square: evaluations it
+    ///   rejects (the squared distance exceeds the best) are charged to
+    ///   `stats.partial`, completed ones to `stats.computed`. The kernel
+    ///   reads all `d` lanes below d = 16 and checks once per 16 lanes
+    ///   above; either way a rejection means exactly `sq > best_sq`, so
+    ///   the counts are those of a per-lane or per-block check.
     ///
     /// Both prune conditions are strict inequalities on a *lower bound* of
     /// the true distance, so a pruned candidate can neither beat nor tie

@@ -152,9 +152,9 @@ impl KdTree {
     ///   exactly once.
     ///
     /// Every other reachable point is charged to exactly one of
-    /// `stats.computed` (full evaluation via the early-exit kernel that ran
-    /// to completion) or `stats.partial` (evaluation abandoned once the
-    /// running sum exceeded the current best). Points cut off by a subtree
+    /// `stats.computed` (the early-exit kernel returned the full squared
+    /// distance) or `stats.partial` (the kernel rejected it: the squared
+    /// distance exceeds the current best). Points cut off by a subtree
     /// bound are *not* charged here — the caller knows the eligible count
     /// and derives the pruned tally, keeping this routine oblivious to
     /// subtree sizes.

@@ -35,6 +35,14 @@
 //! re-baselined exactly once when this kernel became canonical (see the
 //! re-baseline policy in DESIGN.md §15).
 //!
+//! # The early-exit kernel
+//!
+//! [`sq_dist_bounded`] accumulates in the same order and compares the
+//! running sum with its bound once per 16 lanes, plus once at the end.
+//! Because partial sums of non-negative terms never decrease, its `None`
+//! holds exactly when `sq_dist > bound`: the check cadence moves only
+//! wall-clock time, never a result or a counted evaluation.
+//!
 //! The [`scalar`] submodule keeps the historical sequential kernels as an
 //! explicit baseline for benchmarks ([`kernel_report`]) and as an independent
 //! implementation for the property suite to fuzz against.
@@ -91,22 +99,38 @@ pub fn dist(a: &[f64], b: &[f64]) -> f64 {
     sq_dist(a, b).sqrt()
 }
 
-/// Early-exit squared Euclidean distance: abandons the accumulation as soon
-/// as the running sum at a 4-lane block boundary exceeds `bound` and returns
-/// `None`; otherwise returns `Some(sq_dist(a, b))`.
+/// Blocks of four lanes accumulated between two bound checks of
+/// [`sq_dist_bounded`]: one compare per 16 lanes.
+const CHECK_BLOCKS: u32 = 4;
+
+/// Early-exit squared Euclidean distance: returns `None` when
+/// `sq_dist(a, b) > bound`, otherwise `Some(sq_dist(a, b))`, abandoning the
+/// accumulation at the first check that proves the excess.
 ///
-/// The per-lane terms are non-negative and IEEE-754 round-to-nearest
-/// addition of non-negative terms is monotone non-decreasing, so every
-/// block-boundary tree reduction is `<=` the final reduction. Whenever the
-/// canonical squared distance is `<= bound` no intermediate check can fire,
-/// the accumulation — in exactly the [`sq_dist`] order — runs to completion,
-/// and the value is bit-identical to the unbounded kernel. A `None`
-/// therefore *proves* `sq_dist(a, b) > bound`.
+/// The lanes are accumulated in exactly the [`sq_dist`] order. The running
+/// sum (the tree reduction of the four accumulators) is compared with
+/// `bound` once per 16 lanes — after every fourth 4-lane block — and the
+/// total once at the end, so below 16 lanes the kernel is `sq_dist`
+/// followed by that one compare. A check costs a reduction and an
+/// unpredictable branch, and at small `d` it can save only a few lanes;
+/// one per 16 lanes keeps early exit where it pays (`kernel_report`
+/// times the kernel at d ∈ {2, 10, 64, 256, 768}).
+///
+/// The cadence cannot change the answer. The per-lane terms are
+/// non-negative and IEEE-754 round-to-nearest addition of non-negative
+/// terms is monotone non-decreasing, so for inputs without NaN every
+/// intermediate tree reduction is `<=` the final one. A check fires only
+/// when the total exceeds `bound`, and the final compare fires whenever
+/// it does: `None` holds exactly when `sq_dist(a, b) > bound`, whichever
+/// blocks are checked, and a `Some` is bit-identical to the unbounded
+/// kernel. The engines' [`SearchStats`] counts therefore depend on the
+/// bound alone, never on the cadence.
 ///
 /// This is the innermost kernel of the nearest-seed engines: a candidate
-/// seed that cannot beat the current best is rejected after a handful of
-/// blocks instead of all `d` lanes, which the caller accounts as a *partial*
-/// evaluation in [`SearchStats`](crate::stats::SearchStats).
+/// seed that cannot beat the current best is rejected, which the caller
+/// accounts as a *partial* evaluation in [`SearchStats`].
+///
+/// [`SearchStats`]: crate::stats::SearchStats
 ///
 /// # Examples
 /// ```
@@ -121,6 +145,7 @@ pub fn sq_dist_bounded(a: &[f64], b: &[f64], bound: f64) -> Option<f64> {
     let (mut acc0, mut acc1, mut acc2, mut acc3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
     let mut ca = a.chunks_exact(4);
     let mut cb = b.chunks_exact(4);
+    let mut until_check = CHECK_BLOCKS;
     for (xa, xb) in ca.by_ref().zip(cb.by_ref()) {
         let d0 = xa[0] - xb[0];
         let d1 = xa[1] - xb[1];
@@ -130,8 +155,12 @@ pub fn sq_dist_bounded(a: &[f64], b: &[f64], bound: f64) -> Option<f64> {
         acc1 += d1 * d1;
         acc2 += d2 * d2;
         acc3 += d3 * d3;
-        if (acc0 + acc1) + (acc2 + acc3) > bound {
-            return None;
+        until_check -= 1;
+        if until_check == 0 {
+            if (acc0 + acc1) + (acc2 + acc3) > bound {
+                return None;
+            }
+            until_check = CHECK_BLOCKS;
         }
     }
     for (k, (&x, &y)) in ca.remainder().iter().zip(cb.remainder()).enumerate() {
@@ -287,13 +316,18 @@ mod tests {
     }
 
     #[test]
-    fn bounded_abandons_at_a_block_boundary() {
-        // First 4-lane block alone exceeds the bound: the remainder lanes
-        // are never touched, yet None still proves sq_dist > bound.
-        let a = [10.0, 10.0, 10.0, 10.0, 0.0, 0.0];
-        let b = [0.0; 6];
+    fn bounded_checks_once_per_sixteen_lanes() {
+        // The first 16 lanes alone exceed the bound: the check after the
+        // fourth block fires and the NaN lanes past it are never read.
+        let mut a = [10.0; 20];
+        a[16..].fill(f64::NAN);
+        let b = [0.0; 20];
         assert_eq!(sq_dist_bounded(&a, &b, 300.0), None);
-        assert!(sq_dist(&a, &b) > 300.0);
+        // Below 16 lanes nothing is checked before the total, so a NaN lane
+        // reaches it even though the first block exceeds the bound.
+        let mut c = [10.0; 8];
+        c[7] = f64::NAN;
+        assert!(sq_dist_bounded(&c, &b[..8], 300.0).is_some_and(f64::is_nan));
     }
 
     #[test]

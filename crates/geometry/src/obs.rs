@@ -13,7 +13,7 @@
 //! assign.<engine>.queries    nearest-seed searches answered
 //! assign.<engine>.computed   full distance evaluations
 //! assign.<engine>.pruned     candidates eliminated without a read
-//! assign.<engine>.partial    evaluations abandoned by the early-exit kernel
+//! assign.<engine>.partial    evaluations rejected by the early-exit kernel
 //! assign.<engine>.search_us  latency histogram of instrumented phases
 //! ```
 //!

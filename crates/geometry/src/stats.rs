@@ -15,9 +15,9 @@ use std::ops::AddAssign;
 /// point and a candidate seed. `pruned` counts candidate seeds that were
 /// eliminated — by the triangle inequality (Lemma 1) or a k-d subtree cut —
 /// *without* touching their coordinates at all. `partial` counts candidates
-/// whose evaluation was started but abandoned early by the bounded kernel
-/// ([`sq_dist_bounded`](crate::metric::sq_dist_bounded)) once the running
-/// sum proved them worse than the current best. Every candidate a search
+/// whose evaluation the bounded kernel
+/// ([`sq_dist_bounded`](crate::metric::sq_dist_bounded)) rejected because
+/// their squared distance exceeds the current best. Every candidate a search
 /// considers lands in exactly one bucket, so
 /// `computed + pruned + partial` equals the number of full distance
 /// computations a brute-force search would have performed.
@@ -28,8 +28,11 @@ pub struct SearchStats {
     /// Point–seed distances avoided entirely (triangle inequality or
     /// k-d subtree cut): the candidate's coordinates were never read.
     pub pruned: u64,
-    /// Point–seed distance evaluations abandoned partway by the early-exit
-    /// kernel: some axes were accumulated, then the candidate was rejected.
+    /// Point–seed distance evaluations rejected by the bound of the
+    /// early-exit kernel. The count depends on the bound alone; how many
+    /// axes a rejection reads is the kernel's check cadence (one check per
+    /// 16 lanes plus the final compare, so all of them below d = 16, as
+    /// they always were at d ≤ 3).
     pub partial: u64,
 }
 

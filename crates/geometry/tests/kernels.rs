@@ -5,13 +5,16 @@
 //! what keeps engines × parallelism × shards bit-identical to each other
 //! (DESIGN.md §15). This suite pins that order with an independently
 //! written four-accumulator reference, proves the early-exit kernel's
-//! `None` is a certificate for `> bound`, checks non-finite propagation
+//! `None` is a certificate for `> bound` and, for finite inputs, exactly
+//! that (at every bound to the ulp), checks non-finite propagation
 //! against the reference, and fuzzes the kernels over random subslices of
 //! a shared buffer (the SoA layouts hand the kernels interior slices, so
 //! alignment must never matter).
 
 use idb_geometry::metric::{scalar, sq_dist, sq_dist_bounded, sq_norm};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Independent reference for the canonical accumulation order: lane `i`
 /// feeds accumulator `i mod 4` (the remainder lanes of the kernels land on
@@ -31,6 +34,75 @@ fn ref_sq_dist(a: &[f64], b: &[f64]) -> f64 {
 
 fn ref_sq_norm(v: &[f64]) -> f64 {
     ref_reduce(v.iter().map(|&x| x * x))
+}
+
+/// The neighbouring doubles of a finite, non-negative `t`: one ulp below
+/// and one above (`f64::next_down`/`next_up` need a newer toolchain than
+/// the workspace's minimum). Below `+0.0` lies the negative subnormal.
+fn ulp_neighbours(t: f64) -> [f64; 2] {
+    debug_assert!(t.is_finite() && t >= 0.0);
+    let bits = t.to_bits();
+    let below = if bits == 0 {
+        -f64::from_bits(1)
+    } else {
+        f64::from_bits(bits - 1)
+    };
+    [below, f64::from_bits(bits + 1)]
+}
+
+/// The canonical running sums of `a` and `b` after every 4-lane block:
+/// the values the early-exit kernel may compare with its bound.
+fn block_sums(a: &[f64], b: &[f64]) -> Vec<f64> {
+    let mut acc = [0.0f64; 4];
+    let mut sums = Vec::new();
+    for (xa, xb) in a.chunks_exact(4).zip(b.chunks_exact(4)) {
+        for j in 0..4 {
+            acc[j] += (xa[j] - xb[j]) * (xa[j] - xb[j]);
+        }
+        sums.push((acc[0] + acc[1]) + (acc[2] + acc[3]));
+    }
+    sums
+}
+
+/// For finite inputs the early-exit kernel rejects exactly when the full
+/// squared distance exceeds the bound, at every dimensionality up to 300
+/// and at every bound that could sit on either side of a check: the total
+/// and each block's running sum, each exactly and one ulp either side.
+/// Both directions matter — the engines' partial/computed split (and so
+/// every Fig. 10/11 count) rests on `None ⇔ sq_dist > bound`, which makes
+/// the kernel's check cadence invisible to them.
+#[test]
+fn bounded_rejects_exactly_above_the_bound() {
+    let mut rng = StdRng::seed_from_u64(0x0B0D);
+    for d in 0..=300 {
+        for pair in 0..8 {
+            let scale = [1e-3, 1.0, 1e6][pair % 3];
+            let a: Vec<f64> = (0..d).map(|_| rng.gen_range(-scale..scale)).collect();
+            let mut b: Vec<f64> = (0..d).map(|_| rng.gen_range(-scale..scale)).collect();
+            if pair == 7 {
+                // Equal prefixes put zero blocks ahead of the first term.
+                let k = rng.gen_range(0..=d);
+                b[..k].copy_from_slice(&a[..k]);
+            }
+            let full = sq_dist(&a, &b);
+            let mut bounds = vec![full, 0.0];
+            bounds.extend(block_sums(&a, &b));
+            for t in bounds.clone() {
+                bounds.extend(ulp_neighbours(t));
+            }
+            for t in bounds {
+                let got = sq_dist_bounded(&a, &b, t);
+                assert_eq!(
+                    got.is_none(),
+                    full > t,
+                    "d = {d}, bound {t:e}, full {full:e}"
+                );
+                if let Some(sq) = got {
+                    assert_eq!(sq.to_bits(), full.to_bits(), "d = {d}, bound {t:e}");
+                }
+            }
+        }
+    }
 }
 
 fn coords(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
