@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full local CI gate: build, the tier-1 tests and the workspace test
 # suite, the file-backed crash smoke under extra seeds, observability
-# journal validation, the report checks, release and native-codegen
+# journal validation, the report checks, the paper's figures against
+# their committed CSVs, release and native-codegen
 # re-runs of the kernel-sensitive suites, lints, rustdoc warnings,
 # formatting, and the benchmark's own tests, lints and formatting.
 #
@@ -70,6 +71,22 @@ cargo run $CARGOFLAGS --release -q -p idb-bench --bin journal_check -- "$IDB_WAL
 for report in assign shard delta kernel durability parallel summary; do
     cargo run $CARGOFLAGS --release -q -p idb-bench --bin "${report}_report" -- \
         "$IDB_WAL_DIR/BENCH_${report}_smoke.json"
+done
+# The paper's figures, pinned: the deterministic experiment runs (Table 1
+# and Figs. 7-11 at the quick configuration, Figs. 9-11 at the paper's
+# scale) must write exactly the committed CSVs in results/. scaling.csv
+# holds wall-clock times and is not compared.
+figures="$IDB_WAL_DIR/figures"
+mkdir -p "$figures/paper"
+for figure in table1 sweeps fig7 fig8; do
+    cargo run $CARGOFLAGS --release -q -p idb-experiments --bin experiments -- \
+        "$figure" --out "$figures" > /dev/null
+done
+cargo run $CARGOFLAGS --release -q -p idb-experiments --bin experiments -- \
+    sweeps --paper --out "$figures/paper" > /dev/null
+for csv in table1 fig7 fig8_points_start fig8_points_mid fig8_points_end fig8_populations \
+    fig9 fig10 fig11 paper/fig9 paper/fig10 paper/fig11; do
+    cmp "$figures/$csv.csv" "results/$csv.csv"
 done
 # The column kernel of the bubble OPTICS walk is vectorised only with
 # optimisations on, so its equivalence with the heap reference (and that

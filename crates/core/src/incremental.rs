@@ -1468,19 +1468,7 @@ impl IncrementalBubbles {
         // Reverse direction: every live point must resolve, through the
         // assignment tables, back to its own member-list slot.
         for id in store.ids() {
-            let slot = id.index();
-            let covered = match self.assign.get(slot) {
-                Some(&a) if a != NONE => {
-                    let bi = a as usize;
-                    bi < self.bubbles.len()
-                        && self.member_pos.get(slot).is_some_and(|&pos| {
-                            (pos as usize) < self.bubbles[bi].members().len()
-                                && self.bubbles[bi].members()[pos as usize] == id
-                        })
-                }
-                _ => false,
-            };
-            if !covered {
+            if !self.covers(id) {
                 issues.push(AuditIssue::UnassignedLivePoint { id });
             }
         }
@@ -1514,6 +1502,21 @@ impl IncrementalBubbles {
             checked_pairs += checked;
         }
         (issues, checked_pairs)
+    }
+
+    /// Whether live point `id` resolves, through the assignment and
+    /// position tables, back to its own member-list slot (a `NONE` entry
+    /// indexes nothing): the coverage [`Self::audit`] checks and
+    /// [`Self::repair`] restores.
+    fn covers(&self, id: PointId) -> bool {
+        let slot = id.index();
+        let (Some(&bubble), Some(&pos)) = (self.assign.get(slot), self.member_pos.get(slot)) else {
+            return false;
+        };
+        self.bubbles
+            .get(bubble as usize)
+            .and_then(|b| b.members().get(pos as usize))
+            == Some(&id)
     }
 
     /// Audits every internal invariant against the store without modifying
@@ -1660,19 +1663,10 @@ impl IncrementalBubbles {
         self.ensure_slots(store.slots());
         let mut buf = Vec::new();
         for id in store.ids() {
-            let slot = id.index();
-            let covered = match self.assign[slot] {
-                NONE => false,
-                a => {
-                    let bi = a as usize;
-                    bi < self.bubbles.len()
-                        && (self.member_pos[slot] as usize) < self.bubbles[bi].members().len()
-                        && self.bubbles[bi].members()[self.member_pos[slot] as usize] == id
-                }
-            };
-            if covered {
+            if self.covers(id) {
                 continue;
             }
+            let slot = id.index();
             self.assign[slot] = NONE;
             self.member_pos[slot] = NONE;
             let hint = match prior.get(slot) {

@@ -18,7 +18,10 @@
 //! WAL span that rolls the base's store forward. The record layout and
 //! the splice of a delta's records over its base belong to
 //! [`crate::snapshot`]; this module only frames checkpoints and decides
-//! which kind to take.
+//! which kind to take. It has one writer and one reader: every checkpoint
+//! — interval, baseline, resume anchor or disk-budget rebase — is encoded
+//! in one place and streamed by one pump, and recovery reads each
+//! candidate's frame once.
 //!
 //! A torn WAL tail (the crash happened mid-commit) is truncated, not an
 //! error: those batches were never acknowledged as durable. Everything
@@ -34,7 +37,7 @@
 use crate::config::MaintainerConfig;
 use crate::error::UpdateError;
 use crate::incremental::IncrementalBubbles;
-use crate::snapshot::read_dirty_records;
+use crate::snapshot::{read_dirty_records, DirtyRecords};
 use idb_geometry::SearchStats;
 use idb_obs::{EventKind, Obs};
 use idb_store::segment::read_chain;
@@ -263,16 +266,28 @@ pub fn encode_checkpoint(
     Ok(out)
 }
 
-/// Decodes a full checkpoint blob, validating both nested snapshots.
-/// Returns `(seq, batches_covered, store, bubbles)`.
-fn decode_checkpoint(
-    bytes: &[u8],
-) -> Result<(u64, u64, PointStore, IncrementalBubbles), SnapshotError> {
-    let payload = read_frame(&mut &bytes[..], CHECKPOINT_MAGIC)?;
+/// A decoded checkpoint: `(seq, batches_covered, store, bubbles)`.
+type Decoded = (u64, u64, PointStore, IncrementalBubbles);
+
+/// Opens a full checkpoint blob up to its bubble snapshot: the one parse
+/// of the `seq | covered | store` prefix, for a full candidate and for a
+/// delta's base alike. Returns `(seq, batches_covered, store, bubble
+/// snapshot bytes)`.
+fn open_full(bytes: &[u8]) -> Result<(u64, u64, PointStore, Vec<u8>), SnapshotError> {
+    let mut payload = read_frame(&mut &bytes[..], CHECKPOINT_MAGIC)?;
     let mut cur: &[u8] = &payload;
     let seq = read_u64(&mut cur)?;
     let covered = read_u64(&mut cur)?;
     let store = PointStore::read_snapshot(&mut cur)?;
+    let prefix = payload.len() - cur.len();
+    payload.drain(..prefix);
+    Ok((seq, covered, store, payload))
+}
+
+/// Decodes a full checkpoint blob, validating both nested snapshots.
+fn decode_checkpoint(bytes: &[u8]) -> Result<Decoded, SnapshotError> {
+    let (seq, covered, store, bubbles) = open_full(bytes)?;
+    let mut cur: &[u8] = &bubbles;
     let bubbles = IncrementalBubbles::read_snapshot(&mut cur, &store)?;
     if !cur.is_empty() {
         return Err(SnapshotError::Corrupt(format!(
@@ -307,84 +322,80 @@ fn encode_delta_checkpoint(
     Ok(out)
 }
 
-/// The `base_seq` a delta checkpoint builds on, without decoding the rest.
-fn delta_base_seq(bytes: &[u8]) -> Result<u64, SnapshotError> {
-    let payload = read_frame(&mut &bytes[..], DELTA_CHECKPOINT_MAGIC)?;
-    let mut cur: &[u8] = &payload;
-    let _seq = read_u64(&mut cur)?;
-    let _covered = read_u64(&mut cur)?;
-    Ok(read_u64(&mut cur)?)
+/// A delta checkpoint's header and dirty bubble records, parsed once
+/// from its frame's payload.
+struct Delta<'a> {
+    seq: u64,
+    covered: u64,
+    base_seq: u64,
+    base_covered: u64,
+    dirty: DirtyRecords<'a>,
 }
 
-/// Decodes a delta checkpoint against its full base blob and the WAL it
-/// was logged into: the base's store is rolled forward by replaying the
-/// logged batches in `[base_covered, covered)` (deletes then inserts per
-/// record, exactly the live path's order, so the free list is
-/// bit-identical), and the delta's bubble records are spliced over the
-/// base's bubble snapshot, which the ordinary snapshot reader validates.
-/// Returns `(seq, covered, store, bubbles)`.
-fn decode_delta_checkpoint(
-    bytes: &[u8],
-    base: &[u8],
-    wal_base: u64,
-    wal_records: &[WalRecord],
-) -> Result<(u64, u64, PointStore, IncrementalBubbles), SnapshotError> {
-    let payload = read_frame(&mut &bytes[..], DELTA_CHECKPOINT_MAGIC)?;
-    let mut cur: &[u8] = &payload;
-    let seq = read_u64(&mut cur)?;
-    let covered = read_u64(&mut cur)?;
-    let base_seq = read_u64(&mut cur)?;
-    let base_covered = read_u64(&mut cur)?;
-    if covered < base_covered {
-        return Err(SnapshotError::Corrupt(format!(
-            "delta covers {covered} batches, before its base's {base_covered}"
-        )));
-    }
-    let dirty = read_dirty_records(&mut cur)?;
-    if !cur.is_empty() {
-        return Err(SnapshotError::Corrupt(format!(
-            "{} trailing bytes after the delta payload",
-            cur.len()
-        )));
-    }
-
-    // The full base: `seq | covered | store | bubbles`.
-    let bpayload = read_frame(&mut &base[..], CHECKPOINT_MAGIC)?;
-    let mut bcur: &[u8] = &bpayload;
-    let bseq = read_u64(&mut bcur)?;
-    let bcov = read_u64(&mut bcur)?;
-    if bseq != base_seq || bcov != base_covered {
-        return Err(SnapshotError::Corrupt(format!(
-            "delta claims base {base_seq} covering {base_covered}, \
-             blob is {bseq} covering {bcov}"
-        )));
-    }
-    let mut store = PointStore::read_snapshot(&mut bcur)?;
-
-    // Roll the store forward with the logged batches the delta sits on.
-    if wal_base > base_covered {
-        return Err(SnapshotError::Corrupt(format!(
-            "wal base {wal_base} is past the delta's store base {base_covered}"
-        )));
-    }
-    let have = wal_base + wal_records.len() as u64;
-    if have < covered {
-        return Err(SnapshotError::Corrupt(format!(
-            "wal holds batches up to {have}, delta needs {covered}"
-        )));
-    }
-    for i in (base_covered - wal_base)..(covered - wal_base) {
-        let batch = &wal_records[usize::try_from(i).expect("record index fits usize")].batch;
-        for &id in &batch.deletes {
-            store.remove(id);
+impl<'a> Delta<'a> {
+    /// Parses the payload [`encode_delta_checkpoint`] framed.
+    fn parse(payload: &'a [u8]) -> Result<Self, SnapshotError> {
+        let mut cur = payload;
+        let seq = read_u64(&mut cur)?;
+        let covered = read_u64(&mut cur)?;
+        let base_seq = read_u64(&mut cur)?;
+        let base_covered = read_u64(&mut cur)?;
+        if covered < base_covered {
+            return Err(SnapshotError::Corrupt(format!(
+                "delta covers {covered} batches, before its base's {base_covered}"
+            )));
         }
-        for (p, label) in &batch.inserts {
-            store.insert(p, *label);
+        let dirty = read_dirty_records(&mut cur)?;
+        if !cur.is_empty() {
+            return Err(SnapshotError::Corrupt(format!(
+                "{} trailing bytes after the delta payload",
+                cur.len()
+            )));
         }
+        Ok(Self {
+            seq,
+            covered,
+            base_seq,
+            base_covered,
+            dirty,
+        })
     }
 
-    let bubbles = IncrementalBubbles::read_spliced(bcur, &dirty, &store)?;
-    Ok((seq, covered, store, bubbles))
+    /// Rebuilds the full state from the delta's base blob and the WAL it
+    /// was logged into: the base's store is rolled forward by the logged
+    /// batches in `[base_covered, covered)` (deletes then inserts per
+    /// record, exactly the live path's order, so the free list is
+    /// bit-identical), and the delta's bubble records are spliced over the
+    /// base's bubble snapshot, which the ordinary snapshot reader
+    /// validates.
+    fn decode(&self, base: &[u8], wal: &WalContents) -> Result<Decoded, SnapshotError> {
+        let (bseq, bcov, mut store, bubbles) = open_full(base)?;
+        if bseq != self.base_seq || bcov != self.base_covered {
+            return Err(SnapshotError::Corrupt(format!(
+                "delta claims base {} covering {}, blob is {bseq} covering {bcov}",
+                self.base_seq, self.base_covered
+            )));
+        }
+        if wal.base > self.base_covered {
+            return Err(SnapshotError::Corrupt(format!(
+                "wal base {} is past the delta's store base {}",
+                wal.base, self.base_covered
+            )));
+        }
+        let have = wal.base + wal.records.len() as u64;
+        if have < self.covered {
+            return Err(SnapshotError::Corrupt(format!(
+                "wal holds batches up to {have}, delta needs {}",
+                self.covered
+            )));
+        }
+        let index = |abs: u64| usize::try_from(abs - wal.base).expect("record index fits usize");
+        for rec in &wal.records[index(self.base_covered)..index(self.covered)] {
+            store.apply(&rec.batch);
+        }
+        let bubbles = IncrementalBubbles::read_spliced(&bubbles, &self.dirty, &store)?;
+        Ok((self.seq, self.covered, store, bubbles))
+    }
 }
 
 /// The state [`recover`] rebuilds, plus provenance for observability.
@@ -508,14 +519,7 @@ fn recover_parsed<C: CheckpointStore>(
             }
         };
         let decoded = if blob.starts_with(DELTA_CHECKPOINT_MAGIC) {
-            match delta_base_seq(&blob) {
-                Err(e) => Err(e.to_string()),
-                Ok(bseq) => match checkpoints.load(bseq) {
-                    Err(e) => Err(format!("delta base {bseq}: load failed: {e}")),
-                    Ok(base) => decode_delta_checkpoint(&blob, &base, wal.base, &wal.records)
-                        .map_err(|e| e.to_string()),
-                },
-            }
+            decode_delta(&blob, checkpoints, wal)
         } else {
             decode_checkpoint(&blob).map_err(|e| e.to_string())
         };
@@ -554,8 +558,23 @@ fn recover_parsed<C: CheckpointStore>(
     Err(RecoveryError::NoUsableCheckpoint { tried, detail })
 }
 
+/// Decodes a delta candidate: its frame and header are read once, and
+/// its `base_seq` names the full blob it is spliced over.
+fn decode_delta<C: CheckpointStore>(
+    blob: &[u8],
+    checkpoints: &C,
+    wal: &WalContents,
+) -> Result<Decoded, String> {
+    let payload = read_frame(&mut &blob[..], DELTA_CHECKPOINT_MAGIC).map_err(|e| e.to_string())?;
+    let delta = Delta::parse(&payload).map_err(|e| e.to_string())?;
+    let base = checkpoints
+        .load(delta.base_seq)
+        .map_err(|e| format!("delta base {}: load failed: {e}", delta.base_seq))?;
+    delta.decode(&base, wal).map_err(|e| e.to_string())
+}
+
 fn replay(
-    wal: &idb_store::wal::WalContents,
+    wal: &WalContents,
     checkpoint_seq: u64,
     covered: u64,
     mut store: PointStore,
@@ -698,10 +717,12 @@ struct PendingCheckpoint {
 /// Every batch is validated first (so the WAL only ever holds batches
 /// that replay cleanly), appended to the WAL, group-committed, applied
 /// through the ordinary transactional path, and periodically folded into
-/// a checkpoint. Transient sink failures are retried with bounded
-/// exponential backoff; persistent failures degrade the maintainer to
-/// in-memory operation ([`Health::Degraded`]) instead of stopping the
-/// stream — records stay buffered and flush when the sink heals.
+/// a checkpoint, streamed one chunk per batch; the start-up checkpoint
+/// and forced ones take the same path in one chunk. Transient sink
+/// failures are retried with bounded exponential backoff; persistent
+/// failures degrade the maintainer to in-memory operation
+/// ([`Health::Degraded`]) instead of stopping the stream — records stay
+/// buffered and flush when the sink heals.
 #[derive(Debug)]
 pub struct DurableMaintainer<S: DurableSink, C: CheckpointStore> {
     store: PointStore,
@@ -873,7 +894,7 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
         };
         // The baseline or recovery anchor for this epoch, encoded while
         // the store is still resident.
-        this.checkpoint_now()?;
+        this.checkpoint_full()?;
         // Tiering starts *after* the (untiered) build/recovery produced the
         // summarization and its anchor: the store spills everything to the
         // cold medium and serves reads on demand. The cold file is an
@@ -1202,7 +1223,7 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
         }
         // 2) Advance the floor with a forced full checkpoint (which
         //    compacts on success) and re-check.
-        let _ = self.checkpoint_now();
+        let _ = self.checkpoint_full();
         let live = self.wal.sink().live_bytes().unwrap_or(0);
         if live <= budget {
             self.budget_pressure = false;
@@ -1263,116 +1284,134 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
 
     /// Starts a checkpoint when the interval is due and advances the
     /// in-flight one by one chunk — the streaming-checkpoint pump, called
-    /// once per applied batch.
+    /// once per applied batch. Failures surface as degraded health.
     fn drive_checkpoint(&mut self) {
         if self.pending_ckpt.is_none()
             && self.batches_applied - self.last_checkpoint_at >= self.dcfg.checkpoint_interval
         {
-            self.begin_checkpoint();
+            let _ = self.begin_checkpoint(false);
         }
-        if self.pending_ckpt.is_some() {
-            self.advance_pending();
-        }
+        let _ = self.advance_pending(self.dcfg.checkpoint_chunk_bytes);
         self.note_health();
     }
 
-    /// Encodes the next checkpoint — delta when a full base exists, the
-    /// bubbles' dirty window is open and the rebase cadence allows it,
-    /// full otherwise — and stages it for chunked writing.
-    fn begin_checkpoint(&mut self) {
+    /// Encodes the next checkpoint — every checkpoint is encoded here —
+    /// and stages it for the pump. It is full when `force_full` is set
+    /// (the baseline, a resume anchor, a disk-budget rebase) or no delta
+    /// can be taken; a delta when a full base exists, the bubbles' dirty
+    /// window is open and the rebase cadence allows it.
+    ///
+    /// # Errors
+    /// The encode's failure (a cold read while snapshotting the store);
+    /// nothing is staged and the checkpoint store is marked down.
+    fn begin_checkpoint(&mut self, force_full: bool) -> io::Result<()> {
         let seq = self.next_checkpoint_seq;
         let covered = self.batches_applied;
-        let rebase_due = self.checkpoints_since_full + 1 >= self.dcfg.full_rebase_interval.max(1);
+        let full_due =
+            force_full || self.checkpoints_since_full + 1 >= self.dcfg.full_rebase_interval.max(1);
         let timer = self.obs.start();
-        let (full, blob) = match (self.last_full, self.bubbles.dirty_slots()) {
-            (Some(base), Some(dirty)) if !rebase_due => (
+        let (is_full, blob) = match (self.last_full, self.bubbles.dirty_slots()) {
+            (Some(base), Some(dirty)) if !full_due => (
                 false,
                 encode_delta_checkpoint(seq, covered, base, &self.bubbles, dirty),
             ),
-            _ => {
-                let blob = encode_checkpoint(seq, covered, &self.store, &self.bubbles);
-                if blob.is_ok() {
-                    // The blob captures the state exactly as of `covered`;
-                    // the dirty window restarts against it. If the stream
-                    // later fails, `advance_pending` closes the window.
-                    self.bubbles.open_dirty_window();
-                }
-                (true, blob)
-            }
+            _ => (
+                true,
+                encode_checkpoint(seq, covered, &self.store, &self.bubbles),
+            ),
         };
-        self.note_encode(timer.us());
+        if self.obs.metrics_on() {
+            self.obs
+                .metrics()
+                .histogram("checkpoint.encode_us")
+                .record(timer.us());
+        }
         match blob {
             Ok(blob) => {
+                if is_full {
+                    // The blob captures the state exactly as of `covered`;
+                    // the dirty window restarts against it. If the stream
+                    // fails, `abandon_pending` closes the window.
+                    self.bubbles.open_dirty_window();
+                }
                 self.pending_ckpt = Some(PendingCheckpoint {
                     seq,
                     covered,
                     blob,
                     written: 0,
-                    is_full: full,
+                    is_full,
                 });
+                Ok(())
             }
-            Err(_) => {
-                if full {
+            Err(e) => {
+                if is_full {
                     self.bubbles.close_dirty_window();
                 }
                 self.checkpoint_down = true;
+                Err(e)
             }
         }
     }
 
-    /// Writes the next chunk of the pending checkpoint and publishes it
-    /// when done.
-    fn advance_pending(&mut self) {
+    /// Writes the next `limit` bytes of the in-flight checkpoint as one
+    /// chunk, opening its stream first and publishing it after the last
+    /// byte. The pump passes `checkpoint_chunk_bytes`; a drain passes
+    /// `usize::MAX` and writes the whole remainder at once.
+    ///
+    /// # Errors
+    /// The medium's failure; the stream is abandoned and the checkpoint
+    /// store marked down.
+    fn advance_pending(&mut self, limit: usize) -> io::Result<()> {
         let Some(mut p) = self.pending_ckpt.take() else {
-            return;
+            return Ok(());
         };
-        let total = p.blob.len() as u64;
+        let total = p.blob.len();
+        let end = p.written.saturating_add(limit.max(1)).min(total);
         let timer = self.obs.start();
-        let step: io::Result<bool> = (|| {
+        let step = (|| {
             if p.written == 0 {
                 self.checkpoints.begin_stream(p.seq)?;
             }
-            let end = (p.written + self.dcfg.checkpoint_chunk_bytes.max(1)).min(p.blob.len());
             self.checkpoints
                 .stream_chunk(p.seq, &p.blob[p.written..end])?;
-            p.written = end;
-            if p.written == p.blob.len() {
+            if end == total {
                 self.checkpoints.finish_stream(p.seq)?;
-                Ok(true)
-            } else {
-                Ok(false)
             }
+            Ok(())
         })();
-        match step {
-            Ok(done) => {
-                self.obs.emit(
-                    EventKind::CheckpointChunk {
-                        seq: p.seq,
-                        written: p.written as u64,
-                        total,
-                    },
-                    timer.us(),
-                );
-                if done {
-                    self.finish_checkpoint(&p, timer.us());
-                } else {
-                    self.pending_ckpt = Some(p);
-                }
-            }
-            Err(_) => {
-                self.checkpoints.abort_stream(p.seq);
-                if p.is_full {
-                    // The dirty window was opened against this blob; it
-                    // never became durable, so a delta can no longer lean
-                    // on it.
-                    self.bubbles.close_dirty_window();
-                }
-                // Burn the sequence number: a fresh attempt must not
-                // continue an abandoned chunk stream under the same seq.
-                self.next_checkpoint_seq = p.seq + 1;
-                self.checkpoint_down = true;
-            }
+        if let Err(e) = step {
+            self.abandon_pending(&p);
+            self.checkpoint_down = true;
+            return Err(e);
         }
+        p.written = end;
+        self.obs.emit(
+            EventKind::CheckpointChunk {
+                seq: p.seq,
+                written: end as u64,
+                total: total as u64,
+            },
+            timer.us(),
+        );
+        if end == total {
+            self.finish_checkpoint(&p, timer.us());
+        } else {
+            self.pending_ckpt = Some(p);
+        }
+        Ok(())
+    }
+
+    /// Gives up on a checkpoint stream that will not complete: its staged
+    /// object is removed, a full one's dirty window closes (the blob never
+    /// became durable, so a delta can no longer lean on it), and its
+    /// sequence number is burned, so a fresh attempt never continues an
+    /// abandoned chunk stream under the same seq.
+    fn abandon_pending(&mut self, p: &PendingCheckpoint) {
+        self.checkpoints.abort_stream(p.seq);
+        if p.is_full {
+            self.bubbles.close_dirty_window();
+        }
+        self.next_checkpoint_seq = p.seq + 1;
     }
 
     /// Bookkeeping for a checkpoint that became durable.
@@ -1405,16 +1444,31 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
         self.checkpoint_down = false;
     }
 
-    /// Drives any in-flight streaming checkpoint to completion (orderly
-    /// shutdown; the live path writes one chunk per batch instead).
+    /// Writes whatever is left of the in-flight streaming checkpoint as
+    /// one chunk and publishes it (orderly shutdown; the live path writes
+    /// one chunk per batch instead). A failure degrades the maintainer;
+    /// a fresh attempt starts at the next interval.
     pub fn flush_checkpoint(&mut self) {
-        while self.pending_ckpt.is_some() {
-            self.advance_pending();
-            if self.checkpoint_down {
-                break; // Typed failure; a fresh attempt starts next interval.
-            }
-        }
+        let _ = self.advance_pending(usize::MAX);
         self.note_health();
+    }
+
+    /// Takes a **full** checkpoint of the current state now — the
+    /// baseline, a resume anchor or a disk-budget rebase — through the
+    /// pump's own path: any in-flight checkpoint is abandoned, and the new
+    /// blob is begun, drained as one chunk and finished. Its medium ops
+    /// are `begin_stream`, one `stream_chunk`, `finish_stream`. A success
+    /// advances the compaction floor; a failure degrades the maintainer as
+    /// a failed interval checkpoint does.
+    ///
+    /// # Errors
+    /// The encode's or the medium's failure.
+    fn checkpoint_full(&mut self) -> io::Result<()> {
+        if let Some(p) = self.pending_ckpt.take() {
+            self.abandon_pending(&p);
+        }
+        self.begin_checkpoint(true)?;
+        self.advance_pending(usize::MAX)
     }
 
     /// Forces buffered WAL records to the sink (with the configured
@@ -1428,55 +1482,6 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
             self.enforce_hot_budget();
         }
         self.health()
-    }
-
-    /// Takes a **full** checkpoint of the current state right now,
-    /// bypassing the chunked stream (and abandoning any checkpoint that
-    /// was mid-stream). On success the compaction floor advances and
-    /// covered segments are reclaimed.
-    ///
-    /// # Errors
-    /// Whatever the checkpoint medium reports; the maintainer stays
-    /// usable and will retry at the next interval.
-    pub fn checkpoint_now(&mut self) -> Result<(), RecoveryError> {
-        if let Some(p) = self.pending_ckpt.take() {
-            self.checkpoints.abort_stream(p.seq);
-            if p.is_full {
-                self.bubbles.close_dirty_window();
-            }
-            // The abandoned stream's seq is burned (see `advance_pending`).
-            self.next_checkpoint_seq = p.seq + 1;
-        }
-        let timer = self.obs.start();
-        let (seq, covered) = (self.next_checkpoint_seq, self.batches_applied);
-        let blob = encode_checkpoint(seq, covered, &self.store, &self.bubbles)?;
-        self.note_encode(timer.us());
-        self.checkpoints.save(seq, &blob)?;
-        let us = timer.us();
-        self.bubbles.open_dirty_window();
-        let written = blob.len();
-        self.finish_checkpoint(
-            &PendingCheckpoint {
-                seq,
-                covered,
-                blob,
-                written,
-                is_full: true,
-            },
-            us,
-        );
-        Ok(())
-    }
-
-    /// Records one checkpoint encode's time in `checkpoint.encode_us`:
-    /// every checkpoint begun, interval (full or delta) or forced.
-    fn note_encode(&self, us: u64) {
-        if self.obs.metrics_on() {
-            self.obs
-                .metrics()
-                .histogram("checkpoint.encode_us")
-                .record(us);
-        }
     }
 
     /// Current durability health: [`Health::Degraded`] while the WAL sink
@@ -1590,27 +1595,13 @@ mod tests {
         Batch { deletes, inserts }
     }
 
-    fn fingerprint(store: &PointStore, ib: &IncrementalBubbles) -> String {
-        let mut s = String::new();
-        let mut p = Vec::new();
-        for id in store.ids() {
-            p.clear();
-            store.read_point_into(id, &mut p).expect("point fetch");
-            let l = store.label(id);
-            s.push_str(&format!("{};{p:?};{l:?}|", id.0));
-        }
-        s.push_str(&format!("free={:?}|", store.free_slots()));
-        for b in ib.bubbles() {
-            s.push_str(&format!(
-                "{:?};{};{:?};{};{:?}|",
-                b.seed(),
-                b.stats().n(),
-                b.stats().linear_sum(),
-                b.stats().square_sum(),
-                b.members()
-            ));
-        }
-        s
+    /// Serialized store + summarization: equal bytes are bit-identical
+    /// state.
+    fn fingerprint(store: &PointStore, ib: &IncrementalBubbles) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        store.write_snapshot(&mut bytes).expect("vec write");
+        ib.write_snapshot(&mut bytes).expect("vec write");
+        bytes
     }
 
     #[test]
@@ -1686,7 +1677,7 @@ mod tests {
             dm.apply(&batch, &mut rng, &mut search).unwrap();
         }
         dm.flush_checkpoint();
-        dm.checkpoint_now().unwrap();
+        dm.checkpoint_full().unwrap();
         // Healthy media: every checkpoint begun (the baseline, the
         // interval ones, full and delta, and the forced one) was taken.
         let m = obs.metrics();

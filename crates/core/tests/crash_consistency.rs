@@ -23,6 +23,7 @@ use idb_core::{
 use idb_geometry::SearchStats;
 use idb_obs::{check_journal, Event, EventKind, Obs, RingRecorder};
 use idb_store::segment::{SegmentId, SegmentedSink};
+use idb_store::snapshot::read_frame;
 use idb_store::wal::{read_wal, scratch_dir, FileSink, ObjectSink};
 use idb_store::{Batch, FsMedium, Medium, MemMedium, PointStore, StorageBudget};
 use idb_synth::{flip_bit, FaultMedium, ScenarioEngine, ScenarioKind, ScenarioSpec};
@@ -521,6 +522,58 @@ fn damaged_checkpoints_and_garbage_wals_are_typed_errors() {
         match recover(&wal_bytes, &ckpts, &Obs::disabled()) {
             Err(RecoveryError::NoUsableCheckpoint { tried, .. }) => assert_eq!(tried, seqs.len()),
             other => panic!("expected NoUsableCheckpoint, got {other:?}"),
+        }
+
+        // Corrupt the full base of the newest delta: every delta on that
+        // base is skipped with it, and recovery stands on the newest
+        // checkpoint that does not lean on it — or fails typed when none
+        // is left. Rebasing every other checkpoint leaves an older full
+        // base underneath; in this six-checkpoint stream, rebasing every
+        // eighth leaves every delta on the baseline, and nothing standing.
+        for rebase in [2, 8] {
+            sc.dcfg.full_rebase_interval = rebase;
+            let (_, _, fps, wal_bytes, ckpts) = reference_run(&sc);
+            let ckpts = ckpts.snapshot();
+            let mut seqs = ckpts.seqs().unwrap();
+            seqs.sort_unstable();
+            let delta_base = |seq: u64| {
+                let blob = ckpts.load(seq).unwrap();
+                let payload = read_frame(&mut &blob[..], DELTA_CHECKPOINT_MAGIC).ok()?;
+                // `seq | covered | base_seq | ..`
+                Some(u64::from_le_bytes(payload[16..24].try_into().unwrap()))
+            };
+            let base = seqs
+                .iter()
+                .rev()
+                .find_map(|&seq| delta_base(seq))
+                .expect("the cadence takes deltas");
+            let survivor = seqs
+                .iter()
+                .rev()
+                .copied()
+                .find(|&seq| seq != base && delta_base(seq) != Some(base));
+            let mut blob = ckpts.load(base).unwrap();
+            let mid = blob.len() / 2;
+            flip_bit(&mut blob, mid, 1);
+            ckpts.save(base, &blob).unwrap();
+            match (recover(&wal_bytes, &ckpts, &Obs::disabled()), survivor) {
+                (Ok(rec), Some(seq)) => {
+                    assert_eq!(rec.checkpoint_seq, seq, "rebase {rebase}");
+                    assert_eq!(rec.batches_durable, sc.steps.len() as u64);
+                    assert_eq!(fingerprint(&rec.store, &rec.bubbles), *fps.last().unwrap());
+                }
+                (Err(RecoveryError::NoUsableCheckpoint { tried, .. }), None) => {
+                    assert_eq!(tried, seqs.len(), "rebase {rebase}");
+                }
+                (other, _) => {
+                    panic!("rebase {rebase}: base {base}, survivor {survivor:?}: {other:?}")
+                }
+            }
+            assert_eq!(
+                survivor.is_some(),
+                rebase == 2,
+                "both outcomes are exercised"
+            );
         }
 
         // Garbage byte streams as a WAL — including hostile length prefixes —

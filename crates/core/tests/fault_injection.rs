@@ -22,8 +22,8 @@
 //!    quarantine/heal cycle on.
 
 use idb_core::{
-    AuditIssue, DurabilityConfig, DurableMaintainer, Health, IncrementalBubbles, MaintainerConfig,
-    UpdateError,
+    recover_chain, AuditIssue, CheckpointStore, DurabilityConfig, DurableMaintainer, Health,
+    IncrementalBubbles, MaintainerConfig, UpdateError, DELTA_CHECKPOINT_MAGIC,
 };
 use idb_geometry::SearchStats;
 use idb_obs::{check_journal, Obs, RingRecorder};
@@ -1002,12 +1002,123 @@ fn disk_budget_compacts_first_and_sheds_only_when_impossible() {
     }
 }
 
+/// Front 5d: a disk-budget forced checkpoint whose checkpoint medium
+/// fails. The batch sheds typed as before, and the failed checkpoint
+/// costs what a failed interval one does: the checkpoint store stays
+/// down (health degraded even once compaction brings the chain back under
+/// the budget), its sequence number is burned, and the next published
+/// checkpoint is full. Recovery from the media equals the never-faulted
+/// twin.
+#[test]
+fn a_failed_forced_checkpoint_sheds_degrades_and_rebases_full() {
+    const BUDGET: u64 = 2000;
+    let (store, ib, _, mut search) = fixture(9005);
+    let dcfg = |disk_budget| DurabilityConfig {
+        checkpoint_interval: 6,
+        full_rebase_interval: 2,
+        disk_budget,
+        ..DurabilityConfig::default()
+    };
+    let wal = MemMedium::new();
+    let ckpts = FaultMedium::new();
+    let mut dm = DurableMaintainer::adopt(
+        store.clone(),
+        ib.clone(),
+        dcfg(StorageBudget::bytes(BUDGET)),
+        SegmentedSink::fresh(wal.clone(), 256).expect("fresh chain"),
+        ckpts.clone(),
+    )
+    .expect("healthy media");
+    let mut twin = DurableMaintainer::adopt(
+        store,
+        ib,
+        dcfg(StorageBudget::unbounded()),
+        SegmentedSink::fresh(MemMedium::new(), 256).expect("fresh chain"),
+        MemMedium::new(),
+    )
+    .expect("healthy media");
+    let mut brng = StdRng::seed_from_u64(0xB0D6);
+    let mut step =
+        |dm: &mut DurableMaintainer<_, _>, twin: &mut DurableMaintainer<_, _>, batch: &Batch| {
+            let seed = dm.batches_applied();
+            dm.apply_with(batch, seed, true, &mut search)?;
+            twin.apply_with(batch, seed, true, &mut search)
+                .expect("the twin applies every batch");
+            Ok::<_, UpdateError>(())
+        };
+
+    // Checkpoint 2, the full one at batch 12, publishes but its compaction
+    // cannot sync it, so the segments it covers stay behind until the
+    // budget is breached.
+    while dm.live_wal_bytes().expect("segmented") <= BUDGET {
+        if dm.batches_applied() == 11 {
+            ckpts.set_fail_syncs(1);
+        }
+        let batch = churn_batch(dm.store(), &mut brng);
+        step(&mut dm, &mut twin, &batch).expect("under the budget");
+    }
+    let breached_at = dm.batches_applied();
+    assert!(
+        (13..17).contains(&breached_at),
+        "the breach must fall between checkpoint 2 and the next interval ({breached_at})"
+    );
+
+    // The breach: compaction cannot sync, and the forced full checkpoint
+    // cannot write, so the batch sheds with exact rollback.
+    ckpts.set_fail_syncs(1);
+    ckpts.set_write_outage(true);
+    let before = fingerprint(dm.store(), dm.bubbles());
+    let doomed = churn_batch(dm.store(), &mut brng);
+    match step(&mut dm, &mut twin, &doomed) {
+        Err(UpdateError::Storage(StorageError::BudgetExceeded { live_bytes, budget })) => {
+            assert_eq!(budget, BUDGET);
+            assert!(live_bytes > BUDGET);
+        }
+        other => panic!("expected BudgetExceeded, got {other:?}"),
+    }
+    assert_eq!(before, fingerprint(dm.store(), dm.bubbles()));
+    assert_eq!(dm.shed_batches(), 1);
+    assert!(matches!(dm.health(), Health::Degraded { .. }));
+
+    // Healed: compaction now reclaims behind checkpoint 2 and the batch
+    // applies, but no checkpoint has published since the failed one.
+    ckpts.heal();
+    step(&mut dm, &mut twin, &doomed).expect("the healed media take the batch");
+    assert!(dm.live_wal_bytes().expect("segmented") <= BUDGET);
+    assert!(
+        matches!(dm.health(), Health::Degraded { .. }),
+        "the checkpoint store stays down until a checkpoint publishes"
+    );
+
+    // The next interval checkpoint skips the burned sequence number and
+    // is full: the failed blob's dirty window closed with it.
+    while ckpts.inner().seqs().expect("lists").into_iter().max() == Some(2) {
+        let batch = churn_batch(dm.store(), &mut brng);
+        step(&mut dm, &mut twin, &batch).expect("under the budget");
+    }
+    let newest = ckpts.inner().seqs().expect("lists").into_iter().max();
+    assert_eq!(newest, Some(4), "the failed checkpoint burned sequence 3");
+    let blob = ckpts.inner().load(4).expect("published");
+    assert!(
+        !blob.starts_with(DELTA_CHECKPOINT_MAGIC),
+        "checkpoint 4 must be full"
+    );
+    assert_eq!(dm.health(), Health::Healthy);
+
+    let rec = recover_chain(&wal, ckpts.inner(), &Obs::disabled()).expect("the media recover");
+    assert_eq!(rec.batches_durable, twin.batches_applied());
+    assert_eq!(
+        fingerprint(&rec.store, &rec.bubbles),
+        fingerprint(twin.store(), twin.bubbles())
+    );
+}
+
 /// The cold tier's degrade → heal ladder (DESIGN.md §17). A read outage
-/// on the cold medium is caught by the pre-WAL prefetch probe: the batch
-/// is shed with a typed [`StorageError::ColdIo`], no WAL record lands,
-/// the state fingerprint is untouched, health degrades but the tier is
-/// *not* poisoned — and after the volume heals, the identical batch
-/// applies. A write outage strikes only the post-commit eviction sweep:
+/// on the cold medium is caught while the batch is staged, before the
+/// WAL append: the batch is shed with a typed [`StorageError::ColdIo`],
+/// no WAL record lands, the state fingerprint is untouched, health
+/// degrades but the tier is *not* poisoned — and after the volume heals,
+/// the identical batch applies. A write outage strikes only the post-commit eviction sweep:
 /// the batch itself succeeds, the maintainer degrades without shedding,
 /// and heal + `sync()` re-runs the sweep and restores the resident-set
 /// bound.

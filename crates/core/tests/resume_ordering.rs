@@ -13,6 +13,10 @@
 //!   checkpoint covers, so that checkpoint (its bytes and its name) must
 //!   be synced first. No checkpoint is synced on the per-batch path of an
 //!   unsegmented WAL, where nothing is ever removed.
+//!
+//! The whole op traces of `create`'s baseline and of a resume anchor are
+//! pinned too: each checkpoint is staged, written in one append and
+//! published by rename, exactly as a one-shot save.
 
 use idb_core::{
     recover, recover_chain, DurabilityConfig, DurableMaintainer, IncrementalBubbles,
@@ -217,6 +221,21 @@ fn resume_syncs_its_anchor_before_truncating_the_old_epoch() {
     )
     .expect("healthy medium");
     let trace = disk.trace();
+    // The anchor is written exactly as a one-shot save: stage, one append,
+    // publish, then synced before the old epoch is truncated.
+    assert_eq!(
+        trace,
+        [
+            "list *",
+            "truncate .checkpoint-2.tmp",
+            "append .checkpoint-2.tmp",
+            "rename .checkpoint-2.tmp -> checkpoint-2.idbc",
+            "sync checkpoint-2.idbc",
+            "truncate wal",
+            "append wal",
+            "sync wal",
+        ]
+    );
     let at = |op: &str| {
         trace
             .iter()
@@ -229,6 +248,36 @@ fn resume_syncs_its_anchor_before_truncating_the_old_epoch() {
     assert!(
         published < synced && synced < truncated,
         "publish, sync, then truncate: {trace:?}"
+    );
+}
+
+/// `create` commits the WAL header, then writes its baseline checkpoint
+/// as a one-shot save: stage, one append, publish.
+#[test]
+fn create_writes_its_baseline_after_the_wal_header_in_one_chunk() {
+    let (store, _, mut rng, mut search) = fixture(0x0A7C);
+    let disk = FaultMedium::new();
+    disk.start_trace();
+    DurableMaintainer::create(
+        store,
+        MaintainerConfig::new(10),
+        dcfg(),
+        ObjectSink::new(disk.clone(), "wal"),
+        disk.clone(),
+        &mut rng,
+        &mut search,
+    )
+    .expect("healthy medium");
+    assert_eq!(
+        disk.trace(),
+        [
+            "append wal",
+            "sync wal",
+            "list *",
+            "truncate .checkpoint-0.tmp",
+            "append .checkpoint-0.tmp",
+            "rename .checkpoint-0.tmp -> checkpoint-0.idbc",
+        ]
     );
 }
 
