@@ -58,34 +58,33 @@ cargo run $CARGOFLAGS --release -q -p idb-bench --bin journal_check -- "$IDB_WAL
 # the shard report (DESIGN.md §13),
 # the delta report's per-epoch bit-identity with the full pipeline and
 # delta-stream replay (§14), the kernel report's 1.5x speedup at
-# d >= 64, which also builds the seed neighbor table both by `from_seeds`
-# and by pushes (they must agree), checks every row against a fresh
-# `from_seeds` after 768 churn ops whose re-seeds the rows settle lazily,
-# and reads its repair ledger off a live maintainer (§15), the durability
-# report's bounded WAL footprint over 2,500 batches (§16), its tiered ≡
-# resident snapshot bytes (§17) and its codec checks (sliced CRC ≡ the
-# byte loop, a full checkpoint encoded over a file spill ≡ the resident
-# blob, decode → re-encode ≡ the blob; §16–§17), the parallel report's
+# d >= 64, which also times the seed neighbor table's `from_seeds` build,
+# checks every row against a fresh `from_seeds` after 768 re-seeds the rows
+# settle lazily, and reads its repair ledger off a live maintainer (§15),
+# the durability report's bounded WAL footprint over 2,500 batches (§16),
+# its tiered ≡ resident snapshot bytes (§17) and its codec checks (sliced
+# CRC ≡ the byte loop, a full checkpoint encoded over a file spill ≡ the
+# resident blob, decode → re-encode ≡ the blob; §16–§17), the parallel report's
 # partition replay ≡ threaded counters (§9), and the summary report's
 # point-level and bubble OPTICS plots covering every point.
 for report in assign shard delta kernel durability parallel summary; do
     cargo run $CARGOFLAGS --release -q -p idb-bench --bin "${report}_report" -- \
         "$IDB_WAL_DIR/BENCH_${report}_smoke.json"
 done
-# The paper's figures, pinned: the deterministic experiment runs (Table 1
-# and Figs. 7-11 at the quick configuration, Figs. 9-11 at the paper's
-# scale) must write exactly the committed CSVs in results/. scaling.csv
-# holds wall-clock times and is not compared.
+# The paper's figures, pinned: the deterministic experiment runs (Table 1,
+# Figs. 7-11 and the ablation at the quick configuration, Figs. 9-11 at the
+# paper's scale) must write exactly the committed CSVs in results/.
+# scaling.csv holds wall-clock times and is not compared.
 figures="$IDB_WAL_DIR/figures"
 mkdir -p "$figures/paper"
-for figure in table1 sweeps fig7 fig8; do
+for figure in table1 sweeps fig7 fig8 ablation; do
     cargo run $CARGOFLAGS --release -q -p idb-experiments --bin experiments -- \
         "$figure" --out "$figures" > /dev/null
 done
 cargo run $CARGOFLAGS --release -q -p idb-experiments --bin experiments -- \
     sweeps --paper --out "$figures/paper" > /dev/null
 for csv in table1 fig7 fig8_points_start fig8_points_mid fig8_points_end fig8_populations \
-    fig9 fig10 fig11 paper/fig9 paper/fig10 paper/fig11; do
+    fig9 fig10 fig11 ablation paper/fig9 paper/fig10 paper/fig11; do
     cmp "$figures/$csv.csv" "results/$csv.csv"
 done
 # The column kernel of the bubble OPTICS walk is vectorised only with

@@ -84,8 +84,6 @@ fn main() -> ExitCode {
                     total.batches += summary.batches;
                     total.merges += summary.merges;
                     total.splits += summary.splits;
-                    total.retires += summary.retires;
-                    total.grows += summary.grows;
                     total.wal_commits += summary.wal_commits;
                     total.checkpoints += summary.checkpoints;
                     total.delta_epochs += summary.delta_epochs;
@@ -101,8 +99,7 @@ fn main() -> ExitCode {
     println!(
         "journal_check: {} journals, {} events ({} structural): \
          {} inserts, {} deletes, {} batches, {} merges, {} splits, \
-         {} retires, {} grows, {} wal commits, {} checkpoints, \
-         {} delta epochs",
+         {} wal commits, {} checkpoints, {} delta epochs",
         paths.len(),
         total.events,
         total.structural,
@@ -111,8 +108,6 @@ fn main() -> ExitCode {
         total.batches,
         total.merges,
         total.splits,
-        total.retires,
-        total.grows,
         total.wal_commits,
         total.checkpoints,
         total.delta_epochs,

@@ -62,12 +62,9 @@ struct PartitionRow {
 /// threaded run of the same workload, so the rows are exact, not a model.
 fn partition_replay(store: &PointStore, dim: usize, threads: usize) -> PartitionRow {
     const SEEDS: usize = 200;
-    let mut seeds = NearestSeeds::new(dim);
+    let mut seeds = NearestSeeds::from_seeds(dim, store.iter().take(SEEDS).map(|(_, p, _)| p));
     let mut flat = Vec::with_capacity(store.len() * dim);
-    for (i, (_, p, _)) in store.iter().enumerate() {
-        if i < SEEDS {
-            seeds.push(p);
-        }
+    for (_, p, _) in store.iter() {
         flat.extend_from_slice(p);
     }
     let k = flat.len() / dim;

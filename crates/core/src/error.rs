@@ -1,29 +1,27 @@
 //! Typed errors and reports for fault-tolerant maintenance.
 //!
-//! The original update path (`apply_batch`, `maintain_adaptive`) follows
+//! The original update path (`apply_batch`) follows
 //! the paper's assumption of a well-behaved update stream and panics on
 //! malformed input. Long-running deployments cannot afford that: a single
 //! bad record in a feed must not take the summarization down, and a bug
 //! (or a corrupted snapshot) that damages the internal tables must be
 //! detectable and repairable without a full O(N·s) rebuild.
 //!
-//! This module defines the error surface for the fallible twins
-//! ([`IncrementalBubbles::try_apply_batch`],
-//! [`IncrementalBubbles::try_maintain_adaptive`]) and for the invariant
+//! This module defines the error surface for the fallible twin
+//! [`IncrementalBubbles::try_apply_batch`] and for the invariant
 //! auditor ([`IncrementalBubbles::audit`] /
 //! [`IncrementalBubbles::repair`]). Everything is hand-rolled on
 //! `std::error::Error` — the workspace deliberately carries no error-
 //! handling dependency.
 //!
 //! [`IncrementalBubbles::try_apply_batch`]: crate::IncrementalBubbles::try_apply_batch
-//! [`IncrementalBubbles::try_maintain_adaptive`]: crate::IncrementalBubbles::try_maintain_adaptive
 //! [`IncrementalBubbles::audit`]: crate::IncrementalBubbles::audit
 //! [`IncrementalBubbles::repair`]: crate::IncrementalBubbles::repair
 
 use idb_store::PointId;
 use std::fmt;
 
-/// Why a batch (or a policy) was rejected before anything was applied.
+/// Why a batch was rejected before anything was applied.
 ///
 /// Returned by the validating entry points; when one of these comes back,
 /// the maintainer and the store are guaranteed untouched.
@@ -58,14 +56,6 @@ pub enum UpdateError {
         /// The id named more than once.
         id: PointId,
     },
-    /// An [`AdaptivePolicy`](crate::AdaptivePolicy) violates
-    /// `0 < min_avg_points < max_avg_points` (or holds a non-finite bound).
-    InvalidPolicy {
-        /// The policy's `min_avg_points`.
-        min_avg_points: f64,
-        /// The policy's `max_avg_points`.
-        max_avg_points: f64,
-    },
     /// The batch was shed by the durability layer before application: the
     /// disk budget or the degraded-mode buffer cap was reached. The
     /// summarization and the store are untouched; the caller may retry
@@ -94,14 +84,6 @@ impl fmt::Display for UpdateError {
             Self::ConflictingOps { id } => {
                 write!(f, "conflicting operations: {id:?} deleted more than once")
             }
-            Self::InvalidPolicy {
-                min_avg_points,
-                max_avg_points,
-            } => write!(
-                f,
-                "adaptive policy requires 0 < min_avg_points < max_avg_points \
-                 (got min = {min_avg_points}, max = {max_avg_points})"
-            ),
             Self::Storage(e) => write!(f, "batch shed: {e}"),
         }
     }
@@ -432,11 +414,6 @@ mod tests {
             value: f64::NAN,
         };
         assert!(e.to_string().contains("insert 3"), "{e}");
-        let e = UpdateError::InvalidPolicy {
-            min_avg_points: 10.0,
-            max_avg_points: 5.0,
-        };
-        assert!(e.to_string().contains("adaptive policy"), "{e}");
     }
 
     #[test]

@@ -64,64 +64,6 @@ pub struct MaintenanceReport {
     pub reassigned_points: u64,
 }
 
-/// Policy of the adaptive-count extension: keep the average number of
-/// points per bubble inside `[min_avg_points, max_avg_points]` by growing
-/// or shrinking the population (the paper's Section 6 names this as future
-/// work; the fixed-count scheme of Section 4 never changes the population
-/// size).
-#[derive(Debug, Clone, Copy)]
-pub struct AdaptivePolicy {
-    /// Shrink while the average points-per-bubble is below this.
-    pub min_avg_points: f64,
-    /// Grow while the average points-per-bubble is above this.
-    pub max_avg_points: f64,
-    /// Maximum growth steps and maximum shrink steps per round.
-    pub max_adjustments: usize,
-}
-
-impl AdaptivePolicy {
-    /// A band around a target average: `[target/2, target*2]`, adjusting at
-    /// most 16 bubbles per round.
-    #[must_use]
-    pub fn around(target_avg_points: f64) -> Self {
-        Self {
-            min_avg_points: target_avg_points / 2.0,
-            max_avg_points: target_avg_points * 2.0,
-            max_adjustments: 16,
-        }
-    }
-
-    /// Validates the policy without panicking.
-    ///
-    /// # Errors
-    /// [`UpdateError::InvalidPolicy`] unless
-    /// `0 < min_avg_points < max_avg_points` and both bounds are finite.
-    pub fn check(&self) -> Result<(), UpdateError> {
-        if self.min_avg_points > 0.0
-            && self.max_avg_points > self.min_avg_points
-            && self.max_avg_points.is_finite()
-        {
-            Ok(())
-        } else {
-            Err(UpdateError::InvalidPolicy {
-                min_avg_points: self.min_avg_points,
-                max_avg_points: self.max_avg_points,
-            })
-        }
-    }
-}
-
-/// What one adaptive maintenance round did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptiveReport {
-    /// The regular merge/split round that ran first.
-    pub base: MaintenanceReport,
-    /// Bubbles added by splitting heavy ones.
-    pub grown: usize,
-    /// Bubbles retired by releasing light ones.
-    pub retired: usize,
-}
-
 /// Reusable per-batch working memory for the dynamic paths (DESIGN.md §15).
 ///
 /// Every buffer is logically empty between operations — only the backing
@@ -168,8 +110,8 @@ pub struct IncrementalBubbles {
     obs: Obs,
     /// One flag per bubble slot: whether the slot's snapshot record
     /// changed since the window opened (at the newest full checkpoint) —
-    /// what a delta checkpoint persists. `None` while untracked; growing,
-    /// retiring and repairing close the window.
+    /// what a delta checkpoint persists. `None` while untracked; a repair
+    /// closes the window.
     dirty: Option<Vec<bool>>,
     /// Reusable working memory for the dynamic paths. Never semantic.
     scratch: Scratch,
@@ -327,7 +269,7 @@ impl IncrementalBubbles {
     /// Folds the seed-set structural accounting accumulated since the given
     /// snapshots into the `repair.<engine>.*` metric family, when metrics
     /// are on. Call sites snapshot immediately before the leaf mutations
-    /// (seed pushes, replacements, removals) and the searches, which settle
+    /// (seed replacements) and the searches, which settle
     /// the rows they read, so nested phases never double count.
     fn observe_repair(&self, before: RepairStats) {
         if !self.obs.metrics_on() {
@@ -356,8 +298,9 @@ impl IncrementalBubbles {
         self.seeds.repair_stats()
     }
 
-    /// Number of bubbles (constant over the lifetime of the maintainer —
-    /// the scheme maintains a fixed compression rate).
+    /// Number of bubbles, fixed for the lifetime of the maintainer: every
+    /// split is paid for by merging a donor away, so the scheme keeps a
+    /// fixed compression rate.
     #[must_use]
     pub fn num_bubbles(&self) -> usize {
         self.bubbles.len()
@@ -696,7 +639,6 @@ impl IncrementalBubbles {
         donor: usize,
         store: &PointStore,
         search: &mut SearchStats,
-        cause: Cause,
     ) -> Result<u64, StorageError> {
         let timer = self.obs.start();
         // Stage the drain through the scratch arena: the coordinate batch,
@@ -760,7 +702,7 @@ impl IncrementalBubbles {
             EventKind::MergeAway {
                 donor: donor as u32,
                 moved: released,
-                cause,
+                cause: Cause::Maintain,
             },
             timer.us(),
         );
@@ -782,7 +724,6 @@ impl IncrementalBubbles {
         store: &PointStore,
         rng: &mut R,
         search: &mut SearchStats,
-        cause: Cause,
     ) -> Result<u64, StorageError> {
         let timer = self.obs.start();
         let dim = self.dim;
@@ -894,7 +835,7 @@ impl IncrementalBubbles {
                 over: over as u32,
                 donor: donor as u32,
                 moved: reassigned,
-                cause,
+                cause: Cause::Maintain,
             },
             timer.us(),
         );
@@ -930,18 +871,6 @@ impl IncrementalBubbles {
         store: &PointStore,
         rng: &mut R,
         search: &mut SearchStats,
-    ) -> Result<MaintenanceReport, StorageError> {
-        self.maintain_with_cause(store, rng, search, Cause::Maintain)
-    }
-
-    /// [`Self::try_maintain`] journaled under an explicit cause (the
-    /// adaptive round tags its base pass [`Cause::Adaptive`]).
-    fn maintain_with_cause<R: Rng + ?Sized>(
-        &mut self,
-        store: &PointStore,
-        rng: &mut R,
-        search: &mut SearchStats,
-        cause: Cause,
     ) -> Result<MaintenanceReport, StorageError> {
         let timer = self.obs.start();
         let before = *search;
@@ -991,8 +920,8 @@ impl IncrementalBubbles {
             };
             used[d] = true;
 
-            report.released_points += self.merge_away(d, store, search, cause)?;
-            report.reassigned_points += self.split(o, d, store, rng, search, cause)?;
+            report.released_points += self.merge_away(d, store, search)?;
+            report.reassigned_points += self.split(o, d, store, rng, search)?;
             report.splits += 1;
             report.rebuilt_bubbles += 2;
             if from_good {
@@ -1008,220 +937,11 @@ impl IncrementalBubbles {
             EventKind::MaintainRound {
                 merges: report.splits as u32,
                 splits: report.splits as u32,
-                cause,
+                cause: Cause::Maintain,
             },
             timer.us(),
         );
         Ok(report)
-    }
-
-    /// Splits the given bubble into two by *adding a brand-new bubble*
-    /// (instead of recruiting a donor), increasing the population size by
-    /// one. Returns the new bubble's index.
-    ///
-    /// Part of the adaptive-count extension (the paper's Section 6 future
-    /// work: dynamically increasing the number of incremental data
-    /// bubbles).
-    ///
-    /// # Panics
-    /// Panics if the bubble has fewer than two members.
-    pub fn grow_bubble<R: Rng + ?Sized>(
-        &mut self,
-        over: usize,
-        store: &PointStore,
-        rng: &mut R,
-        search: &mut SearchStats,
-    ) -> usize {
-        self.try_grow_bubble(over, store, rng, search)
-            .expect("cold tier failed during grow")
-    }
-
-    /// Fallible [`Self::grow_bubble`].
-    ///
-    /// # Errors
-    /// [`StorageError::ColdIo`] when a member payload could not be
-    /// fetched for the split. The freshly added bubble then exists but
-    /// holds no members — a valid (under-filled) population that a later
-    /// healed round repairs.
-    ///
-    /// # Panics
-    /// Panics if the bubble has fewer than two members.
-    pub fn try_grow_bubble<R: Rng + ?Sized>(
-        &mut self,
-        over: usize,
-        store: &PointStore,
-        rng: &mut R,
-        search: &mut SearchStats,
-    ) -> Result<usize, StorageError> {
-        assert!(
-            self.bubbles[over].members().len() >= 2,
-            "growing requires at least two members to split"
-        );
-        // A new slot is beyond what the dirty window tracks.
-        self.close_dirty_window();
-        // Materialize the new bubble at a placeholder position; `split`
-        // re-seeds both participants from the over-filled members.
-        let placeholder = self.bubbles[over].seed().to_vec();
-        let repair_before = self.seeds.repair_stats();
-        let new_idx = self.seeds.push(&placeholder);
-        self.observe_repair(repair_before);
-        self.bubbles.push(Bubble::new(placeholder));
-        debug_assert_eq!(new_idx, self.bubbles.len() - 1);
-        // Journal the growth *before* the split so the journal checker can
-        // pair the split with the event that created its donor slot.
-        self.obs.emit(
-            EventKind::Grow {
-                from: over as u32,
-                bubble: new_idx as u32,
-            },
-            0,
-        );
-        self.split(over, new_idx, store, rng, search, Cause::Adaptive)?;
-        Ok(new_idx)
-    }
-
-    /// Retires bubble `i`: releases its members to their next-closest
-    /// bubbles and removes it, decreasing the population size by one (the
-    /// shrink direction of the adaptive-count extension). The last bubble
-    /// takes index `i` (swap-remove semantics).
-    ///
-    /// # Panics
-    /// Panics if fewer than three bubbles exist (the population never
-    /// shrinks below two) or `i` is out of bounds.
-    pub fn retire_bubble(&mut self, i: usize, store: &PointStore, search: &mut SearchStats) {
-        self.try_retire_bubble(i, store, search)
-            .expect("cold tier failed during retire");
-    }
-
-    /// Fallible [`Self::retire_bubble`].
-    ///
-    /// # Errors
-    /// [`StorageError::ColdIo`] when a member payload could not be
-    /// fetched; the release stages its reads first, so on `Err` nothing
-    /// was retired.
-    ///
-    /// # Panics
-    /// Panics if fewer than three bubbles exist or `i` is out of bounds.
-    pub fn try_retire_bubble(
-        &mut self,
-        i: usize,
-        store: &PointStore,
-        search: &mut SearchStats,
-    ) -> Result<(), StorageError> {
-        assert!(
-            self.bubbles.len() > 2,
-            "the bubble population never shrinks below two"
-        );
-        assert!(i < self.bubbles.len(), "bubble index out of bounds");
-        self.merge_away(i, store, search, Cause::Retire)?;
-        self.bubbles.swap_remove(i);
-        let repair_before = self.seeds.repair_stats();
-        self.seeds.swap_remove(i);
-        self.observe_repair(repair_before);
-        // The swap-remove renumbers a slot; the dirty window cannot follow.
-        self.close_dirty_window();
-        // The swap-remove invalidates two indices: `i` itself (retired)
-        // and the former last index (now living at `i`). The warm-start
-        // hint must follow the same remapping, or a later insert would
-        // seed its search from an unrelated — or out-of-range — bubble.
-        let moved_from = self.bubbles.len();
-        if self.last_insert == i as u32 {
-            self.last_insert = NONE;
-        } else if self.last_insert == moved_from as u32 {
-            self.last_insert = i as u32;
-        }
-        if i < self.bubbles.len() {
-            // The moved bubble's members must point at its new index.
-            for &id in self.bubbles[i].members() {
-                self.assign[id.index()] = i as u32;
-            }
-        }
-        self.obs.emit(
-            EventKind::RetireBubble {
-                bubble: i as u32,
-                swapped: (i < self.bubbles.len()).then_some(moved_from as u32),
-            },
-            0,
-        );
-        Ok(())
-    }
-
-    /// Maintenance with a dynamic bubble budget: runs the regular
-    /// merge/split round, then grows the population while the average
-    /// points-per-bubble exceeds `policy.max_avg_points` (splitting the
-    /// heaviest bubbles into new ones) and shrinks it while the average
-    /// falls below `policy.min_avg_points` (retiring the lightest
-    /// bubbles). At most `policy.max_adjustments` structural changes per
-    /// round keep the work bounded.
-    ///
-    /// Thin panicking wrapper around [`Self::try_maintain_adaptive`].
-    ///
-    /// # Panics
-    /// Panics if `policy` is invalid (see [`AdaptivePolicy::check`]).
-    pub fn maintain_adaptive<R: Rng + ?Sized>(
-        &mut self,
-        store: &PointStore,
-        rng: &mut R,
-        search: &mut SearchStats,
-        policy: &AdaptivePolicy,
-    ) -> AdaptiveReport {
-        match self.try_maintain_adaptive(store, rng, search, policy) {
-            Ok(report) => report,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`Self::maintain_adaptive`] with the policy validated up front
-    /// instead of panicking. On `Err`, nothing was touched — not even the
-    /// regular merge/split round.
-    ///
-    /// # Errors
-    /// [`UpdateError::InvalidPolicy`] when the policy's band is empty,
-    /// inverted, or non-finite.
-    pub fn try_maintain_adaptive<R: Rng + ?Sized>(
-        &mut self,
-        store: &PointStore,
-        rng: &mut R,
-        search: &mut SearchStats,
-        policy: &AdaptivePolicy,
-    ) -> Result<AdaptiveReport, UpdateError> {
-        policy.check()?;
-        let base = self.maintain_with_cause(store, rng, search, Cause::Adaptive)?;
-        let mut grown = 0usize;
-        let mut retired = 0usize;
-
-        while grown < policy.max_adjustments {
-            let avg = self.total_points as f64 / self.bubbles.len() as f64;
-            if avg <= policy.max_avg_points {
-                break;
-            }
-            let heaviest = (0..self.bubbles.len())
-                .max_by_key(|&i| self.bubbles[i].members().len())
-                .expect("population is non-empty");
-            if self.bubbles[heaviest].members().len() < 2 {
-                break;
-            }
-            self.try_grow_bubble(heaviest, store, rng, search)?;
-            grown += 1;
-        }
-
-        while retired < policy.max_adjustments && self.bubbles.len() > 2 {
-            let avg = self.total_points as f64 / self.bubbles.len() as f64;
-            if avg >= policy.min_avg_points {
-                break;
-            }
-            let lightest = (0..self.bubbles.len())
-                .min_by_key(|&i| self.bubbles[i].members().len())
-                .expect("population is non-empty");
-            self.try_retire_bubble(lightest, store, search)?;
-            retired += 1;
-        }
-
-        Ok(AdaptiveReport {
-            base,
-            grown,
-            retired,
-        })
     }
 
     /// Reassembles a maintainer from its raw parts (snapshot decoding
@@ -1755,19 +1475,6 @@ impl IncrementalBubbles {
     pub fn corrupt_pop_member(&mut self, bubble: usize) -> Option<PointId> {
         self.bubbles[bubble].members_mut().pop()
     }
-
-    /// The warm-start hint the next insertion would use: the bubble the
-    /// previous insertion landed in, if still valid (test observability
-    /// hook — the regression suite asserts `retire_bubble` keeps this in
-    /// sync with the swap-remove).
-    #[doc(hidden)]
-    #[must_use]
-    pub fn last_insert_hint(&self) -> Option<usize> {
-        match self.last_insert {
-            NONE => None,
-            b => Some(b as usize),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1855,7 +1562,7 @@ mod tests {
 
     #[test]
     fn warm_start_never_changes_results_and_saves_work() {
-        // The same dynamic history (build, batch, maintenance, retirement)
+        // The same dynamic history (build, batch, maintenance)
         // replayed with and without warm-start hints: bit-identical
         // summaries, strictly cheaper accounting with hints.
         let run = |warm: bool| {
@@ -1877,7 +1584,6 @@ mod tests {
             };
             ib.apply_batch(&mut store, &batch, &mut search);
             ib.maintain(&store, &mut rng, &mut search);
-            ib.retire_bubble(0, &store, &mut search);
             ib.validate(&store);
             let ns: Vec<u64> = ib.bubbles().iter().map(|b| b.stats().n()).collect();
             (ns, search)
@@ -1892,68 +1598,6 @@ mod tests {
             warm.computed,
             cold.computed
         );
-    }
-
-    /// Regression: `retire_bubble` swap-removes a bubble but used to leave
-    /// `last_insert` untouched, so the next insertion warm-started from a
-    /// stale — possibly out-of-range, possibly wrong-bubble — hint. The
-    /// hint must be reset when the retired bubble held it and remapped
-    /// when the moved (former last) bubble did.
-    #[test]
-    fn retire_bubble_remaps_or_resets_the_warm_start_hint() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut store = toy_store(&mut rng);
-        let mut search = SearchStats::new();
-        let mut ib = IncrementalBubbles::build(
-            &store,
-            MaintainerConfig::new(6).with_seed_search(SeedSearch::Pruned),
-            &mut rng,
-            &mut search,
-        );
-
-        // Hint on the retired bubble: reset to none.
-        let id = store.insert(&[10.0, 10.0], None);
-        ib.insert_point(id, &[10.0, 10.0], &mut search);
-        let landed = ib.assignment(id).expect("inserted point is assigned");
-        assert_eq!(ib.last_insert_hint(), Some(landed));
-        ib.retire_bubble(landed, &store, &mut search);
-        assert_eq!(
-            ib.last_insert_hint(),
-            None,
-            "hint on the retired bubble must be invalidated"
-        );
-        ib.validate(&store);
-
-        // Hint on the former last bubble: follows the swap-remove. An
-        // insertion exactly at the last seed lands there (distance zero).
-        let last_seed = ib.bubbles().last().unwrap().seed().to_vec();
-        let id2 = store.insert(&last_seed, None);
-        ib.insert_point(id2, &last_seed, &mut search);
-        assert_eq!(ib.last_insert_hint(), Some(ib.num_bubbles() - 1));
-        ib.retire_bubble(0, &store, &mut search);
-        assert_eq!(
-            ib.last_insert_hint(),
-            Some(0),
-            "hint must follow the moved bubble to its new index"
-        );
-        assert_eq!(ib.assignment(id2), Some(0), "the hinted bubble moved to 0");
-        ib.validate(&store);
-
-        // Hint on an unaffected bubble: untouched when the retired bubble
-        // is the last one (no swap move happens).
-        let seed1 = ib.bubble(1).seed().to_vec();
-        let id3 = store.insert(&seed1, None);
-        ib.insert_point(id3, &seed1, &mut search);
-        assert_eq!(ib.last_insert_hint(), Some(1));
-        ib.retire_bubble(ib.num_bubbles() - 1, &store, &mut search);
-        assert_eq!(ib.last_insert_hint(), Some(1), "unrelated hint is kept");
-        ib.validate(&store);
-
-        // And inserting after all of that works from the remapped hint.
-        let id4 = store.insert(&[50.0, 50.0], None);
-        ib.insert_point(id4, &[50.0, 50.0], &mut search);
-        assert_eq!(ib.last_insert_hint(), ib.assignment(id4));
-        ib.validate(&store);
     }
 
     #[test]
@@ -2037,15 +1681,7 @@ mod tests {
         assert_eq!(flagged(&ib), Some(want));
         ib.validate(&store);
 
-        // Growing, retiring and repairing each close the window.
-        let heaviest = (0..ib.num_bubbles())
-            .max_by_key(|&i| ib.bubble(i).members().len())
-            .unwrap();
-        ib.grow_bubble(heaviest, &store, &mut rng, &mut search);
-        assert_eq!(flagged(&ib), None);
-        ib.open_dirty_window();
-        ib.retire_bubble(0, &store, &mut search);
-        assert_eq!(flagged(&ib), None);
+        // A repair closes the window.
         ib.open_dirty_window();
         let wrong_n = ib.bubbles()[0].stats().n() + 7;
         ib.corrupt_stats(0, wrong_n, vec![0.0; 2], 0.0);
@@ -2175,115 +1811,6 @@ mod tests {
             assert_eq!(a, b, "threads = {threads}");
             assert_eq!(stats.total(), seq_stats.total(), "same total work");
         }
-    }
-
-    #[test]
-    fn grow_bubble_increases_population_and_splits() {
-        let mut rng = StdRng::seed_from_u64(29);
-        let store = toy_store(&mut rng);
-        let mut search = SearchStats::new();
-        let mut ib =
-            IncrementalBubbles::build(&store, MaintainerConfig::new(6), &mut rng, &mut search);
-        let heaviest = (0..6)
-            .max_by_key(|&i| ib.bubble(i).members().len())
-            .unwrap();
-        let before = ib.bubble(heaviest).members().len();
-        let new_idx = ib.grow_bubble(heaviest, &store, &mut rng, &mut search);
-        assert_eq!(ib.num_bubbles(), 7);
-        assert_eq!(new_idx, 6);
-        ib.validate(&store);
-        let after = ib.bubble(heaviest).members().len() + ib.bubble(new_idx).members().len();
-        assert_eq!(after, before, "split preserves the member set");
-        assert!(!ib.bubble(new_idx).is_empty());
-    }
-
-    #[test]
-    fn retire_bubble_shrinks_population() {
-        let mut rng = StdRng::seed_from_u64(31);
-        let store = toy_store(&mut rng);
-        let mut search = SearchStats::new();
-        let mut ib =
-            IncrementalBubbles::build(&store, MaintainerConfig::new(8), &mut rng, &mut search);
-        let total = ib.total_points();
-        ib.retire_bubble(0, &store, &mut search);
-        assert_eq!(ib.num_bubbles(), 7);
-        assert_eq!(ib.total_points(), total, "no point is lost");
-        ib.validate(&store);
-        // Retire down to the floor of two bubbles.
-        for _ in 0..5 {
-            ib.retire_bubble(0, &store, &mut search);
-        }
-        assert_eq!(ib.num_bubbles(), 2);
-        ib.validate(&store);
-    }
-
-    #[test]
-    #[should_panic(expected = "never shrinks below two")]
-    fn retiring_below_two_panics() {
-        let mut rng = StdRng::seed_from_u64(33);
-        let store = toy_store(&mut rng);
-        let mut search = SearchStats::new();
-        let mut ib =
-            IncrementalBubbles::build(&store, MaintainerConfig::new(2), &mut rng, &mut search);
-        ib.retire_bubble(0, &store, &mut search);
-    }
-
-    #[test]
-    fn adaptive_maintenance_tracks_database_growth() {
-        let mut rng = StdRng::seed_from_u64(37);
-        let mut store = toy_store(&mut rng); // 220 points
-        let mut search = SearchStats::new();
-        let mut ib =
-            IncrementalBubbles::build(&store, MaintainerConfig::new(10), &mut rng, &mut search);
-        let policy = AdaptivePolicy::around(22.0); // band [11, 44]
-
-        // The database quadruples: the fixed count would leave ~88 points
-        // per bubble; the adaptive round grows the population back into
-        // the band.
-        let batch = Batch {
-            deletes: Vec::new(),
-            inserts: (0..660)
-                .map(|i| {
-                    let t = i as f64 * 0.0095;
-                    (vec![40.0 + t.sin() * 30.0, 60.0 + t.cos() * 30.0], Some(7))
-                })
-                .collect(),
-        };
-        ib.apply_batch(&mut store, &batch, &mut search);
-        let report = ib.maintain_adaptive(&store, &mut rng, &mut search, &policy);
-        ib.validate(&store);
-        assert!(report.grown > 0, "population grew: {report:?}");
-        let avg = ib.total_points() as f64 / ib.num_bubbles() as f64;
-        assert!(avg <= 44.0 * 1.5, "avg {avg} moved toward the band");
-
-        // The database shrinks below the band (the growth phase stops at
-        // avg == 44, i.e. 20 bubbles; 200 remaining points put the average
-        // at 10 < 11): the adaptive round retires bubbles.
-        let victims: Vec<PointId> = store.ids().take(680).collect();
-        let batch = Batch {
-            deletes: victims,
-            inserts: Vec::new(),
-        };
-        ib.apply_batch(&mut store, &batch, &mut search);
-        let report = ib.maintain_adaptive(&store, &mut rng, &mut search, &policy);
-        ib.validate(&store);
-        assert!(report.retired > 0, "population shrank: {report:?}");
-    }
-
-    #[test]
-    #[should_panic(expected = "adaptive policy")]
-    fn invalid_adaptive_policy_panics() {
-        let mut rng = StdRng::seed_from_u64(39);
-        let store = toy_store(&mut rng);
-        let mut search = SearchStats::new();
-        let mut ib =
-            IncrementalBubbles::build(&store, MaintainerConfig::new(4), &mut rng, &mut search);
-        let bad = AdaptivePolicy {
-            min_avg_points: 10.0,
-            max_avg_points: 5.0,
-            max_adjustments: 4,
-        };
-        ib.maintain_adaptive(&store, &mut rng, &mut search, &bad);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod stats;
 pub use bubble::{Bubble, DataSummary};
 pub use config::{MaintainerConfig, Parallelism, QualityKind, SeedSearch, SplitSeedPolicy};
 pub use error::{AuditError, AuditIssue, AuditReport, RepairReport, UpdateError};
-pub use incremental::{AdaptivePolicy, AdaptiveReport, IncrementalBubbles, MaintenanceReport};
+pub use incremental::{IncrementalBubbles, MaintenanceReport};
 pub use quality::{chebyshev_k, BubbleClass, Classification};
 pub use recovery::{
     checkpoint_name, encode_checkpoint, recover, recover_chain, CheckpointStore, DurabilityConfig,

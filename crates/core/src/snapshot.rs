@@ -155,25 +155,33 @@ fn record_spans(body: &[u8]) -> Result<Vec<(usize, usize)>, SnapshotError> {
 }
 
 /// Lays `dirty`'s records over the body of the framed snapshot `base`:
-/// the base header with the delta's live count, then per slot the delta's
-/// record when it carries one and the base's otherwise. Returns the
-/// spliced snapshot body (unframed).
+/// the base header, then per slot the delta's record when it carries one
+/// and the base's otherwise. Returns the spliced snapshot body (unframed).
+///
+/// # Errors
+/// [`SnapshotError::Corrupt`] when the base is damaged or the delta's live
+/// count differs from the base's: the population is fixed for a
+/// maintainer's life, so a delta cannot change its size.
 pub(crate) fn splice_records(base: &[u8], dirty: &DirtyRecords) -> Result<Vec<u8>, SnapshotError> {
     let body = read_frame(&mut &base[..], MAGIC)?;
     let spans = record_spans(&body)?;
+    if dirty.live != spans.len() {
+        return Err(SnapshotError::Corrupt(format!(
+            "delta holds {} bubbles but its base holds {}",
+            dirty.live,
+            spans.len()
+        )));
+    }
     let mut out = Vec::with_capacity(body.len());
-    out.extend_from_slice(&body[..HEADER_LEN - 8]);
-    write_u64(&mut out, dirty.live as u64)?;
-    for slot in 0..dirty.live {
-        if let Some(rec) = dirty.records.get(&slot) {
-            out.extend_from_slice(rec);
-        } else if let Some(&(start, end)) = spans.get(slot) {
-            out.extend_from_slice(&body[start..end]);
-        } else {
-            return Err(SnapshotError::Corrupt(format!(
-                "slot {slot} grew past the base population but is not in the delta"
-            )));
-        }
+    out.extend_from_slice(&body[..HEADER_LEN]);
+    for (slot, &(start, end)) in spans.iter().enumerate() {
+        out.extend_from_slice(
+            dirty
+                .records
+                .get(&slot)
+                .copied()
+                .unwrap_or(&body[start..end]),
+        );
     }
     Ok(out)
 }
@@ -331,7 +339,7 @@ impl IncrementalBubbles {
         let mut enums = [0u8; 3];
         r.read_exact(&mut enums)?;
         let (engine, quality, split) = u8_to_enums(enums[0], enums[1], enums[2])?;
-        if num_bubbles < 2 {
+        if !(2..=(1usize << 24)).contains(&num_bubbles) {
             return Err(SnapshotError::Corrupt(format!(
                 "implausible bubble count {num_bubbles}"
             )));
@@ -342,10 +350,12 @@ impl IncrementalBubbles {
             .with_quality(quality)
             .with_split_seeds(split);
 
+        // The population is fixed for a maintainer's life: a live count
+        // other than the configured one is damaged or foreign bytes.
         let live_count = read_u64(r)? as usize;
-        if !(2..=(1usize << 24)).contains(&live_count) {
+        if live_count != num_bubbles {
             return Err(SnapshotError::Corrupt(format!(
-                "implausible live bubble count {live_count}"
+                "live bubble count {live_count} differs from the configured {num_bubbles}"
             )));
         }
         let mut bubbles = Vec::with_capacity(live_count);
@@ -401,7 +411,6 @@ impl IncrementalBubbles {
             )));
         }
 
-        // One sort per neighbor row instead of `live_count` pushes.
         let seeds = NearestSeeds::from_seeds(dim, bubbles.iter().map(Bubble::seed));
         Ok(Self::from_raw_parts(
             dim,
@@ -576,6 +585,71 @@ mod tests {
         let mut out = Vec::new();
         write_frame(&mut out, MAGIC, body).unwrap();
         out
+    }
+
+    /// `ib`'s snapshot body with one more, empty, bubble record appended
+    /// and the header's configured count set to `configured`.
+    fn with_an_extra_empty_bubble(ib: &IncrementalBubbles, configured: usize) -> Vec<u8> {
+        let mut buf = Vec::new();
+        ib.write_snapshot(&mut buf).unwrap();
+        let mut body = read_frame(&mut buf.as_slice(), MAGIC).unwrap();
+        let mut put = |at: usize, v: usize| {
+            let mut le = Vec::new();
+            write_u64(&mut le, v as u64).unwrap();
+            body[at..at + 8].copy_from_slice(&le);
+        };
+        put(8, configured);
+        put(HEADER_LEN - 8, ib.num_bubbles() + 1);
+        write_record(&mut body, &Bubble::new(vec![0.0; ib.dim()])).unwrap();
+        body
+    }
+
+    #[test]
+    fn a_live_count_other_than_the_configured_count_is_corrupt() {
+        let (store, ib, _) = fixture();
+        let s = ib.num_bubbles();
+        let err = IncrementalBubbles::read_snapshot(
+            &mut framed(&with_an_extra_empty_bubble(&ib, s)).as_slice(),
+            &store,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, SnapshotError::Corrupt(m) if m.contains("differs from the configured")),
+            "{err}"
+        );
+        // The same records under a matching configured count decode.
+        let restored = IncrementalBubbles::read_snapshot(
+            &mut framed(&with_an_extra_empty_bubble(&ib, s + 1)).as_slice(),
+            &store,
+        )
+        .unwrap();
+        assert_eq!(restored.num_bubbles(), s + 1);
+    }
+
+    #[test]
+    fn a_delta_that_resizes_its_base_is_corrupt() {
+        let (store, ib, _) = fixture();
+        let s = ib.num_bubbles();
+        // The base's last bubble is empty, so a population without it
+        // would still cover the store.
+        let base = framed(&with_an_extra_empty_bubble(&ib, s + 1));
+        IncrementalBubbles::read_snapshot(&mut base.as_slice(), &store).expect("the base decodes");
+        let same = DirtyRecords {
+            live: s + 1,
+            records: BTreeMap::new(),
+        };
+        IncrementalBubbles::read_spliced(&base, &same, &store).expect("an unresized delta decodes");
+        for live in [s, s + 2] {
+            let dirty = DirtyRecords {
+                live,
+                records: BTreeMap::new(),
+            };
+            let err = IncrementalBubbles::read_spliced(&base, &dirty, &store).unwrap_err();
+            assert!(
+                matches!(&err, SnapshotError::Corrupt(m) if m.contains("its base holds")),
+                "live {live}: {err}"
+            );
+        }
     }
 
     #[test]

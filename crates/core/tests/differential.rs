@@ -359,9 +359,9 @@ fn dynamic_scenarios_are_bit_identical_across_modes() {
 
 /// Every assignment engine, warm-started or cold, must produce the
 /// bit-identical summary through a full dynamic flow — build, update
-/// batches, merge/split maintenance (whose released points run the
-/// donor-neighbour warm-start path), and adaptive growth/retirement (whose
-/// splits and releases re-seed the matrix the hints point into). Engines
+/// batches and merge/split maintenance (whose released points run the
+/// donor-neighbour warm-start path, and whose splits re-seed the table the
+/// hints point into). Engines
 /// may only differ in how the per-candidate accounting splits into
 /// computed/pruned/partial; the per-candidate total itself must match, and
 /// the pruned engines must never compute more distances than brute force.
@@ -375,7 +375,6 @@ fn engines_and_warm_start_are_bit_identical_through_dynamic_flows() {
         let n = rng.gen_range(num_bubbles.max(20)..=120);
         let base_store = random_store(&mut rng, dim, n);
         let flow_seed: u64 = rng.gen();
-        let adaptive = rng.gen_bool(0.3);
 
         let run = |engine: SeedSearch, warm: bool| {
             let mut store = base_store.clone();
@@ -387,13 +386,10 @@ fn engines_and_warm_start_are_bit_identical_through_dynamic_flows() {
             let mut stats = SearchStats::new();
             let mut ib = IncrementalBubbles::build(&store, config, &mut flow_rng, &mut stats);
             let mut trace = Vec::new();
-            for round in 0..3 {
+            for _ in 0..3 {
                 let batch = random_batch(&store, &mut flow_rng);
                 ib.apply_batch(&mut store, &batch, &mut stats);
                 ib.maintain(&store, &mut flow_rng, &mut stats);
-                if adaptive && round == 1 && ib.num_bubbles() > 2 {
-                    ib.retire_bubble(0, &store, &mut stats);
-                }
                 assert_assignments_consistent(&ib);
                 trace.push(fingerprint(&ib));
             }
@@ -418,96 +414,6 @@ fn engines_and_warm_start_are_bit_identical_through_dynamic_flows() {
                 assert!(
                     stats.computed <= brute_stats.computed,
                     "case {case_no} ({engine:?}, warm={warm}): computed more than brute force"
-                );
-            }
-        }
-    }
-}
-
-/// Regression for the stale warm-start hint: `retire_bubble` swap-removes
-/// a bubble, so the hint recorded by the previous insertion can name the
-/// retired bubble or the one that moved into its slot. Interleave retires
-/// with single-point insertions — the pattern that makes the very next
-/// search start from the (possibly remapped) hint — across every engine ×
-/// warm-start combination, and demand the exact brute-force summary after
-/// every step.
-#[test]
-fn retire_then_insert_interleavings_are_bit_identical_across_engines() {
-    const ENGINES: [SeedSearch; 3] = [SeedSearch::Brute, SeedSearch::Pruned, SeedSearch::KdTree];
-    let mut rng = StdRng::seed_from_u64(0x2E71_2E00);
-    for case_no in 0..CASES {
-        let dim = rng.gen_range(1..=3);
-        let num_bubbles: usize = rng.gen_range(4..=9);
-        let n = rng.gen_range(num_bubbles.max(24)..=100);
-        let base_store = random_store(&mut rng, dim, n);
-        let flow_seed: u64 = rng.gen();
-        // Which bubble each of the rounds retires (resolved mod the live
-        // population at retire time) and how many inserts chase it.
-        let plan: Vec<(usize, usize)> = (0..4)
-            .map(|_| (rng.gen_range(0..32), rng.gen_range(1..=4)))
-            .collect();
-
-        let run = |engine: SeedSearch, warm: bool| {
-            let mut store = base_store.clone();
-            let config = MaintainerConfig::new(num_bubbles)
-                .with_seed_search(engine)
-                .with_warm_start(warm)
-                .with_parallelism(Parallelism::Serial);
-            let mut flow_rng = StdRng::seed_from_u64(flow_seed);
-            let mut stats = SearchStats::new();
-            let mut ib = IncrementalBubbles::build(&store, config, &mut flow_rng, &mut stats);
-            let mut trace = Vec::new();
-            for &(retire_pick, inserts) in &plan {
-                // Seed the hint: an insertion lands somewhere and is
-                // remembered as the next search's warm start.
-                let warmup = Batch {
-                    deletes: vec![],
-                    inserts: vec![(
-                        (0..store.dim())
-                            .map(|_| flow_rng.gen_range(-120.0..120.0))
-                            .collect(),
-                        None,
-                    )],
-                };
-                ib.apply_batch(&mut store, &warmup, &mut stats);
-                if ib.num_bubbles() > 3 {
-                    ib.retire_bubble(retire_pick % ib.num_bubbles(), &store, &mut stats);
-                }
-                // Inserts straight after the retire run the hinted search
-                // against the remapped population.
-                let chase = Batch {
-                    deletes: vec![],
-                    inserts: (0..inserts)
-                        .map(|_| {
-                            (
-                                (0..store.dim())
-                                    .map(|_| flow_rng.gen_range(-120.0..120.0))
-                                    .collect(),
-                                None,
-                            )
-                        })
-                        .collect(),
-                };
-                ib.apply_batch(&mut store, &chase, &mut stats);
-                assert_assignments_consistent(&ib);
-                ib.validate(&store);
-                trace.push(fingerprint(&ib));
-            }
-            (trace, stats)
-        };
-
-        let (brute_trace, brute_stats) = run(SeedSearch::Brute, false);
-        for engine in ENGINES {
-            for warm in [false, true] {
-                let (trace, stats) = run(engine, warm);
-                assert_eq!(
-                    trace, brute_trace,
-                    "case {case_no} ({engine:?}, warm={warm}): retire→insert flow diverged"
-                );
-                assert_eq!(
-                    stats.total(),
-                    brute_stats.total(),
-                    "case {case_no} ({engine:?}, warm={warm}): candidate accounting diverged"
                 );
             }
         }

@@ -135,7 +135,7 @@ fn double_delete_across_valid_batch_is_conflicting() {
 fn audit_detects_and_repair_heals_every_sabotage() {
     // Each entry: a name, the sabotage, and a predicate the audit's issue
     // list must satisfy.
-    type Sabotage = fn(&mut IncrementalBubbles, &PointStore);
+    type Sabotage = fn(&mut IncrementalBubbles, &mut PointStore);
     type IssueCheck = fn(&[AuditIssue]) -> bool;
     let cases: Vec<(&str, Sabotage, IssueCheck)> = vec![
         (
@@ -303,22 +303,73 @@ fn audit_detects_and_repair_heals_every_sabotage() {
         (
             "drifted neighbor distance under pending re-seeds",
             |ib, store| {
-                // Row 1 is damaged, then two re-seeds it has not read yet
-                // (a grow's split) leave it stale: the audit reads it
-                // settled, and the damage must survive the settle.
-                let (ids, w) = ib.corrupt_neighbor_row(1);
-                let far = *ids.last().unwrap() as usize;
-                *w.last_mut().unwrap() += 1.0;
-                let over = (0..ib.num_bubbles())
-                    .find(|&b| b != 1 && b != far && ib.bubble(b).members().len() >= 2)
-                    .expect("a splittable bubble besides row 1's farthest");
+                // A burst of inserts over-fills one bubble. (Among ten
+                // bubbles no β lies more than 9/√10 ≈ 2.85 σ above the
+                // mean, short of p = 0.9's k ≈ 3.16, so the population is
+                // rebuilt under p = 0.8.) Then a row is damaged, and the
+                // re-seeds of the maintenance round that splits the bubble
+                // leave it stale: the audit reads it settled, and the
+                // damage must survive the settle. Clones probe for a row
+                // the round neither re-seeds nor reads, and whose damaged
+                // (farthest) entry it does not re-seed.
+                let burst = Batch {
+                    deletes: Vec::new(),
+                    inserts: (0..150)
+                        .map(|i| {
+                            let t = f64::from(i) * 0.041;
+                            (vec![200.0 + t.sin() * 2.0, 200.0 + t.cos() * 2.0], None)
+                        })
+                        .collect(),
+                };
+                let config = MaintainerConfig::new(10).with_probability(0.8);
                 let mut rng = StdRng::seed_from_u64(5);
-                ib.grow_bubble(over, store, &mut rng, &mut SearchStats::new());
+                *ib = IncrementalBubbles::build(store, config, &mut rng, &mut SearchStats::new());
+                ib.apply_batch(store, &burst, &mut SearchStats::new());
+                let store = &*store;
+                let damage = |ib: &mut IncrementalBubbles, row: usize| {
+                    let (ids, w) = ib.corrupt_neighbor_row(row);
+                    *w.last_mut().unwrap() += 1.0;
+                    *ids.last().unwrap() as usize
+                };
+                let round = |ib: &mut IncrementalBubbles| {
+                    let mut rng = StdRng::seed_from_u64(5);
+                    ib.maintain(store, &mut rng, &mut SearchStats::new()).splits
+                };
+                let row = (0..ib.num_bubbles())
+                    .find(|&row| {
+                        let mut probe = ib.clone();
+                        let far = damage(&mut probe, row);
+                        let seeds: Vec<Vec<f64>> =
+                            probe.bubbles().iter().map(|b| b.seed().to_vec()).collect();
+                        if round(&mut probe) == 0 {
+                            return false;
+                        }
+                        let kept = |b: usize| probe.bubble(b).seed() == seeds[b];
+                        // Reading the row through the hook settles it
+                        // first: a stale row charges the entries it moves.
+                        let settled = probe.seed_repair_stats().entries;
+                        let mut reader = probe.clone();
+                        reader.corrupt_neighbor_row(row);
+                        kept(row) && kept(far) && reader.seed_repair_stats().entries > settled
+                    })
+                    .expect("a row the maintenance round leaves stale");
+                damage(ib, row);
+                round(ib);
             },
             |issues| {
-                issues
+                // The row is chosen at run time, so the check pins the
+                // damaged entry by its +1.0 instead: exactly one entry
+                // drifts, and by the sabotage's amount.
+                let drifts: Vec<f64> = issues
                     .iter()
-                    .any(|i| matches!(i, AuditIssue::NeighborDistanceDrift { i: 1, .. }))
+                    .filter_map(|i| match i {
+                        AuditIssue::NeighborDistanceDrift {
+                            stored, recomputed, ..
+                        } => Some(stored - recomputed),
+                        _ => None,
+                    })
+                    .collect();
+                matches!(drifts[..], [d] if (d - 1.0).abs() < 1e-9)
                     && !issues
                         .iter()
                         .any(|i| matches!(i, AuditIssue::NeighborRowMisordered { .. }))
@@ -362,9 +413,9 @@ fn audit_detects_and_repair_heals_every_sabotage() {
     ];
 
     for (name, sabotage, check) in cases {
-        let (store, mut ib, mut rng, mut search) = fixture(500);
+        let (mut store, mut ib, mut rng, mut search) = fixture(500);
         ib.audit(&store).expect("fixture starts green");
-        sabotage(&mut ib, &store);
+        sabotage(&mut ib, &mut store);
         let err = ib
             .audit(&store)
             .expect_err(&format!("{name}: audit must detect the corruption"));
@@ -461,9 +512,9 @@ fn rejected_batches_leave_no_journal_trace() {
 }
 
 /// The journal invariants of [`check_journal`] hold over a stream of
-/// churn, maintenance, retirement, sabotage and repair: split events pair
-/// with the merge/grow that freed their donor, and batch accounting
-/// matches the per-point trail exactly.
+/// churn, maintenance, sabotage and repair: split events pair with the
+/// merge that freed their donor, and batch accounting matches the
+/// per-point trail exactly.
 #[test]
 fn journal_invariants_hold_across_churn_maintenance_and_repair() {
     let mut rng = StdRng::seed_from_u64(0x0B5E_CC01);
@@ -476,16 +527,13 @@ fn journal_invariants_hold_across_churn_maintenance_and_repair() {
     let ring = Arc::new(RingRecorder::new());
     ib.set_obs(Obs::with_recorder(ring.clone()));
 
-    for round in 0..6 {
+    for _ in 0..6 {
         let batch = engine.plan(&mut rng);
         let ids = ib
             .try_apply_batch(&mut store, &batch, &mut search)
             .expect("planned batches are valid");
         engine.confirm(&ids);
         ib.maintain(&store, &mut rng, &mut search);
-        if round % 2 == 0 && ib.num_bubbles() > 3 {
-            ib.retire_bubble(round % ib.num_bubbles(), &store, &mut search);
-        }
     }
     // Sabotage + repair mid-stream journals a repair event and keeps the
     // invariants intact.
@@ -501,7 +549,6 @@ fn journal_invariants_hold_across_churn_maintenance_and_repair() {
 
     let summary = check_journal(&ring.events()).expect("journal invariants hold");
     assert!(summary.batches >= 7, "{summary:?}");
-    assert!(summary.retires >= 1, "{summary:?}");
     assert!(
         summary.inserts + summary.deletes > 0,
         "churn must journal per-point events: {summary:?}"

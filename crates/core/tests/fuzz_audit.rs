@@ -1,12 +1,12 @@
 //! Ad-hoc invariant fuzz (review audit).
-use idb_core::{AdaptivePolicy, IncrementalBubbles, MaintainerConfig};
+use idb_core::{IncrementalBubbles, MaintainerConfig};
 use idb_geometry::SearchStats;
 use idb_store::{Batch, PointId, PointStore};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 #[test]
-fn adaptive_mixed_ops_fuzz() {
+fn mixed_ops_fuzz() {
     for seed in 0u64..60 {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut store = PointStore::new(2);
@@ -21,7 +21,7 @@ fn adaptive_mixed_ops_fuzz() {
             IncrementalBubbles::build(&store, MaintainerConfig::new(10), &mut rng, &mut search);
         ib.validate(&store);
         for step in 0..40 {
-            let op = rng.gen_range(0..6);
+            let op = rng.gen_range(0..3);
             match op {
                 0 => {
                     // batch: random deletes + inserts (sometimes heavily skewed)
@@ -53,25 +53,6 @@ fn adaptive_mixed_ops_fuzz() {
                 }
                 1 => {
                     ib.maintain(&store, &mut rng, &mut search);
-                }
-                2 => {
-                    let policy = AdaptivePolicy::around(rng.gen_range(5.0..60.0));
-                    ib.maintain_adaptive(&store, &mut rng, &mut search, &policy);
-                }
-                3 => {
-                    // grow heaviest if splittable
-                    let h = (0..ib.num_bubbles())
-                        .max_by_key(|&i| ib.bubble(i).members().len())
-                        .unwrap();
-                    if ib.bubble(h).members().len() >= 2 {
-                        ib.grow_bubble(h, &store, &mut rng, &mut search);
-                    }
-                }
-                4 => {
-                    if ib.num_bubbles() > 2 {
-                        let i = rng.gen_range(0..ib.num_bubbles());
-                        ib.retire_bubble(i, &store, &mut search);
-                    }
                 }
                 _ => {
                     // snapshot roundtrip

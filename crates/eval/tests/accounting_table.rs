@@ -63,11 +63,10 @@ fn parallel_assignment_counters_yield_identical_accounting() {
     let mut rng = StdRng::seed_from_u64(0xACC1);
     for _ in 0..50 {
         let dim = rng.gen_range(1..=4);
-        let mut seeds = NearestSeeds::new(dim);
-        for _ in 0..rng.gen_range(2..=20) {
-            let s: Vec<f64> = (0..dim).map(|_| rng.gen_range(-10.0..10.0)).collect();
-            seeds.push(&s);
-        }
+        let points: Vec<Vec<f64>> = (0..rng.gen_range(2..=20))
+            .map(|_| (0..dim).map(|_| rng.gen_range(-10.0..10.0)).collect())
+            .collect();
+        let mut seeds = NearestSeeds::from_seeds(dim, points.iter().map(Vec::as_slice));
         let queries: Vec<f64> = (0..rng.gen_range(1usize..=50) * dim)
             .map(|_| rng.gen_range(-12.0..12.0))
             .collect();

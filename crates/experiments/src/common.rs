@@ -84,12 +84,22 @@ pub struct RepOutcome {
     pub rebuilt_fraction: f64,
     /// Mean-over-batches fraction of the incremental scheme's per-batch
     /// point-to-seed comparisons that never needed a full distance
-    /// computation (triangle-inequality pruned or early-exited) — the
-    /// Figure 10 quantity.
+    /// computation: Lemma 1 prunes plus bound-rejected partial
+    /// evaluations.
+    pub avoided_fraction: f64,
+    /// Mean-over-batches fraction pruned by Lemma 1 alone — the Figure 10
+    /// quantity in the paper's currency.
     pub pruned_fraction: f64,
+    /// Mean-over-batches fraction of partial evaluations: started, then
+    /// rejected by the early-exit kernel's bound.
+    pub partial_fraction: f64,
     /// Mean-over-batches distance saving factor (complete rebuild without
-    /// triangle inequality vs. incremental with it).
+    /// triangle inequality vs. incremental with it), partial evaluations
+    /// counted as free.
     pub saving_factor: f64,
+    /// The same factor with partial evaluations counted as computed — the
+    /// Figure 11 quantity in the paper's currency.
+    pub saving_factor_with_partials: f64,
 }
 
 /// Runs one repetition of `kind` in `dim` dimensions, evaluating both
@@ -130,8 +140,11 @@ pub fn run_rep_with(
     let mut c_inc = Aggregate::new();
     let mut c_com = Aggregate::new();
     let mut rebuilt = Aggregate::new();
+    let mut avoided = Aggregate::new();
     let mut pruned = Aggregate::new();
+    let mut partial = Aggregate::new();
     let mut saving = Aggregate::new();
+    let mut saving_with_partials = Aggregate::new();
 
     for _ in 0..cfg.batches {
         let batch = engine.plan(&mut rng);
@@ -141,12 +154,17 @@ pub fn run_rep_with(
         engine.confirm(&new_ids);
 
         rebuilt.push(report.rebuilt_bubbles as f64 / cfg.num_bubbles as f64);
-        pruned.push(batch_stats.avoided_fraction());
-        saving.push(idb_eval::distance_saving_factor(
-            store.len() as u64,
-            cfg.num_bubbles as u64,
-            batch_stats,
-        ));
+        avoided.push(batch_stats.avoided_fraction());
+        pruned.push(batch_stats.pruned_fraction());
+        partial.push(batch_stats.partial as f64 / batch_stats.total().max(1) as f64);
+        let (n, s) = (store.len() as u64, cfg.num_bubbles as u64);
+        saving.push(idb_eval::distance_saving_factor(n, s, batch_stats));
+        let paid = SearchStats {
+            computed: batch_stats.computed + batch_stats.partial,
+            partial: 0,
+            ..batch_stats
+        };
+        saving_with_partials.push(idb_eval::distance_saving_factor(n, s, paid));
 
         if evaluate_quality {
             // Incremental clustering quality.
@@ -178,8 +196,11 @@ pub fn run_rep_with(
         compact_incremental: c_inc.mean(),
         compact_complete: c_com.mean(),
         rebuilt_fraction: rebuilt.mean(),
+        avoided_fraction: avoided.mean(),
         pruned_fraction: pruned.mean(),
+        partial_fraction: partial.mean(),
         saving_factor: saving.mean(),
+        saving_factor_with_partials: saving_with_partials.mean(),
     }
 }
 

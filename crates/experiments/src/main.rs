@@ -27,7 +27,7 @@ use common::RunConfig;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments <table1|fig7|fig8|fig9|fig10|fig11|sweeps|scaling|adaptive|ablation|all> \
+        "usage: experiments <table1|fig7|fig8|fig9|fig10|fig11|sweeps|scaling|ablation|all> \
          [--paper] [--reps N] [--size N] [--bubbles N] [--batches N] \
          [--update F] [--seed N] [--out DIR]"
     );
@@ -83,7 +83,6 @@ fn main() {
         "fig11" => sweeps::run(&cfg, &[11]),
         "sweeps" => sweeps::run(&cfg, &[9, 10, 11]),
         "scaling" => extra::run_scaling(&cfg),
-        "adaptive" => extra::run_adaptive(&cfg),
         "ablation" => ablation::run(&cfg),
         "all" => {
             table1::run(&cfg);
@@ -95,8 +94,6 @@ fn main() {
             sweeps::run(&cfg, &[9, 10, 11]);
             println!();
             extra::run_scaling(&cfg);
-            println!();
-            extra::run_adaptive(&cfg);
             println!();
             ablation::run(&cfg);
         }

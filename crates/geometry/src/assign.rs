@@ -62,7 +62,7 @@
 //! reads, charging the entries written to [`RepairStats`] at that moment:
 //! a pruned search its start row, a batch every distinct start row before
 //! its fan-out (the workers then share the table read-only), the row
-//! accessors their row, and `push`/`swap_remove`/a log fold every row. The
+//! accessors their row, and a log fold every row. The
 //! one `&self` reader, [`NearestSeeds::neighbor_row`], settles a transient
 //! copy of a stale row that is neither kept nor charged — the audit's view.
 
@@ -214,15 +214,6 @@ impl Row {
         Self { ids, w, seen: 0 }
     }
 
-    /// The row's distances scattered back into seed-index order.
-    fn scatter(&self) -> Vec<f64> {
-        let mut d = vec![0.0; self.ids.len()];
-        for (&j, &dj) in self.ids.iter().zip(&self.w) {
-            d[j as usize] = dj;
-        }
-        d
-    }
-
     /// The number of entries ordering before the key `(k, id)`: a binary
     /// search over the distances alone, then a step over the exact
     /// distance ties with a lower index.
@@ -244,29 +235,6 @@ impl Row {
         p
     }
 
-    /// Moves the entry at `from` to `to` and writes `(d, id)` there,
-    /// shifting only the entries in between. Returns the entries moved or
-    /// written.
-    fn place(&mut self, from: usize, to: usize, d: f64, id: u32) -> u64 {
-        if to > from {
-            self.ids.copy_within(from + 1..=to, from);
-            self.w.copy_within(from + 1..=to, from);
-        } else {
-            self.ids.copy_within(to..from, to + 1);
-            self.w.copy_within(to..from, to + 1);
-        }
-        self.ids[to] = id;
-        self.w[to] = d;
-        from.abs_diff(to) as u64 + 1
-    }
-
-    /// Removes the entry at `p`; returns the entries moved.
-    fn remove(&mut self, p: usize) -> u64 {
-        self.ids.remove(p);
-        self.w.remove(p);
-        (self.ids.len() - p) as u64
-    }
-
     /// Folds the log records past `seen` into this row of seed `owner`
     /// (whose coordinates `block` holds) and returns the entries written.
     ///
@@ -279,7 +247,8 @@ impl Row {
     /// it less the stale ones. Runs shifting left move first, left to
     /// right, then runs shifting right, right to left, so each survivor
     /// moves at most once and in place; the new entries fill the gaps. One
-    /// pending seed costs one shift of [`Self::place`].
+    /// pending seed costs one shift of the entries between its old and new
+    /// positions.
     ///
     /// # Panics
     /// Panics if the row holds no stale entry for a logged seed (a
@@ -400,13 +369,11 @@ pub struct NearestSeeds {
 }
 
 /// Cumulative accounting of the incremental neighbor-table repair performed
-/// by the seed-set mutators ([`NearestSeeds::push`],
-/// [`NearestSeeds::replace`], [`NearestSeeds::swap_remove`]) and by the
-/// settles that fold their re-seeds into the rows read afterwards.
+/// by the one seed-set mutator, [`NearestSeeds::replace`], and by the
+/// settles that fold its re-seeds into the rows read afterwards.
 ///
 /// `entries` counts the row entries (an index and its distance) written by
-/// row rebuilds and settle splices, plus the shifts of `push` and
-/// `swap_remove`. A settle is charged when it happens, by whichever `&mut`
+/// row rebuilds and settle splices. A settle is charged when it happens, by whichever `&mut`
 /// reader settles the row in place (see the module docs); the `&self`
 /// reader [`NearestSeeds::neighbor_row`] charges nothing. `naive_entries`
 /// counts the entries a re-sort of every row per mutation would write
@@ -414,11 +381,11 @@ pub struct NearestSeeds {
 /// charges nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepairStats {
-    /// Row entries written by row rebuilds, settles and shifts.
+    /// Row entries written by row rebuilds and settles.
     pub entries: u64,
     /// Entries a full per-mutation rebuild of the table would write.
     pub naive_entries: u64,
-    /// Structural mutations performed (push + replace + swap_remove).
+    /// Re-seeds performed (calls to `replace`).
     pub ops: u64,
 }
 
@@ -435,57 +402,49 @@ impl RepairStats {
 }
 
 impl NearestSeeds {
-    /// Creates an empty seed set for points of dimensionality `dim`.
-    ///
-    /// # Panics
-    /// Panics if `dim == 0`.
-    #[must_use]
-    pub fn new(dim: usize) -> Self {
-        assert!(dim > 0, "NearestSeeds requires dim > 0");
-        Self {
-            dim,
-            block: SeedBlock::new(dim),
-            rows: Vec::new(),
-            log: ReplaceLog::default(),
-            splice: Splice::default(),
-            repair: RepairStats::default(),
-            kd: None,
-        }
-    }
-
     /// Builds a seed set from an iterator of seed coordinates, sorting each
     /// neighbor row once, in place: `O(s² · d)` distances, `O(s² log s)`
-    /// comparisons and no memory beyond the table's. The table equals the
-    /// one `s` [`push`](Self::push)es would build.
+    /// comparisons and no memory beyond the table's. This is the one
+    /// constructor: the seed count is fixed for the set's life, and
+    /// [`Self::replace`] is its one mutator.
     ///
     /// # Panics
-    /// Panics if any seed's dimensionality differs from `dim`.
+    /// Panics if `dim == 0` or any seed's dimensionality differs from `dim`.
     pub fn from_seeds<'a, I>(dim: usize, seeds: I) -> Self
     where
         I: IntoIterator<Item = &'a [f64]>,
     {
-        let mut set = Self::new(dim);
+        assert!(dim > 0, "NearestSeeds requires dim > 0");
+        let mut block = SeedBlock::new(dim);
         for p in seeds {
             assert_eq!(p.len(), dim, "seed dimensionality mismatch");
-            set.block.push(p);
+            block.push(p);
         }
-        let s = set.block.len();
+        let s = block.len();
         // Distances in index order, each pair computed once as
-        // `dist(later, earlier)` — the argument order of `push` — and
-        // mirrored, so both rows of a pair hold the same bits.
+        // `dist(later, earlier)` and mirrored, so both rows of a pair hold
+        // the same bits.
         let mut w: Vec<Vec<f64>> = (0..s).map(|_| vec![0.0; s]).collect();
         for j in 1..s {
             let (earlier, rest) = w.split_at_mut(j);
-            let x = set.block.get(j);
+            let x = block.get(j);
             for (i, wi) in earlier.iter_mut().enumerate() {
-                let d = dist(x, set.block.get(i));
+                let d = dist(x, block.get(i));
                 rest[0][i] = d;
                 wi[j] = d;
             }
         }
         let mut keys = Vec::with_capacity(s);
-        set.rows = w.into_iter().map(|w| Row::sorted(w, &mut keys)).collect();
-        set
+        let rows = w.into_iter().map(|w| Row::sorted(w, &mut keys)).collect();
+        Self {
+            dim,
+            block,
+            rows,
+            log: ReplaceLog::default(),
+            splice: Splice::default(),
+            repair: RepairStats::default(),
+            kd: None,
+        }
     }
 
     /// Dimensionality of the seeds.
@@ -603,36 +562,6 @@ impl NearestSeeds {
         (&mut row.ids, &mut row.w)
     }
 
-    /// Appends a new seed, settling every row, inserting the seed into each
-    /// at its binary-searched position and sorting its own row, and returns
-    /// its index.
-    ///
-    /// # Panics
-    /// Panics if the seed's dimensionality differs from the set's.
-    pub fn push(&mut self, seed: &[f64]) -> usize {
-        assert_eq!(seed.len(), self.dim, "seed dimensionality mismatch");
-        self.settle_all();
-        let idx = self.block.push(seed);
-        let new = idx as u32;
-        let mut d: Vec<f64> = (0..idx).map(|j| dist(seed, self.block.get(j))).collect();
-        let mut entries = 0;
-        for (row, &dj) in self.rows.iter_mut().zip(&d) {
-            // The new index is the largest, so it follows its ties.
-            let pos = row.rank(dist_key(dj), new);
-            row.ids.insert(pos, new);
-            row.w.insert(pos, dj);
-            entries += (row.ids.len() - pos) as u64;
-        }
-        d.push(0.0);
-        self.rows.push(Row::sorted(d, &mut Vec::new()));
-        let s = self.len() as u64;
-        self.repair.entries += entries + s;
-        self.repair.naive_entries += s * s;
-        self.repair.ops += 1;
-        self.kd = None;
-        idx
-    }
-
     /// Replaces seed `i` with new coordinates — the bookkeeping the paper
     /// performs when a bubble is re-seeded during a merge/split rebuild.
     /// Its `s` new distances are computed once and its row is re-sorted.
@@ -667,45 +596,6 @@ impl NearestSeeds {
         if self.log.len() as u64 > s {
             self.settle_all();
         }
-    }
-
-    /// Removes seed `i` with swap-remove semantics: the last seed takes
-    /// index `i`, and its row becomes row `i`. Every row is settled, then
-    /// drops the retired
-    /// index (a tail shift) and re-keys the renamed one, which can only
-    /// move left among its exact-distance ties — distances between
-    /// surviving seeds are unchanged, so every other entry keeps its
-    /// relative order. Both seeds' distances are read from their own rows.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of bounds, or if a neighbor row has lost seed
-    /// `i` or the last seed (a damaged table).
-    pub fn swap_remove(&mut self, i: usize) {
-        let s = self.len();
-        assert!(i < s, "seed index out of bounds");
-        self.settle_all();
-        let last = s - 1;
-        let (iu, lu) = (i as u32, last as u32);
-        let gone = self.rows[i].scatter();
-        let moved = self.rows[last].scatter();
-        let mut entries = 0;
-        for (j, row) in self.rows.iter_mut().enumerate() {
-            if j == i {
-                continue; // the retired row itself
-            }
-            entries += row.remove(row.find(dist_key(gone[j]), iu));
-            if i != last {
-                let k = dist_key(moved[j]);
-                let from = row.find(k, lu);
-                entries += row.place(from, row.rank(k, iu), moved[j], iu);
-            }
-        }
-        self.rows.swap_remove(i);
-        self.block.swap_remove(i);
-        self.repair.entries += entries;
-        self.repair.naive_entries += (last * last) as u64;
-        self.repair.ops += 1;
-        self.kd = None;
     }
 
     /// Brute-force nearest seed: computes the squared distance from `p` to
@@ -1275,7 +1165,7 @@ mod tests {
 
     #[test]
     fn empty_set_returns_none() {
-        let mut s = NearestSeeds::new(3);
+        let mut s = NearestSeeds::from_seeds(3, []);
         let mut stats = SearchStats::new();
         for engine in ENGINES {
             assert!(s
@@ -1286,8 +1176,7 @@ mod tests {
 
     #[test]
     fn single_seed_excluded_returns_none() {
-        let mut s = NearestSeeds::new(1);
-        s.push(&[5.0]);
+        let mut s = NearestSeeds::from_seeds(1, [[5.0].as_slice()]);
         let mut stats = SearchStats::new();
         for engine in ENGINES {
             assert!(s
@@ -1311,61 +1200,6 @@ mod tests {
                 .nearest(engine, &[0.6, 0.6], None, None, &mut stats)
                 .unwrap();
             assert_eq!(idx, 3, "{engine:?}");
-        }
-    }
-
-    #[test]
-    fn swap_remove_keeps_rows_consistent() {
-        let mut s = grid_seeds();
-        s.swap_remove(1); // seed (10, 0) removed; (10, 10) takes index 1
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.seed(1), &[10.0, 10.0]);
-        for i in 0..3 {
-            for j in 0..3 {
-                let expect = dist(s.seed(i), s.seed(j));
-                assert!((pair(&s, i, j) - expect).abs() < 1e-12, "({i},{j})");
-            }
-        }
-        assert_rows_consistent(&s);
-        // Searches still agree with brute force.
-        let q = [9.0, 9.0];
-        let mut b = SearchStats::new();
-        let (bi, bd) = s.nearest_brute(&q, None, &mut b).unwrap();
-        for engine in [SeedSearch::Pruned, SeedSearch::KdTree] {
-            let mut p = SearchStats::new();
-            let (pi, pd) = s.nearest(engine, &q, None, None, &mut p).unwrap();
-            assert_eq!(bi, pi, "{engine:?}");
-            assert_eq!(bd.to_bits(), pd.to_bits(), "{engine:?}");
-        }
-    }
-
-    #[test]
-    fn swap_remove_last_seed() {
-        let mut s = grid_seeds();
-        s.swap_remove(3);
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.seed(0), &[0.0, 0.0]);
-        assert_rows_consistent(&s);
-    }
-
-    #[test]
-    fn swap_remove_repair_handles_duplicate_distance_ties() {
-        // Duplicate seeds create exact distance ties everywhere; the
-        // renamed seed (last → i) must re-splice to its (distance, index)
-        // position, which the tie-break makes unique.
-        let mut s = NearestSeeds::from_seeds(
-            2,
-            [
-                [1.0, 1.0].as_slice(),
-                [5.0, 5.0].as_slice(),
-                [1.0, 1.0].as_slice(),
-                [5.0, 5.0].as_slice(),
-                [1.0, 1.0].as_slice(),
-            ],
-        );
-        for removed in [0usize, 2, 1] {
-            s.swap_remove(removed);
-            assert_rows_consistent(&s);
         }
     }
 
@@ -1411,37 +1245,6 @@ mod tests {
     }
 
     #[test]
-    fn swap_remove_ledger_counts_the_shifted_tail() {
-        let n = 60;
-        let seeds: Vec<[f64; 2]> = (0..n).map(|i| [f64::from(i), f64::from(i * i)]).collect();
-        let mut s = NearestSeeds::from_seeds(2, seeds.iter().map(|p| p.as_slice()));
-        // Leave a re-seed pending: swap_remove settles it first.
-        s.replace(7, &[3.5, 1.5]);
-        let before = s.repair_stats();
-        let mut settled = s.clone();
-        let settle = settle_every_row(&mut settled);
-        // Removing the last seed only drops one entry per row: the entries
-        // shifted are exactly those after it.
-        let tail: u64 = (0..n as usize - 1)
-            .map(|i| {
-                let row = settled.neighbor_order(i);
-                let p = row
-                    .iter()
-                    .position(|&x| x as usize == n as usize - 1)
-                    .unwrap();
-                (row.len() - 1 - p) as u64
-            })
-            .sum();
-        s.swap_remove(n as usize - 1);
-        let d = s.repair_stats().delta_since(&before);
-        assert!(settle > 0);
-        assert_eq!(d.entries, settle + tail);
-        assert_eq!(d.naive_entries, ((n - 1) * (n - 1)) as u64);
-        assert_eq!(d.ops, 1);
-        assert_rows_consistent(&s);
-    }
-
-    #[test]
     #[should_panic(expected = "neighbor row lost index 1")]
     fn settle_panics_when_a_logged_seed_is_missing() {
         let mut s = grid_seeds();
@@ -1472,23 +1275,6 @@ mod tests {
                 assert_eq!(out, want, "engine={engine:?} par={par:?}");
                 assert_eq!(got_stats, stats, "engine={engine:?} par={par:?}");
             }
-        }
-    }
-
-    #[test]
-    fn rows_track_incremental_pushes() {
-        let mut s = NearestSeeds::new(2);
-        let pts = [
-            [3.0, 1.0],
-            [0.0, 0.0],
-            [9.0, 9.0],
-            [3.0, 1.0], // duplicate of seed 0
-            [-2.0, 5.0],
-            [4.0, 4.0],
-        ];
-        for p in &pts {
-            s.push(p);
-            assert_rows_consistent(&s);
         }
     }
 

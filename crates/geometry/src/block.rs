@@ -103,22 +103,6 @@ impl SeedBlock {
         self.flat[i * self.dim..(i + 1) * self.dim].copy_from_slice(p);
     }
 
-    /// Removes point `i` by moving the last point into its slot
-    /// (swap-remove semantics).
-    ///
-    /// # Panics
-    /// Panics if `i` is out of bounds.
-    pub fn swap_remove(&mut self, i: usize) {
-        let n = self.len();
-        assert!(i < n, "SeedBlock index out of bounds");
-        let last = n - 1;
-        if i != last {
-            let (head, tail) = self.flat.split_at_mut(last * self.dim);
-            head[i * self.dim..(i + 1) * self.dim].copy_from_slice(&tail[..self.dim]);
-        }
-        self.flat.truncate(last * self.dim);
-    }
-
     /// Drops all points, keeping the allocation (scratch reuse).
     pub fn clear(&mut self) {
         self.flat.clear();
@@ -146,21 +130,6 @@ mod tests {
         b.set(0, &[7.0, 8.0, 9.0]);
         assert_eq!(b.get(0), &[7.0, 8.0, 9.0]);
         assert_eq!(b.as_flat(), &[7.0, 8.0, 9.0, 4.0, 5.0, 6.0]);
-    }
-
-    #[test]
-    fn swap_remove_moves_last_into_slot() {
-        let mut b = SeedBlock::new(2);
-        b.push(&[0.0, 0.0]);
-        b.push(&[1.0, 1.0]);
-        b.push(&[2.0, 2.0]);
-        b.swap_remove(0);
-        assert_eq!(b.len(), 2);
-        assert_eq!(b.get(0), &[2.0, 2.0]);
-        assert_eq!(b.get(1), &[1.0, 1.0]);
-        b.swap_remove(1); // removing the last just truncates
-        assert_eq!(b.len(), 1);
-        assert_eq!(b.get(0), &[2.0, 2.0]);
     }
 
     #[test]

@@ -43,19 +43,18 @@ fn random_case(rng: &mut StdRng) -> Case {
     // Query counts straddle the chunking boundaries: empty buffers, fewer
     // queries than threads, and buffers that split unevenly.
     let num_queries = rng.gen_range(0..=65);
-    let mut seeds = NearestSeeds::new(dim);
+    let mut points: Vec<Vec<f64>> = Vec::with_capacity(num_seeds);
     for i in 0..num_seeds {
         // One seed in four duplicates an earlier one, exercising the exact
         // tie-break (lowest index wins) in every engine.
         if i > 0 && rng.gen_range(0..4) == 0 {
             let dup = rng.gen_range(0..i);
-            let copy: Vec<f64> = seeds.seed(dup).to_vec();
-            seeds.push(&copy);
+            points.push(points[dup].clone());
         } else {
-            let s: Vec<f64> = (0..dim).map(|_| rng.gen_range(-50.0..50.0)).collect();
-            seeds.push(&s);
+            points.push((0..dim).map(|_| rng.gen_range(-50.0..50.0)).collect());
         }
     }
+    let seeds = NearestSeeds::from_seeds(dim, points.iter().map(Vec::as_slice));
     let queries: Vec<f64> = (0..num_queries * dim)
         .map(|_| rng.gen_range(-60.0..60.0))
         .collect();
@@ -212,40 +211,20 @@ fn merged_counters_cover_every_candidate_exactly_once() {
     }
 }
 
-/// Seed-set mutations — the merge/split/retire bookkeeping of the
-/// incremental maintainer — keep every engine bit-identical to brute
-/// force, including warm-start hints that point at the mutated seeds.
+/// Re-seeds — the merge/split bookkeeping of the incremental maintainer —
+/// keep every engine bit-identical to brute force, including warm-start
+/// hints that point at the re-seeded seeds.
 #[test]
 fn engines_stay_identical_across_seed_mutations() {
     let mut rng = StdRng::seed_from_u64(0x5EED);
     for case_no in 0..CASES {
         let mut case = random_case(&mut rng);
-        // A short mutation script: replace (split/merge re-seeding), push
-        // (adaptive growth), swap_remove (adaptive retirement).
+        // A short script of re-seeds (split/merge re-seeding); the seed
+        // count, and with it the exclusion and the hints, stays valid.
         for step in 0..rng.gen_range(1..=4) {
-            let s = case.seeds.len();
-            match rng.gen_range(0..3) {
-                0 => {
-                    let i = rng.gen_range(0..s);
-                    let p: Vec<f64> = (0..case.dim).map(|_| rng.gen_range(-50.0..50.0)).collect();
-                    case.seeds.replace(i, &p);
-                }
-                1 => {
-                    let p: Vec<f64> = (0..case.dim).map(|_| rng.gen_range(-50.0..50.0)).collect();
-                    case.seeds.push(&p);
-                }
-                _ if s > 1 => case.seeds.swap_remove(rng.gen_range(0..s)),
-                _ => {}
-            }
-            let s = case.seeds.len();
-            // Refresh exclusion and hints to the surviving index range —
-            // exactly what the maintainer does after a merge/split.
-            case.exclude = case.exclude.filter(|&e| e < s && s > 1);
-            for h in &mut case.hints {
-                if *h != NO_HINT && *h as usize >= s {
-                    *h = rng.gen_range(0..s) as u32;
-                }
-            }
+            let i = rng.gen_range(0..case.seeds.len());
+            let p: Vec<f64> = (0..case.dim).map(|_| rng.gen_range(-50.0..50.0)).collect();
+            case.seeds.replace(i, &p);
             let (brute, _) = reference(&mut case, SeedSearch::Brute, false);
             for engine in [SeedSearch::Pruned, SeedSearch::KdTree] {
                 let (out, _) = reference(&mut case, engine, true);
@@ -491,15 +470,16 @@ fn walk_case(rng: &mut StdRng, dim: usize, lattice: bool) -> (NearestSeeds, Vec<
         }
     };
     let num_seeds = rng.gen_range(1..=40);
-    let mut seeds = NearestSeeds::new(dim);
+    let mut points: Vec<Vec<f64>> = Vec::with_capacity(num_seeds);
     for i in 0..num_seeds {
         let s: Vec<f64> = if i > 0 && rng.gen_range(0..4) == 0 {
-            seeds.seed(rng.gen_range(0..i)).to_vec()
+            points[rng.gen_range(0..i)].clone()
         } else {
             (0..dim).map(|_| coord(rng, false)).collect()
         };
-        seeds.push(&s);
+        points.push(s);
     }
+    let seeds = NearestSeeds::from_seeds(dim, points.iter().map(Vec::as_slice));
     let mut queries = Vec::new();
     for _ in 0..rng.gen_range(0..=40) {
         if rng.gen_range(0..5) == 0 {

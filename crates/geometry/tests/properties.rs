@@ -129,10 +129,9 @@ proptest! {
         hint_raw in 0usize..64,
         ex_raw in prop::option::of(0usize..64),
     ) {
-        let mut set = NearestSeeds::from_seeds(3, seeds.iter().map(|s| s.as_slice()));
         // Degenerate case: duplicate one seed so exact ties exist.
-        let dup: Vec<f64> = set.seed(dup_raw % set.len()).to_vec();
-        set.push(&dup);
+        let dup = seeds[dup_raw % seeds.len()].clone();
+        let mut set = NearestSeeds::from_seeds(3, seeds.iter().chain([&dup]).map(|s| s.as_slice()));
         let s = set.len();
         let hint = Some(hint_raw % s);
         let ex = ex_raw.map(|e| e % s).filter(|_| s > 1);

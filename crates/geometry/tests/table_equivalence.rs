@@ -1,8 +1,8 @@
 //! The incrementally repaired neighbor table equals a fresh build.
 //!
-//! Random scripts of `push`, `replace` and `swap_remove` drive one
-//! [`NearestSeeds`]. The moves include near moves (a small jitter, so the
-//! entry shifts past few neighbours), far moves (across most of each row),
+//! Random scripts of re-seeds (`replace`, the table's one mutator) drive
+//! one [`NearestSeeds`]. The moves include near moves (a small jitter, so
+//! the entry shifts past few neighbours), far moves (across most of each row),
 //! moves onto another seed's exact coordinates (an exact distance tie at
 //! the edge of the shifted span, resolved by index) and moves that keep the
 //! coordinates. Half the scripts draw from a small integer grid, where
@@ -12,8 +12,7 @@
 //! * every row, ids and distance bits, equals an independent oracle: the
 //!   distances recomputed from the coordinates and sorted with
 //!   `(f64::total_cmp, index)`;
-//! * `from_seeds` over the current coordinates builds the same table, and
-//!   so do sequential pushes;
+//! * `from_seeds` over the current coordinates builds the same table;
 //! * the pruned search on the repaired table returns the same results and
 //!   the same `SearchStats` as on the fresh table.
 //!
@@ -21,9 +20,11 @@
 //! at most. The sparse-read scripts read one random row with p = 0.1 per
 //! step instead, over runs longer than the seed count, so rows settle many
 //! pending re-seeds at once (repeated re-seeds of one seed included) and
-//! the replace log folds. Each read row equals the oracle bit for bit, and
-//! so do clones taken with re-seeds pending and the audit's read-only view
-//! of a stale table, which settles nothing (ledger and cursors untouched);
+//! the replace log folds: every script folds at least once, seen in the
+//! repair ledger as a re-seed charging more than its own row. Each read
+//! row equals the oracle bit for bit, and so do clones taken with re-seeds
+//! pending and the audit's read-only view of a stale table, which settles
+//! nothing (ledger and cursors untouched);
 //! pruned searches from a read row, and threaded batches with per-query
 //! hints over stale rows, match a fresh table and the serial call,
 //! `SearchStats`, every row and the repair ledger included.
@@ -110,45 +111,27 @@ impl Script {
     fn step(&mut self, seeds: &mut NearestSeeds) -> &'static str {
         let s = seeds.len();
         let i = self.rng.gen_range(0..s);
-        match self.rng.gen_range(0..8) {
+        match self.rng.gen_range(0..5) {
             0 => {
-                let p = self.point();
-                seeds.push(&p);
-                "push"
-            }
-            1 => {
-                let p = seeds.seed(i).to_vec();
-                seeds.push(&p);
-                "push duplicate"
-            }
-            2 => {
                 let p = self.near(seeds.seed(i));
                 seeds.replace(i, &p);
                 "near move"
             }
-            3 => {
+            1 => {
                 let p: Vec<f64> = self.point().iter().map(|x| x * 40.0).collect();
                 seeds.replace(i, &p);
                 "far move"
             }
-            4 => {
+            2 => {
                 let k = self.rng.gen_range(0..s);
                 let p = seeds.seed(k).to_vec();
                 seeds.replace(i, &p);
                 "move onto a duplicate"
             }
-            5 => {
+            3 => {
                 let p = seeds.seed(i).to_vec();
                 seeds.replace(i, &p);
                 "move in place"
-            }
-            6 if s > 1 => {
-                seeds.swap_remove(i);
-                "swap_remove"
-            }
-            7 if s > 1 => {
-                seeds.swap_remove(s - 1);
-                "swap_remove last"
             }
             _ => {
                 let p = self.point();
@@ -191,11 +174,6 @@ fn repaired_table_equals_a_fresh_build_after_every_step() {
             }
             let mut fresh = NearestSeeds::from_seeds(script.dim, (0..s).map(|i| seeds.seed(i)));
             assert_same_table(&mut seeds, &mut fresh, &format!("{what}, from_seeds"));
-            let mut pushed = NearestSeeds::new(script.dim);
-            for i in 0..s {
-                pushed.push(seeds.seed(i));
-            }
-            assert_same_table(&mut fresh, &mut pushed, &format!("{what}, pushes"));
 
             for q in 0..QUERIES {
                 let p = if q % 3 == 0 {
@@ -225,23 +203,12 @@ fn repaired_table_equals_a_fresh_build_after_every_step() {
 const SPARSE_SCRIPTS: usize = 16;
 const SPARSE_STEPS: usize = 400;
 
-/// One sparse-script mutation: mostly re-seeds — a third of them of one
-/// `hot` seed — with a rare push or swap_remove, so that runs between two
-/// full settles are longer than the seed count.
+/// One sparse-script re-seed, a third of them of one `hot` seed. Only the
+/// log fold settles every row, after more re-seeds than the seed count.
 fn sparse_step(script: &mut Script, seeds: &mut NearestSeeds, hot: usize) -> &'static str {
     let s = seeds.len();
     match script.rng.gen_range(0..100) {
-        0 => {
-            let p = script.point();
-            seeds.push(&p);
-            "push"
-        }
-        1 if s > 2 => {
-            let i = script.rng.gen_range(0..s);
-            seeds.swap_remove(i);
-            "swap_remove"
-        }
-        2..=33 => {
+        0..=33 => {
             let i = hot % s;
             let p = if script.rng.gen_bool(0.5) {
                 script.near(seeds.seed(i))
@@ -355,10 +322,17 @@ fn sparse_reads_settle_many_pending_reseeds() {
         let initial: Vec<Vec<f64>> = (0..n0).map(|_| script.point()).collect();
         let mut seeds = NearestSeeds::from_seeds(script.dim, initial.iter().map(Vec::as_slice));
         let hot = script.rng.gen_range(0..n0);
+        let mut folds = 0;
         for step in 0..SPARSE_STEPS {
+            let before = seeds.repair_stats().entries;
             let op = sparse_step(&mut script, &mut seeds, hot);
             let what = format!("sparse script {script_no} step {step} ({op})");
             let s = seeds.len();
+            // A re-seed charges its own row's `s` entries; a fold also
+            // charges the settles of every stale row.
+            if seeds.repair_stats().entries - before > s as u64 {
+                folds += 1;
+            }
 
             if script.rng.gen_bool(0.1) {
                 // Read one row, settled in place before or by the read, and
@@ -433,8 +407,11 @@ fn sparse_reads_settle_many_pending_reseeds() {
                 }
             }
         }
-        let s = seeds.len();
-        for i in 0..s {
+        assert!(
+            folds > 0,
+            "sparse script {script_no}: the replace log never folded"
+        );
+        for i in 0..seeds.len() {
             assert_row_is_oracle(&mut seeds, i, &format!("sparse script {script_no} end"));
         }
     }

@@ -6,8 +6,7 @@
 //!
 //! 1. **Split pairing** — every [`EventKind::Split`] is immediately
 //!    preceded (among structural events) by the [`EventKind::MergeAway`]
-//!    that freed its donor seed, or by the [`EventKind::Grow`] that
-//!    spawned it; the donor ids must match.
+//!    that freed its donor seed; the donor ids must match.
 //! 2. **Batch accounting** — a [`EventKind::BatchApplied`] reports
 //!    exactly the per-point [`EventKind::Insert`]/[`EventKind::Delete`]
 //!    events emitted since the previous structural boundary.
@@ -54,10 +53,6 @@ pub struct JournalSummary {
     pub merges: u64,
     /// Splits.
     pub splits: u64,
-    /// Retired bubbles.
-    pub retires: u64,
-    /// Grown bubbles.
-    pub grows: u64,
     /// WAL commit groups.
     pub wal_commits: u64,
     /// WAL segment rotations.
@@ -126,23 +121,19 @@ pub fn check_journal(events: &[Event]) -> Result<JournalSummary, String> {
             }
             EventKind::Split { donor, .. } => {
                 summary.splits += 1;
-                let paired = match prev_structural {
-                    Some((_, EventKind::MergeAway { donor: d, .. })) => d == donor,
-                    Some((_, EventKind::Grow { bubble, .. })) => bubble == donor,
-                    _ => false,
-                };
+                let paired = matches!(
+                    prev_structural,
+                    Some((_, EventKind::MergeAway { donor: d, .. })) if d == donor
+                );
                 if !paired {
                     return Err(format!(
                         "event {i}: split onto donor {donor} is not paired with a \
-                         merge_away or grow of that bubble (previous structural \
-                         event: {:?})",
+                         merge_away of that bubble (previous structural event: {:?})",
                         prev_structural.map(|(j, k)| (j, k.tag()))
                     ));
                 }
             }
             EventKind::MergeAway { .. } => summary.merges += 1,
-            EventKind::RetireBubble { .. } => summary.retires += 1,
-            EventKind::Grow { .. } => summary.grows += 1,
             EventKind::WalCommit { records, .. } => {
                 summary.wal_commits += 1;
                 if *records == 0 {
@@ -338,16 +329,6 @@ mod tests {
                 splits: 1,
                 cause: Cause::Maintain,
             }),
-            ev(EventKind::Grow {
-                from: 1,
-                bubble: 10,
-            }),
-            ev(EventKind::Split {
-                over: 1,
-                donor: 10,
-                moved: 4,
-                cause: Cause::Adaptive,
-            }),
             ev(EventKind::WalAppend {
                 bytes: 100,
                 records: 1,
@@ -364,9 +345,8 @@ mod tests {
         ];
         let summary = check_journal(&events).expect("well-formed");
         assert_eq!(summary.batches, 1);
-        assert_eq!(summary.splits, 2);
+        assert_eq!(summary.splits, 1);
         assert_eq!(summary.merges, 1);
-        assert_eq!(summary.grows, 1);
         assert_eq!(summary.inserts, 2);
         assert_eq!(summary.deletes, 1);
         assert_eq!(summary.wal_commits, 1);

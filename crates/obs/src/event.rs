@@ -2,7 +2,7 @@
 //! ids, and duration.
 //!
 //! Every structural operation of the maintainer (insert, delete,
-//! merge-away, split, retire, grow, maintenance rounds, audit/repair),
+//! merge-away, split, maintenance rounds, audit/repair),
 //! every durability action (WAL append/commit/truncate, checkpoint) and
 //! every recovery step emits one [`Event`]. Events are always emitted from
 //! the thread driving the maintainer — never from worker threads — so the
@@ -103,16 +103,8 @@ macro_rules! spelled {
 spelled! {
     /// Why a structural operation fired.
     Cause {
-        /// Direct consequence of applying an update batch.
-        Batch = "batch",
         /// The synchronized merge/split maintenance round (Section 4.2).
         Maintain = "maintain",
-        /// The adaptive grow/retire policy.
-        Adaptive = "adaptive",
-        /// An explicit `retire_bubble` call.
-        Retire = "retire",
-        /// The invariant repair path.
-        Repair = "repair",
     }
 }
 
@@ -218,28 +210,13 @@ events! {
         /// Why the split fired.
         cause: Cause,
     }
-    /// A bubble was retired (merged away and swap-removed).
-    RetireBubble = "retire_bubble" {
-        /// The retired bubble's index at call time.
-        bubble: u32,
-        /// The index the former last bubble moved from, when the
-        /// swap-remove relocated one.
-        swapped: Option<u32>,
-    }
-    /// A new bubble was spawned from an over-filled one.
-    Grow = "grow" {
-        /// The over-filled source bubble.
-        from: u32,
-        /// The new bubble's index.
-        bubble: u32,
-    }
     /// A synchronized maintenance round finished.
     MaintainRound = "maintain" {
         /// Merge-away operations performed.
         merges: u32,
         /// Splits performed.
         splits: u32,
-        /// `Maintain` for the plain round, `Adaptive` for grow/retire.
+        /// Why the round ran.
         cause: Cause,
     }
     /// An invariant audit finished.
@@ -417,8 +394,6 @@ impl EventKind {
                 | EventKind::BatchApplied { .. }
                 | EventKind::MergeAway { .. }
                 | EventKind::Split { .. }
-                | EventKind::RetireBubble { .. }
-                | EventKind::Grow { .. }
                 | EventKind::MaintainRound { .. }
         )
     }
@@ -556,30 +531,9 @@ mod tests {
                     over: 1,
                     donor: 3,
                     moved: 9,
-                    cause: Cause::Adaptive,
+                    cause: Cause::Maintain,
                 },
                 52,
-            ),
-            Event::new(
-                EventKind::RetireBubble {
-                    bubble: 2,
-                    swapped: Some(11),
-                },
-                60,
-            ),
-            Event::new(
-                EventKind::RetireBubble {
-                    bubble: 5,
-                    swapped: None,
-                },
-                61,
-            ),
-            Event::new(
-                EventKind::Grow {
-                    from: 4,
-                    bubble: 12,
-                },
-                70,
             ),
             Event::new(
                 EventKind::MaintainRound {
@@ -766,7 +720,7 @@ mod tests {
             "{\"k\":\"nope\",\"us\":0}",                 // unknown tag
             "{\"k\":\"split\",\"over\":1,\"donor\":2,\"moved\":3,\"cause\":\"weird\",\"us\":0}",
             "{\"k\":\"build\",\"points\":1000,\"bubbles\":40,\"us\":0}", // retired tag
-            "{\"k\":\"retire_bubble\",\"bubble\":1,\"swapped\":\"x\",\"us\":0}", // bad optional
+            "{\"k\":\"grow\",\"from\":4,\"bubble\":12,\"us\":70}",       // retired tag
             "{\"k\":\"insert\",\"shard\":\"x\",\"bubble\":1,\"us\":0}",  // bad shard tag
         ] {
             assert!(Event::parse_jsonl(line).is_none(), "{line:?}");

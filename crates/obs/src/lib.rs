@@ -12,10 +12,9 @@
 //!   sections accumulate into per-worker shards folded in chunk order, so
 //!   counter values stay bit-identical across `Parallelism` modes;
 //! * [`Event`] / [`EventKind`] — one typed journal entry per structural
-//!   op (insert, delete, merge-away, split, retire, grow, maintenance
-//!   round, audit/repair), durability action (WAL append/commit,
-//!   checkpoint) and recovery step, carrying cause, affected bubble ids
-//!   and duration;
+//!   op (insert, delete, merge-away, split, maintenance round,
+//!   audit/repair), durability action (WAL append/commit, checkpoint) and
+//!   recovery step, carrying cause, affected bubble ids and duration;
 //! * [`Recorder`] — where events go: [`NullRecorder`] (default, free),
 //!   [`RingRecorder`] (tests), [`JsonlRecorder`] (files);
 //! * [`Obs`] — the cheap cloneable handle instrumented components carry;
