@@ -14,15 +14,23 @@
 //!   pre-kernel-pass medians `assign_report` recorded immediately before
 //!   the switch (constants from the host that first ran this report, so
 //!   the speedup column holds only on that host).
-//! * **Neighbor-table accounting**: the `from_seeds` build at s = 512, a
-//!   re-seed loop that reads rows as sparsely as maintenance does, and the
-//!   dynamic flow's own repair ledger — row entries written per re-seed,
-//!   next to the `s²` a per-mutation re-sort of every row would write
-//!   (`naive`).
+//! * **Neighbor-table accounting**: the `from_seeds` build at s = 512,
+//!   two timed re-seed loops that read rows as sparsely as maintenance
+//!   does (one re-seed then 11 reads at d = 10; the `many_bubbles`
+//!   workload's three re-seeds then 29 reads at d = 2), and the dynamic
+//!   flow's own repair ledger — row entries written per re-seed, next to
+//!   the `s²` a per-mutation re-sort of every row would write (`naive`).
 //!
-//! Usage: `kernel_report [output.json]` (default `BENCH_kernel.json`).
+//! Usage: `kernel_report [output.json] [baseline.json]` (default
+//! `BENCH_kernel.json`). A baseline is this report built at an earlier
+//! commit and run on the same host: each seed-table flow then records the
+//! baseline's `baseline_median_secs`, and the report asserts that every
+//! flow's entries per re-seed equal the baseline's.
 
-use idb_bench::{complex_fixture, dynamic_flow, json_list, median_secs, write_report};
+use idb_bench::{
+    complex_fixture, dynamic_flow, json_list, median_secs, median_secs_with, row_number,
+    write_report,
+};
 use idb_core::{IncrementalBubbles, MaintainerConfig, SeedSearch};
 use idb_geometry::metric::{scalar, sq_dist, sq_dist_bounded};
 use idb_geometry::{NearestSeeds, SearchStats};
@@ -257,66 +265,144 @@ fn end_to_end_rows() -> (Vec<EndToEndRow>, IncrementalBubbles) {
     (rows, last.expect("dynamic flow ran"))
 }
 
-struct TableReport {
-    seeds: usize,
-    build_secs: f64,
-    reseeds: u64,
-    reseed_entries: u64,
-    reseed_naive_entries: u64,
-    reseed_secs: f64,
+/// One timed re-seed-and-read shape of the neighbor table at s = 512.
+struct TableFlow {
+    name: &'static str,
+    dim: usize,
+    reseeds_per_round: usize,
+    reads_per_round: usize,
+    rounds: usize,
 }
 
-/// Rows read between two re-seeds in the re-seed loop: about what the
-/// `many_bubbles` workload reads.
-const READS_PER_RESEED: usize = 11;
+/// The two shapes the table is timed in: one re-seed then 11 row reads at
+/// d = 10, and the `many_bubbles` workload's rounds — three re-seeds,
+/// then 29 row reads, at d = 2.
+const TABLE_FLOWS: [TableFlow; 2] = [
+    TableFlow {
+        name: "d10_reseed1_read11",
+        dim: 10,
+        reseeds_per_round: 1,
+        reads_per_round: 11,
+        rounds: 768,
+    },
+    TableFlow {
+        name: "d2_reseed3_read29",
+        dim: 2,
+        reseeds_per_round: 3,
+        reads_per_round: 29,
+        rounds: 256,
+    },
+];
+const TABLE_SEEDS: usize = 512;
 
-/// The neighbor table at s = 512: the median `from_seeds` build, then
+/// The seed-table rows of a baseline report, if one was given: each
+/// flow's name, median seconds and entries per re-seed.
+struct Baseline(Vec<(String, f64, f64)>);
+
+impl Baseline {
+    fn read(path: &str) -> Self {
+        let text = std::fs::read_to_string(path).expect("read baseline report");
+        let rows = text
+            .lines()
+            .filter_map(|line| {
+                let start = line.find("{\"flow\": \"")? + 10;
+                let name = &line[start..start + line[start..].find('"')?];
+                let secs = row_number(line, "median_secs")?;
+                Some((name.to_string(), secs, row_number(line, "entries_per_op")?))
+            })
+            .collect();
+        Self(rows)
+    }
+
+    /// The baseline's median seconds for flow `name`, after checking that
+    /// it wrote the same entries per re-seed.
+    fn secs(&self, name: &str, entries_per_op: f64) -> f64 {
+        let (_, secs, base) = self
+            .0
+            .iter()
+            .find(|(n, ..)| n == name)
+            .unwrap_or_else(|| panic!("the baseline report has no seed-table flow {name}"));
+        assert_eq!(
+            format!("{entries_per_op:.1}"),
+            format!("{base:.1}"),
+            "{name}: the entries per re-seed differ from the baseline's"
+        );
+        *secs
+    }
+}
+
+/// The neighbor table at s = 512: the median `from_seeds` build at d = 10
+/// and, per [`TABLE_FLOWS`] shape, the median time of its rounds of
 /// re-seeds — the one structural mutation maintenance performs — each
-/// followed by in-place reads of [`READS_PER_RESEED`] random rows, with
-/// the repair ledger counting the row entries each re-seed (and each
-/// settle of a re-seed into the rows) writes. After the loop every row,
-/// read, must equal a fresh `from_seeds` over the final coordinates.
-fn table_report(rng: &mut StdRng) -> TableReport {
-    const S: usize = 512;
-    const D: usize = 10;
-    const RESEEDS: usize = 768;
-    let point = |rng: &mut StdRng| -> Vec<f64> {
-        (0..D).map(|_| rng.gen_range(-100.0f64..100.0)).collect()
+/// round followed by in-place reads of random rows, with the repair
+/// ledger counting the row entries each re-seed (and each settle of a
+/// re-seed into the rows) writes. Every run replays the same re-seeds and
+/// reads, and after the last one every row, read, must equal a fresh
+/// `from_seeds` over the final coordinates. Returns the build seconds and
+/// one JSON row per shape.
+fn table_report(rng: &mut StdRng, baseline: Option<&Baseline>) -> (f64, Vec<String>) {
+    let point = |rng: &mut StdRng, d: usize| -> Vec<f64> {
+        (0..d).map(|_| rng.gen_range(-100.0f64..100.0)).collect()
     };
-    let flat: Vec<f64> = (0..S).flat_map(|_| point(rng)).collect();
+    let flat: Vec<f64> = (0..TABLE_SEEDS).flat_map(|_| point(rng, 10)).collect();
     let (build_secs, _) = median_secs(REPS, || {
-        NearestSeeds::from_seeds(D, flat.chunks_exact(D)).len()
+        NearestSeeds::from_seeds(10, flat.chunks_exact(10)).len()
     });
-    let mut seeds = NearestSeeds::from_seeds(D, flat.chunks_exact(D));
-    let t0 = Instant::now();
-    for _ in 0..RESEEDS {
-        seeds.replace(rng.gen_range(0..S), &point(rng));
-        for _ in 0..READS_PER_RESEED {
-            seeds.settle_row(rng.gen_range(0..S));
-        }
+    let mut rows = Vec::new();
+    for flow in &TABLE_FLOWS {
+        let d = flow.dim;
+        let seed = rng.gen();
+        let flat: Vec<f64> = (0..TABLE_SEEDS).flat_map(|_| point(rng, d)).collect();
+        let (secs, seeds) = median_secs_with(
+            REPS,
+            || {
+                let seeds = NearestSeeds::from_seeds(d, flat.chunks_exact(d));
+                (seeds, StdRng::seed_from_u64(seed))
+            },
+            |(mut seeds, mut rng)| {
+                for _ in 0..flow.rounds {
+                    for _ in 0..flow.reseeds_per_round {
+                        seeds.replace(rng.gen_range(0..TABLE_SEEDS), &point(&mut rng, d));
+                    }
+                    for _ in 0..flow.reads_per_round {
+                        seeds.settle_row(rng.gen_range(0..TABLE_SEEDS));
+                    }
+                }
+                seeds
+            },
+        );
+        let repair = seeds.repair_stats();
+        let mut seeds = seeds;
+        let mut fresh = NearestSeeds::from_seeds(d, (0..TABLE_SEEDS).map(|i| seeds.seed(i)));
+        assert!(
+            (0..TABLE_SEEDS).all(|i| seeds.neighbor_order(i) == fresh.neighbor_order(i)
+                && seeds.neighbor_distances(i) == fresh.neighbor_distances(i)),
+            "{}: after the re-seeds every row must equal from_seeds over the final coordinates",
+            flow.name
+        );
+        let entries_per_op = repair.entries as f64 / repair.ops as f64;
+        let versus = baseline.map_or(String::new(), |b| {
+            format!(
+                ", \"baseline_median_secs\": {:.6}",
+                b.secs(flow.name, entries_per_op)
+            )
+        });
+        eprintln!(
+            "seed table {} s={TABLE_SEEDS}: {} re-seeds in {secs:.4}s{versus}, {entries_per_op:.1} entries/op vs {:.0} naive/op",
+            flow.name,
+            repair.ops,
+            repair.naive_entries as f64 / repair.ops as f64,
+        );
+        rows.push(format!(
+            "{{\"flow\": \"{}\", \"dim\": {d}, \"reseeds_per_round\": {}, \"reads_per_round\": {}, \"rounds\": {}, \"median_secs\": {secs:.6}{versus}, \"entries_per_op\": {entries_per_op:.1}, \"naive_entries_per_op\": {:.1}}}",
+            flow.name,
+            flow.reseeds_per_round,
+            flow.reads_per_round,
+            flow.rounds,
+            repair.naive_entries as f64 / repair.ops as f64,
+        ));
     }
-    let reseed_secs = t0.elapsed().as_secs_f64();
-    let reseed = seeds.repair_stats();
-    let mut fresh = NearestSeeds::from_seeds(D, (0..S).map(|i| seeds.seed(i)));
-    assert!(
-        (0..S).all(|i| seeds.neighbor_order(i) == fresh.neighbor_order(i)
-            && seeds.neighbor_distances(i) == fresh.neighbor_distances(i)),
-        "after the re-seeds every row must equal from_seeds over the final coordinates"
-    );
-    eprintln!(
-        "seed table s={S}: build {build_secs:.4}s; {} re-seeds in {reseed_secs:.4}s, {:.0} entries/op vs {:.0} naive/op",
-        reseed.ops,
-        reseed.entries as f64 / reseed.ops as f64,
-        reseed.naive_entries as f64 / reseed.ops as f64,
-    );
-    TableReport {
-        seeds: S,
-        build_secs,
-        reseeds: reseed.ops,
-        reseed_entries: reseed.entries,
-        reseed_naive_entries: reseed.naive_entries,
-        reseed_secs,
-    }
+    (build_secs, rows)
 }
 
 fn main() {
@@ -324,7 +410,8 @@ fn main() {
 
     let kernels = kernel_rows(&mut rng);
     let (end_to_end, dynamic_ib) = end_to_end_rows();
-    let table = table_report(&mut rng);
+    let baseline = std::env::args().nth(2).map(|path| Baseline::read(&path));
+    let (build_secs, table) = table_report(&mut rng, baseline.as_ref());
     let dyn_repair = dynamic_ib.seed_repair_stats();
 
     let min_speedup_high_d = kernels
@@ -342,7 +429,7 @@ fn main() {
         json,
         "  \"min_kernel_speedup_d64_plus\": {min_speedup_high_d:.2},"
     );
-    json.push_str("  \"note\": \"scalar columns run the historical sequential kernels kept in metric::scalar (same binary, same flags); kernel secs are the fastest of kernel_reps interleaved rounds per side, speedup is their ratio and speedup_rep_min/max the spread of the per-round ratios; end_to_end median_secs are medians of reps runs; pre_kernel_secs are constants: assign_report medians recorded at the commit before the canonical-kernel switch on the host that first ran this report, so they compare only with runs on that host; naive columns are the entries a re-sort of every neighbor row per seed mutation would write; seed_table's reseed loop replaces one random seed at a time and settles reads_per_reseed random rows in place after each re-seed\",\n");
+    json.push_str("  \"note\": \"scalar columns run the historical sequential kernels kept in metric::scalar (same binary, same flags); kernel secs are the fastest of kernel_reps interleaved rounds per side, speedup is their ratio and speedup_rep_min/max the spread of the per-round ratios; end_to_end median_secs are medians of reps runs; pre_kernel_secs are constants: assign_report medians recorded at the commit before the canonical-kernel switch on the host that first ran this report, so they compare only with runs on that host; naive columns are the entries a re-sort of every neighbor row per seed mutation would write; each seed_table flow runs rounds of reseeds_per_round random re-seeds, each round followed by reads_per_round random rows settled in place; its median_secs is the median of reps runs replaying the same re-seeds and reads; baseline_median_secs, when present, comes from the same report built at an earlier commit and run on the same host, whose entries_per_op is asserted equal to this run's\",\n");
     let kernel_rows = kernels.iter().map(|r| {
         format!(
             "{{\"d\": {}, \"evals\": {}, {}, {}}}",
@@ -366,13 +453,8 @@ fn main() {
     let _ = writeln!(json, "  \"end_to_end\": {},", json_list(4, end_to_end));
     let _ = writeln!(
         json,
-        "  \"seed_table\": {{\"seeds\": {}, \"build_secs\": {:.6}, \"reseeds\": {}, \"reads_per_reseed\": {READS_PER_RESEED}, \"reseed_secs\": {:.6}, \"reseed_entries_per_op\": {:.1}, \"reseed_naive_entries_per_op\": {:.1}}},",
-        table.seeds,
-        table.build_secs,
-        table.reseeds,
-        table.reseed_secs,
-        table.reseed_entries as f64 / table.reseeds as f64,
-        table.reseed_naive_entries as f64 / table.reseeds as f64,
+        "  \"seed_table\": {{\"seeds\": {TABLE_SEEDS}, \"build_secs\": {build_secs:.6}, \"flows\": {}}},",
+        json_list(4, table)
     );
     let _ = writeln!(
         json,

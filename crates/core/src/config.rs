@@ -76,6 +76,18 @@ impl MaintainerConfig {
 
     /// Sets the Chebyshev probability.
     ///
+    /// A bubble is over-filled when its β lies more than `k = 1/√(1 − p)`
+    /// standard deviations above the mean, and the classifier takes the
+    /// deviation over all `s` bubbles (dividing by `s`). By Samuelson's
+    /// inequality no value of `s` numbers lies more than `√(s − 1)` such
+    /// deviations from their mean, so when `√(s − 1) ≤ k` — that is,
+    /// `s ≤ 1 + 1/(1 − p)` — no bubble can ever be over-filled and
+    /// maintenance never splits. At the default `p = 0.9` (`k ≈ 3.162`)
+    /// that covers `s ≤ 11`; `s = 12` clears `k` by `√11 − √10 ≈ 0.154`.
+    /// (With the deviation divided by `s − 1` instead, the bound would be
+    /// `(s − 1)/√s`, and `s = 12` would clear `k` by 0.013.) A population
+    /// this small needs a lower `p` to split at all.
+    ///
     /// # Panics
     /// Panics unless `0 < p < 1`.
     #[must_use]

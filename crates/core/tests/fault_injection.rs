@@ -73,6 +73,23 @@ fn fingerprint(store: &PointStore, ib: &IncrementalBubbles) -> (Vec<u8>, Vec<u8>
     (s, b)
 }
 
+/// A valid batch of `n` inserts packed within 2 units of `(c, c)`. One
+/// bubble absorbs them and comes out over-filled, so the next maintenance
+/// round splits it, re-seeding two bubbles — under a probability low
+/// enough that the population can hold an over-filled bubble at all (see
+/// `MaintainerConfig::with_probability`).
+fn clustered_burst(c: f64, n: u32) -> Batch {
+    Batch {
+        deletes: Vec::new(),
+        inserts: (0..n)
+            .map(|i| {
+                let t = f64::from(i) * 0.041;
+                (vec![c + t.sin() * 2.0, c + t.cos() * 2.0], None)
+            })
+            .collect(),
+    }
+}
+
 #[test]
 fn every_batch_fault_is_rejected_with_exact_rollback() {
     for (round, &fault) in ALL_BATCH_FAULTS.iter().enumerate() {
@@ -304,23 +321,15 @@ fn audit_detects_and_repair_heals_every_sabotage() {
             "drifted neighbor distance under pending re-seeds",
             |ib, store| {
                 // A burst of inserts over-fills one bubble. (Among ten
-                // bubbles no β lies more than 9/√10 ≈ 2.85 σ above the
-                // mean, short of p = 0.9's k ≈ 3.16, so the population is
+                // bubbles no β lies more than √9 = 3 σ above the mean,
+                // short of p = 0.9's k ≈ 3.16, so the population is
                 // rebuilt under p = 0.8.) Then a row is damaged, and the
                 // re-seeds of the maintenance round that splits the bubble
                 // leave it stale: the audit reads it settled, and the
                 // damage must survive the settle. Clones probe for a row
                 // the round neither re-seeds nor reads, and whose damaged
                 // (farthest) entry it does not re-seed.
-                let burst = Batch {
-                    deletes: Vec::new(),
-                    inserts: (0..150)
-                        .map(|i| {
-                            let t = f64::from(i) * 0.041;
-                            (vec![200.0 + t.sin() * 2.0, 200.0 + t.cos() * 2.0], None)
-                        })
-                        .collect(),
-                };
+                let burst = clustered_burst(200.0, 150);
                 let config = MaintainerConfig::new(10).with_probability(0.8);
                 let mut rng = StdRng::seed_from_u64(5);
                 *ib = IncrementalBubbles::build(store, config, &mut rng, &mut SearchStats::new());
@@ -514,7 +523,8 @@ fn rejected_batches_leave_no_journal_trace() {
 /// The journal invariants of [`check_journal`] hold over a stream of
 /// churn, maintenance, sabotage and repair: split events pair with the
 /// merge that freed their donor, and batch accounting matches the
-/// per-point trail exactly.
+/// per-point trail exactly. A clustered burst makes the stream split (and
+/// so re-seed, leaving neighbor rows to settle) under p = 0.8.
 #[test]
 fn journal_invariants_hold_across_churn_maintenance_and_repair() {
     let mut rng = StdRng::seed_from_u64(0x0B5E_CC01);
@@ -522,11 +532,13 @@ fn journal_invariants_hold_across_churn_maintenance_and_repair() {
     let mut engine = ScenarioEngine::new(spec);
     let mut store = engine.populate(&mut rng);
     let mut search = SearchStats::new();
-    let mut ib =
-        IncrementalBubbles::build(&store, MaintainerConfig::new(12), &mut rng, &mut search);
+    let config = MaintainerConfig::new(12).with_probability(0.8);
+    let mut ib = IncrementalBubbles::build(&store, config, &mut rng, &mut search);
     let ring = Arc::new(RingRecorder::new());
     ib.set_obs(Obs::with_recorder(ring.clone()));
 
+    ib.try_apply_batch(&mut store, &clustered_burst(200.0, 150), &mut search)
+        .expect("the burst is valid");
     for _ in 0..6 {
         let batch = engine.plan(&mut rng);
         let ids = ib
@@ -552,6 +564,10 @@ fn journal_invariants_hold_across_churn_maintenance_and_repair() {
     assert!(
         summary.inserts + summary.deletes > 0,
         "churn must journal per-point events: {summary:?}"
+    );
+    assert!(
+        summary.splits > 0 && summary.merges > 0,
+        "the burst must make maintenance split: {summary:?}"
     );
 }
 
@@ -627,7 +643,9 @@ proptest! {
     /// Random interleavings of valid and invalid batches: invalid ones are
     /// rejected with byte-exact rollback, valid ones apply, maintenance
     /// runs every round, and the audit stays green throughout. Nothing
-    /// panics.
+    /// panics. A clustered burst first makes maintenance split under
+    /// p = 0.8, so the audits also read neighbor rows with re-seeds
+    /// pending.
     #[test]
     fn fault_interleaving_keeps_the_audit_green(
         seed in 0u64..1_000,
@@ -640,10 +658,14 @@ proptest! {
         let mut search = SearchStats::new();
         let mut ib = IncrementalBubbles::build(
             &store,
-            MaintainerConfig::new(12),
+            MaintainerConfig::new(12).with_probability(0.8),
             &mut rng,
             &mut search,
         );
+        ib.try_apply_batch(&mut store, &clustered_burst(200.0, 150), &mut search)
+            .expect("the burst is valid");
+        let mut splits = ib.maintain(&store, &mut rng, &mut search).splits;
+        prop_assert!(ib.audit(&store).is_ok(), "audit green after the burst");
 
         for _ in 0..rounds {
             if rng.gen_bool(0.5) {
@@ -661,9 +683,10 @@ proptest! {
                     .expect("planned batches are valid");
                 engine.confirm(&ids);
             }
-            ib.maintain(&store, &mut rng, &mut search);
+            splits += ib.maintain(&store, &mut rng, &mut search).splits;
             prop_assert!(ib.audit(&store).is_ok(), "audit stays green");
         }
+        prop_assert!(splits > 0, "the burst must make maintenance split");
     }
 }
 

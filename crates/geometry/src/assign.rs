@@ -19,8 +19,8 @@
 //!   pairwise distance to the start seed (the start's neighbor row, which
 //!   stores each distance next to its seed index), prunes the whole
 //!   remaining tail once the pairwise distance exceeds `d(p, start) + best`
-//!   — by the triangle inequality nothing further out can beat or tie the
-//!   best — and evaluates survivors with the early-exit kernel
+//!   by more than a rounding margin — by the triangle inequality nothing
+//!   further out can beat or tie the best — and evaluates survivors with the early-exit kernel
 //!   [`sq_dist_bounded`] against the best square so far, charging rejected
 //!   evaluations to `stats.partial`. The kernel checks its bound once per
 //!   16 lanes; a rejection is decided by the bound alone, so the counts do
@@ -46,16 +46,20 @@
 //! [`NearestSeeds::from_seeds`] sorts each row once, and a row equals a
 //! fresh sort whenever it is read.
 //!
-//! Re-seeding seed `i` rebuilds row `i` and appends one record, `i` and its
-//! old coordinates, to a shared replace log; the other rows are left alone.
-//! Each row keeps a cursor into the log and is *settled* only when it is
-//! read: for every seed logged past the cursor, its stale distance is
-//! recomputed from its first logged old coordinates (bit-exact, because
-//! `dist` is symmetric to the bit), the stale entries are binary-searched,
-//! the new keys ranked, and only entries between the outermost old and new
-//! positions move, each at most once. A log longer than `s` records is
-//! folded into every row and cleared, so it holds `O(s · d)` memory. There
-//! is no `s × s` matrix: the table holds `12 · s²` bytes.
+//! Re-seeding seed `i` rebuilds row `i` and appends one record, the id `i`
+//! alone, to a shared replace log; the other rows are left alone. Each row
+//! keeps a cursor into the log and is *settled* only when it is read: the
+//! distinct seeds logged past the cursor are marked, each one's new
+//! distance is computed once, and the row is rebuilt around them. A stale
+//! entry is found by its seed id, never by its old distance, so ids are
+//! all the log needs. A backlog of more than one pending seed per
+//! 40 row entries is folded in one sequential pass over the row, which
+//! drops the marked ids and merges the sorted new entries in; a smaller
+//! one locates each stale entry with an id scan and each new entry's place
+//! with a binary search, and shifts only the entries between. A log longer
+//! than `s` records is folded into every row and cleared, so it holds
+//! `O(s)` memory. There is no `s × s` matrix: the table holds `12 · s²`
+//! bytes.
 //!
 //! The table settles its own rows; callers only query it. Every reader that
 //! can settle takes `&mut self` and settles, in place, exactly the rows it
@@ -76,9 +80,6 @@ use std::ops::Range;
 
 /// Sentinel in a per-query hint buffer meaning "no hint for this query".
 pub const NO_HINT: u32 = u32::MAX;
-
-/// "No earlier record" in [`ReplaceLog::prev`].
-const NO_RECORD: u32 = u32::MAX;
 
 /// Which nearest-seed engine the maintainer and batch drivers use.
 ///
@@ -133,47 +134,26 @@ struct Row {
     seen: usize,
 }
 
-/// The re-seeds not yet folded into every row, oldest first: each record
-/// holds the re-seeded index and the coordinates it had before the move.
+/// Working memory of a settle, reused across settles: a mark per seed
+/// (set only during a settle), the new entries (key, index, distance),
+/// [`Row::splice`]'s positions and the row [`Row::merge`] builds.
 #[derive(Debug, Clone, Default)]
-struct ReplaceLog {
+struct Settle {
+    pending: Vec<bool>,
+    new: Vec<(u64, u32, f64)>,
+    spots: Vec<(usize, usize)>,
+    events: Vec<(usize, bool)>,
     ids: Vec<u32>,
-    /// Each record's previous record of the same seed, or [`NO_RECORD`]:
-    /// a record is its seed's first past a cursor `c` iff `prev < c`.
-    prev: Vec<u32>,
-    /// Old coordinates, `dim` per record.
-    coords: Vec<f64>,
+    w: Vec<f64>,
 }
 
-impl ReplaceLog {
-    fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    fn push(&mut self, i: u32, old: &[f64]) {
-        let prev = self.ids.iter().rposition(|&j| j == i);
-        self.prev.push(prev.map_or(NO_RECORD, |k| k as u32));
-        self.ids.push(i);
-        self.coords.extend_from_slice(old);
-    }
-
-    fn clear(&mut self) {
-        self.ids.clear();
-        self.prev.clear();
-        self.coords.clear();
-    }
-}
-
-/// Working memory of a settle, reused across settles.
-#[derive(Debug, Clone, Default)]
-struct Splice {
-    /// Positions of the stale entries.
-    old: Vec<usize>,
-    /// The new entries: distance key, index, distance and, once ranked,
-    /// final position.
-    new: Vec<(u64, u32, f64, usize)>,
-    /// Runs of surviving entries to move: start, end and signed shift.
-    runs: Vec<(usize, usize, isize)>,
+/// The position of the first entry naming seed `j`: an id scan in blocks
+/// of 16, each tested whole, so the loop branches once per block.
+fn locate(ids: &[u32], j: u32) -> Option<usize> {
+    let hit = |b: &[u32]| b.iter().fold(false, |hit, &x| hit | (x == j));
+    let block = ids.chunks_exact(16).position(hit);
+    let start = 16 * block.unwrap_or(ids.len() / 16);
+    ids[start..].iter().position(|&x| x == j).map(|p| start + p)
 }
 
 impl Row {
@@ -214,111 +194,133 @@ impl Row {
         Self { ids, w, seen: 0 }
     }
 
-    /// The number of entries ordering before the key `(k, id)`: a binary
-    /// search over the distances alone, then a step over the exact
-    /// distance ties with a lower index.
-    fn rank(&self, k: u64, id: u32) -> usize {
-        let mut p = self.w.partition_point(|&x| dist_key(x) < k);
-        while p < self.ids.len() && dist_key(self.w[p]) == k && self.ids[p] < id {
-            p += 1;
-        }
-        p
-    }
-
-    /// The position of the entry `(k, id)`.
-    ///
-    /// # Panics
-    /// Panics if the row holds no such entry (a corrupted table).
-    fn find(&self, k: u64, id: u32) -> usize {
-        let p = self.rank(k, id);
-        assert!(self.ids.get(p) == Some(&id), "neighbor row lost index {id}");
-        p
-    }
-
     /// Folds the log records past `seen` into this row of seed `owner`
-    /// (whose coordinates `block` holds) and returns the entries written.
-    ///
-    /// Every seed logged past the cursor has one stale entry, keyed by its
-    /// distance to its *first* logged old coordinates — the row was sorted
-    /// over those — recomputed bit for bit because `dist` is symmetric to
-    /// the bit. The stale entries are binary-searched and the new keys
-    /// ranked against the unchanged row; between those positions the
-    /// surviving entries form runs, each shifted by the new entries before
-    /// it less the stale ones. Runs shifting left move first, left to
-    /// right, then runs shifting right, right to left, so each survivor
-    /// moves at most once and in place; the new entries fill the gaps. One
-    /// pending seed costs one shift of the entries between its old and new
-    /// positions.
+    /// (whose coordinates `block` holds) and returns the entries written:
+    /// one per pending seed, plus each survivor whose position changed.
+    /// More than one pending seed per 40 row entries go to [`Self::merge`],
+    /// fewer to [`Self::splice`] (at 200 entries and d = 10 the splice
+    /// matches the earlier distance-keyed settle up to four pending seeds,
+    /// and the merge beats both from eight).
     ///
     /// # Panics
-    /// Panics if the row holds no stale entry for a logged seed (a
-    /// corrupted table).
+    /// Panics if the row holds no entry for a pending seed (a corrupted
+    /// table).
     fn settle(
         &mut self,
         owner: usize,
-        log: &ReplaceLog,
+        log: &[u32],
         block: &SeedBlock,
-        splice: &mut Splice,
+        scratch: &mut Settle,
     ) -> u64 {
-        let from = self.seen;
+        let (from, x, n) = (self.seen, block.get(owner), self.ids.len());
         self.seen = log.len();
-        let dim = block.dim();
-        let x = block.get(owner);
-        splice.old.clear();
-        splice.new.clear();
-        for k in from..log.len() {
-            if log.prev[k] != NO_RECORD && log.prev[k] as usize >= from {
-                continue; // an earlier record of this seed is pending too
+        scratch.pending.resize(n, false);
+        scratch.new.clear();
+        for &j in &log[from..] {
+            if !std::mem::replace(&mut scratch.pending[j as usize], true) {
+                let d = dist(x, block.get(j as usize));
+                scratch.new.push((dist_key(d), j, d));
             }
-            let j = log.ids[k];
-            let old = dist(x, &log.coords[k * dim..(k + 1) * dim]);
-            let new = dist(x, block.get(j as usize));
-            splice.old.push(self.find(dist_key(old), j));
-            splice.new.push((dist_key(new), j, new, 0));
         }
-        let m = splice.new.len();
-        splice.old.sort_unstable();
-        splice.new.sort_unstable_by_key(|e| (e.0, e.1));
-        // Walk the events in row order — a new entry lands before the
-        // first original entry that orders after it — tracking the shift
-        // of the survivors: +1 per new entry, -1 per stale one passed.
-        splice.runs.clear();
-        let (mut pos, mut shift, mut gone) = (0, 0isize, 0);
-        for e in 0..m {
-            let (k, j, ..) = splice.new[e];
-            let q = self.rank(k, j);
-            while gone < m && splice.old[gone] < q {
-                let g = splice.old[gone];
-                splice.runs.push((pos, g, shift));
-                (pos, shift, gone) = (g + 1, shift - 1, gone + 1);
+        scratch.new.sort_unstable_by_key(|e| (e.0, e.1));
+        let moved = if scratch.new.len() * 40 > n {
+            self.merge(scratch)
+        } else {
+            self.splice(scratch)
+        };
+        if let Some(&(_, j, _)) = scratch.new.iter().find(|e| scratch.pending[e.1 as usize]) {
+            scratch.pending.fill(false);
+            panic!("neighbor row lost index {j}");
+        }
+        scratch.new.len() as u64 + moved
+    }
+
+    /// One pass into scratch arrays, then swapped in: each new entry goes
+    /// before the first entry ordering after it, and every entry is written
+    /// but the output advances past survivors only, so marked ones drop out
+    /// (unmarked) without a branch. Returns the survivors that moved.
+    fn merge(&mut self, s: &mut Settle) -> u64 {
+        let n = self.ids.len();
+        s.ids.resize(n, 0);
+        s.w.resize(n, 0.0);
+        // A row that lost a pending seed writes more than `n` entries: the
+        // excess is dropped, and the caller panics.
+        let mut put = |o: usize, j: u32, d: f64| {
+            if o < n {
+                (s.ids[o], s.w[o]) = (j, d);
             }
-            splice.runs.push((pos, q, shift));
-            pos = q;
-            splice.new[e].3 = q.wrapping_add_signed(shift);
-            shift += 1;
+        };
+        let key = |e: usize| s.new.get(e).map_or((u64::MAX, u32::MAX), |x| (x.0, x.1));
+        let (mut e, mut o, mut moved) = (0, 0, 0);
+        for (k, (&j, &d)) in self.ids.iter().zip(&self.w).enumerate() {
+            while key(e) < (dist_key(d), j) {
+                put(o, s.new[e].1, s.new[e].2);
+                (o, e) = (o + 1, e + 1);
+            }
+            put(o, j, d);
+            let keep = !std::mem::replace(&mut s.pending[j as usize], false);
+            moved += u64::from(keep && o != k);
+            o += usize::from(keep);
         }
-        for &g in &splice.old[gone..] {
-            splice.runs.push((pos, g, shift));
-            (pos, shift) = (g + 1, shift - 1);
+        for (o, &(_, j, d)) in (o..).zip(&s.new[e..]) {
+            put(o, j, d);
         }
-        debug_assert_eq!(shift, 0, "a settle keeps the row length");
-        let mut entries = m as u64;
-        let moving = splice.runs.iter().filter(|r| r.2 != 0 && r.0 < r.1);
-        for &(a, b, d) in moving.clone().filter(|r| r.2 < 0) {
-            self.ids.copy_within(a..b, a.wrapping_add_signed(d));
-            self.w.copy_within(a..b, a.wrapping_add_signed(d));
-            entries += (b - a) as u64;
+        std::mem::swap(&mut self.ids, &mut s.ids);
+        std::mem::swap(&mut self.w, &mut s.w);
+        moved
+    }
+
+    /// In place, touching only what moves: each stale entry is
+    /// [located](locate) and each new entry's place binary-searched in the
+    /// unchanged row, where a survivor moves iff its shift (+1 past each
+    /// new entry, −1 past each stale one) is not zero. Then, in key order,
+    /// each stale entry is taken out, the entries up to the new entry's
+    /// place shift by one and it goes in; the positions still to use move
+    /// along (the row stays sorted by the keys it holds, and each new key
+    /// orders before the later ones). Returns the survivors that moved.
+    fn splice(&mut self, s: &mut Settle) -> u64 {
+        let (ids, w) = (&mut self.ids, &mut self.w);
+        s.spots.clear();
+        for &(k, j, _) in &s.new {
+            let Some(g) = locate(ids, j) else {
+                return 0; // the caller panics
+            };
+            let mut q = w.partition_point(|&x| dist_key(x) < k);
+            while q < ids.len() && dist_key(w[q]) == k && ids[q] < j {
+                q += 1;
+            }
+            s.pending[j as usize] = false;
+            s.spots.push((g, q));
         }
-        for &(a, b, d) in moving.rev().filter(|r| r.2 > 0) {
-            self.ids.copy_within(a..b, a.wrapping_add_signed(d));
-            self.w.copy_within(a..b, a.wrapping_add_signed(d));
-            entries += (b - a) as u64;
+        // On a tie a new entry's place comes first: it lands before.
+        s.events.clear();
+        s.events
+            .extend(s.spots.iter().flat_map(|&(g, q)| [(g, true), (q, false)]));
+        s.events.sort_unstable();
+        let (mut from, mut shift, mut moved) = (0, 0isize, 0);
+        for &(p, stale) in &s.events {
+            moved += if shift == 0 { 0 } else { (p - from) as u64 };
+            (from, shift) = (p + usize::from(stale), shift + if stale { -1 } else { 1 });
         }
-        for &(_, j, d, at) in &splice.new {
-            self.ids[at] = j;
-            self.w[at] = d;
+        for (e, &(_, j, d)) in s.new.iter().enumerate() {
+            let (g, q) = s.spots[e];
+            let f = if q > g {
+                ids.copy_within(g + 1..q, g);
+                w.copy_within(g + 1..q, g);
+                q - 1
+            } else {
+                ids.copy_within(q..g, q + 1);
+                w.copy_within(q..g, q + 1);
+                q
+            };
+            (ids[f], w[f]) = (j, d);
+            for (x, q) in &mut s.spots[e + 1..] {
+                *x -= usize::from(*x > g);
+                *x += usize::from(*x >= f);
+                *q = *q - usize::from(g < *q) + 1;
+            }
         }
-        entries
+        moved
     }
 }
 
@@ -357,10 +359,11 @@ pub struct NearestSeeds {
     /// the Lemma 1 bound fire as early as possible when the search starts
     /// at seed `i` — once the log records past its cursor are settled.
     rows: Vec<Row>,
-    /// The re-seeds some row has not settled yet.
-    log: ReplaceLog,
-    /// Working memory of in-place settles.
-    splice: Splice,
+    /// The replace log: the ids of the re-seeds some row has not settled
+    /// yet, oldest first.
+    log: Vec<u32>,
+    /// Working memory of settles.
+    settle: Settle,
     /// Cumulative neighbor-table repair accounting (DESIGN.md §15).
     repair: RepairStats,
     /// The k-d tree over the seeds for [`SeedSearch::KdTree`]: built by the
@@ -373,7 +376,9 @@ pub struct NearestSeeds {
 /// settles that fold its re-seeds into the rows read afterwards.
 ///
 /// `entries` counts the row entries (an index and its distance) written by
-/// row rebuilds and settle splices. A settle is charged when it happens, by whichever `&mut`
+/// row rebuilds and settles: a rebuild charges its `s` entries, a settle
+/// one entry per pending seed plus each surviving entry whose position it
+/// changed. A settle is charged when it happens, by whichever `&mut`
 /// reader settles the row in place (see the module docs); the `&self`
 /// reader [`NearestSeeds::neighbor_row`] charges nothing. `naive_entries`
 /// counts the entries a re-sort of every row per mutation would write
@@ -440,8 +445,8 @@ impl NearestSeeds {
             dim,
             block,
             rows,
-            log: ReplaceLog::default(),
-            splice: Splice::default(),
+            log: Vec::new(),
+            settle: Settle::default(),
             repair: RepairStats::default(),
             kd: None,
         }
@@ -491,13 +496,13 @@ impl NearestSeeds {
     /// re-seed is pending (a damaged table).
     pub fn settle_row(&mut self, i: usize) {
         if self.rows[i].seen < self.log.len() {
-            self.repair.entries += self.rows[i].settle(i, &self.log, &self.block, &mut self.splice);
+            self.repair.entries += self.rows[i].settle(i, &self.log, &self.block, &mut self.settle);
         }
     }
 
     /// Settles every row and clears the log.
     fn settle_all(&mut self) {
-        if self.log.len() == 0 {
+        if self.log.is_empty() {
             return;
         }
         for i in 0..self.rows.len() {
@@ -549,7 +554,7 @@ impl NearestSeeds {
             return (Cow::Borrowed(&row.ids), Cow::Borrowed(&row.w));
         }
         let mut copy = row.clone();
-        copy.settle(i, &self.log, &self.block, &mut Splice::default());
+        copy.settle(i, &self.log, &self.block, &mut Settle::default());
         (Cow::Owned(copy.ids), Cow::Owned(copy.w))
     }
 
@@ -565,9 +570,9 @@ impl NearestSeeds {
     /// Replaces seed `i` with new coordinates — the bookkeeping the paper
     /// performs when a bubble is re-seeded during a merge/split rebuild.
     /// Its `s` new distances are computed once and its row is re-sorted.
-    /// The other rows are left stale: the re-seed is logged with the old
-    /// coordinates, and each row settles it when next read (see the module
-    /// docs). A log longer than `s` records is folded into every row.
+    /// The other rows are left stale: the re-seed's id is logged, and each
+    /// row settles it when next read (see the module docs). A log longer
+    /// than `s` records is folded into every row.
     ///
     /// # Panics
     /// Panics if `i` is out of bounds or if the dimensionality differs.
@@ -575,7 +580,7 @@ impl NearestSeeds {
         assert_eq!(seed.len(), self.dim, "seed dimensionality mismatch");
         let s = self.len();
         assert!(i < s, "seed index out of bounds");
-        self.log.push(i as u32, self.block.get(i));
+        self.log.push(i as u32);
         self.block.set(i, seed);
         let new: Vec<f64> = (0..s)
             .map(|j| {
@@ -639,14 +644,15 @@ impl NearestSeeds {
     /// The start's distance `d₀ = d(p, start)` is computed in full. The
     /// remaining candidates are visited in ascending pairwise distance to
     /// the start, reading the start's neighbor row front to back. For
-    /// candidate `j` at pairwise distance `w`:
+    /// candidate `j` at pairwise distance `w`, with `best` the best
+    /// distance so far and `M = c · (w + d₀ + best) + τ` a rounding margin:
     ///
-    /// * `w > d₀ + best` — by the triangle inequality
+    /// * `w − d₀ > best + M` — by the triangle inequality
     ///   `d(p, j) ≥ w − d₀ > best`, and every later candidate is at least
     ///   as far out, so the **entire tail** is pruned at once;
-    /// * `|w − d₀| > best` — same bound, this candidate alone is pruned
-    ///   (this is Lemma 1's condition, reached before `w` grows past the
-    ///   tail cutoff);
+    /// * `d₀ − w > best + M` — same bound, this candidate alone is pruned
+    ///   (Lemma 1's condition `|w − d₀| > best` on the near side; on the
+    ///   far side it is the tail cut);
     /// * otherwise the squared distance is evaluated with
     ///   [`sq_dist_bounded`] against the best-so-far square: evaluations it
     ///   rejects (the squared distance exceeds the best) are charged to
@@ -655,11 +661,39 @@ impl NearestSeeds {
     ///   above; either way a rejection means exactly `sq > best_sq`, so
     ///   the counts are those of a per-lane or per-block check.
     ///
-    /// Both prune conditions are strict inequalities on a *lower bound* of
-    /// the true distance, so a pruned candidate can neither beat nor tie
-    /// the best — exact ties (duplicate seeds included) always survive to
-    /// evaluation and resolve to the lowest index, keeping the result
-    /// bit-identical to [`Self::nearest_brute`].
+    /// Solved for `w`, the two tests are `w > (d₀ + best) · g + 2τ` and
+    /// `w < d₀ / g − best − τ` with `g = (1 + c) / (1 − c)`: two bounds
+    /// recomputed only when the best improves, so the per-entry loop
+    /// compares `w` against them and nothing else.
+    ///
+    /// # Exact ties
+    ///
+    /// `w`, `d₀` and `best` are each a rounded square root of a rounded
+    /// sum of `d` rounded squares of rounded differences. With unit
+    /// roundoff `u = ε / 2` and no underflow, such a distance is within a
+    /// factor `(1 ± u)^(d/2 + 2)` of the true one: `(1 ± u)³` per square,
+    /// `(1 ± u)^(d − 1)` for the sum in any order, halved by the root,
+    /// and one more `u` for the root's own rounding — a relative error
+    /// `η ≈ (d + 4) · ε / 4`. Without the margin, a candidate that exactly
+    /// ties the best can be pruned by one ulp: the computed `w − d₀` may
+    /// exceed the computed `best` while the true values are equal.
+    ///
+    /// Suppose a pruned `j` had a computed distance `d̂ⱼ ≤ best`. Then its
+    /// true distance is at most `best / (1 − η)`, yet the triangle
+    /// inequality over the true `w` and `d₀` puts it at least
+    /// `|w − d₀| − η · (w + d₀)/(1 − η)` away, which the prune test makes
+    /// larger than `best + M − η · (w + d₀)/(1 − η)`. So the test is sound
+    /// whenever `M ≥ η · (w + d₀ + best)/(1 − η)` plus the rounding of the
+    /// test itself (a few `u` of `w + d₀ + best`). `c = (d + 8) · ε` is
+    /// four times the first-order `η`, which covers both with room to
+    /// spare. Underflowing squares add at most `d` half-ulps of the
+    /// smallest subnormal to a square sum, less than `τ = √MIN_POSITIVE`
+    /// after the root. A pruned candidate therefore has a computed
+    /// distance strictly above the best, hence (the rounded root being
+    /// monotone) a squared distance strictly above the best square: it can
+    /// neither beat nor tie the best. Exact ties — duplicate seeds
+    /// included — always reach evaluation and resolve to the lowest index,
+    /// keeping the result bit-identical to [`Self::nearest_brute`].
     pub fn nearest_pruned(
         &mut self,
         p: &[f64],
@@ -686,7 +720,15 @@ impl NearestSeeds {
         stats.computed += 1;
         let mut best_idx = start;
         let d_start = best_sq.sqrt();
-        let mut best_d = d_start;
+        // The prune bounds with the rounding margin of the method docs,
+        // recomputed only when the best improves.
+        let c = (self.dim as f64 + 8.0) * f64::EPSILON;
+        let (grow, tiny) = ((1.0 + c) / (1.0 - c), f64::MIN_POSITIVE.sqrt());
+        let bounds = |best_d: f64| {
+            let tail = (d_start + best_d) * grow + 2.0 * tiny;
+            (d_start / grow - best_d - tiny, tail)
+        };
+        let (mut near, mut tail) = bounds(d_start);
 
         let Row {
             ids: order,
@@ -705,7 +747,7 @@ impl NearestSeeds {
                 skipped += 1;
                 continue;
             }
-            if w > d_start + best_d {
+            if w > tail {
                 // Everything from here on is at least `w` away from the
                 // start, hence strictly farther from `p` than the best.
                 let tail = (order.len() - pos + skipped).saturating_sub(uncounted);
@@ -720,7 +762,7 @@ impl NearestSeeds {
                 stats.pruned += tail as u64;
                 break;
             }
-            if (w - d_start).abs() > best_d {
+            if w < near {
                 stats.pruned += 1;
                 continue;
             }
@@ -731,7 +773,7 @@ impl NearestSeeds {
                     if sq < best_sq || (sq == best_sq && j < best_idx) {
                         best_sq = sq;
                         best_idx = j;
-                        best_d = best_sq.sqrt();
+                        (near, tail) = bounds(best_sq.sqrt());
                     }
                 }
             }

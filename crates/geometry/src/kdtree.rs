@@ -224,6 +224,13 @@ impl KdTree {
         if near != NONE {
             self.nearest_one_rec(near, center, exclude, seeded, depth + 1, best, stats);
         }
+        // The cut needs no rounding margin: every point of the far subtree
+        // lies at least `|diff|` from the query along `axis`, so its
+        // rounded difference there is at least the rounded `diff` in
+        // magnitude, and its rounded square sum — rounding is monotone,
+        // and adding a non-negative term never lowers a rounded sum — at
+        // least the rounded `diff * diff`. A cut subtree's squared
+        // distances all exceed `bsq`: none can beat or tie the best.
         let bsq = best.map_or(f64::INFINITY, |(_, sq)| sq);
         if far != NONE && diff * diff <= bsq {
             self.nearest_one_rec(far, center, exclude, seeded, depth + 1, best, stats);

@@ -274,7 +274,8 @@ mod reference {
     }
 
     /// The pruned walk (Figure 2 in squared space, tail cut, Lemma 1
-    /// prune, bounded evaluation) over the start seed's neighbor row.
+    /// prune, both with the library's rounding margin, bounded
+    /// evaluation) over the start seed's neighbor row.
     pub fn pruned(
         seeds: &mut NearestSeeds,
         p: &[f64],
@@ -294,18 +295,24 @@ mod reference {
         stats.computed += 1;
         let mut best_idx = start;
         let d_start = best_sq.sqrt();
-        let mut best_d = d_start;
+        let c = (p.len() as f64 + 8.0) * f64::EPSILON;
+        let (grow, tiny) = ((1.0 + c) / (1.0 - c), f64::MIN_POSITIVE.sqrt());
+        let bounds = |best_d: f64| {
+            let tail = (d_start + best_d) * grow + 2.0 * tiny;
+            (d_start / grow - best_d - tiny, tail)
+        };
+        let (mut near, mut tail) = bounds(d_start);
         let counted = |k: u32| k as usize != start && Some(k as usize) != exclude;
         for (pos, (&j32, &w)) in order.iter().zip(&dists).enumerate() {
             let j = j32 as usize;
             if !counted(j32) {
                 continue;
             }
-            if w > d_start + best_d {
+            if w > tail {
                 stats.pruned += order[pos..].iter().filter(|&&k| counted(k)).count() as u64;
                 break;
             }
-            if (w - d_start).abs() > best_d {
+            if w < near {
                 stats.pruned += 1;
                 continue;
             }
@@ -316,7 +323,7 @@ mod reference {
                     if sq < best_sq || (sq == best_sq && j < best_idx) {
                         best_sq = sq;
                         best_idx = j;
-                        best_d = best_sq.sqrt();
+                        (near, tail) = bounds(best_sq.sqrt());
                     }
                 }
             }

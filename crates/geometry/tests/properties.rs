@@ -5,8 +5,11 @@
 //! relative to the brute-force baseline.
 
 use idb_geometry::metric::{sq_dist, sq_dist_bounded};
-use idb_geometry::{dist, NearestSeeds, SearchStats, SeedSearch};
+use idb_geometry::{dist, NearestSeeds, Parallelism, SearchStats, SeedSearch, NO_HINT};
 use proptest::prelude::*;
+use proptest::strategy::Strategy;
+use rand::rngs::StdRng;
+use rand::Rng;
 
 fn point(dim: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-100.0f64..100.0, dim)
@@ -150,4 +153,122 @@ proptest! {
             }
         }
     }
+}
+
+/// A lattice nearest-seed case: seeds (with duplicates appended),
+/// queries, one hint per query ([`NO_HINT`] for none) and one exclusion
+/// or none.
+#[derive(Debug, Clone)]
+struct LatticeCase {
+    dim: usize,
+    seeds: Vec<Vec<f64>>,
+    queries: Vec<Vec<f64>>,
+    hints: Vec<u32>,
+    exclude: Option<usize>,
+}
+
+/// Lattice cases in d = 1–10: every coordinate `k · step` with `|k| ≤ 4`
+/// and a step of 1 or 0.5 — an integer or a half-integer grid, where exact
+/// distance ties abound — with up to five seeds duplicated.
+struct LatticeCases;
+
+impl Strategy for LatticeCases {
+    type Value = LatticeCase;
+
+    fn generate(&self, rng: &mut StdRng) -> LatticeCase {
+        let dim = rng.gen_range(1..=10);
+        let step = if rng.gen_bool(0.5) { 1.0 } else { 0.5 };
+        let point = |rng: &mut StdRng| -> Vec<f64> {
+            (0..dim)
+                .map(|_| f64::from(rng.gen_range(-4i32..=4)) * step)
+                .collect()
+        };
+        let (s0, k) = (rng.gen_range(1..40), rng.gen_range(1..12));
+        let mut seeds: Vec<Vec<f64>> = (0..s0).map(|_| point(rng)).collect();
+        let queries: Vec<Vec<f64>> = (0..k).map(|_| point(rng)).collect();
+        for _ in 0..rng.gen_range(0..6) {
+            let k = rng.gen_range(0..seeds.len());
+            seeds.push(seeds[k].clone());
+        }
+        let s = seeds.len();
+        let hints = queries
+            .iter()
+            .map(|_| {
+                if rng.gen_bool(0.25) {
+                    NO_HINT
+                } else {
+                    rng.gen_range(0..s as u32)
+                }
+            })
+            .collect();
+        let exclude = (s > 1 && rng.gen_bool(0.5)).then(|| rng.gen_range(0..s));
+        LatticeCase {
+            dim,
+            seeds,
+            queries,
+            hints,
+            exclude,
+        }
+    }
+}
+
+/// `(index, distance bits)` of a search result.
+fn exact(r: Option<(usize, f64)>) -> Option<(usize, u64)> {
+    r.map(|(i, d)| (i, d.to_bits()))
+}
+
+proptest! {
+    // Without the prune tests' rounding margin, case 455 fails.
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// On integer and half-integer lattices in d = 1–10 — exact distance
+    /// ties everywhere, duplicate seeds included — the pruned and k-d
+    /// searches, one query at a time with and without a hint and in
+    /// serial and threaded batches, return brute force's index and
+    /// distance bits under an exclusion or none.
+    #[test]
+    fn lattice_ties_resolve_like_brute_force(case in LatticeCases) {
+        let mut set = NearestSeeds::from_seeds(case.dim, case.seeds.iter().map(Vec::as_slice));
+        let ex = case.exclude;
+        let mut want = Vec::new();
+        for (q, &h) in case.queries.iter().zip(&case.hints) {
+            let brute = set.nearest_brute(q, ex, &mut SearchStats::new());
+            prop_assert!(brute.is_some());
+            let hint = (h != NO_HINT).then_some(h as usize);
+            for engine in [SeedSearch::Pruned, SeedSearch::KdTree] {
+                for hint in [None, hint] {
+                    let got = set.nearest(engine, q, ex, hint, &mut SearchStats::new());
+                    prop_assert_eq!(exact(got), exact(brute), "{:?} hint {:?} query {:?}", engine, hint, q);
+                }
+            }
+            want.push(brute.map(|(i, d)| (i as u32, d.to_bits())).unwrap());
+        }
+        let flat: Vec<f64> = case.queries.concat();
+        for engine in [SeedSearch::Pruned, SeedSearch::KdTree] {
+            for par in [Parallelism::Serial, Parallelism::Threads(2)] {
+                let got = set.nearest_batch(&flat, ex, engine, Some(&case.hints), par, &mut SearchStats::new());
+                let got: Vec<(u32, u64)> = got.iter().map(|&(i, d)| (i, d.to_bits())).collect();
+                prop_assert_eq!(&got, &want, "{:?} batch {:?}", engine, par);
+            }
+        }
+    }
+}
+
+/// The exact tie that pruned by one ulp before the prune tests carried a
+/// rounding margin: from seed 11, `w − d₀ = √32 − √18` rounds above
+/// `best = √2` although the two are equal, which pruned seed 0, which ties
+/// seed 22 at `√2` and has the lower index.
+#[test]
+fn pruned_keeps_an_exact_tie_that_rounding_would_prune() {
+    let grid = (-1..=3).flat_map(|x| (-1..=3).flat_map(move |y| (-1..=3).map(move |z| [x, y, z])));
+    let mut seeds: Vec<Vec<f64>> = grid.take(28).map(|p| p.map(f64::from).to_vec()).collect();
+    seeds[0] = vec![2.0, 3.0, -1.0];
+    seeds[11] = vec![2.0, -1.0, 3.0];
+    seeds[22] = vec![3.0, 1.0, 0.0];
+    let mut set = NearestSeeds::from_seeds(3, seeds.iter().map(Vec::as_slice));
+    let q = [2.0, 2.0, 0.0];
+    let brute = set.nearest_brute(&q, None, &mut SearchStats::new());
+    assert_eq!(exact(brute), Some((0, 2f64.sqrt().to_bits())));
+    let pruned = set.nearest_pruned(&q, None, Some(11), &mut SearchStats::new());
+    assert_eq!(exact(pruned), exact(brute));
 }

@@ -16,8 +16,9 @@
 //! * the pruned search on the repaired table returns the same results and
 //!   the same `SearchStats` as on the fresh table.
 //!
-//! Reading every row after every step leaves each row one pending re-seed
-//! at most. The sparse-read scripts read one random row with p = 0.1 per
+//! Reading every row after every step leaves each row a few pending
+//! re-seeds at most: one, or up to three in the scripts over 40–160 seeds,
+//! whose reads take the in-place settle. The sparse-read scripts read one random row with p = 0.1 per
 //! step instead, over runs longer than the seed count, so rows settle many
 //! pending re-seeds at once (repeated re-seeds of one seed included) and
 //! the replace log folds: every script folds at least once, seen in the
@@ -28,10 +29,19 @@
 //! pruned searches from a read row, and threaded batches with per-query
 //! hints over stale rows, match a fresh table and the serial call,
 //! `SearchStats`, every row and the repair ledger included.
+//!
+//! Both families also drive [`SpliceTable`], a model of the settle the
+//! table used before (`reference/mod.rs`), with the same re-seeds: after
+//! every re-seed (and the fold it may trigger) and every row read, the
+//! model's rows equal the table's and both charge the same
+//! `RepairStats::entries`.
+
+mod reference;
 
 use idb_geometry::{dist, NearestSeeds, Parallelism, SearchStats, SeedSearch, NO_HINT};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use reference::SpliceTable;
 
 const SCRIPTS: usize = 60;
 const STEPS: usize = 40;
@@ -107,38 +117,83 @@ impl Script {
             .collect()
     }
 
-    /// One mutation; returns its name for failure messages.
-    fn step(&mut self, seeds: &mut NearestSeeds) -> &'static str {
+    /// One mutation of `twin`; returns its name for failure messages.
+    fn step(&mut self, twin: &mut Twin) -> &'static str {
+        let seeds = &twin.seeds;
         let s = seeds.len();
         let i = self.rng.gen_range(0..s);
-        match self.rng.gen_range(0..5) {
-            0 => {
-                let p = self.near(seeds.seed(i));
-                seeds.replace(i, &p);
-                "near move"
-            }
-            1 => {
-                let p: Vec<f64> = self.point().iter().map(|x| x * 40.0).collect();
-                seeds.replace(i, &p);
-                "far move"
-            }
+        let (p, op) = match self.rng.gen_range(0..5) {
+            0 => (self.near(seeds.seed(i)), "near move"),
+            1 => (self.point().iter().map(|x| x * 40.0).collect(), "far move"),
             2 => {
                 let k = self.rng.gen_range(0..s);
-                let p = seeds.seed(k).to_vec();
-                seeds.replace(i, &p);
-                "move onto a duplicate"
+                (seeds.seed(k).to_vec(), "move onto a duplicate")
             }
-            3 => {
-                let p = seeds.seed(i).to_vec();
-                seeds.replace(i, &p);
-                "move in place"
-            }
-            _ => {
-                let p = self.point();
-                seeds.replace(i, &p);
-                "move"
-            }
+            3 => (seeds.seed(i).to_vec(), "move in place"),
+            _ => (self.point(), "move"),
+        };
+        twin.replace(i, &p, op);
+        op
+    }
+}
+
+/// The table under test beside the splice model of the settle it
+/// replaced, re-seeded together. After every re-seed (and the log fold it
+/// may trigger) and every row read, both ledgers must agree.
+struct Twin {
+    seeds: NearestSeeds,
+    model: SpliceTable,
+}
+
+impl Twin {
+    fn new(dim: usize, initial: &[Vec<f64>]) -> Self {
+        Self {
+            seeds: NearestSeeds::from_seeds(dim, initial.iter().map(Vec::as_slice)),
+            model: SpliceTable::from_seeds(dim, initial.iter().map(Vec::as_slice)),
         }
+    }
+
+    fn replace(&mut self, i: usize, p: &[f64], what: &str) {
+        self.seeds.replace(i, p);
+        self.model.replace(i, p);
+        self.assert_ledgers(&format!("{what}: re-seed {i}"));
+    }
+
+    /// Mirrors, in the model, a read of row `i` the table under test has
+    /// made: the charges must agree, and so must the rows.
+    fn read(&mut self, i: usize, what: &str) {
+        self.reads(&[i], what);
+    }
+
+    /// Mirrors reads of `rows`, in order, that the table under test has
+    /// made in one call.
+    fn reads(&mut self, rows: &[usize], what: &str) {
+        for &i in rows {
+            self.model.settle_row(i);
+        }
+        self.assert_ledgers(&format!("{what}: reads of rows {rows:?}"));
+        for &i in rows {
+            let (ids, w) = self.model.row(i);
+            let (ids, w) = (ids.to_vec(), bits(w));
+            assert_eq!(
+                self.seeds.neighbor_order(i),
+                ids,
+                "{what}: model row {i} ids"
+            );
+            assert_eq!(
+                bits(self.seeds.neighbor_distances(i)),
+                w,
+                "{what}: model row {i} distances"
+            );
+        }
+    }
+
+    fn assert_ledgers(&self, what: &str) {
+        assert_eq!(
+            self.seeds.repair_stats().entries,
+            self.model.entries(),
+            "{what}: entries charged, table vs splice model"
+        );
     }
 }
 
@@ -151,29 +206,34 @@ fn repaired_table_equals_a_fresh_build_after_every_step() {
             dim: [1, 2, 3, 10][script_no % 4],
             grid: script_no % 2 == 0,
         };
-        let n0 = script.rng.gen_range(1..=30);
+        // Every third script holds 40–160 seeds and re-seeds one to three
+        // of them per step, for half the steps, so its reads also take the
+        // in-place settle of a few pending re-seeds (at most one per 40
+        // row entries).
+        let large = script_no % 3 == 2;
+        let n0 = if large {
+            script.rng.gen_range(40..=160)
+        } else {
+            script.rng.gen_range(1..=30)
+        };
         let initial: Vec<Vec<f64>> = (0..n0).map(|_| script.point()).collect();
-        let mut seeds = NearestSeeds::from_seeds(script.dim, initial.iter().map(Vec::as_slice));
-        for step in 0..STEPS {
-            let op = script.step(&mut seeds);
+        let mut twin = Twin::new(script.dim, &initial);
+        for step in 0..if large { STEPS / 2 } else { STEPS } {
+            let reseeds = if large { 1 + step % 3 } else { 1 };
+            let mut op = "";
+            for _ in 0..reseeds {
+                op = script.step(&mut twin);
+            }
             let what = format!("script {script_no} step {step} ({op})");
-            let s = seeds.len();
+            let s = twin.seeds.len();
 
             for i in 0..s {
-                let (ids, w) = oracle_row(&seeds, i);
-                assert_eq!(
-                    seeds.neighbor_order(i),
-                    ids.as_slice(),
-                    "{what}: row {i} ids"
-                );
-                assert_eq!(
-                    bits(seeds.neighbor_distances(i)),
-                    bits(&w),
-                    "{what}: row {i} distances"
-                );
+                assert_row_is_oracle(&mut twin.seeds, i, &what);
+                twin.read(i, &what);
             }
+            let seeds = &mut twin.seeds;
             let mut fresh = NearestSeeds::from_seeds(script.dim, (0..s).map(|i| seeds.seed(i)));
-            assert_same_table(&mut seeds, &mut fresh, &format!("{what}, from_seeds"));
+            assert_same_table(seeds, &mut fresh, &format!("{what}, from_seeds"));
 
             for q in 0..QUERIES {
                 let p = if q % 3 == 0 {
@@ -196,6 +256,7 @@ fn repaired_table_equals_a_fresh_build_after_every_step() {
                 );
                 assert_eq!(got_stats, want_stats, "{what}: query {q} stats");
             }
+            twin.assert_ledgers(&format!("{what}, queries"));
         }
     }
 }
@@ -203,11 +264,13 @@ fn repaired_table_equals_a_fresh_build_after_every_step() {
 const SPARSE_SCRIPTS: usize = 16;
 const SPARSE_STEPS: usize = 400;
 
-/// One sparse-script re-seed, a third of them of one `hot` seed. Only the
-/// log fold settles every row, after more re-seeds than the seed count.
-fn sparse_step(script: &mut Script, seeds: &mut NearestSeeds, hot: usize) -> &'static str {
+/// One sparse-script re-seed of `twin`, a third of them of one `hot`
+/// seed. Only the log fold settles every row, after more re-seeds than the
+/// seed count.
+fn sparse_step(script: &mut Script, twin: &mut Twin, hot: usize) -> &'static str {
+    let seeds = &twin.seeds;
     let s = seeds.len();
-    match script.rng.gen_range(0..100) {
+    let (i, p, op) = match script.rng.gen_range(0..100) {
         0..=33 => {
             let i = hot % s;
             let p = if script.rng.gen_bool(0.5) {
@@ -215,23 +278,20 @@ fn sparse_step(script: &mut Script, seeds: &mut NearestSeeds, hot: usize) -> &'s
             } else {
                 script.point()
             };
-            seeds.replace(i, &p);
-            "re-seed the hot seed"
+            (i, p, "re-seed the hot seed")
         }
         34..=43 => {
             let (i, k) = (script.rng.gen_range(0..s), script.rng.gen_range(0..s));
-            let p = seeds.seed(k).to_vec();
-            seeds.replace(i, &p);
-            "move onto a duplicate"
+            (i, seeds.seed(k).to_vec(), "move onto a duplicate")
         }
         44..=50 => {
             let i = script.rng.gen_range(0..s);
-            let p = seeds.seed(i).to_vec();
-            seeds.replace(i, &p);
-            "move in place"
+            (i, seeds.seed(i).to_vec(), "move in place")
         }
-        _ => script.step(seeds),
-    }
+        _ => return script.step(twin),
+    };
+    twin.replace(i, &p, op);
+    op
 }
 
 fn assert_row_is_oracle(seeds: &mut NearestSeeds, i: usize, what: &str) {
@@ -320,13 +380,14 @@ fn sparse_reads_settle_many_pending_reseeds() {
         };
         let n0 = script.rng.gen_range(4..=24);
         let initial: Vec<Vec<f64>> = (0..n0).map(|_| script.point()).collect();
-        let mut seeds = NearestSeeds::from_seeds(script.dim, initial.iter().map(Vec::as_slice));
+        let mut twin = Twin::new(script.dim, &initial);
         let hot = script.rng.gen_range(0..n0);
         let mut folds = 0;
         for step in 0..SPARSE_STEPS {
-            let before = seeds.repair_stats().entries;
-            let op = sparse_step(&mut script, &mut seeds, hot);
+            let before = twin.seeds.repair_stats().entries;
+            let op = sparse_step(&mut script, &mut twin, hot);
             let what = format!("sparse script {script_no} step {step} ({op})");
+            let seeds = &mut twin.seeds;
             let s = seeds.len();
             // A re-seed charges its own row's `s` entries; a fold also
             // charges the settles of every stale row.
@@ -341,9 +402,11 @@ fn sparse_reads_settle_many_pending_reseeds() {
                 if script.rng.gen_bool(0.5) {
                     seeds.settle_row(i);
                 } else {
-                    assert_read_only_view_is_oracle(&seeds, &what);
+                    assert_read_only_view_is_oracle(seeds, &what);
                 }
-                assert_row_is_oracle(&mut seeds, i, &what);
+                assert_row_is_oracle(seeds, i, &what);
+                twin.read(i, &what);
+                let seeds = &mut twin.seeds;
                 let mut fresh = NearestSeeds::from_seeds(script.dim, (0..s).map(|j| seeds.seed(j)));
                 for q in 0..4 {
                     let p = if q % 2 == 0 {
@@ -365,17 +428,19 @@ fn sparse_reads_settle_many_pending_reseeds() {
                     );
                     assert_eq!(got_stats, want_stats, "{what}: query {q} stats");
                 }
+                twin.assert_ledgers(&format!("{what}, queries from row {i}"));
             }
 
+            let seeds = &mut twin.seeds;
             if script.rng.gen_bool(0.05) {
                 // Threaded and serial batches over the same stale rows,
                 // each on its own copy of the table, and on a fresh one.
-                let (flat, hints) = queries_with_hints(&mut script, &seeds, 24);
+                let (flat, hints) = queries_with_hints(&mut script, seeds, 24);
                 let mut serial_seeds = seeds.clone();
                 let mut fresh = NearestSeeds::from_seeds(script.dim, (0..s).map(|j| seeds.seed(j)));
                 let mut runs = Vec::new();
                 for (table, par) in [
-                    (&mut seeds, Parallelism::Threads(2)),
+                    (&mut *seeds, Parallelism::Threads(2)),
                     (&mut serial_seeds, Parallelism::Serial),
                     (&mut fresh, Parallelism::Serial),
                 ] {
@@ -394,8 +459,16 @@ fn sparse_reads_settle_many_pending_reseeds() {
                 assert_eq!(runs[0], runs[1], "{what}: threaded vs serial batch");
                 assert_eq!(runs[1], runs[2], "{what}: stale vs fresh batch");
                 // Both batches settled the same start rows in place.
-                assert_same_settles(&seeds, &serial_seeds, &format!("{what}, batch"));
+                assert_same_settles(seeds, &serial_seeds, &format!("{what}, batch"));
+                // The batch settled each query's start row: its hint, else
+                // seed 0.
+                let starts: Vec<usize> = hints
+                    .iter()
+                    .map(|&h| if h == NO_HINT { 0 } else { h as usize })
+                    .collect();
+                twin.reads(&starts, &format!("{what}, batch"));
             }
+            let seeds = &mut twin.seeds;
 
             if script.rng.gen_bool(0.02) {
                 // A clone with re-seeds pending reads as the original.
@@ -411,8 +484,10 @@ fn sparse_reads_settle_many_pending_reseeds() {
             folds > 0,
             "sparse script {script_no}: the replace log never folded"
         );
-        for i in 0..seeds.len() {
-            assert_row_is_oracle(&mut seeds, i, &format!("sparse script {script_no} end"));
+        for i in 0..twin.seeds.len() {
+            let what = format!("sparse script {script_no} end");
+            assert_row_is_oracle(&mut twin.seeds, i, &what);
+            twin.read(i, &what);
         }
     }
 }
