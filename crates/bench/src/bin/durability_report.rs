@@ -10,6 +10,10 @@
 //! * **Recovery time vs. WAL tail length** — wall-clock to recover from
 //!   the latest checkpoint as the number of batches to replay grows
 //!   (checkpoint cadence 1, 16, 64 over a 64-batch stream).
+//! * **Restart-shaped recovery** — a d = 10 log of 256 records of about
+//!   500 inserts each with a full checkpoint at 240, recovered whole: the
+//!   log is read and verified in full and 16 records are replayed. The
+//!   recovered state must equal the uninterrupted run's.
 //! * **The checkpoint codec** — on the final state of that stream: CRC-32
 //!   throughput (the library's sliced CRC beside a byte-at-a-time
 //!   reference, values checked equal), and one full checkpoint's encode
@@ -20,8 +24,8 @@
 //!
 //! Usage: `durability_report [output.json] [baseline.json]` (default
 //! `BENCH_durability.json`). With a baseline — the same report written
-//! by an earlier build on the same host — the codec section also records
-//! the baseline's numbers as `baseline_*`.
+//! by an earlier build on the same host — the codec and restart sections
+//! also record the baseline's numbers as `baseline_*`.
 
 use idb_bench::{json_list, median_secs, median_secs_with, planned_stream, write_report};
 use idb_core::recovery::CHECKPOINT_MAGIC;
@@ -47,6 +51,10 @@ const BATCHES: usize = 64;
 const CRC_PASSES: usize = 16;
 /// The codec section's hot budget: the spill leaves every point cold.
 const CODEC_HOT: usize = 64;
+/// Records in the restart-shaped recovery's log.
+const RESTART_RECORDS: usize = 256;
+/// The batch its one checkpoint covers.
+const RESTART_CHECKPOINT: u64 = 240;
 
 /// The byte table of the IEEE CRC-32, for the byte-at-a-time reference.
 const CRC_TABLE: [u32; 256] = {
@@ -189,6 +197,74 @@ fn codec_section(store: &PointStore, ib: &IncrementalBubbles, baseline: Option<&
     row
 }
 
+/// The restart-shaped recovery: a d = 10 stream of [`RESTART_RECORDS`]
+/// batches of about 500 inserts and 500 deletes, one full checkpoint at
+/// [`RESTART_CHECKPOINT`], recovered from the whole log — the shape of a
+/// partition restart on `ingest_d10`. The recovered state must equal the
+/// uninterrupted run's, snapshot bytes included.
+fn restart_section(baseline: Option<&str>) -> String {
+    let (store, steps) = planned_stream(10, 10_000, 29, RESTART_RECORDS);
+    let mut dm = DurableMaintainer::adopt(
+        store.clone(),
+        build(&store),
+        DurabilityConfig {
+            checkpoint_interval: RESTART_CHECKPOINT,
+            full_rebase_interval: 1,
+            checkpoint_chunk_bytes: usize::MAX,
+            ..DurabilityConfig::default()
+        },
+        ObjectSink::new(MemMedium::new(), "wal"),
+        MemMedium::new(),
+    )
+    .expect("mem sink is healthy");
+    let mut stats = SearchStats::new();
+    for (batch, seed) in &steps {
+        dm.apply_with(batch, *seed, true, &mut stats)
+            .expect("planned batches are valid");
+    }
+    let fingerprint = |store: &PointStore, ib: &IncrementalBubbles| {
+        let mut bytes = Vec::new();
+        store.write_snapshot(&mut bytes).expect("vec write");
+        ib.write_snapshot(&mut bytes).expect("vec write");
+        bytes
+    };
+    let want = fingerprint(dm.store(), dm.bubbles());
+    let (_, _, sink, ckpts) = dm.into_parts();
+    let wal = sink.bytes();
+    let (secs, rec) = median_secs(REPS, || {
+        recover(&wal, &ckpts, &Obs::disabled()).expect("clean recovery")
+    });
+    assert_eq!(rec.wal_records, RESTART_RECORDS);
+    assert_eq!(
+        rec.replayed as u64,
+        RESTART_RECORDS as u64 - RESTART_CHECKPOINT
+    );
+    assert!(
+        fingerprint(&rec.store, &rec.bubbles) == want,
+        "the recovered state must equal the uninterrupted run's"
+    );
+    eprintln!(
+        "restart recovery: {} records, {} WAL bytes, {} replayed: {secs:.4}s",
+        rec.wal_records,
+        wal.len(),
+        rec.replayed
+    );
+    let mut row = format!(
+        "{{\"dim\": 10, \"wal_bytes\": {}, \"wal_records\": {}, \"replayed_batches\": {}, \
+         \"recovered_equals_uninterrupted\": true, \"median_secs\": {secs:.6}",
+        wal.len(),
+        rec.wal_records,
+        rec.replayed
+    );
+    if let Some(text) = baseline {
+        let value = report_number(text, "restart_recovery", "median_secs")
+            .expect("baseline restart_recovery field");
+        let _ = write!(row, ", \"baseline_median_secs\": {value:.6}");
+    }
+    row.push('}');
+    row
+}
+
 fn build(store: &PointStore) -> IncrementalBubbles {
     let mut rng = StdRng::seed_from_u64(7);
     let mut stats = SearchStats::new();
@@ -320,6 +396,8 @@ fn main() {
     let baseline = std::env::args()
         .nth(2)
         .map(|path| std::fs::read_to_string(path).expect("read baseline report"));
+    let restart = restart_section(baseline.as_deref());
+    let _ = writeln!(json, "  \"restart_recovery\": {restart},");
     let codec = codec_section(&end_store, &ib, baseline.as_deref());
     let _ = writeln!(json, "  \"codec\": {codec},");
 
@@ -578,6 +656,6 @@ fn main() {
         json_list(6, curve)
     );
 
-    json.push_str("  \"note\": \"complex d2 n20000 s200 scenario, 64 pre-planned batches with maintenance after each, serial mode; durable runs use validate + WAL append + group commit + apply + checkpoint cadence as configured; recovery replays the WAL tail beyond the newest checkpoint; the segmented section streams the same batches through a segment chain with delta checkpoints and compaction, so the live footprint stays bounded while total appended bytes grow; the tier section replays a pre-planned stream tiered (hot cap 64) and fully resident, proving a flat resident-set curve with bit-identical final snapshots; the codec section times CRC-32 over the final state's checkpoint blob (crc_passes passes a run) and that blob's encode, resident and over a file spill that leaves every point cold (asserted byte-identical), and its decode; baseline_* fields, when present, come from the same report built at an earlier commit and run on the same host\"\n}\n");
+    json.push_str("  \"note\": \"complex d2 n20000 s200 scenario, 64 pre-planned batches with maintenance after each, serial mode; durable runs use validate + WAL append + group commit + apply + checkpoint cadence as configured; recovery replays the WAL tail beyond the newest checkpoint; restart_recovery recovers a d10 n10000 s200 log of 256 records (about 500 inserts and 500 deletes each) from a full checkpoint at 240, reading and verifying the whole log and replaying 16 records; the segmented section streams the same batches through a segment chain with delta checkpoints and compaction, so the live footprint stays bounded while total appended bytes grow; the tier section replays a pre-planned stream tiered (hot cap 64) and fully resident, proving a flat resident-set curve with bit-identical final snapshots; the codec section times CRC-32 over the final state's checkpoint blob (crc_passes passes a run) and that blob's encode, resident and over a file spill that leaves every point cold (asserted byte-identical), and its decode; baseline_* fields, when present, come from the same report built at an earlier commit and run on the same host\"\n}\n");
     write_report("BENCH_durability.json", &json);
 }

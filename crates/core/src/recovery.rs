@@ -40,9 +40,9 @@ use crate::incremental::IncrementalBubbles;
 use crate::snapshot::{read_dirty_records, DirtyRecords};
 use idb_geometry::SearchStats;
 use idb_obs::{EventKind, Obs};
-use idb_store::segment::read_chain;
+use idb_store::segment::load_chain;
 use idb_store::snapshot::{read_frame, read_u64, write_frame, write_u64, SnapshotError};
-use idb_store::wal::{read_wal, DurableSink, WalContents, WalError, WalRecord, WalWriter};
+use idb_store::wal::{scan_wal, DurableSink, WalError, WalRecord, WalScan, WalWriter};
 use idb_store::{Batch, FsMedium, Medium, PointId, PointStore, StorageBudget, StorageError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -365,10 +365,10 @@ impl<'a> Delta<'a> {
     /// was logged into: the base's store is rolled forward by the logged
     /// batches in `[base_covered, covered)` (deletes then inserts per
     /// record, exactly the live path's order, so the free list is
-    /// bit-identical), and the delta's bubble records are spliced over the
-    /// base's bubble snapshot, which the ordinary snapshot reader
-    /// validates.
-    fn decode(&self, base: &[u8], wal: &WalContents) -> Result<Decoded, SnapshotError> {
+    /// bit-identical), each decoded into one reused record, and the
+    /// delta's bubble records are spliced over the base's bubble snapshot,
+    /// which the ordinary snapshot reader validates.
+    fn decode(&self, base: &[u8], wal: &WalScan<'_>) -> Result<Decoded, SnapshotError> {
         let (bseq, bcov, mut store, bubbles) = open_full(base)?;
         if bseq != self.base_seq || bcov != self.base_covered {
             return Err(SnapshotError::Corrupt(format!(
@@ -382,7 +382,7 @@ impl<'a> Delta<'a> {
                 wal.base, self.base_covered
             )));
         }
-        let have = wal.base + wal.records.len() as u64;
+        let have = wal.end_seq();
         if have < self.covered {
             return Err(SnapshotError::Corrupt(format!(
                 "wal holds batches up to {have}, delta needs {}",
@@ -390,7 +390,9 @@ impl<'a> Delta<'a> {
             )));
         }
         let index = |abs: u64| usize::try_from(abs - wal.base).expect("record index fits usize");
-        for rec in &wal.records[index(self.base_covered)..index(self.covered)] {
+        let mut rec = WalRecord::default();
+        for i in index(self.base_covered)..index(self.covered) {
+            wal.decode_into(i, &mut rec);
             store.apply(&rec.batch);
         }
         let bubbles = IncrementalBubbles::read_spliced(&bubbles, &self.dirty, &store)?;
@@ -451,16 +453,17 @@ pub fn recover<C: CheckpointStore>(
         },
         0,
     );
-    let wal = read_wal(wal_bytes).map_err(wal_to_recovery)?;
+    let wal = scan_wal(wal_bytes).map_err(wal_to_recovery)?;
     recover_parsed(&wal, checkpoints, obs, &timer)
 }
 
-/// [`recover`] over a segmented WAL chain: walks the newest epoch on
-/// `medium` (see [`read_chain`]) and recovers from the merged record
-/// stream, journaling through `obs` the same way. Compaction may have
-/// reclaimed the chain's oldest segments; checkpoints older than the
-/// surviving base are skipped exactly like checkpoints from an earlier
-/// epoch.
+/// [`recover`] over a segmented WAL chain: reads and verifies the newest
+/// epoch on `medium` (see [`load_chain`] and
+/// [`ChainBytes::scan`](idb_store::segment::ChainBytes::scan)) and
+/// recovers from the merged record stream, journaling through `obs` the
+/// same way. Compaction may have reclaimed the chain's oldest segments;
+/// checkpoints older than the surviving base are skipped exactly like
+/// checkpoints from an earlier epoch.
 ///
 /// # Errors
 /// As [`recover`]; chain-level damage ([`WalError::ChainGap`],
@@ -472,14 +475,14 @@ pub fn recover_chain<M: Medium + ?Sized, C: CheckpointStore>(
     obs: &Obs,
 ) -> Result<Recovered, RecoveryError> {
     let timer = obs.start();
-    let chain = read_chain(medium).map_err(wal_to_recovery)?;
+    let chain = load_chain(medium).map_err(wal_to_recovery)?;
+    let wal = chain.scan().map_err(wal_to_recovery)?;
     obs.emit(
         EventKind::RecoverStart {
-            wal_bytes: chain.bytes,
+            wal_bytes: chain.bytes(),
         },
         0,
     );
-    let wal = chain.into_wal_contents();
     recover_parsed(&wal, checkpoints, obs, &timer)
 }
 
@@ -496,11 +499,14 @@ fn wal_to_recovery(e: WalError) -> RecoveryError {
     }
 }
 
-/// The shared checkpoint-candidate loop: newest first, skipping damaged
-/// or misaligned candidates. Full blobs decode directly; delta blobs pull
-/// in their full base and the WAL records they sit on.
+/// The shared checkpoint-candidate loop over a verified WAL: newest
+/// first, skipping damaged or misaligned candidates. Full blobs decode
+/// directly; delta blobs pull in their full base and the WAL records they
+/// sit on. The records a candidate's coverage skips are never decoded;
+/// the rest are decoded one at a time, into one reused record, as they
+/// are applied.
 fn recover_parsed<C: CheckpointStore>(
-    wal: &WalContents,
+    wal: &WalScan<'_>,
     checkpoints: &C,
     obs: &Obs,
     timer: &idb_obs::ObsTimer,
@@ -544,7 +550,7 @@ fn recover_parsed<C: CheckpointStore>(
             );
             continue;
         }
-        if !wal.records.is_empty() && store.dim() != wal.dim {
+        if !wal.is_empty() && store.dim() != wal.dim {
             detail = format!(
                 "checkpoint {seq} is {}-dimensional but the wal is {}-dimensional",
                 store.dim(),
@@ -563,7 +569,7 @@ fn recover_parsed<C: CheckpointStore>(
 fn decode_delta<C: CheckpointStore>(
     blob: &[u8],
     checkpoints: &C,
-    wal: &WalContents,
+    wal: &WalScan<'_>,
 ) -> Result<Decoded, String> {
     let payload = read_frame(&mut &blob[..], DELTA_CHECKPOINT_MAGIC).map_err(|e| e.to_string())?;
     let delta = Delta::parse(&payload).map_err(|e| e.to_string())?;
@@ -573,8 +579,10 @@ fn decode_delta<C: CheckpointStore>(
     delta.decode(&base, wal).map_err(|e| e.to_string())
 }
 
+/// Replays every record past `covered` on top of the adopted checkpoint,
+/// decoding each into one reused record.
 fn replay(
-    wal: &WalContents,
+    wal: &WalScan<'_>,
     checkpoint_seq: u64,
     covered: u64,
     mut store: PointStore,
@@ -587,12 +595,13 @@ fn replay(
     // uninterrupted run produced them).
     bubbles.set_obs(obs.clone());
     let mut search = SearchStats::new();
-    let mut replayed = 0;
-    for (i, rec) in wal.records.iter().enumerate() {
+    // Records below `covered` are already inside the checkpoint
+    // (`covered >= wal.base`, checked by the caller).
+    let first = usize::try_from(covered - wal.base).map_or(wal.len(), |i| i.min(wal.len()));
+    let mut rec = WalRecord::default();
+    for i in first..wal.len() {
         let abs = wal.base + i as u64;
-        if abs < covered {
-            continue; // Already inside the checkpoint.
-        }
+        wal.decode_into(i, &mut rec);
         bubbles
             .try_apply_batch(&mut store, &rec.batch, &mut search)
             .map_err(|source| RecoveryError::Replay {
@@ -606,11 +615,11 @@ fn replay(
             let mut rng = StdRng::seed_from_u64(rec.round_seed);
             bubbles.maintain(&store, &mut rng, &mut search);
         }
-        replayed += 1;
     }
+    let replayed = wal.len() - first;
     // A checkpoint may run ahead of the durable WAL (group-commit window):
     // the state then simply reflects the checkpoint.
-    let batches_durable = covered.max(wal.base + wal.records.len() as u64);
+    let batches_durable = covered.max(wal.end_seq());
     obs.emit(
         EventKind::RecoverDone {
             replayed: replayed as u64,
@@ -623,7 +632,7 @@ fn replay(
         store,
         bubbles,
         batches_durable,
-        wal_records: wal.records.len(),
+        wal_records: wal.len(),
         replayed,
         torn_tail: wal.torn_tail,
         checkpoint_seq,
@@ -1650,6 +1659,63 @@ mod tests {
         assert_eq!(rec.batches_durable, 10);
         assert!(!rec.torn_tail);
         assert_eq!(fingerprint(&rec.store, &rec.bubbles), want);
+    }
+
+    /// Recovery verifies every WAL record even though it decodes only
+    /// those it applies: bit damage inside a record the adopted checkpoint
+    /// already covers still fails the recovery at that record's offset,
+    /// whether the candidate is a full checkpoint or a delta whose base
+    /// covers the record.
+    #[test]
+    fn damage_inside_a_covered_record_still_fails_recovery() {
+        use idb_store::wal::read_wal;
+        // Every checkpoint full; or a full one every third, so the newest
+        // (after 11 batches, at 10) is a delta over the full one at 6.
+        for (full_rebase_interval, delta) in [(1, false), (3, true)] {
+            let (store, config) = fixture(150, 21);
+            let mut rng = StdRng::seed_from_u64(22);
+            let mut search = SearchStats::new();
+            let dcfg = DurabilityConfig {
+                checkpoint_interval: 2,
+                full_rebase_interval,
+                ..DurabilityConfig::default()
+            };
+            let mut dm = DurableMaintainer::create(
+                store,
+                config,
+                dcfg,
+                ObjectSink::new(MemMedium::new(), "wal"),
+                MemMedium::new(),
+                &mut rng,
+                &mut search,
+            )
+            .unwrap();
+            for _ in 0..11 {
+                let batch = random_batch(dm.store(), &mut rng);
+                dm.apply(&batch, &mut rng, &mut search).unwrap();
+            }
+            let (_, _, sink, checkpoints) = dm.into_parts();
+            let wal = sink.bytes();
+            let newest = checkpoints.seqs().unwrap().into_iter().max().unwrap();
+            let blob = checkpoints.load(newest).unwrap();
+            assert_eq!(blob.starts_with(DELTA_CHECKPOINT_MAGIC), delta);
+            let intact = recover(&wal, &checkpoints, &Obs::disabled()).unwrap();
+            assert_eq!(intact.checkpoint_seq, newest);
+            assert_eq!(intact.replayed, 1, "the newest checkpoint covers 10 of 11");
+            // Record 3: below the delta's base (6) as well as its coverage,
+            // so no candidate ever decodes it.
+            let ends = read_wal(&wal).unwrap().ends;
+            let offset = ends[2];
+            let mut damaged = wal.clone();
+            damaged[offset + 12] ^= 0x20;
+            match recover(&damaged, &checkpoints, &Obs::disabled()) {
+                Err(RecoveryError::CorruptWal { offset: at, detail }) => {
+                    assert_eq!(at, offset, "delta {delta}");
+                    assert!(detail.contains("checksum"), "{detail}");
+                }
+                other => panic!("delta {delta}: expected CorruptWal, got {other:?}"),
+            }
+        }
     }
 
     #[test]

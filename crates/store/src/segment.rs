@@ -39,7 +39,7 @@
 
 use crate::medium::Medium;
 use crate::wal::{
-    read_wal, wal_header, DurableSink, ReclaimReport, RollReport, WalContents, WalError, WalRecord,
+    scan_wal, wal_header, DurableSink, ReclaimReport, RollReport, WalError, WalRecord, WalScan,
     WAL_HEADER_LEN,
 };
 use std::fmt;
@@ -350,54 +350,31 @@ pub struct ChainContents {
     pub bytes: u64,
 }
 
-impl ChainContents {
-    /// The merged view as a [`WalContents`] (what `idb-core`'s recovery
-    /// consumes). Byte-offset fields (`ends`, `valid_len`) are stream
-    /// concepts without a chain equivalent and are left empty.
-    #[must_use]
-    pub fn into_wal_contents(self) -> WalContents {
-        WalContents {
-            dim: self.dim,
-            base: self.base,
-            records: self.records,
-            ends: Vec::new(),
-            valid_len: 0,
-            torn_tail: self.torn_tail,
-        }
-    }
+/// The newest epoch's segments as read from a medium, oldest first, with
+/// contiguous sequence numbers: the bytes [`ChainBytes::scan`] verifies
+/// and its scan borrows.
+#[derive(Debug)]
+pub struct ChainBytes {
+    /// The epoch that was read (0 for an empty medium).
+    pub epoch: u64,
+    /// The chain's segments, oldest first.
+    pub segments: Vec<SegmentId>,
+    data: Vec<Vec<u8>>,
 }
 
-/// Walks the newest epoch's segment chain on `medium` and merges it into
-/// one logical record stream.
+/// Reads the newest epoch's segment chain from `medium`.
 ///
 /// Older epochs are ignored: a resume wipes its predecessors, so their
 /// segments can only be leftovers of an interrupted wipe, and the resume
 /// anchor checkpoint already covers everything they held. Within the
-/// chain, sequence numbers must be contiguous from the lowest survivor;
-/// every interior segment must parse clean, untorn, dimensionally
-/// consistent, and hand over exactly at its successor's base. Only the
-/// final segment may be torn — including a missing or short header (a
-/// crash during rotation), which contributes nothing.
+/// chain, sequence numbers must be contiguous from the lowest survivor.
 ///
 /// # Errors
 /// * [`WalError::ChainGap`] — a hole in the sequence numbers;
-/// * [`WalError::CorruptSegment`] — a torn or damaged interior segment,
-///   a dimensionality flip, a base that disagrees with its predecessor's
-///   record count, or checksum-level damage inside any segment;
 /// * [`WalError::Io`] — the medium failed.
-pub fn read_chain<M: Medium + ?Sized>(medium: &M) -> Result<ChainContents, WalError> {
+pub fn load_chain<M: Medium + ?Sized>(medium: &M) -> Result<ChainBytes, WalError> {
     let mut ids = segment_ids(medium)?;
-    let Some(epoch) = ids.iter().map(|id| id.epoch).max() else {
-        return Ok(ChainContents {
-            dim: 0,
-            base: 0,
-            records: Vec::new(),
-            torn_tail: false,
-            epoch: 0,
-            segments: Vec::new(),
-            bytes: 0,
-        });
-    };
+    let epoch = ids.iter().map(|id| id.epoch).max().unwrap_or(0);
     ids.retain(|id| id.epoch == epoch);
     ids.sort_unstable();
     for pair in ids.windows(2) {
@@ -408,72 +385,113 @@ pub fn read_chain<M: Medium + ?Sized>(medium: &M) -> Result<ChainContents, WalEr
             });
         }
     }
-
-    let corrupt = |seq: u64, detail: String| WalError::CorruptSegment { epoch, seq, detail };
-    let last = ids.len() - 1;
-    let mut dim = 0usize;
-    let mut base = 0u64;
-    let mut next_base = 0u64;
-    let mut records = Vec::new();
-    let mut torn_tail = false;
-    let mut total_bytes = 0u64;
-    for (k, &id) in ids.iter().enumerate() {
-        let bytes = medium.read(&id.file_name())?;
-        total_bytes += bytes.len() as u64;
-        let parsed = read_wal(&bytes).map_err(|e| match e {
-            WalError::Io(e) => WalError::Io(e),
-            WalError::Corrupt { offset, detail } => {
-                corrupt(id.seq, format!("at byte {offset}: {detail}"))
-            }
-            other => other,
-        })?;
-        if parsed.dim == 0 {
-            // The header itself is short: legal only as a crash's final
-            // stray (nothing in it was ever durable).
-            if k < last {
-                return Err(corrupt(
-                    id.seq,
-                    "interior segment is missing its header".into(),
-                ));
-            }
-            torn_tail = parsed.torn_tail;
-            break;
-        }
-        if k == 0 {
-            dim = parsed.dim;
-            base = parsed.base;
-        } else {
-            if parsed.dim != dim {
-                return Err(corrupt(
-                    id.seq,
-                    format!("segment dim {} vs chain dim {dim}", parsed.dim),
-                ));
-            }
-            if parsed.base != next_base {
-                return Err(corrupt(
-                    id.seq,
-                    format!(
-                        "segment base {} but predecessor ends at {next_base}",
-                        parsed.base
-                    ),
-                ));
-            }
-        }
-        if k < last && parsed.torn_tail {
-            return Err(corrupt(id.seq, "interior segment has a torn tail".into()));
-        }
-        next_base = parsed.base + parsed.records.len() as u64;
-        records.extend(parsed.records);
-        torn_tail = parsed.torn_tail;
-    }
-    Ok(ChainContents {
-        dim,
-        base,
-        records,
-        torn_tail,
+    let data = ids
+        .iter()
+        .map(|id| medium.read(&id.file_name()))
+        .collect::<io::Result<_>>()?;
+    Ok(ChainBytes {
         epoch,
         segments: ids,
-        bytes: total_bytes,
+        data,
+    })
+}
+
+impl ChainBytes {
+    /// Total bytes read across the chain's segments.
+    #[must_use]
+    pub fn bytes(&self) -> u64 {
+        self.data.iter().map(|d| d.len() as u64).sum()
+    }
+
+    /// Verifies the chain and merges it into one logical record stream:
+    /// each segment is walked by [`scan_wal`], every *interior* segment
+    /// must be clean, untorn, dimensionally consistent, and hand over
+    /// exactly at its successor's base. Only the final segment may be
+    /// torn — including a missing or short header (a crash during
+    /// rotation), which contributes nothing.
+    ///
+    /// # Errors
+    /// [`WalError::CorruptSegment`] — a torn or damaged interior segment,
+    /// a dimensionality flip, a base that disagrees with its predecessor's
+    /// record count, or checksum-level damage inside any segment.
+    pub fn scan(&self) -> Result<WalScan<'_>, WalError> {
+        let epoch = self.epoch;
+        let corrupt = |seq: u64, detail: String| WalError::CorruptSegment { epoch, seq, detail };
+        let mut chain: Option<WalScan<'_>> = None;
+        let last = self.segments.len().saturating_sub(1);
+        for (k, (id, bytes)) in self.segments.iter().zip(&self.data).enumerate() {
+            let seg = scan_wal(bytes).map_err(|e| match e {
+                WalError::Corrupt { offset, detail } => {
+                    corrupt(id.seq, format!("at byte {offset}: {detail}"))
+                }
+                other => other,
+            })?;
+            if seg.dim == 0 {
+                // The header itself is short: legal only as a crash's final
+                // stray (nothing in it was ever durable).
+                if k < last {
+                    return Err(corrupt(
+                        id.seq,
+                        "interior segment is missing its header".into(),
+                    ));
+                }
+                match chain.as_mut() {
+                    Some(chain) => chain.torn_tail = seg.torn_tail,
+                    None => chain = Some(seg),
+                }
+                break;
+            }
+            if let Some(chain) = &chain {
+                if seg.dim != chain.dim {
+                    return Err(corrupt(
+                        id.seq,
+                        format!("segment dim {} vs chain dim {}", seg.dim, chain.dim),
+                    ));
+                }
+                if seg.base != chain.end_seq() {
+                    return Err(corrupt(
+                        id.seq,
+                        format!(
+                            "segment base {} but predecessor ends at {}",
+                            seg.base,
+                            chain.end_seq()
+                        ),
+                    ));
+                }
+            }
+            if k < last && seg.torn_tail {
+                return Err(corrupt(id.seq, "interior segment has a torn tail".into()));
+            }
+            match chain.as_mut() {
+                Some(chain) => chain.extend(seg),
+                None => chain = Some(seg),
+            }
+        }
+        Ok(chain.unwrap_or_default())
+    }
+}
+
+/// Walks the newest epoch's segment chain on `medium` and decodes it
+/// into one logical record stream: [`load_chain`], [`ChainBytes::scan`],
+/// then every record.
+///
+/// # Errors
+/// * [`WalError::ChainGap`] — a hole in the sequence numbers;
+/// * [`WalError::CorruptSegment`] — a torn or damaged interior segment,
+///   a dimensionality flip, a base that disagrees with its predecessor's
+///   record count, or checksum-level damage inside any segment;
+/// * [`WalError::Io`] — the medium failed.
+pub fn read_chain<M: Medium + ?Sized>(medium: &M) -> Result<ChainContents, WalError> {
+    let chain = load_chain(medium)?;
+    let wal = chain.scan()?.decode();
+    Ok(ChainContents {
+        dim: wal.dim,
+        base: wal.base,
+        records: wal.records,
+        torn_tail: wal.torn_tail,
+        bytes: chain.bytes(),
+        epoch: chain.epoch,
+        segments: chain.segments,
     })
 }
 

@@ -29,7 +29,8 @@
 //!
 //! Appends are sequential, so a crash can only shorten the file: the final
 //! record may be *torn* (its header or payload cut off, or a zero-filled
-//! length from filesystem pre-allocation). [`read_wal`] silently truncates
+//! length from filesystem pre-allocation). [`scan_wal`], the one frame
+//! walker (under [`read_wal`] and recovery alike), silently truncates
 //! such a tail — those batches were never durable. A record that is fully
 //! present but whose checksum fails cannot be produced by a kill; it is
 //! bit damage and surfaces as a typed [`WalError::Corrupt`], never a
@@ -294,7 +295,7 @@ impl<M: Medium> DurableSink for ObjectSink<M> {
 /// One durable unit of work: the applied batch, whether a maintenance
 /// round followed it, and the seed that round's RNG was (re)started from —
 /// everything replay needs to reproduce the exact post-batch state.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WalRecord {
     /// Seed of the maintenance round's RNG; recovery replays the round
     /// with `StdRng::seed_from_u64(round_seed)`, which is also exactly how
@@ -375,16 +376,8 @@ impl<'a> Cur<'a> {
         Ok(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
     fn u64(&mut self) -> Result<u64, String> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 
     fn remaining(&self) -> usize {
@@ -392,7 +385,26 @@ impl<'a> Cur<'a> {
     }
 }
 
-fn decode_payload(dim: usize, payload: &[u8]) -> Result<WalRecord, String> {
+/// One verified record, left in the log's bytes: its checksum matched and
+/// its payload parsed, and its delete ids and insert rows are slices of
+/// the payload, decoded only by [`WalScan::decode_into`].
+#[derive(Debug, Clone, Copy)]
+struct Frame<'a> {
+    round_seed: u64,
+    maintain: bool,
+    /// `n_deletes` little-endian `u32` ids.
+    deletes: &'a [u8],
+    /// `n_inserts` rows of `label u32 | coords f64 × dim`.
+    inserts: &'a [u8],
+    /// Byte offset just past the frame in the stream it was read from.
+    end: usize,
+}
+
+/// Parses a record payload's structure — its kind, maintain flag and
+/// counts against the bytes that back them — without decoding its
+/// elements. The one parse of a payload: a [`Frame`] it accepts decodes
+/// without further checks.
+fn parse_payload(dim: usize, payload: &[u8], end: usize) -> Result<Frame<'_>, String> {
     let mut cur = Cur {
         data: payload,
         pos: 0,
@@ -411,31 +423,22 @@ fn decode_payload(dim: usize, payload: &[u8]) -> Result<WalRecord, String> {
     if n_del > cur.remaining() / 4 {
         return Err(format!("delete count {n_del} exceeds the record"));
     }
-    let mut deletes = Vec::with_capacity(n_del);
-    for _ in 0..n_del {
-        deletes.push(PointId(cur.u32()?));
-    }
+    let deletes = cur.take(n_del * 4)?;
     let n_ins = cur.u64()? as usize;
-    if n_ins > cur.remaining() / (4 + 8 * dim) {
+    let row = 4 + 8 * dim;
+    if n_ins > cur.remaining() / row {
         return Err(format!("insert count {n_ins} exceeds the record"));
     }
-    let mut inserts = Vec::with_capacity(n_ins);
-    for _ in 0..n_ins {
-        let raw = cur.u32()?;
-        let label = if raw == LABEL_NOISE { None } else { Some(raw) };
-        let mut coords = Vec::with_capacity(dim);
-        for _ in 0..dim {
-            coords.push(cur.f64()?);
-        }
-        inserts.push((coords, label));
-    }
+    let inserts = cur.take(n_ins * row)?;
     if cur.remaining() != 0 {
         return Err(format!("{} trailing bytes in record", cur.remaining()));
     }
-    Ok(WalRecord {
+    Ok(Frame {
         round_seed,
         maintain,
-        batch: Batch { deletes, inserts },
+        deletes,
+        inserts,
+        end,
     })
 }
 
@@ -457,23 +460,129 @@ pub struct WalContents {
     pub torn_tail: bool,
 }
 
-/// Decodes a WAL byte stream, truncating a torn final record (see the
-/// module docs for the rule) and rejecting mid-log damage.
+/// A WAL whose every record has been verified — header, frame checksums
+/// and payload structure, under the torn-tail rule — but not decoded:
+/// the records stay in the bytes the scan borrows, and
+/// [`WalScan::decode_into`] decodes one on demand. [`scan_wal`] scans one
+/// stream; [`ChainBytes::scan`](crate::segment::ChainBytes::scan) scans a
+/// segment chain into the same type.
+#[derive(Debug, Default)]
+pub struct WalScan<'a> {
+    /// Dimensionality recorded in the header (0 when the header itself was
+    /// torn — an empty log).
+    pub dim: usize,
+    /// Absolute sequence number of the first record (the WAL epoch base).
+    pub base: u64,
+    frames: Vec<Frame<'a>>,
+    /// Whether a torn tail was dropped.
+    pub torn_tail: bool,
+}
+
+impl<'a> WalScan<'a> {
+    /// Records in the log.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.frames.len()
+    }
+
+    /// Whether the log holds no record.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.frames.is_empty()
+    }
+
+    /// The absolute sequence number just past the last record.
+    #[must_use]
+    pub fn end_seq(&self) -> u64 {
+        self.base + self.frames.len() as u64
+    }
+
+    /// Decodes record `i` (in log order) into `rec`, reusing its buffers:
+    /// the delete list and every insert's coordinate vector keep their
+    /// capacity from one record to the next.
+    ///
+    /// # Panics
+    /// Panics if `i >= self.len()`.
+    pub fn decode_into(&self, i: usize, rec: &mut WalRecord) {
+        let frame = &self.frames[i];
+        rec.round_seed = frame.round_seed;
+        rec.maintain = frame.maintain;
+        let batch = &mut rec.batch;
+        batch.deletes.clear();
+        batch.deletes.extend(
+            frame
+                .deletes
+                .chunks_exact(4)
+                .map(|b| PointId(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))),
+        );
+        let rows = frame.inserts.chunks_exact(4 + 8 * self.dim);
+        batch.inserts.truncate(rows.len());
+        for (k, row) in rows.enumerate() {
+            let raw = u32::from_le_bytes([row[0], row[1], row[2], row[3]]);
+            let label = if raw == LABEL_NOISE { None } else { Some(raw) };
+            let coords = row[4..]
+                .chunks_exact(8)
+                .map(|b| f64::from_le_bytes(b.try_into().expect("8 bytes")));
+            match batch.inserts.get_mut(k) {
+                Some((c, l)) => {
+                    c.clear();
+                    c.extend(coords);
+                    *l = label;
+                }
+                None => batch.inserts.push((coords.collect(), label)),
+            }
+        }
+    }
+
+    /// Decodes every record.
+    #[must_use]
+    pub fn decode(&self) -> WalContents {
+        let records = (0..self.len())
+            .map(|i| {
+                let mut rec = WalRecord::default();
+                self.decode_into(i, &mut rec);
+                rec
+            })
+            .collect();
+        // The valid prefix ends with the last record, or with the header
+        // when there is none (nothing at all when the header was torn).
+        let header = if self.dim == 0 { 0 } else { WAL_HEADER_LEN };
+        WalContents {
+            dim: self.dim,
+            base: self.base,
+            records,
+            ends: self.frames.iter().map(|f| f.end).collect(),
+            valid_len: self.frames.last().map_or(header, |f| f.end),
+            torn_tail: self.torn_tail,
+        }
+    }
+
+    /// Appends `next`'s records after this scan's and takes its torn-tail
+    /// flag: the merge of a chain's segments, which the caller has checked
+    /// hand over at `next.base`.
+    pub(crate) fn extend(&mut self, next: WalScan<'a>) {
+        self.frames.extend(next.frames);
+        self.torn_tail = next.torn_tail;
+    }
+}
+
+/// Walks a WAL byte stream and verifies every record without decoding
+/// it: the header, each frame's checksum and each payload's structure,
+/// truncating a torn final record (see the module docs for the rule) and
+/// rejecting mid-log damage.
 ///
 /// # Errors
 /// [`WalError::Corrupt`] when the header is fully present but invalid, a
 /// fully-present record fails its checksum, or a record's payload is
 /// structurally impossible. Never panics, and never allocates more than
 /// the input's own size.
-pub fn read_wal(bytes: &[u8]) -> Result<WalContents, WalError> {
+pub fn scan_wal(bytes: &[u8]) -> Result<WalScan<'_>, WalError> {
     if bytes.len() < WAL_HEADER_LEN {
         // A crash during the very first commit: nothing was durable.
-        return Ok(WalContents {
+        return Ok(WalScan {
             dim: 0,
             base: 0,
-            records: Vec::new(),
-            ends: Vec::new(),
-            valid_len: 0,
+            frames: Vec::new(),
             torn_tail: !bytes.is_empty(),
         });
     }
@@ -499,8 +608,7 @@ pub fn read_wal(bytes: &[u8]) -> Result<WalContents, WalError> {
     }
     let base = u64::from_le_bytes(bytes[12..20].try_into().expect("8"));
 
-    let mut records = Vec::new();
-    let mut ends = Vec::new();
+    let mut frames = Vec::new();
     let mut o = WAL_HEADER_LEN;
     let mut torn = false;
     while o < bytes.len() {
@@ -528,25 +636,25 @@ pub fn read_wal(bytes: &[u8]) -> Result<WalContents, WalError> {
                 detail: "record checksum mismatch".into(),
             });
         }
-        let rec = decode_payload(dim, payload)
+        let frame = parse_payload(dim, payload, o + 8 + len)
             .map_err(|detail| WalError::Corrupt { offset: o, detail })?;
-        o += 8 + len;
-        records.push(rec);
-        ends.push(o);
+        o = frame.end;
+        frames.push(frame);
     }
-    let valid_len = if torn {
-        ends.last().copied().unwrap_or(WAL_HEADER_LEN)
-    } else {
-        o
-    };
-    Ok(WalContents {
+    Ok(WalScan {
         dim,
         base,
-        records,
-        ends,
-        valid_len,
+        frames,
         torn_tail: torn,
     })
+}
+
+/// Decodes a WAL byte stream: [`scan_wal`], then every record.
+///
+/// # Errors
+/// As [`scan_wal`].
+pub fn read_wal(bytes: &[u8]) -> Result<WalContents, WalError> {
+    Ok(scan_wal(bytes)?.decode())
 }
 
 /// Group-committing WAL appender over a [`DurableSink`].
@@ -705,6 +813,9 @@ impl<S: DurableSink> WalWriter<S> {
         self.sink
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
