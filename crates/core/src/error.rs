@@ -56,6 +56,17 @@ pub enum UpdateError {
         /// The id named more than once.
         id: PointId,
     },
+    /// A logged insert names a bubble the population does not have: a
+    /// checksum-valid WAL record whose target disagrees with the state it
+    /// replays onto.
+    TargetOutOfRange {
+        /// Index of the offending insert within `batch.inserts`.
+        index: usize,
+        /// The logged target bubble.
+        target: u32,
+        /// The number of bubbles, `s`.
+        bubbles: usize,
+    },
     /// The batch was shed by the durability layer before application: the
     /// disk budget or the degraded-mode buffer cap was reached. The
     /// summarization and the store are untouched; the caller may retry
@@ -84,6 +95,14 @@ impl fmt::Display for UpdateError {
             Self::ConflictingOps { id } => {
                 write!(f, "conflicting operations: {id:?} deleted more than once")
             }
+            Self::TargetOutOfRange {
+                index,
+                target,
+                bubbles,
+            } => write!(
+                f,
+                "insert {index}: logged target bubble {target} is out of range (s = {bubbles})"
+            ),
             Self::Storage(e) => write!(f, "batch shed: {e}"),
         }
     }

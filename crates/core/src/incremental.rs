@@ -80,6 +80,8 @@ struct Scratch {
     hints: Vec<u32>,
     /// `(bubble, distance)` results of a batched nearest-seed search.
     targets: Vec<(u32, f64)>,
+    /// The target bubble of each insert of the staged batch.
+    inserts: Vec<u32>,
     /// Single-point coordinate staging (the delete path).
     coords: Vec<f64>,
     /// Per-member half choice of a split redistribution.
@@ -417,23 +419,28 @@ impl IncrementalBubbles {
     /// usually yields a tight pruning bound immediately.
     pub fn insert_point(&mut self, id: PointId, p: &[f64], search: &mut SearchStats) {
         assert_eq!(p.len(), self.dim, "point dimensionality mismatch");
-        self.ensure_slots(id.index() + 1);
-        let hint = match self.last_insert {
-            NONE => None,
-            b => Some(b as usize),
-        };
+        let bubble = self.insert_target(p, self.last_insert, search);
+        self.attach_insert(id, bubble, p);
+    }
+
+    /// The closest seed to an insert at `p`, warm-started at `hint` (the
+    /// previous insertion's bubble, `NONE` before the first).
+    fn insert_target(&mut self, p: &[f64], hint: u32, search: &mut SearchStats) -> u32 {
+        let hint = (hint != NONE).then_some(hint as usize);
         let bubble = self
             .nearest(p, None, hint, search)
             .expect("bubble population is never empty");
-        self.attach(id, bubble, p);
-        self.last_insert = bubble as u32;
+        bubble as u32
+    }
+
+    /// Attaches the new point `id` to `bubble`, its insert target, and
+    /// makes that bubble the next insertion's warm-start hint.
+    fn attach_insert(&mut self, id: PointId, bubble: u32, p: &[f64]) {
+        self.ensure_slots(id.index() + 1);
+        self.attach(id, bubble as usize, p);
+        self.last_insert = bubble;
         self.total_points += 1;
-        self.obs.emit(
-            EventKind::Insert {
-                bubble: bubble as u32,
-            },
-            0,
-        );
+        self.obs.emit(EventKind::Insert { bubble }, 0);
     }
 
     /// Handles the deletion of point `id` with coordinates `p`: its
@@ -553,7 +560,8 @@ impl IncrementalBubbles {
         search: &mut SearchStats,
     ) -> Result<Vec<PointId>, UpdateError> {
         self.stage_batch(store, batch)?;
-        Ok(self.apply_staged(store, batch, search))
+        self.stage_targets(batch, search);
+        Ok(self.apply_staged(store, batch))
     }
 
     /// The first step of [`Self::try_apply_batch`]: validates `batch`
@@ -581,16 +589,64 @@ impl IncrementalBubbles {
         Ok(())
     }
 
-    /// The second step of [`Self::try_apply_batch`]: applies the batch the
-    /// last [`Self::stage_batch`] validated and staged. It cannot fail.
-    pub(crate) fn apply_staged(
-        &mut self,
-        store: &mut PointStore,
-        batch: &Batch,
-        search: &mut SearchStats,
-    ) -> Vec<PointId> {
+    /// The second step of [`Self::try_apply_batch`]: the nearest-seed
+    /// search of every insert of the staged batch, in insert order, each
+    /// warm-started at the previous one's target — exactly the searches
+    /// [`Self::insert_point`] runs. The targets are staged in the scratch
+    /// arena for the log ([`Self::staged_targets`]) and for
+    /// [`Self::apply_staged`]. Seeds change only in maintenance rounds, so
+    /// each target is a pure function of the batch-start seed set. Charges
+    /// `search` and the `assign.<engine>.*` metrics, whose time is the
+    /// searches' alone.
+    pub(crate) fn stage_targets(&mut self, batch: &Batch, search: &mut SearchStats) {
         let timer = self.obs.start();
         let before = *search;
+        let mut targets = std::mem::take(&mut self.scratch.inserts);
+        targets.clear();
+        let mut hint = self.last_insert;
+        for (p, _) in &batch.inserts {
+            hint = self.insert_target(p, hint, search);
+            targets.push(hint);
+        }
+        self.scratch.inserts = targets;
+        self.observe_search(
+            batch.inserts.len() as u64,
+            &search.delta_since(&before),
+            timer.us(),
+        );
+    }
+
+    /// The target bubble of each insert of the staged batch.
+    pub(crate) fn staged_targets(&self) -> &[u32] {
+        &self.scratch.inserts
+    }
+
+    /// Replay's second step in place of [`Self::stage_targets`]: stages
+    /// the targets a WAL record logged for the staged batch's inserts, one
+    /// per insert, after checking each names a bubble.
+    ///
+    /// # Errors
+    /// [`UpdateError::TargetOutOfRange`] for the first target that is not
+    /// below [`Self::num_bubbles`]; nothing but the scratch arena changes.
+    pub(crate) fn stage_logged_targets(&mut self, targets: &[u32]) -> Result<(), UpdateError> {
+        let bubbles = self.bubbles.len();
+        if let Some(index) = targets.iter().position(|&t| t as usize >= bubbles) {
+            return Err(UpdateError::TargetOutOfRange {
+                index,
+                target: targets[index],
+                bubbles,
+            });
+        }
+        self.scratch.inserts.clear();
+        self.scratch.inserts.extend_from_slice(targets);
+        Ok(())
+    }
+
+    /// The last step of [`Self::try_apply_batch`]: applies the batch the
+    /// last [`Self::stage_batch`] validated and staged, attaching each
+    /// insert to its staged target without searching. It cannot fail.
+    pub(crate) fn apply_staged(&mut self, store: &mut PointStore, batch: &Batch) -> Vec<PointId> {
+        let timer = self.obs.start();
         let coords = std::mem::take(&mut self.scratch.coords);
         debug_assert_eq!(coords.len(), batch.deletes.len() * self.dim, "batch staged");
         for (i, &id) in batch.deletes.iter().enumerate() {
@@ -598,17 +654,19 @@ impl IncrementalBubbles {
             store.remove(id);
         }
         self.scratch.coords = coords;
+        let targets = std::mem::take(&mut self.scratch.inserts);
+        assert_eq!(
+            targets.len(),
+            batch.inserts.len(),
+            "one staged target per insert"
+        );
         let mut new_ids = Vec::with_capacity(batch.inserts.len());
-        for (p, label) in &batch.inserts {
+        for ((p, label), &bubble) in batch.inserts.iter().zip(&targets) {
             let id = store.insert(p, *label);
-            self.insert_point(id, p, search);
+            self.attach_insert(id, bubble, p);
             new_ids.push(id);
         }
-        self.observe_search(
-            batch.inserts.len() as u64,
-            &search.delta_since(&before),
-            timer.us(),
-        );
+        self.scratch.inserts = targets;
         self.obs.emit(
             EventKind::BatchApplied {
                 inserts: batch.inserts.len() as u32,

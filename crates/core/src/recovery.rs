@@ -6,11 +6,13 @@
 //! produces bit-identical bubbles (DESIGN.md §9–10). This module turns
 //! that determinism into crash consistency. The write-ahead log
 //! ([`idb_store::wal`]) records each applied batch together with its
-//! maintenance decision and RNG seed; periodic checkpoints capture the
-//! store + summarization state in checksummed snapshot frames; and
-//! [`recover`] rebuilds the exact in-memory state by loading the newest
-//! usable checkpoint and replaying the WAL tail through the very same
-//! `try_apply_batch`/`maintain` code the live path runs.
+//! maintenance decision, its RNG seed and the bubble each insert was
+//! assigned to; periodic checkpoints capture the store + summarization
+//! state in checksummed snapshot frames; and [`recover`] rebuilds the
+//! exact in-memory state by loading the newest usable checkpoint and
+//! replaying the WAL tail: each batch is validated and staged as live,
+//! its inserts are attached to their logged bubbles without a search, and
+//! each maintenance round runs the very same code the live path runs.
 //!
 //! A checkpoint is either *full* (the store and bubble snapshots) or a
 //! *delta* against the newest full base: the bubble records of the slots
@@ -580,7 +582,11 @@ fn decode_delta<C: CheckpointStore>(
 }
 
 /// Replays every record past `covered` on top of the adopted checkpoint,
-/// decoding each into one reused record.
+/// decoding each into one reused record. A record's inserts are attached
+/// to the targets it logged, range-checked, with no search. That is exact
+/// by induction: replay reaches the live state before every record, and a
+/// target is a pure function of that state's seed set (the engines agree
+/// on ties), so each logged target is what the search would return.
 fn replay(
     wal: &WalScan<'_>,
     checkpoint_seq: u64,
@@ -603,11 +609,13 @@ fn replay(
         let abs = wal.base + i as u64;
         wal.decode_into(i, &mut rec);
         bubbles
-            .try_apply_batch(&mut store, &rec.batch, &mut search)
+            .stage_batch(&store, &rec.batch)
+            .and_then(|()| bubbles.stage_logged_targets(&rec.targets))
             .map_err(|source| RecoveryError::Replay {
                 record: abs,
                 source,
             })?;
+        bubbles.apply_staged(&mut store, &rec.batch);
         if rec.maintain {
             // The live path seeded a fresh StdRng from this value for the
             // round; replay does the identical thing, so the merge/split
@@ -974,9 +982,10 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
     /// Applies one batch durably with an explicit maintenance decision and
     /// RNG seed (what gets logged — and therefore what replay reproduces).
     /// The order is validate and stage ([`IncrementalBubbles`] reads each
-    /// deleted point once) → log → apply the staged batch, which cannot
-    /// fail; only the maintenance round after it can still meet a cold
-    /// failure.
+    /// deleted point once) → shed checks → search each insert's target →
+    /// log the batch with its targets → apply the staged batch, which
+    /// cannot fail; only the maintenance round after it can still meet a
+    /// cold failure.
     ///
     /// Sink failures do **not** fail the batch: the maintainer retries per
     /// [`DurabilityConfig`], then degrades to in-memory operation and
@@ -1030,15 +1039,16 @@ impl<S: DurableSink, C: CheckpointStore> DurableMaintainer<S, C> {
         // or applied.
         self.enforce_disk_budget()?;
         self.enforce_buffer_cap()?;
-        self.wal.append(&WalRecord {
-            round_seed,
-            maintain,
-            batch: batch.clone(),
-        });
+        // Each record carries its inserts' target bubbles, so replay
+        // attaches them without searching and no record depends on the
+        // next one.
+        self.bubbles.stage_targets(batch, search);
+        self.wal
+            .append_parts(round_seed, maintain, batch, self.bubbles.staged_targets());
         if self.wal.wants_commit() {
             self.commit_wal();
         }
-        let ids = self.bubbles.apply_staged(&mut self.store, batch, search);
+        let ids = self.bubbles.apply_staged(&mut self.store, batch);
         if maintain {
             let mut rng = StdRng::seed_from_u64(round_seed);
             if let Err(e) = self.bubbles.try_maintain(&self.store, &mut rng, search) {
@@ -1659,6 +1669,63 @@ mod tests {
         assert_eq!(rec.batches_durable, 10);
         assert!(!rec.torn_tail);
         assert_eq!(fingerprint(&rec.store, &rec.bubbles), want);
+    }
+
+    /// A checksum-valid record whose logged target names no bubble fails
+    /// recovery typed, at that record, never a panic.
+    #[test]
+    fn a_logged_target_past_the_population_is_a_typed_replay_error() {
+        use idb_store::wal::{encode_record, read_wal};
+        let (store, config) = fixture(150, 31);
+        let mut rng = StdRng::seed_from_u64(32);
+        let mut search = SearchStats::new();
+        let dcfg = DurabilityConfig {
+            checkpoint_interval: 100,
+            ..DurabilityConfig::default()
+        };
+        let mut dm = DurableMaintainer::create(
+            store,
+            config,
+            dcfg,
+            ObjectSink::new(MemMedium::new(), "wal"),
+            MemMedium::new(),
+            &mut rng,
+            &mut search,
+        )
+        .unwrap();
+        for _ in 0..4 {
+            let batch = random_batch(dm.store(), &mut rng);
+            dm.apply(&batch, &mut rng, &mut search).unwrap();
+        }
+        let s = dm.bubbles().num_bubbles();
+        let (_, _, sink, checkpoints) = dm.into_parts();
+        let wal = sink.bytes();
+        let log = read_wal(&wal).unwrap();
+        // Re-frame record 2 with its last insert's target set to `s`,
+        // under a valid checksum.
+        let mut rec = log.records[2].clone();
+        let index = rec.targets.len() - 1;
+        rec.targets[index] = s as u32;
+        let mut hostile = wal[..log.ends[1]].to_vec();
+        hostile.extend_from_slice(&encode_record(2, &rec));
+        hostile.extend_from_slice(&wal[log.ends[2]..]);
+        assert_eq!(read_wal(&hostile).unwrap().records[2], rec);
+        match recover(&hostile, &checkpoints, &Obs::disabled()) {
+            Err(RecoveryError::Replay { record, source }) => {
+                assert_eq!(record, 2);
+                assert_eq!(
+                    source,
+                    UpdateError::TargetOutOfRange {
+                        index,
+                        target: s as u32,
+                        bubbles: s,
+                    }
+                );
+            }
+            other => panic!("expected a typed replay error, got {other:?}"),
+        }
+        // The intact log recovers.
+        recover(&wal, &checkpoints, &Obs::disabled()).unwrap();
     }
 
     /// Recovery verifies every WAL record even though it decodes only

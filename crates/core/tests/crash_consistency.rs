@@ -24,7 +24,7 @@ use idb_geometry::SearchStats;
 use idb_obs::{check_journal, Event, EventKind, Obs, RingRecorder};
 use idb_store::segment::{SegmentId, SegmentedSink};
 use idb_store::snapshot::read_frame;
-use idb_store::wal::{read_wal, scratch_dir, FileSink, ObjectSink};
+use idb_store::wal::{read_wal, scratch_dir, FileSink, ObjectSink, WAL_VERSION};
 use idb_store::{Batch, FsMedium, Medium, MemMedium, PointStore, StorageBudget};
 use idb_synth::{flip_bit, FaultMedium, ScenarioEngine, ScenarioKind, ScenarioSpec};
 use rand::rngs::StdRng;
@@ -586,7 +586,7 @@ fn damaged_checkpoints_and_garbage_wals_are_typed_errors() {
                 // Make the magic/version valid so decoding reaches the hostile
                 // record framing.
                 garbage[..4].copy_from_slice(b"IDBW");
-                garbage[4..8].copy_from_slice(&1u32.to_le_bytes());
+                garbage[4..8].copy_from_slice(&WAL_VERSION.to_le_bytes());
                 garbage[8..12].copy_from_slice(&2u32.to_le_bytes());
             }
             match recover(&garbage, &final_ckpts, &Obs::disabled()) {

@@ -1081,7 +1081,7 @@ fn disk_budget_compacts_first_and_sheds_only_when_impossible() {
 /// twin.
 #[test]
 fn a_failed_forced_checkpoint_sheds_degrades_and_rebases_full() {
-    const BUDGET: u64 = 2000;
+    const BUDGET: u64 = 1700;
     let (store, ib, _, mut search) = fixture(9005);
     let dcfg = |disk_budget| DurabilityConfig {
         checkpoint_interval: 6,

@@ -604,20 +604,26 @@ mod tests {
     fn sample_records(dim: usize, n: usize, seed: u64) -> Vec<WalRecord> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n)
-            .map(|_| WalRecord {
-                round_seed: rng.gen(),
-                maintain: rng.gen_bool(0.5),
-                batch: Batch {
-                    deletes: (0..rng.gen_range(0..4))
-                        .map(|_| PointId(rng.gen()))
-                        .collect(),
-                    inserts: (0..rng.gen_range(0..5))
-                        .map(|_| {
-                            let p: Vec<f64> = (0..dim).map(|_| rng.gen_range(-9.0..9.0)).collect();
-                            (p, Some(rng.gen_range(0..4)))
-                        })
-                        .collect(),
-                },
+            .map(|_| {
+                let mut rec = WalRecord {
+                    round_seed: rng.gen(),
+                    maintain: rng.gen_bool(0.5),
+                    batch: Batch {
+                        deletes: (0..rng.gen_range(0..4))
+                            .map(|_| PointId(rng.gen()))
+                            .collect(),
+                        inserts: (0..rng.gen_range(0..5))
+                            .map(|_| {
+                                let p: Vec<f64> =
+                                    (0..dim).map(|_| rng.gen_range(-9.0..9.0)).collect();
+                                (p, Some(rng.gen_range(0..4)))
+                            })
+                            .collect(),
+                    },
+                    targets: Vec::new(),
+                };
+                rec.targets = vec![0; rec.batch.inserts.len()];
+                rec
             })
             .collect()
     }

@@ -17,8 +17,18 @@
 //! record:  payload_len u32 | payload_crc u32 | payload              (repeated)
 //! payload: kind u8 | round_seed u64 | maintain u8
 //!          | n_deletes u64 | delete ids u32 ×
-//!          | n_inserts u64 | (label u32, coords f64 × dim) ×
+//!          | n_inserts u64 | lw u8 | tw u8
+//!          | (label lw bytes, target tw bytes, coords f64 × dim) ×
 //! ```
+//!
+//! Each insert row carries the bubble the live path assigned the point to
+//! (its *target*), so replay attaches it without searching again. The
+//! label field holds the stored label plus one, wrapping: a noise label and
+//! label `u32::MAX` are both 0, as the point store already aliases them.
+//! `lw` and `tw` are the fewest little-endian bytes, 1 to 4, that hold the
+//! record's largest label field and largest target; rows keep one length
+//! within a record, so a count is checked against the bytes in O(1), and a
+//! width outside 1..=4 is damage.
 //!
 //! `base` is the absolute sequence number of the first record: a restart
 //! begins a fresh WAL epoch whose records continue the global batch
@@ -49,7 +59,7 @@ use std::path::{Path, PathBuf};
 /// Magic prefix of a WAL file.
 pub const WAL_MAGIC: &[u8; 4] = b"IDBW";
 /// Current WAL format version.
-pub const WAL_VERSION: u32 = 1;
+pub const WAL_VERSION: u32 = 2;
 /// Byte length of the WAL file header.
 pub const WAL_HEADER_LEN: usize = 20;
 const LABEL_NOISE: u32 = u32::MAX;
@@ -306,6 +316,9 @@ pub struct WalRecord {
     pub maintain: bool,
     /// The applied updates.
     pub batch: Batch,
+    /// The bubble each insert was assigned to, in insert order: one per
+    /// insert of `batch`, what replay attaches the point to.
+    pub targets: Vec<u32>,
 }
 
 /// Encodes the 20-byte WAL file header.
@@ -319,36 +332,82 @@ pub fn wal_header(dim: usize, base: u64) -> [u8; WAL_HEADER_LEN] {
     h
 }
 
+/// The fewest little-endian bytes, 1 to 4, that hold `max`.
+fn width(max: u32) -> usize {
+    (4 - max.leading_zeros() as usize / 8).max(1)
+}
+
+/// An insert's label field: the stored label plus one, wrapping, so noise
+/// (and label `u32::MAX`, which the store aliases with it) is 0.
+fn label_field(label: Option<u32>) -> u32 {
+    label.unwrap_or(LABEL_NOISE).wrapping_add(1)
+}
+
+/// Appends one framed record (length prefix, checksum, payload) to `out`,
+/// encoded once from borrowed parts: the payload is written in place and
+/// its length and checksum are filled in after it.
+///
+/// # Panics
+/// Panics if an insert's dimensionality differs from `dim`, or if
+/// `targets` does not hold one target per insert — the caller validates
+/// and assigns the batch before logging it.
+fn encode_frame(
+    out: &mut Vec<u8>,
+    dim: usize,
+    round_seed: u64,
+    maintain: bool,
+    batch: &Batch,
+    targets: &[u32],
+) {
+    assert_eq!(targets.len(), batch.inserts.len(), "one target per insert");
+    let mut max_label = 0;
+    for (coords, label) in &batch.inserts {
+        assert_eq!(coords.len(), dim, "insert dimensionality mismatch");
+        max_label = max_label.max(label_field(*label));
+    }
+    let lw = width(max_label);
+    let tw = width(targets.iter().copied().max().unwrap_or(0));
+    let start = out.len();
+    out.reserve(8 + 20 + batch.deletes.len() * 4 + batch.inserts.len() * (lw + tw + 8 * dim));
+    out.extend_from_slice(&[0; 8]);
+    out.push(RECORD_BATCH);
+    out.extend_from_slice(&round_seed.to_le_bytes());
+    out.push(u8::from(maintain));
+    out.extend_from_slice(&(batch.deletes.len() as u64).to_le_bytes());
+    for id in &batch.deletes {
+        out.extend_from_slice(&id.0.to_le_bytes());
+    }
+    out.extend_from_slice(&(batch.inserts.len() as u64).to_le_bytes());
+    out.extend_from_slice(&[lw as u8, tw as u8]);
+    for ((coords, label), target) in batch.inserts.iter().zip(targets) {
+        out.extend_from_slice(&label_field(*label).to_le_bytes()[..lw]);
+        out.extend_from_slice(&target.to_le_bytes()[..tw]);
+        for &x in coords {
+            out.extend_from_slice(&x.to_le_bytes());
+        }
+    }
+    let payload = &out[start + 8..];
+    let (len, crc) = (payload.len() as u32, crc32(payload));
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+}
+
 /// Encodes one record (length prefix, checksum, payload).
 ///
 /// # Panics
-/// Panics if an insert's dimensionality differs from `dim` — the caller
-/// validates the batch before logging it.
+/// As [`WalWriter::append_parts`].
 #[must_use]
 pub fn encode_record(dim: usize, rec: &WalRecord) -> Vec<u8> {
-    let mut p = Vec::with_capacity(
-        18 + 16 + rec.batch.deletes.len() * 4 + rec.batch.inserts.len() * (4 + 8 * dim),
+    let mut out = Vec::new();
+    encode_frame(
+        &mut out,
+        dim,
+        rec.round_seed,
+        rec.maintain,
+        &rec.batch,
+        &rec.targets,
     );
-    p.push(RECORD_BATCH);
-    p.extend_from_slice(&rec.round_seed.to_le_bytes());
-    p.push(u8::from(rec.maintain));
-    p.extend_from_slice(&(rec.batch.deletes.len() as u64).to_le_bytes());
-    for id in &rec.batch.deletes {
-        p.extend_from_slice(&id.0.to_le_bytes());
-    }
-    p.extend_from_slice(&(rec.batch.inserts.len() as u64).to_le_bytes());
-    for (coords, label) in &rec.batch.inserts {
-        assert_eq!(coords.len(), dim, "insert dimensionality mismatch");
-        p.extend_from_slice(&label.unwrap_or(LABEL_NOISE).to_le_bytes());
-        for &x in coords {
-            p.extend_from_slice(&x.to_le_bytes());
-        }
-    }
-    let mut framed = Vec::with_capacity(8 + p.len());
-    framed.extend_from_slice(&(p.len() as u32).to_le_bytes());
-    framed.extend_from_slice(&crc32(&p).to_le_bytes());
-    framed.extend_from_slice(&p);
-    framed
+    out
 }
 
 /// Cursor over a record payload; every read is bounds-checked against the
@@ -394,7 +453,9 @@ struct Frame<'a> {
     maintain: bool,
     /// `n_deletes` little-endian `u32` ids.
     deletes: &'a [u8],
-    /// `n_inserts` rows of `label u32 | coords f64 × dim`.
+    /// Byte widths of the label and target fields, each in 1..=4.
+    widths: (usize, usize),
+    /// `n_inserts` rows of `label | target | coords f64 × dim`.
     inserts: &'a [u8],
     /// Byte offset just past the frame in the stream it was read from.
     end: usize,
@@ -425,7 +486,13 @@ fn parse_payload(dim: usize, payload: &[u8], end: usize) -> Result<Frame<'_>, St
     }
     let deletes = cur.take(n_del * 4)?;
     let n_ins = cur.u64()? as usize;
-    let row = 4 + 8 * dim;
+    let widths = (usize::from(cur.u8()?), usize::from(cur.u8()?));
+    for (field, w) in [("label", widths.0), ("target", widths.1)] {
+        if !(1..=4).contains(&w) {
+            return Err(format!("invalid {field} width {w}"));
+        }
+    }
+    let row = widths.0 + widths.1 + 8 * dim;
     if n_ins > cur.remaining() / row {
         return Err(format!("insert count {n_ins} exceeds the record"));
     }
@@ -437,9 +504,17 @@ fn parse_payload(dim: usize, payload: &[u8], end: usize) -> Result<Frame<'_>, St
         round_seed,
         maintain,
         deletes,
+        widths,
         inserts,
         end,
     })
+}
+
+/// A little-endian unsigned integer of 1 to 4 bytes.
+fn le_uint(bytes: &[u8]) -> u32 {
+    let mut b = [0; 4];
+    b[..bytes.len()].copy_from_slice(bytes);
+    u32::from_le_bytes(b)
 }
 
 /// The decoded contents of a WAL byte stream.
@@ -515,12 +590,14 @@ impl<'a> WalScan<'a> {
                 .chunks_exact(4)
                 .map(|b| PointId(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))),
         );
-        let rows = frame.inserts.chunks_exact(4 + 8 * self.dim);
+        let (lw, tw) = frame.widths;
+        let rows = frame.inserts.chunks_exact(lw + tw + 8 * self.dim);
         batch.inserts.truncate(rows.len());
+        rec.targets.clear();
         for (k, row) in rows.enumerate() {
-            let raw = u32::from_le_bytes([row[0], row[1], row[2], row[3]]);
-            let label = if raw == LABEL_NOISE { None } else { Some(raw) };
-            let coords = row[4..]
+            let label = le_uint(&row[..lw]).checked_sub(1);
+            rec.targets.push(le_uint(&row[lw..lw + tw]));
+            let coords = row[lw + tw..]
                 .chunks_exact(8)
                 .map(|b| f64::from_le_bytes(b.try_into().expect("8 bytes")));
             match batch.inserts.get_mut(k) {
@@ -707,16 +784,44 @@ impl<S: DurableSink> WalWriter<S> {
     }
 
     /// Buffers one record (never touches the sink).
+    ///
+    /// # Panics
+    /// As [`WalWriter::append_parts`].
     pub fn append(&mut self, rec: &WalRecord) {
-        let framed = encode_record(self.dim, rec);
+        self.append_parts(rec.round_seed, rec.maintain, &rec.batch, &rec.targets);
+    }
+
+    /// Buffers the record of `batch`, its maintenance decision and its
+    /// inserts' `targets`, encoded once straight into the group buffer
+    /// (never touches the sink).
+    ///
+    /// # Panics
+    /// Panics if an insert's dimensionality differs from the log's, or if
+    /// `targets` does not hold one target per insert — the caller validates
+    /// and assigns the batch before logging it.
+    pub fn append_parts(
+        &mut self,
+        round_seed: u64,
+        maintain: bool,
+        batch: &Batch,
+        targets: &[u32],
+    ) {
+        let start = self.pending.len();
+        encode_frame(
+            &mut self.pending,
+            self.dim,
+            round_seed,
+            maintain,
+            batch,
+            targets,
+        );
         self.obs.emit(
             EventKind::WalAppend {
-                bytes: framed.len() as u64,
+                bytes: (self.pending.len() - start) as u64,
                 records: 1,
             },
             0,
         );
-        self.pending.extend_from_slice(&framed);
         self.pending_records += 1;
     }
 
@@ -827,26 +932,33 @@ mod tests {
     fn sample_records(dim: usize, n: usize, seed: u64) -> Vec<WalRecord> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n)
-            .map(|_| WalRecord {
-                round_seed: rng.gen(),
-                maintain: rng.gen_bool(0.7),
-                batch: Batch {
-                    deletes: (0..rng.gen_range(0..5))
-                        .map(|_| PointId(rng.gen()))
-                        .collect(),
-                    inserts: (0..rng.gen_range(0..6))
-                        .map(|_| {
-                            let p: Vec<f64> =
-                                (0..dim).map(|_| rng.gen_range(-50.0..50.0)).collect();
-                            let label = if rng.gen_bool(0.3) {
-                                None
-                            } else {
-                                Some(rng.gen_range(0..9))
-                            };
-                            (p, label)
-                        })
-                        .collect(),
-                },
+            .map(|_| {
+                let mut rec = WalRecord {
+                    round_seed: rng.gen(),
+                    maintain: rng.gen_bool(0.7),
+                    batch: Batch {
+                        deletes: (0..rng.gen_range(0..5))
+                            .map(|_| PointId(rng.gen()))
+                            .collect(),
+                        inserts: (0..rng.gen_range(0..6))
+                            .map(|_| {
+                                let p: Vec<f64> =
+                                    (0..dim).map(|_| rng.gen_range(-50.0..50.0)).collect();
+                                let label = if rng.gen_bool(0.3) {
+                                    None
+                                } else {
+                                    Some(rng.gen_range(0..9))
+                                };
+                                (p, label)
+                            })
+                            .collect(),
+                    },
+                    targets: Vec::new(),
+                };
+                rec.targets = (0..rec.batch.inserts.len())
+                    .map(|_| rng.gen_range(0..300))
+                    .collect();
+                rec
             })
             .collect()
     }
@@ -939,6 +1051,58 @@ mod tests {
         bytes.extend_from_slice(&p);
         let err = read_wal(&bytes).unwrap_err();
         assert!(err.to_string().contains("delete count"), "{err}");
+    }
+
+    #[test]
+    fn label_and_target_fields_take_the_fewest_bytes_that_hold_them() {
+        let log = |labels: &[Option<u32>], targets: &[u32]| {
+            let rec = WalRecord {
+                round_seed: 3,
+                maintain: true,
+                batch: Batch {
+                    deletes: vec![PointId(9)],
+                    inserts: labels.iter().map(|&l| (vec![1.5, -1.5], l)).collect(),
+                },
+                targets: targets.to_vec(),
+            };
+            let mut bytes = wal_header(2, 0).to_vec();
+            bytes.extend_from_slice(&encode_record(2, &rec));
+            (rec, bytes)
+        };
+        // Past the header: frame 8 | kind 1 | seed 8 | maintain 1 |
+        // deletes 8 + 4 | inserts 8, then the widths.
+        let at = WAL_HEADER_LEN + 38;
+        for (labels, targets, widths) in [
+            (vec![None, Some(0), Some(254)], vec![0, 7, 255], [1, 1]),
+            (vec![Some(255), None], vec![256, 65_535], [2, 2]),
+            (vec![Some(65_535)], vec![1 << 16], [3, 3]),
+            (vec![Some(u32::MAX - 1)], vec![u32::MAX], [4, 4]),
+            (vec![], vec![], [1, 1]),
+        ] {
+            let (rec, mut bytes) = log(&labels, &targets);
+            assert_eq!(bytes[at..at + 2], widths, "{labels:?} {targets:?}");
+            let row = usize::from(widths[0] + widths[1]) + 16;
+            assert_eq!(bytes.len(), at + 2 + labels.len() * row);
+            assert_eq!(read_wal(&bytes).unwrap().records, [rec]);
+            // A width outside 1..=4 under a valid checksum is damage.
+            for (field, k, w) in [("label", 0, 0), ("target", 1, 5)] {
+                bytes[at + k] = w;
+                let crc = crc32(&bytes[WAL_HEADER_LEN + 8..]);
+                bytes[WAL_HEADER_LEN + 4..WAL_HEADER_LEN + 8].copy_from_slice(&crc.to_le_bytes());
+                let err = read_wal(&bytes).unwrap_err().to_string();
+                assert!(
+                    err.ends_with(&format!("invalid {field} width {w}")),
+                    "{err}"
+                );
+                bytes[at + k] = widths[k];
+            }
+        }
+        // Label `u32::MAX` shares noise's field, as the store aliases them.
+        let (_, bytes) = log(&[Some(u32::MAX)], &[1]);
+        assert_eq!(
+            read_wal(&bytes).unwrap().records[0].batch.inserts[0].1,
+            None
+        );
     }
 
     #[test]

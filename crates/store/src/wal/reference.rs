@@ -10,8 +10,9 @@
 //! `torn_tail`, header fields) or an equal typed error, detail string
 //! included. The sweeps cover every truncation and every single-bit flip
 //! of multi-record logs at d = 1 and d = 10, with deletes, noise labels,
-//! and records both below and above the CRC's stream threshold, and the
-//! same over each segment of a rotated chain.
+//! label and target fields of every width from 1 to 4 bytes, and records
+//! both below and above the CRC's stream threshold, and the same over
+//! each segment of a rotated chain.
 
 use super::*;
 use crate::medium::MemMedium;
@@ -45,6 +46,16 @@ impl<'a> RefCur<'a> {
 
     fn u32(&mut self) -> Result<u32, String> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
+    }
+
+    /// A little-endian unsigned integer of `width` bytes (1 to 4), one
+    /// byte at a time.
+    fn uint(&mut self, width: usize) -> Result<u32, String> {
+        let mut v = 0;
+        for k in 0..width {
+            v |= u32::from(self.u8()?) << (8 * k);
+        }
+        Ok(v)
     }
 
     fn u64(&mut self) -> Result<u64, String> {
@@ -85,13 +96,23 @@ fn ref_decode_payload(dim: usize, payload: &[u8]) -> Result<WalRecord, String> {
         deletes.push(PointId(cur.u32()?));
     }
     let n_ins = cur.u64()? as usize;
-    if n_ins > cur.remaining() / (4 + 8 * dim) {
+    let lw = usize::from(cur.u8()?);
+    let tw = usize::from(cur.u8()?);
+    if !(1..=4).contains(&lw) {
+        return Err(format!("invalid label width {lw}"));
+    }
+    if !(1..=4).contains(&tw) {
+        return Err(format!("invalid target width {tw}"));
+    }
+    if n_ins > cur.remaining() / (lw + tw + 8 * dim) {
         return Err(format!("insert count {n_ins} exceeds the record"));
     }
     let mut inserts = Vec::with_capacity(n_ins);
+    let mut targets = Vec::with_capacity(n_ins);
     for _ in 0..n_ins {
-        let raw = cur.u32()?;
-        let label = if raw == LABEL_NOISE { None } else { Some(raw) };
+        let field = cur.uint(lw)?;
+        let label = if field == 0 { None } else { Some(field - 1) };
+        targets.push(cur.uint(tw)?);
         let mut coords = Vec::with_capacity(dim);
         for _ in 0..dim {
             coords.push(cur.f64()?);
@@ -105,6 +126,7 @@ fn ref_decode_payload(dim: usize, payload: &[u8]) -> Result<WalRecord, String> {
         round_seed,
         maintain,
         batch: Batch { deletes, inserts },
+        targets,
     })
 }
 
@@ -280,9 +302,18 @@ fn ref_read_chain(medium: &MemMedium) -> Result<ChainContents, WalError> {
     })
 }
 
-/// A record of `inserts` rows at `dim`, with up to four deletes and a
-/// noise label on about a third of the rows.
-fn record(rng: &mut StdRng, dim: usize, inserts: usize) -> WalRecord {
+/// The values whose fewest little-endian bytes number exactly `width`.
+fn of_width(width: u32) -> std::ops::RangeInclusive<u32> {
+    let top = u32::MAX >> (32 - 8 * width);
+    (top >> 8) + u32::from(width > 1)..=top
+}
+
+/// A record of `inserts` rows at `dim`, with up to four deletes, whose
+/// label and target fields need `widths` bytes: the first row's label is
+/// never noise, and about a third of the others are.
+fn record(rng: &mut StdRng, dim: usize, inserts: usize, widths: (u32, u32)) -> WalRecord {
+    let labels = of_width(widths.0);
+    let labels = labels.start().saturating_sub(1)..=labels.end() - 1;
     WalRecord {
         round_seed: rng.gen(),
         maintain: rng.gen_bool(0.5),
@@ -291,30 +322,44 @@ fn record(rng: &mut StdRng, dim: usize, inserts: usize) -> WalRecord {
                 .map(|_| PointId(rng.gen()))
                 .collect(),
             inserts: (0..inserts)
-                .map(|_| {
+                .map(|k| {
                     let p = (0..dim).map(|_| rng.gen_range(-50.0..50.0)).collect();
-                    let label = if rng.gen_bool(0.3) {
+                    let label = if k > 0 && rng.gen_bool(0.3) {
                         None
                     } else {
-                        Some(rng.gen_range(0..9))
+                        Some(rng.gen_range(labels.clone()))
                     };
                     (p, label)
                 })
                 .collect(),
         },
+        targets: (0..inserts)
+            .map(|_| rng.gen_range(of_width(widths.1)))
+            .collect(),
     }
 }
 
 /// A log of small records with one whose payload is past the CRC's
-/// stream threshold in the middle.
+/// stream threshold in the middle; its records' label and target fields
+/// take every width from 1 to 4 bytes.
 fn sample_log(dim: usize, seed: u64) -> Vec<u8> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let row = 4 + 8 * dim;
-    let large = CRC_STREAMS_MIN / row + 3;
+    // The large record's rows have 2-byte labels and 3-byte targets.
+    let large = CRC_STREAMS_MIN / (2 + 3 + 8 * dim) + 3;
     let mut w = WalWriter::new(ObjectSink::new(MemMedium::new(), "wal"), dim, 11, 1);
-    for inserts in [2, 0, large, 3, 1] {
-        w.append(&record(&mut rng, dim, inserts));
+    let mut widths = (Vec::new(), Vec::new());
+    for (inserts, lw, tw) in [(2, 1, 4), (0, 1, 1), (large, 2, 3), (3, 3, 2), (1, 4, 1)] {
+        let rec = record(&mut rng, dim, inserts, (lw, tw));
+        let labels = rec.batch.inserts.iter().map(|(_, l)| label_field(*l));
+        widths.0.push(width(labels.max().unwrap_or(0)));
+        widths
+            .1
+            .push(width(rec.targets.iter().copied().max().unwrap_or(0)));
+        w.append(&rec);
         w.commit().expect("memory sink");
+    }
+    for k in 1..=4 {
+        assert!(widths.0.contains(&k) && widths.1.contains(&k), "{widths:?}");
     }
     let bytes = w.into_sink().bytes();
     let contents = ref_read_wal(&bytes).expect("a sample log is intact");
@@ -431,22 +476,27 @@ fn scan_rejects_exactly_what_the_decoder_rejected() {
 fn sample_chain(seed: u64) -> MemMedium {
     let mut rng = StdRng::seed_from_u64(seed);
     let records: Vec<WalRecord> = (0..24)
-        .map(|_| WalRecord {
-            round_seed: rng.gen(),
-            maintain: rng.gen_bool(0.5),
-            batch: Batch {
-                deletes: (0..rng.gen_range(0..3))
-                    .map(|_| PointId(rng.gen()))
-                    .collect(),
-                inserts: (0..rng.gen_range(1..4))
-                    .map(|_| {
-                        (
-                            vec![rng.gen_range(-9.0..9.0), rng.gen_range(-9.0..9.0)],
-                            None,
-                        )
-                    })
-                    .collect(),
-            },
+        .map(|_| {
+            let mut rec = WalRecord {
+                round_seed: rng.gen(),
+                maintain: rng.gen_bool(0.5),
+                batch: Batch {
+                    deletes: (0..rng.gen_range(0..3))
+                        .map(|_| PointId(rng.gen()))
+                        .collect(),
+                    inserts: (0..rng.gen_range(1..4))
+                        .map(|_| {
+                            (
+                                vec![rng.gen_range(-9.0..9.0), rng.gen_range(-9.0..9.0)],
+                                None,
+                            )
+                        })
+                        .collect(),
+                },
+                targets: Vec::new(),
+            };
+            rec.targets = vec![0; rec.batch.inserts.len()];
+            rec
         })
         .collect();
     let medium = MemMedium::new();

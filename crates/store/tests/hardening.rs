@@ -7,7 +7,7 @@
 //! never an allocation beyond a fixed multiple of the input size.
 
 use idb_store::segment::{read_chain, ChainContents, SegmentId, SegmentedSink};
-use idb_store::wal::{read_wal, scratch_dir, WalError, WalRecord, WalWriter};
+use idb_store::wal::{read_wal, scratch_dir, WalError, WalRecord, WalWriter, WAL_VERSION};
 use idb_store::{
     Batch, DurableSink, FsMedium, Medium, MemMedium, PointId, PointStore, SnapshotError,
 };
@@ -61,7 +61,8 @@ fn random_garbage_never_panics_either_decoder() {
         if trial % 4 == 0 && bytes.len() >= 8 {
             let magic: &[u8; 4] = if trial % 8 == 0 { b"IDBP" } else { b"IDBW" };
             bytes[..4].copy_from_slice(magic);
-            bytes[4..8].copy_from_slice(&if magic == b"IDBP" { 2u32 } else { 1u32 }.to_le_bytes());
+            bytes[4..8]
+                .copy_from_slice(&if magic == b"IDBP" { 2u32 } else { WAL_VERSION }.to_le_bytes());
         }
         // Typed results only; unwinding would fail the test.
         let _ = PointStore::read_snapshot(&mut bytes.as_slice()).err();
@@ -127,7 +128,7 @@ fn hostile_body_counts_fail_typed_without_huge_allocations() {
     // The WAL analogue: a record whose u32 length field claims ~4 GiB.
     let mut wal = Vec::new();
     wal.extend_from_slice(b"IDBW");
-    wal.extend_from_slice(&1u32.to_le_bytes());
+    wal.extend_from_slice(&WAL_VERSION.to_le_bytes());
     wal.extend_from_slice(&2u32.to_le_bytes());
     wal.extend_from_slice(&0u64.to_le_bytes());
     wal.extend_from_slice(&(u32::MAX - 8).to_le_bytes());
@@ -173,7 +174,7 @@ fn wal_decode_errors_carry_offsets_and_details() {
     // truncation is a clean torn tail.
     let mut wal = Vec::new();
     wal.extend_from_slice(b"IDBW");
-    wal.extend_from_slice(&1u32.to_le_bytes());
+    wal.extend_from_slice(&WAL_VERSION.to_le_bytes());
     wal.extend_from_slice(&2u32.to_le_bytes());
     wal.extend_from_slice(&0u64.to_le_bytes());
     let payload = [7u8; 24]; // unknown record kind
@@ -225,22 +226,27 @@ fn read_on_each_medium(chain: &Chain, check: impl Fn(Result<ChainContents, WalEr
 fn sample_chain(seed: u64) -> (Chain, Vec<WalRecord>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let records: Vec<WalRecord> = (0..24)
-        .map(|_| WalRecord {
-            round_seed: rng.gen(),
-            maintain: rng.gen_bool(0.5),
-            batch: Batch {
-                deletes: (0..rng.gen_range(0..3))
-                    .map(|_| PointId(rng.gen()))
-                    .collect(),
-                inserts: (0..rng.gen_range(1..4))
-                    .map(|_| {
-                        (
-                            vec![rng.gen_range(-9.0..9.0), rng.gen_range(-9.0..9.0)],
-                            None,
-                        )
-                    })
-                    .collect(),
-            },
+        .map(|_| {
+            let mut rec = WalRecord {
+                round_seed: rng.gen(),
+                maintain: rng.gen_bool(0.5),
+                batch: Batch {
+                    deletes: (0..rng.gen_range(0..3))
+                        .map(|_| PointId(rng.gen()))
+                        .collect(),
+                    inserts: (0..rng.gen_range(1..4))
+                        .map(|_| {
+                            (
+                                vec![rng.gen_range(-9.0..9.0), rng.gen_range(-9.0..9.0)],
+                                None,
+                            )
+                        })
+                        .collect(),
+                },
+                targets: Vec::new(),
+            };
+            rec.targets = vec![0; rec.batch.inserts.len()];
+            rec
         })
         .collect();
     let medium = MemMedium::new();
